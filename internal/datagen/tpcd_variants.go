@@ -48,7 +48,8 @@ func TPCDWorkloadVariants(sc *catalog.Schema, n int, seed int64) (*sql.Workload,
 		if err != nil {
 			return nil, err
 		}
-		w.Queries = append(w.Queries, sql.WorkloadQuery{Stmt: variant, Freq: 1})
+		text, fp := variant.Canonical()
+		w.Queries = append(w.Queries, sql.WorkloadQuery{Stmt: variant, Freq: 1, Text: text, Fingerprint: fp})
 	}
 	return w, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"indexmerge/internal/advisor"
 	"indexmerge/internal/catalog"
@@ -80,12 +81,24 @@ func reportFuzzViolation(t *testing.T, dbKey int64, v Violation) {
 // generated queries: canonical-SQL parse round-trip, optimization
 // under the empty and an advisor-recommended configuration, execution,
 // and a differential diff against the reference evaluator.
+//
+// A non-empty raw replaces the generated query with SQL text as a
+// client would send it, which need not be valid; see checkRawSQL.
 func FuzzParseOptimizeExec(f *testing.F) {
-	f.Add(int64(0), int64(1))
-	f.Add(int64(1), int64(7))
-	f.Add(int64(2), int64(23))
-	f.Add(int64(3), int64(101))
-	f.Fuzz(func(t *testing.T, dbSeed, querySeed int64) {
+	f.Add(int64(0), int64(1), "")
+	f.Add(int64(1), int64(7), "")
+	f.Add(int64(2), int64(23), "")
+	f.Add(int64(3), int64(101), "")
+	// Non-ASCII outside a string literal: the lexer once took the first
+	// for an identifier and quoted half a character of the second.
+	f.Add(int64(0), int64(0), "SELECT ê FROM t")
+	f.Add(int64(0), int64(0), "SELECT ñ FROM t")
+	f.Add(int64(0), int64(0), "SELECT a FROM t WHERE s = 'ñ''ê' AND (a IN (1, 2.5) OR b <> DATE(3)) ORDER BY a DESC")
+	f.Fuzz(func(t *testing.T, dbSeed, querySeed int64, raw string) {
+		if raw != "" {
+			checkRawSQL(t, raw)
+			return
+		}
 		db := fuzzDB(t, dbSeed)
 		w, err := workload.Generate(db, workload.Options{Class: workload.Complex, Disjunctions: true, Queries: 1, Seed: querySeed})
 		if err != nil {
@@ -149,6 +162,25 @@ func FuzzParseOptimizeExec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkRawSQL parses arbitrary text. Rejecting it is fine; what must
+// hold is that the parser returns instead of panicking, that an error
+// about valid UTF-8 input is itself valid UTF-8 (no character cut in
+// half), and that a statement it accepts renders its text and its
+// fingerprint the same in one pass as in two.
+func checkRawSQL(t *testing.T, raw string) {
+	stmt, err := sql.ParseSelect(raw)
+	if err != nil {
+		if utf8.ValidString(raw) && !utf8.ValidString(err.Error()) {
+			t.Fatalf("error for %q is not valid UTF-8: %q", raw, err.Error())
+		}
+		return
+	}
+	text, fp := stmt.Canonical()
+	if text != stmt.String() || fp != stmt.Fingerprint() {
+		t.Fatalf("%q renders %q / %q in one pass, %q / %q in two", raw, text, fp, stmt.String(), stmt.Fingerprint())
+	}
 }
 
 // FuzzMergeSearch drives the merge search with generated workloads and

@@ -174,7 +174,7 @@ func prepareIngest(sess *Session, req IngestRequest) ([]wscale.IngestItem, error
 		if err != nil {
 			return nil, err
 		}
-		items[i] = wscale.IngestItem{Stmt: q.Stmt, PQ: pq, Freq: q.Freq}
+		items[i] = wscale.IngestItem{Stmt: q.Stmt, PQ: pq, Freq: q.Freq, Text: q.Text, Fingerprint: q.Fingerprint}
 	}
 	return items, nil
 }

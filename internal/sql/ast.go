@@ -9,7 +9,6 @@ package sql
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/value"
@@ -101,52 +100,9 @@ type Predicate struct {
 
 // String renders the predicate.
 func (p Predicate) String() string {
-	var b strings.Builder
-	p.render(&b, false)
-	return b.String()
-}
-
-// render writes the predicate's canonical text. With abstract set,
-// literal constants render as '?', and an IN list collapses to a
-// single '?' regardless of arity: IN members differ only in constants,
-// so which indexes are relevant (and which union arms exist) depends
-// only on the column — all arities belong to one template.
-func (p Predicate) render(b *strings.Builder, abstract bool) {
-	lit := func(v value.Value) string {
-		if abstract {
-			return "?"
-		}
-		return v.String()
-	}
-	switch p.Op {
-	case OpBetween:
-		fmt.Fprintf(b, "%s BETWEEN %s AND %s", p.Col, lit(p.Lo), lit(p.Hi))
-	case OpIn:
-		b.WriteString(p.Col.String())
-		b.WriteString(" IN (")
-		if abstract {
-			b.WriteString("?")
-		} else {
-			for i, v := range p.Vals {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(v.String())
-			}
-		}
-		b.WriteString(")")
-	case OpOr:
-		b.WriteString("(")
-		for i, d := range p.Or {
-			if i > 0 {
-				b.WriteString(" OR ")
-			}
-			d.render(b, abstract)
-		}
-		b.WriteString(")")
-	default:
-		fmt.Fprintf(b, "%s %s %s", p.Col, p.Op, lit(p.Val))
-	}
+	var buf [renderBuf]byte
+	c := canon{text: buf[:0], noFp: true}.predicate(&p)
+	return string(c.text)
 }
 
 // Disjuncts normalizes a disjunctive predicate into its member
@@ -225,14 +181,8 @@ type SelectItem struct {
 
 // String renders the item.
 func (s SelectItem) String() string {
-	switch s.Agg {
-	case AggNone:
-		return s.Col.String()
-	case AggCountStar:
-		return "COUNT(*)"
-	default:
-		return fmt.Sprintf("%s(%s)", s.Agg, s.Col)
-	}
+	var buf [64]byte
+	return string(canon{text: buf[:0], noFp: true}.selectItem(s).text)
 }
 
 // OrderItem is one ORDER BY key.
@@ -321,7 +271,11 @@ func (*DeleteStmt) isStatement() {}
 // String renders the query as canonical SQL text. Canonical rendering
 // makes syntactic workload compression (paper §3.5.3) a string-equality
 // test.
-func (s *SelectStmt) String() string { return s.render(false) }
+func (s *SelectStmt) String() string {
+	var buf [renderBuf]byte
+	c := canon{text: buf[:0], noFp: true}.statement(s)
+	return string(c.text)
+}
 
 // Fingerprint returns the canonical rendering with every literal
 // constant abstracted to '?'. Two queries share a fingerprint exactly
@@ -330,49 +284,148 @@ func (s *SelectStmt) String() string { return s.render(false) }
 // share candidate indexes, relevant-index sets and access-path shapes,
 // which is the equivalence template-level workload compression
 // clusters on.
-func (s *SelectStmt) Fingerprint() string { return s.render(true) }
+func (s *SelectStmt) Fingerprint() string {
+	var buf [renderBuf]byte
+	c := canon{fp: buf[:0], noText: true}.statement(s)
+	return string(c.fp)
+}
 
-func (s *SelectStmt) render(abstract bool) string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
+// Canonical returns String and Fingerprint from one pass over the
+// statement. Neither is remembered on the statement: generators copy
+// statements by value and edit their constants, and a copy must render
+// what it now holds. Workload entries carry the pair instead.
+func (s *SelectStmt) Canonical() (text, fingerprint string) {
+	var tb, fb [renderBuf]byte
+	c := canon{text: tb[:0], fp: fb[:0]}.statement(s)
+	return string(c.text), string(c.fp)
+}
+
+// renderBuf is the stack space a render starts in; longer statements
+// grow onto the heap.
+const renderBuf = 512
+
+// canon renders a statement's canonical text and its fingerprint side
+// by side: the two differ only where a literal stands, so everything
+// else is written to both buffers and a literal to the text alone,
+// the fingerprint taking '?'. noText or noFp switch one side off.
+// Methods take and return the value, not a pointer, so buffers that
+// start on the caller's stack stay there.
+type canon struct {
+	text, fp     []byte
+	noText, noFp bool
+}
+
+func (c canon) str(s string) canon {
+	if !c.noText {
+		c.text = append(c.text, s...)
+	}
+	if !c.noFp {
+		c.fp = append(c.fp, s...)
+	}
+	return c
+}
+
+func (c canon) literal(v value.Value) canon {
+	if !c.noText {
+		c.text = v.AppendString(c.text)
+	}
+	if !c.noFp {
+		c.fp = append(c.fp, '?')
+	}
+	return c
+}
+
+func (c canon) column(r ColumnRef) canon {
+	if r.Table != "" {
+		c = c.str(r.Table).str(".")
+	}
+	return c.str(r.Column)
+}
+
+func (c canon) selectItem(it SelectItem) canon {
+	switch it.Agg {
+	case AggNone:
+		return c.column(it.Col)
+	case AggCountStar:
+		return c.str("COUNT(*)")
+	}
+	return c.str(it.Agg.String()).str("(").column(it.Col).str(")")
+}
+
+// predicate writes one restriction. An IN list collapses to a single
+// '?' in the fingerprint regardless of arity: IN members differ only
+// in constants, so which indexes are relevant (and which union arms
+// exist) depends only on the column — all arities belong to one
+// template.
+func (c canon) predicate(p *Predicate) canon {
+	switch p.Op {
+	case OpBetween:
+		return c.column(p.Col).str(" BETWEEN ").literal(p.Lo).str(" AND ").literal(p.Hi)
+	case OpIn:
+		c = c.column(p.Col).str(" IN (")
+		if !c.noText {
+			for i, v := range p.Vals {
+				if i > 0 {
+					c.text = append(c.text, ", "...)
+				}
+				c.text = v.AppendString(c.text)
+			}
+		}
+		if !c.noFp {
+			c.fp = append(c.fp, '?')
+		}
+		return c.str(")")
+	case OpOr:
+		c = c.str("(")
+		for i := range p.Or {
+			if i > 0 {
+				c = c.str(" OR ")
+			}
+			c = c.predicate(&p.Or[i])
+		}
+		return c.str(")")
+	}
+	return c.column(p.Col).str(" ").str(p.Op.String()).str(" ").literal(p.Val)
+}
+
+func (c canon) statement(s *SelectStmt) canon {
+	c = c.str("SELECT ")
 	for i, it := range s.Select {
 		if i > 0 {
-			b.WriteString(", ")
+			c = c.str(", ")
 		}
-		b.WriteString(it.String())
+		c = c.selectItem(it)
 	}
-	b.WriteString(" FROM ")
-	b.WriteString(strings.Join(s.From, ", "))
-	var conds []string
+	c = c.str(" FROM ")
+	for i, t := range s.From {
+		if i > 0 {
+			c = c.str(", ")
+		}
+		c = c.str(t)
+	}
+	sep := " WHERE "
 	for _, j := range s.Joins {
-		conds = append(conds, j.String())
+		c = c.str(sep).column(j.Left).str(" = ").column(j.Right)
+		sep = " AND "
 	}
-	for _, p := range s.Where {
-		var pb strings.Builder
-		p.render(&pb, abstract)
-		conds = append(conds, pb.String())
+	for i := range s.Where {
+		c = c.str(sep).predicate(&s.Where[i])
+		sep = " AND "
 	}
-	if len(conds) > 0 {
-		b.WriteString(" WHERE ")
-		b.WriteString(strings.Join(conds, " AND "))
+	sep = " GROUP BY "
+	for _, g := range s.GroupBy {
+		c = c.str(sep).column(g)
+		sep = ", "
 	}
-	if len(s.GroupBy) > 0 {
-		cols := make([]string, len(s.GroupBy))
-		for i, c := range s.GroupBy {
-			cols[i] = c.String()
+	sep = " ORDER BY "
+	for _, k := range s.OrderBy {
+		c = c.str(sep).column(k.Col)
+		if k.Desc {
+			c = c.str(" DESC")
 		}
-		b.WriteString(" GROUP BY ")
-		b.WriteString(strings.Join(cols, ", "))
+		sep = ", "
 	}
-	if len(s.OrderBy) > 0 {
-		keys := make([]string, len(s.OrderBy))
-		for i, k := range s.OrderBy {
-			keys[i] = k.String()
-		}
-		b.WriteString(" ORDER BY ")
-		b.WriteString(strings.Join(keys, ", "))
-	}
-	return b.String()
+	return c
 }
 
 // TablesReferenced returns the distinct tables in FROM order.

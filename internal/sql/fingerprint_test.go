@@ -3,6 +3,8 @@ package sql
 import (
 	"strings"
 	"testing"
+
+	"indexmerge/internal/value"
 )
 
 // TestFingerprintAbstractsConstants: queries differing only in literal
@@ -97,5 +99,62 @@ func TestFingerprintResolvedStable(t *testing.T) {
 	}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Errorf("resolved fingerprints differ: %q vs %q", a.Fingerprint(), b.Fingerprint())
+	}
+}
+
+// TestCanonicalIsOneRenderOfBoth: Canonical returns exactly String and
+// Fingerprint, on every predicate form.
+func TestCanonicalIsOneRenderOfBoth(t *testing.T) {
+	for _, src := range []string{
+		"SELECT a FROM t",
+		"SELECT COUNT(*), SUM(b), a FROM t WHERE a BETWEEN 2 AND 9 AND b <> 'it''s' GROUP BY a ORDER BY a DESC, b",
+		"SELECT a FROM t WHERE a IN (1, 2.5, NULL, DATE(7)) AND (a = 1 OR b IN ('x', 'y') OR a >= -3)",
+		"SELECT t.a, u.c FROM t, u WHERE t.a = u.c AND t.b >= 5",
+	} {
+		stmt := parseOK(t, src)
+		text, fp := stmt.Canonical()
+		if text != stmt.String() || fp != stmt.Fingerprint() {
+			t.Errorf("Canonical() = %q, %q; String() = %q, Fingerprint() = %q", text, fp, stmt.String(), stmt.Fingerprint())
+		}
+		if strings.Count(text, "'")%2 != 0 || strings.Contains(fp, "'") {
+			t.Errorf("literal quoting leaked: %q, %q", text, fp)
+		}
+	}
+}
+
+// TestCopiedStatementRendersItsOwnConstants: the generators copy a
+// statement by value, edit its constants and render the copy. Nothing
+// about a render may be remembered on the statement, or the copy would
+// come back as the template's text.
+func TestCopiedStatementRendersItsOwnConstants(t *testing.T) {
+	tmpl := parseOK(t, "SELECT a FROM t WHERE a = 1 AND b IN (2, 3)")
+	tmplText, tmplFp := tmpl.Canonical()
+	_ = tmpl.String()
+
+	cp := *tmpl
+	cp.Where = append([]Predicate(nil), tmpl.Where...)
+	cp.Where[0].Val = value.NewInt(42)
+	cp.Where[1].Vals = []value.Value{value.NewInt(7)}
+	text, fp := cp.Canonical()
+	if want := "SELECT a FROM t WHERE a = 42 AND b IN (7)"; text != want || cp.String() != want {
+		t.Errorf("copy renders %q / %q, want %q", text, cp.String(), want)
+	}
+	if fp != tmplFp || cp.Fingerprint() != tmplFp {
+		t.Errorf("copy's fingerprint %q, template's %q", fp, tmplFp)
+	}
+	if tmpl.String() != tmplText {
+		t.Errorf("template now renders %q, was %q", tmpl.String(), tmplText)
+	}
+
+	// The same holds for a workload entry: what it carries is the
+	// statement it was given, as it stood then.
+	w := &Workload{}
+	w.Add(tmpl, 1)
+	w.Add(&cp, 1)
+	if w.Len() != 2 || w.Queries[1].Text != text || w.Queries[0].Text != tmplText {
+		t.Errorf("entries carry %q and %q", w.Queries[0].Text, w.Queries[1].Text)
+	}
+	if w.Queries[0].Fingerprint != w.Queries[1].Fingerprint {
+		t.Errorf("entries of one template carry fingerprints %q and %q", w.Queries[0].Fingerprint, w.Queries[1].Fingerprint)
 	}
 }

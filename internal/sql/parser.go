@@ -210,8 +210,10 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 
 func (p *parser) parseSelectItem() (SelectItem, error) {
 	t := p.peek()
-	if t.kind == tokIdent {
-		if agg, ok := aggKeywords[strings.ToUpper(t.text)]; ok && p.toks[p.pos+1].kind == tokSymbol && p.toks[p.pos+1].text == "(" {
+	// The parenthesis is tested first: upper-casing a column name to
+	// look it up would allocate on every plain select item.
+	if t.kind == tokIdent && p.toks[p.pos+1].kind == tokSymbol && p.toks[p.pos+1].text == "(" {
+		if agg, ok := aggKeywords[strings.ToUpper(t.text)]; ok {
 			p.pos += 2 // agg name and '('
 			if agg == AggCount && p.acceptSymbol("*") {
 				if err := p.expectSymbol(")"); err != nil {

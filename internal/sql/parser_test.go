@@ -137,10 +137,57 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t WHERE a = 'unterminated",
 		"SELECT a FROM t WHERE a = DATE(x)",
 		"SELECT SUM( FROM t",
+		"SELECT a FROM t WHERE a ! 1",
+		"SELECT a FROM t WHERE a = 1 ;",
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestLexNonASCII: identifiers are ASCII. A byte above 0x7F outside a
+// string literal or comment is one error that quotes the whole
+// character at the offset it starts at — the lexer used to read bytes
+// as Latin-1, taking \xC3\xAA (ê) for an identifier and failing on the
+// second byte of \xC3\xB1 (ñ) with a mangled character.
+func TestLexNonASCII(t *testing.T) {
+	for src, want := range map[string]string{
+		"SELECT ê FROM t":             `non-ASCII character 'ê' at offset 7`,
+		"SELECT ñ FROM t":             `non-ASCII character 'ñ' at offset 7`,
+		"SELECT a FROM tñ":            `non-ASCII character 'ñ' at offset 15`,
+		"SELECT a FROM t WHERE 日 = 1": `non-ASCII character '日' at offset 22`,
+		"SELECT a\xff FROM t":         `non-ASCII character '�' at offset 8`,
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q): error %v, want %q", src, err, want)
+		}
+	}
+	stmt := parseOK(t, "SELECT a FROM t WHERE a = 'ñ日''ê' -- ünïcode in a comment")
+	if got := stmt.Where[0].Val.Str(); got != "ñ日'ê" {
+		t.Errorf("string literal came back as %q", got)
+	}
+	if got := stmt.String(); got != "SELECT a FROM t WHERE a = 'ñ日''ê'" {
+		t.Errorf("rendered %q", got)
+	}
+}
+
+// TestLexStringLiterals: a literal without a doubled quote is a slice
+// of the source; one with it is unescaped.
+func TestLexStringLiterals(t *testing.T) {
+	for src, want := range map[string]string{
+		"''":         "",
+		"'abc'":      "abc",
+		"'it''s'":    "it's",
+		"''''":       "'",
+		"'a''''b'":   "a''b",
+		"'-- no'":    "-- no",
+		"'a|b, (c)'": "a|b, (c)",
+	} {
+		stmt := parseOK(t, "SELECT a FROM t WHERE a = "+src)
+		if got := stmt.Where[0].Val.Str(); got != want {
+			t.Errorf("literal %s lexed as %q, want %q", src, got, want)
 		}
 	}
 }

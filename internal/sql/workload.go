@@ -2,10 +2,11 @@ package sql
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 
 	"indexmerge/internal/catalog"
 )
@@ -16,6 +17,23 @@ import (
 type WorkloadQuery struct {
 	Stmt *SelectStmt
 	Freq float64
+
+	// Text and Fingerprint are Stmt's canonical text and fingerprint,
+	// rendered once when the entry was made (Add, ParseWorkload,
+	// wscale.Window.Snapshot) so that folding, compression, the window
+	// and WriteWorkload need not render again. Both are empty on an
+	// entry built as a literal; read them through Canonical.
+	Text        string
+	Fingerprint string
+}
+
+// Canonical returns the entry's canonical text and fingerprint: the
+// carried pair, or a render of Stmt for an entry built without them.
+func (q WorkloadQuery) Canonical() (text, fingerprint string) {
+	if q.Text != "" && q.Fingerprint != "" {
+		return q.Text, q.Fingerprint
+	}
+	return q.Stmt.Canonical()
 }
 
 // Workload is the set of queries the index-merging algorithm optimizes
@@ -25,13 +43,18 @@ type Workload struct {
 
 	// byText indexes Queries by canonical text so Add can fold
 	// duplicates. Rebuilt lazily whenever it disagrees with Queries, so
-	// zero-value and literal-constructed workloads keep working.
+	// zero-value and literal-constructed workloads keep working. The
+	// keys are the entries' Text strings.
 	byText map[string]int
+	// fingerprints holds one string per template, shared by the
+	// Fingerprint fields of all its entries.
+	fingerprints map[string]string
 }
 
 // Add folds the query into the workload: a statement whose canonical
 // text already appears has the frequency (minimum 1) added to the
-// existing entry instead of being appended — and costed — twice.
+// existing entry instead of being appended — and costed — twice. A
+// statement that folds into an existing entry allocates nothing.
 func (w *Workload) Add(stmt *SelectStmt, freq float64) {
 	if freq <= 0 {
 		freq = 1
@@ -39,19 +62,29 @@ func (w *Workload) Add(stmt *SelectStmt, freq float64) {
 	if w.byText == nil || len(w.byText) != len(w.Queries) {
 		w.byText = make(map[string]int, len(w.Queries)+1)
 		for i, q := range w.Queries {
-			text := q.Stmt.String()
+			text, _ := q.Canonical()
 			if _, ok := w.byText[text]; !ok {
 				w.byText[text] = i
 			}
 		}
 	}
-	text := stmt.String()
-	if i, ok := w.byText[text]; ok {
+	var tb, fb [renderBuf]byte
+	c := canon{text: tb[:0], fp: fb[:0]}.statement(stmt)
+	if i, ok := w.byText[string(c.text)]; ok {
 		w.Queries[i].Freq += freq
 		return
 	}
+	fp, ok := w.fingerprints[string(c.fp)]
+	if !ok {
+		if w.fingerprints == nil {
+			w.fingerprints = make(map[string]string)
+		}
+		fp = string(c.fp)
+		w.fingerprints[fp] = fp
+	}
+	text := string(c.text)
 	w.byText[text] = len(w.Queries)
-	w.Queries = append(w.Queries, WorkloadQuery{Stmt: stmt, Freq: freq})
+	w.Queries = append(w.Queries, WorkloadQuery{Stmt: stmt, Freq: freq, Text: text, Fingerprint: fp})
 }
 
 // Len returns the number of (distinct) workload entries.
@@ -90,7 +123,7 @@ func (w *Workload) Compress() *Workload {
 	byText := make(map[string]int)
 	out := &Workload{}
 	for _, q := range w.Queries {
-		text := q.Stmt.String()
+		text, _ := q.Canonical()
 		if i, ok := byText[text]; ok {
 			out.Queries[i].Freq += q.Freq
 			continue
@@ -134,6 +167,11 @@ func (w *Workload) TopK(k int, cost func(*SelectStmt) float64) *Workload {
 // ParseWorkload reads a workload file: one query per line (blank lines
 // and -- comments ignored), optionally prefixed by "<freq>|". Queries
 // are resolved against the schema.
+//
+// Every line is parsed, resolved and rendered once and folds on its
+// canonical text like Add, so spelling differences (case, whitespace,
+// prefix form) do not make separate entries; frequencies add in line
+// order.
 func ParseWorkload(r io.Reader, sc *catalog.Schema) (*Workload, error) {
 	w := &Workload{}
 	scanner := bufio.NewScanner(r)
@@ -141,19 +179,20 @@ func ParseWorkload(r io.Reader, sc *catalog.Schema) (*Workload, error) {
 	lineNo := 0
 	for scanner.Scan() {
 		lineNo++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "--") {
+		line := bytes.TrimSpace(scanner.Bytes())
+		if len(line) == 0 || bytes.HasPrefix(line, []byte("--")) {
 			continue
 		}
 		freq := 1.0
-		if i := strings.Index(line, "|"); i > 0 {
-			var f float64
-			if _, err := fmt.Sscanf(line[:i], "%g", &f); err == nil && f > 0 {
+		// A prefix that is not a positive number belongs to the SQL: a
+		// statement may hold '|' inside a string literal.
+		if i := bytes.IndexByte(line, '|'); i > 0 {
+			if f, err := strconv.ParseFloat(string(bytes.TrimSpace(line[:i])), 64); err == nil && f > 0 {
 				freq = f
-				line = strings.TrimSpace(line[i+1:])
+				line = bytes.TrimSpace(line[i+1:])
 			}
 		}
-		stmt, err := ParseSelect(line)
+		stmt, err := ParseSelect(string(line))
 		if err != nil {
 			return nil, fmt.Errorf("workload line %d: %w", lineNo, err)
 		}
@@ -163,21 +202,22 @@ func ParseWorkload(r io.Reader, sc *catalog.Schema) (*Workload, error) {
 		w.Add(stmt, freq)
 	}
 	if err := scanner.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workload line %d: %w", lineNo+1, err)
 	}
 	return w, nil
 }
 
 // WriteWorkload renders the workload in ParseWorkload's format.
 func WriteWorkload(w io.Writer, wl *Workload) error {
+	var line []byte
 	for _, q := range wl.Queries {
-		var line string
+		line = line[:0]
 		if q.Freq != 1 {
-			line = fmt.Sprintf("%g|%s\n", q.Freq, q.Stmt.String())
-		} else {
-			line = q.Stmt.String() + "\n"
+			line = append(strconv.AppendFloat(line, q.Freq, 'g', -1, 64), '|')
 		}
-		if _, err := io.WriteString(w, line); err != nil {
+		text, _ := q.Canonical()
+		line = append(append(line, text...), '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}

@@ -149,19 +149,35 @@ func (v Value) Equal(w Value) bool { return v.Compare(w) == 0 }
 
 // String renders the value as SQL-ish text.
 func (v Value) String() string {
+	var buf [32]byte
+	return string(v.AppendString(buf[:0]))
+}
+
+// AppendString appends what String returns to b — the form the
+// statement renderer uses so a literal costs no string of its own.
+func (v Value) AppendString(b []byte) []byte {
 	switch v.kind {
 	case Null:
-		return "NULL"
+		return append(b, "NULL"...)
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(b, v.i, 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
 	case String:
-		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+		b = append(b, '\'')
+		for i := 0; i < len(v.s); i++ {
+			if v.s[i] == '\'' {
+				b = append(b, '\'')
+			}
+			b = append(b, v.s[i])
+		}
+		return append(b, '\'')
 	case Date:
-		return fmt.Sprintf("DATE(%d)", v.i)
+		b = append(b, "DATE("...)
+		b = strconv.AppendInt(b, v.i, 10)
+		return append(b, ')')
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // StoredWidth returns the number of bytes the value occupies in a page,

@@ -47,12 +47,13 @@ type Compressed struct {
 }
 
 // Compress clusters the workload's queries into templates by
-// fingerprint.
+// fingerprint — the one each entry carries; only an entry built as a
+// literal is rendered here.
 func Compress(w *sql.Workload) *Compressed {
 	c := &Compressed{W: w}
 	byFp := make(map[string]int)
 	for i, q := range w.Queries {
-		fp := q.Stmt.Fingerprint()
+		_, fp := q.Canonical()
 		if ti, ok := byFp[fp]; ok {
 			t := c.Templates[ti]
 			t.Members = append(t.Members, i)

@@ -51,6 +51,11 @@ type IngestItem struct {
 	Stmt *sql.SelectStmt
 	PQ   *optimizer.PreparedQuery
 	Freq float64
+	// Text and Fingerprint are the canonical pair of the workload entry
+	// the item came from (sql.WorkloadQuery); the window renders Stmt
+	// when they are empty.
+	Text        string
+	Fingerprint string
 }
 
 // winMember is one resident statement of a template's reservoir.
@@ -115,7 +120,10 @@ func (w *Window) Ingest(items []IngestItem) int64 {
 		if freq <= 0 {
 			freq = 1
 		}
-		fp := it.Stmt.Fingerprint()
+		text, fp := it.Text, it.Fingerprint
+		if text == "" || fp == "" {
+			text, fp = it.Stmt.Canonical()
+		}
 		t := w.templates[fp]
 		if t == nil {
 			t = &winTemplate{fp: fp, texts: make(map[string]int)}
@@ -124,7 +132,6 @@ func (w *Window) Ingest(items []IngestItem) int64 {
 		}
 		t.weight += freq
 		w.statements++
-		text := it.Stmt.String()
 		if _, ok := t.texts[text]; ok {
 			continue // duplicate text: weight bump only, reservoir untouched
 		}
@@ -308,16 +315,28 @@ func (w *Window) Snapshot() *WindowSnapshot {
 	snap := &WindowSnapshot{Generation: w.generation}
 	var queries []sql.WorkloadQuery
 	var pqs []*optimizer.PreparedQuery
+	var templates []*Template
 	for _, fp := range w.order {
 		t := w.templates[fp]
 		if len(t.members) == 0 {
 			continue
 		}
 		scale := t.weight / float64(len(t.members))
+		// The window already groups members by fingerprint, so the
+		// template is written down here, as Compress would find it:
+		// members contiguous, frequency summed member by member.
+		tpl := &Template{
+			Fingerprint: fp,
+			Members:     make([]int, 0, len(t.members)),
+			Tables:      t.members[0].stmt.TablesReferenced(),
+		}
 		for _, m := range t.members {
-			queries = append(queries, sql.WorkloadQuery{Stmt: m.stmt, Freq: scale})
+			tpl.Members = append(tpl.Members, len(queries))
+			tpl.Freq += scale
+			queries = append(queries, sql.WorkloadQuery{Stmt: m.stmt, Freq: scale, Text: m.text, Fingerprint: fp})
 			pqs = append(pqs, m.pq)
 		}
+		templates = append(templates, tpl)
 		h := fnv.New64a()
 		h.Write([]byte(fp))
 		snap.TplKeys = append(snap.TplKeys,
@@ -327,6 +346,6 @@ func (w *Window) Snapshot() *WindowSnapshot {
 	}
 	snap.W = &sql.Workload{Queries: queries}
 	snap.PW = &optimizer.PreparedWorkload{W: snap.W, Queries: pqs}
-	snap.C = Compress(snap.W)
+	snap.C = &Compressed{W: snap.W, Templates: templates}
 	return snap
 }

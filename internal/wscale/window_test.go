@@ -3,6 +3,7 @@ package wscale
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -210,6 +211,62 @@ func TestWindowSnapshotCosting(t *testing.T) {
 	}
 	if math.Abs(got2-2*got) > 1e-6*math.Max(1, got) {
 		t.Fatalf("doubled weights: cost %v, want %v", got2, 2*got)
+	}
+}
+
+// TestWindowSnapshotCarriesRenders: a statement is rendered once on its
+// way through the window. Items that bring their workload entry's text
+// and fingerprint fold exactly as items the window must render itself;
+// every snapshot entry carries what its statement renders; and the
+// snapshot's templates, written down from the window's own grouping,
+// are the ones Compress finds by fingerprinting the entries afresh.
+func TestWindowSnapshotCarriesRenders(t *testing.T) {
+	r := newWindowRig(t, 8, 200)
+	carried := make([]IngestItem, len(r.items))
+	for i, q := range r.w.Queries {
+		if q.Text == "" || q.Fingerprint == "" {
+			t.Fatalf("generated entry %d carries no render", i)
+		}
+		carried[i] = r.items[i]
+		carried[i].Text, carried[i].Fingerprint = q.Text, q.Fingerprint
+	}
+	cfg := WindowConfig{MaxPerTemplate: 5, Seed: 9}
+	rendered, w := NewWindow(cfg), NewWindow(cfg)
+	for _, win := range []*Window{rendered, w} {
+		items := r.items
+		if win == w {
+			items = carried
+		}
+		win.Ingest(items[:len(items)/2])
+		win.Age()
+		win.Ingest(items[len(items)/2:])
+	}
+	if a, b := rendered.Stats(), w.Stats(); a != b {
+		t.Fatalf("window of rendered items %+v, of carried items %+v", a, b)
+	}
+
+	snap, ref := w.Snapshot(), rendered.Snapshot()
+	if len(snap.W.Queries) == 0 || len(snap.W.Queries) != len(ref.W.Queries) {
+		t.Fatalf("snapshots hold %d and %d entries", len(snap.W.Queries), len(ref.W.Queries))
+	}
+	bare := &sql.Workload{}
+	for i, q := range snap.W.Queries {
+		if q.Text != q.Stmt.String() || q.Fingerprint != q.Stmt.Fingerprint() {
+			t.Fatalf("snapshot entry %d carries %q / %q, its statement renders %q / %q",
+				i, q.Text, q.Fingerprint, q.Stmt.String(), q.Stmt.Fingerprint())
+		}
+		if rq := ref.W.Queries[i]; rq.Text != q.Text || math.Float64bits(rq.Freq) != math.Float64bits(q.Freq) {
+			t.Fatalf("snapshot entry %d differs between the two windows: %q x%v, %q x%v", i, q.Text, q.Freq, rq.Text, rq.Freq)
+		}
+		bare.Queries = append(bare.Queries, sql.WorkloadQuery{Stmt: q.Stmt, Freq: q.Freq})
+	}
+	for _, c := range []*Compressed{Compress(snap.W), Compress(bare)} {
+		if !reflect.DeepEqual(snap.C.Templates, c.Templates) {
+			t.Fatalf("snapshot templates differ from Compress:\n%+v\n%+v", snap.C.Templates, c.Templates)
+		}
+	}
+	if snap.C.W != snap.W {
+		t.Fatal("snapshot's compression points at another workload")
 	}
 }
 
