@@ -15,6 +15,8 @@ import (
 
 	"indexmerge/internal/core"
 	"indexmerge/internal/experiments"
+	"indexmerge/internal/optimizer"
+	"indexmerge/internal/workload"
 )
 
 // benchLabs builds the three databases at a bench-friendly scale.
@@ -315,6 +317,74 @@ func BenchmarkPreparedGreedySynthetic2(b *testing.B) {
 // whose multi-join queries exercise the join fast path.
 func BenchmarkPreparedGreedyTPCD(b *testing.B) {
 	benchPreparedGreedy(b, benchTPCD(b), 10)
+}
+
+// noBase hides a checker's SetBase from the search, so that every
+// candidate is priced in full.
+type noBase struct {
+	core.ConstraintChecker
+	core.ContextChecker
+}
+
+// BenchmarkGreedyDistinct is the per-layer bench of delta costing: the
+// Greedy search over 300 generated TPC-D queries from 40 tuned indexes
+// at a 10% constraint with a prepared checker. optcalls/op and lookups/op are exact. It fails unless the
+// search reaches the configuration of a run whose checker is never
+// handed a base.
+func BenchmarkGreedyDistinct(b *testing.B) {
+	lab := benchTPCD(b)
+	w, err := workload.Generate(lab.DB, workload.Options{Class: workload.Complex, Queries: 300, Seed: 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defs, err := lab.InitialConfiguration(w, 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	initial := core.NewConfiguration(defs)
+	pw, err := lab.Opt.PrepareWorkload(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := lab.Opt.WorkloadCostPrepared(pw, optimizer.Configuration(defs))
+	if err != nil {
+		b.Fatal(err)
+	}
+	seek, err := core.ComputeSeekCostsPrepared(lab.Opt, pw, initial)
+	if err != nil {
+		b.Fatal(err)
+	}
+	search := func(delta bool) (*core.SearchResult, int64) {
+		check := core.NewOptimizerChecker(lab.Opt, w, base, 0.10)
+		check.Prepared = pw
+		var c core.ConstraintChecker = check
+		if !delta {
+			c = noBase{check, check}
+		}
+		res, err := core.Greedy(initial, &core.MergePairCost{Seek: seek}, c, lab.DB)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hits, misses, _ := check.CacheStats()
+		return res, hits + misses
+	}
+	full, fullLookups := search(false)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *core.SearchResult
+	var lookups int64
+	for i := 0; i < b.N; i++ {
+		res, lookups = search(true)
+	}
+	b.ReportMetric(float64(res.OptimizerCalls), "optcalls/op")
+	b.ReportMetric(float64(lookups), "lookups/op")
+	if res.Final.Signature() != full.Final.Signature() {
+		b.Fatalf("delta costing reached a different configuration:\n delta %s\n full  %s", res.Final.Signature(), full.Final.Signature())
+	}
+	if len(res.Steps) == 0 || lookups >= fullLookups {
+		b.Fatalf("delta costing saved nothing: %d steps, %d lookups against %d in full", len(res.Steps), lookups, fullLookups)
+	}
 }
 
 // BenchmarkAblationPrefixChoice measures MergePair-Cost's leading-

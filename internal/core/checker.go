@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -52,35 +51,31 @@ type SchemaProvider interface {
 }
 
 // Cache-key separators. Index keys are built from SQL identifiers and
-// "(),", so the ASCII unit/record separators can never occur inside
+// "(),", so the ASCII unit/group separators can never occur inside
 // them; they make the concatenated key unambiguous (no two distinct
 // relevant-configuration states can collide).
 const (
 	keySepIndex = '\x1f' // terminates each index key
-	keySepTable = '\x1e' // terminates each table group
 	keySepNS    = '\x1d' // terminates the checker's key namespace
 )
-
-// checkerQuery is per-query metadata precomputed once so the hot
-// cache-key path does no parsing or formatting.
-type checkerQuery struct {
-	prefix string   // "q<idx>|"
-	tables []string // distinct referenced tables, FROM order
-}
 
 // OptimizerChecker implements the optimizer-estimated cost evaluation
 // (§3.5.3): Cost(W, C) is computed by invoking the query optimizer
 // against the hypothetical configuration, and the constraint is
 // Cost(W, C') ≤ U. Per-query costs are cached keyed by the subset of
-// the configuration relevant to the query (the paper's "cost needs to
-// be obtained only for relevant queries" shortcut).
+// the configuration relevant to the query, and a candidate one merge
+// away from the search's current configuration re-prices only the
+// queries the merge can touch (the paper's "cost needs to be obtained
+// only for relevant queries" shortcut, §3.4.2): every other query's
+// cost is carried from the base.
 //
 // The checker is safe for concurrent use: the cache is sharded and
 // deduplicates in-flight computations so two workers never optimize
 // the same (query, relevant-config) key twice, and all counters are
 // atomic. Server must be safe for concurrent Optimize calls
 // (optimizer.Optimizer is) and Parallelism must be set before the
-// first evaluation.
+// first evaluation. SetBase is called by the search goroutine between
+// waves, never concurrently with Accepts.
 type OptimizerChecker struct {
 	Server CostServer
 	W      *sql.Workload
@@ -106,8 +101,11 @@ type OptimizerChecker struct {
 	// Prepared, when non-nil, must be W prepared against the Server's
 	// statistics (optimizer.PrepareWorkload); cache misses then cost
 	// queries through the allocation-free prepared fast path instead of
-	// Server.Optimize, with bit-identical totals. Set before the first
-	// evaluation; requires Server to implement PreparedCostServer
+	// Server.Optimize, with bit-identical totals, and an index counts as
+	// relevant to a query only when it can contribute an access path to
+	// it (PreparedWorkload.RelevantQueries) rather than whenever it is on
+	// one of the query's tables. Set before the first evaluation;
+	// requires Server to implement PreparedCostServer
 	// (optimizer.Optimizer does).
 	Prepared *optimizer.PreparedWorkload
 
@@ -122,11 +120,20 @@ type OptimizerChecker struct {
 	// where a batch was dispatched. Set before the first evaluation.
 	Batch BatchCostServer
 
-	once    sync.Once
-	cache   *costcache.Cache
-	sem     chan struct{} // tokens for actual optimizer invocations
-	queries []checkerQuery
-	prepSrv PreparedCostServer
+	once     sync.Once
+	cache    *costcache.Cache
+	sem      chan struct{} // tokens for actual optimizer invocations
+	prefixes []string      // per query: "<namespace>\x1dq<idx>|"
+	prepSrv  PreparedCostServer
+	all      optimizer.QuerySet            // every query position
+	rel      *optimizer.Relevance          // prepared relevance, memoized for the checker's one search
+	onTable  map[string]optimizer.QuerySet // unprepared relevance: the queries referencing a table
+
+	// mu guards the base and the vectors waiting to become one. A base
+	// is immutable once published: pricing it replaces the pointer.
+	mu       sync.Mutex
+	base     *pricedBase
+	accepted map[*Configuration][]float64 // per-query costs of the accepted candidates of the current base
 
 	checks   atomic.Int64 // constraint checks (Accepts/WorkloadCost calls)
 	optCalls atomic.Int64 // actual Server.Optimize invocations
@@ -134,6 +141,13 @@ type OptimizerChecker struct {
 	remoteBatches   atomic.Int64 // batched RPCs dispatched to workers
 	remoteItems     atomic.Int64 // queries costed remotely
 	remoteFallbacks atomic.Int64 // batches that fell back to local costing
+}
+
+// pricedBase is the search's current configuration with its per-query
+// costs; costs is nil until the first check of the expansion prices it.
+type pricedBase struct {
+	*SearchBase
+	costs []float64
 }
 
 // BatchCostServer costs a batch of workload queries (by position)
@@ -175,13 +189,24 @@ func (c *OptimizerChecker) lazyInit() {
 		if c.Prepared != nil && len(c.Prepared.Queries) == len(c.W.Queries) {
 			if ps, ok := c.Server.(PreparedCostServer); ok {
 				c.prepSrv = ps
+				c.rel = c.Prepared.NewRelevance()
 			}
 		}
-		c.queries = make([]checkerQuery, len(c.W.Queries))
+		nq := len(c.W.Queries)
+		c.prefixes = make([]string, nq)
+		c.all = optimizer.NewQuerySet(nq)
+		c.onTable = make(map[string]optimizer.QuerySet)
 		for qi, q := range c.W.Queries {
-			c.queries[qi] = checkerQuery{
-				prefix: fmt.Sprintf("%s%cq%d|", c.KeyNamespace, keySepNS, qi),
-				tables: q.Stmt.TablesReferenced(),
+			c.prefixes[qi] = fmt.Sprintf("%s%cq%d|", c.KeyNamespace, keySepNS, qi)
+			c.all.Add(qi)
+			if c.prepSrv != nil {
+				continue
+			}
+			for _, t := range q.Stmt.TablesReferenced() {
+				if c.onTable[t] == nil {
+					c.onTable[t] = optimizer.NewQuerySet(nq)
+				}
+				c.onTable[t].Add(qi)
 			}
 		}
 	})
@@ -206,6 +231,79 @@ func (c *OptimizerChecker) CacheStats() (hits, misses, dedups int64) {
 	return c.cache.Stats()
 }
 
+// relevant returns the queries whose cost can depend on the index: with
+// a prepared workload those it can contribute an access path to,
+// otherwise every query that references its table.
+func (c *OptimizerChecker) relevant(ix *Index) optimizer.QuerySet {
+	if c.rel == nil {
+		return c.onTable[ix.Def.Table]
+	}
+	return c.rel.Queries(ix.Key(), ix.Def)
+}
+
+// relevance appends relevant(ix) for every index of cfg, aligned with
+// cfg.Indexes.
+func (c *OptimizerChecker) relevance(rels []optimizer.QuerySet, cfg *Configuration) []optimizer.QuerySet {
+	for _, ix := range cfg.Indexes {
+		rels = append(rels, c.relevant(ix))
+	}
+	return rels
+}
+
+// appendQueryKey appends query qi's cache key under cfg: the query's
+// namespace prefix, then the key of every index relevant to the query
+// in configuration order, each terminated by keySepIndex. Two
+// configurations share a query's key exactly when their relevant
+// subsets coincide, so a key addresses one cost.
+func (c *OptimizerChecker) appendQueryKey(buf []byte, qi int, cfg *Configuration, rels []optimizer.QuerySet) []byte {
+	buf = append(buf, c.prefixes[qi]...)
+	for i, ix := range cfg.Indexes {
+		if rels[i].Has(qi) {
+			buf = append(buf, ix.Key()...)
+			buf = append(buf, keySepIndex)
+		}
+	}
+	return buf
+}
+
+// SetBase implements the searches' baseAware hook. A candidate this
+// checker accepted since the last SetBase arrives with its per-query
+// costs; any other configuration is priced by the first check that
+// needs it, so that a costing error surfaces through Accepts, where a
+// resilient wrapper can retry it.
+func (c *OptimizerChecker) SetBase(cfg *Configuration) {
+	c.mu.Lock()
+	c.base = &pricedBase{SearchBase: NewSearchBase(cfg), costs: c.accepted[cfg]}
+	c.accepted = nil
+	c.mu.Unlock()
+}
+
+// pricedBaseFor returns the current base with its per-query costs,
+// pricing it on first use, or nil when no search has set one.
+// Concurrent first checks of one wave may both price it; the cache
+// deduplicates the optimizer calls and both arrive at the same vector.
+// Nothing is recorded unless pricing succeeds.
+func (c *OptimizerChecker) pricedBaseFor(ctx context.Context) (*pricedBase, error) {
+	c.mu.Lock()
+	bs := c.base
+	c.mu.Unlock()
+	if bs == nil || bs.costs != nil {
+		return bs, nil
+	}
+	sc := checkScratchPool.Get().(*checkScratch)
+	defer checkScratchPool.Put(sc)
+	if _, err := c.price(ctx, sc, bs.Cfg, nil, c.all); err != nil {
+		return nil, err
+	}
+	priced := &pricedBase{SearchBase: bs.SearchBase, costs: append([]float64(nil), sc.costs...)}
+	c.mu.Lock()
+	if c.base == bs {
+		c.base = priced
+	}
+	c.mu.Unlock()
+	return priced, nil
+}
+
 // Accepts implements ConstraintChecker.
 func (c *OptimizerChecker) Accepts(cfg *Configuration, m, a, b *Index) (bool, error) {
 	return c.AcceptsContext(context.Background(), cfg, m, a, b)
@@ -213,12 +311,55 @@ func (c *OptimizerChecker) Accepts(cfg *Configuration, m, a, b *Index) (bool, er
 
 // AcceptsContext implements ContextChecker: cancellation is observed
 // between the per-query optimizer invocations of the workload costing.
-func (c *OptimizerChecker) AcceptsContext(ctx context.Context, cfg *Configuration, _, _, _ *Index) (bool, error) {
-	cost, err := c.WorkloadCostContext(ctx, cfg)
+// A candidate one ReplacePair(a, b, m) away from the base re-prices
+// only the queries a, b or m is relevant to: an irrelevant index
+// contributes no access path, so every other query's relevant subset,
+// key and cost are the base's. Any other configuration is the same
+// evaluation with every query affected.
+func (c *OptimizerChecker) AcceptsContext(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
+	c.lazyInit()
+	c.checks.Add(1)
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	bs, err := c.pricedBaseFor(ctx)
 	if err != nil {
 		return false, err
 	}
-	return cost <= c.U, nil
+	sc := checkScratchPool.Get().(*checkScratch)
+	defer checkScratchPool.Put(sc)
+	var carry []float64
+	affected := c.all
+	derived := bs != nil && bs.Derives(cfg, m, a, b)
+	if derived {
+		carry = bs.costs
+		if cap(sc.affected) < len(c.all) {
+			sc.affected = make(optimizer.QuerySet, len(c.all))
+		}
+		affected = sc.affected[:len(c.all)]
+		clear(affected)
+		affected.Union(c.relevant(a))
+		affected.Union(c.relevant(b))
+		affected.Union(c.relevant(m))
+	}
+	total, err := c.price(ctx, sc, cfg, carry, affected)
+	if err != nil {
+		return false, err
+	}
+	if total > c.U {
+		return false, nil
+	}
+	if derived {
+		// The search may adopt cfg next; its vector is then the base.
+		vec := append([]float64(nil), sc.costs...)
+		c.mu.Lock()
+		if c.accepted == nil {
+			c.accepted = make(map[*Configuration][]float64)
+		}
+		c.accepted[cfg] = vec
+		c.mu.Unlock()
+	}
+	return true, nil
 }
 
 // WorkloadCost computes Cost(W, C) with per-query caching. Cache
@@ -240,74 +381,60 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-
-	groups := c.groupKeysByTable(cfg)
-	nq := len(c.W.Queries)
 	sc := checkScratchPool.Get().(*checkScratch)
-	defer func() { checkScratchPool.Put(sc) }()
-	if cap(sc.keys) < nq {
-		sc.keys = make([]string, nq)
+	defer checkScratchPool.Put(sc)
+	return c.price(ctx, sc, cfg, nil, c.all)
+}
+
+// price is the checker's one evaluation routine. It leaves cfg's
+// per-query costs in sc.costs and returns their frequency-weighted sum
+// in workload order. The affected queries are keyed by their relevant
+// subset of cfg and looked up, and the misses are costed under that
+// subset alone; every other query keeps the cost carry holds for it
+// (carry may be nil when every query is affected). A check whose
+// lookups all hit allocates nothing.
+func (c *OptimizerChecker) price(ctx context.Context, sc *checkScratch, cfg *Configuration, carry []float64, affected optimizer.QuerySet) (float64, error) {
+	nq := len(c.W.Queries)
+	if cap(sc.costs) < nq {
 		sc.costs = make([]float64, nq)
 	}
-	keys, costs := sc.keys[:nq], sc.costs[:nq]
-	misses := sc.misses[:0]
-
-	// Build every query key into one shared buffer (one allocation for
-	// the backing string instead of one per query); keys are substrings.
-	// A query's key is its prefix plus its tables' groups in FROM order,
-	// each group terminated by keySepTable, so distinct relevant-
-	// configuration states can never produce the same key.
-	size := 0
-	for qi := range c.queries {
-		q := &c.queries[qi]
-		size += len(q.prefix) + len(q.tables)
-		for _, t := range q.tables {
-			size += len(groups[t])
-		}
-	}
-	if cap(sc.buf) < size {
-		sc.buf = make([]byte, 0, size)
-	}
-	buf := sc.buf[:0]
-	for qi := range c.queries {
-		q := &c.queries[qi]
-		buf = append(buf, q.prefix...)
-		for _, t := range q.tables {
-			buf = append(buf, groups[t]...)
-			buf = append(buf, keySepTable)
-		}
-	}
-	sc.buf = buf
-	all := string(buf)
-	off := 0
-	for qi := range c.queries {
-		q := &c.queries[qi]
-		n := len(q.prefix)
-		for _, t := range q.tables {
-			n += len(groups[t]) + 1
-		}
-		keys[qi] = all[off : off+n]
-		off += n
-	}
-
-	for qi := range c.W.Queries {
-		if v, ok := c.cache.Get(keys[qi]); ok {
+	costs := sc.costs[:nq]
+	sc.costs = costs
+	copy(costs, carry)
+	rels := c.relevance(sc.rels[:0], cfg)
+	sc.rels = rels
+	missQ, missKey := sc.missQ[:0], sc.missKey[:0]
+	for qi := affected.Next(0); qi >= 0; qi = affected.Next(qi + 1) {
+		sc.key = c.appendQueryKey(sc.key[:0], qi, cfg, rels)
+		if v, ok := c.cache.GetBytes(sc.key); ok {
 			costs[qi] = v
 		} else {
-			misses = append(misses, qi)
+			missQ = append(missQ, qi)
+			missKey = append(missKey, string(sc.key))
 		}
 	}
-	sc.misses = misses
+	sc.missQ, sc.missKey = missQ, missKey
 
-	if len(misses) > 0 && c.Batch != nil && c.batchMisses(ctx, misses, keys, costs, cfg.Defs()) {
-		misses = misses[:0]
-	}
-	if len(misses) > 0 {
-		ocfg := optimizer.Configuration(cfg.Defs())
-		eval := func(qi int) error {
-			// Clone the key on the miss path so a cached entry pins only
-			// its own bytes, not the whole per-check key buffer.
-			v, err := c.cache.Do(strings.Clone(keys[qi]), func() (float64, error) {
+	if len(missQ) > 0 && (c.Batch == nil || !c.batchMisses(ctx, missQ, missKey, costs, cfg.Defs())) {
+		// Each miss is costed under its relevant subset only: the lists
+		// sit back to back in one pooled slice, miss i's at
+		// defs[ends[i-1]:ends[i]].
+		defs, ends := sc.defs[:0], sc.ends[:0]
+		for _, qi := range missQ {
+			for i, ix := range cfg.Indexes {
+				if rels[i].Has(qi) {
+					defs = append(defs, ix.Def)
+				}
+			}
+			ends = append(ends, len(defs))
+		}
+		sc.defs, sc.ends = defs, ends
+		eval := func(i int) error {
+			qi, lo := missQ[i], 0
+			if i > 0 {
+				lo = ends[i-1]
+			}
+			v, err := c.cache.Do(missKey[i], func() (float64, error) {
 				select {
 				case c.sem <- struct{}{}:
 				case <-ctx.Done():
@@ -318,6 +445,7 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 					return 0, err
 				}
 				c.optCalls.Add(1)
+				ocfg := optimizer.Configuration(defs[lo:ends[i]])
 				if c.prepSrv != nil {
 					return c.prepSrv.CostPrepared(c.Prepared.Queries[qi], ocfg)
 				}
@@ -333,7 +461,7 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 			costs[qi] = v
 			return nil
 		}
-		if err := c.evalMisses(misses, eval); err != nil {
+		if err := c.evalMisses(len(missQ), eval); err != nil {
 			return 0, err
 		}
 	}
@@ -346,14 +474,16 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 }
 
 // batchMisses offloads the cache-missed queries to the worker pool in
-// one batched RPC. Results are installed through the same cache Do
-// path as local evaluation — counting one optimizer call per computed
-// query — so cache contents and counters stay byte-identical to a
-// local run. Any RPC error, short response, or non-finite cost
-// returns false with costs untouched; the caller then costs locally.
-func (c *OptimizerChecker) batchMisses(ctx context.Context, misses []int, keys []string, costs []float64, defs []catalog.IndexDef) bool {
-	vals, err := c.Batch.CostQueryBatch(ctx, misses, defs)
-	if err != nil || len(vals) != len(misses) {
+// one batched RPC, under the whole configuration (an index outside a
+// query's relevant subset changes no cost). Results are installed
+// through the same cache Do path as local evaluation — counting one
+// optimizer call per computed query — so cache contents and counters
+// stay byte-identical to a local run. Any RPC error, short response,
+// or non-finite cost returns false with costs untouched; the caller
+// then costs locally.
+func (c *OptimizerChecker) batchMisses(ctx context.Context, missQ []int, missKey []string, costs []float64, defs []catalog.IndexDef) bool {
+	vals, err := c.Batch.CostQueryBatch(ctx, missQ, defs)
+	if err != nil || len(vals) != len(missQ) {
 		c.remoteFallbacks.Add(1)
 		return false
 	}
@@ -363,8 +493,8 @@ func (c *OptimizerChecker) batchMisses(ctx context.Context, misses []int, keys [
 			return false
 		}
 	}
-	for i, qi := range misses {
-		v, err := c.cache.Do(strings.Clone(keys[qi]), func() (float64, error) {
+	for i, qi := range missQ {
+		v, err := c.cache.Do(missKey[i], func() (float64, error) {
 			c.optCalls.Add(1)
 			return vals[i], nil
 		})
@@ -375,7 +505,7 @@ func (c *OptimizerChecker) batchMisses(ctx context.Context, misses []int, keys [
 		costs[qi] = v
 	}
 	c.remoteBatches.Add(1)
-	c.remoteItems.Add(int64(len(misses)))
+	c.remoteItems.Add(int64(len(missQ)))
 	return true
 }
 
@@ -386,43 +516,26 @@ func (c *OptimizerChecker) RemoteStats() (batches, items, fallbacks int64) {
 	return c.remoteBatches.Load(), c.remoteItems.Load(), c.remoteFallbacks.Load()
 }
 
-// queryKey builds the cache key for query qi from a configuration's
-// per-table groups: the query's namespace prefix followed by its
-// tables' groups in FROM order, each terminated by keySepTable. The
-// hot path batches all queries' keys into one pooled buffer
-// (WorkloadCostContext) with this exact layout; the method states the
-// format in one place for tests.
-func (c *OptimizerChecker) queryKey(qi int, groups map[string]string) string {
-	q := &c.queries[qi]
-	var sb strings.Builder
-	sb.WriteString(q.prefix)
-	for _, t := range q.tables {
-		sb.WriteString(groups[t])
-		sb.WriteByte(keySepTable)
-	}
-	return sb.String()
-}
-
-// evalMisses runs eval for every missed query index, concurrently when
-// Parallelism > 1. On failure it returns the error of the
+// evalMisses runs eval for each of the n missed queries, concurrently
+// when Parallelism > 1. On failure it returns the error of the
 // smallest-indexed failing query, matching serial evaluation order.
 // Each evaluation runs through safeEval, so a panicking cost server
 // fails one constraint check (as a typed *PanicError) instead of
 // killing a worker goroutine — and with it the process.
-func (c *OptimizerChecker) evalMisses(misses []int, eval func(int) error) error {
+func (c *OptimizerChecker) evalMisses(n int, eval func(int) error) error {
 	workers := c.Parallelism
-	if workers > len(misses) {
-		workers = len(misses)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for _, qi := range misses {
-			if err := safeEval(eval, qi); err != nil {
+		for i := 0; i < n; i++ {
+			if err := safeEval(eval, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	errs := make([]error, len(misses))
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -431,10 +544,10 @@ func (c *OptimizerChecker) evalMisses(misses []int, eval func(int) error) error 
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(misses) {
+				if i >= n {
 					return
 				}
-				errs[i] = safeEval(eval, misses[i])
+				errs[i] = safeEval(eval, i)
 			}
 		}()
 	}
@@ -451,93 +564,31 @@ func (c *OptimizerChecker) evalMisses(misses []int, eval func(int) error) error 
 // *PanicError. Crucially this runs on the goroutine that calls eval —
 // parallel costing workers included — which is the only place a
 // recover can catch it.
-func safeEval(eval func(int) error, qi int) (err error) {
+func safeEval(eval func(int) error, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return eval(qi)
+	return eval(i)
 }
 
-// checkScratch is pooled per-constraint-check state: the per-query key
-// and cost arrays plus the shared key-building buffer. One constraint
-// check allocates one backing string for all query keys (plus cache
-// entries for misses) instead of a string per query.
+// checkScratch is pooled per-check state: the per-query cost vector,
+// the relevance of the configuration's indexes, the affected set, one
+// key buffer, and the missed queries with their keys and relevant
+// definitions.
 type checkScratch struct {
-	keys   []string
-	costs  []float64
-	misses []int
-	buf    []byte
+	costs    []float64
+	rels     []optimizer.QuerySet
+	affected optimizer.QuerySet
+	key      []byte
+	missQ    []int
+	missKey  []string
+	defs     []catalog.IndexDef
+	ends     []int
 }
 
 var checkScratchPool = sync.Pool{New: func() any { return new(checkScratch) }}
-
-// groupScratch is pooled per-call state for groupKeysByTable: a shared
-// byte buffer and per-table slot bookkeeping replace the per-call map
-// of strings.Builders, so a constraint check allocates one backing
-// string for all groups plus the returned map.
-type groupScratch struct {
-	buf  []byte
-	slot map[string]int // table -> index into tabs
-	tabs []tableSlot
-}
-
-// tableSlot tracks one table's group within the shared buffer.
-type tableSlot struct {
-	size, off, cur int
-}
-
-var groupScratchPool = sync.Pool{New: func() any {
-	return &groupScratch{slot: make(map[string]int)}
-}}
-
-// groupKeysByTable concatenates the configuration's index keys per
-// table (configuration order, each key terminated by keySepIndex), so
-// building a query's cache key is a few map lookups instead of a scan
-// over every index for every query. Groups are substrings of a single
-// shared backing string built through a pooled scratch buffer.
-func (c *OptimizerChecker) groupKeysByTable(cfg *Configuration) map[string]string {
-	sc := groupScratchPool.Get().(*groupScratch)
-	// Pass 1: per-table group sizes (index keys are memoized on Index).
-	for _, ix := range cfg.Indexes {
-		i, ok := sc.slot[ix.Def.Table]
-		if !ok {
-			i = len(sc.tabs)
-			sc.tabs = append(sc.tabs, tableSlot{})
-			sc.slot[ix.Def.Table] = i
-		}
-		sc.tabs[i].size += len(ix.Key()) + 1
-	}
-	total := 0
-	for i := range sc.tabs {
-		sc.tabs[i].off = total
-		sc.tabs[i].cur = total
-		total += sc.tabs[i].size
-	}
-	// Pass 2: copy each key into its table's region, configuration order.
-	if cap(sc.buf) < total {
-		sc.buf = make([]byte, total)
-	}
-	buf := sc.buf[:total]
-	for _, ix := range cfg.Indexes {
-		i := sc.slot[ix.Def.Table]
-		n := copy(buf[sc.tabs[i].cur:], ix.Key())
-		buf[sc.tabs[i].cur+n] = keySepIndex
-		sc.tabs[i].cur += n + 1
-	}
-	all := string(buf)
-	groups := make(map[string]string, len(sc.tabs))
-	for t, i := range sc.slot {
-		groups[t] = all[sc.tabs[i].off : sc.tabs[i].off+sc.tabs[i].size]
-	}
-	for t := range sc.slot {
-		delete(sc.slot, t)
-	}
-	sc.tabs = sc.tabs[:0]
-	groupScratchPool.Put(sc)
-	return groups
-}
 
 // NoCostChecker implements the No-Cost model (§3.5.1): a merged index
 // is acceptable iff (a) its width is at most fraction F of its table's
@@ -617,6 +668,10 @@ func (c *PrefilteredChecker) OptimizerCalls() int64 { return c.Inner.OptimizerCa
 // PrefilterRejections counts candidates the external model vetoed
 // without an optimizer call.
 func (c *PrefilteredChecker) PrefilterRejections() int64 { return c.prefilterHits.Load() }
+
+// SetBase forwards the search's current configuration to the inner
+// checker, which prices candidates as deltas against it.
+func (c *PrefilteredChecker) SetBase(cfg *Configuration) { c.Inner.SetBase(cfg) }
 
 // Accepts implements ConstraintChecker.
 func (c *PrefilteredChecker) Accepts(cfg *Configuration, m, a, b *Index) (bool, error) {

@@ -113,6 +113,19 @@ func (c *Cache) Get(key string) (float64, bool) {
 	return v, ok
 }
 
+// GetBytes is Get for a key the caller holds as bytes, say in a buffer
+// it reuses from lookup to lookup; it does not allocate.
+func (c *Cache) GetBytes(key []byte) (float64, bool) {
+	s := &c.shards[maphash.Bytes(c.seed, key)%uint64(len(c.shards))]
+	s.mu.RLock()
+	v, ok := s.vals[string(key)]
+	s.mu.RUnlock()
+	if ok {
+		c.hits.Add(1)
+	}
+	return v, ok
+}
+
 // Do returns the cached value for key, computing it with fn on a miss.
 // Concurrent Do calls for the same key run fn exactly once: the first
 // caller computes, the rest wait and share the result. fn runs without

@@ -33,6 +33,34 @@ func TestGetAndDo(t *testing.T) {
 	}
 }
 
+// TestGetBytesMatchesGet: a key held as bytes finds what the same key
+// as a string stored, counts as a hit, and costs no allocation.
+func TestGetBytesMatchesGet(t *testing.T) {
+	c := New(0)
+	for i := 0; i < 100; i++ {
+		key := fmt.Sprintf("ns\x1dq%d|t(a,b)\x1f", i)
+		if _, err := c.Do(key, func() (float64, error) { return float64(i), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	for i := 0; i < 100; i++ {
+		buf = fmt.Appendf(buf[:0], "ns\x1dq%d|t(a,b)\x1f", i)
+		if v, ok := c.GetBytes(buf); !ok || v != float64(i) {
+			t.Fatalf("GetBytes(%q) = %v, %v", buf, v, ok)
+		}
+	}
+	if _, ok := c.GetBytes([]byte("absent")); ok {
+		t.Fatal("GetBytes found a key that was never stored")
+	}
+	if hits, misses, _ := c.Stats(); hits != 100 || misses != 100 {
+		t.Errorf("hits %d misses %d, want 100 and 100", hits, misses)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.GetBytes(buf) }); n != 0 {
+		t.Errorf("GetBytes allocates %v objects per call", n)
+	}
+}
+
 func TestErrorsNotCached(t *testing.T) {
 	c := New(4)
 	boom := errors.New("boom")

@@ -1,0 +1,429 @@
+package core
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"indexmerge/internal/advisor"
+	"indexmerge/internal/datagen"
+	"indexmerge/internal/engine"
+	"indexmerge/internal/faults"
+	"indexmerge/internal/optimizer"
+	"indexmerge/internal/sql"
+	"indexmerge/internal/workload"
+)
+
+// deltaRig is a workload with everything the delta tests price it
+// with: the reference optimizer, the prepared form, an initial
+// configuration and its Seek-Costs.
+type deltaRig struct {
+	db      *engine.Database
+	opt     *optimizer.Optimizer
+	w       *sql.Workload
+	pw      *optimizer.PreparedWorkload
+	initial *Configuration
+	seek    *SeekCosts
+	base    float64
+}
+
+func fixtureRig(t testing.TB) *deltaRig {
+	f := newSearchFixture(t)
+	pw, err := f.opt.PrepareWorkload(f.w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &deltaRig{db: f.db, opt: f.opt, w: f.w, pw: pw, initial: f.initial, seek: f.seek, base: f.base}
+}
+
+// tpcdRig is a generated TPC-D workload of 60 queries over 16 tuned
+// indexes: multi-table joins, so that an index is on many queries'
+// tables and relevant to few of them.
+func tpcdRig(t testing.TB) *deltaRig {
+	t.Helper()
+	db, err := datagen.BuildTPCD(datagen.ScaledTPCD(0.1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(db, workload.Options{Class: workload.Complex, Queries: 60, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := optimizer.New(db)
+	defs, err := advisor.BuildInitialConfiguration(advisor.New(db, opt), w, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw, err := opt.PrepareWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := NewConfiguration(defs)
+	base, err := opt.WorkloadCostPrepared(pw, optimizer.Configuration(defs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seek, err := ComputeSeekCostsPrepared(opt, pw, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &deltaRig{db: db, opt: opt, w: w, pw: pw, initial: initial, seek: seek, base: base}
+}
+
+func (r *deltaRig) checker(slack float64, prepared bool) *OptimizerChecker {
+	c := NewOptimizerChecker(r.opt, r.w, r.base, slack)
+	if prepared {
+		c.Prepared = r.pw
+	}
+	return c
+}
+
+// exact is the reference: the whole workload under the whole
+// configuration, no cache, no relevance.
+func (r *deltaRig) exact(t testing.TB, cfg *Configuration) float64 {
+	t.Helper()
+	v, err := r.opt.WorkloadCostPrepared(r.pw, optimizer.Configuration(cfg.Defs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// touched counts the queries a, b or m can matter to, by the contract's
+// own statement of relevance rather than the checker's memo.
+func (r *deltaRig) touched(prepared bool, ixs ...*Index) int {
+	n := 0
+	for qi, q := range r.w.Queries {
+		hit := false
+		for _, ix := range ixs {
+			if prepared {
+				hit = hit || r.pw.Queries[qi].IndexRelevant(ix.Def.Table, ix.Def.Columns)
+				continue
+			}
+			for _, tb := range q.Stmt.TablesReferenced() {
+				hit = hit || tb == ix.Def.Table
+			}
+		}
+		if hit {
+			n++
+		}
+	}
+	return n
+}
+
+// exactRecorder sits between a search and an OptimizerChecker. Every
+// check is first held to the reference: at U = the exact total the
+// checker must accept and one ulp below it must reject, which pins its
+// total to the reference's bits; and it must have looked up exactly the
+// queries the merge can touch when the candidate is one merge from the
+// base, every query otherwise.
+type exactRecorder struct {
+	t        *testing.T
+	rig      *deltaRig
+	prepared bool
+	inner    *OptimizerChecker
+	base     *SearchBase
+
+	delta, full, collapsed int
+}
+
+func (r *exactRecorder) Description() string { return r.inner.Description() }
+func (r *exactRecorder) Evaluations() int64  { return r.inner.Evaluations() }
+
+func (r *exactRecorder) SetBase(cfg *Configuration) {
+	r.base = NewSearchBase(cfg)
+	r.inner.SetBase(cfg)
+}
+
+func (r *exactRecorder) Accepts(cfg *Configuration, m, a, b *Index) (bool, error) {
+	return r.AcceptsContext(context.Background(), cfg, m, a, b)
+}
+
+func (r *exactRecorder) AcceptsContext(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
+	r.t.Helper()
+	u := r.inner.U
+	defer func() { r.inner.U = u }()
+	exact := r.rig.exact(r.t, cfg)
+
+	lookups0 := lookupsOf(r.inner)
+	r.inner.mu.Lock()
+	priced := r.inner.base != nil && r.inner.base.costs != nil
+	r.inner.mu.Unlock()
+	r.inner.U = exact
+	ok, err := r.inner.AcceptsContext(ctx, cfg, m, a, b)
+	if err != nil {
+		return false, err
+	}
+	want := len(r.rig.w.Queries)
+	if r.base != nil && r.base.Derives(cfg, m, a, b) {
+		want = r.rig.touched(r.prepared, a, b, m)
+		r.delta++
+		if r.base.Cfg.Len()-cfg.Len() == 2 {
+			r.collapsed++
+		}
+		if !priced {
+			want += len(r.rig.w.Queries) // the check priced the base first
+		}
+	} else {
+		r.full++
+	}
+	if lookups := int(lookupsOf(r.inner) - lookups0); lookups != want {
+		r.t.Errorf("check of %v looked up %d queries, want %d", cfg.Signature(), lookups, want)
+	}
+	if !ok {
+		r.t.Errorf("check of %v rejected at U = its exact cost %v", cfg.Signature(), exact)
+	}
+	r.inner.U = math.Nextafter(exact, 0)
+	if ok, err := r.inner.AcceptsContext(ctx, cfg, m, a, b); err != nil || ok {
+		r.t.Errorf("check of %v accepted one ulp below its exact cost %v (err %v)", cfg.Signature(), exact, err)
+	}
+	r.inner.U = u
+	ok, err = r.inner.AcceptsContext(ctx, cfg, m, a, b)
+	if err == nil && ok != (exact <= u) {
+		r.t.Errorf("verdict %v for exact cost %v against U %v", ok, exact, u)
+	}
+	return ok, err
+}
+
+// lookupsOf counts the per-query cost lookups a checker has made.
+func lookupsOf(c *OptimizerChecker) int64 {
+	hits, misses, _ := c.CacheStats()
+	return hits + misses
+}
+
+// TestDeltaMatchesFullGreedy walks Greedy over the search fixture and a
+// generated TPC-D workload, prepared and unprepared, holding every
+// check to the reference.
+func TestDeltaMatchesFullGreedy(t *testing.T) {
+	for name, rig := range map[string]*deltaRig{"fixture": fixtureRig(t), "tpcd": tpcdRig(t)} {
+		for _, prepared := range []bool{true, false} {
+			rec := &exactRecorder{t: t, rig: rig, prepared: prepared, inner: rig.checker(0.30, prepared)}
+			res, err := Greedy(rig.initial, &MergePairCost{Seek: rig.seek}, rec, rig.db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Steps) == 0 || rec.delta == 0 {
+				t.Errorf("%s prepared=%v: %d steps, %d delta checks: nothing was exercised", name, prepared, len(res.Steps), rec.delta)
+			}
+			if rec.full != 0 {
+				t.Errorf("%s prepared=%v: %d of Greedy's checks were priced in full", name, prepared, rec.full)
+			}
+			if got := rig.exact(t, res.Final); got > rec.inner.U {
+				t.Errorf("%s prepared=%v: final cost %v exceeds U %v", name, prepared, got, rec.inner.U)
+			}
+		}
+	}
+}
+
+// TestDeltaDuplicateCollapse checks a candidate whose merged index
+// already exists in the base: ReplacePair folds the two into a fresh
+// *Index and the configuration shrinks by two.
+func TestDeltaDuplicateCollapse(t *testing.T) {
+	rig := fixtureRig(t)
+	a, b := rig.initial.Indexes[0], rig.initial.Indexes[1] // (d, m1), (d, m2)
+	m, err := MergeOrdered(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := &Configuration{Indexes: append([]*Index{NewIndex(m.Def)}, rig.initial.Indexes...)}
+	cand := base.ReplacePair(a, b, m)
+	if cand.Len() != base.Len()-2 {
+		t.Fatalf("candidate has %d indexes, base %d: no collapse", cand.Len(), base.Len())
+	}
+	for _, prepared := range []bool{true, false} {
+		rec := &exactRecorder{t: t, rig: rig, prepared: prepared, inner: rig.checker(0.30, prepared)}
+		rec.SetBase(base)
+		// Price the base through a first candidate, then the collapse.
+		c, d := rig.initial.Indexes[2], rig.initial.Indexes[3]
+		other, err := MergeOrdered(c, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rec.Accepts(base.ReplacePair(c, d, other), other, c, d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rec.Accepts(cand, m, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if rec.collapsed != 1 {
+			t.Errorf("prepared=%v: the collapsing candidate was not priced as a delta", prepared)
+		}
+	}
+}
+
+// TestDeltaExhaustiveStaleSiblings runs Exhaustive, whose later
+// siblings are checked after a subtree moved the base: they are priced
+// in full and still match the reference.
+func TestDeltaExhaustiveStaleSiblings(t *testing.T) {
+	rig := fixtureRig(t)
+	rec := &exactRecorder{t: t, rig: rig, prepared: true, inner: rig.checker(0.30, true)}
+	res, err := Exhaustive(rig.initial, &MergePairCost{Seek: rig.seek}, rec, rig.db, ExhaustiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.delta == 0 || rec.full == 0 {
+		t.Errorf("%d delta and %d full checks: want both", rec.delta, rec.full)
+	}
+	plain, err := Exhaustive(rig.initial, &MergePairCost{Seek: rig.seek}, noBaseChecker{rig.checker(0.30, true)}, rig.db, ExhaustiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runsEqual(t, plain, res)
+}
+
+// noBaseChecker hides SetBase from the search.
+type noBaseChecker struct{ resilientInner }
+
+// TestDeltaSearchIdentities: the search result does not depend on
+// whether the checker is prepared, whether it is handed a base, or how
+// many candidates a wave checks at once.
+func TestDeltaSearchIdentities(t *testing.T) {
+	rig := tpcdRig(t)
+	mp := &MergePairCost{Seek: rig.seek}
+	want, err := Greedy(rig.initial, mp, noBaseChecker{rig.checker(0.10, true)}, rig.db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Steps) == 0 {
+		t.Fatal("no merges happened; the rig should allow some")
+	}
+	for _, prepared := range []bool{true, false} {
+		for _, par := range []int{1, 4} {
+			check := rig.checker(0.10, prepared)
+			check.Parallelism = par
+			got, err := GreedyWithOptions(rig.initial, mp, check, rig.db, GreedyOptions{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runsEqual(t, want, got)
+		}
+	}
+}
+
+// TestDeltaFailedCheckLeavesNoState fails the optimizer in the middle
+// of pricing the base and again in the middle of a candidate, and holds
+// the retry after each to the reference: a failed check records
+// neither a base vector nor an accepted one.
+func TestDeltaFailedCheckLeavesNoState(t *testing.T) {
+	rig := tpcdRig(t)
+	defer faults.Reset()
+	rec := &exactRecorder{t: t, rig: rig, prepared: true, inner: rig.checker(0.30, true)}
+	check := rec.inner
+	rec.SetBase(rig.initial)
+	pairs := rig.initial.PairsByTable()
+	cand := func(i int) (*Configuration, *Index, *Index, *Index) {
+		a, b := pairs[i][0], pairs[i][1]
+		m, err := (&MergePairCost{Seek: rig.seek}).Merge(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rig.initial.ReplacePair(a, b, m), m, a, b
+	}
+
+	// The base is priced by the first check: fail its third query.
+	faults.Install(faults.Rule{Point: faults.OptimizerCost, Mode: faults.ModeError, After: 2, Count: 1})
+	cfg, m, a, b := cand(0)
+	if _, err := check.Accepts(cfg, m, a, b); err == nil {
+		t.Fatal("a failed optimizer call did not fail the check")
+	}
+	faults.Reset()
+	if check.base.costs != nil || len(check.accepted) != 0 {
+		t.Fatal("a check that failed while pricing the base left state behind")
+	}
+	if _, err := rec.Accepts(cfg, m, a, b); err != nil {
+		t.Fatal(err)
+	}
+
+	// The base is priced now: fail the first miss of another candidate.
+	baseCosts := append([]float64(nil), check.base.costs...)
+	for i := len(pairs) - 1; i > 0; i-- {
+		if cfg, m, a, b = cand(i); rig.touched(true, a, b, m) > 0 {
+			break
+		}
+	}
+	faults.Install(faults.Rule{Point: faults.OptimizerCost, Mode: faults.ModeError, Count: 1})
+	if _, err := check.Accepts(cfg, m, a, b); err == nil {
+		t.Fatal("the candidate needed no optimizer call")
+	}
+	faults.Reset()
+	if check.accepted[cfg] != nil {
+		t.Fatal("a failed check left an accepted vector behind")
+	}
+	for qi, v := range check.base.costs {
+		if math.Float64bits(v) != math.Float64bits(baseCosts[qi]) {
+			t.Fatalf("a failed check changed the base's cost of query %d", qi)
+		}
+	}
+	if _, err := rec.Accepts(cfg, m, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if rec.delta != 2 || rec.full != 0 {
+		t.Errorf("%d delta and %d full checks, want the 2 retries as deltas", rec.delta, rec.full)
+	}
+}
+
+// TestPrefilterForwardsBase: a prefiltered run whose external model
+// vetoes nothing is the plain run, delta costing included.
+func TestPrefilterForwardsBase(t *testing.T) {
+	rig := tpcdRig(t)
+	mp := &MergePairCost{Seek: rig.seek}
+	plain, err := Greedy(rig.initial, mp, rig.checker(0.10, true), rig.db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Uncalibrated (no SetBaseline), the external model passes everything.
+	pre := &PrefilteredChecker{External: &ExternalCostModel{Meta: rig.db, W: rig.w}, Inner: rig.checker(0.10, true), SlackPct: 0.10}
+	got, err := Greedy(rig.initial, mp, pre, rig.db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pre.PrefilterRejections() != 0 {
+		t.Fatalf("the external model vetoed %d candidates", pre.PrefilterRejections())
+	}
+	runsEqual(t, plain, got)
+	if got.OptimizerCalls != plain.OptimizerCalls {
+		t.Errorf("prefiltered run issued %d optimizer calls, plain %d", got.OptimizerCalls, plain.OptimizerCalls)
+	}
+	full := rig.checker(0.10, true)
+	if _, err := Greedy(rig.initial, mp, noBaseChecker{full}, rig.db); err != nil {
+		t.Fatal(err)
+	}
+	if pl, fl := lookupsOf(pre.Inner), lookupsOf(full); pl >= fl {
+		t.Errorf("prefiltered run looked up %d query costs, a run without a base %d", pl, fl)
+	}
+}
+
+// TestDeltaCachedCheckAllocatesNothing: a base-derived check whose
+// affected queries are all cached allocates nothing when it rejects,
+// and only the vector the search may adopt when it accepts.
+func TestDeltaCachedCheckAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	rig := tpcdRig(t)
+	check := rig.checker(0.30, true)
+	check.SetBase(rig.initial)
+	pair := rig.initial.PairsByTable()[0]
+	a, b := pair[0], pair[1]
+	m, err := (&MergePairCost{Seek: rig.seek}).Merge(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := rig.initial.ReplacePair(a, b, m)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		u      float64
+		accept bool
+		allocs float64
+	}{{0, false, 0}, {math.Inf(1), true, 1}} {
+		check.U = tc.u
+		got := testing.AllocsPerRun(50, func() {
+			if ok, err := check.AcceptsContext(ctx, cfg, m, a, b); err != nil || ok != tc.accept {
+				t.Fatalf("Accepts = %v, %v at U = %v", ok, err, tc.u)
+			}
+		})
+		if got != tc.allocs {
+			t.Errorf("a cached check with verdict %v allocates %v objects, want %v", tc.accept, got, tc.allocs)
+		}
+	}
+}

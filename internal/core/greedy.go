@@ -81,12 +81,63 @@ type GreedyOptions struct {
 // baseAware lets MergePair implementations that evaluate candidate
 // merges in configuration context (MergePair-Exhaustive) — and
 // constraint checkers that price candidates as deltas against the
-// current configuration (wscale's decomposed checker) — track the
-// search's current configuration. Searches call SetBase(cur) at the
-// top of each expansion, before any Merge or Accepts against cur's
-// candidates.
+// current configuration (OptimizerChecker and wscale's decomposed
+// checker) — track the search's current configuration. Searches call
+// SetBase(cur) at the top of each expansion, before any Merge or
+// Accepts against cur's candidates.
 type baseAware interface {
 	SetBase(c *Configuration)
+}
+
+// SearchBase is the configuration a search is expanding, held with its
+// index pointers so that a delta-pricing checker can tell whether a
+// candidate is one merge away from it.
+type SearchBase struct {
+	Cfg  *Configuration
+	ptrs map[*Index]bool
+}
+
+// NewSearchBase records cfg as a search's current configuration.
+func NewSearchBase(cfg *Configuration) *SearchBase {
+	ptrs := make(map[*Index]bool, cfg.Len())
+	for _, ix := range cfg.Indexes {
+		ptrs[ix] = true
+	}
+	return &SearchBase{Cfg: cfg, ptrs: ptrs}
+}
+
+// Derives reports whether cfg is exactly one ReplacePair(a, b, m) away
+// from the base: every index but one is a base pointer, the one fresh
+// index carries m's definition key (ReplacePair builds a new *Index
+// when the merge collapses with an existing duplicate), a and b are
+// base members absent from cfg, and the length dropped by 1 (plain
+// replace) or 2 (duplicate collapse). Exhaustive's sibling batches can
+// outrun the recorded base; they fail this test and are priced in full.
+func (sb *SearchBase) Derives(cfg *Configuration, m, a, b *Index) bool {
+	if m == nil || a == nil || b == nil {
+		return false
+	}
+	d := sb.Cfg.Len() - cfg.Len()
+	if d != 1 && d != 2 {
+		return false
+	}
+	if !sb.ptrs[a] || !sb.ptrs[b] {
+		return false
+	}
+	fresh := 0
+	for _, ix := range cfg.Indexes {
+		if ix == a || ix == b {
+			return false
+		}
+		if sb.ptrs[ix] {
+			continue
+		}
+		if ix.Key() != m.Key() {
+			return false
+		}
+		fresh++
+	}
+	return fresh == 1
 }
 
 // SetBase implements baseAware for MergePairExhaustive.

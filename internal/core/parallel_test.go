@@ -219,73 +219,89 @@ func TestWorkloadCostConcurrentStress(t *testing.T) {
 }
 
 // TestQueryKeyUnambiguous verifies the cache key's injectivity
-// contract: two configurations share a query's key exactly when their
-// relevant subsets (indexes on the query's tables, in configuration
-// order) coincide, and the separator bytes can never occur inside an
-// index key.
+// contract, for a prepared checker (IndexRelevant) and an unprepared
+// one (index on one of the query's tables): two configurations share a
+// query's key exactly when their relevant subsets — the indexes
+// relevant to the query, in configuration order — coincide, and the
+// separator bytes can never occur inside an index key.
 func TestQueryKeyUnambiguous(t *testing.T) {
 	f := newSearchFixture(t)
-	check := f.checker(0.10)
-	check.lazyInit()
+	pw, err := f.opt.PrepareWorkload(f.w)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for _, ix := range f.initial.Indexes {
-		if strings.ContainsRune(ix.Key(), keySepIndex) || strings.ContainsRune(ix.Key(), keySepTable) {
+	// The fixture's indexes plus some that are on a query's table yet
+	// irrelevant to it, and one that is relevant to nothing.
+	ixs := append([]*Index(nil), f.initial.Indexes...)
+	ixs = append(ixs, NewIndex(def("fact", "m2", "m3")), NewIndex(def("fact", "pad")), NewIndex(def("dim", "name")))
+	for _, ix := range ixs {
+		if strings.ContainsRune(ix.Key(), keySepIndex) || strings.ContainsRune(ix.Key(), keySepNS) {
 			t.Fatalf("index key %q contains a reserved separator byte", ix.Key())
 		}
 	}
-
-	// All subsets of the five fixture indexes.
+	// All subsets, in configuration order and reversed.
 	var configs []*Configuration
-	n := f.initial.Len()
-	for mask := 0; mask < 1<<n; mask++ {
-		var ixs []*Index
-		for i := 0; i < n; i++ {
+	for mask := 0; mask < 1<<len(ixs); mask++ {
+		var fwd, rev []*Index
+		for i, ix := range ixs {
 			if mask&(1<<i) != 0 {
-				ixs = append(ixs, f.initial.Indexes[i])
+				fwd = append(fwd, ix)
+				rev = append([]*Index{ix}, rev...)
 			}
 		}
-		configs = append(configs, &Configuration{Indexes: ixs})
+		configs = append(configs, &Configuration{Indexes: fwd}, &Configuration{Indexes: rev})
 	}
 
-	relevant := func(cfg *Configuration, tables []string) string {
-		inQ := make(map[string]bool, len(tables))
-		for _, t := range tables {
-			inQ[t] = true
+	for _, prepared := range []bool{true, false} {
+		check := f.checker(0.10)
+		if prepared {
+			check.Prepared = pw
 		}
-		var sb strings.Builder
-		for _, ix := range cfg.Indexes {
-			if inQ[ix.Def.Table] {
-				sb.WriteString(ix.Key())
-				sb.WriteByte(0)
+		check.lazyInit()
+		// The contract's own statement of relevance, not the checker's.
+		isRelevant := func(qi int, ix *Index) bool {
+			if prepared {
+				return pw.Queries[qi].IndexRelevant(ix.Def.Table, ix.Def.Columns)
 			}
-		}
-		return sb.String()
-	}
-
-	for qi := range check.W.Queries {
-		tables := check.queries[qi].tables
-		byKey := make(map[string]string) // cache key -> relevant subset
-		for _, cfg := range configs {
-			key := check.queryKey(qi, check.groupKeysByTable(cfg))
-			rel := relevant(cfg, tables)
-			if prev, seen := byKey[key]; seen {
-				if prev != rel {
-					t.Fatalf("q%d: key collision between relevant subsets %q and %q", qi, prev, rel)
+			for _, tb := range f.w.Queries[qi].Stmt.TablesReferenced() {
+				if tb == ix.Def.Table {
+					return true
 				}
-			} else {
+			}
+			return false
+		}
+		narrowed := false
+		for qi := range check.W.Queries {
+			byKey := make(map[string]string) // cache key -> relevant subset
+			byRel := make(map[string]string) // relevant subset -> cache key
+			for _, cfg := range configs {
+				key := string(check.appendQueryKey(nil, qi, cfg, check.relevance(nil, cfg)))
+				var sb strings.Builder
+				for _, ix := range cfg.Indexes {
+					if isRelevant(qi, ix) {
+						sb.WriteString(ix.Key())
+						sb.WriteByte(0)
+					} else if prepared && f.w.Queries[qi].Stmt.ColumnsOf(ix.Def.Table) != nil {
+						narrowed = true
+					}
+				}
+				rel := sb.String()
+				if prev, seen := byKey[key]; seen && prev != rel {
+					t.Fatalf("prepared=%v q%d: key collision between relevant subsets %q and %q", prepared, qi, prev, rel)
+				}
 				byKey[key] = rel
+				// The same relevant subset must also map to the same key
+				// (cache hits across configurations differing only in
+				// irrelevant indexes).
+				if prev, seen := byRel[rel]; seen && prev != key {
+					t.Fatalf("prepared=%v q%d: relevant subset %q produced two keys", prepared, qi, rel)
+				}
+				byRel[rel] = key
 			}
 		}
-		// The same relevant subset must also map to the same key (cache
-		// hits across configurations differing only on other tables).
-		byRel := make(map[string]string)
-		for _, cfg := range configs {
-			key := check.queryKey(qi, check.groupKeysByTable(cfg))
-			rel := relevant(cfg, tables)
-			if prev, seen := byRel[rel]; seen && prev != key {
-				t.Fatalf("q%d: relevant subset %q produced two keys", qi, rel)
-			}
-			byRel[rel] = key
+		if prepared && !narrowed {
+			t.Error("no index on a query's table was irrelevant to it: the prepared contract went unexercised")
 		}
 	}
 }

@@ -297,8 +297,8 @@ func (c *ResilientChecker) PanicsRecovered() int64 { return c.panicsRecovered.Lo
 func (c *ResilientChecker) Degraded() bool { return c.degraded.Load() }
 
 // SetBase forwards the search's current configuration to base-aware
-// inner checkers (wscale's decomposed checker prices candidates as
-// deltas against it); inert otherwise.
+// inner checkers (the optimizer-backed ones price candidates as deltas
+// against it); inert otherwise.
 func (c *ResilientChecker) SetBase(cfg *Configuration) {
 	if ba, ok := c.Inner.(baseAware); ok {
 		ba.SetBase(cfg)

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -371,5 +372,73 @@ func TestConfigurationHelpers(t *testing.T) {
 	cl[0] = b
 	if cfg[0].Key() != a.Key() {
 		t.Error("Clone aliases")
+	}
+}
+
+// TestRelevantQueries: the workload-level relevance set is IndexRelevant
+// query by query, for indexes that seek, cover, serve a join, or do
+// nothing, and the set's iteration and union agree with its membership.
+func TestRelevantQueries(t *testing.T) {
+	db := fixtureDB(t)
+	w := &sql.Workload{}
+	for _, src := range []string{
+		"SELECT oid FROM orders WHERE cust_id = 7",
+		"SELECT amount FROM orders WHERE odate BETWEEN DATE(1100) AND DATE(1110)",
+		"SELECT name FROM customers WHERE segment = 'gold'",
+		"SELECT name, amount FROM orders, customers WHERE orders.cust_id = customers.cust_id AND status = 'paid'",
+		"SELECT status FROM orders",
+	} {
+		w.Add(mustSelect(t, db, src), 1)
+	}
+	// Past one word, so that Next crosses a word boundary.
+	for i := 0; i < 70; i++ {
+		w.Add(mustSelect(t, db, fmt.Sprintf("SELECT note FROM orders WHERE oid = %d", i)), 1)
+	}
+	pw, err := New(db).PrepareWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	union := NewQuerySet(pw.Len())
+	wantUnion := make([]bool, pw.Len())
+	for _, def := range []catalog.IndexDef{
+		mustIndex(t, db, "orders", "cust_id", "oid"),
+		mustIndex(t, db, "orders", "odate"),
+		mustIndex(t, db, "orders", "status"),
+		mustIndex(t, db, "orders", "oid", "note"),
+		mustIndex(t, db, "orders", "note"),
+		mustIndex(t, db, "customers", "cust_id", "name"),
+		mustIndex(t, db, "customers", "name"),
+	} {
+		set := pw.RelevantQueries(def.Table, def.Columns)
+		var members []int
+		for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
+			members = append(members, i)
+		}
+		var want []int
+		for i, pq := range pw.Queries {
+			rel := pq.IndexRelevant(def.Table, def.Columns)
+			if rel != set.Has(i) {
+				t.Errorf("%s, query %d: Has = %v, IndexRelevant = %v", def.Key(), i, set.Has(i), rel)
+			}
+			if rel {
+				want = append(want, i)
+				wantUnion[i] = true
+			}
+		}
+		if fmt.Sprint(members) != fmt.Sprint(want) {
+			t.Errorf("%s: Next walks %v, want %v", def.Key(), members, want)
+		}
+		union.Union(set)
+	}
+	for i, want := range wantUnion {
+		if union.Has(i) != want {
+			t.Errorf("union: Has(%d) = %v, want %v", i, union.Has(i), want)
+		}
+	}
+	if union.Has(pw.Len()+100) || QuerySet(nil).Has(0) || QuerySet(nil).Next(0) != -1 {
+		t.Error("a position outside the set, or any position of a nil set, reads as a member")
+	}
+	if set := pw.RelevantQueries("nosuch", []string{"x"}); set.Next(0) != -1 {
+		t.Error("an index on an unreferenced table is relevant to some query")
 	}
 }

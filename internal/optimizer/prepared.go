@@ -3,8 +3,10 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
+	"indexmerge/internal/catalog"
 	"indexmerge/internal/faults"
 	"indexmerge/internal/sql"
 	"indexmerge/internal/storage"
@@ -106,10 +108,103 @@ func (j *preparedJoin) myCol(t int) string {
 type PreparedWorkload struct {
 	W       *sql.Workload
 	Queries []*PreparedQuery
+
+	byTableOnce sync.Once
+	byTable     map[string][]int // query positions per referenced table
 }
 
 // Len returns the number of prepared queries.
 func (pw *PreparedWorkload) Len() int { return len(pw.Queries) }
+
+// QuerySet is a set of workload positions, one bit per query.
+type QuerySet []uint64
+
+// NewQuerySet returns an empty set over n positions.
+func NewQuerySet(n int) QuerySet { return make(QuerySet, (n+63)/64) }
+
+// Add inserts position i.
+func (s QuerySet) Add(i int) { s[i>>6] |= 1 << (uint(i) & 63) }
+
+// Has reports whether position i is in the set; a nil set is empty.
+func (s QuerySet) Has(i int) bool {
+	w := i >> 6
+	return w < len(s) && s[w]>>(uint(i)&63)&1 != 0
+}
+
+// Next returns the smallest member at or after position i, or -1.
+func (s QuerySet) Next(i int) int {
+	for w := i >> 6; w < len(s); w++ {
+		word := s[w]
+		if w == i>>6 {
+			word &= ^uint64(0) << (uint(i) & 63)
+		}
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// Union adds every member of t, a set over no more positions than s.
+func (s QuerySet) Union(t QuerySet) {
+	for i, w := range t {
+		s[i] |= w
+	}
+}
+
+// RelevantQueries returns the queries an index with these key columns
+// could contribute an access path to: IndexRelevant over the queries
+// that reference the table. Every other query's cost is the same with
+// or without the index, which is what lets a checker re-price only
+// these queries when the index enters or leaves a configuration. A pure
+// function of the definition; a caller that asks about the same
+// definitions again and again holds a Relevance.
+func (pw *PreparedWorkload) RelevantQueries(table string, cols []string) QuerySet {
+	pw.byTableOnce.Do(func() {
+		pw.byTable = make(map[string][]int)
+		for i, pq := range pw.Queries {
+			for _, ti := range pq.tables {
+				pw.byTable[ti.name] = append(pw.byTable[ti.name], i)
+			}
+		}
+	})
+	set := NewQuerySet(len(pw.Queries))
+	for _, i := range pw.byTable[table] {
+		if pw.Queries[i].IndexRelevant(table, cols) {
+			set.Add(i)
+		}
+	}
+	return set
+}
+
+// Relevance memoizes RelevantQueries by definition key for as long as
+// its holder lives — one search for a constraint checker, one
+// registration for a compressed workload. Safe for concurrent use.
+type Relevance struct {
+	pw   *PreparedWorkload
+	mu   sync.RWMutex
+	sets map[string]QuerySet
+}
+
+// NewRelevance returns an empty memo over the workload.
+func (pw *PreparedWorkload) NewRelevance() *Relevance {
+	return &Relevance{pw: pw, sets: make(map[string]QuerySet)}
+}
+
+// Queries returns RelevantQueries for the definition, whose Key() is
+// key (the caller has it at hand; building it anew would allocate).
+func (r *Relevance) Queries(key string, def catalog.IndexDef) QuerySet {
+	r.mu.RLock()
+	set, ok := r.sets[key]
+	r.mu.RUnlock()
+	if !ok {
+		set = r.pw.RelevantQueries(def.Table, def.Columns)
+		r.mu.Lock()
+		r.sets[key] = set
+		r.mu.Unlock()
+	}
+	return set
+}
 
 // PrepareWorkload resolves every workload query into its prepared
 // descriptor against the given metadata. The returned workload is

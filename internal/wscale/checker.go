@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"indexmerge/internal/core"
+	"indexmerge/internal/optimizer"
 )
 
 // Checker is the decomposition-aware cost constraint (Cost(W, C') ≤ U)
@@ -55,8 +56,7 @@ var (
 // baseState is the lazily-computed per-template costing of the search's
 // current configuration. Costs are exact and summed in template order.
 type baseState struct {
-	cfg   *core.Configuration
-	ptrs  map[*core.Index]bool
+	*core.SearchBase
 	costs []float64
 	total float64
 }
@@ -112,7 +112,7 @@ func (c *Checker) ensureBase(ctx context.Context) (*baseState, error) {
 	if pb == nil {
 		return nil, nil
 	}
-	if bs != nil && bs.cfg == pb {
+	if bs != nil && bs.Cfg == pb {
 		return bs, nil
 	}
 	// Concurrent first checks of one wave may both compute the base;
@@ -122,45 +122,11 @@ func (c *Checker) ensureBase(ctx context.Context) (*baseState, error) {
 	if err != nil {
 		return nil, err
 	}
-	ptrs := make(map[*core.Index]bool, pb.Len())
-	for _, ix := range pb.Indexes {
-		ptrs[ix] = true
-	}
-	bs = &baseState{cfg: pb, ptrs: ptrs, costs: costs, total: total}
+	bs = &baseState{SearchBase: core.NewSearchBase(pb), costs: costs, total: total}
 	c.mu.Lock()
 	c.bs = bs
 	c.mu.Unlock()
 	return bs, nil
-}
-
-// derivedFromBase reports whether cfg is exactly one ReplacePair(a, b, m)
-// away from the base: every index but one is a base pointer, the one
-// fresh index carries m's definition key (ReplacePair builds a new
-// *Index when the merge collapses with an existing duplicate), a and b
-// are base members absent from cfg, and the length dropped by 1 (plain
-// replace) or 2 (duplicate collapse).
-func derivedFromBase(bs *baseState, cfg *core.Configuration, m, a, b *core.Index) bool {
-	d := bs.cfg.Len() - cfg.Len()
-	if d != 1 && d != 2 {
-		return false
-	}
-	if !bs.ptrs[a] || !bs.ptrs[b] {
-		return false
-	}
-	fresh := 0
-	for _, ix := range cfg.Indexes {
-		if ix == a || ix == b {
-			return false
-		}
-		if bs.ptrs[ix] {
-			continue
-		}
-		if ix.Key() != m.Key() {
-			return false
-		}
-		fresh++
-	}
-	return fresh == 1
 }
 
 // Accepts implements core.ConstraintChecker.
@@ -184,7 +150,7 @@ func (c *Checker) AcceptsContext(ctx context.Context, cfg *core.Configuration, m
 	if err != nil {
 		return false, err
 	}
-	if bs == nil || m == nil || a == nil || b == nil || !derivedFromBase(bs, cfg, m, a, b) {
+	if bs == nil || !bs.Derives(cfg, m, a, b) {
 		c.fullChecks.Add(1)
 		_, total, err := c.P.templateCosts(ctx, cfg, c.Parallelism, &c.optCalls, c.Remote)
 		if err != nil {
@@ -198,16 +164,19 @@ func (c *Checker) AcceptsContext(ctx context.Context, cfg *core.Configuration, m
 	costs := make([]float64, n)
 	copy(costs, bs.costs)
 	var misses []pendingAtom
+	var relBuf [maxStackRels]optimizer.QuerySet
+	rels := c.P.relevance(relBuf[:0], cfg)
+	ra, rb, rm := c.P.relevant(a), c.P.relevant(b), c.P.relevant(m)
 	lbSum := 0.0
 	for ti := 0; ti < n; ti++ {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		if !(c.P.Relevant(ti, a) || c.P.Relevant(ti, b) || c.P.Relevant(ti, m)) {
+		if !(ra.Has(ti) || rb.Has(ti) || rm.Has(ti)) {
 			lbSum += costs[ti]
 			continue
 		}
-		key, defs, keys := c.P.atom(ti, cfg)
+		key, defs, keys := c.P.atom(ti, cfg, rels)
 		if v, ok := c.P.tableGet(ti, key); ok {
 			costs[ti] = v
 			lbSum += v

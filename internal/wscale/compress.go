@@ -31,9 +31,6 @@ type Template struct {
 	Members []int
 	// Freq is the summed frequency of all members.
 	Freq float64
-	// Tables are the distinct tables the template references, FROM
-	// order.
-	Tables []string
 }
 
 // Compressed is a workload clustered into weighted templates.
@@ -65,7 +62,6 @@ func Compress(w *sql.Workload) *Compressed {
 			Fingerprint: fp,
 			Members:     []int{i},
 			Freq:        q.Freq,
-			Tables:      q.Stmt.TablesReferenced(),
 		})
 	}
 	return c

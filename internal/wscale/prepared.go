@@ -68,8 +68,13 @@ type Prepared struct {
 	tplKeys []string
 	scales  []float64
 
+	// rel answers which templates an index is relevant to, memoized for
+	// the registration's lifetime. It is asked over Members[0] of every
+	// template: members share tables, columns and operators, so
+	// relevance is a template property.
+	rel *optimizer.Relevance
+
 	mu     sync.RWMutex
-	rel    map[relKey]bool
 	bounds [][]boundEntry // per template, ring-capped
 	nextBE []int          // per template, next ring slot
 
@@ -80,14 +85,6 @@ type Prepared struct {
 	remoteFallbacks atomic.Int64 // batches that fell back to local sweeps
 }
 
-// relKey memoizes template-index relevance by definition key, which is
-// stable across searches (each search wraps defs in fresh *core.Index
-// values).
-type relKey struct {
-	t   int
-	def string
-}
-
 // Prepare pairs a compressed workload with its prepared descriptors
 // and an empty cost table. maxEntries bounds the cost table's size
 // (<= 0 means unbounded); srv prices members on table misses.
@@ -96,15 +93,23 @@ func Prepare(c *Compressed, pw *optimizer.PreparedWorkload, srv CostServer, maxE
 		return nil, fmt.Errorf("wscale: prepared workload has %d queries, compressed workload %d",
 			len(pw.Queries), len(c.W.Queries))
 	}
+	return newPrepared(c, pw, srv, costcache.NewBounded(0, maxEntries)), nil
+}
+
+func newPrepared(c *Compressed, pw *optimizer.PreparedWorkload, srv CostServer, table *costcache.Cache) *Prepared {
+	reps := make([]*optimizer.PreparedQuery, len(c.Templates))
+	for ti, t := range c.Templates {
+		reps[ti] = pw.Queries[t.Members[0]]
+	}
 	return &Prepared{
 		C:      c,
 		PW:     pw,
 		srv:    srv,
-		table:  costcache.NewBounded(0, maxEntries),
-		rel:    make(map[relKey]bool),
+		table:  table,
+		rel:    (&optimizer.PreparedWorkload{Queries: reps}).NewRelevance(),
 		bounds: make([][]boundEntry, len(c.Templates)),
 		nextBE: make([]int, len(c.Templates)),
-	}, nil
+	}
 }
 
 // PrepareWindowed pairs a window snapshot with a PERSISTENT cost table
@@ -128,17 +133,9 @@ func PrepareWindowed(snap *WindowSnapshot, srv CostServer, table *costcache.Cach
 	if table == nil {
 		table = costcache.NewBounded(0, 0)
 	}
-	return &Prepared{
-		C:       snap.C,
-		PW:      snap.PW,
-		srv:     srv,
-		table:   table,
-		tplKeys: snap.TplKeys,
-		scales:  snap.Scales,
-		rel:     make(map[relKey]bool),
-		bounds:  make([][]boundEntry, len(snap.C.Templates)),
-		nextBE:  make([]int, len(snap.C.Templates)),
-	}, nil
+	p := newPrepared(snap.C, snap.PW, srv, table)
+	p.tplKeys, p.scales = snap.TplKeys, snap.Scales
+	return p, nil
 }
 
 // scale returns the template's read-time multiplier (1 in registration
@@ -180,43 +177,35 @@ func (p *Prepared) TableEvictOldest(n int) int { return p.table.EvictOldest(n) }
 // table.
 func (p *Prepared) OptimizerCalls() int64 { return p.optCalls.Load() }
 
-// Relevant reports (and memoizes) whether the index can contribute any
-// access path to the template's queries. All members share the
-// fingerprint — the same tables, columns and operators — so relevance
-// is a template property, computed on the first member's descriptor.
-func (p *Prepared) Relevant(ti int, ix *core.Index) bool {
-	k := relKey{t: ti, def: ix.Key()}
-	p.mu.RLock()
-	v, ok := p.rel[k]
-	p.mu.RUnlock()
-	if ok {
-		return v
-	}
-	pq := p.PW.Queries[p.C.Templates[ti].Members[0]]
-	v = pq.IndexRelevant(ix.Def.Table, ix.Def.Columns)
-	p.mu.Lock()
-	p.rel[k] = v
-	p.mu.Unlock()
-	return v
+// maxStackRels sizes the callers' stack buffers for relevance: a
+// configuration of up to this many indexes is priced without a heap
+// allocation for its relevance list.
+const maxStackRels = 64
+
+// relevant returns the templates whose queries the index can contribute
+// an access path to.
+func (p *Prepared) relevant(ix *core.Index) optimizer.QuerySet {
+	return p.rel.Queries(ix.Key(), ix.Def)
 }
 
-// atom computes the template's atomic configuration under cfg: the
-// relevant indexes in sorted-key order (cost is a min over access
-// paths, so index order cannot change it — sorting makes the cache key
-// canonical). Returns the cache key, the defs to cost against, and the
-// sorted index keys for bound pruning.
-func (p *Prepared) atom(ti int, cfg *core.Configuration) (key string, defs []catalog.IndexDef, keys []string) {
-	t := p.C.Templates[ti]
-	var sel []*core.Index
+// relevance appends relevant(ix) for every index of cfg, aligned with
+// cfg.Indexes: one memo lookup per index, a bit test per template after.
+func (p *Prepared) relevance(rels []optimizer.QuerySet, cfg *core.Configuration) []optimizer.QuerySet {
 	for _, ix := range cfg.Indexes {
-		onTable := false
-		for _, tb := range t.Tables {
-			if ix.Def.Table == tb {
-				onTable = true
-				break
-			}
-		}
-		if onTable && p.Relevant(ti, ix) {
+		rels = append(rels, p.relevant(ix))
+	}
+	return rels
+}
+
+// atom computes the template's atomic configuration under cfg, whose
+// per-index relevance is rels: the relevant indexes in sorted-key order
+// (cost is a min over access paths, so index order cannot change it —
+// sorting makes the cache key canonical). Returns the cache key, the
+// defs to cost against, and the sorted index keys for bound pruning.
+func (p *Prepared) atom(ti int, cfg *core.Configuration, rels []optimizer.QuerySet) (key string, defs []catalog.IndexDef, keys []string) {
+	var sel []*core.Index
+	for i, ix := range cfg.Indexes {
+		if rels[i].Has(ti) {
 			sel = append(sel, ix)
 		}
 	}
@@ -378,11 +367,13 @@ func (p *Prepared) templateCosts(ctx context.Context, cfg *core.Configuration, p
 	n := len(p.C.Templates)
 	costs := make([]float64, n)
 	var misses []pendingAtom
+	var relBuf [maxStackRels]optimizer.QuerySet
+	rels := p.relevance(relBuf[:0], cfg)
 	for ti := 0; ti < n; ti++ {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		key, defs, keys := p.atom(ti, cfg)
+		key, defs, keys := p.atom(ti, cfg, rels)
 		if v, ok := p.tableGet(ti, key); ok {
 			costs[ti] = v
 			continue

@@ -328,7 +328,6 @@ func (w *Window) Snapshot() *WindowSnapshot {
 		tpl := &Template{
 			Fingerprint: fp,
 			Members:     make([]int, 0, len(t.members)),
-			Tables:      t.members[0].stmt.TablesReferenced(),
 		}
 		for _, m := range t.members {
 			tpl.Members = append(tpl.Members, len(queries))

@@ -123,7 +123,7 @@ func TestAtomCostExactness(t *testing.T) {
 		cfg := &core.Configuration{Indexes: ixs}
 		fullDefs := optimizer.Configuration(cfg.Defs())
 		for ti, tpl := range r.c.Templates {
-			_, defs, _ := r.p.atom(ti, cfg)
+			_, defs, _ := r.p.atom(ti, cfg, r.p.relevance(nil, cfg))
 			atomCfg := optimizer.Configuration(defs)
 			for _, mi := range tpl.Members {
 				atomCost, err := r.lab.Opt.CostPrepared(r.pw.Queries[mi], atomCfg)
@@ -215,7 +215,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 	for cut := 0; cut <= r.cfg.Len(); cut++ {
 		cfg := &core.Configuration{Indexes: r.cfg.Indexes[:cut]}
 		for ti := range r.c.Templates {
-			key, defs, keys := r.p.atom(ti, cfg)
+			key, defs, keys := r.p.atom(ti, cfg, r.p.relevance(nil, cfg))
 			lb := r.p.lowerBound(ti, keys)
 			exact, err := r.p.costAtom(t.Context(), ti, key, defs, keys, nil)
 			if err != nil {
@@ -427,8 +427,11 @@ func TestCheckerGreedyMatchesOptimizerChecker(t *testing.T) {
 				resPlain.Final.Signature(), pc, resComp.Final.Signature(), cc)
 		}
 	}
-	if comp.OptimizerCalls() >= plain.OptimizerCalls() {
-		t.Errorf("compressed search issued %d optimizer calls, uncompressed %d — no savings",
+	// Both checkers price only the queries a merge can touch; what the
+	// compressed one adds — folded duplicates, pruned checks — can only
+	// save calls, and on a workload with neither the two are equal.
+	if comp.OptimizerCalls() > plain.OptimizerCalls() {
+		t.Errorf("compressed search issued %d optimizer calls, uncompressed %d",
 			comp.OptimizerCalls(), plain.OptimizerCalls())
 	}
 	t.Logf("greedy parity: %d vs %d optimizer calls (%.1fx), %d templates for %d statements",
