@@ -44,41 +44,39 @@ func (s *SeekCosts) SeekCost(defKey string) float64 {
 // indexes its plan seeks on. This mirrors gathering "the plan and cost
 // of each query in W for the initial configuration" via Showplan.
 func ComputeSeekCosts(server CostServer, w *sql.Workload, initial *Configuration) (*SeekCosts, error) {
-	out := &SeekCosts{byIndex: make(map[string]float64)}
 	cfg := optimizer.Configuration(initial.Defs())
-	for _, q := range w.Queries {
-		plan, err := server.Optimize(q.Stmt, cfg)
-		if err != nil {
-			return nil, err
-		}
-		for _, use := range plan.Uses {
-			if use.Mode == optimizer.UsageSeek {
-				out.byIndex[use.Index.Key()] += plan.Cost * q.Freq
-			}
-		}
-	}
-	return out, nil
+	return seekCosts(w, func(qi int) (*optimizer.Plan, error) {
+		return server.Optimize(w.Queries[qi].Stmt, cfg)
+	})
 }
 
 // ComputeSeekCostsPrepared is ComputeSeekCosts over a prepared
-// workload: when the server supports prepared planning the per-query
-// plans come from OptimizePrepared (no AST re-walk, identical plans);
-// otherwise it degrades to the unprepared computation.
+// workload: a server that plans descriptors is handed each query's
+// (no AST re-walk, identical plans); any other optimizes the
+// statements.
 func ComputeSeekCostsPrepared(server CostServer, pw *optimizer.PreparedWorkload, initial *Configuration) (*SeekCosts, error) {
 	ps, ok := server.(PreparedCostServer)
 	if !ok {
 		return ComputeSeekCosts(server, pw.W, initial)
 	}
-	out := &SeekCosts{byIndex: make(map[string]float64)}
 	cfg := optimizer.Configuration(initial.Defs())
-	for qi, q := range pw.W.Queries {
-		plan, err := ps.OptimizePrepared(pw.Queries[qi], cfg)
+	return seekCosts(pw.W, func(qi int) (*optimizer.Plan, error) {
+		return ps.OptimizePrepared(pw.Queries[qi], cfg)
+	})
+}
+
+// seekCosts is the one Seek-Cost loop: plan(qi) is query qi's plan
+// under the initial configuration, however the server produces it.
+func seekCosts(w *sql.Workload, plan func(qi int) (*optimizer.Plan, error)) (*SeekCosts, error) {
+	out := &SeekCosts{byIndex: make(map[string]float64)}
+	for qi, q := range w.Queries {
+		p, err := plan(qi)
 		if err != nil {
 			return nil, err
 		}
-		for _, use := range plan.Uses {
+		for _, use := range p.Uses {
 			if use.Mode == optimizer.UsageSeek {
-				out.byIndex[use.Index.Key()] += plan.Cost * q.Freq
+				out.byIndex[use.Index.Key()] += p.Cost * q.Freq
 			}
 		}
 	}

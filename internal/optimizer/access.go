@@ -7,8 +7,9 @@ import (
 	"indexmerge/internal/storage"
 )
 
-// tableInfo caches everything the optimizer needs about one referenced
-// table.
+// tableInfo is everything planning derives from the statement and the
+// statistics about one referenced table, computed once by PrepareQuery
+// and read-only afterwards.
 type tableInfo struct {
 	name      string
 	table     *catalog.Table
@@ -18,20 +19,29 @@ type tableInfo struct {
 	preds     []scoredPred // restrictions with precomputed selectivities
 	orPreds   []orPred     // disjunctive members of preds, normalized
 	required  []string     // columns the query needs from this table
-	// Prepared-planning metadata (zero for ad-hoc contexts): seekLead
-	// holds the distinct columns carrying a seekable (equality or
-	// range) predicate; seekLeadJoin additionally includes the table's
-	// join columns, which parameterized inner seeks can bind. filtered
-	// marks the metadata as populated, enabling the relevant-index
-	// prefilter.
+
+	filteredRows float64 // rowCount × clamped product of the predicate selectivities, in predicate order
+	scanCost     float64 // full heap scan
+
+	// seekLead holds the distinct columns carrying a seekable (equality
+	// or range) predicate; seekLeadJoin additionally includes the table's
+	// join columns, which parameterized inner seeks can bind. They feed
+	// the relevant-index prefilter.
 	seekLead     []string
 	seekLeadJoin []string
-	filtered     bool
+	// predColOp and predStr assign each predicate an equivalence class —
+	// the smallest position with the same (column, operator), and with
+	// the same rendered text — for the intersection planner's "arms
+	// share a predicate" and "an arm consumed this predicate" tests.
+	predColOp []int32
+	predStr   []int32
+	// synth holds the synthetic join-column equality probes (selectivity
+	// from column density, the average outer binding) that inner seeks
+	// of index nested-loop joins match, in join-predicate order.
+	synth []scoredPred
 }
 
-// scoredPred pairs a predicate with its estimated selectivity. Join-
-// parameterized equality predicates (inner side of an index nested-loop
-// join) get their selectivity from column density rather than a literal.
+// scoredPred pairs a predicate with its estimated selectivity.
 type scoredPred struct {
 	p   sql.Predicate
 	sel float64
@@ -48,8 +58,7 @@ type orPred struct {
 
 // initPreds populates the table's scored predicates, and the
 // normalized disjunct lists for the disjunctive ones, from the
-// statement's restrictions. Shared by ad-hoc contexts and PrepareQuery
-// so both derive identical selectivities in identical order.
+// statement's restrictions.
 func (ti *tableInfo) initPreds(stmt *sql.SelectStmt) {
 	for _, p := range stmt.PredicatesOn(ti.name) {
 		if ds := p.Disjuncts(); ds != nil {
@@ -63,97 +72,199 @@ func (ti *tableInfo) initPreds(stmt *sql.SelectStmt) {
 	}
 }
 
-// accessPath is one way to produce a table's (filtered) rows.
-type accessPath struct {
-	node    Node
-	index   *catalog.IndexDef // nil for heap scan
-	eqBound map[string]bool   // columns fixed by equality seek
-	ordered []string          // column order the output is sorted by
-	rows    float64
+// indexSize estimates the leaf pages and height of an index on cols.
+func (ti *tableInfo) indexSize(cols []string) (pages int64, height int) {
+	keyWidth := ti.table.WidthOf(cols)
+	return storage.EstimateIndexPages(int64(ti.rowCount), keyWidth), storage.EstimateIndexHeight(int64(ti.rowCount), keyWidth)
 }
 
-// enumerateAccessPaths returns every access path worth considering for
-// the table: heap scan, covering index scans, and index seeks (covering
-// or with RID lookups) for every index in the configuration. When
-// filter is set (prepared planning), indexes that can contribute
-// neither a covering scan nor a seek are skipped before costing; the
-// skip provably never changes the chosen plan because such indexes
-// yield no path at all.
-func enumerateAccessPaths(ti *tableInfo, indexes []catalog.IndexDef, noIntersect, noUnion, filter bool) []accessPath {
-	var paths []accessPath
-	var arms []seekArm // intersection candidates, with seek selectivities
-	filter = filter && ti.filtered
+// seekCost prices a seek touching matchRows entries of an index of the
+// given size; covering also prices the RID-only probes of intersection
+// and union arms.
+func (ti *tableInfo) seekCost(pages int64, height int, matchRows float64, covering bool) float64 {
+	return seekCost(height, pages, ti.rowCount, matchRows, covering, ti.heapPages)
+}
 
-	// Heap scan with all predicates as residual filter.
-	allSel := 1.0
-	var rawPreds []sql.Predicate
-	for _, sp := range ti.preds {
-		allSel *= sp.sel
-		rawPreds = append(rawPreds, sp.p)
+type pathKind uint8
+
+const (
+	heapScan pathKind = iota
+	indexScan
+	indexSeek
+	indexIntersect
+	indexUnion
+)
+
+// accessPath is one way to produce a table's filtered rows, as the
+// enumeration records it: cost, output rows, the order it delivers,
+// and the choice — which indexes, used how — from which the build
+// step makes plan nodes should the path win.
+type accessPath struct {
+	cost, rows float64
+	kind       pathKind
+	// idx is the configuration position of the index scanned or sought
+	// (the first arm of an intersection, whose second arm is idx2); for
+	// a union, the position of its disjunction in tableInfo.orPreds.
+	idx, idx2 int32
+	// ordered aliases the index's column list when the output is sorted
+	// by it (scans and seeks; nil otherwise), of which the leading nEq
+	// columns are bound by equality and so constant in the output.
+	ordered []string
+	nEq     int
+}
+
+// seekMatch is what matching a predicate list to an index's column
+// order yields. The equality-bound columns are always a prefix of the
+// index and the consumed predicates a list of positions, so no set in
+// it has a width limit.
+type seekMatch struct {
+	// consumed lists predicate positions: the nEq equality predicates in
+	// index-column order, then the range predicate if there is one.
+	consumed []int32
+	nEq      int
+	sel      float64 // clamped product of the consumed selectivities, in that order
+}
+
+// uses reports whether the seek consumed predicate pi.
+func (m *seekMatch) uses(pi int) bool {
+	for _, c := range m.consumed {
+		if int(c) == pi {
+			return true
+		}
 	}
-	outRows := ti.rowCount * clampSel(allSel)
-	scan := &TableScanNode{Table: ti.name, Filter: rawPreds}
-	scan.cost = scanCost(ti.heapPages, ti.rowCount)
-	scan.rows = outRows
-	paths = append(paths, accessPath{node: scan, rows: outRows})
+	return false
+}
 
-	for i := range indexes {
-		idx := indexes[i]
-		if filter && !indexRelevant(idx.Columns, ti.seekLead, ti.required) {
+// residualSel is the clamped product, in predicate order, of the
+// selectivities the seek left to be filtered after the fetch.
+func (m *seekMatch) residualSel(preds []scoredPred) float64 {
+	sel := 1.0
+	for pi := range preds {
+		if !m.uses(pi) {
+			sel *= preds[pi].sel
+		}
+	}
+	return clampSel(sel)
+}
+
+// matchSeek matches predicates against the index's column order:
+// equality predicates bind leading columns; the first column without
+// one may take one range predicate; everything else is residual. The
+// consumed positions are carved from the planner's backing store.
+func matchSeek(idxCols []string, preds []scoredPred, p *planner) seekMatch {
+	buf := p.consumed // appended to locally, stored back once
+	m := seekMatch{consumed: buf[len(buf):], sel: 1.0}
+	for _, col := range idxCols {
+		foundEq := false
+		for i := range preds {
+			if preds[i].p.Col.Column == col && preds[i].p.Op.IsEquality() && !m.uses(i) {
+				buf = append(buf, int32(i))
+				m.consumed = buf[len(p.consumed):]
+				m.sel *= preds[i].sel
+				m.nEq++
+				foundEq = true
+				break
+			}
+		}
+		if foundEq {
 			continue
 		}
-		keyWidth := ti.table.WidthOf(idx.Columns)
-		idxPages := storage.EstimateIndexPages(int64(ti.rowCount), keyWidth)
-		height := storage.EstimateIndexHeight(int64(ti.rowCount), keyWidth)
+		// No equality on this column: try one range predicate, then stop.
+		for i := range preds {
+			if preds[i].p.Col.Column == col && preds[i].p.Op.IsRange() && !m.uses(i) {
+				buf = append(buf, int32(i))
+				m.consumed = buf[len(p.consumed):]
+				m.sel *= preds[i].sel
+				break
+			}
+		}
+		break
+	}
+	p.consumed = buf
+	m.sel = clampSel(m.sel)
+	return m
+}
+
+// enumeratePaths lists every access path worth considering for the
+// table under the planner's configuration: the heap scan, a covering
+// scan and a seek (covering or with RID lookups) per index, pairwise
+// intersections of the most selective seeks, and a union per
+// disjunction. With the prefilter on, indexes that can contribute
+// neither a covering scan nor a seek are skipped before costing; the
+// skip never changes the chosen plan because such indexes yield no
+// path at all (TestPreparedMatchesOptimize and TestPlanGolden plan
+// with it off as well). The result is valid until the next call.
+func (p *planner) enumeratePaths(ti *tableInfo) []accessPath {
+	paths := append(p.paths[:0], accessPath{kind: heapScan, cost: ti.scanCost, rows: ti.filteredRows})
+	arms := p.arms[:0]
+	p.consumed = p.consumed[:0]
+
+	for i := range p.cfg {
+		idx := &p.cfg[i]
+		if idx.Table != ti.name {
+			continue
+		}
+		if p.filter && !indexRelevant(idx.Columns, ti.seekLead, ti.required) {
+			continue
+		}
+		pages, height := ti.indexSize(idx.Columns)
 		covering := coversRequired(idx.Columns, ti.required)
 
 		// Covering full scan: a narrow vertical slice of the table.
 		if covering {
-			n := &IndexScanNode{Index: idx, Filter: rawPreds}
-			n.cost = indexScanCost(idxPages, ti.rowCount)
-			n.rows = outRows
-			paths = append(paths, accessPath{node: n, index: &indexes[i], ordered: idx.Columns, rows: outRows})
+			paths = append(paths, accessPath{
+				kind: indexScan, idx: int32(i),
+				cost:    indexScanCost(pages, ti.rowCount),
+				rows:    ti.filteredRows,
+				ordered: idx.Columns,
+			})
 		}
 
 		// Seek: equality prefix plus at most one range predicate.
-		seekEq, seekRng, residual, seekSel := matchSeek(idx.Columns, ti.preds)
-		if len(seekEq) == 0 && seekRng == nil {
+		m := matchSeek(idx.Columns, ti.preds, p)
+		if len(m.consumed) == 0 {
 			continue
 		}
-		matchRows := ti.rowCount * seekSel
-		n := &IndexSeekNode{Index: idx, Covering: covering}
-		eqBound := make(map[string]bool, len(seekEq))
-		for _, sp := range seekEq {
-			n.SeekEq = append(n.SeekEq, sp.p)
-			eqBound[sp.p.Col.Column] = true
-		}
-		if seekRng != nil {
-			rp := seekRng.p
-			n.SeekRng = &rp
-		}
-		resSel := 1.0
-		for _, sp := range residual {
-			n.Residual = append(n.Residual, sp.p)
-			resSel *= sp.sel
-		}
-		n.cost = seekCost(height, idxPages, ti.rowCount, matchRows, covering, ti.heapPages)
-		n.rows = matchRows * clampSel(resSel)
-		paths = append(paths, accessPath{node: n, index: &indexes[i], eqBound: eqBound, ordered: idx.Columns, rows: n.rows})
-		arms = append(arms, seekArm{seek: n, sel: seekSel})
+		matchRows := ti.rowCount * m.sel
+		paths = append(paths, accessPath{
+			kind: indexSeek, idx: int32(i),
+			cost:    ti.seekCost(pages, height, matchRows, covering),
+			rows:    matchRows * m.residualSel(ti.preds),
+			ordered: idx.Columns,
+			nEq:     m.nEq,
+		})
+		arms = append(arms, intersectArm{
+			idx:       int32(i),
+			lead:      idx.Columns[0],
+			consumed:  m.consumed,
+			sel:       m.sel,
+			match:     matchRows,
+			probeCost: ti.seekCost(pages, height, matchRows, true),
+		})
 	}
 
 	// Index intersection: AND two seeks through their RID sets (§3.5.2's
 	// "innovative technique"). Only worthwhile with multiple seekable
 	// predicates on different leading columns.
-	if !noIntersect {
-		paths = append(paths, intersectionPaths(ti, arms)...)
+	if !p.noInter && len(arms) >= 2 {
+		paths = ti.appendIntersections(arms, paths)
 	}
 
 	// Index union: OR several seeks through their RID sets — the dual
-	// technique for disjunctions, one arm per normalized disjunct.
-	if !noUnion && len(ti.orPreds) > 0 {
-		paths = append(paths, unionPaths(ti, indexes)...)
+	// technique for disjunctions, one arm per normalized disjunct. Arm
+	// indexes are chosen from the full configuration: a disjunct column
+	// never enters seekLead, so the prefilter must not apply to them.
+	if !p.noUnion {
+		for oi := range ti.orPreds {
+			var cost, rows float64
+			var ok bool
+			p.uArms, cost, rows, ok = unionPath(ti, &ti.orPreds[oi], p.cfg, p.uArms)
+			if ok {
+				paths = append(paths, accessPath{kind: indexUnion, idx: int32(oi), cost: cost, rows: rows})
+			}
+		}
 	}
+	p.paths, p.arms = paths, arms
 	return paths
 }
 
@@ -167,12 +278,7 @@ func indexRelevant(idxCols, seekLeads, required []string) bool {
 	if len(idxCols) == 0 {
 		return false
 	}
-	for _, c := range seekLeads {
-		if c == idxCols[0] {
-			return true
-		}
-	}
-	return coversRequired(idxCols, required)
+	return containsCol(seekLeads, idxCols[0]) || coversRequired(idxCols, required)
 }
 
 // coversRequired is IndexDef.CoversColumns without the per-call set
@@ -180,87 +286,44 @@ func indexRelevant(idxCols, seekLeads, required []string) bool {
 // columns.
 func coversRequired(idxCols, required []string) bool {
 	for _, r := range required {
-		found := false
-		for _, c := range idxCols {
-			if c == r {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !containsCol(idxCols, r) {
 			return false
 		}
 	}
 	return true
 }
 
-// matchSeek matches predicates against the index's column order:
-// equality predicates bind leading columns; the first non-equality
-// column may take one range predicate; everything else is residual.
-func matchSeek(idxCols []string, preds []scoredPred) (seekEq []scoredPred, seekRng *scoredPred, residual []scoredPred, sel float64) {
-	used := make([]bool, len(preds))
-	sel = 1.0
-	for _, col := range idxCols {
-		foundEq := false
-		for i, sp := range preds {
-			if used[i] || sp.p.Col.Column != col {
-				continue
-			}
-			if sp.p.Op.IsEquality() {
-				seekEq = append(seekEq, sp)
-				used[i] = true
-				sel *= sp.sel
-				foundEq = true
-				break
-			}
-		}
-		if foundEq {
-			continue
-		}
-		// No equality on this column: try one range predicate, then stop.
-		for i, sp := range preds {
-			if used[i] || sp.p.Col.Column != col {
-				continue
-			}
-			if sp.p.Op.IsRange() {
-				cp := sp
-				seekRng = &cp
-				used[i] = true
-				sel *= sp.sel
-				break
-			}
-		}
-		break
-	}
-	for i, sp := range preds {
-		if !used[i] {
-			residual = append(residual, sp)
+func containsCol(cols []string, col string) bool {
+	for _, c := range cols {
+		if c == col {
+			return true
 		}
 	}
-	return seekEq, seekRng, residual, clampSel(sel)
+	return false
 }
 
-// bestPath returns the minimum-cost access path.
-func bestPath(paths []accessPath) accessPath {
-	best := paths[0]
-	for _, p := range paths[1:] {
-		if p.node.Cost() < best.node.Cost() {
-			best = p
-		}
+// ridFetchCost prices fetching the heap rows a RID-set operation
+// (intersection or union) leaves: at least one row is priced, and the
+// random reads are capped at the buffer-pool bound like every fetch.
+func (ti *tableInfo) ridFetchCost(rows float64) float64 {
+	if rows < 1 {
+		rows = 1
 	}
-	return best
+	lookup := rows * RandPageCost
+	if lim := 2 * float64(ti.heapPages) * RandPageCost; lookup > lim {
+		lookup = lim
+	}
+	return lookup + rows*CPURowCost
 }
 
-// orderSatisfied reports whether the access path's sort order satisfies
-// the ORDER BY keys for a single-table query: each ASC key must match
-// the next index column, where columns bound by equality may be
-// skipped (they are constant in the output).
-func orderSatisfied(order []sql.OrderItem, path accessPath, table string) bool {
+// orderSatisfied reports whether output sorted by the index columns
+// `ordered` satisfies the ORDER BY keys for a single-table query: each
+// ASC key must match the next index column, where the nEq leading
+// columns bound by equality may be skipped (they are constant in the
+// output).
+func orderSatisfied(order []sql.OrderItem, ordered []string, nEq int, table string) bool {
 	if len(order) == 0 {
 		return true
-	}
-	if path.ordered == nil {
-		return false
 	}
 	pos := 0
 	for _, key := range order {
@@ -268,17 +331,16 @@ func orderSatisfied(order []sql.OrderItem, path accessPath, table string) bool {
 			return false
 		}
 		matched := false
-		for pos < len(path.ordered) {
-			col := path.ordered[pos]
-			pos++
-			if col == key.Col.Column {
+		for pos < len(ordered) {
+			if ordered[pos] == key.Col.Column {
 				matched = true
+				pos++
 				break
 			}
-			if path.eqBound[col] {
-				continue // constant column, transparent to ordering
+			if pos >= nEq {
+				return false
 			}
-			return false
+			pos++ // constant column, transparent to ordering
 		}
 		if !matched {
 			return false
@@ -287,38 +349,28 @@ func orderSatisfied(order []sql.OrderItem, path accessPath, table string) bool {
 	return true
 }
 
-// groupSatisfied reports whether the access path delivers rows
-// clustered by the GROUP BY columns (any order), enabling streaming
-// aggregation: the leading non-equality-bound index columns must be
-// exactly the group-by column set.
-func groupSatisfied(group []sql.ColumnRef, path accessPath, table string) bool {
-	if len(group) == 0 {
+// groupSatisfied reports whether output sorted by the index columns
+// `ordered` arrives clustered by the GROUP BY columns (any order),
+// enabling streaming aggregation: the leading index columns that are
+// not bound by equality must be exactly the group-by column set.
+// groupCols must be distinct and on the table the path reads.
+func groupSatisfied(groupCols, ordered []string, nEq int) bool {
+	if len(groupCols) == 0 {
 		return false
 	}
-	if path.ordered == nil {
-		return false
-	}
-	want := make(map[string]bool, len(group))
-	for _, g := range group {
-		if g.Table != table {
-			return false
-		}
-		want[g.Column] = true
-	}
-	need := len(want)
-	for _, col := range path.ordered {
+	need := len(groupCols)
+	for pos, col := range ordered {
 		if need == 0 {
 			return true
 		}
-		if want[col] {
-			want[col] = false
+		// A group column counts once, at its first appearance.
+		if containsCol(groupCols, col) && !containsCol(ordered[:pos], col) {
 			need--
 			continue
 		}
-		if path.eqBound[col] {
-			continue
+		if pos >= nEq {
+			return false
 		}
-		return false
 	}
 	return need == 0
 }

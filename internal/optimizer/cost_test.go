@@ -146,30 +146,40 @@ func TestMatchSeekShapes(t *testing.T) {
 		return scoredPred{p: sql.Predicate{Col: col(name), Op: sql.OpLt, Val: value.NewInt(1)}, sel: 0.3}
 	}
 
+	// shape runs the matcher and reports how many predicates it bound by
+	// equality, whether it took a range, and how many it left residual.
+	shape := func(idxCols []string, preds ...scoredPred) (nEq int, hasRng bool, residual int, sel float64) {
+		m := matchSeek(idxCols, preds, new(planner))
+		for pi := range preds {
+			if !m.uses(pi) {
+				residual++
+			}
+		}
+		return m.nEq, len(m.consumed) > m.nEq, residual, m.sel
+	}
+
 	// eq on leading two columns, range on third, residual on unrelated.
-	seekEq, seekRng, residual, sel := matchSeek([]string{"a", "b", "c", "d"},
-		[]scoredPred{eq("a"), eq("b"), rng("c"), eq("z")})
-	if len(seekEq) != 2 || seekRng == nil || len(residual) != 1 {
-		t.Fatalf("shape: eq=%d rng=%v res=%d", len(seekEq), seekRng != nil, len(residual))
+	nEq, hasRng, residual, sel := shape([]string{"a", "b", "c", "d"}, eq("a"), eq("b"), rng("c"), eq("z"))
+	if nEq != 2 || !hasRng || residual != 1 {
+		t.Fatalf("shape: eq=%d rng=%v res=%d", nEq, hasRng, residual)
 	}
 	if diff := sel - 0.1*0.1*0.3; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("sel = %v, want 0.003", sel)
 	}
 
 	// Gap in the prefix stops the seek.
-	seekEq, seekRng, _, _ = matchSeek([]string{"a", "b"}, []scoredPred{eq("b")})
-	if len(seekEq) != 0 || seekRng != nil {
-		t.Errorf("non-leading predicate must not seek: eq=%d", len(seekEq))
+	nEq, hasRng, _, _ = shape([]string{"a", "b"}, eq("b"))
+	if nEq != 0 || hasRng {
+		t.Errorf("non-leading predicate must not seek: eq=%d", nEq)
 	}
 
-	// Range on the leading column works alone.
-	seekEq, seekRng, _, _ = matchSeek([]string{"a", "b"}, []scoredPred{rng("a"), eq("b")})
-	if len(seekEq) != 0 || seekRng == nil {
+	// Range on the leading column works alone ...
+	nEq, hasRng, residual, _ = shape([]string{"a", "b"}, rng("a"), eq("b"))
+	if nEq != 0 || !hasRng {
 		t.Errorf("leading range must seek")
 	}
 	// ... and stops the prefix: b's equality becomes residual.
-	_, _, residual, _ = matchSeek([]string{"a", "b"}, []scoredPred{rng("a"), eq("b")})
-	if len(residual) != 1 {
-		t.Errorf("after-range predicate must be residual, got %d residuals", len(residual))
+	if residual != 1 {
+		t.Errorf("after-range predicate must be residual, got %d residuals", residual)
 	}
 }

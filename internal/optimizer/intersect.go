@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"indexmerge/internal/sql"
-	"indexmerge/internal/storage"
 )
 
 // IndexIntersectNode ANDs two index seeks by intersecting their RID
@@ -36,135 +35,93 @@ func (n *IndexIntersectNode) Describe() string {
 // maxIntersectArms bounds how many seek paths are paired.
 const maxIntersectArms = 4
 
-// seekArm is a candidate intersection arm: a seek path together with
-// its seek-predicate selectivity (matchSeek's clamped product, in
-// index-column order — the same value the cost-only planner computes).
-type seekArm struct {
-	seek *IndexSeekNode
-	sel  float64
+// intersectArm is an enumerated seek in its role as a candidate
+// intersection arm: the index's configuration position and leading
+// column, the predicates the seek consumed, its selectivity and matched
+// entries, and the cost of probing it for RIDs alone.
+type intersectArm struct {
+	idx       int32
+	lead      string
+	consumed  []int32
+	sel       float64
+	match     float64
+	probeCost float64
 }
 
-// sortSeekArms stable-sorts arms by ascending selectivity (most
-// selective first) with an insertion sort: the slices are tiny and the
-// cost-only twin must stay allocation-free, so no sort.SliceStable.
-func sortSeekArms(arms []seekArm) {
+// hasClass reports whether any of the consumed predicates falls in
+// equivalence class c of the given classing (predColOp or predStr).
+func hasClass(class, consumed []int32, c int32) bool {
+	for _, pi := range consumed {
+		if class[pi] == c {
+			return true
+		}
+	}
+	return false
+}
+
+// armResidual reports whether predicate pi is left for the filter
+// after intersecting seeks that consumed a and b: neither consumed a
+// predicate with its text.
+func (ti *tableInfo) armResidual(a, b []int32, pi int) bool {
+	return !hasClass(ti.predStr, a, ti.predStr[pi]) && !hasClass(ti.predStr, b, ti.predStr[pi])
+}
+
+// appendIntersections appends index-intersection access paths built
+// from the enumerated seeks: pairs among the most selective few, with
+// different leading columns and no predicate in common, whose
+// conjunction may be selective enough to pay for two B+-tree probes
+// plus RID lookups. It reorders arms.
+func (ti *tableInfo) appendIntersections(arms []intersectArm, paths []accessPath) []accessPath {
+	// Stable insertion sort, most selective first: the slices are tiny
+	// and the enumeration must not allocate.
 	for i := 1; i < len(arms); i++ {
 		for j := i; j > 0 && arms[j].sel < arms[j-1].sel; j-- {
 			arms[j], arms[j-1] = arms[j-1], arms[j]
 		}
 	}
-}
-
-// intersectionPaths builds index-intersection access paths from the
-// enumerated single-index seeks: pairs with different leading columns,
-// each moderately selective on its own, whose conjunction is selective
-// enough to pay for two B+-tree probes plus RID lookups.
-func intersectionPaths(ti *tableInfo, arms []seekArm) []accessPath {
-	if len(arms) < 2 {
-		return nil
-	}
-	// Keep the most selective few seeks as candidate arms.
-	sortSeekArms(arms)
 	if len(arms) > maxIntersectArms {
 		arms = arms[:maxIntersectArms]
 	}
-
-	var out []accessPath
-	for i := 0; i < len(arms); i++ {
+	for i := range arms {
+	pair:
 		for j := i + 1; j < len(arms); j++ {
-			a, b := arms[i].seek, arms[j].seek
-			if a.Index.Columns[0] == b.Index.Columns[0] {
+			a, b := &arms[i], &arms[j]
+			if a.lead == b.lead {
 				continue // same leading column: the arms consume the same predicate
 			}
-			if sharesSeekPredicate(a, b) {
-				continue // a predicate consumed twice would double-count selectivity
+			for _, pi := range a.consumed {
+				if hasClass(ti.predColOp, b.consumed, ti.predColOp[pi]) {
+					continue pair // a predicate consumed twice would double-count selectivity
+				}
 			}
-			node := buildIntersection(ti, a, b, arms[i].sel, arms[j].sel)
-			if node != nil {
-				out = append(out, accessPath{node: node, rows: node.Rows()})
-			}
+			paths = append(paths, ti.intersectPath(a, b))
 		}
 	}
-	return out
+	return paths
 }
 
-// sharesSeekPredicate reports whether the two seeks consume a common
-// predicate (same column and operator).
-func sharesSeekPredicate(a, b *IndexSeekNode) bool {
-	key := func(p sql.Predicate) string { return p.Col.Column + "/" + p.Op.String() }
-	seen := make(map[string]bool)
-	for _, p := range a.SeekEq {
-		seen[key(p)] = true
-	}
-	if a.SeekRng != nil {
-		seen[key(*a.SeekRng)] = true
-	}
-	for _, p := range b.SeekEq {
-		if seen[key(p)] {
-			return true
-		}
-	}
-	if b.SeekRng != nil && seen[key(*b.SeekRng)] {
-		return true
-	}
-	return false
-}
-
-// buildIntersection assembles and costs the intersection node from
-// two arms and their seek selectivities.
-func buildIntersection(ti *tableInfo, a, b *IndexSeekNode, selA, selB float64) *IndexIntersectNode {
-	matchA := ti.rowCount * selA
-	matchB := ti.rowCount * selB
-	interRows := ti.rowCount * selA * selB
-
-	// Residual: table predicates not consumed by either arm.
-	consumed := make(map[string]bool)
-	mark := func(s *IndexSeekNode) {
-		for _, p := range s.SeekEq {
-			consumed[p.String()] = true
-		}
-		if s.SeekRng != nil {
-			consumed[s.SeekRng.String()] = true
-		}
-	}
-	mark(a)
-	mark(b)
-	var residual []sql.Predicate
+// intersectPath prices ANDing two seeks through their RID sets: two
+// index-only probes, hashing the RID sets, heap lookups for the
+// intersection, and residual evaluation.
+func (ti *tableInfo) intersectPath(a, b *intersectArm) accessPath {
+	// a.match*b.sel is (rowCount*selA)*selB, left-associated.
+	interRows := a.match * b.sel
 	resSel := 1.0
-	for _, sp := range ti.preds {
-		if !consumed[sp.p.String()] {
-			residual = append(residual, sp.p)
-			resSel *= sp.sel
+	for pi := range ti.preds {
+		if ti.armResidual(a.consumed, b.consumed, pi) {
+			resSel *= ti.preds[pi].sel
 		}
 	}
-
-	// Cost: two index-only probes + RID set operations + heap lookups
-	// for the intersection + residual evaluation.
-	probe := func(s *IndexSeekNode, matched float64) float64 {
-		kw := ti.table.WidthOf(s.Index.Columns)
-		pages := storage.EstimateIndexPages(int64(ti.rowCount), kw)
-		h := storage.EstimateIndexHeight(int64(ti.rowCount), kw)
-		return seekCost(h, pages, ti.rowCount, matched, true /* rid-only */, ti.heapPages)
+	cost := a.probeCost + b.probeCost
+	cost += (a.match + b.match) * CPUOpCost // hash the RID sets
+	// The fetch cost floors at one row; the row *estimate* below stays
+	// unfloored so residual selectivity scales the true intersection
+	// cardinality (flooring first would inflate highly selective
+	// intersections).
+	cost += ti.ridFetchCost(interRows)
+	return accessPath{
+		kind: indexIntersect, idx: a.idx, idx2: b.idx,
+		cost: cost,
+		rows: math.Max(interRows*clampSel(resSel), 0),
 	}
-	cost := probe(a, matchA) + probe(b, matchB)
-	cost += (matchA + matchB) * CPUOpCost // hash the RID sets
-	// Heap fetches price at least one row; the row *estimate* below
-	// stays unfloored so residual selectivity scales the true
-	// intersection cardinality (flooring first would inflate highly
-	// selective intersections).
-	fetchRows := interRows
-	if fetchRows < 1 {
-		fetchRows = 1
-	}
-	lookup := fetchRows * RandPageCost
-	if cap := 2 * float64(ti.heapPages) * RandPageCost; lookup > cap {
-		lookup = cap
-	}
-	cost += lookup + fetchRows*CPURowCost
-
-	n := &IndexIntersectNode{Table: ti.name, Residual: residual}
-	n.children = []Node{a, b}
-	n.cost = cost
-	n.rows = math.Max(interRows*clampSel(resSel), 0)
-	return n
 }

@@ -2,233 +2,209 @@ package optimizer
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-
-	"indexmerge/internal/sql"
-	"indexmerge/internal/value"
 )
 
 // maxDPTables bounds the dynamic-programming join search; wider joins
 // would need a greedy fallback, which the workloads here never hit.
 const maxDPTables = 10
 
-type dpEntry struct {
-	node Node
-	rows float64
+// dpCell is the cheapest left-deep plan found for one subset of the
+// query's tables, with the choice that produced it: the table joined
+// last, the join algorithm and, for an index nested-loop join, the
+// configuration position of the inner seek's index. Single-table
+// subsets hold the table's cheapest access path (planner.base).
+type dpCell struct {
+	cost, rows float64
+	ok         bool
+	last       int8
+	kind       JoinKind
+	inner      int32
 }
 
-// planJoin performs left-deep join-order search over the query's
+// outputRows is the row estimate the subset's plan reports and finish
+// consumes. Joins above read dpCell.rows, which is floored at one row;
+// a cross product reports its own unfloored estimate.
+func (p *planner) outputRows(mask int) float64 {
+	c := &p.dp[mask]
+	if c.kind != NLJoin {
+		return c.rows
+	}
+	return p.dp[mask&^(1<<uint(c.last))].rows * p.pq.tables[c.last].filteredRows
+}
+
+// joinOrder performs left-deep join-order search over the query's
 // tables, considering hash joins and index nested-loop joins (the
-// inner side parameterized by the join columns), then finishes with
-// aggregation/sort/projection.
-func (ctx *optContext) planJoin() (Node, error) {
-	n := len(ctx.tables)
+// inner side parameterized by the join columns). It leaves the cell of
+// every subset in p.dp — the full set's is the last — and each table's
+// cheapest access path in p.base, for the build step.
+func (p *planner) joinOrder() error {
+	tables := p.pq.tables
+	n := len(tables)
 	if n > maxDPTables {
-		return nil, fmt.Errorf("optimizer: %d-way joins unsupported (max %d)", n, maxDPTables)
+		return fmt.Errorf("optimizer: %d-way joins unsupported (max %d)", n, maxDPTables)
 	}
-	best := make([]*dpEntry, 1<<n)
-
-	// Base: cheapest access path per table, cached on the context —
-	// joinStep reuses it for the join's right side instead of
-	// re-enumerating the identical path set per DP extension.
-	if cap(ctx.basePaths) < n {
-		ctx.basePaths = make([]accessPath, n)
+	size := 1 << uint(n)
+	if cap(p.base) < n {
+		p.base = make([]accessPath, n)
 	}
-	ctx.basePaths = ctx.basePaths[:n]
-	for i, ti := range ctx.tables {
-		paths := enumerateAccessPaths(ti, ctx.cfg.ForTable(ti.name), ctx.noIntersect, ctx.noUnion, ctx.filter)
-		bp := bestPath(paths)
-		ctx.basePaths[i] = bp
-		best[1<<i] = &dpEntry{node: bp.node, rows: bp.rows}
+	p.base = p.base[:n]
+	if cap(p.dp) < size {
+		p.dp = make([]dpCell, size)
+	}
+	p.dp = p.dp[:size]
+	for i := range p.dp {
+		p.dp[i] = dpCell{}
 	}
 
-	for mask := 3; mask < 1<<n; mask++ {
+	// Base: the cheapest access path per table, which a join step also
+	// uses for its right side.
+	for i, ti := range tables {
+		paths := p.enumeratePaths(ti)
+		best := &paths[0]
+		for j := 1; j < len(paths); j++ {
+			if paths[j].cost < best.cost {
+				best = &paths[j]
+			}
+		}
+		p.base[i] = *best
+		p.dp[1<<uint(i)] = dpCell{cost: best.cost, rows: best.rows, ok: true}
+	}
+
+	for mask := 3; mask < size; mask++ {
 		if bits.OnesCount(uint(mask)) < 2 {
 			continue
 		}
-		var entry *dpEntry
+		var entry dpCell
 		for t := 0; t < n; t++ {
-			bit := 1 << t
+			bit := 1 << uint(t)
 			if mask&bit == 0 {
 				continue
 			}
 			rest := mask &^ bit
-			if best[rest] == nil {
+			if !p.dp[rest].ok {
 				continue
 			}
-			cand := ctx.joinStep(best[rest], rest, t)
-			if cand != nil && (entry == nil || cand.node.Cost() < entry.node.Cost()) {
+			if cand := p.joinCost(rest, t); !entry.ok || cand.cost < entry.cost {
 				entry = cand
 			}
 		}
-		best[mask] = entry
+		p.dp[mask] = entry
 	}
-
-	full := best[(1<<n)-1]
-	if full == nil {
-		return nil, fmt.Errorf("optimizer: no join plan found")
+	if !p.dp[size-1].ok {
+		return fmt.Errorf("optimizer: no join plan found")
 	}
-	return ctx.finish(full.node, accessPath{}, nil), nil
+	return nil
 }
 
-// joinStep joins the best plan for subset `rest` with table index t,
-// returning the cheapest of hash join and index nested-loop join.
-func (ctx *optContext) joinStep(left *dpEntry, rest, t int) *dpEntry {
-	ti := ctx.tables[t]
-	conns := ctx.connectingPreds(rest, t)
-
-	// Right-side filtered cardinality and combined join selectivity.
-	rightSel := 1.0
-	for _, sp := range ti.preds {
-		rightSel *= sp.sel
-	}
-	rightRows := ti.rowCount * clampSel(rightSel)
+// joinCost joins the best plan for subset `rest` with table t and
+// returns the cheapest of hash join (nested-loop cross product when no
+// predicate connects them) and index nested-loop join.
+func (p *planner) joinCost(rest, t int) dpCell {
+	pq := p.pq
+	ti := pq.tables[t]
+	left := &p.dp[rest]
 	jsel := 1.0
-	for _, c := range conns {
-		other := ctx.lookup(c.otherCol.Table)
-		jsel *= joinSelectivity(other.ts, c.otherCol.Column, other.rowCount, ti.ts, c.myCol.Column, ti.rowCount)
+	connected := false
+	for k := range pq.joins {
+		if pq.joins[k].connects(rest, t) {
+			jsel *= pq.joins[k].sel
+			connected = true
+		}
 	}
+	rightRows := ti.filteredRows
 	outRows := left.rows * rightRows * clampSel(jsel)
 	if outRows < 1 {
 		outRows = 1
 	}
-
-	var bestNode Node
-	bestCost := math.Inf(1)
-
-	// Hash join (or nested-loop cross product when unconnected). The
-	// right side reuses the table's base access path computed once in
-	// planJoin.
-	rightBest := ctx.basePaths[t]
-	if len(conns) > 0 {
-		buildRows, probeRows := rightRows, left.rows
-		if left.rows < rightRows {
-			buildRows, probeRows = left.rows, rightRows
-		}
-		hj := &JoinNode{Kind: HashJoin, On: ctx.joinPredsOf(conns)}
-		hj.children = []Node{left.node, rightBest.node}
-		hj.rows = outRows
-		hj.cost = left.node.Cost() + rightBest.node.Cost() + hashJoinCost(buildRows, probeRows) + outRows*CPUOpCost
-		bestNode, bestCost = hj, hj.cost
-	} else {
-		outer := left.rows
-		if outer < 1 {
-			outer = 1
-		}
-		nl := &JoinNode{Kind: NLJoin}
-		nl.children = []Node{left.node, rightBest.node}
-		nl.rows = left.rows * rightRows
-		nl.cost = left.node.Cost() + outer*rightBest.node.Cost() + nl.rows*CPUOpCost
-		bestNode, bestCost = nl, nl.cost
+	outer := left.rows
+	if outer < 1 {
+		outer = 1
 	}
-
+	cell := dpCell{rows: outRows, ok: true, last: int8(t)}
+	if !connected {
+		cell.kind = NLJoin
+		cell.cost = left.cost + outer*p.base[t].cost + left.rows*rightRows*CPUOpCost
+		return cell
+	}
+	buildRows, probeRows := rightRows, left.rows
+	if left.rows < rightRows {
+		buildRows, probeRows = left.rows, rightRows
+	}
+	cell.kind = HashJoin
+	cell.cost = left.cost + p.base[t].cost + hashJoinCost(buildRows, probeRows) + outRows*CPUOpCost
 	// Index nested-loop join: parameterize the inner by the join columns.
-	if len(conns) > 0 {
-		if inner := ctx.innerSeekPath(ti, conns); inner != nil {
-			outer := left.rows
-			if outer < 1 {
-				outer = 1
-			}
-			inl := &JoinNode{Kind: IndexNLJoin, On: ctx.joinPredsOf(conns)}
-			inl.children = []Node{left.node, inner}
-			inl.rows = outRows
-			inl.cost = left.node.Cost() + outer*inner.Cost() + outRows*CPUOpCost
-			if inl.cost < bestCost {
-				bestNode, bestCost = inl, inl.cost
-			}
+	if innerCost, inner, ok := p.innerSeek(rest, t); ok {
+		if c := left.cost + outer*innerCost + outRows*CPUOpCost; c < cell.cost {
+			cell.kind, cell.cost, cell.inner = IndexNLJoin, c, inner
 		}
 	}
-
-	if bestNode == nil {
-		return nil
-	}
-	return &dpEntry{node: bestNode, rows: outRows}
+	return cell
 }
 
-// connection describes one join predicate linking table t to the
-// already-joined subset.
-type connection struct {
-	pred     sql.JoinPred
-	myCol    sql.ColumnRef // column on table t
-	otherCol sql.ColumnRef // column on the joined subset
-}
-
-// connectingPreds finds the join predicates linking table t to subset rest.
-func (ctx *optContext) connectingPreds(rest, t int) []connection {
-	ti := ctx.tables[t]
-	inRest := func(table string) bool {
-		for i, o := range ctx.tables {
-			if o.name == table {
-				return rest&(1<<i) != 0
-			}
-		}
-		return false
-	}
-	var out []connection
-	for _, j := range ctx.stmt.Joins {
-		switch {
-		case j.Left.Table == ti.name && inRest(j.Right.Table):
-			out = append(out, connection{pred: j, myCol: j.Left, otherCol: j.Right})
-		case j.Right.Table == ti.name && inRest(j.Left.Table):
-			out = append(out, connection{pred: j, myCol: j.Right, otherCol: j.Left})
-		}
-	}
-	return out
-}
-
-func (ctx *optContext) joinPredsOf(conns []connection) []sql.JoinPred {
-	out := make([]sql.JoinPred, len(conns))
-	for i, c := range conns {
-		out[i] = c.pred
-	}
-	return out
-}
-
-// innerSeekPath builds the cheapest parameterized inner access for an
-// index nested-loop join: a seek whose equality prefix includes at
-// least one join column. Synthetic join-column equality predicates use
-// column density as selectivity (the average outer binding).
-func (ctx *optContext) innerSeekPath(ti *tableInfo, conns []connection) Node {
-	joinCols := make(map[string]bool, len(conns))
-	preds := append([]scoredPred(nil), ti.preds...)
-	for _, c := range conns {
-		if joinCols[c.myCol.Column] {
+// probePreds extends table t's predicates with the synthetic equality
+// probes of the join columns connecting it to rest (deduplicated by
+// column, in join-predicate order) — the list an inner seek matches.
+// The result lives in the planner and is valid until the next call.
+func (p *planner) probePreds(rest, t int) []scoredPred {
+	pq := p.pq
+	ti := pq.tables[t]
+	ext := append(p.ext[:0], ti.preds...)
+	for k := range pq.joins {
+		j := &pq.joins[k]
+		if !j.connects(rest, t) {
 			continue
 		}
-		joinCols[c.myCol.Column] = true
-		d := distinctOf(ti.ts, c.myCol.Column, ti.rowCount)
-		preds = append(preds, scoredPred{
-			p:   sql.Predicate{Col: c.myCol, Op: sql.OpEq, Val: value.NewNull()},
-			sel: 1 / math.Max(d, 1),
-		})
-	}
-	probe := *ti
-	probe.preds = preds
-	// Join columns extend the seekable-lead set for the prefilter; and
-	// intersection and union paths can be skipped outright — only plain
-	// seeks qualify as parameterized inners below.
-	probe.seekLead = ti.seekLeadJoin
-	paths := enumerateAccessPaths(&probe, ctx.cfg.ForTable(ti.name), true, true, ctx.filter)
-	var best Node
-	for _, p := range paths {
-		seek, ok := p.node.(*IndexSeekNode)
-		if !ok {
+		col := j.myCol(t)
+		if hasSynth(ext[len(ti.preds):], col) {
 			continue
 		}
-		usesJoinCol := false
-		for _, ep := range seek.SeekEq {
-			if joinCols[ep.Col.Column] && ep.Val.IsNull() {
-				usesJoinCol = true
+		for si := range ti.synth {
+			if ti.synth[si].p.Col.Column == col {
+				ext = append(ext, ti.synth[si])
 				break
 			}
 		}
-		if !usesJoinCol {
+	}
+	p.ext = ext
+	return ext
+}
+
+// innerSeek finds the cheapest parameterized inner access for an index
+// nested-loop join of table t to rest: an index seek whose equality
+// prefix consumes at least one join probe. Intersections and unions
+// do not qualify, so only plain seeks are priced.
+func (p *planner) innerSeek(rest, t int) (cost float64, idx int32, found bool) {
+	ti := p.pq.tables[t]
+	ext := p.probePreds(rest, t)
+	for i := range p.cfg {
+		def := &p.cfg[i]
+		if def.Table != ti.name {
 			continue
 		}
-		if best == nil || seek.Cost() < best.Cost() {
-			best = seek
+		if p.filter && !indexRelevant(def.Columns, ti.seekLeadJoin, ti.required) {
+			continue
+		}
+		p.consumed = p.consumed[:0]
+		m := matchSeek(def.Columns, ext, p)
+		// The seek must bind a join column: an equality on the null
+		// placeholder whose column one of the probes (the entries past
+		// the table's own predicates) supplies.
+		usesProbe := false
+		for _, pi := range m.consumed[:m.nEq] {
+			if ext[pi].p.Val.IsNull() && hasSynth(ext[len(ti.preds):], ext[pi].p.Col.Column) {
+				usesProbe = true
+				break
+			}
+		}
+		if !usesProbe {
+			continue
+		}
+		pages, height := ti.indexSize(def.Columns)
+		c := ti.seekCost(pages, height, ti.rowCount*m.sel, coversRequired(def.Columns, ti.required))
+		if !found || c < cost {
+			cost, idx, found = c, int32(i), true
 		}
 	}
-	return best
+	return cost, idx, found
 }

@@ -1,13 +1,12 @@
 package optimizer
 
 import (
-	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"indexmerge/internal/faults"
 	"indexmerge/internal/sql"
-	"indexmerge/internal/storage"
 )
 
 // Optimizer produces plans and cost estimates for queries against a
@@ -27,10 +26,10 @@ type Optimizer struct {
 	// pre-filtering) aim to reduce. Read it with InvocationCount.
 	invocations atomic.Int64
 
-	// preparedCalls counts the subset of invocations that went through
-	// the prepared fast paths (OptimizePrepared, CostPrepared). Read it
-	// with PreparedCallCount; the facade's bypass guard asserts it
-	// tracks invocations once a workload is prepared.
+	// preparedCalls counts the subset of invocations that were handed a
+	// descriptor (OptimizePrepared, CostPrepared) instead of preparing
+	// one per call. Read it with PreparedCallCount; the facade's bypass
+	// guard asserts it tracks invocations once a workload is prepared.
 	preparedCalls atomic.Int64
 
 	// DisableIndexIntersection turns off RID-intersection access paths;
@@ -45,11 +44,10 @@ type Optimizer struct {
 	// toggled while Optimize calls are in flight.
 	DisableIndexUnion bool
 
-	// DisableRelevantIndexFilter turns off the prepared fast paths'
-	// relevant-index prefilter (cost every index as the unprepared path
-	// does); the guard test uses it to prove the skip never changes a
-	// chosen plan. Must not be toggled while Optimize calls are in
-	// flight.
+	// DisableRelevantIndexFilter turns off the relevant-index prefilter
+	// (every index of the configuration is costed); planning with it on
+	// and off is the guard that the skip never changes a chosen plan.
+	// Must not be toggled while Optimize calls are in flight.
 	DisableRelevantIndexFilter bool
 }
 
@@ -61,40 +59,23 @@ func New(meta Meta) *Optimizer {
 // InvocationCount returns the number of Optimize calls performed.
 func (o *Optimizer) InvocationCount() int64 { return o.invocations.Load() }
 
-// PreparedCallCount returns how many invocations used the prepared
-// fast paths.
+// PreparedCallCount returns how many invocations were handed a
+// prepared descriptor.
 func (o *Optimizer) PreparedCallCount() int64 { return o.preparedCalls.Load() }
 
 // Optimize returns the cheapest plan found for the statement under the
-// configuration. The statement must already be resolved.
+// configuration. The statement must already be resolved. It prepares
+// the statement and plans the descriptor exactly as OptimizePrepared
+// does; callers costing one statement many times prepare it once.
 func (o *Optimizer) Optimize(stmt *sql.SelectStmt, cfg Configuration) (*Plan, error) {
-	o.invocations.Add(1)
-	if err := faults.Inject(faults.OptimizerCost); err != nil {
-		return nil, err
-	}
-	ctx, err := o.newContext(stmt, cfg)
-	if err != nil {
-		return nil, err
-	}
-	var root Node
-	if len(ctx.tables) == 1 {
-		root, err = ctx.planSingleTable()
-	} else {
-		root, err = ctx.planJoin()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Root: root, Cost: root.Cost(), Uses: collectUses(root)}, nil
+	_, plan, err := o.plan(stmt, nil, cfg, true)
+	return plan, err
 }
 
-// Cost is a convenience for Optimize().Cost.
+// Cost is Optimize().Cost without building the plan.
 func (o *Optimizer) Cost(stmt *sql.SelectStmt, cfg Configuration) (float64, error) {
-	p, err := o.Optimize(stmt, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return p.Cost, nil
+	cost, _, err := o.plan(stmt, nil, cfg, false)
+	return cost, err
 }
 
 // WorkloadCost computes Cost(W, C): the frequency-weighted sum of
@@ -111,157 +92,164 @@ func (o *Optimizer) WorkloadCost(w *sql.Workload, cfg Configuration) (float64, e
 	return total, nil
 }
 
-// optContext is per-query planning state. Prepared planning pools
-// contexts and points tables/byName into the immutable descriptor;
-// ad-hoc planning builds them per call.
-type optContext struct {
-	opt    *Optimizer
-	stmt   *sql.SelectStmt
-	cfg    Configuration
-	tables []*tableInfo
-	byName map[string]*tableInfo // nil for single-table ad-hoc contexts
-	// noIntersect/noUnion/filter snapshot the optimizer knobs for this
-	// call.
-	noIntersect bool
-	noUnion     bool
-	filter      bool
-	// basePaths caches each table's best standalone access path during
-	// join planning (indexed like tables); joinStep reuses it instead
-	// of re-enumerating per DP extension.
-	basePaths []accessPath
+// OptimizePrepared is Optimize over a descriptor prepared earlier.
+func (o *Optimizer) OptimizePrepared(pq *PreparedQuery, cfg Configuration) (*Plan, error) {
+	_, plan, err := o.plan(nil, pq, cfg, true)
+	return plan, err
 }
 
-func (o *Optimizer) newContext(stmt *sql.SelectStmt, cfg Configuration) (*optContext, error) {
-	ctx := &optContext{opt: o, stmt: stmt, cfg: cfg, noIntersect: o.DisableIndexIntersection, noUnion: o.DisableIndexUnion}
-	sc := o.meta.Schema()
-	names := stmt.TablesReferenced()
-	if len(names) > 1 {
-		ctx.byName = make(map[string]*tableInfo, len(names))
-	}
-	for _, name := range names {
-		t, ok := sc.Table(name)
-		if !ok {
-			return nil, fmt.Errorf("optimizer: unknown table %q", name)
-		}
-		ti := &tableInfo{
-			name:     name,
-			table:    t,
-			ts:       o.meta.TableStats(name),
-			rowCount: float64(o.meta.TableRowCount(name)),
-			required: stmt.ColumnsOf(name),
-		}
-		ti.heapPages = storage.EstimateHeapPages(int64(ti.rowCount), t.RowWidth())
-		ti.initPreds(stmt)
-		ctx.tables = append(ctx.tables, ti)
-		if ctx.byName != nil {
-			ctx.byName[name] = ti
-		}
-	}
-	return ctx, nil
+// CostPrepared returns OptimizePrepared(pq, cfg).Cost without building
+// the plan; with the planner's pooled state warm it allocates nothing.
+func (o *Optimizer) CostPrepared(pq *PreparedQuery, cfg Configuration) (float64, error) {
+	cost, _, err := o.plan(nil, pq, cfg, false)
+	return cost, err
 }
 
-// lookup resolves a referenced table by name without requiring the
-// byName map (absent for single-table ad-hoc contexts).
-func (ctx *optContext) lookup(name string) *tableInfo {
-	if ctx.byName != nil {
-		return ctx.byName[name]
-	}
-	for _, ti := range ctx.tables {
-		if ti.name == name {
-			return ti
+// WorkloadCostPrepared is WorkloadCost over a prepared workload.
+func (o *Optimizer) WorkloadCostPrepared(pw *PreparedWorkload, cfg Configuration) (float64, error) {
+	total := 0.0
+	for i, q := range pw.W.Queries {
+		c, err := o.CostPrepared(pw.Queries[i], cfg)
+		if err != nil {
+			return 0, err
 		}
+		total += c * q.Freq
 	}
-	return nil
+	return total, nil
 }
 
-// hasAggregates reports whether the select list aggregates.
-func (ctx *optContext) hasAggregates() bool {
-	for _, it := range ctx.stmt.Select {
-		if it.Agg != sql.AggNone {
-			return true
-		}
-	}
-	return false
+// planner is the state of one planning pass, pooled so that a
+// steady-state cost probe allocates nothing: the call's inputs, the
+// candidates of the table being enumerated, and the choices — cheapest
+// path per table, cheapest join per table subset — the build step
+// turns into nodes.
+type planner struct {
+	pq  *PreparedQuery
+	cfg Configuration
+	// noInter/noUnion/filter snapshot the optimizer knobs for this call.
+	noInter, noUnion, filter bool
+
+	paths    []accessPath   // candidates of the table enumerated last
+	arms     []intersectArm // its seeks, as intersection candidates
+	consumed []int32        // backing store of seekMatch.consumed
+	uArms    []int          // union arm choices, reused across disjunctions
+	ext      []scoredPred   // a table's predicates plus join probes
+	base     []accessPath   // join planning: each table's cheapest path
+	dp       []dpCell       // join planning: one cell per table subset
 }
 
-// planSingleTable enumerates access paths and finishes each with
-// aggregation/sort, keeping the cheapest complete plan. Enumerating
-// complete plans (rather than the cheapest access path only) lets an
-// index that provides order win even when a bare scan is cheaper.
-func (ctx *optContext) planSingleTable() (Node, error) {
-	ti := ctx.tables[0]
-	paths := enumerateAccessPaths(ti, ctx.cfg.ForTable(ti.name), ctx.noIntersect, ctx.noUnion, ctx.filter)
-	var best Node
-	bestCost := math.Inf(1)
-	for _, path := range paths {
-		plan := ctx.finish(path.node, path, ti)
-		if plan.Cost() < bestCost {
-			bestCost = plan.Cost()
-			best = plan
+var plannerPool = sync.Pool{New: func() any { return new(planner) }}
+
+// plan is what every public planning call is: the one entry sequence —
+// count the invocation, give the fault injector its one shot, take the
+// caller's descriptor (refused if the statistics were rebuilt after it
+// was prepared) or prepare one from the statement — and then the one
+// planning pass: enumerate every candidate — access paths per table,
+// join orders and algorithms per table subset, streaming or hashed
+// aggregation, sort — on costs alone, keeping the cheapest, and only
+// when build is set turn the winning choices into a plan tree.
+// Enumerating complete single-table plans (rather than the cheapest
+// access path only) lets an index that provides order win even when a
+// bare scan is cheaper.
+func (o *Optimizer) plan(stmt *sql.SelectStmt, pq *PreparedQuery, cfg Configuration, build bool) (float64, *Plan, error) {
+	o.invocations.Add(1)
+	if pq != nil {
+		o.preparedCalls.Add(1)
+	}
+	err := faults.Inject(faults.OptimizerCost)
+	switch {
+	case err != nil:
+	case pq != nil:
+		err = pq.checkFresh()
+	default:
+		pq, err = PrepareQuery(stmt, o.meta)
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+
+	p := plannerPool.Get().(*planner)
+	defer plannerPool.Put(p)
+	p.pq, p.cfg = pq, cfg
+	p.noInter = o.DisableIndexIntersection
+	p.noUnion = o.DisableIndexUnion
+	p.filter = !o.DisableRelevantIndexFilter
+
+	if len(pq.tables) == 1 {
+		paths := p.enumeratePaths(pq.tables[0])
+		best, fin := 0, finished{cost: math.Inf(1)}
+		for i := range paths {
+			if f := pq.finish(&paths[i]); f.cost < fin.cost {
+				best, fin = i, f
+			}
 		}
+		if !build {
+			return fin.cost, nil, nil
+		}
+		return fin.cost, newPlan(pq.finishNode(p.accessNode(pq.tables[0], &paths[best]), &fin)), nil
 	}
-	if best == nil {
-		return nil, fmt.Errorf("optimizer: no plan for table %q", ti.name)
+	if err := p.joinOrder(); err != nil {
+		return 0, nil, err
 	}
-	return best, nil
+	// A join delivers no useful order: aggregation hashes, ORDER BY sorts.
+	full := len(p.dp) - 1
+	fin := pq.finish(&accessPath{cost: p.dp[full].cost, rows: p.outputRows(full)})
+	if !build {
+		return fin.cost, nil, nil
+	}
+	return fin.cost, newPlan(pq.finishNode(p.joinNode(full), &fin)), nil
 }
 
-// finish layers aggregation, sort, and projection over an input node.
-// path carries the input's ordering properties (zero value when the
-// input is a join).
-func (ctx *optContext) finish(n Node, path accessPath, orderTable *tableInfo) Node {
-	stmt := ctx.stmt
-	ordered := false
-	if orderTable != nil {
-		ordered = orderSatisfied(stmt.OrderBy, path, orderTable.name)
-	}
+// finished is an input with aggregation, sort and projection layered
+// over it: which operators there are, and the cumulative cost after
+// each. Aggregation sets the row count; sort and projection keep it.
+type finished struct {
+	agg, streaming, sort    bool
+	aggCost, sortCost, cost float64
+	rows                    float64
+}
 
-	if len(stmt.GroupBy) > 0 || ctx.hasAggregates() {
-		inRows := n.Rows()
+// finish applies the aggregation/sort/projection arithmetic to an
+// input — a single table's access path, or a join as a path with no
+// order.
+func (pq *PreparedQuery) finish(in *accessPath) finished {
+	stmt := pq.Stmt
+	f := finished{cost: in.cost, rows: in.rows}
+	sorted := orderSatisfied(stmt.OrderBy, in.ordered, in.nEq, pq.tables[0].name)
+	if len(stmt.GroupBy) > 0 || pq.hasAggs {
 		groups := 1.0
 		if len(stmt.GroupBy) > 0 {
-			groups = ctx.groupCardinality(stmt.GroupBy, inRows)
+			groups = groupCard(pq.groupDistinct, f.rows)
 		}
-		streaming := false
-		if orderTable != nil && groupSatisfied(stmt.GroupBy, path, orderTable.name) {
-			streaming = true
-		}
-		agg := &AggNode{GroupBy: stmt.GroupBy, Aggs: stmt.Select, Streaming: streaming}
-		agg.children = []Node{n}
-		agg.rows = groups
-		if streaming {
-			agg.cost = n.Cost() + streamAggCost(inRows)
+		f.agg = true
+		f.streaming = pq.groupSameTable && groupSatisfied(pq.groupCols, in.ordered, in.nEq)
+		if f.streaming {
+			f.cost += streamAggCost(f.rows)
 		} else {
-			agg.cost = n.Cost() + hashAggCost(inRows, groups)
-			ordered = false // hash aggregation destroys input order
+			f.cost += hashAggCost(f.rows, groups)
+			sorted = false // hash aggregation destroys input order
 		}
-		n = agg
+		f.aggCost, f.rows = f.cost, groups
 	}
-
-	if len(stmt.OrderBy) > 0 && !ordered {
-		srt := &SortNode{Keys: stmt.OrderBy}
-		srt.children = []Node{n}
-		srt.rows = n.Rows()
-		srt.cost = n.Cost() + sortCost(n.Rows())
-		n = srt
+	if len(stmt.OrderBy) > 0 && !sorted {
+		f.sort = true
+		f.cost += sortCost(f.rows)
+		f.sortCost = f.cost
 	}
-
-	proj := &ProjectNode{Items: stmt.Select}
-	proj.children = []Node{n}
-	proj.rows = n.Rows()
-	proj.cost = n.Cost() + n.Rows()*CPUOpCost
-	return proj
+	f.cost += f.rows * CPUOpCost
+	return f
 }
 
-// groupCardinality estimates result groups across the query's tables.
-func (ctx *optContext) groupCardinality(cols []sql.ColumnRef, inRows float64) float64 {
+// groupCard estimates the number of groups from the prepared per-column
+// distinct counts (0 marks a column on a table outside FROM, skipped):
+// their product, capped by the input cardinality.
+func groupCard(distinct []float64, inRows float64) float64 {
 	groups := 1.0
-	for _, c := range cols {
-		ti := ctx.lookup(c.Table)
-		if ti == nil {
+	for _, d := range distinct {
+		if d == 0 {
 			continue
 		}
-		groups *= distinctOf(ti.ts, c.Column, ti.rowCount)
+		groups *= d
 		if groups > inRows {
 			break
 		}

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"indexmerge/internal/catalog"
-	"indexmerge/internal/faults"
 	"indexmerge/internal/sql"
 	"indexmerge/internal/storage"
 	"indexmerge/internal/value"
@@ -29,8 +28,10 @@ type StatsVersioner interface {
 // required columns, predicates with histogram-probed selectivities,
 // the conjunction selectivity, join selectivities, group/order
 // satisfaction metadata, and heap-page estimates — computed once so
-// the per-configuration fast paths (OptimizePrepared, CostPrepared)
-// never re-walk the AST or re-probe histograms.
+// that planning it under one configuration after another never
+// re-walks the AST or re-probes histograms. Optimize and Cost build
+// one per call; OptimizePrepared and CostPrepared take one built
+// earlier.
 //
 // A PreparedQuery is read-only after PrepareQuery returns and safe for
 // concurrent use by any number of goroutines.
@@ -38,9 +39,8 @@ type PreparedQuery struct {
 	// Stmt is the resolved statement the descriptor was built from.
 	Stmt *sql.SelectStmt
 
-	tables []*tableInfo          // FROM order, with prefilter metadata
+	tables []*tableInfo          // FROM order
 	byName map[string]*tableInfo // built once at prepare, shared by every call
-	cost   []costTable           // cost-only planner extras, aligned with tables
 	joins  []preparedJoin        // Stmt.Joins with resolved table positions
 
 	groupDistinct  []float64 // per GROUP BY column: distinctOf (0 = unknown table, skipped)
@@ -48,32 +48,8 @@ type PreparedQuery struct {
 	groupSameTable bool      // every GROUP BY column is on tables[0]
 	hasAggs        bool
 
-	// simple marks queries whose predicate lists (including synthetic
-	// join probes) fit CostPrepared's bitmask fast path; the rest fall
-	// back to full prepared planning.
-	simple bool
-
 	versioner    StatsVersioner
 	statsVersion uint64
-}
-
-// costTable carries the query-invariant numbers the allocation-free
-// cost-only planner needs for one referenced table.
-type costTable struct {
-	ti           *tableInfo
-	allSel       float64 // product of predicate selectivities in predicate order (unclamped)
-	filteredRows float64 // rowCount × clampSel(allSel)
-	scanCost     float64 // full heap scan cost
-	// predColOp/predStr assign each predicate an equivalence class —
-	// by (column, operator) and by rendered text respectively — so the
-	// intersection planner's "arms share a predicate" and "predicate
-	// consumed by an arm" set tests become bitmask operations.
-	predColOp []uint8
-	predStr   []uint8
-	// synth holds the synthetic join-column equality probes (selectivity
-	// from column density) used by parameterized inner seeks, in the
-	// statement's join-predicate order.
-	synth []scoredPred
 }
 
 // preparedJoin is one join predicate with its endpoints resolved to
@@ -86,7 +62,7 @@ type preparedJoin struct {
 }
 
 // connects reports whether the join predicate links table t to the
-// joined subset rest — the prepared mirror of connectingPreds.
+// joined subset rest.
 func (j *preparedJoin) connects(rest, t int) bool {
 	if j.left == t && j.right >= 0 && rest&(1<<uint(j.right)) != 0 {
 		return true
@@ -233,11 +209,11 @@ func (o *Optimizer) PrepareQuery(stmt *sql.SelectStmt) (*PreparedQuery, error) {
 }
 
 // PrepareQuery builds the query-invariant descriptor for one resolved
-// statement: the same derivations newContext performs per Optimize
-// call, plus the precomputed products, predicate equivalence classes,
-// join metadata and relevant-index prefilter sets the fast paths need.
+// statement: per-table predicates, selectivities and their products,
+// predicate equivalence classes, join metadata and the relevant-index
+// prefilter sets.
 func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
-	pq := &PreparedQuery{Stmt: stmt, simple: true}
+	pq := &PreparedQuery{Stmt: stmt}
 	if v, ok := meta.(StatsVersioner); ok {
 		pq.versioner = v
 		pq.statsVersion = v.StatsVersion()
@@ -256,7 +232,6 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 			ts:       meta.TableStats(name),
 			rowCount: float64(meta.TableRowCount(name)),
 			required: stmt.ColumnsOf(name),
-			filtered: true,
 		}
 		ti.heapPages = storage.EstimateHeapPages(int64(ti.rowCount), t.RowWidth())
 		ti.initPreds(stmt)
@@ -291,37 +266,33 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 		pq.joins = append(pq.joins, pj)
 	}
 
-	// Per-table cost extras and synthetic join probes. Join columns also
-	// extend the seekable-lead set: an index useless for base predicates
-	// can still serve a parameterized inner seek.
+	// Per-table products, predicate classes and synthetic join probes.
+	// Join columns also extend the seekable-lead set: an index useless
+	// for base predicates can still serve a parameterized inner seek.
 	for _, ti := range pq.tables {
-		ct := costTable{ti: ti, allSel: 1.0}
+		allSel := 1.0
 		for _, sp := range ti.preds {
-			ct.allSel *= sp.sel
+			allSel *= sp.sel
 		}
-		ct.filteredRows = ti.rowCount * clampSel(ct.allSel)
-		ct.scanCost = scanCost(ti.heapPages, ti.rowCount)
-		ct.predColOp, ct.predStr = predClasses(ti.preds)
+		ti.filteredRows = ti.rowCount * clampSel(allSel)
+		ti.scanCost = scanCost(ti.heapPages, ti.rowCount)
+		ti.predColOp, ti.predStr = predClasses(ti.preds)
 		for _, j := range stmt.Joins {
 			for _, side := range [2]sql.ColumnRef{j.Left, j.Right} {
 				if side.Table != ti.name {
 					continue
 				}
 				ti.seekLeadJoin = appendDistinct(ti.seekLeadJoin, side.Column)
-				if hasSynth(ct.synth, side.Column) {
+				if hasSynth(ti.synth, side.Column) {
 					continue
 				}
 				d := distinctOf(ti.ts, side.Column, ti.rowCount)
-				ct.synth = append(ct.synth, scoredPred{
+				ti.synth = append(ti.synth, scoredPred{
 					p:   sql.Predicate{Col: side, Op: sql.OpEq, Val: value.NewNull()},
 					sel: 1 / math.Max(d, 1),
 				})
 			}
 		}
-		if len(ti.preds)+len(ct.synth) > 64 {
-			pq.simple = false
-		}
-		pq.cost = append(pq.cost, ct)
 	}
 
 	for _, it := range stmt.Select {
@@ -341,9 +312,6 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 			pq.groupSameTable = false
 		}
 		pq.groupCols = appendDistinct(pq.groupCols, c.Column)
-	}
-	if len(pq.groupCols) > 64 {
-		pq.simple = false
 	}
 	return pq, nil
 }
@@ -389,89 +357,21 @@ func (pq *PreparedQuery) checkFresh() error {
 	return nil
 }
 
-// OptimizePrepared is Optimize on the prepared fast path: the full
-// node-building planner over the precomputed descriptor. Plans (cost,
-// shape, index uses) are byte-identical to Optimize(pq.Stmt, cfg).
-func (o *Optimizer) OptimizePrepared(pq *PreparedQuery, cfg Configuration) (*Plan, error) {
-	o.invocations.Add(1)
-	o.preparedCalls.Add(1)
-	if err := faults.Inject(faults.OptimizerCost); err != nil {
-		return nil, err
-	}
-	if err := pq.checkFresh(); err != nil {
-		return nil, err
-	}
-	return o.planPrepared(pq, cfg)
-}
-
-// WorkloadCostPrepared computes Cost(W, C) over a prepared workload via
-// the cost-only fast path; totals are bit-identical to WorkloadCost.
-func (o *Optimizer) WorkloadCostPrepared(pw *PreparedWorkload, cfg Configuration) (float64, error) {
-	total := 0.0
-	for i, q := range pw.W.Queries {
-		c, err := o.CostPrepared(pw.Queries[i], cfg)
-		if err != nil {
-			return 0, err
-		}
-		total += c * q.Freq
-	}
-	return total, nil
-}
-
-// ctxPool recycles planning contexts for the prepared node path; the
-// descriptor supplies tables and byName, so a prepared Optimize call
-// allocates no per-call planning state beyond the plan itself.
-var ctxPool = sync.Pool{New: func() any { return new(optContext) }}
-
-// planPrepared runs the shared node-building planner over the
-// descriptor's immutable per-table state.
-func (o *Optimizer) planPrepared(pq *PreparedQuery, cfg Configuration) (*Plan, error) {
-	ctx := ctxPool.Get().(*optContext)
-	ctx.opt, ctx.stmt, ctx.cfg = o, pq.Stmt, cfg
-	ctx.tables, ctx.byName = pq.tables, pq.byName
-	ctx.noIntersect = o.DisableIndexIntersection
-	ctx.noUnion = o.DisableIndexUnion
-	ctx.filter = !o.DisableRelevantIndexFilter
-	var root Node
-	var err error
-	if len(ctx.tables) == 1 {
-		root, err = ctx.planSingleTable()
-	} else {
-		root, err = ctx.planJoin()
-	}
-	ctx.release()
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Root: root, Cost: root.Cost(), Uses: collectUses(root)}, nil
-}
-
-// release clears the context (dropping references into the descriptor
-// and the configuration) and returns it to the pool.
-func (ctx *optContext) release() {
-	for i := range ctx.basePaths {
-		ctx.basePaths[i] = accessPath{}
-	}
-	base := ctx.basePaths[:0]
-	*ctx = optContext{basePaths: base}
-	ctxPool.Put(ctx)
-}
-
 // predClasses computes the per-predicate equivalence classes used by
-// the cost-only intersection planner: class representatives are the
-// smallest predicate position with the same (column, operator) — and,
+// the intersection planner: class representatives are the smallest
+// predicate position with the same (column, operator) — and,
 // separately, the same rendered text.
-func predClasses(preds []scoredPred) (colOp, str []uint8) {
+func predClasses(preds []scoredPred) (colOp, str []int32) {
 	if len(preds) == 0 {
 		return nil, nil
 	}
-	colOp = make([]uint8, len(preds))
-	str = make([]uint8, len(preds))
+	colOp = make([]int32, len(preds))
+	str = make([]int32, len(preds))
 	strs := make([]string, len(preds))
 	for i := range preds {
 		strs[i] = preds[i].p.String()
-		colOp[i] = uint8(i)
-		str[i] = uint8(i)
+		colOp[i] = int32(i)
+		str[i] = int32(i)
 		for j := 0; j < i; j++ {
 			if preds[j].p.Col.Column == preds[i].p.Col.Column && preds[j].p.Op == preds[i].p.Op {
 				colOp[i] = colOp[j]
@@ -489,10 +389,8 @@ func predClasses(preds []scoredPred) (colOp, str []uint8) {
 }
 
 func appendDistinct(s []string, v string) []string {
-	for _, c := range s {
-		if c == v {
-			return s
-		}
+	if containsCol(s, v) {
+		return s
 	}
 	return append(s, v)
 }

@@ -113,39 +113,6 @@ func joinSelectivity(lts *stats.TableStats, lcol string, lrows float64, rts *sta
 	return 1 / m
 }
 
-// groupCount estimates the number of groups a GROUP BY produces from
-// inRows input rows: the product of per-column distinct counts capped
-// by the input cardinality.
-func groupCount(ts *stats.TableStats, cols []sql.ColumnRef, tableRows map[string]float64, inRowsByTable map[string]*stats.TableStats, inRows float64) float64 {
-	groups := 1.0
-	for _, c := range cols {
-		var cts *stats.TableStats
-		if inRowsByTable != nil {
-			cts = inRowsByTable[c.Table]
-		}
-		if cts == nil {
-			cts = ts
-		}
-		rows := inRows
-		if tableRows != nil {
-			if r, ok := tableRows[c.Table]; ok {
-				rows = r
-			}
-		}
-		groups *= distinctOf(cts, c.Column, rows)
-		if groups > inRows {
-			return inRows
-		}
-	}
-	if groups > inRows {
-		groups = inRows
-	}
-	if groups < 1 {
-		groups = 1
-	}
-	return groups
-}
-
 func clampSel(s float64) float64 {
 	switch {
 	case s < 0:

@@ -7,7 +7,6 @@ import (
 
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/sql"
-	"indexmerge/internal/storage"
 )
 
 // IndexUnionNode ORs several index seeks by unioning their RID sets,
@@ -49,9 +48,8 @@ const maxUnionArms = 8
 // inclusion–exclusion selectivity, so it is never larger than the sum
 // of the arms. arms receives the chosen positions in indexes (one per
 // disjunct, reusing the given backing array); ok is false when any
-// disjunct lacks a seekable index. Both the node-building and the
-// cost-only enumerations call this one function, which is what keeps
-// prepared and unprepared costing bit-identical.
+// disjunct lacks a seekable index. The build step calls it again for a
+// union that won, to learn the arms the enumeration did not keep.
 func unionPath(ti *tableInfo, d *orPred, indexes []catalog.IndexDef, arms []int) (_ []int, cost, rows float64, ok bool) {
 	arms = arms[:0]
 	if len(d.disjuncts) == 0 || len(d.disjuncts) > maxUnionArms {
@@ -85,15 +83,7 @@ func unionPath(ti *tableInfo, d *orPred, indexes []catalog.IndexDef, arms []int)
 	}
 	cost += matchSum * CPUOpCost // hash the RID sets
 	fetch := ti.rowCount * ti.preds[d.pos].sel
-	fetchRows := fetch
-	if fetchRows < 1 {
-		fetchRows = 1
-	}
-	lookup := fetchRows * RandPageCost
-	if lim := 2 * float64(ti.heapPages) * RandPageCost; lookup > lim {
-		lookup = lim
-	}
-	cost += lookup + fetchRows*CPURowCost
+	cost += ti.ridFetchCost(fetch)
 	resSel := 1.0
 	for pi := range ti.preds {
 		if pi != d.pos {
@@ -107,50 +97,6 @@ func unionPath(ti *tableInfo, d *orPred, indexes []catalog.IndexDef, arms []int)
 // armProbeCost prices one covering (RID-only) probe of an index for
 // matched entries.
 func armProbeCost(ti *tableInfo, idxCols []string, match float64) float64 {
-	kw := ti.table.WidthOf(idxCols)
-	pages := storage.EstimateIndexPages(int64(ti.rowCount), kw)
-	h := storage.EstimateIndexHeight(int64(ti.rowCount), kw)
-	return seekCost(h, pages, ti.rowCount, match, true /* rid-only */, ti.heapPages)
-}
-
-// unionPaths builds IndexUnionNode access paths for every disjunctive
-// predicate on the table. Arm indexes are chosen from the full
-// configuration (no relevance prefilter: a disjunct column never
-// enters seekLead, so an arm-only index would otherwise be skipped on
-// the prepared path but not the ad-hoc one).
-func unionPaths(ti *tableInfo, indexes []catalog.IndexDef) []accessPath {
-	var out []accessPath
-	var arms []int
-	for oi := range ti.orPreds {
-		d := &ti.orPreds[oi]
-		var cost, rows float64
-		var ok bool
-		arms, cost, rows, ok = unionPath(ti, d, indexes, arms)
-		if !ok {
-			continue
-		}
-		n := &IndexUnionNode{Table: ti.name}
-		for di, ii := range arms {
-			q := d.disjuncts[di]
-			arm := &IndexSeekNode{Index: indexes[ii], Covering: true}
-			if q.p.Op.IsEquality() {
-				arm.SeekEq = []sql.Predicate{q.p}
-			} else {
-				rp := q.p
-				arm.SeekRng = &rp
-			}
-			arm.rows = ti.rowCount * q.sel
-			arm.cost = armProbeCost(ti, indexes[ii].Columns, arm.rows)
-			n.children = append(n.children, arm)
-		}
-		for pi := range ti.preds {
-			if pi != d.pos {
-				n.Residual = append(n.Residual, ti.preds[pi].p)
-			}
-		}
-		n.cost = cost
-		n.rows = rows
-		out = append(out, accessPath{node: n, rows: rows})
-	}
-	return out
+	pages, height := ti.indexSize(idxCols)
+	return ti.seekCost(pages, height, match, true)
 }

@@ -128,7 +128,7 @@ func TestIndexUnionNeedsEveryArm(t *testing.T) {
 
 // armOrderFixture: six equality predicates where the two selective
 // columns' indexes come LAST in configuration order. Regression for the
-// arm-truncation bug: intersectionPaths used to cap candidate arms at
+// arm-truncation bug: the pairing used to cap candidate arms at
 // maxIntersectArms in enumeration order, so a cheap pair past position
 // four was never paired.
 func armOrderFixture(t testing.TB) (*engine.Database, Configuration) {
@@ -191,7 +191,7 @@ func TestIntersectionPairsMostSelectiveArms(t *testing.T) {
 }
 
 // TestIntersectionRowEstimateMonotonic pins the floor-final fix in
-// buildIntersection: the row-count flooring that protects the cost
+// intersectPath: the row-count flooring that protects the cost
 // formulas must not leak into the cardinality estimate, so an
 // intersection's estimated rows can never exceed either arm's own
 // estimate — even when the conjunction selects less than one row.
@@ -220,31 +220,31 @@ func TestIntersectionRowEstimateMonotonic(t *testing.T) {
 	}
 	o := New(db)
 	stmt := mustSelect(t, db, "SELECT payload FROM wide WHERE a = 5 AND b = 5")
-	ctx, err := o.newContext(stmt, cfg)
+	pq, err := o.PrepareQuery(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ti := ctx.tables[0]
-	paths := enumerateAccessPaths(ti, cfg.ForTable("wide"), false, false, false)
+	ti := pq.tables[0]
+	paths := (&planner{pq: pq, cfg: cfg}).enumeratePaths(ti)
 	minSeek := ti.rowCount
-	var inter *IndexIntersectNode
-	for _, p := range paths {
-		switch n := p.node.(type) {
-		case *IndexSeekNode:
-			if n.Rows() < minSeek {
-				minSeek = n.Rows()
+	var inter *accessPath
+	for i := range paths {
+		switch paths[i].kind {
+		case indexSeek:
+			if paths[i].rows < minSeek {
+				minSeek = paths[i].rows
 			}
-		case *IndexIntersectNode:
-			inter = n
+		case indexIntersect:
+			inter = &paths[i]
 		}
 	}
 	if inter == nil {
 		t.Fatal("no intersection path enumerated")
 	}
-	if inter.Rows() > minSeek {
-		t.Errorf("intersection estimates %v rows, more than its cheapest arm's %v", inter.Rows(), minSeek)
+	if inter.rows > minSeek {
+		t.Errorf("intersection estimates %v rows, more than its cheapest arm's %v", inter.rows, minSeek)
 	}
-	if inter.Rows() >= 1 {
-		t.Errorf("sub-row conjunction floored up: estimated %v rows", inter.Rows())
+	if inter.rows >= 1 {
+		t.Errorf("sub-row conjunction floored up: estimated %v rows", inter.rows)
 	}
 }

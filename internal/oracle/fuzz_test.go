@@ -247,7 +247,7 @@ func FuzzMergeSearch(f *testing.F) {
 				t.Fatalf("reference: %v", err)
 			}
 		}
-		vs, _, err := CheckConfig(db, opz, pw, w, refs, res.Final.Defs())
+		vs, _, err := CheckConfig(db, opz, w, refs, res.Final.Defs())
 		if err != nil {
 			t.Fatal(err)
 		}

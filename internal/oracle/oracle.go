@@ -24,7 +24,6 @@ import (
 //	result-diff        executed rows differ from the reference answer
 //	order              executed rows violate the query's ORDER BY
 //	explain-unknown    the plan reports an index outside the configuration
-//	prepared-mismatch  prepared and unprepared optimization disagree
 //	merge-invariant    a visited configuration breaks Definition 1–3
 //	error              optimization or execution failed outright
 type Violation struct {
@@ -126,9 +125,8 @@ func (r *recordingChecker) Evaluations() int64  { return r.inner.Evaluations() }
 // (advisor-built) configuration, a seed-sampled subset of every
 // configuration the Greedy search visits, the final merged
 // configuration, and explicit MergeOrdered pair merges. Metamorphic
-// invariants (Definition 1–3 well-formedness, prepared-vs-unprepared
-// agreement, Explain naming only configuration indexes) are checked
-// along the way.
+// invariants (Definition 1–3 well-formedness, Explain naming only
+// configuration indexes) are checked along the way.
 //
 // Sweep materializes indexes as it goes and leaves the database with
 // the last checked configuration materialized.
@@ -221,7 +219,7 @@ func Sweep(dbName string, db *engine.Database, w *sql.Workload, opt SweepOptions
 			}
 		}
 
-		vs, checks, err := CheckConfig(db, opz, pw, w, refs, nc.cfg.Defs())
+		vs, checks, err := CheckConfig(db, opz, w, refs, nc.cfg.Defs())
 		if err != nil {
 			return nil, err
 		}
@@ -233,10 +231,9 @@ func Sweep(dbName string, db *engine.Database, w *sql.Workload, opt SweepOptions
 
 // CheckConfig materializes one configuration and differentially checks
 // every workload query under it: executed rows against the reference
-// answers, ORDER BY satisfaction, prepared-vs-unprepared plan
-// agreement, and the Explain invariant. pw and refs must parallel w's
-// queries; refs entries may be nil to skip the result diff.
-func CheckConfig(db *engine.Database, opz *optimizer.Optimizer, pw *optimizer.PreparedWorkload,
+// answers, ORDER BY satisfaction, and the Explain invariant. refs must
+// parallel w's queries; entries may be nil to skip the result diff.
+func CheckConfig(db *engine.Database, opz *optimizer.Optimizer,
 	w *sql.Workload, refs []*Result, defs []catalog.IndexDef) ([]Violation, int, error) {
 
 	if err := db.Materialize(defs); err != nil {
@@ -264,22 +261,6 @@ func CheckConfig(db *engine.Database, opz *optimizer.Optimizer, pw *optimizer.Pr
 			if !defsContain(defs, u.Index) {
 				add("explain-unknown", fmt.Sprintf("plan %s-uses index %s not in configuration",
 					u.Mode, u.Index.Key()))
-			}
-		}
-
-		// Prepared invariant: prepared optimization must agree with
-		// unprepared in shape and cost (and hence in answer).
-		if pw != nil && i < len(pw.Queries) {
-			pplan, perr := opz.OptimizePrepared(pw.Queries[i], cfg)
-			switch {
-			case perr != nil:
-				add("prepared-mismatch", fmt.Sprintf("prepared optimize failed: %v", perr))
-			case pplan.Explain() != plan.Explain():
-				add("prepared-mismatch", fmt.Sprintf("plans differ:\nprepared:\n%s\nunprepared:\n%s",
-					pplan.Explain(), plan.Explain()))
-			case pplan.Cost != plan.Cost:
-				add("prepared-mismatch", fmt.Sprintf("costs differ: prepared %v, unprepared %v",
-					pplan.Cost, plan.Cost))
 			}
 		}
 

@@ -1,11 +1,10 @@
-// Byte-identity tests for prepared-workload planning: the prepared
-// fast paths (OptimizePrepared, CostPrepared) must reproduce the
-// unprepared optimizer bit for bit — same costs (compared as float
-// bits, not within a tolerance), same plan shapes, same index uses —
-// under every database, workload class, configuration and optimizer
-// ablation. The unprepared path never applies the relevant-index
-// prefilter, so every comparison here doubles as the guard test that
-// pre-filtering changes no plan.
+// Identity tests for prepared-workload planning. One planner serves
+// every entry point, so these compare what can still differ: a
+// descriptor prepared per call against one prepared once and shared, the
+// cost-only pass against the cost of the plan built from the same pass,
+// and the relevant-index prefilter on against off — costs as float bits,
+// not within a tolerance. That plans did not change from one commit to
+// the next is TestPlanGolden's job.
 package indexmerge
 
 import (
@@ -55,16 +54,17 @@ func sameUses(a, b []optimizer.IndexUse) bool {
 	return true
 }
 
-// TestPreparedMatchesOptimize checks OptimizePrepared and CostPrepared
-// against Optimize on every (database, workload class, configuration,
-// ablation) combination, including the intersection-disabled ablation
-// and the prefilter-disabled guard variant.
+// TestPreparedMatchesOptimize checks, on every (database, workload
+// class, configuration, ablation) combination: Optimize (which prepares
+// per call) against OptimizePrepared, CostPrepared against the built
+// plan's cost, and — the one guard that prefiltering changes no plan —
+// every ablation's plan with the relevant-index prefilter off against
+// the same ablation with it on.
 func TestPreparedMatchesOptimize(t *testing.T) {
 	for _, lab := range identityLabs(t) {
 		cfgs := identityConfigs(t, lab)
 		// A dedicated disjunction-bearing workload exercises the union
-		// access paths' prepared mirror (unionPath is shared, but the arm
-		// collection and ordering around it must agree byte for byte).
+		// access paths, whose arms are exempt from the prefilter.
 		disjunct, err := workload.Generate(lab.DB, workload.Options{
 			Class: workload.Complex, Disjunctions: true, Queries: 12, Seed: 5,
 		})
@@ -77,45 +77,44 @@ func TestPreparedMatchesOptimize(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: prepare: %v", lab.Name, wname, err)
 			}
-			variants := []struct {
-				name string
-				opt  *optimizer.Optimizer
-			}{
-				{"base", optimizer.New(lab.DB)},
-				{"nointersect", optimizer.New(lab.DB)},
-				{"nounion", optimizer.New(lab.DB)},
-				{"nofilter", optimizer.New(lab.DB)},
-			}
-			variants[1].opt.DisableIndexIntersection = true
-			variants[2].opt.DisableIndexUnion = true
-			variants[3].opt.DisableRelevantIndexFilter = true
-			for _, v := range variants {
+			for _, v := range []struct {
+				name             string
+				noInter, noUnion bool
+			}{{"base", false, false}, {"nointersect", true, false}, {"nounion", false, true}} {
+				opt, unfiltered := optimizer.New(lab.DB), optimizer.New(lab.DB)
+				opt.DisableIndexIntersection, unfiltered.DisableIndexIntersection = v.noInter, v.noInter
+				opt.DisableIndexUnion, unfiltered.DisableIndexUnion = v.noUnion, v.noUnion
+				unfiltered.DisableRelevantIndexFilter = true
 				for ci, cfg := range cfgs {
 					for qi, q := range w.Queries {
 						tag := fmt.Sprintf("%s/%s/%s cfg=%d q=%d", lab.Name, wname, v.name, ci, qi+1)
-						plan, err := v.opt.Optimize(q.Stmt, cfg)
-						if err != nil {
-							t.Fatalf("%s: Optimize: %v", tag, err)
-						}
-						planP, err := v.opt.OptimizePrepared(pw.Queries[qi], cfg)
+						planP, err := opt.OptimizePrepared(pw.Queries[qi], cfg)
 						if err != nil {
 							t.Fatalf("%s: OptimizePrepared: %v", tag, err)
 						}
-						if math.Float64bits(plan.Cost) != math.Float64bits(planP.Cost) {
-							t.Errorf("%s: cost %v (prepared) != %v (optimize)", tag, planP.Cost, plan.Cost)
+						samePlan := func(what string, other *optimizer.Plan, err error) {
+							t.Helper()
+							if err != nil {
+								t.Fatalf("%s: %s: %v", tag, what, err)
+							}
+							if math.Float64bits(other.Cost) != math.Float64bits(planP.Cost) ||
+								other.Explain() != planP.Explain() || !sameUses(other.Uses, planP.Uses) {
+								t.Errorf("%s: %s differs from OptimizePrepared:\n%s(cost %v, uses %v)\n-- OptimizePrepared:\n%s(cost %v, uses %v)",
+									tag, what, other.Explain(), other.Cost, other.Uses, planP.Explain(), planP.Cost, planP.Uses)
+							}
 						}
-						if plan.Explain() != planP.Explain() {
-							t.Errorf("%s: plan shapes differ:\n-- optimize:\n%s-- prepared:\n%s", tag, plan.Explain(), planP.Explain())
-						}
-						if !sameUses(plan.Uses, planP.Uses) {
-							t.Errorf("%s: index uses differ: %v != %v", tag, planP.Uses, plan.Uses)
-						}
-						cost, err := v.opt.CostPrepared(pw.Queries[qi], cfg)
-						if err != nil {
-							t.Fatalf("%s: CostPrepared: %v", tag, err)
-						}
-						if math.Float64bits(cost) != math.Float64bits(plan.Cost) {
-							t.Errorf("%s: CostPrepared %v != plan cost %v", tag, cost, plan.Cost)
+						plan, err := opt.Optimize(q.Stmt, cfg)
+						samePlan("Optimize", plan, err)
+						plan, err = unfiltered.OptimizePrepared(pw.Queries[qi], cfg)
+						samePlan("prefilter off", plan, err)
+						for _, o := range []*optimizer.Optimizer{opt, unfiltered} {
+							cost, err := o.CostPrepared(pw.Queries[qi], cfg)
+							if err != nil {
+								t.Fatalf("%s: CostPrepared: %v", tag, err)
+							}
+							if math.Float64bits(cost) != math.Float64bits(planP.Cost) {
+								t.Errorf("%s: CostPrepared %v != plan cost %v", tag, cost, planP.Cost)
+							}
 						}
 					}
 				}
