@@ -203,7 +203,11 @@ func BenchmarkGreedyCosting(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	seek, err := core.ComputeSeekCosts(lab.Opt, lab.Complex, initial)
+	pw, err := lab.Opt.PrepareWorkload(lab.Complex)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seek, err := core.ComputeSeekCostsPrepared(lab.Opt, pw, initial)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -213,7 +217,7 @@ func BenchmarkGreedyCosting(b *testing.B) {
 		var res *core.SearchResult
 		for i := 0; i < b.N; i++ {
 			check := core.NewOptimizerChecker(lab.Opt, lab.Complex, base, 0.10)
-			check.Parallelism = parallelism
+			check.Parallelism, check.Prepared = parallelism, pw
 			res, err = core.GreedyWithOptions(initial, mp, check, lab.DB, core.GreedyOptions{Parallelism: parallelism})
 			if err != nil {
 				b.Fatal(err)
@@ -238,93 +242,11 @@ func BenchmarkGreedyCosting(b *testing.B) {
 	}
 }
 
-// benchPreparedGreedy runs the Greedy search twice over one lab —
-// candidate costing through per-miss Optimize calls ("unprepared")
-// and through the prepared cost-only fast path ("prepared") — and
-// asserts both produce the identical final configuration, storage and
-// cost-evaluation count. The sub-benchmark ns/op and allocs/op ratios
-// are the tentpole's headline numbers (target ≥2× / ≥5×).
-func benchPreparedGreedy(b *testing.B, lab *experiments.Lab, n int) {
-	defs, err := lab.InitialConfiguration(lab.Complex, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	initial := core.NewConfiguration(defs)
-	base, err := lab.WorkloadCost(lab.Complex, defs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pw, err := lab.Opt.PrepareWorkload(lab.Complex)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seek, err := core.ComputeSeekCostsPrepared(lab.Opt, pw, initial)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mp := &core.MergePairCost{Seek: seek}
-
-	// A fresh checker (cold what-if cache) per iteration keeps the
-	// comparison fair; costing is serial so ns/op measures the per-
-	// candidate path, not scheduling.
-	run := func(b *testing.B, prepared bool) *core.SearchResult {
-		b.ReportAllocs()
-		var res *core.SearchResult
-		for i := 0; i < b.N; i++ {
-			check := core.NewOptimizerChecker(lab.Opt, lab.Complex, base, 0.10)
-			if prepared {
-				check.Prepared = pw
-			}
-			res, err = core.GreedyWithOptions(initial, mp, check, lab.DB, core.GreedyOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(res.OptimizerCalls), "opt-calls")
-		return res
-	}
-
-	var unprep, prep *core.SearchResult
-	b.Run("unprepared", func(b *testing.B) { unprep = run(b, false) })
-	b.Run("prepared", func(b *testing.B) { prep = run(b, true) })
-	if unprep == nil || prep == nil {
-		return
-	}
-	if unprep.Final.Signature() != prep.Final.Signature() {
-		b.Fatalf("prepared final configuration differs:\n unprepared %s\n prepared   %s",
-			unprep.Final.Signature(), prep.Final.Signature())
-	}
-	if unprep.FinalBytes != prep.FinalBytes {
-		b.Fatalf("prepared final storage differs: %d != %d", prep.FinalBytes, unprep.FinalBytes)
-	}
-	if unprep.CostEvaluations != prep.CostEvaluations {
-		b.Fatalf("prepared cost-evaluation count differs: %d != %d", prep.CostEvaluations, unprep.CostEvaluations)
-	}
-}
-
-// BenchmarkPreparedGreedySynthetic2 measures prepared vs unprepared
-// Greedy candidate costing on the ≥20-index Synthetic2 configuration
-// (the acceptance benchmark).
-func BenchmarkPreparedGreedySynthetic2(b *testing.B) {
-	lab, err := experiments.NewSynthetic2Lab(experiments.LabOptions{Scale: 0.5, WorkloadQueries: 30, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchPreparedGreedy(b, lab, 20)
-}
-
-// BenchmarkPreparedGreedyTPCD measures the same comparison on TPC-D,
-// whose multi-join queries exercise the join fast path.
-func BenchmarkPreparedGreedyTPCD(b *testing.B) {
-	benchPreparedGreedy(b, benchTPCD(b), 10)
-}
-
 // noBase hides a checker's SetBase from the search, so that every
 // candidate is priced in full.
-type noBase struct {
-	core.ConstraintChecker
-	core.ContextChecker
-}
+type noBase struct{ core.ConstraintChecker }
+
+func (noBase) SetBase(*core.Configuration) {}
 
 // BenchmarkGreedyDistinct is the per-layer bench of delta costing: the
 // Greedy search over 300 generated TPC-D queries from 40 tuned indexes
@@ -359,7 +281,7 @@ func BenchmarkGreedyDistinct(b *testing.B) {
 		check.Prepared = pw
 		var c core.ConstraintChecker = check
 		if !delta {
-			c = noBase{check, check}
+			c = noBase{check}
 		}
 		res, err := core.Greedy(initial, &core.MergePairCost{Seek: seek}, c, lab.DB)
 		if err != nil {

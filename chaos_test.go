@@ -1,6 +1,7 @@
 package indexmerge
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -268,35 +269,99 @@ func TestChaosInjectedPanicsAreRecovered(t *testing.T) {
 	assertSameSearch(t, want, got)
 }
 
+// TestChaosCancelCutsBackoffShort: costing around the search retries
+// on the same loop as the constraint checks, and that loop's backoff
+// waits on the context. Every optimizer call fails transiently, so the
+// baseline costing is in its first one-second backoff when the caller
+// gives up.
+func TestChaosCancelCutsBackoffShort(t *testing.T) {
+	_, _, m, defs := mergerFixture(t)
+	if len(defs) > 5 {
+		defs = defs[:5]
+	}
+	faults.Install(faults.Rule{ID: "flaky", Point: faults.OptimizerCost, Mode: faults.ModeError, Transient: true})
+	defer faults.Reset()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(10*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := m.MergeDefsContext(ctx, defs, MergeOptions{
+		CostConstraint: 0.15,
+		Resilience:     &ResilienceOptions{Backoff: time.Second},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Errorf("canceled after 10ms, returned after %v: the backoff slept through the cancellation", elapsed)
+	}
+}
+
 func TestChaosParallelSearchUnderFaults(t *testing.T) {
 	// Parallel candidate costing with transient faults and panics mixed
-	// in: decisions must match the serial fault-free baseline. Run under
-	// -race this also validates the concurrency story end to end.
-	_, _, m, defs := mergerFixture(t)
+	// in, under every optimizer-backed cost model: decisions must match
+	// the serial fault-free baseline. Run under -race this also
+	// validates the concurrency story end to end.
+	db, w, _, defs := mergerFixture(t)
 	if len(defs) > 6 {
 		defs = defs[:6]
 	}
-	opts := MergeOptions{CostConstraint: 0.15}
-	want := chaosBaseline(t, m, defs, opts)
-
-	faults.Install(
-		faults.Rule{ID: "pt", Point: faults.OptimizerCost, Mode: faults.ModeError, Transient: true, After: 15, Count: 3},
-		faults.Rule{ID: "pp", Point: faults.OptimizerCost, Mode: faults.ModePanic, Transient: true, After: 60, Count: 1},
-	)
-	defer faults.Reset()
-
-	opts.Parallelism = 4
-	opts.Resilience = &ResilienceOptions{MaxRetries: 8, Backoff: time.Microsecond}
-	got, err := m.MergeDefs(defs, opts)
-	if err != nil {
-		t.Fatalf("parallel merge under faults: %v", err)
+	// A merger per run: the compressed model's cost table is the
+	// merger's, and a warm one leaves no optimizer call for a fault to
+	// land in.
+	merger := func() *Merger {
+		m, err := NewMerger(db, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	if got.Degraded {
-		t.Error("unexpected degraded result")
+	for _, tc := range []struct {
+		name  string
+		model CostModelKind
+		// panicAfter are the optimizer-call offsets the one panic is tried
+		// at. The compressed model costs the baselines serially and then
+		// fills each candidate's cost-table misses on worker goroutines;
+		// the sweep crosses that fill (calls 69–75 with the three
+		// transient faults retried before it), where nothing but the
+		// workers' own boundary can catch a panic.
+		panicAfter []int64
+	}{
+		{"opt", OptimizerCost, []int64{60}},
+		{"prefilter", PrefilteredOptimizerCost, []int64{60}},
+		{"compressed", CompressedOptimizerCost, []int64{62, 66, 69, 70, 71, 72, 73, 74, 75, 78}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faults.Reset()
+			opts := MergeOptions{CostConstraint: 0.15, CostModel: tc.model}
+			want := chaosBaseline(t, merger(), defs, opts)
+
+			opts.Parallelism = 4
+			opts.Resilience = &ResilienceOptions{MaxRetries: 8, Backoff: time.Microsecond}
+			for _, after := range tc.panicAfter {
+				faults.Reset()
+				faults.Install(
+					faults.Rule{ID: "pt", Point: faults.OptimizerCost, Mode: faults.ModeError, Transient: true, After: 15, Count: 3},
+					faults.Rule{ID: "pp", Point: faults.OptimizerCost, Mode: faults.ModePanic, Transient: true, After: after, Count: 1},
+				)
+				got, err := merger().MergeDefs(defs, opts)
+				if err != nil {
+					t.Fatalf("panic after %d calls: parallel merge under faults: %v", after, err)
+				}
+				if got.Degraded {
+					t.Errorf("panic after %d calls: unexpected degraded result", after)
+				}
+				if faults.Fired("pp") != 1 || got.PanicsRecovered == 0 {
+					t.Errorf("panic after %d calls: fired %d times, %d recovered", after, faults.Fired("pp"), got.PanicsRecovered)
+				}
+				// Parallel speculation means the faults may land on
+				// speculative checks, but consumed decisions must match
+				// exactly.
+				assertSameSearch(t, want, got)
+			}
+		})
 	}
-	// Parallel speculation means the faults may land on speculative
-	// checks, but consumed decisions must match exactly.
-	assertSameSearch(t, want, got)
 }
 
 func TestChaosLatencyNeverChangesResults(t *testing.T) {

@@ -1,10 +1,8 @@
-// Command benchjson runs the prepared-workload costing benchmarks —
-// Greedy candidate costing with and without the prepared fast path,
-// the same comparison as BenchmarkPreparedGreedy* in bench_test.go —
-// and writes the results as machine-readable JSON (BENCH_optimizer.json
-// at the repository root is a checked-in run). Both variants must
-// produce the identical final configuration, storage and
-// cost-evaluation count; the command fails otherwise.
+// Command benchjson runs the index-union execution microbenchmark —
+// one OR query through the IndexUnion plan and through the scan the
+// optimizer falls back to without union paths — and writes the result
+// as machine-readable JSON (BENCH_optimizer.json at the repository root
+// is a checked-in run).
 //
 // With -workload, it instead runs the large-workload compression
 // benchmark (BENCH_workload.json): a zipf-duplicated multi-thousand-
@@ -35,7 +33,7 @@
 //
 // Usage:
 //
-//	benchjson [-scale 0.5] [-queries 30] [-seed 1] [-o BENCH_optimizer.json]
+//	benchjson [-seed 1] [-o BENCH_optimizer.json]
 //	benchjson -workload [-statements 10000] [-o BENCH_workload.json]
 //	benchjson -distrib [-distrib-workers 4] [-rtt 200us] [-o BENCH_distrib.json]
 //	benchjson -overload [-requests 200] [-o BENCH_overload.json]
@@ -90,36 +88,6 @@ func captureEnv(costWorkers int) envInfo {
 	}
 }
 
-// benchCase is one (database, initial-configuration-size) scenario.
-type benchCase struct {
-	name string
-	lab  func(opt experiments.LabOptions) (*experiments.Lab, error)
-	n    int
-}
-
-// variantResult is the measured outcome of one costing variant.
-type variantResult struct {
-	NsPerOp        int64  `json:"ns_per_op"`
-	AllocsPerOp    int64  `json:"allocs_per_op"`
-	BytesPerOp     int64  `json:"bytes_per_op"`
-	OptimizerCalls int64  `json:"optimizer_calls"`
-	FinalBytes     int64  `json:"final_bytes"`
-	Iterations     int    `json:"iterations"`
-	Signature      string `json:"-"`
-	CostEvals      int64  `json:"-"`
-}
-
-// caseResult pairs the two variants with their speedup ratios.
-type caseResult struct {
-	Case           string        `json:"case"`
-	InitialIndexes int           `json:"initial_indexes"`
-	Queries        int           `json:"queries"`
-	Unprepared     variantResult `json:"unprepared"`
-	Prepared       variantResult `json:"prepared"`
-	NsRatio        float64       `json:"ns_ratio"`
-	AllocsRatio    float64       `json:"allocs_ratio"`
-}
-
 // unionResult is the union-vs-single-index execution microbenchmark:
 // the same OR query run through the IndexUnion plan and through the
 // best plan available without union paths (a full scan — a single
@@ -136,8 +104,7 @@ type unionResult struct {
 }
 
 func main() {
-	scale := flag.Float64("scale", 0.5, "database scale factor")
-	queries := flag.Int("queries", 30, "queries per generated workload")
+	scale := flag.Float64("scale", 0.5, "database scale factor for -workload and -distrib")
 	seed := flag.Int64("seed", 1, "random seed for data and workloads")
 	out := flag.String("o", "", "output file (default stdout)")
 	workloadMode := flag.Bool("workload", false, "run the large-workload compression benchmark instead")
@@ -175,27 +142,13 @@ func main() {
 		return
 	}
 
-	cases := []benchCase{
-		{name: "greedy-synthetic2", lab: experiments.NewSynthetic2Lab, n: 20},
-		{name: "greedy-tpcd", lab: experiments.NewTPCDLab, n: 10},
-	}
-
 	report := struct {
-		Benchmark  string       `json:"benchmark"`
-		Env        envInfo      `json:"env"`
-		Scale      float64      `json:"scale"`
-		Seed       int64        `json:"seed"`
-		Cases      []caseResult `json:"cases"`
-		IndexUnion unionResult  `json:"index_union"`
-	}{Benchmark: "prepared-workload greedy candidate costing", Env: captureEnv(0), Scale: *scale, Seed: *seed}
+		Benchmark  string      `json:"benchmark"`
+		Env        envInfo     `json:"env"`
+		Seed       int64       `json:"seed"`
+		IndexUnion unionResult `json:"index_union"`
+	}{Benchmark: "index-union execution", Env: captureEnv(0), Seed: *seed}
 
-	for _, bc := range cases {
-		cr, err := runCase(bc, experiments.LabOptions{Scale: *scale, WorkloadQueries: *queries, Seed: *seed})
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", bc.name, err))
-		}
-		report.Cases = append(report.Cases, cr)
-	}
 	ur, err := runUnionCase(*seed)
 	if err != nil {
 		fatal(fmt.Errorf("index-union: %w", err))
@@ -325,7 +278,7 @@ func runWorkloadBench(scale float64, seed int64, statements, initialN int) (work
 	if err != nil {
 		return workloadReport{}, err
 	}
-	baseC, err := p.WorkloadCost(initial)
+	baseC, err := p.WorkloadCostContext(context.Background(), initial)
 	if err != nil {
 		return workloadReport{}, err
 	}
@@ -572,99 +525,6 @@ func runDistribBench(scale float64, seed int64, statements, initialN, workers in
 		rep.Speedup = round2(single.Seconds / dist.Seconds)
 	}
 	return rep, nil
-}
-
-// runCase benchmarks both costing variants over one lab (each
-// auto-scaled by testing.Benchmark to about a second) and checks they
-// searched identically.
-func runCase(bc benchCase, opt experiments.LabOptions) (caseResult, error) {
-	lab, err := bc.lab(opt)
-	if err != nil {
-		return caseResult{}, err
-	}
-	defs, err := lab.InitialConfiguration(lab.Complex, bc.n)
-	if err != nil {
-		return caseResult{}, err
-	}
-	initial := core.NewConfiguration(defs)
-	base, err := lab.WorkloadCost(lab.Complex, defs)
-	if err != nil {
-		return caseResult{}, err
-	}
-	pw, err := lab.Opt.PrepareWorkload(lab.Complex)
-	if err != nil {
-		return caseResult{}, err
-	}
-	seek, err := core.ComputeSeekCostsPrepared(lab.Opt, pw, initial)
-	if err != nil {
-		return caseResult{}, err
-	}
-	mp := &core.MergePairCost{Seek: seek}
-
-	run := func(prepared bool) (variantResult, error) {
-		var res *core.SearchResult
-		var runErr error
-		br := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				// Fresh checker per iteration: cold what-if cache, serial
-				// costing, exactly as in bench_test.go.
-				check := core.NewOptimizerChecker(lab.Opt, lab.Complex, base, 0.10)
-				if prepared {
-					check.Prepared = pw
-				}
-				res, runErr = core.GreedyWithOptions(initial, mp, check, lab.DB, core.GreedyOptions{})
-				if runErr != nil {
-					b.FailNow()
-				}
-			}
-		})
-		if runErr != nil {
-			return variantResult{}, runErr
-		}
-		return variantResult{
-			NsPerOp:        br.NsPerOp(),
-			AllocsPerOp:    br.AllocsPerOp(),
-			BytesPerOp:     br.AllocedBytesPerOp(),
-			OptimizerCalls: res.OptimizerCalls,
-			FinalBytes:     res.FinalBytes,
-			Iterations:     br.N,
-			Signature:      res.Final.Signature(),
-			CostEvals:      res.CostEvaluations,
-		}, nil
-	}
-
-	unprep, err := run(false)
-	if err != nil {
-		return caseResult{}, err
-	}
-	prep, err := run(true)
-	if err != nil {
-		return caseResult{}, err
-	}
-	if unprep.Signature != prep.Signature {
-		return caseResult{}, fmt.Errorf("prepared final configuration differs from unprepared")
-	}
-	if unprep.FinalBytes != prep.FinalBytes {
-		return caseResult{}, fmt.Errorf("prepared final storage %d differs from unprepared %d", prep.FinalBytes, unprep.FinalBytes)
-	}
-	if unprep.CostEvals != prep.CostEvals {
-		return caseResult{}, fmt.Errorf("prepared cost-evaluation count %d differs from unprepared %d", prep.CostEvals, unprep.CostEvals)
-	}
-	cr := caseResult{
-		Case:           bc.name,
-		InitialIndexes: bc.n,
-		Queries:        opt.WorkloadQueries,
-		Unprepared:     unprep,
-		Prepared:       prep,
-	}
-	if prep.NsPerOp > 0 {
-		cr.NsRatio = round2(float64(unprep.NsPerOp) / float64(prep.NsPerOp))
-	}
-	if prep.AllocsPerOp > 0 {
-		cr.AllocsRatio = round2(float64(unprep.AllocsPerOp) / float64(prep.AllocsPerOp))
-	}
-	return cr, nil
 }
 
 // runUnionCase measures an OR query end to end under the IndexUnion

@@ -494,21 +494,6 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := &MergeResult{}
-	pw, err := m.preparedFor(&opts)
-	if err != nil {
-		return nil, err
-	}
-	// Pre-search costing (the baseline and seek-cost attribution) rides
-	// the same retry budget as constraint checks. It cannot degrade: the
-	// external fallback is calibrated against this very baseline, so a
-	// persistent failure here is surfaced as the typed error.
-	baseCost, err := resilientEval(opts.Resilience, out, func() (float64, error) {
-		return m.opt.WorkloadCostPrepared(pw, optimizer.Configuration(initial.Defs()))
-	})
-	if err != nil {
-		return nil, err
-	}
 	if opts.CostConstraint <= 0 {
 		opts.CostConstraint = 0.10
 	}
@@ -517,6 +502,38 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 	}
 	if opts.NoCostP <= 0 {
 		opts.NoCostP = 0.25
+	}
+	pw, err := m.preparedFor(&opts)
+	if err != nil {
+		return nil, err
+	}
+	// Costing around the search (the baseline, Seek-Costs, the final
+	// cost) rides the retry loop, budget and counters of the constraint
+	// checks: the resilient checker exists before its inner chain does.
+	// Without Resilience a costing is a plain call — panics and errors
+	// propagate untouched.
+	var resilient *core.ResilientChecker
+	if opts.Resilience != nil {
+		resilient = opts.Resilience.checker(opts.CostConstraint)
+	}
+	costing := func(fn func(ctx context.Context) error) error {
+		if resilient == nil {
+			return fn(ctx)
+		}
+		return resilient.Retry(ctx, fn)
+	}
+	workloadCost := func(cfg *core.Configuration) (cost float64, err error) {
+		err = costing(func(context.Context) (err error) {
+			cost, err = m.opt.WorkloadCostPrepared(pw, optimizer.Configuration(cfg.Defs()))
+			return err
+		})
+		return cost, err
+	}
+	// The baseline cannot degrade: the external fallback is calibrated
+	// against it, so a persistent failure here is the typed error.
+	baseCost, err := workloadCost(initial)
+	if err != nil {
+		return nil, err
 	}
 
 	// MergePair procedure.
@@ -527,8 +544,10 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 	case MergePairExhaustive:
 		mp = &core.MergePairExhaustive{Server: m.opt, W: m.w, Base: initial, Prepared: pw}
 	default:
-		seek, err := resilientEval(opts.Resilience, out, func() (*core.SeekCosts, error) {
-			return core.ComputeSeekCostsPrepared(m.opt, pw, initial)
+		var seek *core.SeekCosts
+		err := costing(func(context.Context) (err error) {
+			seek, err = core.ComputeSeekCostsPrepared(m.opt, pw, initial)
+			return err
 		})
 		if err != nil {
 			return nil, err
@@ -536,89 +555,9 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 		mp = &core.MergePairCost{Seek: seek}
 	}
 
-	// Cost evaluation strategy.
-	var check core.ConstraintChecker
-	var bound float64
-	var resilient *core.ResilientChecker
-	var ext *core.ExternalCostModel
-	var compressed *CompressedWorkload
-	var compChecker *wscale.Checker
-	var optChecker *core.OptimizerChecker
-	var compHits0, compMisses0 int64
-	var compRB0, compRI0, compRF0 int64
-	// Interface-typed remote so a nil binding stays a nil interface.
-	var remote wscale.RemoteCoster
-	if opts.Workers != nil {
-		remote = opts.Workers
-	}
-	switch opts.CostModel {
-	case NoCost:
-		check = &core.NoCostChecker{F: opts.NoCostF, P: opts.NoCostP, Tables: m.db}
-	case CompressedOptimizerCost:
-		compressed, err = m.compressedFor(&opts)
-		if err != nil {
-			return nil, err
-		}
-		compRB0, compRI0, compRF0 = compressed.RemoteStats()
-		// The constraint bound derives from the decomposed baseline (the
-		// template-order total), keeping the checker's delta totals and U
-		// on the same summation; it differs from baseCost only in the
-		// last ulp.
-		compBase, err := resilientEval(opts.Resilience, out, func() (float64, error) {
-			return compressed.WorkloadCostRemoteContext(ctx, initial, remote)
-		})
-		if err != nil {
-			return nil, err
-		}
-		compChecker = wscale.NewChecker(compressed, compBase, opts.CostConstraint)
-		compChecker.Parallelism = opts.Parallelism
-		compChecker.Remote = remote
-		check = compChecker
-		bound = compChecker.U
-		compHits0, compMisses0, _ = compressed.TableStats()
-		if opts.Resilience != nil {
-			ext = &core.ExternalCostModel{Meta: m.db, W: m.w}
-			ext.SetBaseline(initial)
-			resilient = opts.Resilience.wrap(compChecker, ext, opts.CostConstraint)
-			check = resilient
-		}
-	case PrefilteredOptimizerCost:
-		inner := core.NewOptimizerChecker(m.opt, m.w, baseCost, opts.CostConstraint)
-		inner.Parallelism = opts.Parallelism
-		inner.Cache = opts.CostCache
-		inner.KeyNamespace = opts.CacheNamespace
-		inner.Prepared = pw
-		if opts.Workers != nil {
-			inner.Batch = opts.Workers
-		}
-		optChecker = inner
-		ext = &core.ExternalCostModel{Meta: m.db, W: m.w}
-		ext.SetBaseline(initial)
-		pre := &core.PrefilteredChecker{External: ext, Inner: inner, SlackPct: opts.CostConstraint}
-		check = pre
-		bound = inner.U
-		if opts.Resilience != nil {
-			resilient = opts.Resilience.wrap(pre, ext, opts.CostConstraint)
-			check = resilient
-		}
-	default:
-		inner := core.NewOptimizerChecker(m.opt, m.w, baseCost, opts.CostConstraint)
-		inner.Parallelism = opts.Parallelism
-		inner.Cache = opts.CostCache
-		inner.KeyNamespace = opts.CacheNamespace
-		inner.Prepared = pw
-		if opts.Workers != nil {
-			inner.Batch = opts.Workers
-		}
-		optChecker = inner
-		check = inner
-		bound = inner.U
-		if opts.Resilience != nil {
-			ext = &core.ExternalCostModel{Meta: m.db, W: m.w}
-			ext.SetBaseline(initial)
-			resilient = opts.Resilience.wrap(inner, ext, opts.CostConstraint)
-			check = resilient
-		}
+	check, bound, report, err := m.checkerChain(&opts, initial, pw, baseCost, resilient, costing)
+	if err != nil {
+		return nil, err
 	}
 
 	// Search strategy.
@@ -632,131 +571,130 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 		return nil, err
 	}
 
-	out.SearchResult = res
-	out.InitialCost = baseCost
-	out.Bound = bound
-	if compressed != nil {
-		out.Templates = len(compressed.C.Templates)
-		out.DedupRatio = compressed.C.DedupRatio()
-		hits, misses, _ := compressed.TableStats()
-		out.CostTableHits = hits - compHits0
-		out.CostTableMisses = misses - compMisses0
-		out.PrunedChecks = compChecker.PrunedChecks()
-		// Deltas: the Prepared (and its remote counters) may be shared
-		// across runs by the advisor service.
-		rb, ri, rf := compressed.RemoteStats()
-		out.RemoteBatches = rb - compRB0
-		out.RemoteItems = ri - compRI0
-		out.RemoteFallbacks = rf - compRF0
-	}
-	if optChecker != nil {
-		out.RemoteBatches, out.RemoteItems, out.RemoteFallbacks = optChecker.RemoteStats()
-	}
+	out := &MergeResult{SearchResult: res, InitialCost: baseCost, Bound: bound}
+	report(out)
+	// Without resilience the final cost is a plain workload costing.
+	// With it, if the optimizer stays unavailable past the retry budget
+	// (and degraded mode is allowed), the final cost is estimated by
+	// scaling the optimizer baseline with the external model's relative
+	// change — baseCost × ext(final)/ext(initial) — and the result is
+	// flagged Degraded.
+	out.FinalCost, err = workloadCost(res.Final)
 	if resilient != nil {
-		out.Degraded = out.Degraded || resilient.Degraded()
-		out.Retries += resilient.Retries()
-		out.DegradedChecks += resilient.DegradedChecks()
-		out.PanicsRecovered += resilient.PanicsRecovered()
+		out.Degraded = resilient.Degraded()
+		out.Retries = resilient.Retries()
+		out.DegradedChecks = resilient.DegradedChecks()
+		out.PanicsRecovered = resilient.PanicsRecovered()
+		if ext := resilient.External; err != nil && ext != nil && ext.BaselineCost() > 0 {
+			out.Degraded = true
+			out.DegradedChecks++
+			out.FinalCost = baseCost * ext.WorkloadCost(res.Final) / ext.BaselineCost()
+			err = nil
+		}
 	}
-	finalCost, err := m.finalCostResilient(pw, res.Final, opts.Resilience, ext, baseCost, out)
 	if err != nil {
 		return nil, err
 	}
-	out.FinalCost = finalCost
 	return out, nil
 }
 
-// finalCostResilient computes Cost(W, C_final). Without resilience it
-// is a plain prepared workload costing. With resilience, transient
-// failures are retried with the configured budget; if the optimizer
-// stays unavailable (and degraded mode is allowed), the final cost is
-// estimated by scaling the optimizer baseline with the external
-// model's relative change — baseCost × ext(final)/ext(initial) — and
-// the result is flagged Degraded.
-func (m *Merger) finalCostResilient(pw *PreparedWorkload, final *core.Configuration, ro *ResilienceOptions, ext *core.ExternalCostModel, baseCost float64, out *MergeResult) (float64, error) {
-	cfg := optimizer.Configuration(final.Defs())
-	if ro == nil {
-		return m.opt.WorkloadCostPrepared(pw, cfg)
+// checkerChain builds the run's constraint checker from the options,
+// each link once: the cost model's own checker, the §3.5.3 external
+// prefilter in front of it, the resilient wrapper around both. The
+// external model, calibrated against the initial configuration, serves
+// the prefilter and the resilient wrapper's degraded decisions alike.
+// It returns the chain as the search sees it, the bound U (0 for the
+// No-Cost model) and a function that, after the search, fills the
+// result's counters of the model that ran.
+func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, pw *PreparedWorkload, baseCost float64,
+	resilient *core.ResilientChecker, costing func(func(context.Context) error) error,
+) (check core.ConstraintChecker, bound float64, report func(*MergeResult), err error) {
+	var plain *core.OptimizerChecker
+	switch opts.CostModel {
+	case NoCost:
+		return &core.NoCostChecker{F: opts.NoCostF, P: opts.NoCostP, Tables: m.db}, 0, func(*MergeResult) {}, nil
+	case CompressedOptimizerCost:
+		compressed, err := m.compressedFor(opts)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		// The cost table and the remote counters may be shared across
+		// runs by the advisor service: a run reports deltas.
+		batches0, items0, fallbacks0 := compressed.RemoteStats()
+		// Interface-typed remote so a nil binding stays a nil interface.
+		var remote wscale.RemoteCoster
+		if opts.Workers != nil {
+			remote = opts.Workers
+		}
+		// The constraint bound derives from the decomposed baseline (the
+		// template-order total), keeping the checker's delta totals and U
+		// on the same summation; it differs from baseCost only in the
+		// last ulp.
+		var compBase float64
+		err = costing(func(actx context.Context) (err error) {
+			compBase, err = compressed.WorkloadCostRemoteContext(actx, initial, remote)
+			return err
+		})
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		comp := wscale.NewChecker(compressed, compBase, opts.CostConstraint)
+		comp.Parallelism = opts.Parallelism
+		comp.Remote = remote
+		check, bound = comp, comp.U
+		hits0, misses0, _ := compressed.TableStats()
+		report = func(out *MergeResult) {
+			out.Templates = len(compressed.C.Templates)
+			out.DedupRatio = compressed.C.DedupRatio()
+			hits, misses, _ := compressed.TableStats()
+			out.CostTableHits, out.CostTableMisses = hits-hits0, misses-misses0
+			out.PrunedChecks = comp.PrunedChecks()
+			batches, items, fallbacks := compressed.RemoteStats()
+			out.RemoteBatches, out.RemoteItems, out.RemoteFallbacks = batches-batches0, items-items0, fallbacks-fallbacks0
+		}
+	default:
+		plain = core.NewOptimizerChecker(m.opt, m.w, baseCost, opts.CostConstraint)
+		plain.Parallelism = opts.Parallelism
+		plain.Cache = opts.CostCache
+		plain.KeyNamespace = opts.CacheNamespace
+		plain.Prepared = pw
+		if opts.Workers != nil {
+			plain.Batch = opts.Workers
+		}
+		check, bound = plain, plain.U
+		report = func(out *MergeResult) {
+			out.RemoteBatches, out.RemoteItems, out.RemoteFallbacks = plain.RemoteStats()
+		}
 	}
-	c, err := resilientEval(ro, out, func() (float64, error) {
-		return m.opt.WorkloadCostPrepared(pw, cfg)
-	})
-	if err == nil {
-		return c, nil
+	if opts.CostModel != PrefilteredOptimizerCost && resilient == nil {
+		return check, bound, report, nil
 	}
-	if !ro.NoDegraded && ext != nil && ext.BaselineCost() > 0 {
-		out.Degraded = true
-		out.DegradedChecks++
-		return baseCost * ext.WorkloadCost(final) / ext.BaselineCost(), nil
+	ext := &core.ExternalCostModel{Meta: m.db, W: m.w}
+	ext.SetBaseline(initial)
+	if opts.CostModel == PrefilteredOptimizerCost {
+		check = &core.PrefilteredChecker{External: ext, Inner: plain, SlackPct: opts.CostConstraint}
 	}
-	return 0, err
+	if resilient != nil {
+		resilient.Inner = check
+		if !opts.Resilience.NoDegraded {
+			resilient.External = ext
+		}
+		check = resilient
+	}
+	return check, bound, report, nil
 }
 
-// resilientEval runs one costing computation under the resilience
-// policy: panics become *core.PanicError, transient failures are
-// retried with exponential backoff up to the configured budget, and
-// the result's Retries/PanicsRecovered counters account for what was
-// absorbed. With ro == nil it is a transparent call — panics and
-// errors propagate exactly as before.
-func resilientEval[T any](ro *ResilienceOptions, out *MergeResult, fn func() (T, error)) (T, error) {
-	if ro == nil {
-		return fn()
-	}
-	maxRetries := ro.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = 2
-	}
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
-	backoff := ro.Backoff
-	if backoff <= 0 {
-		backoff = 2 * time.Millisecond
-	}
-	attemptOnce := func() (v T, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = &core.PanicError{Value: r}
-				out.PanicsRecovered++
-			}
-		}()
-		return fn()
-	}
-	var zero T
-	var lastErr error
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		v, err := attemptOnce()
-		if err == nil {
-			return v, nil
-		}
-		lastErr = err
-		if !core.IsTransient(err) {
-			break
-		}
-		if attempt < maxRetries {
-			out.Retries++
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-	}
-	return zero, lastErr
-}
-
-// wrap builds the core checker for one run from the options.
-func (ro *ResilienceOptions) wrap(inner interface {
-	core.ConstraintChecker
-	core.ContextChecker
-}, ext *core.ExternalCostModel, slackPct float64) *core.ResilientChecker {
+// checker builds the run's resilient checker from the options: the
+// retry policy and the breaker. The facade costs through its Retry
+// before the search and hands it the inner chain and the degraded-mode
+// model once they exist.
+func (ro *ResilienceOptions) checker(slackPct float64) *core.ResilientChecker {
 	rc := &core.ResilientChecker{
-		Inner:          inner,
 		SlackPct:       slackPct,
 		MaxRetries:     ro.MaxRetries,
 		Backoff:        ro.Backoff,
 		AttemptTimeout: ro.AttemptTimeout,
 		Breaker:        ro.Breaker,
-	}
-	if !ro.NoDegraded {
-		rc.External = ext
 	}
 	if rc.Breaker == nil {
 		rc.Breaker = &core.Breaker{}

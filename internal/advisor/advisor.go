@@ -13,10 +13,9 @@ import (
 	"context"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"indexmerge/internal/catalog"
+	"indexmerge/internal/core"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/sql"
 )
@@ -93,7 +92,9 @@ func (a *Advisor) TuneQueryContext(ctx context.Context, stmt *sql.SelectStmt) ([
 
 // costCandidates costs every candidate added on top of the chosen set,
 // concurrently when Parallelism > 1. Every candidate is costed against
-// the same base, so costs are independent of evaluation order.
+// the same base, so costs are independent of evaluation order. A
+// panicking optimizer is a *core.PanicError (core.EvalEach's boundary),
+// on a worker goroutine as on the caller's.
 func (a *Advisor) costCandidates(ctx context.Context, pq *optimizer.PreparedQuery, chosen, cands []catalog.IndexDef) ([]float64, error) {
 	costs := make([]float64, len(cands))
 	eval := func(i int) error {
@@ -108,39 +109,8 @@ func (a *Advisor) costCandidates(ctx context.Context, pq *optimizer.PreparedQuer
 		costs[i] = cost
 		return nil
 	}
-	if a.Parallelism <= 1 || len(cands) <= 1 {
-		for i := range cands {
-			if err := eval(i); err != nil {
-				return nil, err
-			}
-		}
-		return costs, nil
-	}
-	workers := a.Parallelism
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	errs := make([]error, len(cands))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				errs[i] = eval(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := core.EvalEach(len(cands), a.Parallelism, eval); err != nil {
+		return nil, err
 	}
 	return costs, nil
 }

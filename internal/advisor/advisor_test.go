@@ -1,12 +1,15 @@
 package advisor
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"indexmerge/internal/catalog"
+	"indexmerge/internal/core"
 	"indexmerge/internal/engine"
+	"indexmerge/internal/faults"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/sql"
 	"indexmerge/internal/value"
@@ -207,5 +210,28 @@ func TestTuneWorkloadUnionsRecommendations(t *testing.T) {
 			t.Errorf("TuneWorkload returned duplicate %s", d)
 		}
 		seen[d.Key()] = true
+	}
+}
+
+// TestTuneQueryParallelPanicIsAnError: the optimizer panics while the
+// candidates are costed on worker goroutines (the call after the
+// no-index baseline). The tuning fails with the panic as a typed error;
+// the process, and the advisor, go on.
+func TestTuneQueryParallelPanicIsAnError(t *testing.T) {
+	db, adv := advisorFixture(t)
+	adv.Parallelism = 4
+	stmt := q(t, db, "SELECT id, val FROM events WHERE id = 42")
+	faults.Install(faults.Rule{ID: "tune-panic", Point: faults.OptimizerCost, Mode: faults.ModePanic, After: 1, Count: 1})
+	defer faults.Reset()
+	_, err := adv.TuneQuery(stmt)
+	var pe *core.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("TuneQuery under a costing panic: err = %v, want a *core.PanicError", err)
+	}
+	if len(pe.Stack) == 0 {
+		t.Error("the recovered panic carries no stack")
+	}
+	if defs, err := adv.TuneQuery(stmt); err != nil || len(defs) == 0 {
+		t.Errorf("TuneQuery after the panic = %v, %v", defs, err)
 	}
 }

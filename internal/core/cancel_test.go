@@ -42,8 +42,8 @@ func TestWorkloadCostContextPreCanceled(t *testing.T) {
 	if _, err := check.WorkloadCostContext(ctx, f.initial); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := check.AcceptsContext(ctx, f.initial, nil, nil, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AcceptsContext err = %v, want context.Canceled", err)
+	if _, err := check.Accepts(ctx, f.initial, nil, nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Accepts err = %v, want context.Canceled", err)
 	}
 }
 

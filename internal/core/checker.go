@@ -20,34 +20,35 @@ import (
 // immediate pair are supplied for syntactic models that never consult
 // a cost function.
 //
+// This is the whole contract between a search and a checker: a wrapper
+// forwards each method by calling it, so one that hides a capability
+// does not compile.
+//
 // Implementations in this package are safe for concurrent Accepts
-// calls, which the parallel search strategies rely on.
+// calls, which the parallel search strategies rely on; SetBase is
+// called by the search goroutine between waves, never concurrently
+// with Accepts.
 type ConstraintChecker interface {
 	// Accepts reports whether cfg (obtained by replacing pair a,b with
-	// merged index m) satisfies the constraint.
-	Accepts(cfg *Configuration, m, a, b *Index) (bool, error)
-	// Description names the strategy in reports.
-	Description() string
+	// merged index m) satisfies the constraint. A done ctx fails the
+	// check with ctx.Err(); the optimizer-backed checkers observe it
+	// between per-query optimizer invocations.
+	Accepts(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error)
+	// SetBase records the configuration the search is expanding, before
+	// any Accepts against its candidates; delta-pricing checkers price
+	// them against it, for the rest it is a no-op.
+	SetBase(cfg *Configuration)
 	// Evaluations counts how many constraint evaluations have been
 	// performed. A constraint evaluation is one Accepts/WorkloadCost
-	// call; it is NOT necessarily an optimizer invocation — see
-	// OptimizerCallCounter for the expensive count.
+	// call; it is NOT necessarily an optimizer invocation.
 	Evaluations() int64
-}
-
-// OptimizerCallCounter is implemented by checkers that can report how
-// many actual optimizer invocations (Server.Optimize calls) they have
-// issued. The distinction matters for replicating §3.4.2: constraint
-// checks that are fully served from the what-if cost cache are cheap,
-// while optimizer invocations dominate running time.
-type OptimizerCallCounter interface {
+	// OptimizerCalls counts the actual optimizer invocations issued (0
+	// when no cost function is consulted). The distinction matters for
+	// replicating §3.4.2: checks served from a cost cache are cheap,
+	// optimizer invocations dominate running time.
 	OptimizerCalls() int64
-}
-
-// Schema provides table metadata for syntactic checks; the engine's
-// Database satisfies it.
-type SchemaProvider interface {
-	Schema() *catalog.Schema
+	// Description names the strategy in reports.
+	Description() string
 }
 
 // Cache-key separators. Index keys are built from SQL identifiers and
@@ -72,18 +73,17 @@ const (
 // The checker is safe for concurrent use: the cache is sharded and
 // deduplicates in-flight computations so two workers never optimize
 // the same (query, relevant-config) key twice, and all counters are
-// atomic. Server must be safe for concurrent Optimize calls
+// atomic. Server must be safe for concurrent CostPrepared calls
 // (optimizer.Optimizer is) and Parallelism must be set before the
-// first evaluation. SetBase is called by the search goroutine between
-// waves, never concurrently with Accepts.
+// first evaluation.
 type OptimizerChecker struct {
 	Server CostServer
 	W      *sql.Workload
 	U      float64 // absolute workload-cost upper bound
 
-	// Parallelism bounds concurrent Server.Optimize calls issued by
-	// this checker across all concurrent WorkloadCost invocations.
-	// <= 1 means fully serial per-query costing.
+	// Parallelism bounds concurrent Server.CostPrepared calls issued by
+	// this checker across all concurrent WorkloadCostContext
+	// invocations. <= 1 means fully serial per-query costing.
 	Parallelism int
 
 	// Cache, when non-nil, supplies an external what-if cost cache to
@@ -98,15 +98,13 @@ type OptimizerChecker struct {
 	// sharing Cache.
 	KeyNamespace string
 
-	// Prepared, when non-nil, must be W prepared against the Server's
-	// statistics (optimizer.PrepareWorkload); cache misses then cost
-	// queries through the allocation-free prepared fast path instead of
-	// Server.Optimize, with bit-identical totals, and an index counts as
-	// relevant to a query only when it can contribute an access path to
-	// it (PreparedWorkload.RelevantQueries) rather than whenever it is on
-	// one of the query's tables. Set before the first evaluation;
-	// requires Server to implement PreparedCostServer
-	// (optimizer.Optimizer does).
+	// Prepared is W prepared against the Server's statistics. A caller
+	// that holds it already (the facade and the advisor service prepare
+	// once per workload) sets it before the first evaluation; left nil,
+	// the first evaluation prepares W through Server. One whose length
+	// is not W's fails every evaluation. An index counts as relevant to
+	// a query only when it can contribute an access path to it
+	// (PreparedWorkload.RelevantQueries).
 	Prepared *optimizer.PreparedWorkload
 
 	// Batch, when non-nil, offloads cache-missed per-query costings to
@@ -121,13 +119,13 @@ type OptimizerChecker struct {
 	Batch BatchCostServer
 
 	once     sync.Once
+	initErr  error // Prepared could not be built or does not match W
 	cache    *costcache.Cache
-	sem      chan struct{} // tokens for actual optimizer invocations
-	prefixes []string      // per query: "<namespace>\x1dq<idx>|"
-	prepSrv  PreparedCostServer
-	all      optimizer.QuerySet            // every query position
-	rel      *optimizer.Relevance          // prepared relevance, memoized for the checker's one search
-	onTable  map[string]optimizer.QuerySet // unprepared relevance: the queries referencing a table
+	sem      chan struct{}               // tokens for actual optimizer invocations
+	prefixes []string                    // per query: "<namespace>\x1dq<idx>|"
+	pw       *optimizer.PreparedWorkload // Prepared, or W prepared on first use
+	all      optimizer.QuerySet          // every query position
+	rel      *optimizer.Relevance        // memoized for the checker's one search
 
 	// mu guards the base and the vectors waiting to become one. A base
 	// is immutable once published: pricing it replaces the pointer.
@@ -135,8 +133,8 @@ type OptimizerChecker struct {
 	base     *pricedBase
 	accepted map[*Configuration][]float64 // per-query costs of the accepted candidates of the current base
 
-	checks   atomic.Int64 // constraint checks (Accepts/WorkloadCost calls)
-	optCalls atomic.Int64 // actual Server.Optimize invocations
+	checks   atomic.Int64 // constraint checks (Accepts/WorkloadCostContext calls)
+	optCalls atomic.Int64 // actual Server.CostPrepared invocations
 
 	remoteBatches   atomic.Int64 // batched RPCs dispatched to workers
 	remoteItems     atomic.Int64 // queries costed remotely
@@ -172,9 +170,10 @@ func NewOptimizerChecker(server CostServer, w *sql.Workload, baseCost, slackPct 
 	}
 }
 
-// lazyInit builds the cache, the worker semaphore and the per-query
-// key metadata on first use.
-func (c *OptimizerChecker) lazyInit() {
+// lazyInit builds the cache, the worker semaphore, the prepared
+// workload when the caller supplied none, and the per-query key
+// metadata on first use. Its error is every evaluation's error.
+func (c *OptimizerChecker) lazyInit() error {
 	c.once.Do(func() {
 		if c.Cache != nil {
 			c.cache = c.Cache
@@ -186,58 +185,43 @@ func (c *OptimizerChecker) lazyInit() {
 			p = 1
 		}
 		c.sem = make(chan struct{}, p)
-		if c.Prepared != nil && len(c.Prepared.Queries) == len(c.W.Queries) {
-			if ps, ok := c.Server.(PreparedCostServer); ok {
-				c.prepSrv = ps
-				c.rel = c.Prepared.NewRelevance()
-			}
+		if c.pw, c.initErr = preparedFor(c.Server, c.W, c.Prepared); c.initErr != nil {
+			return
 		}
+		c.rel = c.pw.NewRelevance()
 		nq := len(c.W.Queries)
 		c.prefixes = make([]string, nq)
 		c.all = optimizer.NewQuerySet(nq)
-		c.onTable = make(map[string]optimizer.QuerySet)
-		for qi, q := range c.W.Queries {
+		for qi := range c.W.Queries {
 			c.prefixes[qi] = fmt.Sprintf("%s%cq%d|", c.KeyNamespace, keySepNS, qi)
 			c.all.Add(qi)
-			if c.prepSrv != nil {
-				continue
-			}
-			for _, t := range q.Stmt.TablesReferenced() {
-				if c.onTable[t] == nil {
-					c.onTable[t] = optimizer.NewQuerySet(nq)
-				}
-				c.onTable[t].Add(qi)
-			}
 		}
 	})
+	return c.initErr
 }
 
 // Description implements ConstraintChecker.
 func (c *OptimizerChecker) Description() string { return "Cost-Opt" }
 
 // Evaluations implements ConstraintChecker: the number of constraint
-// checks (WorkloadCost calls), cached or not.
+// checks (Accepts and WorkloadCostContext calls), cached or not.
 func (c *OptimizerChecker) Evaluations() int64 { return c.checks.Load() }
 
-// OptimizerCalls implements OptimizerCallCounter: the number of actual
-// Server.Optimize invocations — the expensive quantity §3.4.2 says
+// OptimizerCalls implements ConstraintChecker: the number of actual
+// Server.CostPrepared invocations — the expensive quantity §3.4.2 says
 // dominates Greedy's running time. Cache hits never count here.
 func (c *OptimizerChecker) OptimizerCalls() int64 { return c.optCalls.Load() }
 
 // CacheStats exposes the underlying cost-cache counters (lookup hits,
 // computed misses, deduplicated in-flight waits).
 func (c *OptimizerChecker) CacheStats() (hits, misses, dedups int64) {
-	c.lazyInit()
+	_ = c.lazyInit() // the cache exists even when preparing W failed
 	return c.cache.Stats()
 }
 
-// relevant returns the queries whose cost can depend on the index: with
-// a prepared workload those it can contribute an access path to,
-// otherwise every query that references its table.
+// relevant returns the queries whose cost can depend on the index:
+// those it can contribute an access path to.
 func (c *OptimizerChecker) relevant(ix *Index) optimizer.QuerySet {
-	if c.rel == nil {
-		return c.onTable[ix.Def.Table]
-	}
 	return c.rel.Queries(ix.Key(), ix.Def)
 }
 
@@ -266,11 +250,11 @@ func (c *OptimizerChecker) appendQueryKey(buf []byte, qi int, cfg *Configuration
 	return buf
 }
 
-// SetBase implements the searches' baseAware hook. A candidate this
-// checker accepted since the last SetBase arrives with its per-query
-// costs; any other configuration is priced by the first check that
-// needs it, so that a costing error surfaces through Accepts, where a
-// resilient wrapper can retry it.
+// SetBase implements ConstraintChecker. A candidate this checker
+// accepted since the last SetBase arrives with its per-query costs; any
+// other configuration is priced by the first check that needs it, so
+// that a costing error surfaces through Accepts, where a resilient
+// wrapper can retry it.
 func (c *OptimizerChecker) SetBase(cfg *Configuration) {
 	c.mu.Lock()
 	c.base = &pricedBase{SearchBase: NewSearchBase(cfg), costs: c.accepted[cfg]}
@@ -304,20 +288,17 @@ func (c *OptimizerChecker) pricedBaseFor(ctx context.Context) (*pricedBase, erro
 	return priced, nil
 }
 
-// Accepts implements ConstraintChecker.
-func (c *OptimizerChecker) Accepts(cfg *Configuration, m, a, b *Index) (bool, error) {
-	return c.AcceptsContext(context.Background(), cfg, m, a, b)
-}
-
-// AcceptsContext implements ContextChecker: cancellation is observed
+// Accepts implements ConstraintChecker: cancellation is observed
 // between the per-query optimizer invocations of the workload costing.
 // A candidate one ReplacePair(a, b, m) away from the base re-prices
 // only the queries a, b or m is relevant to: an irrelevant index
 // contributes no access path, so every other query's relevant subset,
 // key and cost are the base's. Any other configuration is the same
 // evaluation with every query affected.
-func (c *OptimizerChecker) AcceptsContext(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
-	c.lazyInit()
+func (c *OptimizerChecker) Accepts(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
+	if err := c.lazyInit(); err != nil {
+		return false, err
+	}
 	c.checks.Add(1)
 	if err := ctx.Err(); err != nil {
 		return false, err
@@ -362,21 +343,17 @@ func (c *OptimizerChecker) AcceptsContext(ctx context.Context, cfg *Configuratio
 	return true, nil
 }
 
-// WorkloadCost computes Cost(W, C) with per-query caching. Cache
-// misses are optimized concurrently (up to Parallelism at a time);
-// the total is summed in query order so results are byte-identical to
-// a serial evaluation.
-func (c *OptimizerChecker) WorkloadCost(cfg *Configuration) (float64, error) {
-	return c.WorkloadCostContext(context.Background(), cfg)
-}
-
-// WorkloadCostContext is WorkloadCost under a context: ctx is checked
-// before every actual optimizer invocation, so a canceled caller stops
-// after at most one in-flight per-query optimization. Cached entries
-// are still served after cancellation begins; a cancellation error is
-// never cached.
+// WorkloadCostContext computes Cost(W, C) with per-query caching. Cache
+// misses are optimized concurrently (up to Parallelism at a time); the
+// total is summed in query order so results are byte-identical to a
+// serial evaluation. ctx is checked before every actual optimizer
+// invocation, so a canceled caller stops after at most one in-flight
+// per-query optimization. Cached entries are still served after
+// cancellation begins; a cancellation error is never cached.
 func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configuration) (float64, error) {
-	c.lazyInit()
+	if err := c.lazyInit(); err != nil {
+		return 0, err
+	}
 	c.checks.Add(1)
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -445,15 +422,7 @@ func (c *OptimizerChecker) price(ctx context.Context, sc *checkScratch, cfg *Con
 					return 0, err
 				}
 				c.optCalls.Add(1)
-				ocfg := optimizer.Configuration(defs[lo:ends[i]])
-				if c.prepSrv != nil {
-					return c.prepSrv.CostPrepared(c.Prepared.Queries[qi], ocfg)
-				}
-				plan, err := c.Server.Optimize(c.W.Queries[qi].Stmt, ocfg)
-				if err != nil {
-					return 0, err
-				}
-				return plan.Cost, nil
+				return c.Server.CostPrepared(c.pw.Queries[qi], optimizer.Configuration(defs[lo:ends[i]]))
 			})
 			if err != nil {
 				return err
@@ -461,7 +430,7 @@ func (c *OptimizerChecker) price(ctx context.Context, sc *checkScratch, cfg *Con
 			costs[qi] = v
 			return nil
 		}
-		if err := c.evalMisses(len(missQ), eval); err != nil {
+		if err := EvalEach(len(missQ), c.Parallelism, eval); err != nil {
 			return 0, err
 		}
 	}
@@ -516,14 +485,15 @@ func (c *OptimizerChecker) RemoteStats() (batches, items, fallbacks int64) {
 	return c.remoteBatches.Load(), c.remoteItems.Load(), c.remoteFallbacks.Load()
 }
 
-// evalMisses runs eval for each of the n missed queries, concurrently
-// when Parallelism > 1. On failure it returns the error of the
-// smallest-indexed failing query, matching serial evaluation order.
-// Each evaluation runs through safeEval, so a panicking cost server
-// fails one constraint check (as a typed *PanicError) instead of
-// killing a worker goroutine — and with it the process.
-func (c *OptimizerChecker) evalMisses(n int, eval func(int) error) error {
-	workers := c.Parallelism
+// EvalEach runs eval(0) … eval(n-1), on up to workers goroutines when
+// workers > 1 and on the caller's otherwise, and returns the error of
+// the smallest failing index, matching serial evaluation order. It is
+// the one worker loop of the costing paths (the plain checker's cache
+// misses, the compressed cost table's, the advisor's candidates) and
+// their panic boundary: each evaluation runs through safeEval, so a
+// panicking cost server fails one costing (as a typed *PanicError)
+// instead of killing a worker goroutine — and with it the process.
+func EvalEach(n, workers int, eval func(int) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -560,10 +530,10 @@ func (c *OptimizerChecker) evalMisses(n int, eval func(int) error) error {
 	return nil
 }
 
-// safeEval converts a panic during one per-query evaluation into a
-// *PanicError. Crucially this runs on the goroutine that calls eval —
-// parallel costing workers included — which is the only place a
-// recover can catch it.
+// safeEval converts a panic during one evaluation into a *PanicError.
+// Crucially this runs on the goroutine that calls eval — parallel
+// costing workers included — which is the only place a recover can
+// catch it.
 func safeEval(eval func(int) error, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -600,9 +570,9 @@ var checkScratchPool = sync.Pool{New: func() any { return new(checkScratch) }}
 // Safe for concurrent Accepts calls (the schema is read-only and the
 // counter is atomic).
 type NoCostChecker struct {
-	F      float64 // max merged-index width as a fraction of table width
-	P      float64 // max growth over either immediate parent
-	Tables SchemaProvider
+	F      float64              // max merged-index width as a fraction of table width
+	P      float64              // max growth over either immediate parent
+	Tables catalog.SchemaHolder // table metadata; the engine's Database satisfies it
 
 	evals atomic.Int64
 }
@@ -613,8 +583,19 @@ func (c *NoCostChecker) Description() string { return "Cost-None" }
 // Evaluations implements ConstraintChecker.
 func (c *NoCostChecker) Evaluations() int64 { return c.evals.Load() }
 
+// OptimizerCalls implements ConstraintChecker: the model never consults
+// a cost function.
+func (c *NoCostChecker) OptimizerCalls() int64 { return 0 }
+
+// SetBase implements ConstraintChecker: a verdict depends on the merged
+// index and its parents alone.
+func (c *NoCostChecker) SetBase(*Configuration) {}
+
 // Accepts implements ConstraintChecker.
-func (c *NoCostChecker) Accepts(_ *Configuration, m, a, b *Index) (bool, error) {
+func (c *NoCostChecker) Accepts(ctx context.Context, _ *Configuration, m, a, b *Index) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
 	c.evals.Add(1)
 	t, ok := c.Tables.Schema().Table(m.Def.Table)
 	if !ok {
@@ -662,7 +643,7 @@ func (c *PrefilteredChecker) Description() string { return "Cost-Opt+Prefilter" 
 // Evaluations implements ConstraintChecker.
 func (c *PrefilteredChecker) Evaluations() int64 { return c.Inner.Evaluations() }
 
-// OptimizerCalls implements OptimizerCallCounter.
+// OptimizerCalls implements ConstraintChecker.
 func (c *PrefilteredChecker) OptimizerCalls() int64 { return c.Inner.OptimizerCalls() }
 
 // PrefilterRejections counts candidates the external model vetoed
@@ -673,15 +654,9 @@ func (c *PrefilteredChecker) PrefilterRejections() int64 { return c.prefilterHit
 // checker, which prices candidates as deltas against it.
 func (c *PrefilteredChecker) SetBase(cfg *Configuration) { c.Inner.SetBase(cfg) }
 
-// Accepts implements ConstraintChecker.
-func (c *PrefilteredChecker) Accepts(cfg *Configuration, m, a, b *Index) (bool, error) {
-	return c.AcceptsContext(context.Background(), cfg, m, a, b)
-}
-
-// AcceptsContext implements ContextChecker; the cheap external
-// prefilter runs unconditionally, the optimizer-backed inner check
-// observes ctx.
-func (c *PrefilteredChecker) AcceptsContext(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
+// Accepts implements ConstraintChecker; the cheap external prefilter
+// runs unconditionally, the optimizer-backed inner check observes ctx.
+func (c *PrefilteredChecker) Accepts(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
 	margin := c.Margin
 	if margin <= 0 {
 		margin = 2.0
@@ -694,5 +669,5 @@ func (c *PrefilteredChecker) AcceptsContext(ctx context.Context, cfg *Configurat
 			return false, nil
 		}
 	}
-	return c.Inner.AcceptsContext(ctx, cfg, m, a, b)
+	return c.Inner.Accepts(ctx, cfg, m, a, b)
 }

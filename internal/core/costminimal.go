@@ -6,27 +6,10 @@ import (
 	"time"
 )
 
-// WorkloadCoster evaluates Cost(W, C); OptimizerChecker satisfies it.
+// WorkloadCoster evaluates Cost(W, C), observing cancellation between
+// per-query optimizer calls; OptimizerChecker satisfies it.
 type WorkloadCoster interface {
-	WorkloadCost(cfg *Configuration) (float64, error)
-}
-
-// ContextWorkloadCoster is a WorkloadCoster that observes cancellation
-// between per-query optimizer calls; OptimizerChecker satisfies it.
-type ContextWorkloadCoster interface {
 	WorkloadCostContext(ctx context.Context, cfg *Configuration) (float64, error)
-}
-
-// workloadCostCtx evaluates Cost(W, C) under ctx when the coster
-// supports it, degrading to a coarse pre-check otherwise.
-func workloadCostCtx(ctx context.Context, coster WorkloadCoster, cfg *Configuration) (float64, error) {
-	if cc, ok := coster.(ContextWorkloadCoster); ok {
-		return cc.WorkloadCostContext(ctx, cfg)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return coster.WorkloadCost(cfg)
 }
 
 // CostMinimalResult extends SearchResult with the dual problem's cost
@@ -62,7 +45,7 @@ func CostMinimalContext(ctx context.Context, initial *Configuration, mp MergePai
 	res.InitialBytes = initial.Bytes(env)
 
 	cur := initial.Clone()
-	curCost, err := workloadCostCtx(ctx, coster, cur)
+	curCost, err := coster.WorkloadCostContext(ctx, cur)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +76,7 @@ func CostMinimalContext(ctx context.Context, initial *Configuration, mp MergePai
 				continue // merge must actually save storage
 			}
 			res.ConfigsExplored++
-			cost, err := workloadCostCtx(ctx, coster, next)
+			cost, err := coster.WorkloadCostContext(ctx, next)
 			if err != nil {
 				return nil, err
 			}

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
-	"indexmerge/internal/advisor"
+	"indexmerge/internal/catalog"
 	"indexmerge/internal/datagen"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/faults"
@@ -29,11 +31,33 @@ type deltaRig struct {
 
 func fixtureRig(t testing.TB) *deltaRig {
 	f := newSearchFixture(t)
-	pw, err := f.opt.PrepareWorkload(f.w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &deltaRig{db: f.db, opt: f.opt, w: f.w, pw: pw, initial: f.initial, seek: f.seek, base: f.base}
+	return &deltaRig{db: f.db, opt: f.opt, w: f.w, pw: f.pw, initial: f.initial, seek: f.seek, base: f.base}
+}
+
+// tpcdRigIndexes is what advisor.BuildInitialConfiguration(w, 16, seed
+// 1) tunes for tpcdRig's workload, written out: the advisor costs its
+// candidates on this package's EvalEach, so a test inside the package
+// cannot import it.
+var tpcdRigIndexes = []struct {
+	table string
+	cols  []string
+}{
+	{"lineitem", []string{"l_extendedprice", "l_returnflag"}},
+	{"lineitem", []string{"l_shipdate", "l_orderkey", "l_commitdate", "l_linenumber", "l_quantity", "l_tax"}},
+	{"lineitem", []string{"l_shipdate", "l_comment", "l_linestatus", "l_partkey"}},
+	{"orders", []string{"o_orderdate", "o_clerk", "o_custkey"}},
+	{"lineitem", []string{"l_quantity", "l_tax", "l_linenumber", "l_discount", "l_shipdate"}},
+	{"lineitem", []string{"l_suppkey", "l_receiptdate", "l_discount", "l_comment", "l_extendedprice"}},
+	{"lineitem", []string{"l_shipdate", "l_orderkey", "l_partkey"}},
+	{"orders", []string{"o_custkey", "o_orderpriority"}},
+	{"partsupp", []string{"ps_supplycost", "ps_availqty", "ps_partkey"}},
+	{"lineitem", []string{"l_extendedprice", "l_linenumber", "l_orderkey", "l_partkey"}},
+	{"orders", []string{"o_orderstatus", "o_orderkey", "o_clerk", "o_custkey"}},
+	{"lineitem", []string{"l_discount", "l_extendedprice", "l_quantity", "l_suppkey"}},
+	{"lineitem", []string{"l_comment", "l_partkey", "l_shipinstruct", "l_linestatus"}},
+	{"lineitem", []string{"l_tax", "l_suppkey", "l_linestatus", "l_comment", "l_quantity"}},
+	{"lineitem", []string{"l_shipinstruct", "l_suppkey"}},
+	{"lineitem", []string{"l_comment", "l_discount", "l_extendedprice", "l_suppkey"}},
 }
 
 // tpcdRig is a generated TPC-D workload of 60 queries over 16 tuned
@@ -50,9 +74,13 @@ func tpcdRig(t testing.TB) *deltaRig {
 		t.Fatal(err)
 	}
 	opt := optimizer.New(db)
-	defs, err := advisor.BuildInitialConfiguration(advisor.New(db, opt), w, 16, 1)
-	if err != nil {
-		t.Fatal(err)
+	var defs []catalog.IndexDef
+	for _, ix := range tpcdRigIndexes {
+		def, err := catalog.NewIndexDef(db.Schema(), "", ix.table, ix.cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defs = append(defs, def)
 	}
 	pw, err := opt.PrepareWorkload(w)
 	if err != nil {
@@ -70,11 +98,9 @@ func tpcdRig(t testing.TB) *deltaRig {
 	return &deltaRig{db: db, opt: opt, w: w, pw: pw, initial: initial, seek: seek, base: base}
 }
 
-func (r *deltaRig) checker(slack float64, prepared bool) *OptimizerChecker {
+func (r *deltaRig) checker(slack float64) *OptimizerChecker {
 	c := NewOptimizerChecker(r.opt, r.w, r.base, slack)
-	if prepared {
-		c.Prepared = r.pw
-	}
+	c.Prepared = r.pw
 	return c
 }
 
@@ -91,18 +117,12 @@ func (r *deltaRig) exact(t testing.TB, cfg *Configuration) float64 {
 
 // touched counts the queries a, b or m can matter to, by the contract's
 // own statement of relevance rather than the checker's memo.
-func (r *deltaRig) touched(prepared bool, ixs ...*Index) int {
+func (r *deltaRig) touched(ixs ...*Index) int {
 	n := 0
-	for qi, q := range r.w.Queries {
+	for _, pq := range r.pw.Queries {
 		hit := false
 		for _, ix := range ixs {
-			if prepared {
-				hit = hit || r.pw.Queries[qi].IndexRelevant(ix.Def.Table, ix.Def.Columns)
-				continue
-			}
-			for _, tb := range q.Stmt.TablesReferenced() {
-				hit = hit || tb == ix.Def.Table
-			}
+			hit = hit || pq.IndexRelevant(ix.Def.Table, ix.Def.Columns)
 		}
 		if hit {
 			n++
@@ -118,28 +138,24 @@ func (r *deltaRig) touched(prepared bool, ixs ...*Index) int {
 // queries the merge can touch when the candidate is one merge from the
 // base, every query otherwise.
 type exactRecorder struct {
-	t        *testing.T
-	rig      *deltaRig
-	prepared bool
-	inner    *OptimizerChecker
-	base     *SearchBase
+	t     *testing.T
+	rig   *deltaRig
+	inner *OptimizerChecker
+	base  *SearchBase
 
 	delta, full, collapsed int
 }
 
-func (r *exactRecorder) Description() string { return r.inner.Description() }
-func (r *exactRecorder) Evaluations() int64  { return r.inner.Evaluations() }
+func (r *exactRecorder) Description() string   { return r.inner.Description() }
+func (r *exactRecorder) Evaluations() int64    { return r.inner.Evaluations() }
+func (r *exactRecorder) OptimizerCalls() int64 { return r.inner.OptimizerCalls() }
 
 func (r *exactRecorder) SetBase(cfg *Configuration) {
 	r.base = NewSearchBase(cfg)
 	r.inner.SetBase(cfg)
 }
 
-func (r *exactRecorder) Accepts(cfg *Configuration, m, a, b *Index) (bool, error) {
-	return r.AcceptsContext(context.Background(), cfg, m, a, b)
-}
-
-func (r *exactRecorder) AcceptsContext(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
+func (r *exactRecorder) Accepts(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
 	r.t.Helper()
 	u := r.inner.U
 	defer func() { r.inner.U = u }()
@@ -150,13 +166,13 @@ func (r *exactRecorder) AcceptsContext(ctx context.Context, cfg *Configuration, 
 	priced := r.inner.base != nil && r.inner.base.costs != nil
 	r.inner.mu.Unlock()
 	r.inner.U = exact
-	ok, err := r.inner.AcceptsContext(ctx, cfg, m, a, b)
+	ok, err := r.inner.Accepts(ctx, cfg, m, a, b)
 	if err != nil {
 		return false, err
 	}
 	want := len(r.rig.w.Queries)
 	if r.base != nil && r.base.Derives(cfg, m, a, b) {
-		want = r.rig.touched(r.prepared, a, b, m)
+		want = r.rig.touched(a, b, m)
 		r.delta++
 		if r.base.Cfg.Len()-cfg.Len() == 2 {
 			r.collapsed++
@@ -174,11 +190,11 @@ func (r *exactRecorder) AcceptsContext(ctx context.Context, cfg *Configuration, 
 		r.t.Errorf("check of %v rejected at U = its exact cost %v", cfg.Signature(), exact)
 	}
 	r.inner.U = math.Nextafter(exact, 0)
-	if ok, err := r.inner.AcceptsContext(ctx, cfg, m, a, b); err != nil || ok {
+	if ok, err := r.inner.Accepts(ctx, cfg, m, a, b); err != nil || ok {
 		r.t.Errorf("check of %v accepted one ulp below its exact cost %v (err %v)", cfg.Signature(), exact, err)
 	}
 	r.inner.U = u
-	ok, err = r.inner.AcceptsContext(ctx, cfg, m, a, b)
+	ok, err = r.inner.Accepts(ctx, cfg, m, a, b)
 	if err == nil && ok != (exact <= u) {
 		r.t.Errorf("verdict %v for exact cost %v against U %v", ok, exact, u)
 	}
@@ -192,25 +208,22 @@ func lookupsOf(c *OptimizerChecker) int64 {
 }
 
 // TestDeltaMatchesFullGreedy walks Greedy over the search fixture and a
-// generated TPC-D workload, prepared and unprepared, holding every
-// check to the reference.
+// generated TPC-D workload, holding every check to the reference.
 func TestDeltaMatchesFullGreedy(t *testing.T) {
 	for name, rig := range map[string]*deltaRig{"fixture": fixtureRig(t), "tpcd": tpcdRig(t)} {
-		for _, prepared := range []bool{true, false} {
-			rec := &exactRecorder{t: t, rig: rig, prepared: prepared, inner: rig.checker(0.30, prepared)}
-			res, err := Greedy(rig.initial, &MergePairCost{Seek: rig.seek}, rec, rig.db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Steps) == 0 || rec.delta == 0 {
-				t.Errorf("%s prepared=%v: %d steps, %d delta checks: nothing was exercised", name, prepared, len(res.Steps), rec.delta)
-			}
-			if rec.full != 0 {
-				t.Errorf("%s prepared=%v: %d of Greedy's checks were priced in full", name, prepared, rec.full)
-			}
-			if got := rig.exact(t, res.Final); got > rec.inner.U {
-				t.Errorf("%s prepared=%v: final cost %v exceeds U %v", name, prepared, got, rec.inner.U)
-			}
+		rec := &exactRecorder{t: t, rig: rig, inner: rig.checker(0.30)}
+		res, err := Greedy(rig.initial, &MergePairCost{Seek: rig.seek}, rec, rig.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Steps) == 0 || rec.delta == 0 {
+			t.Errorf("%s: %d steps, %d delta checks: nothing was exercised", name, len(res.Steps), rec.delta)
+		}
+		if rec.full != 0 {
+			t.Errorf("%s: %d of Greedy's checks were priced in full", name, rec.full)
+		}
+		if got := rig.exact(t, res.Final); got > rec.inner.U {
+			t.Errorf("%s: final cost %v exceeds U %v", name, got, rec.inner.U)
 		}
 	}
 }
@@ -230,24 +243,23 @@ func TestDeltaDuplicateCollapse(t *testing.T) {
 	if cand.Len() != base.Len()-2 {
 		t.Fatalf("candidate has %d indexes, base %d: no collapse", cand.Len(), base.Len())
 	}
-	for _, prepared := range []bool{true, false} {
-		rec := &exactRecorder{t: t, rig: rig, prepared: prepared, inner: rig.checker(0.30, prepared)}
-		rec.SetBase(base)
-		// Price the base through a first candidate, then the collapse.
-		c, d := rig.initial.Indexes[2], rig.initial.Indexes[3]
-		other, err := MergeOrdered(c, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rec.Accepts(base.ReplacePair(c, d, other), other, c, d); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rec.Accepts(cand, m, a, b); err != nil {
-			t.Fatal(err)
-		}
-		if rec.collapsed != 1 {
-			t.Errorf("prepared=%v: the collapsing candidate was not priced as a delta", prepared)
-		}
+	rec := &exactRecorder{t: t, rig: rig, inner: rig.checker(0.30)}
+	rec.SetBase(base)
+	// Price the base through a first candidate, then the collapse.
+	c, d := rig.initial.Indexes[2], rig.initial.Indexes[3]
+	other, err := MergeOrdered(c, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := rec.Accepts(ctx, base.ReplacePair(c, d, other), other, c, d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.Accepts(ctx, cand, m, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if rec.collapsed != 1 {
+		t.Error("the collapsing candidate was not priced as a delta")
 	}
 }
 
@@ -256,7 +268,7 @@ func TestDeltaDuplicateCollapse(t *testing.T) {
 // in full and still match the reference.
 func TestDeltaExhaustiveStaleSiblings(t *testing.T) {
 	rig := fixtureRig(t)
-	rec := &exactRecorder{t: t, rig: rig, prepared: true, inner: rig.checker(0.30, true)}
+	rec := &exactRecorder{t: t, rig: rig, inner: rig.checker(0.30)}
 	res, err := Exhaustive(rig.initial, &MergePairCost{Seek: rig.seek}, rec, rig.db, ExhaustiveOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -264,39 +276,79 @@ func TestDeltaExhaustiveStaleSiblings(t *testing.T) {
 	if rec.delta == 0 || rec.full == 0 {
 		t.Errorf("%d delta and %d full checks: want both", rec.delta, rec.full)
 	}
-	plain, err := Exhaustive(rig.initial, &MergePairCost{Seek: rig.seek}, noBaseChecker{rig.checker(0.30, true)}, rig.db, ExhaustiveOptions{})
+	plain, err := Exhaustive(rig.initial, &MergePairCost{Seek: rig.seek}, noBaseChecker{rig.checker(0.30)}, rig.db, ExhaustiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runsEqual(t, plain, res)
 }
 
-// noBaseChecker hides SetBase from the search.
-type noBaseChecker struct{ resilientInner }
+// noBaseChecker hides the search's base from the checker it wraps, so
+// that every candidate is priced in full.
+type noBaseChecker struct{ ConstraintChecker }
+
+func (noBaseChecker) SetBase(*Configuration) {}
 
 // TestDeltaSearchIdentities: the search result does not depend on
-// whether the checker is prepared, whether it is handed a base, or how
-// many candidates a wave checks at once.
+// whether the checker is handed a base, how many candidates a wave
+// checks at once, or who prepared the workload.
 func TestDeltaSearchIdentities(t *testing.T) {
 	rig := tpcdRig(t)
 	mp := &MergePairCost{Seek: rig.seek}
-	want, err := Greedy(rig.initial, mp, noBaseChecker{rig.checker(0.10, true)}, rig.db)
+	want, err := Greedy(rig.initial, mp, noBaseChecker{rig.checker(0.10)}, rig.db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want.Steps) == 0 {
 		t.Fatal("no merges happened; the rig should allow some")
 	}
-	for _, prepared := range []bool{true, false} {
-		for _, par := range []int{1, 4} {
-			check := rig.checker(0.10, prepared)
-			check.Parallelism = par
-			got, err := GreedyWithOptions(rig.initial, mp, check, rig.db, GreedyOptions{Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			runsEqual(t, want, got)
+	ctx := context.Background()
+	var serial *SearchResult
+	var serialBits uint64
+	for _, tc := range []struct {
+		name     string
+		prepared *optimizer.PreparedWorkload
+		par      int
+	}{
+		{"supplied", rig.pw, 1},
+		{"supplied, waves of 4", rig.pw, 4},
+		{"prepared by the checker on first use", nil, 1},
+	} {
+		check := rig.checker(0.10)
+		check.Prepared, check.Parallelism = tc.prepared, tc.par
+		got, err := GreedyWithOptions(rig.initial, mp, check, rig.db, GreedyOptions{Parallelism: tc.par})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
+		runsEqual(t, want, got)
+		cost, err := check.WorkloadCostContext(ctx, got.Final)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if serial == nil {
+			serial, serialBits = got, math.Float64bits(cost)
+		}
+		if math.Float64bits(cost) != serialBits {
+			t.Errorf("%s: final cost %v, with a supplied workload %v", tc.name, cost, math.Float64frombits(serialBits))
+		}
+		if tc.par == 1 && got.OptimizerCalls != serial.OptimizerCalls {
+			t.Errorf("%s: %d optimizer calls, with a supplied workload %d", tc.name, got.OptimizerCalls, serial.OptimizerCalls)
+		}
+	}
+
+	// A prepared workload of another length than W is some other
+	// workload's: every evaluation refuses it, naming both lengths.
+	bad := rig.checker(0.10)
+	nq := len(rig.pw.Queries)
+	bad.Prepared = &optimizer.PreparedWorkload{W: rig.w, Queries: rig.pw.Queries[:nq-1]}
+	_, err = Greedy(rig.initial, mp, bad, rig.db)
+	for _, n := range []int{nq - 1, nq} {
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(n)) {
+			t.Errorf("mismatched Prepared: err = %v, want one naming %d and %d queries", err, nq-1, nq)
+		}
+	}
+	if _, err := bad.WorkloadCostContext(ctx, rig.initial); err == nil {
+		t.Error("mismatched Prepared: WorkloadCostContext priced it")
 	}
 }
 
@@ -307,8 +359,9 @@ func TestDeltaSearchIdentities(t *testing.T) {
 func TestDeltaFailedCheckLeavesNoState(t *testing.T) {
 	rig := tpcdRig(t)
 	defer faults.Reset()
-	rec := &exactRecorder{t: t, rig: rig, prepared: true, inner: rig.checker(0.30, true)}
+	rec := &exactRecorder{t: t, rig: rig, inner: rig.checker(0.30)}
 	check := rec.inner
+	ctx := context.Background()
 	rec.SetBase(rig.initial)
 	pairs := rig.initial.PairsByTable()
 	cand := func(i int) (*Configuration, *Index, *Index, *Index) {
@@ -323,26 +376,26 @@ func TestDeltaFailedCheckLeavesNoState(t *testing.T) {
 	// The base is priced by the first check: fail its third query.
 	faults.Install(faults.Rule{Point: faults.OptimizerCost, Mode: faults.ModeError, After: 2, Count: 1})
 	cfg, m, a, b := cand(0)
-	if _, err := check.Accepts(cfg, m, a, b); err == nil {
+	if _, err := check.Accepts(ctx, cfg, m, a, b); err == nil {
 		t.Fatal("a failed optimizer call did not fail the check")
 	}
 	faults.Reset()
 	if check.base.costs != nil || len(check.accepted) != 0 {
 		t.Fatal("a check that failed while pricing the base left state behind")
 	}
-	if _, err := rec.Accepts(cfg, m, a, b); err != nil {
+	if _, err := rec.Accepts(ctx, cfg, m, a, b); err != nil {
 		t.Fatal(err)
 	}
 
 	// The base is priced now: fail the first miss of another candidate.
 	baseCosts := append([]float64(nil), check.base.costs...)
 	for i := len(pairs) - 1; i > 0; i-- {
-		if cfg, m, a, b = cand(i); rig.touched(true, a, b, m) > 0 {
+		if cfg, m, a, b = cand(i); rig.touched(a, b, m) > 0 {
 			break
 		}
 	}
 	faults.Install(faults.Rule{Point: faults.OptimizerCost, Mode: faults.ModeError, Count: 1})
-	if _, err := check.Accepts(cfg, m, a, b); err == nil {
+	if _, err := check.Accepts(ctx, cfg, m, a, b); err == nil {
 		t.Fatal("the candidate needed no optimizer call")
 	}
 	faults.Reset()
@@ -354,7 +407,7 @@ func TestDeltaFailedCheckLeavesNoState(t *testing.T) {
 			t.Fatalf("a failed check changed the base's cost of query %d", qi)
 		}
 	}
-	if _, err := rec.Accepts(cfg, m, a, b); err != nil {
+	if _, err := rec.Accepts(ctx, cfg, m, a, b); err != nil {
 		t.Fatal(err)
 	}
 	if rec.delta != 2 || rec.full != 0 {
@@ -367,12 +420,12 @@ func TestDeltaFailedCheckLeavesNoState(t *testing.T) {
 func TestPrefilterForwardsBase(t *testing.T) {
 	rig := tpcdRig(t)
 	mp := &MergePairCost{Seek: rig.seek}
-	plain, err := Greedy(rig.initial, mp, rig.checker(0.10, true), rig.db)
+	plain, err := Greedy(rig.initial, mp, rig.checker(0.10), rig.db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Uncalibrated (no SetBaseline), the external model passes everything.
-	pre := &PrefilteredChecker{External: &ExternalCostModel{Meta: rig.db, W: rig.w}, Inner: rig.checker(0.10, true), SlackPct: 0.10}
+	pre := &PrefilteredChecker{External: &ExternalCostModel{Meta: rig.db, W: rig.w}, Inner: rig.checker(0.10), SlackPct: 0.10}
 	got, err := Greedy(rig.initial, mp, pre, rig.db)
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +437,7 @@ func TestPrefilterForwardsBase(t *testing.T) {
 	if got.OptimizerCalls != plain.OptimizerCalls {
 		t.Errorf("prefiltered run issued %d optimizer calls, plain %d", got.OptimizerCalls, plain.OptimizerCalls)
 	}
-	full := rig.checker(0.10, true)
+	full := rig.checker(0.10)
 	if _, err := Greedy(rig.initial, mp, noBaseChecker{full}, rig.db); err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +454,7 @@ func TestDeltaCachedCheckAllocatesNothing(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	rig := tpcdRig(t)
-	check := rig.checker(0.30, true)
+	check := rig.checker(0.30)
 	check.SetBase(rig.initial)
 	pair := rig.initial.PairsByTable()[0]
 	a, b := pair[0], pair[1]
@@ -418,7 +471,7 @@ func TestDeltaCachedCheckAllocatesNothing(t *testing.T) {
 	}{{0, false, 0}, {math.Inf(1), true, 1}} {
 		check.U = tc.u
 		got := testing.AllocsPerRun(50, func() {
-			if ok, err := check.AcceptsContext(ctx, cfg, m, a, b); err != nil || ok != tc.accept {
+			if ok, err := check.Accepts(ctx, cfg, m, a, b); err != nil || ok != tc.accept {
 				t.Fatalf("Accepts = %v, %v at U = %v", ok, err, tc.u)
 			}
 		})

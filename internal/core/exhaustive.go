@@ -47,9 +47,8 @@ func Exhaustive(initial *Configuration, mp MergePair, check ConstraintChecker, e
 }
 
 // ExhaustiveContext is Exhaustive under a context: the search observes
-// ctx at every DFS node and every sibling wave, and checkers that
-// implement ContextChecker observe it between per-query optimizer
-// calls, so cancellation stops the enumeration promptly. On
+// ctx at every DFS node and every sibling wave, and the checker within
+// one constraint check, so cancellation stops the enumeration promptly. On
 // cancellation it returns ctx.Err() (no partial result); counters
 // already delivered through opt.Progress remain valid.
 func ExhaustiveContext(ctx context.Context, initial *Configuration, mp MergePair, check ConstraintChecker, env SizeEstimator, opt ExhaustiveOptions) (*SearchResult, error) {
@@ -73,7 +72,7 @@ func ExhaustiveContext(ctx context.Context, initial *Configuration, mp MergePair
 	best := initial
 	bestBytes := res.InitialBytes
 	visited := map[string]bool{initial.Signature(): true}
-	startCalls := optimizerCallsOf(check)
+	startCalls := check.OptimizerCalls()
 	emit := func() {
 		if opt.Progress == nil {
 			return
@@ -81,7 +80,7 @@ func ExhaustiveContext(ctx context.Context, initial *Configuration, mp MergePair
 		opt.Progress(Progress{
 			ConfigsExplored: res.ConfigsExplored,
 			CostEvaluations: res.CostEvaluations,
-			OptimizerCalls:  optimizerCallsOf(check) - startCalls,
+			OptimizerCalls:  check.OptimizerCalls() - startCalls,
 			InitialBytes:    res.InitialBytes,
 			CurrentBytes:    bestBytes,
 		})
@@ -109,14 +108,12 @@ func ExhaustiveContext(ctx context.Context, initial *Configuration, mp MergePair
 		if ba, ok := mp.(baseAware); ok {
 			ba.SetBase(cur)
 		}
-		// Base-aware checkers price candidates as deltas against cur.
-		// Recursion below re-bases them per node; a checker consulted
-		// with a configuration that is not a single merge away from its
-		// base (a later sibling batch checked after a subtree returned)
-		// must detect that and fall back to full costing.
-		if ba, ok := check.(baseAware); ok {
-			ba.SetBase(cur)
-		}
+		// Delta-pricing checkers price candidates against cur. Recursion
+		// below re-bases them per node; a checker consulted with a
+		// configuration that is not a single merge away from its base (a
+		// later sibling batch checked after a subtree returned) must
+		// detect that and fall back to full costing.
+		check.SetBase(cur)
 		pairs := cur.PairsByTable()
 		cands := make([]exhCandidate, 0, len(pairs))
 		for _, pair := range pairs {
@@ -144,7 +141,7 @@ func ExhaustiveContext(ctx context.Context, initial *Configuration, mp MergePair
 					go func(i int) {
 						defer wg.Done()
 						c := &batch[i]
-						c.ok, c.err = acceptsCtx(ctx, check, c.next, c.m, c.a, c.b)
+						c.ok, c.err = check.Accepts(ctx, c.next, c.m, c.a, c.b)
 					}(i)
 				}
 				wg.Wait()
@@ -160,7 +157,7 @@ func ExhaustiveContext(ctx context.Context, initial *Configuration, mp MergePair
 					return fmt.Errorf("core: exhaustive search exceeded %d configurations", maxConfigs)
 				}
 				if wave <= 1 {
-					cand.ok, cand.err = acceptsCtx(ctx, check, cand.next, cand.m, cand.a, cand.b)
+					cand.ok, cand.err = check.Accepts(ctx, cand.next, cand.m, cand.a, cand.b)
 				}
 				res.CostEvaluations++
 				if cand.err != nil {
@@ -187,7 +184,7 @@ func ExhaustiveContext(ctx context.Context, initial *Configuration, mp MergePair
 
 	res.Final = best
 	res.FinalBytes = bestBytes
-	res.OptimizerCalls = optimizerCallsOf(check) - startCalls
+	res.OptimizerCalls = check.OptimizerCalls() - startCalls
 	res.Elapsed = time.Since(start)
 	emit()
 	return res, nil

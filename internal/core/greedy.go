@@ -79,12 +79,10 @@ type GreedyOptions struct {
 }
 
 // baseAware lets MergePair implementations that evaluate candidate
-// merges in configuration context (MergePair-Exhaustive) — and
-// constraint checkers that price candidates as deltas against the
-// current configuration (OptimizerChecker and wscale's decomposed
-// checker) — track the search's current configuration. Searches call
-// SetBase(cur) at the top of each expansion, before any Merge or
-// Accepts against cur's candidates.
+// merges in configuration context (MergePair-Exhaustive) track the
+// search's current configuration. Searches call SetBase(cur) at the top
+// of each expansion, before any Merge against cur's pairs — and, on
+// every constraint checker, before any Accepts against its candidates.
 type baseAware interface {
 	SetBase(c *Configuration)
 }
@@ -143,15 +141,6 @@ func (sb *SearchBase) Derives(cfg *Configuration, m, a, b *Index) bool {
 // SetBase implements baseAware for MergePairExhaustive.
 func (m *MergePairExhaustive) SetBase(c *Configuration) { m.Base = c }
 
-// optimizerCallsOf reads the expensive-call counter when the checker
-// exposes one.
-func optimizerCallsOf(check ConstraintChecker) int64 {
-	if oc, ok := check.(OptimizerCallCounter); ok {
-		return oc.OptimizerCalls()
-	}
-	return 0
-}
-
 // Greedy runs the paper's Figure 4 algorithm: in each outer iteration,
 // merge every same-table pair in the current configuration with mp,
 // order the results by storage reduction, and adopt the first merged
@@ -183,9 +172,9 @@ func GreedyWithOptions(initial *Configuration, mp MergePair, check ConstraintChe
 }
 
 // GreedyContext is GreedyWithOptions under a context: the search
-// observes ctx between iterations, between waves, and — for checkers
-// implementing ContextChecker — between the per-query optimizer calls
-// of one constraint check, so an in-flight search stops promptly on
+// observes ctx between iterations and between waves, and the checker
+// within one constraint check (the optimizer-backed ones between
+// per-query optimizer calls), so an in-flight search stops promptly on
 // cancel. On cancellation it returns ctx.Err() (no partial result);
 // counters already delivered through opt.Progress remain valid.
 func GreedyContext(ctx context.Context, initial *Configuration, mp MergePair, check ConstraintChecker, env SizeEstimator, opt GreedyOptions) (*SearchResult, error) {
@@ -203,7 +192,7 @@ func GreedyContext(ctx context.Context, initial *Configuration, mp MergePair, ch
 	// already-computed index sizes instead of rescanning the whole
 	// configuration.
 	curBytes := res.InitialBytes
-	startCalls := optimizerCallsOf(check)
+	startCalls := check.OptimizerCalls()
 	wave := opt.Parallelism
 	if wave < 1 {
 		wave = 1
@@ -216,7 +205,7 @@ func GreedyContext(ctx context.Context, initial *Configuration, mp MergePair, ch
 			Steps:           len(res.Steps),
 			ConfigsExplored: res.ConfigsExplored,
 			CostEvaluations: res.CostEvaluations,
-			OptimizerCalls:  optimizerCallsOf(check) - startCalls,
+			OptimizerCalls:  check.OptimizerCalls() - startCalls,
 			InitialBytes:    res.InitialBytes,
 			CurrentBytes:    curBytes,
 		})
@@ -256,9 +245,7 @@ func GreedyContext(ctx context.Context, initial *Configuration, mp MergePair, ch
 		if ba, ok := mp.(baseAware); ok {
 			ba.SetBase(cur)
 		}
-		if ba, ok := check.(baseAware); ok {
-			ba.SetBase(cur)
-		}
+		check.SetBase(cur)
 		cands = cands[:0]
 		for _, pair := range cur.PairsByTable() {
 			a, b := pair[0], pair[1]
@@ -362,7 +349,7 @@ func GreedyContext(ctx context.Context, initial *Configuration, mp MergePair, ch
 
 	res.Final = cur
 	res.FinalBytes = curBytes
-	res.OptimizerCalls = optimizerCallsOf(check) - startCalls
+	res.OptimizerCalls = check.OptimizerCalls() - startCalls
 	res.Elapsed = time.Since(start)
 	emit()
 	return res, nil
@@ -376,7 +363,7 @@ func evaluateWave(ctx context.Context, cur *Configuration, batch []greedyCandida
 	if parallelism <= 1 || len(batch) == 1 {
 		for i, cand := range batch {
 			next := cur.ReplacePair(cand.a, cand.b, cand.m)
-			ok, err := acceptsCtx(ctx, check, next, cand.m, cand.a, cand.b)
+			ok, err := check.Accepts(ctx, next, cand.m, cand.a, cand.b)
 			verdicts[i] = verdict{next: next, ok: ok, err: err}
 			// The serial algorithm stops at the first acceptance (or
 			// error); avoid wasted checks when running serially.
@@ -391,7 +378,7 @@ func evaluateWave(ctx context.Context, cur *Configuration, batch []greedyCandida
 		go func(i int) {
 			cand := batch[i]
 			next := cur.ReplacePair(cand.a, cand.b, cand.m)
-			ok, err := acceptsCtx(ctx, check, next, cand.m, cand.a, cand.b)
+			ok, err := check.Accepts(ctx, next, cand.m, cand.a, cand.b)
 			verdicts[i] = verdict{next: next, ok: ok, err: err}
 			done <- i
 		}(i)

@@ -84,10 +84,9 @@ type MergePairExhaustive struct {
 	Base    *Configuration // configuration context for cost evaluation
 	MaxCols int            // safety bound; merges wider than this fall back to index-preserving
 
-	// Prepared, when non-nil, must be W prepared against the Server's
-	// statistics; candidate orders are then costed through the prepared
-	// fast path (requires Server to implement PreparedCostServer), with
-	// bit-identical totals.
+	// Prepared is W prepared against the Server's statistics; left nil,
+	// the first Merge prepares W through Server. One whose length is not
+	// W's fails every Merge.
 	Prepared *optimizer.PreparedWorkload
 }
 
@@ -118,11 +117,12 @@ func (m *MergePairExhaustive) Merge(a, b *Index) (*Index, error) {
 // queries that reference the table, in the context of the base
 // configuration with a and b replaced by the candidate.
 func (m *MergePairExhaustive) bestOf(a, b *Index, orders [][]string) (*Index, error) {
-	relevant := relevantQueryIndices(m.W, a.Def.Table)
-	var ps PreparedCostServer
-	if m.Prepared != nil && len(m.Prepared.Queries) == len(m.W.Queries) {
-		ps, _ = m.Server.(PreparedCostServer)
+	pw, err := preparedFor(m.Server, m.W, m.Prepared)
+	if err != nil {
+		return nil, err
 	}
+	m.Prepared = pw
+	relevant := relevantQueryIndices(m.W, a.Def.Table)
 	var best *Index
 	bestCost := 0.0
 	for _, cols := range orders {
@@ -134,16 +134,7 @@ func (m *MergePairExhaustive) bestOf(a, b *Index, orders [][]string) (*Index, er
 		ocfg := optimizer.Configuration(cfg.Defs())
 		cost := 0.0
 		for _, qi := range relevant {
-			var qc float64
-			if ps != nil {
-				qc, err = ps.CostPrepared(m.Prepared.Queries[qi], ocfg)
-			} else {
-				var plan *optimizer.Plan
-				plan, err = m.Server.Optimize(m.W.Queries[qi].Stmt, ocfg)
-				if err == nil {
-					qc = plan.Cost
-				}
-			}
+			qc, err := m.Server.CostPrepared(pw.Queries[qi], ocfg)
 			if err != nil {
 				return nil, err
 			}

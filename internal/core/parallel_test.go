@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -124,7 +125,7 @@ func TestCheckerCounterSplit(t *testing.T) {
 	cfg := f.initial.Clone()
 
 	before := f.opt.InvocationCount()
-	if _, err := check.WorkloadCost(cfg); err != nil {
+	if _, err := check.WorkloadCostContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	wantCalls := f.opt.InvocationCount() - before
@@ -141,7 +142,7 @@ func TestCheckerCounterSplit(t *testing.T) {
 	// Fully cached re-evaluation: constraint checks advance, optimizer
 	// calls do not.
 	for i := 0; i < 3; i++ {
-		if _, err := check.WorkloadCost(cfg); err != nil {
+		if _, err := check.WorkloadCostContext(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +178,7 @@ func TestWorkloadCostConcurrentStress(t *testing.T) {
 	want := make([]float64, len(configs))
 	serial := f.checker(0.10)
 	for i, cfg := range configs {
-		v, err := serial.WorkloadCost(cfg)
+		v, err := serial.WorkloadCostContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +197,7 @@ func TestWorkloadCostConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (w + r) % len(configs)
-				v, err := check.WorkloadCost(configs[i])
+				v, err := check.WorkloadCostContext(context.Background(), configs[i])
 				if err != nil {
 					errCh <- err
 					return
@@ -219,17 +220,12 @@ func TestWorkloadCostConcurrentStress(t *testing.T) {
 }
 
 // TestQueryKeyUnambiguous verifies the cache key's injectivity
-// contract, for a prepared checker (IndexRelevant) and an unprepared
-// one (index on one of the query's tables): two configurations share a
-// query's key exactly when their relevant subsets — the indexes
-// relevant to the query, in configuration order — coincide, and the
-// separator bytes can never occur inside an index key.
+// contract: two configurations share a query's key exactly when their
+// relevant subsets — the indexes relevant to the query (IndexRelevant),
+// in configuration order — coincide, and the separator bytes can never
+// occur inside an index key.
 func TestQueryKeyUnambiguous(t *testing.T) {
 	f := newSearchFixture(t)
-	pw, err := f.opt.PrepareWorkload(f.w)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// The fixture's indexes plus some that are on a query's table yet
 	// irrelevant to it, and one that is relevant to nothing.
@@ -253,55 +249,45 @@ func TestQueryKeyUnambiguous(t *testing.T) {
 		configs = append(configs, &Configuration{Indexes: fwd}, &Configuration{Indexes: rev})
 	}
 
-	for _, prepared := range []bool{true, false} {
-		check := f.checker(0.10)
-		if prepared {
-			check.Prepared = pw
-		}
-		check.lazyInit()
-		// The contract's own statement of relevance, not the checker's.
-		isRelevant := func(qi int, ix *Index) bool {
-			if prepared {
-				return pw.Queries[qi].IndexRelevant(ix.Def.Table, ix.Def.Columns)
-			}
-			for _, tb := range f.w.Queries[qi].Stmt.TablesReferenced() {
-				if tb == ix.Def.Table {
-					return true
+	check := f.checker(0.10)
+	check.Prepared = f.pw
+	if err := check.lazyInit(); err != nil {
+		t.Fatal(err)
+	}
+	// The contract's own statement of relevance, not the checker's.
+	isRelevant := func(qi int, ix *Index) bool {
+		return f.pw.Queries[qi].IndexRelevant(ix.Def.Table, ix.Def.Columns)
+	}
+	narrowed := false
+	for qi := range check.W.Queries {
+		byKey := make(map[string]string) // cache key -> relevant subset
+		byRel := make(map[string]string) // relevant subset -> cache key
+		for _, cfg := range configs {
+			key := string(check.appendQueryKey(nil, qi, cfg, check.relevance(nil, cfg)))
+			var sb strings.Builder
+			for _, ix := range cfg.Indexes {
+				if isRelevant(qi, ix) {
+					sb.WriteString(ix.Key())
+					sb.WriteByte(0)
+				} else if f.w.Queries[qi].Stmt.ColumnsOf(ix.Def.Table) != nil {
+					narrowed = true
 				}
 			}
-			return false
-		}
-		narrowed := false
-		for qi := range check.W.Queries {
-			byKey := make(map[string]string) // cache key -> relevant subset
-			byRel := make(map[string]string) // relevant subset -> cache key
-			for _, cfg := range configs {
-				key := string(check.appendQueryKey(nil, qi, cfg, check.relevance(nil, cfg)))
-				var sb strings.Builder
-				for _, ix := range cfg.Indexes {
-					if isRelevant(qi, ix) {
-						sb.WriteString(ix.Key())
-						sb.WriteByte(0)
-					} else if prepared && f.w.Queries[qi].Stmt.ColumnsOf(ix.Def.Table) != nil {
-						narrowed = true
-					}
-				}
-				rel := sb.String()
-				if prev, seen := byKey[key]; seen && prev != rel {
-					t.Fatalf("prepared=%v q%d: key collision between relevant subsets %q and %q", prepared, qi, prev, rel)
-				}
-				byKey[key] = rel
-				// The same relevant subset must also map to the same key
-				// (cache hits across configurations differing only in
-				// irrelevant indexes).
-				if prev, seen := byRel[rel]; seen && prev != key {
-					t.Fatalf("prepared=%v q%d: relevant subset %q produced two keys", prepared, qi, rel)
-				}
-				byRel[rel] = key
+			rel := sb.String()
+			if prev, seen := byKey[key]; seen && prev != rel {
+				t.Fatalf("q%d: key collision between relevant subsets %q and %q", qi, prev, rel)
 			}
+			byKey[key] = rel
+			// The same relevant subset must also map to the same key
+			// (cache hits across configurations differing only in
+			// irrelevant indexes).
+			if prev, seen := byRel[rel]; seen && prev != key {
+				t.Fatalf("q%d: relevant subset %q produced two keys", qi, rel)
+			}
+			byRel[rel] = key
 		}
-		if prepared && !narrowed {
-			t.Error("no index on a query's table was irrelevant to it: the prepared contract went unexercised")
-		}
+	}
+	if !narrowed {
+		t.Error("no index on a query's table was irrelevant to it: the relevance contract went unexercised")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -28,7 +29,7 @@ func TestPrefilterZeroSlack(t *testing.T) {
 	// The baseline configuration: external cost == baseline, the zero
 	// slack window is [0, baseline]. Strictly-greater comparison must
 	// let it through to the optimizer, which accepts (cost unchanged).
-	ok, err := pre.Accepts(f.initial, nil, nil, nil)
+	ok, err := pre.Accepts(context.Background(), f.initial, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestPrefilterUncalibratedPassesThrough(t *testing.T) {
 	// The index-free configuration is the worst case the external model
 	// can see; uncalibrated, it must still reach the optimizer.
 	empty := NewConfiguration(nil)
-	if _, err := pre.Accepts(empty, nil, nil, nil); err != nil {
+	if _, err := pre.Accepts(context.Background(), empty, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if pre.PrefilterRejections() != 0 {
@@ -101,7 +102,7 @@ func TestPrefilterDisagreementNearBound(t *testing.T) {
 		}
 		cfg := NewConfiguration(cand)
 		before := pre.PrefilterRejections()
-		ok, err := pre.Accepts(cfg, nil, nil, nil)
+		ok, err := pre.Accepts(context.Background(), cfg, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func TestPrefilterMarginWidensWindow(t *testing.T) {
 		// successive prefix subsets of the initial defs.
 		defs := f.initial.Defs()
 		for n := len(defs); n >= 0; n-- {
-			if _, err := pre.Accepts(NewConfiguration(defs[:n]), nil, nil, nil); err != nil {
+			if _, err := pre.Accepts(context.Background(), NewConfiguration(defs[:n]), nil, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -195,7 +196,7 @@ func TestPrefilterConcurrentAccepts(t *testing.T) {
 					cfg = empty
 					vetoCalls.Add(1)
 				}
-				ok, err := pre.Accepts(cfg, nil, nil, nil)
+				ok, err := pre.Accepts(context.Background(), cfg, nil, nil, nil)
 				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return

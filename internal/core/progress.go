@@ -1,7 +1,5 @@
 package core
 
-import "context"
-
 // Progress is a point-in-time snapshot of a running search, delivered
 // to the Progress callback of GreedyOptions / ExhaustiveOptions. The
 // long-running advisor service surfaces these snapshots while a job is
@@ -29,26 +27,3 @@ type Progress struct {
 
 // SavedBytes is the storage saved so far.
 func (p Progress) SavedBytes() int64 { return p.InitialBytes - p.CurrentBytes }
-
-// ContextChecker is implemented by constraint checkers that can
-// observe cancellation *mid-evaluation* — between the per-query
-// optimizer invocations of one workload costing — instead of only at
-// candidate granularity. OptimizerChecker and PrefilteredChecker
-// implement it.
-type ContextChecker interface {
-	AcceptsContext(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error)
-}
-
-// acceptsCtx runs one constraint check under ctx: checkers that
-// understand contexts are handed ctx directly; for the rest the check
-// is skipped entirely once ctx is done. Cancellation surfaces as
-// ctx.Err() so callers can errors.Is it against context.Canceled.
-func acceptsCtx(ctx context.Context, check ConstraintChecker, cfg *Configuration, m, a, b *Index) (bool, error) {
-	if cc, ok := check.(ContextChecker); ok {
-		return cc.AcceptsContext(ctx, cfg, m, a, b)
-	}
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return check.Accepts(cfg, m, a, b)
-}

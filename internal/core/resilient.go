@@ -213,14 +213,6 @@ func (b *Breaker) State() BreakerState {
 // Transitions counts state changes since construction.
 func (b *Breaker) Transitions() int64 { return b.transitions.Load() }
 
-// resilientInner is what ResilientChecker wraps: an optimizer-backed
-// checker (OptimizerChecker or PrefilteredChecker) that understands
-// contexts.
-type resilientInner interface {
-	ConstraintChecker
-	ContextChecker
-}
-
 // ResilientChecker hardens an optimizer-backed constraint checker
 // against a flaky cost server: transient failures (injected faults,
 // per-attempt timeouts, recovered panics) are retried with exponential
@@ -236,7 +228,7 @@ type resilientInner interface {
 // atomic).
 type ResilientChecker struct {
 	// Inner is the optimizer-backed checker being protected.
-	Inner resilientInner
+	Inner ConstraintChecker
 	// External, when non-nil with a calibrated baseline (SetBaseline),
 	// supplies degraded-mode decisions: a candidate is accepted iff its
 	// external cost is within (1+SlackPct) of the external baseline —
@@ -276,10 +268,8 @@ func (c *ResilientChecker) Evaluations() int64 {
 	return c.Inner.Evaluations() + c.degradedEvals.Load()
 }
 
-// OptimizerCalls implements OptimizerCallCounter.
-func (c *ResilientChecker) OptimizerCalls() int64 {
-	return optimizerCallsOf(c.Inner)
-}
+// OptimizerCalls implements ConstraintChecker.
+func (c *ResilientChecker) OptimizerCalls() int64 { return c.Inner.OptimizerCalls() }
 
 // Retries counts transient attempt failures that were retried.
 func (c *ResilientChecker) Retries() int64 { return c.retries.Load() }
@@ -296,22 +286,12 @@ func (c *ResilientChecker) PanicsRecovered() int64 { return c.panicsRecovered.Lo
 // cost guarantee.
 func (c *ResilientChecker) Degraded() bool { return c.degraded.Load() }
 
-// SetBase forwards the search's current configuration to base-aware
-// inner checkers (the optimizer-backed ones price candidates as deltas
-// against it); inert otherwise.
-func (c *ResilientChecker) SetBase(cfg *Configuration) {
-	if ba, ok := c.Inner.(baseAware); ok {
-		ba.SetBase(cfg)
-	}
-}
+// SetBase implements ConstraintChecker: the inner checker prices
+// candidates against the search's current configuration.
+func (c *ResilientChecker) SetBase(cfg *Configuration) { c.Inner.SetBase(cfg) }
 
 // Accepts implements ConstraintChecker.
-func (c *ResilientChecker) Accepts(cfg *Configuration, m, a, b *Index) (bool, error) {
-	return c.AcceptsContext(context.Background(), cfg, m, a, b)
-}
-
-// AcceptsContext implements ContextChecker.
-func (c *ResilientChecker) AcceptsContext(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
+func (c *ResilientChecker) Accepts(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
 	probe := false
 	if c.Breaker != nil {
 		allow, p := c.Breaker.Allow()
@@ -320,7 +300,11 @@ func (c *ResilientChecker) AcceptsContext(ctx context.Context, cfg *Configuratio
 		}
 		probe = p
 	}
-	ok, err := c.checkWithRetry(ctx, cfg, m, a, b)
+	var ok bool
+	err := c.Retry(ctx, func(actx context.Context) (err error) {
+		ok, err = c.Inner.Accepts(actx, cfg, m, a, b)
+		return err
+	})
 	if err == nil {
 		if c.Breaker != nil {
 			c.Breaker.Success(probe)
@@ -341,9 +325,17 @@ func (c *ResilientChecker) AcceptsContext(ctx context.Context, cfg *Configuratio
 	return c.degradedDecision(cfg, err)
 }
 
-// checkWithRetry runs the inner check with per-attempt deadlines,
-// panic recovery and transient-failure retries.
-func (c *ResilientChecker) checkWithRetry(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
+// Retry runs fn under the checker's retry policy. It is the one retry
+// loop of the costing paths: every constraint check runs through it,
+// and so does the costing a caller does around a search (the facade's
+// baseline, Seek-Cost and final costing), on the same budget and the
+// same Retries and PanicsRecovered counters. Each attempt gets the
+// per-attempt deadline and a panic boundary; transient failures and
+// attempt-deadline overruns are retried after an exponential backoff
+// that a canceled ctx cuts short. A failure that is not ctx's own comes
+// back as a *CostingError; the breaker and the degraded fallback are
+// not consulted, what a final error means is the caller's decision.
+func (c *ResilientChecker) Retry(ctx context.Context, fn func(ctx context.Context) error) error {
 	maxRetries := c.MaxRetries
 	if maxRetries == 0 {
 		maxRetries = 2
@@ -356,25 +348,25 @@ func (c *ResilientChecker) checkWithRetry(ctx context.Context, cfg *Configuratio
 		backoff = 2 * time.Millisecond
 	}
 	for attempt := 0; ; attempt++ {
-		ok, err := c.attempt(ctx, cfg, m, a, b)
+		err := c.attempt(ctx, fn)
 		if err == nil {
-			return ok, nil
+			return nil
 		}
 		var pe *PanicError
 		if errors.As(err, &pe) {
 			c.panicsRecovered.Add(1)
 		}
 		if ctx.Err() != nil {
-			return false, ctx.Err()
+			return ctx.Err()
 		}
 		if attempt >= maxRetries || !retryable(err) {
-			return false, &CostingError{Attempts: attempt + 1, Err: err}
+			return &CostingError{Attempts: attempt + 1, Err: err}
 		}
 		c.retries.Add(1)
 		select {
 		case <-time.After(backoff):
 		case <-ctx.Done():
-			return false, ctx.Err()
+			return ctx.Err()
 		}
 		backoff *= 2
 	}
@@ -387,12 +379,11 @@ func retryable(err error) bool {
 	return IsTransient(err) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// attempt runs one inner check under the per-attempt deadline,
-// converting a panic on this goroutine into a *PanicError. Panics in
-// the inner checker's parallel costing workers are converted at the
-// worker boundary (see evalMisses), so no injected panic can escape a
-// constraint check.
-func (c *ResilientChecker) attempt(ctx context.Context, cfg *Configuration, m, a, b *Index) (ok bool, err error) {
+// attempt runs fn once under the per-attempt deadline, converting a
+// panic on this goroutine into a *PanicError. Panics on the costing
+// worker goroutines are converted at the worker boundary (EvalEach), so
+// no injected panic can escape a constraint check.
+func (c *ResilientChecker) attempt(ctx context.Context, fn func(ctx context.Context) error) (err error) {
 	actx := ctx
 	if c.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
@@ -401,10 +392,10 @@ func (c *ResilientChecker) attempt(ctx context.Context, cfg *Configuration, m, a
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			ok, err = false, &PanicError{Value: r, Stack: debug.Stack()}
+			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return c.Inner.AcceptsContext(actx, cfg, m, a, b)
+	return fn(actx)
 }
 
 // degradedDecision serves a constraint decision from the external

@@ -15,7 +15,7 @@ type fakeTransientErr struct{ transient bool }
 func (e fakeTransientErr) Error() string   { return "fake fault" }
 func (e fakeTransientErr) Transient() bool { return e.transient }
 
-// scriptedChecker is a resilientInner whose attempts follow a script:
+// scriptedChecker is a ConstraintChecker whose attempts follow a script:
 // entry i is the error (or nil) returned by the i-th call; entries
 // equal to panicSentinel panic instead. Past the end of the script it
 // returns the steady decision.
@@ -29,11 +29,7 @@ type scriptedChecker struct {
 
 var panicSentinel = errors.New("panic now")
 
-func (s *scriptedChecker) Accepts(cfg *Configuration, m, a, b *Index) (bool, error) {
-	return s.AcceptsContext(context.Background(), cfg, m, a, b)
-}
-
-func (s *scriptedChecker) AcceptsContext(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
+func (s *scriptedChecker) Accepts(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
 	s.evals.Add(1)
 	s.mu.Lock()
 	var step error
@@ -54,8 +50,10 @@ func (s *scriptedChecker) AcceptsContext(ctx context.Context, cfg *Configuration
 	return s.accept, nil
 }
 
-func (s *scriptedChecker) Description() string { return "scripted" }
-func (s *scriptedChecker) Evaluations() int64  { return s.evals.Load() }
+func (s *scriptedChecker) Description() string    { return "scripted" }
+func (s *scriptedChecker) Evaluations() int64     { return s.evals.Load() }
+func (s *scriptedChecker) OptimizerCalls() int64  { return 0 }
+func (s *scriptedChecker) SetBase(*Configuration) {}
 
 func (s *scriptedChecker) callCount() int {
 	s.mu.Lock()
@@ -208,7 +206,7 @@ func TestResilientRetriesAbsorbTransientFaults(t *testing.T) {
 		accept: true,
 	}
 	rc := &ResilientChecker{Inner: inner, Backoff: time.Microsecond}
-	ok, err := rc.Accepts(nil, nil, nil, nil)
+	ok, err := rc.Accepts(context.Background(), nil, nil, nil, nil)
 	if err != nil || !ok {
 		t.Fatalf("Accepts = (%v, %v), want (true, nil)", ok, err)
 	}
@@ -227,7 +225,7 @@ func TestResilientPermanentErrorWithoutFallback(t *testing.T) {
 	permanent := errors.New("optimizer exploded")
 	inner := &scriptedChecker{script: []error{permanent}}
 	rc := &ResilientChecker{Inner: inner, Backoff: time.Microsecond}
-	_, err := rc.Accepts(nil, nil, nil, nil)
+	_, err := rc.Accepts(context.Background(), nil, nil, nil, nil)
 	var ce *CostingError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CostingError", err)
@@ -247,7 +245,7 @@ func TestResilientRetryBudgetExhausted(t *testing.T) {
 	tr := fakeTransientErr{transient: true}
 	inner := &scriptedChecker{script: []error{tr, tr, tr, tr, tr, tr}}
 	rc := &ResilientChecker{Inner: inner, MaxRetries: 2, Backoff: time.Microsecond}
-	_, err := rc.Accepts(nil, nil, nil, nil)
+	_, err := rc.Accepts(context.Background(), nil, nil, nil, nil)
 	var ce *CostingError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CostingError", err)
@@ -260,7 +258,7 @@ func TestResilientRetryBudgetExhausted(t *testing.T) {
 func TestResilientNegativeMaxRetriesDisables(t *testing.T) {
 	inner := &scriptedChecker{script: []error{fakeTransientErr{transient: true}}, accept: true}
 	rc := &ResilientChecker{Inner: inner, MaxRetries: -1, Backoff: time.Microsecond}
-	if _, err := rc.Accepts(nil, nil, nil, nil); err == nil {
+	if _, err := rc.Accepts(context.Background(), nil, nil, nil, nil); err == nil {
 		t.Fatal("MaxRetries<0 must disable retries, got success")
 	}
 	if got := inner.callCount(); got != 1 {
@@ -271,7 +269,7 @@ func TestResilientNegativeMaxRetriesDisables(t *testing.T) {
 func TestResilientRecoversPanics(t *testing.T) {
 	inner := &scriptedChecker{script: []error{panicSentinel}, accept: true}
 	rc := &ResilientChecker{Inner: inner, Backoff: time.Microsecond}
-	ok, err := rc.Accepts(nil, nil, nil, nil)
+	ok, err := rc.Accepts(context.Background(), nil, nil, nil, nil)
 	if err != nil || !ok {
 		t.Fatalf("Accepts = (%v, %v), want (true, nil)", ok, err)
 	}
@@ -289,7 +287,7 @@ func TestResilientParentCancellationPropagates(t *testing.T) {
 	rc := &ResilientChecker{Inner: inner, Breaker: b, Backoff: time.Microsecond}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := rc.AcceptsContext(ctx, nil, nil, nil, nil)
+	_, err := rc.Accepts(ctx, nil, nil, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -320,7 +318,7 @@ func TestResilientDegradedDecision(t *testing.T) {
 	}
 	// The initial configuration's external cost equals the baseline, so
 	// the degraded decision must accept it (slack 10%).
-	ok, err := rc.Accepts(f.initial, nil, nil, nil)
+	ok, err := rc.Accepts(context.Background(), f.initial, nil, nil, nil)
 	if err != nil {
 		t.Fatalf("degraded Accepts error: %v", err)
 	}
@@ -336,7 +334,7 @@ func TestResilientDegradedDecision(t *testing.T) {
 	// An empty configuration (all heap scans) must cost more than
 	// baseline × 1.1 and be rejected by the degraded path too.
 	empty := NewConfiguration(nil)
-	ok, err = rc.Accepts(empty, nil, nil, nil)
+	ok, err = rc.Accepts(context.Background(), empty, nil, nil, nil)
 	if err != nil {
 		t.Fatalf("degraded Accepts error: %v", err)
 	}
@@ -359,7 +357,7 @@ func TestResilientCircuitOpenServesDegraded(t *testing.T) {
 	b.Failure(false) // force open
 	rc := &ResilientChecker{Inner: inner, External: ext, SlackPct: 0.10, Breaker: b}
 
-	ok, err := rc.Accepts(f.initial, nil, nil, nil)
+	ok, err := rc.Accepts(context.Background(), f.initial, nil, nil, nil)
 	if err != nil || !ok {
 		t.Fatalf("Accepts under open breaker = (%v, %v), want degraded accept", ok, err)
 	}
@@ -376,7 +374,7 @@ func TestResilientCircuitOpenWithoutFallbackFails(t *testing.T) {
 	b := &Breaker{Threshold: 1, Cooldown: time.Hour}
 	b.Failure(false)
 	rc := &ResilientChecker{Inner: inner, Breaker: b}
-	_, err := rc.Accepts(nil, nil, nil, nil)
+	_, err := rc.Accepts(context.Background(), nil, nil, nil, nil)
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen", err)
 	}
@@ -392,7 +390,7 @@ func TestResilientBreakerTripsOnRepeatedFailures(t *testing.T) {
 	b := &Breaker{Threshold: 3, Cooldown: time.Hour}
 	rc := &ResilientChecker{Inner: inner, Breaker: b, Backoff: time.Microsecond}
 	for i := 0; i < 3; i++ {
-		if _, err := rc.Accepts(nil, nil, nil, nil); err == nil {
+		if _, err := rc.Accepts(context.Background(), nil, nil, nil, nil); err == nil {
 			t.Fatal("expected error")
 		}
 	}
@@ -401,7 +399,7 @@ func TestResilientBreakerTripsOnRepeatedFailures(t *testing.T) {
 	}
 	calls := inner.callCount()
 	// Next check short-circuits: no new inner calls.
-	if _, err := rc.Accepts(nil, nil, nil, nil); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := rc.Accepts(context.Background(), nil, nil, nil, nil); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen", err)
 	}
 	if got := inner.callCount(); got != calls {
@@ -421,7 +419,7 @@ func TestResilientAttemptTimeout(t *testing.T) {
 		AttemptTimeout: 5 * time.Millisecond,
 	}
 	start := time.Now()
-	_, err := rc.Accepts(nil, nil, nil, nil)
+	_, err := rc.Accepts(context.Background(), nil, nil, nil, nil)
 	var ce *CostingError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CostingError", err)
@@ -440,18 +438,16 @@ func TestResilientAttemptTimeout(t *testing.T) {
 // ctxWaitChecker blocks until its context is done.
 type ctxWaitChecker struct{ calls *atomic.Int64 }
 
-func (c *ctxWaitChecker) Accepts(cfg *Configuration, m, a, b *Index) (bool, error) {
-	return c.AcceptsContext(context.Background(), cfg, m, a, b)
-}
-
-func (c *ctxWaitChecker) AcceptsContext(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
+func (c *ctxWaitChecker) Accepts(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
 	c.calls.Add(1)
 	<-ctx.Done()
 	return false, ctx.Err()
 }
 
-func (c *ctxWaitChecker) Description() string { return "ctx-wait" }
-func (c *ctxWaitChecker) Evaluations() int64  { return c.calls.Load() }
+func (c *ctxWaitChecker) Description() string    { return "ctx-wait" }
+func (c *ctxWaitChecker) Evaluations() int64     { return c.calls.Load() }
+func (c *ctxWaitChecker) OptimizerCalls() int64  { return 0 }
+func (c *ctxWaitChecker) SetBase(*Configuration) {}
 
 func TestResilientConcurrentAccepts(t *testing.T) {
 	// Hammer a resilient checker (transient faults mixed in) from many
@@ -471,7 +467,7 @@ func TestResilientConcurrentAccepts(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ok, err := rc.Accepts(nil, nil, nil, nil)
+			ok, err := rc.Accepts(context.Background(), nil, nil, nil, nil)
 			if err != nil {
 				errs <- err
 				return

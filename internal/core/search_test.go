@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -19,6 +20,7 @@ type searchFixture struct {
 	db      *engine.Database
 	opt     *optimizer.Optimizer
 	w       *sql.Workload
+	pw      *optimizer.PreparedWorkload
 	initial *Configuration
 	base    float64
 	seek    *SeekCosts
@@ -93,11 +95,15 @@ func newSearchFixture(t testing.TB) *searchFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seek, err := ComputeSeekCosts(opt, w, initial)
+	pw, err := opt.PrepareWorkload(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &searchFixture{db: db, opt: opt, w: w, initial: initial, base: base, seek: seek}
+	seek, err := ComputeSeekCostsPrepared(opt, pw, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &searchFixture{db: db, opt: opt, w: w, pw: pw, initial: initial, base: base, seek: seek}
 }
 
 func (f *searchFixture) checker(slack float64) *OptimizerChecker {
@@ -295,7 +301,7 @@ func TestNoCostChecker(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Growth 24 vs 16 = +50% > 25% ⇒ reject.
-	ok, err := check.Accepts(nil, m, a, b)
+	ok, err := check.Accepts(context.Background(), nil, m, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +310,7 @@ func TestNoCostChecker(t *testing.T) {
 	}
 	// Loosen p: accept.
 	loose := &NoCostChecker{F: 0.60, P: 1.0, Tables: f.db}
-	ok, err = loose.Accepts(nil, m, a, b)
+	ok, err = loose.Accepts(context.Background(), nil, m, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +325,7 @@ func TestNoCostChecker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err = loose.Accepts(nil, wm, wide1, wide2)
+	ok, err = loose.Accepts(context.Background(), nil, wm, wide1, wide2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +341,12 @@ func TestOptimizerCheckerCaching(t *testing.T) {
 	f := newSearchFixture(t)
 	check := f.checker(0.10)
 	cfg := f.initial.Clone()
-	if _, err := check.WorkloadCost(cfg); err != nil {
+	if _, err := check.WorkloadCostContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	before := f.opt.InvocationCount()
 	// Same configuration again: every per-query cost is cached.
-	if _, err := check.WorkloadCost(cfg); err != nil {
+	if _, err := check.WorkloadCostContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if f.opt.InvocationCount() != before {
@@ -351,7 +357,7 @@ func TestOptimizerCheckerCaching(t *testing.T) {
 	other := NewIndex(def("dim", "name", "k"))
 	next := cfg.ReplacePair(dimIdx, dimIdx, other) // replace dim index
 	before = f.opt.InvocationCount()
-	if _, err := check.WorkloadCost(next); err != nil {
+	if _, err := check.WorkloadCostContext(context.Background(), next); err != nil {
 		t.Fatal(err)
 	}
 	extra := f.opt.InvocationCount() - before

@@ -1,26 +1,36 @@
 package core
 
 import (
+	"fmt"
+
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/sql"
 )
 
 // CostServer is the slice of the database server's interface the
-// merging tool needs: optimizing a query against a (possibly
-// hypothetical) configuration and reading back cost plus index usage.
-// It corresponds to the Showplan + what-if interfaces of [CN98];
-// optimizer.Optimizer satisfies it.
+// merging tool needs (paper Figure 1): resolving a workload against the
+// server's statistics once, then costing and planning its queries
+// against (possibly hypothetical) configurations, reading back cost
+// plus index usage — the what-if + Showplan interfaces of [CN98].
+// optimizer.Optimizer satisfies it; calls may be concurrent.
 type CostServer interface {
-	Optimize(stmt *sql.SelectStmt, cfg optimizer.Configuration) (*optimizer.Plan, error)
-}
-
-// PreparedCostServer is the optional prepared-planning extension of
-// CostServer: costing and planning over precomputed query descriptors,
-// with results bit-identical to the Optimize path.
-// optimizer.Optimizer satisfies it.
-type PreparedCostServer interface {
+	PrepareWorkload(w *sql.Workload) (*optimizer.PreparedWorkload, error)
 	CostPrepared(pq *optimizer.PreparedQuery, cfg optimizer.Configuration) (float64, error)
 	OptimizePrepared(pq *optimizer.PreparedQuery, cfg optimizer.Configuration) (*optimizer.Plan, error)
+}
+
+// preparedFor resolves the prepared form of w a costing component works
+// over: the caller's, else w prepared through the server. A supplied
+// one of another length was prepared from some other workload and would
+// price the wrong queries, so it is refused.
+func preparedFor(server CostServer, w *sql.Workload, pw *optimizer.PreparedWorkload) (*optimizer.PreparedWorkload, error) {
+	if pw == nil {
+		return server.PrepareWorkload(w)
+	}
+	if len(pw.Queries) != len(w.Queries) {
+		return nil, fmt.Errorf("core: prepared workload has %d queries, the workload %d", len(pw.Queries), len(w.Queries))
+	}
+	return pw, nil
 }
 
 // SeekCosts holds Seek-Cost(W, I) for every index I in the initial
@@ -39,38 +49,15 @@ func (s *SeekCosts) SeekCost(defKey string) float64 {
 	return s.byIndex[defKey]
 }
 
-// ComputeSeekCosts optimizes every workload query once under the
+// ComputeSeekCostsPrepared plans every workload query once under the
 // initial configuration and attributes each query's cost to the
 // indexes its plan seeks on. This mirrors gathering "the plan and cost
 // of each query in W for the initial configuration" via Showplan.
-func ComputeSeekCosts(server CostServer, w *sql.Workload, initial *Configuration) (*SeekCosts, error) {
-	cfg := optimizer.Configuration(initial.Defs())
-	return seekCosts(w, func(qi int) (*optimizer.Plan, error) {
-		return server.Optimize(w.Queries[qi].Stmt, cfg)
-	})
-}
-
-// ComputeSeekCostsPrepared is ComputeSeekCosts over a prepared
-// workload: a server that plans descriptors is handed each query's
-// (no AST re-walk, identical plans); any other optimizes the
-// statements.
 func ComputeSeekCostsPrepared(server CostServer, pw *optimizer.PreparedWorkload, initial *Configuration) (*SeekCosts, error) {
-	ps, ok := server.(PreparedCostServer)
-	if !ok {
-		return ComputeSeekCosts(server, pw.W, initial)
-	}
 	cfg := optimizer.Configuration(initial.Defs())
-	return seekCosts(pw.W, func(qi int) (*optimizer.Plan, error) {
-		return ps.OptimizePrepared(pw.Queries[qi], cfg)
-	})
-}
-
-// seekCosts is the one Seek-Cost loop: plan(qi) is query qi's plan
-// under the initial configuration, however the server produces it.
-func seekCosts(w *sql.Workload, plan func(qi int) (*optimizer.Plan, error)) (*SeekCosts, error) {
 	out := &SeekCosts{byIndex: make(map[string]float64)}
-	for qi, q := range w.Queries {
-		p, err := plan(qi)
+	for qi, q := range pw.W.Queries {
+		p, err := server.OptimizePrepared(pw.Queries[qi], cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -69,7 +69,11 @@ func TestGreedyNeverGrowsStorageOnWideKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seek, err := ComputeSeekCosts(opt, w, initial)
+	pw, err := opt.PrepareWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seek, err := ComputeSeekCostsPrepared(opt, pw, initial)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,18 +147,12 @@ func RunAblationIntersection(labs []*Lab, n int, constraint float64) ([]Ablation
 		lab.Opt.DisableIndexIntersection = true
 		// Re-derive the baseline cost and seek costs under the weaker
 		// optimizer so its constraint is self-consistent.
-		weakBase, err := lab.WorkloadCost(s.w, s.initial.Defs())
+		weak, err := newSetupOver(lab, s.w, s.initial)
 		if err != nil {
 			lab.Opt.DisableIndexIntersection = false
 			return nil, err
 		}
-		weakSeek, err := core.ComputeSeekCosts(lab.Opt, s.w, s.initial)
-		if err != nil {
-			lab.Opt.DisableIndexIntersection = false
-			return nil, err
-		}
-		weakCheck := core.NewOptimizerChecker(lab.Opt, s.w, weakBase, constraint)
-		variant, err := core.Greedy(s.initial, &core.MergePairCost{Seek: weakSeek}, weakCheck, lab.DB)
+		variant, err := core.Greedy(s.initial, &core.MergePairCost{Seek: weak.seek}, weak.optChecker(constraint), lab.DB)
 		lab.Opt.DisableIndexIntersection = false
 		if err != nil {
 			return nil, err
@@ -217,17 +211,12 @@ func RunWorkloadCompression(labs []*Lab, n, k int, constraint float64) ([]Compre
 			return c
 		}
 		smallW := s.w.Compress().TopK(k, costOf)
-		smallBase, err := lab.WorkloadCost(smallW, initialDefs)
+		sm, err := newSetupOver(lab, smallW, s.initial)
 		if err != nil {
 			return nil, err
 		}
-		seek, err := core.ComputeSeekCosts(lab.Opt, smallW, s.initial)
-		if err != nil {
-			return nil, err
-		}
-		check := core.NewOptimizerChecker(lab.Opt, smallW, smallBase, constraint)
 		before = lab.Opt.InvocationCount()
-		small, err := core.Greedy(s.initial, &core.MergePairCost{Seek: seek}, check, lab.DB)
+		small, err := core.Greedy(s.initial, &core.MergePairCost{Seek: sm.seek}, sm.optChecker(constraint), lab.DB)
 		if err != nil {
 			return nil, err
 		}

@@ -31,7 +31,7 @@ func RunCostMinimal(labs []*Lab, n int, budgetFracs []float64) ([]DualRow, error
 		if err != nil {
 			return nil, err
 		}
-		coster := core.NewOptimizerChecker(lab.Opt, s.w, s.baseCost, 0)
+		coster := s.optChecker(0)
 		initialBytes := s.initial.Bytes(lab.DB)
 		for _, frac := range budgetFracs {
 			budget := int64(float64(initialBytes) * frac)

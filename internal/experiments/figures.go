@@ -55,17 +55,21 @@ type SearchComparisonRow struct {
 	NoCostCostIncrease float64
 }
 
-// setup prepares the shared experiment state for one lab: an initial
-// configuration of n indexes over the complex workload, its cost, and
-// seek-cost statistics.
+// setup is the shared experiment state for one lab and workload: the
+// workload prepared once against the lab's statistics — every search,
+// Seek-Cost and MergePair costing below runs over it, as the product's
+// do — an initial configuration, its cost, and seek-cost statistics.
 type setup struct {
 	lab      *Lab
 	w        *sql.Workload
+	pw       *optimizer.PreparedWorkload
 	initial  *core.Configuration
 	baseCost float64
 	seek     *core.SeekCosts
 }
 
+// newSetup builds the state over an initial configuration of n indexes
+// tuned for w.
 func newSetup(lab *Lab, w *sql.Workload, n int) (*setup, error) {
 	defs, err := lab.InitialConfiguration(w, n)
 	if err != nil {
@@ -74,21 +78,31 @@ func newSetup(lab *Lab, w *sql.Workload, n int) (*setup, error) {
 	if len(defs) == 0 {
 		return nil, fmt.Errorf("experiments: no initial indexes for %s", lab.Name)
 	}
-	initial := core.NewConfiguration(defs)
-	baseCost, err := lab.WorkloadCost(w, defs)
+	return newSetupOver(lab, w, core.NewConfiguration(defs))
+}
+
+// newSetupOver builds the state over a given initial configuration,
+// under the lab optimizer's current knobs.
+func newSetupOver(lab *Lab, w *sql.Workload, initial *core.Configuration) (*setup, error) {
+	pw, err := lab.Opt.PrepareWorkload(w)
 	if err != nil {
 		return nil, err
 	}
-	seek, err := core.ComputeSeekCosts(lab.Opt, w, initial)
+	baseCost, err := lab.Opt.WorkloadCostPrepared(pw, optimizer.Configuration(initial.Defs()))
 	if err != nil {
 		return nil, err
 	}
-	return &setup{lab: lab, w: w, initial: initial, baseCost: baseCost, seek: seek}, nil
+	seek, err := core.ComputeSeekCostsPrepared(lab.Opt, pw, initial)
+	if err != nil {
+		return nil, err
+	}
+	return &setup{lab: lab, w: w, pw: pw, initial: initial, baseCost: baseCost, seek: seek}, nil
 }
 
 func (s *setup) optChecker(constraint float64) *core.OptimizerChecker {
 	c := core.NewOptimizerChecker(s.lab.Opt, s.w, s.baseCost, constraint)
 	c.Parallelism = s.lab.Parallelism
+	c.Prepared = s.pw
 	return c
 }
 
@@ -210,7 +224,7 @@ func RunMergePairComparisonOpt(labs []*Lab, opt FigureOptions) ([]MergePairCompa
 			return nil, err
 		}
 
-		mpe := &core.MergePairExhaustive{Server: lab.Opt, W: s.w, Base: s.initial, MaxCols: 7}
+		mpe := &core.MergePairExhaustive{Server: lab.Opt, W: s.w, Prepared: s.pw, Base: s.initial, MaxCols: 7}
 		exRes, err := core.GreedyWithOptions(s.initial, mpe, s.optChecker(constraint), lab.DB, s.greedyOpts())
 		if err != nil {
 			return nil, err

@@ -138,17 +138,11 @@ func RunIntroTPCD17(lab *Lab, constraint float64) (*IntroTPCD17Result, error) {
 	if len(defs) == 0 {
 		return nil, fmt.Errorf("experiments: per-query tuning produced no indexes")
 	}
-	initial := core.NewConfiguration(defs)
-	baseCost, err := lab.WorkloadCost(w, defs)
+	s, err := newSetupOver(lab, w, core.NewConfiguration(defs))
 	if err != nil {
 		return nil, err
 	}
-	seek, err := core.ComputeSeekCosts(lab.Opt, w, initial)
-	if err != nil {
-		return nil, err
-	}
-	check := core.NewOptimizerChecker(lab.Opt, w, baseCost, constraint)
-	res, err := core.Greedy(initial, &core.MergePairCost{Seek: seek}, check, lab.DB)
+	res, err := core.Greedy(s.initial, &core.MergePairCost{Seek: s.seek}, s.optChecker(constraint), lab.DB)
 	if err != nil {
 		return nil, err
 	}
@@ -161,8 +155,8 @@ func RunIntroTPCD17(lab *Lab, constraint float64) (*IntroTPCD17Result, error) {
 		DataBytes:        lab.DB.DataBytes(),
 		TunedIndexBytes:  res.InitialBytes,
 		MergedIndexBytes: res.FinalBytes,
-		CostIncrease:     finalCost/baseCost - 1,
-		IndexesBefore:    initial.Len(),
+		CostIncrease:     finalCost/s.baseCost - 1,
+		IndexesBefore:    s.initial.Len(),
 		IndexesAfter:     res.Final.Len(),
 	}
 	out.TunedRatio = float64(out.TunedIndexBytes) / float64(out.DataBytes)

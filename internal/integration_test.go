@@ -77,11 +77,16 @@ func TestEndToEndTPCD(t *testing.T) {
 
 	// Greedy merging must reduce storage while respecting the bound.
 	initial := core.NewConfiguration(defs)
-	seek, err := core.ComputeSeekCosts(opt, w, initial)
+	pw, err := opt.PrepareWorkload(w)
 	if err != nil {
-		t.Fatalf("ComputeSeekCosts: %v", err)
+		t.Fatalf("PrepareWorkload: %v", err)
+	}
+	seek, err := core.ComputeSeekCostsPrepared(opt, pw, initial)
+	if err != nil {
+		t.Fatalf("ComputeSeekCostsPrepared: %v", err)
 	}
 	check := core.NewOptimizerChecker(opt, w, tunedCost, 0.10)
+	check.Prepared = pw
 	res, err := core.Greedy(initial, &core.MergePairCost{Seek: seek}, check, db)
 	if err != nil {
 		t.Fatalf("Greedy: %v", err)

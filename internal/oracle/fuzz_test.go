@@ -213,25 +213,17 @@ func FuzzMergeSearch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseCost, err := opz.WorkloadCostPrepared(pw, optimizer.Configuration(initialDefs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check := core.NewOptimizerChecker(opz, w, baseCost, 0.10)
-		check.Prepared = pw
-		rec := &recordingChecker{inner: check}
-		seek, err := core.ComputeSeekCostsPrepared(opz, pw, initial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.Greedy(initial, &core.MergePairCost{Seek: seek}, rec, db)
+		res, visited, diff, err := mergeSearch(db, opz, pw, initial, 0.10)
 		if err != nil {
 			t.Fatalf("greedy: %v", err)
+		}
+		if diff != "" {
+			t.Errorf("delta pricing changed the search: %s", diff)
 		}
 		if err := core.ValidateMinimalMerged(initial, res.Final); err != nil {
 			t.Errorf("final configuration violates Definitions 1-3: %v", err)
 		}
-		for _, cfg := range rec.visited {
+		for _, cfg := range visited {
 			if err := core.ValidateMinimalMerged(initial, cfg); err != nil {
 				t.Errorf("visited configuration violates Definitions 1-3: %v", err)
 			}

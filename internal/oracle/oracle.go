@@ -3,6 +3,7 @@ package oracle
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -25,6 +26,8 @@ import (
 //	order              executed rows violate the query's ORDER BY
 //	explain-unknown    the plan reports an index outside the configuration
 //	merge-invariant    a visited configuration breaks Definition 1–3
+//	search-diff        the search decides differently when candidates are
+//	                   priced as deltas than when each is priced in full
 //	error              optimization or execution failed outright
 type Violation struct {
 	Kind   string   `json:"kind"`
@@ -89,35 +92,81 @@ func (o *SweepOptions) defaults() {
 
 // recordingChecker wraps a constraint checker, keeping every candidate
 // configuration the search submitted — the "visited configurations"
-// the differential sweep samples from.
+// the differential sweep samples from. Everything else is the inner
+// checker's: the search it records is the one the product runs.
 type recordingChecker struct {
-	inner core.ConstraintChecker
+	core.ConstraintChecker
 
 	mu      sync.Mutex
 	visited []*core.Configuration
 }
 
-func (r *recordingChecker) record(cfg *core.Configuration) {
+func (r *recordingChecker) Accepts(ctx context.Context, cfg *core.Configuration, m, a, b *core.Index) (bool, error) {
 	r.mu.Lock()
 	r.visited = append(r.visited, cfg)
 	r.mu.Unlock()
+	return r.ConstraintChecker.Accepts(ctx, cfg, m, a, b)
 }
 
-func (r *recordingChecker) Accepts(cfg *core.Configuration, m, a, b *core.Index) (bool, error) {
-	r.record(cfg)
-	return r.inner.Accepts(cfg, m, a, b)
-}
+// fullPricing hides the search's base from a checker, so that every
+// candidate is priced in full: the reference the delta-priced search is
+// held to.
+type fullPricing struct{ core.ConstraintChecker }
 
-func (r *recordingChecker) AcceptsContext(ctx context.Context, cfg *core.Configuration, m, a, b *core.Index) (bool, error) {
-	r.record(cfg)
-	if cc, ok := r.inner.(core.ContextChecker); ok {
-		return cc.AcceptsContext(ctx, cfg, m, a, b)
+func (fullPricing) SetBase(*core.Configuration) {}
+
+// mergeSearch runs the Greedy merge search the way the product does — a
+// prepared OptimizerChecker pricing each candidate as a delta against
+// the search's current configuration — recording what it visits, then
+// once more with every candidate priced in full. diff describes the
+// first disagreement between the two, "" when there is none.
+func mergeSearch(db *engine.Database, opz *optimizer.Optimizer, pw *optimizer.PreparedWorkload,
+	initial *core.Configuration, constraint float64) (res *core.SearchResult, visited []*core.Configuration, diff string, err error) {
+
+	baseCost, err := opz.WorkloadCostPrepared(pw, optimizer.Configuration(initial.Defs()))
+	if err != nil {
+		return nil, nil, "", err
 	}
-	return r.inner.Accepts(cfg, m, a, b)
+	seek, err := core.ComputeSeekCostsPrepared(opz, pw, initial)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	mp := &core.MergePairCost{Seek: seek}
+	checker := func() *core.OptimizerChecker {
+		c := core.NewOptimizerChecker(opz, pw.W, baseCost, constraint)
+		c.Prepared = pw
+		return c
+	}
+	rec := &recordingChecker{ConstraintChecker: checker()}
+	if res, err = core.Greedy(initial, mp, rec, db); err != nil {
+		return nil, nil, "", err
+	}
+	full, err := core.Greedy(initial, mp, fullPricing{checker()}, db)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	// What the two runs must agree on, to the bit.
+	outcome := func(r *core.SearchResult) (string, error) {
+		c, err := opz.WorkloadCostPrepared(pw, optimizer.Configuration(r.Final.Defs()))
+		return fmt.Sprintf("final %s (cost bits %#x) by steps %v in %d evaluations",
+			r.Final.Signature(), math.Float64bits(c), r.Steps, r.CostEvaluations), err
+	}
+	got, err := outcome(res)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	want, err := outcome(full)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	switch {
+	case res.CostEvaluations > 0 && res.OptimizerCalls == 0:
+		diff = fmt.Sprintf("%d constraint checks report no optimizer call", res.CostEvaluations)
+	case got != want:
+		diff = fmt.Sprintf("delta pricing reaches %s; full pricing %s", got, want)
+	}
+	return res, rec.visited, diff, nil
 }
-
-func (r *recordingChecker) Description() string { return r.inner.Description() }
-func (r *recordingChecker) Evaluations() int64  { return r.inner.Evaluations() }
 
 // Sweep runs the full differential harness over one database and
 // workload: reference answers are computed once per query, then diffed
@@ -158,21 +207,13 @@ func Sweep(dbName string, db *engine.Database, w *sql.Workload, opt SweepOptions
 	}
 	initial := core.NewConfiguration(initialDefs)
 
-	// Greedy merge search with a recording checker.
-	baseCost, err := opz.WorkloadCostPrepared(pw, optimizer.Configuration(initialDefs))
+	// Greedy merge search with a recording checker, held to full pricing.
+	res, visited, diff, err := mergeSearch(db, opz, pw, initial, opt.CostConstraint)
 	if err != nil {
 		return nil, err
 	}
-	inner := core.NewOptimizerChecker(opz, w, baseCost, opt.CostConstraint)
-	inner.Prepared = pw
-	rec := &recordingChecker{inner: inner}
-	seek, err := core.ComputeSeekCostsPrepared(opz, pw, initial)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.Greedy(initial, &core.MergePairCost{Seek: seek}, rec, db)
-	if err != nil {
-		return nil, err
+	if diff != "" {
+		rep.Violations = append(rep.Violations, Violation{Kind: "search-diff", Config: configKeys(initialDefs), Detail: diff})
 	}
 	rep.MergeSteps = len(res.Steps)
 
@@ -188,8 +229,8 @@ func Sweep(dbName string, db *engine.Database, w *sql.Workload, opt SweepOptions
 		{"initial", initial},
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	for _, vi := range sampleIndexes(len(rec.visited), opt.MaxVisited, rng) {
-		configs = append(configs, namedConfig{fmt.Sprintf("visited[%d]", vi), rec.visited[vi]})
+	for _, vi := range sampleIndexes(len(visited), opt.MaxVisited, rng) {
+		configs = append(configs, namedConfig{fmt.Sprintf("visited[%d]", vi), visited[vi]})
 		rep.VisitedSampled++
 	}
 	configs = append(configs, namedConfig{"final", res.Final})

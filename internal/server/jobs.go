@@ -451,6 +451,9 @@ func (m *Manager) runJob(j *Job) {
 	if j.session.deleted.Load() {
 		if j.finish(JobFailed, "session deleted", nil) {
 			m.metrics.observeJobEnd(JobFailed, 0, 0, 0)
+			if m.onEnd != nil {
+				m.onEnd(j.Status())
+			}
 		}
 		return
 	}

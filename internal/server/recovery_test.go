@@ -366,19 +366,51 @@ func TestRestartRecoveryInterruptedJob(t *testing.T) {
 }
 
 // TestRecoveryDeletedSessionStaysDeleted: a session created and later
-// deleted pre-crash must not resurrect.
+// deleted pre-crash must not resurrect, and a job that was queued on it
+// ended then — failed, "session deleted" — not at the restart.
 func TestRecoveryDeletedSessionStaysDeleted(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "state.jsonl")
-	h1 := newTestServer(t, Config{JournalPath: journal})
+	h1 := newTestServer(t, Config{JournalPath: journal, Workers: 1, QueueCap: 4})
+	sig, release := gateHook(h1.srv)
+	defer release()
 	h1.newSession(t, "gone")
 	h1.newSession(t, "kept")
+	// The one worker parks on a job of "kept"; the job of "gone" queues
+	// behind it, so its session is idle and can be deleted.
+	busy := h1.submitJob(t, "kept")
+	select {
+	case <-sig:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the busy job never reported progress")
+	}
+	queued := h1.submitJob(t, "gone")
 	h1.mustCall(t, "DELETE", "/v1/sessions/gone", nil, nil, http.StatusOK)
+	release()
+	if st := h1.waitTerminal(t, busy); st.State != string(JobDone) {
+		t.Fatalf("busy job: %s (%s), want done", st.State, st.Error)
+	}
+	if st := h1.waitTerminal(t, queued); st.State != string(JobFailed) || st.Error != "session deleted" {
+		t.Fatalf("job of the deleted session: %s (%q), want failed, session deleted", st.State, st.Error)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := h1.srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
 
 	h2 := newTestServer(t, Config{JournalPath: journal})
 	var sessions []SessionInfo
 	h2.mustCall(t, "GET", "/v1/sessions", nil, &sessions, http.StatusOK)
 	if len(sessions) != 1 || sessions[0].Name != "kept" {
 		t.Fatalf("recovered sessions = %+v, want [kept]", sessions)
+	}
+	var st JobStatus
+	h2.mustCall(t, "GET", "/v1/jobs/"+queued, nil, &st, http.StatusOK)
+	if st.State != string(JobFailed) || st.Error != "session deleted" {
+		t.Errorf("recovered job of the deleted session: %s (%q), want failed, session deleted", st.State, st.Error)
+	}
+	if !strings.Contains(h2.metricsText(t), "idxmerged_recovered_interrupted_jobs_total 0") {
+		t.Error("a job that ended with its session was recovered as interrupted by the restart")
 	}
 }
 
@@ -438,6 +470,32 @@ func TestWorkerPanicFailsJobNotProcess(t *testing.T) {
 	}
 	if !strings.Contains(h.metricsText(t), "idxmerged_worker_panics_total 1") {
 		t.Error("worker panic metric not incremented")
+	}
+
+	// A real job whose optimizer starts panicking once its search is
+	// underway: 15 calls cost the baseline, the Seek-Costs and the
+	// template baseline, then every call panics — on costing goroutines,
+	// because at parallelism 4 the compressed model fills one
+	// candidate's cost-table misses concurrently (the first candidate
+	// has two). Every check of the first wave fails, so the search
+	// cannot step past the panic on a speculative one. With resilience
+	// disabled nothing retries it: it must arrive as the job's error.
+	faults.Install(faults.Rule{ID: "wp", Point: faults.OptimizerCost, Mode: faults.ModePanic, After: 15})
+	defer faults.Reset()
+	var resp SubmitJobResponse
+	h.mustCall(t, "POST", "/v1/sessions/s/jobs", SubmitJobRequest{
+		Workload: "w",
+		Initial:  &InitialSpec{Indexes: fixtureIndexes},
+		Options: JobOptions{Constraint: 0.3, CostModel: "compressed", Parallelism: 4,
+			Resilience: &ResilienceSpec{Disable: true}},
+	}, &resp, http.StatusAccepted)
+	st = h.waitTerminal(t, resp.ID)
+	if st.State != string(JobFailed) || !strings.Contains(st.Error, "costing panicked") {
+		t.Fatalf("job with panicking costing workers: %s (%q), want failed with the panic as its error", st.State, st.Error)
+	}
+	faults.Reset()
+	if got := h.waitTerminal(t, h.submitJob(t, "s")).State; got != string(JobDone) {
+		t.Errorf("job after the costing-worker panics = %s, want done", got)
 	}
 }
 

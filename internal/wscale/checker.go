@@ -15,11 +15,10 @@ import (
 // (template, atom) cost table, with an admissible lower bound that
 // fast-rejects hopeless candidates before any exact costing. It plugs
 // into core.Greedy / core.Exhaustive beside OptimizerChecker and
-// composes with core.ResilientChecker (which forwards SetBase).
+// composes with core.ResilientChecker.
 //
 // Safe for concurrent Accepts calls — the searches' parallel waves rely
-// on it. SetBase is called by the search goroutine between waves, never
-// concurrently with Accepts.
+// on it.
 type Checker struct {
 	P *Prepared
 	U float64 // absolute workload-cost upper bound
@@ -47,11 +46,7 @@ type Checker struct {
 	optCalls    atomic.Int64
 }
 
-var (
-	_ core.ConstraintChecker    = (*Checker)(nil)
-	_ core.ContextChecker       = (*Checker)(nil)
-	_ core.OptimizerCallCounter = (*Checker)(nil)
-)
+var _ core.ConstraintChecker = (*Checker)(nil)
 
 // baseState is the lazily-computed per-template costing of the search's
 // current configuration. Costs are exact and summed in template order.
@@ -74,7 +69,7 @@ func (c *Checker) Description() string { return "Cost-Opt-Compressed" }
 // Evaluations implements core.ConstraintChecker.
 func (c *Checker) Evaluations() int64 { return c.evals.Load() }
 
-// OptimizerCalls implements core.OptimizerCallCounter: the CostPrepared
+// OptimizerCalls implements core.ConstraintChecker: the CostPrepared
 // invocations this checker issued to fill cost-table misses. Table hits
 // never count.
 func (c *Checker) OptimizerCalls() int64 { return c.optCalls.Load() }
@@ -92,7 +87,7 @@ func (c *Checker) FullChecks() int64 { return c.fullChecks.Load() }
 // bound without exact costing of every affected template.
 func (c *Checker) PrunedChecks() int64 { return c.pruned.Load() }
 
-// SetBase implements the searches' baseAware hook: it records the
+// SetBase implements core.ConstraintChecker: it records the search's
 // current configuration; per-template base costs are computed lazily on
 // the first constraint check so costing errors surface through Accepts
 // (where resilient wrappers can retry them) instead of being lost.
@@ -129,12 +124,7 @@ func (c *Checker) ensureBase(ctx context.Context) (*baseState, error) {
 	return bs, nil
 }
 
-// Accepts implements core.ConstraintChecker.
-func (c *Checker) Accepts(cfg *core.Configuration, m, a, b *core.Index) (bool, error) {
-	return c.AcceptsContext(context.Background(), cfg, m, a, b)
-}
-
-// AcceptsContext implements core.ContextChecker. With a base set and a
+// Accepts implements core.ConstraintChecker. With a base set and a
 // base-derived candidate it prices only the affected templates — those
 // for which a, b or m is relevant (all share m's table; an irrelevant
 // index contributes no access path, so every other template's atom, and
@@ -144,7 +134,7 @@ func (c *Checker) Accepts(cfg *core.Configuration, m, a, b *core.Index) (bool, e
 // total exceeds U the candidate is rejected without touching the
 // optimizer. Accepts are always decided on exact costs, and totals sum
 // in template order, so the delta and full paths agree bit for bit.
-func (c *Checker) AcceptsContext(ctx context.Context, cfg *core.Configuration, m, a, b *core.Index) (bool, error) {
+func (c *Checker) Accepts(ctx context.Context, cfg *core.Configuration, m, a, b *core.Index) (bool, error) {
 	c.evals.Add(1)
 	bs, err := c.ensureBase(ctx)
 	if err != nil {

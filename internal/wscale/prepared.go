@@ -16,12 +16,6 @@ import (
 	"indexmerge/internal/optimizer"
 )
 
-// CostServer prices one prepared query under a configuration;
-// optimizer.Optimizer satisfies it.
-type CostServer interface {
-	CostPrepared(pq *optimizer.PreparedQuery, cfg optimizer.Configuration) (float64, error)
-}
-
 // Cache-key separators, mirroring core's checker keys: '\x1f' joins
 // index keys inside an atom, '\x1d' separates the template namespace
 // prefix. Neither occurs in table or column names.
@@ -55,7 +49,7 @@ type Prepared struct {
 	C  *Compressed
 	PW *optimizer.PreparedWorkload
 
-	srv   CostServer
+	srv   core.CostServer
 	table *costcache.Cache
 
 	// Window mode (PrepareWindowed): tplKeys replace the positional
@@ -88,7 +82,7 @@ type Prepared struct {
 // Prepare pairs a compressed workload with its prepared descriptors
 // and an empty cost table. maxEntries bounds the cost table's size
 // (<= 0 means unbounded); srv prices members on table misses.
-func Prepare(c *Compressed, pw *optimizer.PreparedWorkload, srv CostServer, maxEntries int) (*Prepared, error) {
+func Prepare(c *Compressed, pw *optimizer.PreparedWorkload, srv core.CostServer, maxEntries int) (*Prepared, error) {
 	if len(pw.Queries) != len(c.W.Queries) {
 		return nil, fmt.Errorf("wscale: prepared workload has %d queries, compressed workload %d",
 			len(pw.Queries), len(c.W.Queries))
@@ -96,7 +90,7 @@ func Prepare(c *Compressed, pw *optimizer.PreparedWorkload, srv CostServer, maxE
 	return newPrepared(c, pw, srv, costcache.NewBounded(0, maxEntries)), nil
 }
 
-func newPrepared(c *Compressed, pw *optimizer.PreparedWorkload, srv CostServer, table *costcache.Cache) *Prepared {
+func newPrepared(c *Compressed, pw *optimizer.PreparedWorkload, srv core.CostServer, table *costcache.Cache) *Prepared {
 	reps := make([]*optimizer.PreparedQuery, len(c.Templates))
 	for ti, t := range c.Templates {
 		reps[ti] = pw.Queries[t.Members[0]]
@@ -121,7 +115,7 @@ func newPrepared(c *Compressed, pw *optimizer.PreparedWorkload, srv CostServer, 
 // everything else is a table hit, no matter how the weights moved.
 // Remote (worker-pool) filling is not supported in window mode; the
 // caller must not set a RemoteCoster.
-func PrepareWindowed(snap *WindowSnapshot, srv CostServer, table *costcache.Cache) (*Prepared, error) {
+func PrepareWindowed(snap *WindowSnapshot, srv core.CostServer, table *costcache.Cache) (*Prepared, error) {
 	if len(snap.PW.Queries) != len(snap.W.Queries) {
 		return nil, fmt.Errorf("wscale: window snapshot has %d prepared queries, %d workload entries",
 			len(snap.PW.Queries), len(snap.W.Queries))
@@ -338,15 +332,11 @@ func stringSlicesEqual(a, b []string) bool {
 	return true
 }
 
-// WorkloadCost prices the whole workload under cfg by decomposition.
-// Totals sum in template order, so the delta and full paths of the
-// checker agree bit for bit; they can differ from the workload-order
-// summation of optimizer.WorkloadCostPrepared in the last ulp.
-func (p *Prepared) WorkloadCost(cfg *core.Configuration) (float64, error) {
-	return p.WorkloadCostContext(context.Background(), cfg)
-}
-
-// WorkloadCostContext is WorkloadCost under a context.
+// WorkloadCostContext prices the whole workload under cfg by
+// decomposition. Totals sum in template order, so the delta and full
+// paths of the checker agree bit for bit; they can differ from the
+// workload-order summation of optimizer.WorkloadCostPrepared in the
+// last ulp.
 func (p *Prepared) WorkloadCostContext(ctx context.Context, cfg *core.Configuration) (float64, error) {
 	return p.WorkloadCostRemoteContext(ctx, cfg, nil)
 }
@@ -466,7 +456,7 @@ func (p *Prepared) RemoteStats() (batches, atoms, fallbacks int64) {
 // fillMisses computes the pending atoms exactly — in one batched
 // worker-pool round trip when remote is non-nil (falling back locally
 // on any failure), otherwise with up to parallelism concurrent member
-// sweeps.
+// sweeps behind core.EvalEach's panic boundary.
 func (p *Prepared) fillMisses(ctx context.Context, misses []pendingAtom, costs []float64, parallelism int, calls *atomic.Int64, remote RemoteCoster) error {
 	if len(misses) == 0 {
 		return nil
@@ -496,39 +486,5 @@ func (p *Prepared) fillMisses(ctx context.Context, misses []pendingAtom, costs [
 		costs[m.ti] = v
 		return nil
 	}
-	if parallelism <= 1 || len(misses) == 1 {
-		for i := range misses {
-			if err := eval(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	workers := parallelism
-	if workers > len(misses) {
-		workers = len(misses)
-	}
-	errs := make([]error, len(misses))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(misses) {
-					return
-				}
-				errs[i] = eval(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return core.EvalEach(len(misses), parallelism, eval)
 }

@@ -1,6 +1,7 @@
 package wscale
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -171,7 +172,7 @@ func TestWindowSnapshotCosting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.WorkloadCost(r.cfg)
+	got, err := p.WorkloadCostContext(context.Background(), r.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestWindowSnapshotCosting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := p2.WorkloadCost(r.cfg)
+	got2, err := p2.WorkloadCostContext(context.Background(), r.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

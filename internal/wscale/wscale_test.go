@@ -1,6 +1,7 @@
 package wscale
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -151,7 +152,7 @@ func TestWorkloadCostMatchesUncompressed(t *testing.T) {
 	r := newTestRig(t, 40)
 	for _, ixs := range [][]*core.Index{r.cfg.Indexes, r.cfg.Indexes[:3], nil} {
 		cfg := &core.Configuration{Indexes: ixs}
-		got, err := r.p.WorkloadCost(cfg)
+		got, err := r.p.WorkloadCostContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +168,7 @@ func TestWorkloadCostMatchesUncompressed(t *testing.T) {
 	// hits: no new optimizer calls.
 	calls := r.p.OptimizerCalls()
 	for _, ixs := range [][]*core.Index{r.cfg.Indexes, r.cfg.Indexes[:3], nil} {
-		if _, err := r.p.WorkloadCost(&core.Configuration{Indexes: ixs}); err != nil {
+		if _, err := r.p.WorkloadCostContext(context.Background(), &core.Configuration{Indexes: ixs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +210,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 	r := newTestRig(t, 20)
 	// Cost the full configuration first so its atoms are recorded as
 	// bound entries (supersets of every later atom).
-	if _, err := r.p.WorkloadCost(r.cfg); err != nil {
+	if _, err := r.p.WorkloadCostContext(context.Background(), r.cfg); err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut <= r.cfg.Len(); cut++ {
@@ -249,14 +250,14 @@ func TestCheckerDeltaMatchesFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		next := r.cfg.ReplacePair(a, b, m)
-		exact, err := r.p.WorkloadCost(next)
+		exact, err := r.p.WorkloadCostContext(context.Background(), next)
 		if err != nil {
 			t.Fatal(err)
 		}
 		deltas := chk.DeltaChecks()
 
 		chk.U = exact
-		ok, err := chk.Accepts(next, m, a, b)
+		ok, err := chk.Accepts(context.Background(), next, m, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +265,7 @@ func TestCheckerDeltaMatchesFull(t *testing.T) {
 			t.Errorf("merge %s+%s: rejected at U == exact cost %v (delta total differs from full)", a.Key(), b.Key(), exact)
 		}
 		chk.U = math.Nextafter(exact, 0)
-		ok, err = chk.Accepts(next, m, a, b)
+		ok, err = chk.Accepts(context.Background(), next, m, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +288,7 @@ func TestCheckerDeltaMatchesFull(t *testing.T) {
 // optimizer calls.
 func TestCheckerPrunesWithoutCosting(t *testing.T) {
 	r := newTestRig(t, 30)
-	base, err := r.p.WorkloadCost(r.cfg)
+	base, err := r.p.WorkloadCostContext(context.Background(), r.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestCheckerPrunesWithoutCosting(t *testing.T) {
 	}
 	next := r.cfg.ReplacePair(a, b, m)
 	calls := r.p.OptimizerCalls()
-	ok, err := chk.Accepts(next, m, a, b)
+	ok, err := chk.Accepts(context.Background(), next, m, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,14 +347,14 @@ func TestCheckerStaleBaseFallsBack(t *testing.T) {
 	next := r.cfg.ReplacePair(a, b, m)
 	// ...but the checker was re-based to a different configuration.
 	other := r.cfg.ReplacePair(pairs[1][0], pairs[1][1], mustMerge(t, mp, pairs[1][0], pairs[1][1]))
-	exact, err := r.p.WorkloadCost(next)
+	exact, err := r.p.WorkloadCostContext(context.Background(), next)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chk := NewChecker(r.p, 0, 0)
 	chk.SetBase(other)
 	chk.U = exact
-	ok, err := chk.Accepts(next, m, a, b)
+	ok, err := chk.Accepts(context.Background(), next, m, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,7 @@ func TestCheckerGreedyMatchesOptimizerChecker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	compBase, err := r.p.WorkloadCost(r.cfg)
+	compBase, err := r.p.WorkloadCostContext(context.Background(), r.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
