@@ -75,6 +75,16 @@ func main() {
 	if *parallel <= 0 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
+	// The service's option table is the only one: a value idxmerged would
+	// answer 400 to ends the run here, before the database is built.
+	opts, err := server.BuildMergeOptions(server.JobOptions{
+		Constraint: *constraint, MergePair: *mergePair, Search: *search, CostModel: *costModel,
+		Parallelism: *parallel, DualBudgetFrac: *dualBudget,
+		Resilience: &server.ResilienceSpec{Disable: !*resilient},
+	})
+	if err != nil {
+		fatal(err)
+	}
 
 	// Ctrl-C / SIGTERM cancels the search cleanly mid-step.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -101,7 +111,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	compressed := *costModel == "compressed"
+	compressed := opts.CostModel == indexmerge.CompressedOptimizerCost
 	templates := 0
 	if compressed {
 		cw, err := m.CompressedWorkload()
@@ -166,27 +176,7 @@ func main() {
 		return
 	}
 
-	opts := indexmerge.MergeOptions{CostConstraint: *constraint, Parallelism: *parallel, Workers: binding}
-	if *resilient {
-		opts.Resilience = &indexmerge.ResilienceOptions{}
-	}
-	switch *mergePair {
-	case "syntactic":
-		opts.MergePair = indexmerge.MergePairSyntactic
-	case "exhaustive":
-		opts.MergePair = indexmerge.MergePairExhaustive
-	}
-	if *search == "exhaustive" {
-		opts.Search = indexmerge.ExhaustiveSearch
-	}
-	switch *costModel {
-	case "nocost":
-		opts.CostModel = indexmerge.NoCost
-	case "prefilter":
-		opts.CostModel = indexmerge.PrefilteredOptimizerCost
-	case "compressed":
-		opts.CostModel = indexmerge.CompressedOptimizerCost
-	}
+	opts.Workers = binding
 	if *jsonOut {
 		// Stream progress snapshots as JSON lines on stderr — the same
 		// struct idxmerged serves while a job runs.

@@ -33,10 +33,19 @@ type continuous struct {
 	// and invalidate exactly when a member set changes.
 	table *costcache.Cache
 
+	// order is held across each journaled transition of this session —
+	// fold, age, shrink, apply, rollback below — and the append of its
+	// record, so the journal lists them in the order the state took them.
+	// Replay calls the same five functions in journal order, alone, which
+	// is why it arrives at the state the live process had. Taken before
+	// mu, never after it.
+	order sync.Mutex
+
 	mu          sync.Mutex
 	applied     *appliedConfig // auto-applied configuration (nil = none)
 	prevApplied *appliedConfig // what a guardrail rollback restores
-	lastFPHash  uint64         // window fingerprint set at the last search
+	agedFP      uint64         // window fingerprint at the last age: the shapes the cycle after it examines
+	lastFPHash  uint64         // agedFP of the last cycle that searched; an equal one skips
 	lastRatio   float64        // last batch's observed/estimated ratio
 
 	applies     atomic.Int64
@@ -56,7 +65,55 @@ type appliedConfig struct {
 	// time (FinalCost / TotalWeight) — the denominator of the
 	// observed/estimated guardrail ratio.
 	est float64
-	at  time.Time
+}
+
+// fold is the ingest transition: one prepared batch enters the window.
+// Returns the batch number.
+func (c *continuous) fold(items []wscale.IngestItem) int64 { return c.window.Ingest(items) }
+
+// age is the age transition: the window decays one generation, and the
+// template set left is what the re-tune cycle that follows examines.
+func (c *continuous) age() (generation int64, dropped int) {
+	generation, dropped = c.window.Age()
+	h := c.window.FingerprintHash()
+	c.mu.Lock()
+	c.agedFP = h
+	c.mu.Unlock()
+	return generation, dropped
+}
+
+// shrink is the shrink transition: a brownout clamps every reservoir to
+// bound. Returns the members dropped.
+func (c *continuous) shrink(bound int) int { return c.window.Shrink(bound) }
+
+// apply is the apply transition: cfg becomes the applied configuration,
+// the one it replaces is what a rollback restores, and an unchanged
+// window skips the next cycle.
+func (c *continuous) apply(cfg *appliedConfig) {
+	c.mu.Lock()
+	c.prevApplied, c.applied = c.applied, cfg
+	c.lastFPHash = c.agedFP
+	c.mu.Unlock()
+	c.applies.Add(1)
+}
+
+// rollback is the rollback transition: the guardrail saw ratio and
+// restored (nil = no indexes) is applied again.
+func (c *continuous) rollback(restored *appliedConfig, ratio float64) {
+	c.mu.Lock()
+	c.applied, c.prevApplied = restored, nil
+	c.lastFPHash = 0 // force the next re-tune cycle to search again
+	c.lastRatio = ratio
+	c.mu.Unlock()
+	c.rollbacks.Add(1)
+}
+
+// searched records that the cycle examined the window as last aged
+// without applying anything, so an identical window skips.
+func (c *continuous) searched() {
+	c.mu.Lock()
+	c.lastFPHash = c.agedFP
+	c.mu.Unlock()
 }
 
 // Built-in continuous-mode defaults (the last fallback after the
@@ -179,55 +236,45 @@ func prepareIngest(sess *Session, req IngestRequest) ([]wscale.IngestItem, error
 	return items, nil
 }
 
-// contIngest folds one prepared batch into a session's window,
-// journals it, and runs the observed-cost guardrail: the batch is
-// costed under the applied configuration, the observed/estimated
-// per-weight ratio is compared against the rollback threshold, and a
-// breach rolls the applied configuration back (journaled before the
-// in-memory swap, so replay reconstructs the same decision).
+// contIngest folds one prepared batch into a session's window and
+// records it, then runs the observed-cost guardrail: the batch is costed
+// under the applied configuration, the observed/estimated per-weight
+// ratio is compared against the rollback threshold, and a breach rolls
+// the applied configuration back (recorded with the full restored
+// state, so replay infers nothing). The whole of it runs inside the
+// session's order lock: concurrent batches fold, and are recorded, one
+// after the other.
 // Under brownout stage >= 2 (shed=true) the fold itself is skipped —
 // nothing enters the window, nothing is journaled — but the guardrail
 // still observes the batch, because rollback protection is the one
 // thing overload must not disable.
 func (s *Server) contIngest(sess *Session, req IngestRequest, items []wscale.IngestItem, shed bool) IngestResponse {
 	c := sess.cont
-	var resp IngestResponse
+	c.order.Lock()
+	defer c.order.Unlock()
+	resp := IngestResponse{Shed: shed, Statements: len(items)}
 	if shed {
-		st := c.window.Stats()
-		resp = IngestResponse{
-			Shed:            true,
-			Statements:      len(items),
-			WindowTemplates: st.Templates,
-			WindowWeight:    st.Weight,
-			Generation:      st.Generation,
-		}
 		s.reg.Quota().RecordIngestShed(sess.tenant, len(items))
 	} else {
-		batch := c.window.Ingest(items)
-		s.journalAppend(journalEvent{T: evIngest, SessionName: sess.name, Ingest: &req, Batch: batch})
-
-		st := c.window.Stats()
-		resp = IngestResponse{
-			Batch:           batch,
-			Statements:      len(items),
-			WindowTemplates: st.Templates,
-			WindowWeight:    st.Weight,
-			Generation:      st.Generation,
-		}
+		resp.Batch = c.fold(items)
+		s.journalAppend(journalEvent{T: evIngest, SessionName: sess.name, Ingest: &req, Batch: resp.Batch})
 		s.metrics.ingestBatches.Add(1)
 		s.metrics.ingestStatements.Add(int64(len(items)))
 	}
+	st := c.window.Stats()
+	resp.WindowTemplates = st.Templates
+	resp.WindowWeight = st.Weight
+	resp.Generation = st.Generation
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.applied == nil || c.applied.est <= 0 {
+	applied := c.applied // written by apply and rollback only, both under order
+	if applied == nil || applied.est <= 0 {
 		return resp
 	}
 	// Observe: the batch's actual per-weight cost under the applied
 	// configuration. The faults hook lets chaos tests and CI inflate
 	// the observation deterministically to force a rollback.
 	o := optimizer.New(sess.db)
-	cfg := optimizer.Configuration(c.applied.defs)
+	cfg := optimizer.Configuration(applied.defs)
 	sum, wsum := 0.0, 0.0
 	for _, it := range items {
 		cost, err := o.CostPrepared(it.PQ, cfg)
@@ -247,57 +294,38 @@ func (s *Server) contIngest(sess *Session, req IngestRequest, items []wscale.Ing
 		return resp
 	}
 	sum *= faults.Factor(faults.ContinuousObserve)
-	ratio := (sum / wsum) / c.applied.est
-	c.lastRatio = ratio
+	ratio := (sum / wsum) / applied.est
 	resp.ObservedRatio = ratio
 	if ratio <= c.spec.RollbackRatio {
+		c.mu.Lock()
+		c.lastRatio = ratio
+		c.mu.Unlock()
 		return resp
 	}
-	// Guardrail breach: restore the previous configuration. Journal
-	// first (WAL ordering) with the full restored state so replay needs
-	// no inference.
+	// Guardrail breach: restore the previous configuration.
 	restored := c.prevApplied
 	ev := journalEvent{T: evRollback, SessionName: sess.name, Ratio: ratio}
 	if restored != nil {
 		ev.Indexes = NewIndexDefPayloads(restored.defs)
 		ev.Est = restored.est
 	}
+	c.rollback(restored, ratio)
 	s.journalAppend(ev)
-	c.applied = restored
-	c.prevApplied = nil
-	c.lastFPHash = 0 // force the next re-tune cycle to search again
-	c.rollbacks.Add(1)
 	s.metrics.contRollbacks.Add(1)
 	resp.RolledBack = true
 	s.log.Info("continuous rollback", "session", sess.name, "batch", resp.Batch, "ratio", ratio)
 	return resp
 }
 
-// submitRetune queues one re-tune cycle on the session's job slot,
-// journaling it like any other job. Re-tunes are admitted below user
-// jobs on the shed ladder: brownout stage >= 2 refuses them, and they
-// consume the tenant's job quota like any other job.
+// submitRetune queues one re-tune cycle — the on-demand route and the
+// background ticker both come through here. Re-tunes are admitted below
+// user jobs on the shed ladder: brownout stage >= 2 refuses them, and
+// they take a slot of the tenant's job quota like any other job.
 func (s *Server) submitRetune(sess *Session) (*Job, error) {
-	if sess.cont == nil {
-		return nil, errors.New("session is not continuous")
-	}
-	if stage := s.evalBrownout(); stage >= 2 {
-		return nil, &brownoutError{stage: stage, what: "re-tune cycle"}
-	}
-	if v := s.reg.Quota().AcquireJob(sess.tenant); !v.OK {
-		return nil, &quotaError{tenant: sess.tenant, v: v}
-	}
-	tenant := sess.tenant
-	job, err := s.jobs.Submit("retune", sess, windowWorkloadName, SubmitOpts{
-		Tenant:  tenant,
-		Release: func() { s.reg.Quota().ReleaseJob(tenant) },
-	}, s.buildRetuneRun(sess))
-	if err != nil {
+	if err := s.shedAt(2, "re-tune cycle"); err != nil {
 		return nil, err
 	}
-	s.journalAppend(journalEvent{T: evJob, JobID: job.id, Kind: "retune",
-		SessionName: sess.name, WorkloadName: windowWorkloadName})
-	return job, nil
+	return s.submit("retune", sess, windowWorkloadName, 0, s.buildRetuneRun(sess))
 }
 
 // windowWorkloadName labels retune jobs in job listings; it is not a
@@ -311,11 +339,13 @@ const windowWorkloadName = "~window"
 // use (priced through the session's persistent windowed cost table),
 // and auto-apply the recommendation when it clears the improvement
 // guardrail.
-func (s *Server) buildRetuneRun(sess *Session) func(ctx context.Context, j *Job) (*JobResult, error) {
+func (s *Server) buildRetuneRun(sess *Session) jobRun {
 	c := sess.cont
 	return func(ctx context.Context, j *Job) (*JobResult, error) {
-		gen, dropped := c.window.Age()
+		c.order.Lock()
+		gen, dropped := c.age()
 		s.journalAppend(journalEvent{T: evAge, SessionName: sess.name, Generation: gen})
+		c.order.Unlock()
 
 		st := c.window.Stats()
 		if st.Templates == 0 {
@@ -323,9 +353,8 @@ func (s *Server) buildRetuneRun(sess *Session) func(ctx context.Context, j *Job)
 			s.metrics.contRetuneSkips.Add(1)
 			return &JobResult{Retune: &RetuneResultPayload{Skipped: true, Generation: gen, Dropped: dropped}}, nil
 		}
-		h := c.window.FingerprintHash()
 		c.mu.Lock()
-		unchanged := h == c.lastFPHash
+		unchanged := c.agedFP == c.lastFPHash
 		c.mu.Unlock()
 		if unchanged {
 			// Same query shapes as the last search: weights alone cannot
@@ -358,9 +387,7 @@ func (s *Server) buildRetuneRun(sess *Session) func(ctx context.Context, j *Job)
 		if len(defs) == 0 {
 			// Nothing recommendable for this window; remember its shape so
 			// the next identical window skips.
-			c.mu.Lock()
-			c.lastFPHash = h
-			c.mu.Unlock()
+			c.searched()
 			return &JobResult{Retune: res}, nil
 		}
 
@@ -370,13 +397,7 @@ func (s *Server) buildRetuneRun(sess *Session) func(ctx context.Context, j *Job)
 			Compressed:     wp,
 			Prepared:       snap.PW,
 			Resilience:     &indexmerge.ResilienceOptions{Breaker: sess.breaker},
-			Progress: func(p indexmerge.SearchProgress) {
-				pp := NewProgressPayload(p)
-				j.setProgress(pp)
-				if s.jobs.progressHook != nil {
-					s.jobs.progressHook(j.id, pp)
-				}
-			},
+			Progress:       s.jobs.progressOf(j),
 		}
 		mres, err := m.MergeDefsContext(ctx, defs, opts)
 		if err != nil {
@@ -409,22 +430,17 @@ func (s *Server) buildRetuneRun(sess *Session) func(ctx context.Context, j *Job)
 
 		if res.Improvement >= c.spec.MinImprovement && snap.TotalWeight > 0 {
 			est := newCost / snap.TotalWeight
+			c.order.Lock()
+			c.apply(&appliedConfig{defs: newDefs, est: est})
 			s.journalAppend(journalEvent{T: evApply, SessionName: sess.name,
 				Indexes: res.Indexes, Est: est, Weight: snap.TotalWeight})
-			c.mu.Lock()
-			c.prevApplied = c.applied
-			c.applied = &appliedConfig{defs: newDefs, est: est, at: time.Now()}
-			c.lastFPHash = h
-			c.mu.Unlock()
-			c.applies.Add(1)
+			c.order.Unlock()
 			s.metrics.contApplies.Add(1)
 			res.Applied = true
 			s.log.Info("continuous apply", "session", sess.name,
 				"indexes", len(newDefs), "improvement", res.Improvement)
 		} else {
-			c.mu.Lock()
-			c.lastFPHash = h
-			c.mu.Unlock()
+			c.searched()
 		}
 		return &JobResult{Retune: res}, nil
 	}
@@ -449,7 +465,11 @@ func (s *Server) startContinuous(sess *Session) {
 			case <-c.stop:
 				return
 			case <-t.C:
-				if _, err := s.submitRetune(sess); err != nil {
+				_, err := s.submitRetune(sess)
+				if errors.Is(err, ErrDraining) {
+					return // the server is shutting down; no later cycle can be admitted
+				}
+				if err != nil {
 					s.log.Warn("continuous retune submit failed", "session", sess.name, "err", err)
 				}
 			}

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"indexmerge/internal/core"
 )
 
 // JobState is a job's lifecycle state.
@@ -41,7 +43,7 @@ func (s JobState) terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled || s == JobDeadlineExceeded
 }
 
-// Submission errors, mapped to HTTP statuses by the handlers.
+// Submission errors; reject maps them to HTTP statuses.
 var (
 	// ErrQueueFull signals backpressure (429).
 	ErrQueueFull = errors.New("job queue full")
@@ -67,41 +69,22 @@ type Job struct {
 	// context.DeadlineExceeded maps to deadline_exceeded rather than
 	// canceled.
 	timed bool
-	// release returns the job's tenant quota slot; releaseOnce guards it
-	// so every terminal path (worker finish, queued cancel, drain) frees
-	// the slot exactly once.
+	// release returns the job's tenant quota slot (nil = none held);
+	// Manager.end calls it, once.
 	release func()
-	relOnce sync.Once
 
-	// run executes the search. It must honor ctx.
-	run func(ctx context.Context, j *Job) (*JobResult, error)
+	run jobRun
 
-	mu       sync.Mutex
-	state    JobState
-	errMsg   string
-	progress ProgressPayload
-	allocs   int64 // process-wide Mallocs delta across the run; approximate
-	result   *JobResult
-	degraded bool // result carries the Degraded flag
-	// Compression stats mirrored from a compressed-costmodel merge
-	// result so pollers see them without fetching the payload.
-	templates     int
-	dedupRatio    float64
-	costTableHits int64
-	applied       bool // retune result auto-applied its recommendation
-	recovered     bool // restored from the journal, not run by this process
-	createdAt     time.Time
-	startedAt     *time.Time
-	finishedAt    *time.Time
-}
-
-// releaseOnce frees the job's quota slot (if any) exactly once.
-func (j *Job) releaseOnce() {
-	j.relOnce.Do(func() {
-		if j.release != nil {
-			j.release()
-		}
-	})
+	mu         sync.Mutex
+	state      JobState
+	errMsg     string
+	progress   ProgressPayload
+	allocs     int64 // process-wide Mallocs delta across the run; approximate
+	result     *JobResult
+	recovered  bool // restored from the journal, not run by this process
+	createdAt  time.Time
+	startedAt  *time.Time
+	finishedAt *time.Time
 }
 
 // setProgress publishes a search progress snapshot for polling.
@@ -120,30 +103,54 @@ func (j *Job) setProgress(p ProgressPayload) {
 	j.mu.Unlock()
 }
 
+// progressOf returns the search progress callback of a running job:
+// publish the snapshot for pollers, then run the test hook.
+func (m *Manager) progressOf(j *Job) func(core.Progress) {
+	return func(p core.Progress) {
+		pp := NewProgressPayload(p)
+		j.setProgress(pp)
+		if m.progressHook != nil {
+			m.progressHook(j.id, pp)
+		}
+	}
+}
+
 // Status snapshots the job's pollable state.
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return JobStatus{
-		ID:            j.id,
-		Kind:          j.kind,
-		Session:       j.sessionName,
-		Workload:      j.workload,
-		Tenant:        j.tenant,
-		State:         string(j.state),
-		Error:         j.errMsg,
-		Progress:      j.progress,
-		Allocs:        j.allocs,
-		CreatedAt:     j.createdAt,
-		StartedAt:     j.startedAt,
-		FinishedAt:    j.finishedAt,
-		Degraded:      j.degraded,
-		Recovered:     j.recovered,
-		Templates:     j.templates,
-		DedupRatio:    j.dedupRatio,
-		CostTableHits: j.costTableHits,
-		Applied:       j.applied,
+	return j.statusLocked()
+}
+
+// statusLocked is Status with j.mu held. The degraded flag, the
+// compression stats and a retune's auto-apply outcome are read off the
+// result, so pollers see them without fetching the payload.
+func (j *Job) statusLocked() JobStatus {
+	st := JobStatus{
+		ID:         j.id,
+		Kind:       j.kind,
+		Session:    j.sessionName,
+		Workload:   j.workload,
+		Tenant:     j.tenant,
+		State:      string(j.state),
+		Error:      j.errMsg,
+		Progress:   j.progress,
+		Allocs:     j.allocs,
+		CreatedAt:  j.createdAt,
+		StartedAt:  j.startedAt,
+		FinishedAt: j.finishedAt,
+		Recovered:  j.recovered,
 	}
+	if r := j.result; r != nil {
+		if mp := r.Merge; mp != nil {
+			st.Degraded = mp.Degraded
+			st.Templates = mp.Templates
+			st.DedupRatio = mp.DedupRatio
+			st.CostTableHits = mp.CostTableHits
+		}
+		st.Applied = r.Retune != nil && r.Retune.Applied
+	}
+	return st
 }
 
 // Result returns the terminal payload, or ok=false while the job is
@@ -158,21 +165,6 @@ func (j *Job) Result() (*JobResult, bool) {
 		return j.result, true
 	}
 	return &JobResult{ID: j.id, State: string(j.state)}, true
-}
-
-// finish transitions to a terminal state exactly once.
-func (j *Job) finish(state JobState, errMsg string, result *JobResult) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.terminal() {
-		return false
-	}
-	now := time.Now()
-	j.state = state
-	j.errMsg = errMsg
-	j.result = result
-	j.finishedAt = &now
-	return true
 }
 
 // Manager owns the bounded worker pool and the job registry. Jobs on
@@ -199,24 +191,16 @@ type Manager struct {
 	// progress snapshot. Tests use it to pace searches deterministically.
 	progressHook func(jobID string, p ProgressPayload)
 
-	// onEnd, when non-nil, is invoked once per job after it reaches a
-	// terminal state; the server journals the transition there.
+	// onEnd, when non-nil, is invoked once per job by end, after the
+	// terminal state is visible; the server journals the transition there.
 	onEnd func(st JobStatus)
 }
 
 // NewManager starts workers goroutines consuming a queue of queueCap
 // pending jobs. Submissions beyond running+queued capacity are
-// rejected with ErrQueueFull.
+// rejected with ErrQueueFull. New has applied the defaults: workers and
+// queueCap are at least 1 and log is not nil.
 func NewManager(workers, queueCap int, metrics *Metrics, log *slog.Logger) *Manager {
-	if workers < 1 {
-		workers = 1
-	}
-	if queueCap < 1 {
-		queueCap = 1
-	}
-	if log == nil {
-		log = slog.Default()
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		queue:     make(chan *Job, queueCap),
@@ -242,17 +226,18 @@ type SubmitOpts struct {
 	// lifetime; expiry terminates the job with state deadline_exceeded.
 	Timeout time.Duration
 	// Release frees the tenant's job quota slot. The manager calls it
-	// exactly once: when the job reaches a terminal state, or
-	// immediately if submission is rejected.
+	// exactly once: when the job ends, or immediately if submission is
+	// rejected.
 	Release func()
 }
+
+// jobRun is the closure a worker executes. It must honor ctx.
+type jobRun = func(ctx context.Context, j *Job) (*JobResult, error)
 
 // Submit registers and enqueues a job. kind and run are trusted (the
 // handler validated the request already). On rejection opts.Release
 // (if set) is invoked before returning.
-func (m *Manager) Submit(kind string, sess *Session, workloadName string, opts SubmitOpts,
-	run func(ctx context.Context, j *Job) (*JobResult, error)) (*Job, error) {
-
+func (m *Manager) Submit(kind string, sess *Session, workloadName string, opts SubmitOpts, run jobRun) (*Job, error) {
 	var jctx context.Context
 	var jcancel context.CancelFunc
 	if opts.Timeout > 0 {
@@ -277,26 +262,30 @@ func (m *Manager) Submit(kind string, sess *Session, workloadName string, opts S
 	}
 
 	m.mu.Lock()
-	if m.draining {
-		m.mu.Unlock()
-		jcancel()
-		j.releaseOnce()
-		return nil, ErrDraining
+	err := ErrDraining
+	if !m.draining {
+		select {
+		case m.queue <- j:
+			m.jobs[j.id] = j
+			m.order = append(m.order, j.id)
+			err = nil
+		default:
+			err = ErrQueueFull
+		}
 	}
-	select {
-	case m.queue <- j:
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
-		m.mu.Unlock()
-		m.metrics.jobsSubmitted.Add(1)
-		return j, nil
-	default:
-		m.mu.Unlock()
+	m.mu.Unlock()
+	if err != nil {
 		jcancel()
-		j.releaseOnce()
-		m.metrics.jobsRejected.Add(1)
-		return nil, ErrQueueFull
+		if opts.Release != nil {
+			opts.Release()
+		}
+		if err == ErrQueueFull {
+			m.metrics.jobsRejected.Add(1)
+		}
+		return nil, err
 	}
+	m.metrics.jobsSubmitted.Add(1)
+	return j, nil
 }
 
 // QueueDepth reports how many jobs are waiting for a worker, and the
@@ -329,34 +318,19 @@ func (m *Manager) List() []JobStatus {
 	return out
 }
 
-// Cancel requests cancellation. A queued job transitions to canceled
-// immediately; a running job's context is canceled and the search
-// stops at its next cancellation point. Canceling a terminal job is a
-// no-op. Returns the post-cancel status.
+// Cancel requests cancellation. A queued job ends canceled here, at
+// once (the worker that later drains it off the queue, or wins the
+// session lock for it, finds it ended and drops it); a running job's
+// context is canceled and its worker ends it when the search observes
+// that. Canceling a terminal job is a no-op. Returns the post-cancel
+// status.
 func (m *Manager) Cancel(id string) (JobStatus, bool) {
 	j, ok := m.Get(id)
 	if !ok {
 		return JobStatus{}, false
 	}
 	j.cancel()
-	j.mu.Lock()
-	if j.state == JobQueued {
-		// Finish immediately; the worker skips it when it drains off
-		// the queue. A running job is finished by its worker once the
-		// search observes the canceled context.
-		now := time.Now()
-		j.state = JobCanceled
-		j.errMsg = context.Canceled.Error()
-		j.finishedAt = &now
-		j.mu.Unlock()
-		j.releaseOnce()
-		m.metrics.observeJobEnd(JobCanceled, 0, 0, 0)
-		if m.onEnd != nil {
-			m.onEnd(j.Status())
-		}
-	} else {
-		j.mu.Unlock()
-	}
+	m.end(j, JobQueued, JobCanceled, context.Canceled.Error(), nil)
 	return j.Status(), true
 }
 
@@ -420,121 +394,112 @@ func (j *Job) abortState(err error) JobState {
 }
 
 func (m *Manager) runJob(j *Job) {
-	// Every exit path frees the job's quota slot (idempotent; Cancel may
-	// have released a queued job already).
-	defer j.releaseOnce()
-
-	// Skip jobs canceled while queued.
-	j.mu.Lock()
-	if j.state.terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.mu.Unlock()
-
 	// Serialize per session: wait for the session lock, abandoning the
 	// wait if the job is canceled (or its deadline expires) first.
 	if err := j.session.acquire(j.ctx); err != nil {
-		state := j.abortState(err)
-		if j.finish(state, err.Error(), nil) {
-			m.metrics.observeJobEnd(state, 0, 0, 0)
-			if m.onEnd != nil {
-				m.onEnd(j.Status())
-			}
-		}
-		m.log.Info("job aborted while queued", "job", j.id,
-			"session", j.session.name, "state", string(state))
-		return
-	}
-	defer j.session.release()
-
-	if j.session.deleted.Load() {
-		if j.finish(JobFailed, "session deleted", nil) {
-			m.metrics.observeJobEnd(JobFailed, 0, 0, 0)
-			if m.onEnd != nil {
-				m.onEnd(j.Status())
-			}
-		}
+		m.end(j, JobQueued, j.abortState(err), err.Error(), nil)
 		return
 	}
 
-	// Transition Queued → Running under the lock, and only if the job
-	// is still live. Cancel may have finished the job while this worker
-	// waited for the session lock (acquire can win its select even with
-	// a canceled context); overwriting that terminal state here would
-	// resurrect a canceled job — state regressing to "running", a
-	// second terminal transition, and double-counted metrics.
+	// Queued → Running under j.mu, and only if the job is still queued:
+	// Cancel may have ended it while this worker waited (acquire can win
+	// its select even with a canceled context), and flipping an ended job
+	// to "running" would resurrect it. From here until end, running means
+	// this worker holds the session lock.
 	now := time.Now()
 	j.mu.Lock()
-	if j.state.terminal() {
-		j.mu.Unlock()
+	live := j.state == JobQueued && !j.session.deleted.Load()
+	if live {
+		j.state = JobRunning
+		j.startedAt = &now
+	}
+	j.mu.Unlock()
+	if !live {
+		// Ended while this worker waited (the end below finds it so and
+		// does nothing), or still queued on a session deleted meanwhile.
+		j.session.release()
+		m.end(j, JobQueued, JobFailed, "session deleted", nil)
 		return
 	}
-	j.state = JobRunning
-	j.startedAt = &now
-	j.mu.Unlock()
 	m.log.Info("job started", "job", j.id, "kind", j.kind,
 		"session", j.session.name, "workload", j.workload)
 
 	// Bracket the run with allocation counters. The delta is process-
 	// wide (concurrent jobs and HTTP requests inflate it), so it is an
 	// approximate efficiency signal rather than an exact attribution.
-	var msBefore runtime.MemStats
+	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
-
 	result, err := m.safeRun(j)
-	elapsed := time.Since(now).Seconds()
-
-	var msAfter runtime.MemStats
 	runtime.ReadMemStats(&msAfter)
 	allocs := int64(msAfter.Mallocs - msBefore.Mallocs)
 	j.mu.Lock()
 	j.allocs = allocs
 	j.mu.Unlock()
+	m.metrics.jobAllocs.Add(allocs)
 
-	var state JobState
 	switch {
 	case err == nil:
-		state = JobDone
 		result.ID = j.id
 		result.State = string(JobDone)
-		if mp := result.Merge; mp != nil {
-			j.mu.Lock()
-			j.degraded = mp.Degraded
-			j.templates = mp.Templates
-			j.dedupRatio = mp.DedupRatio
-			j.costTableHits = mp.CostTableHits
-			j.mu.Unlock()
-			m.metrics.costingRetries.Add(mp.Retries)
-			m.metrics.costingDegraded.Add(mp.DegradedChecks)
-			m.metrics.costingPanics.Add(mp.PanicsRecovered)
-			if mp.Degraded {
-				m.metrics.degradedJobs.Add(1)
-			}
-		}
-		if rp := result.Retune; rp != nil {
-			j.mu.Lock()
-			j.applied = rp.Applied
-			j.mu.Unlock()
-		}
-		j.finish(JobDone, "", result)
+		m.end(j, JobRunning, JobDone, "", result)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		state = j.abortState(err)
-		j.finish(state, err.Error(), nil)
+		m.end(j, JobRunning, j.abortState(err), err.Error(), nil)
 	default:
-		state = JobFailed
-		j.finish(JobFailed, err.Error(), nil)
+		m.end(j, JobRunning, JobFailed, err.Error(), nil)
 	}
+}
 
-	st := j.Status()
+// end is the one terminal transition. Every exit of a job calls it —
+// canceled while queued, aborted waiting for its session, session
+// deleted, done, failed, panicked, deadline — naming the state it
+// believes the job is in; if the job has left that state (a queued
+// cancel and the job's worker can race to end it) the call does nothing,
+// so a job ends exactly once. In order: the session lock (a running
+// job's, and only a running job's, is held by the caller) and the
+// tenant's quota slot are returned, then the terminal state is stored —
+// all under j.mu, which Status takes, so a poller that reads a terminal
+// state can resubmit or delete the session at once; then the metrics;
+// then onEnd writes the job_end record. Neither release can block: the
+// lock token is this job's, and the quota controller's mutex is a leaf.
+func (m *Manager) end(j *Job, from, state JobState, errMsg string, result *JobResult) {
+	now := time.Now()
+	j.mu.Lock()
+	if j.state != from {
+		j.mu.Unlock()
+		return
+	}
+	var elapsed float64
+	if from == JobRunning {
+		elapsed = now.Sub(*j.startedAt).Seconds()
+		j.session.release()
+	}
+	if j.release != nil {
+		j.release()
+	}
+	j.state = state
+	j.errMsg = errMsg
+	j.result = result
+	j.finishedAt = &now
+	j.run = nil // the record outlives the job; the closure would pin the registration it captured
+	st := j.statusLocked()
+	j.mu.Unlock()
+	j.cancel() // the job's context (and its deadline timer) has no further use
+
 	m.metrics.observeJobEnd(state, elapsed, st.Progress.OptimizerCalls, st.Progress.CostEvaluations)
-	m.metrics.jobAllocs.Add(allocs)
+	if result != nil && result.Merge != nil {
+		mp := result.Merge
+		m.metrics.costingRetries.Add(mp.Retries)
+		m.metrics.costingDegraded.Add(mp.DegradedChecks)
+		m.metrics.costingPanics.Add(mp.PanicsRecovered)
+		if mp.Degraded {
+			m.metrics.degradedJobs.Add(1)
+		}
+	}
 	if m.onEnd != nil {
 		m.onEnd(st)
 	}
-	m.log.Info("job finished", "job", j.id, "state", string(state),
-		"elapsed_s", elapsed, "steps", st.Progress.Steps,
-		"saved_bytes", st.Progress.SavedBytes, "error", st.Error)
+	m.log.Info("job ended", "job", j.id, "state", st.State, "elapsed_s", elapsed,
+		"steps", st.Progress.Steps, "saved_bytes", st.Progress.SavedBytes, "error", st.Error)
 }
 
 // safeRun executes the job closure, converting a panic into an error

@@ -1,13 +1,13 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	"indexmerge/internal/faults"
-	"indexmerge/internal/server/quota"
 )
 
 // The brownout ladder. Global pressure is the worse of two ratios —
@@ -41,8 +41,8 @@ const (
 	evictChunk = 256
 )
 
-// brownoutError reports work refused by the ladder; handlers map it to
-// a 429 with Retry-After.
+// brownoutError reports work refused by the ladder; reject answers it
+// with a 429.
 type brownoutError struct {
 	stage int
 	what  string
@@ -50,6 +50,16 @@ type brownoutError struct {
 
 func (e *brownoutError) Error() string {
 	return fmt.Sprintf("brownout stage %d: shedding %s", e.stage, e.what)
+}
+
+// shedAt refuses work the ladder sheds at stage min: it re-evaluates the
+// pressure and returns a *brownoutError if the active stage has reached
+// min.
+func (s *Server) shedAt(min int, what string) error {
+	if stage := s.evalBrownout(); stage >= min {
+		return &brownoutError{stage: stage, what: what}
+	}
+	return nil
 }
 
 // evalBrownout recomputes global pressure and returns the active
@@ -107,21 +117,28 @@ func (s *Server) evalBrownout() int {
 }
 
 // shedColdState is the stage-1 action: clamp continuous windows to
-// the brownout reservoir bound (journaled WAL-first so replay drives
-// the seeded reservoirs down the same sampling paths), then evict
-// cold cost-cache and cost-table entries until accounted memory is
-// back under the stage-1 threshold. Idempotent: windows already at
-// the bound and memory already under the line are left alone.
+// the brownout reservoir bound (recorded in the session's order, so
+// replay drives the seeded reservoirs down the same sampling paths),
+// then evict cold cost-cache and cost-table entries until accounted
+// memory is back under the stage-1 threshold. Idempotent: windows
+// already at the bound and memory already under the line are left alone.
 func (s *Server) shedColdState() {
 	sessions := s.reg.List()
 	for _, sess := range sessions {
-		if sess.cont == nil || sess.cont.window.MaxPerTemplate() <= brownoutWindowMax {
+		c := sess.cont
+		if c == nil || c.window.MaxPerTemplate() <= brownoutWindowMax {
 			continue
 		}
-		s.journalAppend(journalEvent{T: evShrink, SessionName: sess.name, Bound: brownoutWindowMax})
-		dropped := sess.cont.window.Shrink(brownoutWindowMax)
-		s.log.Info("brownout window shrink", "session", sess.name,
-			"bound", brownoutWindowMax, "members_dropped", dropped)
+		c.order.Lock()
+		// Checked again inside the order: two admissions can both have
+		// seen the wide bound, and one shrink is one record.
+		if c.window.MaxPerTemplate() > brownoutWindowMax {
+			dropped := c.shrink(brownoutWindowMax)
+			s.journalAppend(journalEvent{T: evShrink, SessionName: sess.name, Bound: brownoutWindowMax})
+			s.log.Info("brownout window shrink", "session", sess.name,
+				"bound", brownoutWindowMax, "members_dropped", dropped)
+		}
+		c.order.Unlock()
 	}
 	if s.memBudget <= 0 {
 		return
@@ -157,9 +174,7 @@ func (s *Session) evictCold(n int) int {
 	}
 	s.mu.Unlock()
 	for _, rw := range rws {
-		if rw.compressed != nil {
-			dropped += rw.compressed.TableEvictOldest(n)
-		}
+		dropped += rw.compressed.TableEvictOldest(n)
 	}
 	if s.cont != nil {
 		dropped += s.cont.table.EvictOldest(n)
@@ -171,76 +186,73 @@ func (s *Session) evictCold(n int) int {
 // header ("" when absent — an unclaimed request acts on any session).
 func requestTenant(r *http.Request) string { return r.Header.Get("X-Tenant") }
 
-// checkTenant enforces tenant identity on session-scoped routes: a
-// request that claims a tenant must claim the session's owner.
-// Requests with no X-Tenant header pass (existing single-tenant
-// clients keep working).
-func (s *Server) checkTenant(w http.ResponseWriter, r *http.Request, sess *Session) bool {
-	claimed := requestTenant(r)
-	if claimed == "" || claimed == sess.tenant {
-		return true
+// tenantError reports a request that claimed a tenant other than the
+// session's owner.
+type tenantError struct {
+	session, owner, claimed string
+}
+
+func (e *tenantError) Error() string {
+	return fmt.Sprintf("session %q belongs to tenant %q, not %q", e.session, e.owner, e.claimed)
+}
+
+// checkTenant enforces tenant identity on a session: a request that
+// claims a tenant must claim the session's owner. Requests with no
+// X-Tenant header pass (existing single-tenant clients keep working).
+func checkTenant(r *http.Request, sess *Session) error {
+	if claimed := requestTenant(r); claimed != "" && claimed != sess.tenant {
+		return &tenantError{session: sess.name, owner: sess.tenant, claimed: claimed}
 	}
-	s.metrics.observeShed("tenant_mismatch", claimed)
-	writeJSON(w, http.StatusForbidden, ErrorResponse{
-		Error:  fmt.Sprintf("session %q belongs to tenant %q, not %q", sess.name, sess.tenant, claimed),
-		Code:   "tenant_mismatch",
-		Tenant: claimed,
-	})
-	return false
+	return nil
 }
 
-// writeQuotaErr serializes a non-OK admission verdict: Retry-After on
-// 429s, plus the machine-readable body (code, tenant, quota, limit,
-// current).
-func (s *Server) writeQuotaErr(w http.ResponseWriter, tenant string, v quota.Verdict) {
-	retry := int64(v.RetryAfter / time.Second)
-	if retry < 1 {
-		retry = 1
+// reject is the one place a refusal becomes a response: status, the
+// machine-readable body (code, tenant, quota, limit, current,
+// retry_after_sec), the Retry-After header that mirrors it, and the
+// shed counter. tenant is the tenant the refused request acted for.
+// Quota verdicts, brownout and a full queue are 429s a client should
+// retry; a foreign tenant claim is a 403; draining is a 503; the
+// registry's conflicts are 409s and its misses 404s; anything else is
+// the client's mistake (400).
+func (s *Server) reject(w http.ResponseWriter, tenant string, err error) {
+	var resp ErrorResponse
+	status := http.StatusBadRequest
+	var qe *quotaError
+	var be *brownoutError
+	var te *tenantError
+	switch {
+	case errors.As(err, &qe):
+		status = http.StatusTooManyRequests
+		resp = ErrorResponse{Code: qe.v.Code, Tenant: qe.tenant, Quota: qe.v.Quota,
+			Limit: qe.v.Limit, Current: qe.v.Current,
+			RetryAfterSec: max(1, int64(qe.v.RetryAfter/time.Second))}
+	case errors.As(err, &be):
+		status = http.StatusTooManyRequests
+		resp = ErrorResponse{Code: "brownout", Tenant: tenant, Quota: "brownout_stage",
+			Current: int64(be.stage), RetryAfterSec: 1}
+	case errors.Is(err, ErrQueueFull):
+		status = http.StatusTooManyRequests
+		queued, qcap := s.jobs.QueueDepth()
+		resp = ErrorResponse{Code: "queue_full", Tenant: tenant, Quota: "job_queue",
+			Limit: int64(qcap), Current: int64(queued), RetryAfterSec: 1}
+	case errors.As(err, &te):
+		status = http.StatusForbidden
+		resp = ErrorResponse{Code: "tenant_mismatch", Tenant: te.claimed}
+	case errors.Is(err, ErrDraining):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrSessionExists), errors.Is(err, ErrWorkloadExists), errors.Is(err, ErrSessionBusy):
+		status = http.StatusConflict
+	case errors.Is(err, ErrSessionNotFound):
+		status = http.StatusNotFound
 	}
-	w.Header().Set("Retry-After", strconv.FormatInt(retry, 10))
-	s.metrics.observeShed(v.Code, tenant)
-	writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-		Error:         (&quotaError{tenant: tenant, v: v}).Error(),
-		Code:          v.Code,
-		Tenant:        tenant,
-		Quota:         v.Quota,
-		Limit:         v.Limit,
-		Current:       v.Current,
-		RetryAfterSec: retry,
-	})
-}
-
-// writeQueueFull serializes the global queue-full rejection with the
-// same machine-readable shape as quota rejections (previously a bare
-// 429).
-func (s *Server) writeQueueFull(w http.ResponseWriter, tenant string, err error) {
-	queued, qcap := s.jobs.QueueDepth()
-	w.Header().Set("Retry-After", "1")
-	s.metrics.observeShed("queue_full", tenant)
-	writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-		Error:         err.Error(),
-		Code:          "queue_full",
-		Tenant:        tenant,
-		Quota:         "job_queue",
-		Limit:         int64(qcap),
-		Current:       int64(queued),
-		RetryAfterSec: 1,
-	})
-}
-
-// writeBrownout serializes a brownout rejection (Current carries the
-// active stage).
-func (s *Server) writeBrownout(w http.ResponseWriter, tenant string, stage int, what string) {
-	w.Header().Set("Retry-After", "1")
-	s.metrics.observeShed("brownout", tenant)
-	writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
-		Error:         (&brownoutError{stage: stage, what: what}).Error(),
-		Code:          "brownout",
-		Tenant:        tenant,
-		Quota:         "brownout_stage",
-		Current:       int64(stage),
-		RetryAfterSec: 1,
-	})
+	resp.Error = err.Error()
+	if resp.RetryAfterSec > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(resp.RetryAfterSec, 10))
+	}
+	if resp.Code != "" {
+		s.metrics.observeShed(resp.Code, resp.Tenant)
+	}
+	writeJSON(w, status, resp)
 }
 
 // jobTimeout resolves a job's deadline: the per-job timeout option,

@@ -544,47 +544,52 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var crossOK, crossForbidden, ingestShed int
-	wg.Add(3)
-	go func() { // ingest storm: rate quota sheds most of it
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	// storm repeats attack until stop closes, and reports on underway
+	// once its first request has been answered.
+	underway := make(chan struct{}, 3)
+	storm := func(attack func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			attack()
+			underway <- struct{}{}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				attack()
 			}
-			if rawPost("noisy", "/v1/sessions/noisy/ingest", IngestRequest{SQL: fixtureSQL}) == http.StatusTooManyRequests {
-				ingestShed++
-			}
+		}()
+	}
+	storm(func() { // ingest storm: rate quota sheds most of it
+		if rawPost("noisy", "/v1/sessions/noisy/ingest", IngestRequest{SQL: fixtureSQL}) == http.StatusTooManyRequests {
+			ingestShed++
 		}
-	}()
-	go func() { // job storm against its own session (MaxJobs 1)
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			rawPost("noisy", "/v1/sessions/noisy/retune", nil)
+	})
+	storm(func() { // job storm against its own session (MaxJobs 1)
+		rawPost("noisy", "/v1/sessions/noisy/retune", nil)
+	})
+	storm(func() { // cross-tenant attack on the quiet session
+		switch rawPost("noisy", "/v1/sessions/quiet/cost", CostRequest{Workload: "w", Indexes: fixtureIndexes}) {
+		case http.StatusOK:
+			crossOK++
+		case http.StatusForbidden:
+			crossForbidden++
 		}
-	}()
-	go func() { // cross-tenant attack on the quiet session
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			switch rawPost("noisy", "/v1/sessions/quiet/cost", CostRequest{Workload: "w", Indexes: fixtureIndexes}) {
-			case http.StatusOK:
-				crossOK++
-			case http.StatusForbidden:
-				crossForbidden++
-			}
+	})
+	// The quiet job takes milliseconds: on a loaded box it used to finish
+	// before an attacker's first request, and the test had watched no
+	// storm at all.
+	for i := 0; i < 3; i++ {
+		select {
+		case <-underway:
+		case <-time.After(30 * time.Second):
+			close(stop)
+			t.Fatal("the storm never got underway")
 		}
-	}()
+	}
 
 	// The quiet tenant's merge, mid-storm.
 	var sub SubmitJobResponse

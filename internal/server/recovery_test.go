@@ -3,14 +3,19 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"indexmerge/internal/faults"
+	"indexmerge/internal/wscale"
 )
 
 // ---- journal unit tests --------------------------------------------
@@ -275,6 +280,10 @@ func TestRestartRecovery(t *testing.T) {
 	if st.State != string(JobDone) {
 		t.Fatalf("job state = %s (%s), want done", st.State, st.Error)
 	}
+	// A terminal state is visible before its job_end is durable; a crash
+	// in that window recovers the job as interrupted, which is not what
+	// this test is about.
+	waitJournaled(t, journal, func(ev journalEvent) bool { return ev.T == evJobEnd && ev.JobID == id })
 	// Simulate the crash: abandon h1 (its Cleanup drains later) and
 	// start a fresh server over the same journal.
 	h2 := newTestServer(t, Config{JournalPath: journal})
@@ -412,6 +421,345 @@ func TestRecoveryDeletedSessionStaysDeleted(t *testing.T) {
 	if !strings.Contains(h2.metricsText(t), "idxmerged_recovered_interrupted_jobs_total 0") {
 		t.Error("a job that ended with its session was recovered as interrupted by the restart")
 	}
+}
+
+// waitJournaled polls the journal until a record matching is is in it.
+func waitJournaled(t *testing.T, path string, is func(journalEvent) bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		events, err := ReadJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			if is(ev) {
+				return
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("the awaited record never reached the journal")
+}
+
+// quickJob is the smallest merge job there is: one index, nothing to
+// merge, no optimizer in the constraint.
+var quickJob = SubmitJobRequest{
+	Workload: "w",
+	Initial:  &InitialSpec{Indexes: fixtureIndexes[:1]},
+	Options:  JobOptions{CostModel: "nocost"},
+}
+
+// TestRecoveryJobEndBeforeJob: the job record is written by the request
+// that submitted the job and job_end by the worker that ran it, so a
+// quick job's two records can sit in the journal in either order.
+// Replay pairs them by ID whichever came first; an end whose job record
+// never arrives restores nothing.
+func TestRecoveryJobEndBeforeJob(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "state.jsonl")
+	j, err := OpenJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []journalEvent{
+		{T: evSession, Session: &CreateSessionRequest{Name: "prod", DB: fixtureDB(t)}},
+		{T: evWorkload, SessionName: "prod", Workload: &RegisterWorkloadRequest{Name: "w", SQL: fixtureSQL}},
+		{T: evJobEnd, JobID: "job-3", State: string(JobDone)},
+		{T: evJob, JobID: "job-3", Kind: "merge", SessionName: "prod", WorkloadName: "w"},
+		{T: evJobEnd, JobID: "job-9", State: string(JobDone)},
+	} {
+		if err := j.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	h := newTestServer(t, Config{JournalPath: journal})
+	var st JobStatus
+	h.mustCall(t, "GET", "/v1/jobs/job-3", nil, &st, http.StatusOK)
+	if st.State != string(JobDone) || st.Error != "" || !st.Recovered {
+		t.Errorf("job whose end was journaled first: %s (%q) recovered=%v, want done, recovered", st.State, st.Error, st.Recovered)
+	}
+	h.mustCall(t, "GET", "/v1/jobs/job-9", nil, nil, http.StatusNotFound)
+	metrics := h.metricsText(t)
+	for _, want := range []string{
+		"idxmerged_recovered_jobs_total 1",
+		"idxmerged_recovered_interrupted_jobs_total 0",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestRecoveryQuickJobsAllEnd is the stress behind the fixture above:
+// jobs that finish about when their submission returns, from eight
+// clients at once, then a drain and a restart. Every one ended done and
+// must be recovered done, whatever order its two records landed in.
+func TestRecoveryQuickJobsAllEnd(t *testing.T) {
+	const sessions, perSession = 8, 40
+	journal := filepath.Join(t.TempDir(), "state.jsonl")
+	h1 := newTestServer(t, Config{JournalPath: journal, Workers: 4, QueueCap: 2 * sessions})
+	for i := 0; i < sessions; i++ {
+		h1.newSession(t, fmt.Sprintf("s%d", i))
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			for n := 0; n < perSession; n++ {
+				var resp SubmitJobResponse
+				if code := h1.call(t, "POST", "/v1/sessions/"+name+"/jobs", quickJob, &resp); code != http.StatusAccepted {
+					t.Errorf("submit on %s: status %d", name, code)
+					return
+				}
+				if st := h1.waitTerminal(t, resp.ID); st.State != string(JobDone) {
+					t.Errorf("job %s: %s (%s), want done", resp.ID, st.State, st.Error)
+				}
+			}
+		}(fmt.Sprintf("s%d", i))
+	}
+	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := h1.srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := newTestServer(t, Config{JournalPath: journal})
+	var jobs []JobStatus
+	h2.mustCall(t, "GET", "/v1/jobs", nil, &jobs, http.StatusOK)
+	if len(jobs) != sessions*perSession {
+		t.Fatalf("recovered %d jobs, want %d", len(jobs), sessions*perSession)
+	}
+	wrong := 0
+	for _, st := range jobs {
+		if st.State != string(JobDone) {
+			if wrong++; wrong <= 3 {
+				t.Errorf("job %s ended done and was recovered %s (%q)", st.ID, st.State, st.Error)
+			}
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d jobs recovered in another state than they ended in", wrong, len(jobs))
+	}
+}
+
+// restartState is what a restart must preserve, read off a server's own
+// structures in a form reflect.DeepEqual compares and %+v prints.
+type restartState struct {
+	Sessions map[string]sessionState
+	Usage    map[string][2]int    // tenant -> live sessions, queued+running jobs
+	Jobs     map[string][5]string // id -> kind, session, workload, state, error
+}
+
+type sessionState struct {
+	Tenant    string
+	Workloads []WorkloadInfo
+	// Continuous sessions: the window member by member, then its
+	// counters, then the configuration the loop holds applied.
+	Members            []string // "fingerprint | text | frequency", in snapshot order
+	Window             wscale.WindowStats
+	Applied            []IndexDefPayload
+	AppliedEst         float64
+	Applies, Rollbacks int64
+}
+
+func (h *testServer) restartState(tenants ...string) restartState {
+	rs := restartState{
+		Sessions: map[string]sessionState{},
+		Usage:    map[string][2]int{},
+		Jobs:     map[string][5]string{},
+	}
+	for _, sess := range h.srv.reg.List() {
+		ss := sessionState{Tenant: sess.tenant, Workloads: sess.WorkloadInfos()}
+		if c := sess.cont; c != nil {
+			for _, q := range c.window.Snapshot().W.Queries {
+				ss.Members = append(ss.Members, fmt.Sprintf("%s | %s | %v", q.Fingerprint, q.Text, q.Freq))
+			}
+			ss.Window = c.window.Stats() // generation, weight and Bytes among them
+			ci := c.info()
+			ss.Applied, ss.AppliedEst, ss.Applies, ss.Rollbacks = ci.Applied, ci.AppliedEst, ci.Applies, ci.Rollbacks
+		}
+		rs.Sessions[sess.name] = ss
+	}
+	for _, tenant := range tenants {
+		u := h.srv.reg.Quota().UsageFor(tenant)
+		rs.Usage[tenant] = [2]int{u.Sessions, u.Jobs}
+	}
+	for _, st := range h.srv.jobs.List() {
+		rs.Jobs[st.ID] = [5]string{st.Kind, st.Session, st.Workload, st.State, st.Error}
+	}
+	return rs
+}
+
+// TestReplayEqualsLive drives one seeded schedule of everything the
+// journal records through a live server, from several clients at once,
+// and then demands that a second server replaying the journal holds the
+// state the first one holds. The window is where concurrency shows: two
+// clients' statements fold in some order, the seeded reservoir makes the
+// members depend on that order, and the journal has to list the folds —
+// and the agings and the shrink among them — in the order they happened.
+func TestReplayEqualsLive(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "state.jsonl")
+	cfg := Config{JournalPath: journal, Workers: 2, QueueCap: 16, MemoryBudgetBytes: 1 << 30}
+	h := newTestServer(t, cfg)
+	db := fixtureDB(t)
+
+	// Two continuous sessions — a reservoir of 2, where almost every new
+	// statement evicts by the seeded draw, and one of 12, wide enough
+	// for the brownout bound of 8 to shrink — and two plain ones.
+	h.mustCall(t, "POST", "/v1/sessions", CreateSessionRequest{Name: "c1", DB: db, Tenant: "t1",
+		Continuous: &ContinuousSpec{WindowMax: 2, Seed: 1}}, nil, http.StatusCreated)
+	h.mustCall(t, "POST", "/v1/sessions", CreateSessionRequest{Name: "c2", DB: db, Tenant: "t2",
+		Continuous: &ContinuousSpec{WindowMax: 12, Seed: 2}}, nil, http.StatusCreated)
+	h.mustCall(t, "POST", "/v1/sessions", CreateSessionRequest{Name: "plain", DB: db, Tenant: "t1"}, nil, http.StatusCreated)
+	h.mustCall(t, "POST", "/v1/sessions", CreateSessionRequest{Name: "gone", DB: db, Tenant: "t2"}, nil, http.StatusCreated)
+	for _, name := range []string{"c1", "plain", "gone"} {
+		h.mustCall(t, "POST", "/v1/sessions/"+name+"/workloads",
+			RegisterWorkloadRequest{Name: "w", SQL: fixtureSQL}, nil, http.StatusCreated)
+	}
+
+	// The schedule: 8 clients x 20 one-statement batches over three
+	// shapes, constants and targets drawn from one seed.
+	const clients, perClient = 8, 20
+	shapes := []string{
+		"SELECT k, m3 FROM fact WHERE k = %d",
+		"SELECT m2, m3 FROM fact WHERE k = %d",
+		"SELECT d, m1 FROM fact WHERE d BETWEEN DATE(%d) AND DATE(%[1]d)",
+	}
+	rng := rand.New(rand.NewSource(1))
+	type batch struct{ session, sql string }
+	schedule := make([][]batch, clients)
+	for c := range schedule {
+		for n := 0; n < perClient; n++ {
+			schedule[c] = append(schedule[c], batch{
+				session: []string{"c1", "c2"}[rng.Intn(2)],
+				sql:     fmt.Sprintf(shapes[rng.Intn(len(shapes))], 1+rng.Intn(900)),
+			})
+		}
+	}
+	// storm runs schedule[c][from:to] of every client at once and, while
+	// they run, whatever meanwhile does.
+	storm := func(from, to int, meanwhile func()) {
+		var wg sync.WaitGroup
+		for c := range schedule {
+			wg.Add(1)
+			go func(batches []batch) {
+				defer wg.Done()
+				for _, b := range batches {
+					if code := h.call(t, "POST", "/v1/sessions/"+b.session+"/ingest", IngestRequest{SQL: b.sql}, nil); code != http.StatusOK {
+						t.Errorf("ingest into %s: status %d", b.session, code)
+					}
+				}
+			}(schedule[c][from:to])
+		}
+		meanwhile()
+		wg.Wait()
+	}
+
+	// First half of the ingests, each window re-tuned (aged) under them.
+	storm(0, perClient/2, func() { h.retune(t, "c1"); h.retune(t, "c2") })
+	// At rest: both loops apply, one observation is forced bad and rolls
+	// c1 back, c1 applies again.
+	h.retune(t, "c1")
+	h.retune(t, "c2")
+	faults.Install(faults.Rule{Point: faults.ContinuousObserve, Mode: faults.ModeScale, Scale: 100, Count: 1})
+	resp := h.ingest(t, "c1", fmt.Sprintf(shapes[0], 7))
+	faults.Reset()
+	if !resp.RolledBack {
+		t.Fatalf("the forced observation did not roll c1 back: %+v", resp)
+	}
+	h.retune(t, "c1")
+	// Second half, with the ladder forced up under them: one request
+	// sheds cold state (c2's reservoirs shrink to 8 among the folds),
+	// the batches that arrive meanwhile are shed, and c2 ages once more.
+	storm(perClient/2, perClient, func() {
+		faults.Install(faults.Rule{Point: faults.BrownoutStage, Mode: faults.ModeScale, Scale: 1e9})
+		h.mustCall(t, "POST", "/v1/sessions/plain/cost", CostRequest{Workload: "w", Indexes: fixtureIndexes}, nil, http.StatusTooManyRequests)
+		faults.Reset()
+		h.retune(t, "c2")
+	})
+	// At rest again, so that the state compared holds applied
+	// configurations whatever the second half's observations rolled back.
+	h.retune(t, "c1")
+	h.retune(t, "c2")
+
+	// Jobs: one canceled while queued behind a parked one, one done on a
+	// session that is then deleted.
+	parked, release := h.park(t, "plain")
+	var st JobStatus
+	h.mustCall(t, "POST", "/v1/jobs/"+h.submitJob(t, "plain")+"/cancel", nil, &st, http.StatusAccepted)
+	if st.State != string(JobCanceled) {
+		t.Fatalf("queued job after cancel: %s, want canceled", st.State)
+	}
+	release()
+	h.waitTerminal(t, parked)
+	h.waitTerminal(t, h.submitJob(t, "gone"))
+	h.mustCall(t, "DELETE", "/v1/sessions/gone", nil, nil, http.StatusOK)
+
+	// Drained, every job_end is written and the first server's state is
+	// final.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := h.srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	live := h.restartState("t1", "t2")
+
+	// The schedule must have happened for the comparison to mean much.
+	events, err := ReadJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, ev := range events {
+		seen[ev.T]++
+	}
+	for _, typ := range []string{evIngest, evAge, evShrink, evApply, evRollback, evSessionDeleted, evJob, evJobEnd} {
+		if seen[typ] == 0 {
+			t.Errorf("the schedule journaled no %q record", typ)
+		}
+	}
+	if c1 := live.Sessions["c1"]; c1.Window.Members == 0 || len(c1.Applied) == 0 || c1.Rollbacks == 0 {
+		t.Errorf("c1 after the schedule = %+v, want members, an applied configuration and a rollback", c1)
+	}
+
+	replayed := newTestServer(t, cfg).restartState("t1", "t2")
+	if reflect.DeepEqual(live, replayed) {
+		return
+	}
+	at := func(members []string, i int) string {
+		if i < len(members) {
+			return members[i]
+		}
+		return "(none)"
+	}
+	for name, want := range live.Sessions {
+		got := replayed.Sessions[name]
+		for i := 0; i < len(want.Members) || i < len(got.Members); i++ {
+			if at(want.Members, i) != at(got.Members, i) {
+				t.Errorf("session %s, window member %d of %d / %d\n    live: %s\nreplayed: %s",
+					name, i, len(want.Members), len(got.Members), at(want.Members, i), at(got.Members, i))
+				break
+			}
+		}
+		want.Members, got.Members = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("session %s\n    live: %+v\nreplayed: %+v", name, want, got)
+		}
+	}
+	if !reflect.DeepEqual(live.Usage, replayed.Usage) {
+		t.Errorf("quota usage\n    live: %v\nreplayed: %v", live.Usage, replayed.Usage)
+	}
+	for id, want := range live.Jobs {
+		if got := replayed.Jobs[id]; got != want {
+			t.Errorf("job %s\n    live: %q\nreplayed: %q", id, want, got)
+		}
+	}
+	t.Errorf("replay differs from live (%d / %d sessions, %d / %d jobs)",
+		len(replayed.Sessions), len(live.Sessions), len(replayed.Jobs), len(live.Jobs))
 }
 
 // ---- panic containment ---------------------------------------------

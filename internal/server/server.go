@@ -133,14 +133,20 @@ func New(cfg Config) (*Server, error) {
 	s.handle("GET /metrics", s.handleMetrics)
 	s.handle("POST /v1/sessions", s.handleCreateSession)
 	s.handle("GET /v1/sessions", s.handleListSessions)
-	s.handle("GET /v1/sessions/{name}", s.handleGetSession)
-	s.handle("DELETE /v1/sessions/{name}", s.handleDeleteSession)
-	s.handle("POST /v1/sessions/{name}/workloads", s.handleRegisterWorkload)
-	s.handle("GET /v1/sessions/{name}/workloads", s.handleListWorkloads)
-	s.handle("POST /v1/sessions/{name}/cost", s.handleCost)
-	s.handle("POST /v1/sessions/{name}/ingest", s.handleIngest)
-	s.handle("POST /v1/sessions/{name}/retune", s.handleRetune)
-	s.handle("POST /v1/sessions/{name}/jobs", s.handleSubmitJob)
+	// Session routes: the brownout stage each sheds at (0 = never) and
+	// what it then refuses. Ingest and retune check the ladder later, in
+	// their own order (after the continuous check; ingest after its
+	// quotas, and by shedding the fold, not the request).
+	s.sessionRoute("GET /v1/sessions/{name}", 0, "", s.handleGetSession)
+	s.sessionRoute("DELETE /v1/sessions/{name}", 0, "", s.handleDeleteSession)
+	s.sessionRoute("POST /v1/sessions/{name}/workloads", 3, "workload registration", s.handleRegisterWorkload)
+	s.sessionRoute("GET /v1/sessions/{name}/workloads", 0, "", s.handleListWorkloads)
+	// Sync costing is the first load shed: it is cheap for the client to
+	// retry and every call burns optimizer CPU the job queue needs.
+	s.sessionRoute("POST /v1/sessions/{name}/cost", 1, "synchronous costing", s.handleCost)
+	s.sessionRoute("POST /v1/sessions/{name}/ingest", 0, "", s.handleIngest)
+	s.sessionRoute("POST /v1/sessions/{name}/retune", 0, "", s.handleRetune)
+	s.sessionRoute("POST /v1/sessions/{name}/jobs", 3, "job submission", s.handleSubmitJob)
 	s.handle("GET /v1/jobs", s.handleListJobs)
 	s.handle("GET /v1/jobs/{id}", s.handleGetJob)
 	s.handle("POST /v1/jobs/{id}/cancel", s.handleCancelJob)
@@ -151,22 +157,21 @@ func New(cfg Config) (*Server, error) {
 // journalAppend writes one event, logging (not failing) on error:
 // losing durability degrades a future recovery, not this request.
 func (s *Server) journalAppend(ev journalEvent) {
-	if s.journal == nil {
-		return
-	}
-	if err := s.journal.Append(ev); err != nil {
+	if err := s.journal.Append(ev); err != nil { // a nil journal (none configured) appends nothing
 		s.log.Error("journal append failed", "event", ev.T, "err", err)
 	}
 }
 
 // recoverFromJournal rebuilds registry and job state from a previous
-// process's journal. Sessions are recreated deterministically from
-// their creation requests, workloads re-parsed or re-generated, and
-// job records restored: jobs with a terminal event reappear as-is
-// (result payloads are not journaled; their result endpoint serves a
-// state stub), jobs without one are marked failed with a recovery
-// reason. Replayed state is not re-journaled — the file already
-// contains it.
+// process's journal by calling, in journal order and alone, the same
+// function the live path called for each event: Registry.Create and
+// Delete, Session.RegisterWorkload, and the five transitions of
+// continuous. Sessions are recreated deterministically from their
+// creation requests, workloads re-parsed or re-generated, and job
+// records restored: jobs with a terminal event reappear as-is (result
+// payloads are not journaled; their result endpoint serves a state
+// stub), jobs without one are marked failed with a recovery reason.
+// Replayed state is not re-journaled — the file already contains it.
 func (s *Server) recoverFromJournal(path string) error {
 	events, err := ReadJournal(path)
 	if err != nil {
@@ -175,26 +180,29 @@ func (s *Server) recoverFromJournal(path string) error {
 	if len(events) == 0 {
 		return nil
 	}
-	type jobRec struct {
-		ev  journalEvent
-		end *journalEvent
-	}
-	jobs := make(map[string]*jobRec)
+	// A job is its job record plus, once it ended, its job_end. The two
+	// are written by different goroutines (the submitting request, the
+	// worker), so a quick job's job_end can precede its job record: ends
+	// are kept by ID and attached to whichever side arrives second. An
+	// end whose job record never arrives restores nothing.
+	jobs := make(map[string]journalEvent)
+	ends := make(map[string]journalEvent)
 	var jobOrder []string
 	var sessions, workloads int
-	// contSession resolves the continuous session an event targets;
-	// missing sessions (creation failed on replay) are logged and
-	// skipped, matching workload replay.
-	contSession := func(ev journalEvent) *Session {
-		sess, ok := s.reg.Get(ev.SessionName)
-		if !ok || sess.cont == nil {
-			s.log.Error("journal replay: continuous event for missing session",
-				"event", ev.T, "session", ev.SessionName)
-			return nil
-		}
-		return sess
-	}
 	for _, ev := range events {
+		// The five continuous events name a session that exists and is
+		// continuous; one that does not (its creation failed on replay) is
+		// logged and skipped, like a workload's.
+		var cs *Session
+		switch ev.T {
+		case evIngest, evAge, evShrink, evApply, evRollback:
+			var ok bool
+			if cs, ok = s.reg.Get(ev.SessionName); !ok || cs.cont == nil {
+				s.log.Error("journal replay: continuous event for missing session",
+					"event", ev.T, "session", ev.SessionName)
+				continue
+			}
+		}
 		switch ev.T {
 		case evSession:
 			if ev.Session == nil {
@@ -219,101 +227,68 @@ func (s *Server) recoverFromJournal(path string) error {
 				continue
 			}
 			wl, err := buildWorkload(sess, ev.Workload.SQL, ev.Workload.Generate)
-			if err != nil {
-				s.log.Error("journal replay: rebuild workload failed",
-					"session", ev.SessionName, "workload", ev.Workload.Name, "err", err)
-				continue
+			if err == nil {
+				_, err = sess.RegisterWorkload(ev.Workload.Name, wl, ev.Workload.Replace)
 			}
-			if err := sess.RegisterWorkload(ev.Workload.Name, wl, ev.Workload.Replace); err != nil {
+			if err != nil {
 				if !errors.Is(err, ErrWorkloadExists) {
-					s.log.Error("journal replay: register workload failed",
+					s.log.Error("journal replay: rebuild workload failed",
 						"session", ev.SessionName, "workload", ev.Workload.Name, "err", err)
 				}
 				continue
 			}
 			workloads++
 		case evJob:
-			if ev.JobID == "" {
-				continue
-			}
-			if _, ok := jobs[ev.JobID]; !ok {
-				jobs[ev.JobID] = &jobRec{ev: ev}
+			if _, ok := jobs[ev.JobID]; ev.JobID != "" && !ok {
+				jobs[ev.JobID] = ev
 				jobOrder = append(jobOrder, ev.JobID)
 			}
 		case evJobEnd:
-			if r, ok := jobs[ev.JobID]; ok {
-				end := ev
-				r.end = &end
-			}
+			ends[ev.JobID] = ev
 		case evIngest:
-			sess := contSession(ev)
-			if sess == nil || ev.Ingest == nil {
+			if ev.Ingest == nil {
 				continue
 			}
 			// Re-parse and re-fold: the window's seeded reservoir makes
 			// this reproduce the exact pre-crash member sets. The
 			// observed-cost guardrail is NOT re-run — its outcomes are
 			// separate journal events.
-			items, err := prepareIngest(sess, *ev.Ingest)
+			items, err := prepareIngest(cs, *ev.Ingest)
 			if err != nil {
 				s.log.Error("journal replay: rebuild ingest batch failed",
 					"session", ev.SessionName, "batch", ev.Batch, "err", err)
 				continue
 			}
-			sess.cont.window.Ingest(items)
+			// The record carries the number the live fold returned. Binaries
+			// that recorded a fold outside the session's order could write
+			// two batches in the other order than they folded them; such a
+			// journal still replays, to the window its order describes.
+			if batch := cs.cont.fold(items); batch != ev.Batch {
+				s.log.Error("journal replay: ingest record out of fold order; the replayed window may differ from the one acknowledged",
+					"session", ev.SessionName, "recorded_batch", ev.Batch, "replayed_batch", batch)
+			}
 		case evAge:
-			if sess := contSession(ev); sess != nil {
-				sess.cont.window.Age()
-			}
+			cs.cont.age()
 		case evShrink:
-			// Replay the brownout window shrink at the same point in the
-			// fold sequence it happened live, so the seeded reservoirs
-			// walk the identical sampling path afterwards.
-			if sess := contSession(ev); sess != nil {
-				sess.cont.window.Shrink(ev.Bound)
-			}
-		case evApply:
-			sess := contSession(ev)
-			if sess == nil {
-				continue
-			}
-			defs, err := resolveDefs(sess, ev.Indexes)
-			if err != nil {
-				s.log.Error("journal replay: resolve applied indexes failed",
-					"session", ev.SessionName, "err", err)
-				continue
-			}
-			c := sess.cont
-			h := c.window.FingerprintHash()
-			c.mu.Lock()
-			c.prevApplied = c.applied
-			c.applied = &appliedConfig{defs: defs, est: ev.Est, at: ev.At}
-			c.lastFPHash = h
-			c.mu.Unlock()
-			c.applies.Add(1)
-		case evRollback:
-			sess := contSession(ev)
-			if sess == nil {
-				continue
-			}
-			c := sess.cont
-			var restored *appliedConfig
-			if len(ev.Indexes) > 0 {
-				defs, err := resolveDefs(sess, ev.Indexes)
+			cs.cont.shrink(ev.Bound)
+		case evApply, evRollback:
+			// The record carries the whole configuration now applied; a
+			// rollback's is empty when it restored "no indexes".
+			var cfg *appliedConfig
+			if ev.T == evApply || len(ev.Indexes) > 0 {
+				defs, err := resolveDefs(cs, ev.Indexes)
 				if err != nil {
-					s.log.Error("journal replay: resolve rollback indexes failed",
-						"session", ev.SessionName, "err", err)
+					s.log.Error("journal replay: resolve applied indexes failed",
+						"event", ev.T, "session", ev.SessionName, "err", err)
 					continue
 				}
-				restored = &appliedConfig{defs: defs, est: ev.Est, at: ev.At}
+				cfg = &appliedConfig{defs: defs, est: ev.Est}
 			}
-			c.mu.Lock()
-			c.applied = restored
-			c.prevApplied = nil
-			c.lastFPHash = 0
-			c.lastRatio = ev.Ratio
-			c.mu.Unlock()
-			c.rollbacks.Add(1)
+			if ev.T == evApply {
+				cs.cont.apply(cfg)
+			} else {
+				cs.cont.rollback(cfg, ev.Ratio)
+			}
 		default:
 			// An event type this binary does not know is a state
 			// transition it cannot reconstruct; replaying around it would
@@ -325,16 +300,16 @@ func (s *Server) recoverFromJournal(path string) error {
 	}
 	interrupted := 0
 	for _, id := range jobOrder {
-		r := jobs[id]
+		ev := jobs[id]
 		state := JobFailed
 		errMsg := "interrupted by server restart; recovered from journal"
-		if r.end != nil {
-			state = JobState(r.end.State)
-			errMsg = r.end.Error
+		if end, ok := ends[id]; ok {
+			state = JobState(end.State)
+			errMsg = end.Error
 		} else {
 			interrupted++
 		}
-		s.jobs.RecoverJob(id, r.ev.Kind, r.ev.SessionName, r.ev.WorkloadName, state, errMsg, r.ev.At)
+		s.jobs.RecoverJob(id, ev.Kind, ev.SessionName, ev.WorkloadName, state, errMsg, ev.At)
 	}
 	s.metrics.recoveredSessions.Add(int64(sessions))
 	s.metrics.recoveredJobs.Add(int64(len(jobOrder)))
@@ -385,6 +360,30 @@ func (s *Server) handle(pattern string, fn http.HandlerFunc) {
 	})
 }
 
+// sessionRoute registers a route under /v1/sessions/{name}. It is the
+// one admission preamble: the session is resolved (404), a claimed
+// tenant must be its owner (403), and the route's brownout threshold is
+// enforced (429) before fn sees the *Session — a session route cannot be
+// written without the ownership check.
+func (s *Server) sessionRoute(pattern string, stage int, what string, fn func(http.ResponseWriter, *http.Request, *Session)) {
+	s.handle(pattern, func(w http.ResponseWriter, r *http.Request) {
+		sess, ok := s.reg.Get(r.PathValue("name"))
+		if !ok {
+			writeErr(w, http.StatusNotFound, "session %q not found", r.PathValue("name"))
+			return
+		}
+		err := checkTenant(r, sess)
+		if err == nil && stage > 0 {
+			err = s.shedAt(stage, what)
+		}
+		if err != nil {
+			s.reject(w, sess.tenant, err)
+			return
+		}
+		fn(w, r, sess)
+	})
+}
+
 type statusRecorder struct {
 	http.ResponseWriter
 	code  int
@@ -420,20 +419,20 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 const maxBodyBytes = 1 << 20
 
 // decodeJSON parses a request body strictly: unknown fields, trailing
-// garbage and oversized bodies are 400s, surfacing client mistakes
-// early.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+// garbage and oversized bodies are answered 400 here (the caller just
+// returns), surfacing client mistakes early.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
+	err := dec.Decode(v)
+	if err == nil && dec.Decode(new(json.RawMessage)) == nil {
+		err = errors.New("unexpected data after JSON body")
 	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err == nil {
-		return errors.New("unexpected data after JSON body")
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
 	}
-	return nil
+	return err == nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -466,8 +465,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	// Resolve tenant identity before anything is journaled, so replay
@@ -485,24 +483,18 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
-	if stage := s.evalBrownout(); stage >= 3 {
-		s.writeBrownout(w, tenant, stage, "session creation")
+	err := s.shedAt(3, "session creation")
+	var sess *Session
+	if err == nil {
+		sess, err = s.reg.Create(req)
+	}
+	if err != nil {
+		s.reject(w, tenant, err)
 		return
 	}
-	sess, err := s.reg.Create(req)
-	var qe *quotaError
-	switch {
-	case errors.As(err, &qe):
-		s.writeQuotaErr(w, qe.tenant, qe.v)
-	case errors.Is(err, ErrSessionExists):
-		writeErr(w, http.StatusConflict, "%v", err)
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, "%v", err)
-	default:
-		s.journalAppend(journalEvent{T: evSession, Session: &req})
-		s.startContinuous(sess)
-		writeJSON(w, http.StatusCreated, sess.Info())
-	}
+	s.journalAppend(journalEvent{T: evSession, Session: &req})
+	s.startContinuous(sess)
+	writeJSON(w, http.StatusCreated, sess.Info())
 }
 
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
@@ -514,59 +506,26 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// session resolves the {name} path wildcard, writing a 404 on miss.
-func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool) {
-	sess, ok := s.reg.Get(r.PathValue("name"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "session %q not found", r.PathValue("name"))
-		return nil, false
-	}
-	return sess, true
+func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request, sess *Session) {
+	writeJSON(w, http.StatusOK, sess.Info())
 }
 
-func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
-	if sess, ok := s.session(w, r); ok {
-		writeJSON(w, http.StatusOK, sess.Info())
+func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request, sess *Session) {
+	if err := s.reg.Delete(sess.name); err != nil {
+		s.reject(w, sess.tenant, err)
+		return
 	}
+	s.journalAppend(journalEvent{T: evSessionDeleted, SessionName: sess.name})
+	writeJSON(w, http.StatusOK, map[string]string{"deleted": sess.name})
 }
 
-func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
-	if sess, ok := s.reg.Get(r.PathValue("name")); ok && !s.checkTenant(w, r, sess) {
-		return
-	}
-	err := s.reg.Delete(r.PathValue("name"))
-	switch {
-	case errors.Is(err, ErrSessionNotFound):
-		writeErr(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, ErrSessionBusy):
-		writeErr(w, http.StatusConflict, "%v", err)
-	case err != nil:
-		writeErr(w, http.StatusInternalServerError, "%v", err)
-	default:
-		s.journalAppend(journalEvent{T: evSessionDeleted, SessionName: r.PathValue("name")})
-		writeJSON(w, http.StatusOK, map[string]string{"deleted": r.PathValue("name")})
-	}
-}
-
-func (s *Server) handleRegisterWorkload(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	if !s.checkTenant(w, r, sess) {
-		return
-	}
-	if stage := s.evalBrownout(); stage >= 3 {
-		s.writeBrownout(w, sess.tenant, stage, "workload registration")
-		return
-	}
+func (s *Server) handleRegisterWorkload(w http.ResponseWriter, r *http.Request, sess *Session) {
 	if v := s.reg.Quota().CheckMemory(sess.tenant, s.reg.tenantBytes(sess.tenant)); !v.OK {
-		s.writeQuotaErr(w, sess.tenant, v)
+		s.reject(w, sess.tenant, &quotaError{tenant: sess.tenant, v: v})
 		return
 	}
 	var req RegisterWorkloadRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if !validName(req.Name) {
@@ -578,21 +537,13 @@ func (s *Server) handleRegisterWorkload(w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := sess.RegisterWorkload(req.Name, wl, req.Replace); err != nil {
-		if errors.Is(err, ErrWorkloadExists) {
-			writeErr(w, http.StatusConflict, "%v", err)
-		} else {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-		}
+	rw, err := sess.RegisterWorkload(req.Name, wl, req.Replace)
+	if err != nil {
+		s.reject(w, sess.tenant, err)
 		return
 	}
 	s.journalAppend(journalEvent{T: evWorkload, SessionName: sess.name, Workload: &req})
-	info := WorkloadInfo{Name: req.Name, Queries: wl.Len()}
-	if rw, ok := sess.workloadEntry(req.Name); ok && rw.compressed != nil {
-		info.Templates = len(rw.compressed.C.Templates)
-		info.DedupRatio = rw.compressed.C.DedupRatio()
-	}
-	writeJSON(w, http.StatusCreated, info)
+	writeJSON(w, http.StatusCreated, rw.info(req.Name))
 }
 
 // buildWorkload materializes a batch of statements against a session:
@@ -637,10 +588,8 @@ func buildWorkload(sess *Session, sqlText string, gen *GenerateSpec) (*sql.Workl
 	return wl, nil
 }
 
-func (s *Server) handleListWorkloads(w http.ResponseWriter, r *http.Request) {
-	if sess, ok := s.session(w, r); ok {
-		writeJSON(w, http.StatusOK, sess.WorkloadInfos())
-	}
+func (s *Server) handleListWorkloads(w http.ResponseWriter, r *http.Request, sess *Session) {
+	writeJSON(w, http.StatusOK, sess.WorkloadInfos())
 }
 
 // resolveDefs validates wire index definitions against the session's
@@ -661,23 +610,9 @@ func resolveDefs(sess *Session, payloads []IndexDefPayload) ([]catalog.IndexDef,
 // optimizer-estimated Cost(W, C) for an arbitrary configuration. It
 // runs concurrently with jobs — the costing read path is safe to
 // share and the request does not take the session's job slot.
-func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	if !s.checkTenant(w, r, sess) {
-		return
-	}
-	// Sync costing is the first load shed: it is cheap for the client
-	// to retry and every call burns optimizer CPU the job queue needs.
-	if stage := s.evalBrownout(); stage >= 1 {
-		s.writeBrownout(w, sess.tenant, stage, "synchronous costing")
-		return
-	}
+func (s *Server) handleCost(w http.ResponseWriter, r *http.Request, sess *Session) {
 	var req CostRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	rw, ok := sess.workloadEntry(req.Workload)
@@ -730,21 +665,13 @@ const statusClientClosedRequest = 499
 // before anything folds (a bad batch is a clean 400, nothing
 // mutated); the fold is journaled; then the observed-cost guardrail
 // runs against the applied configuration.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	if !s.checkTenant(w, r, sess) {
-		return
-	}
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *Session) {
 	if sess.cont == nil {
 		writeErr(w, http.StatusBadRequest, "session %q is not continuous (create it with a continuous block)", sess.name)
 		return
 	}
 	var req IngestRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	items, err := prepareIngest(sess, req)
@@ -755,12 +682,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Admission: the per-tenant statement-rate bucket and memory budget
 	// gate the fold. Rate is charged per statement, not per batch, so a
 	// tenant cannot dodge its quota by batching harder.
-	if v := s.reg.Quota().AllowIngest(sess.tenant, len(items)); !v.OK {
-		s.writeQuotaErr(w, sess.tenant, v)
-		return
+	v := s.reg.Quota().AllowIngest(sess.tenant, len(items))
+	if v.OK {
+		v = s.reg.Quota().CheckMemory(sess.tenant, s.reg.tenantBytes(sess.tenant))
 	}
-	if v := s.reg.Quota().CheckMemory(sess.tenant, s.reg.tenantBytes(sess.tenant)); !v.OK {
-		s.writeQuotaErr(w, sess.tenant, v)
+	if !v.OK {
+		s.reject(w, sess.tenant, &quotaError{tenant: sess.tenant, v: v})
 		return
 	}
 	// Stage >= 2 sheds the fold but NOT the guardrail: the batch's
@@ -775,53 +702,45 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // handleRetune submits one on-demand re-tune cycle (the same cycle
 // the background ticker runs) as an asynchronous job.
-func (s *Server) handleRetune(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	if !s.checkTenant(w, r, sess) {
-		return
-	}
+func (s *Server) handleRetune(w http.ResponseWriter, r *http.Request, sess *Session) {
 	if sess.cont == nil {
 		writeErr(w, http.StatusBadRequest, "session %q is not continuous (create it with a continuous block)", sess.name)
 		return
 	}
 	job, err := s.submitRetune(sess)
-	var be *brownoutError
-	var qe *quotaError
-	switch {
-	case errors.As(err, &be):
-		s.writeBrownout(w, sess.tenant, be.stage, be.what)
-	case errors.As(err, &qe):
-		s.writeQuotaErr(w, qe.tenant, qe.v)
-	case errors.Is(err, ErrQueueFull):
-		s.writeQueueFull(w, sess.tenant, err)
-	case errors.Is(err, ErrDraining):
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
-	case err != nil:
-		writeErr(w, http.StatusInternalServerError, "%v", err)
-	default:
-		writeJSON(w, http.StatusAccepted, SubmitJobResponse{ID: job.id, State: string(JobQueued)})
+	if err != nil {
+		s.reject(w, sess.tenant, err)
+		return
 	}
+	writeJSON(w, http.StatusAccepted, SubmitJobResponse{ID: job.id, State: string(JobQueued)})
 }
 
-func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
+// submit is the one admission path of asynchronous work — POST …/jobs,
+// POST …/retune and the background re-tuner: the tenant's job slot
+// (*quotaError), then the queue (ErrDraining, ErrQueueFull), then the
+// job record. The slot goes back when the job ends, or at once if the
+// queue refuses it.
+func (s *Server) submit(kind string, sess *Session, workloadName string, timeout time.Duration, run jobRun) (*Job, error) {
+	tenant := sess.tenant
+	if v := s.reg.Quota().AcquireJob(tenant); !v.OK {
+		return nil, &quotaError{tenant: tenant, v: v}
 	}
-	if !s.checkTenant(w, r, sess) {
-		return
+	job, err := s.jobs.Submit(kind, sess, workloadName, SubmitOpts{
+		Tenant:  tenant,
+		Timeout: timeout,
+		Release: func() { s.reg.Quota().ReleaseJob(tenant) },
+	}, run)
+	if err != nil {
+		return nil, err
 	}
-	stage := s.evalBrownout()
-	if stage >= 3 {
-		s.writeBrownout(w, sess.tenant, stage, "job submission")
-		return
-	}
+	s.journalAppend(journalEvent{T: evJob, JobID: job.id, Kind: kind,
+		SessionName: sess.name, WorkloadName: workloadName})
+	return job, nil
+}
+
+func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, sess *Session) {
 	var req SubmitJobRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	kind := req.Kind
@@ -837,14 +756,15 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "workload %q not found", req.Workload)
 		return
 	}
-	// Stage >= 2 forces the compressed cost model on jobs that would run
-	// the full optimizer model. Compressed costing is exact with
-	// recommendation parity, so results stay byte-identical — the
-	// brownout trades optimizer calls, not quality.
-	if stage >= 2 && (req.Options.CostModel == "" || req.Options.CostModel == "opt") {
+	// Stage >= 2 (as this route's admission just evaluated it) forces the
+	// compressed cost model on jobs that would run the full optimizer
+	// model. Compressed costing is exact with recommendation parity, so
+	// results stay byte-identical — the brownout trades optimizer calls,
+	// not quality.
+	if s.stage.Load() >= 2 && (req.Options.CostModel == "" || req.Options.CostModel == "opt") {
 		req.Options.CostModel = "compressed"
 	}
-	opts, err := buildMergeOptions(req.Options)
+	opts, err := BuildMergeOptions(req.Options)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -865,35 +785,19 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Job quota: acquired here, released exactly once from whichever
-	// terminal path the job takes (completion, failure, cancel, deadline,
-	// or queue rejection below — Submit releases on its own error paths).
-	if v := s.reg.Quota().AcquireJob(sess.tenant); !v.OK {
-		s.writeQuotaErr(w, sess.tenant, v)
+	run := s.buildJobRun(kind, sess, req.Workload, rw, initial, explicitDefs, opts, req.Options.DualBudgetFrac)
+	job, err := s.submit(kind, sess, req.Workload, jobTimeout(r, req.Options.TimeoutMS), run)
+	if err != nil {
+		s.reject(w, sess.tenant, err)
 		return
 	}
-	run := s.buildJobRun(kind, sess, req.Workload, rw, initial, explicitDefs, opts, req.Options.DualBudgetFrac)
-	tenant := sess.tenant
-	job, err := s.jobs.Submit(kind, sess, req.Workload, SubmitOpts{
-		Tenant:  tenant,
-		Timeout: jobTimeout(r, req.Options.TimeoutMS),
-		Release: func() { s.reg.Quota().ReleaseJob(tenant) },
-	}, run)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		s.writeQueueFull(w, sess.tenant, err)
-	case errors.Is(err, ErrDraining):
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
-	case err != nil:
-		writeErr(w, http.StatusInternalServerError, "%v", err)
-	default:
-		s.journalAppend(journalEvent{T: evJob, JobID: job.id, Kind: kind,
-			SessionName: sess.name, WorkloadName: req.Workload})
-		writeJSON(w, http.StatusAccepted, SubmitJobResponse{ID: job.id, State: string(JobQueued)})
-	}
+	writeJSON(w, http.StatusAccepted, SubmitJobResponse{ID: job.id, State: string(JobQueued)})
 }
 
-func buildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
+// BuildMergeOptions validates a job's merging knobs and translates them
+// into facade options. cmd/idxmerge builds its options through it too,
+// so the CLI and the service accept — and refuse — the same values.
+func BuildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 	opts := indexmerge.MergeOptions{
 		CostConstraint: o.Constraint,
 		NoCostF:        o.NoCostF,
@@ -928,9 +832,7 @@ func buildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 		return opts, fmt.Errorf("unknown costmodel %q (want opt, nocost, prefilter or compressed)", o.CostModel)
 	}
 	if o.DualBudgetFrac < 0 || o.DualBudgetFrac >= 1 {
-		if o.DualBudgetFrac != 0 {
-			return opts, fmt.Errorf("dual_budget_frac %v out of range (0, 1)", o.DualBudgetFrac)
-		}
+		return opts, fmt.Errorf("dual_budget_frac %v out of range (0, 1)", o.DualBudgetFrac)
 	}
 	// Jobs run resilient by default ({"resilience": {"disable": true}}
 	// opts out): transient costing faults are retried, and a persistent
@@ -959,7 +861,7 @@ func buildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 // shared across jobs; the prepared path is bit-identical).
 func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw *registeredWorkload,
 	initial InitialSpec, explicitDefs []catalog.IndexDef, opts indexmerge.MergeOptions,
-	dualFrac float64) func(ctx context.Context, j *Job) (*JobResult, error) {
+	dualFrac float64) jobRun {
 
 	wl := rw.w
 	return func(ctx context.Context, j *Job) (*JobResult, error) {
@@ -968,18 +870,17 @@ func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw
 			return nil, err
 		}
 
-		// Under the compressed cost model, workload-wide tuning runs at
-		// template granularity: one representative per fingerprint class
-		// instead of every statement.
-		useTemplates := opts.CostModel == indexmerge.CompressedOptimizerCost && rw.compressed != nil
+		// Workload-wide tuning — a tune job, or a merge job's n == 0
+		// initial configuration. Under the compressed cost model it runs
+		// at template granularity: one representative per fingerprint
+		// class instead of every statement.
+		tune := m.TuneWorkloadContext
+		if opts.CostModel == indexmerge.CompressedOptimizerCost {
+			tune = m.TuneTemplatesContext
+		}
 
 		if kind == "tune" {
-			var defs []catalog.IndexDef
-			if useTemplates {
-				defs, err = m.TuneTemplatesContext(ctx)
-			} else {
-				defs, err = m.TuneWorkloadContext(ctx)
-			}
+			defs, err := tune(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -997,10 +898,8 @@ func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw
 				adv := advisor.New(sess.db, m.Optimizer())
 				adv.Parallelism = opts.Parallelism
 				defs, err = advisor.BuildInitialConfigurationContext(ctx, adv, wl, initial.N, initial.Seed)
-			} else if useTemplates {
-				defs, err = m.TuneTemplatesContext(ctx)
 			} else {
-				defs, err = m.TuneWorkloadContext(ctx)
+				defs, err = tune(ctx)
 			}
 			if err != nil {
 				return nil, err
@@ -1020,13 +919,7 @@ func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw
 			return &JobResult{Merge: &p}, nil
 		}
 
-		opts.Progress = func(p indexmerge.SearchProgress) {
-			pp := NewProgressPayload(p)
-			j.setProgress(pp)
-			if s.jobs.progressHook != nil {
-				s.jobs.progressHook(j.id, pp)
-			}
-		}
+		opts.Progress = s.jobs.progressOf(j)
 		opts.CostCache = sess.cache
 		// Namespace by registration, not name: after a replace, a job
 		// that captured the old registration keeps its own namespace and

@@ -234,6 +234,14 @@ func (h *testServer) submitJob(t *testing.T, session string) string {
 // waitTerminal polls a job until it leaves queued/running.
 func (h *testServer) waitTerminal(t *testing.T, id string) JobStatus {
 	t.Helper()
+	return h.pollTerminal(t, id, 5*time.Millisecond)
+}
+
+// pollTerminal is waitTerminal with the pause between polls given; at 0
+// the caller acts as soon after the terminal state became visible as a
+// client can.
+func (h *testServer) pollTerminal(t *testing.T, id string, pause time.Duration) JobStatus {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		var st JobStatus
@@ -241,10 +249,26 @@ func (h *testServer) waitTerminal(t *testing.T, id string) JobStatus {
 		if JobState(st.State).terminal() {
 			return st
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(pause)
 	}
 	t.Fatalf("job %s did not reach a terminal state", id)
 	return JobStatus{}
+}
+
+// park submits the fixture job on session and returns once it is
+// running and held mid-search (gateHook): it keeps its session's lock
+// and a worker until release is called.
+func (h *testServer) park(t *testing.T, session string) (id string, release func()) {
+	t.Helper()
+	sig, release := gateHook(h.srv)
+	t.Cleanup(release)
+	id = h.submitJob(t, session)
+	select {
+	case <-sig:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the parked job never reported progress")
+	}
+	return id, release
 }
 
 // ---- tests ---------------------------------------------------------

@@ -27,8 +27,8 @@ import (
 // clients keep working and share one accounting bucket.
 const DefaultTenant = "default"
 
-// quotaError carries a non-OK admission verdict as an error so
-// handlers can serialize the machine-readable rejection body.
+// quotaError carries a non-OK admission verdict as an error; reject
+// serializes the machine-readable rejection body from it.
 type quotaError struct {
 	tenant string
 	v      quota.Verdict
@@ -38,13 +38,12 @@ func (e *quotaError) Error() string {
 	return fmt.Sprintf("tenant %q rejected: %s", e.tenant, e.v.String())
 }
 
-// Registry errors, mapped to HTTP statuses by the handlers.
+// Registry errors; reject maps them to HTTP statuses.
 var (
-	ErrSessionExists    = errors.New("session already exists")
-	ErrSessionNotFound  = errors.New("session not found")
-	ErrSessionBusy      = errors.New("session has a running job")
-	ErrWorkloadExists   = errors.New("workload already registered")
-	ErrWorkloadNotFound = errors.New("workload not found")
+	ErrSessionExists   = errors.New("session already exists")
+	ErrSessionNotFound = errors.New("session not found")
+	ErrSessionBusy     = errors.New("session has a running job")
+	ErrWorkloadExists  = errors.New("workload already registered")
 )
 
 // Session is a named database instance (schema + generated data +
@@ -107,7 +106,7 @@ type Session struct {
 type registeredWorkload struct {
 	w          *sql.Workload
 	prepared   *optimizer.PreparedWorkload
-	compressed *wscale.Prepared
+	compressed *wscale.Prepared // never nil: RegisterWorkload is the only constructor
 
 	// ns is the workload's cost-cache namespace: the name plus a
 	// per-registration sequence number, so re-registering a name can
@@ -132,11 +131,7 @@ func (s *Session) bindWorkers(ctx context.Context, name string, rw *registeredWo
 		return nil
 	}
 	rw.bindOnce.Do(func() {
-		templates := 0
-		if rw.compressed != nil {
-			templates = len(rw.compressed.C.Templates)
-		}
-		b, err := s.pool.Bind(ctx, s.name+"/"+name, s.fp, rw.w, templates)
+		b, err := s.pool.Bind(ctx, s.name+"/"+name, s.fp, rw.w, len(rw.compressed.C.Templates))
 		if err != nil {
 			if log != nil {
 				log.Warn("worker pool bind failed; jobs will cost locally",
@@ -183,41 +178,42 @@ func (s *Session) release() { <-s.lock }
 // answer for the new ones. Jobs already running keep the registration
 // they captured at submit — old queries with old costs, internally
 // consistent.
-func (s *Session) RegisterWorkload(name string, w *sql.Workload, replace bool) error {
+func (s *Session) RegisterWorkload(name string, w *sql.Workload, replace bool) (*registeredWorkload, error) {
 	pw, err := optimizer.PrepareWorkload(w, s.db)
 	if err != nil {
-		return fmt.Errorf("prepare workload: %w", err)
+		return nil, fmt.Errorf("prepare workload: %w", err)
 	}
 	// Compress once at registration: template clustering and the
 	// (template, atom) cost table are then shared by every job and
 	// costing request on this workload for the session's lifetime.
 	cp, err := wscale.Prepare(wscale.Compress(w), pw, optimizer.New(s.db), s.tableMax)
 	if err != nil {
-		return fmt.Errorf("compress workload: %w", err)
+		return nil, fmt.Errorf("compress workload: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.workloads[name]; ok {
 		if !replace {
-			return ErrWorkloadExists
+			return nil, ErrWorkloadExists
 		}
 		s.cache.Reset()
 	}
 	s.regSeq++
-	s.workloads[name] = &registeredWorkload{
+	rw := &registeredWorkload{
 		w: w, prepared: pw, compressed: cp,
 		ns: fmt.Sprintf("%s@%d", name, s.regSeq),
 	}
-	return nil
+	s.workloads[name] = rw
+	return rw, nil
 }
 
-// Workload looks up a registered workload.
-func (s *Session) Workload(name string) (*sql.Workload, bool) {
-	rw, ok := s.workloadEntry(name)
-	if !ok {
-		return nil, false
+// info describes the registration under the name it is bound to.
+func (rw *registeredWorkload) info(name string) WorkloadInfo {
+	return WorkloadInfo{
+		Name: name, Queries: rw.w.Len(),
+		Templates:  len(rw.compressed.C.Templates),
+		DedupRatio: rw.compressed.C.DedupRatio(),
 	}
-	return rw.w, true
 }
 
 // workloadEntry looks up a registered workload with its prepared form.
@@ -234,12 +230,7 @@ func (s *Session) WorkloadInfos() []WorkloadInfo {
 	defer s.mu.Unlock()
 	out := make([]WorkloadInfo, 0, len(s.workloads))
 	for name, rw := range s.workloads {
-		wi := WorkloadInfo{Name: name, Queries: rw.w.Len()}
-		if rw.compressed != nil {
-			wi.Templates = len(rw.compressed.C.Templates)
-			wi.DedupRatio = rw.compressed.C.DedupRatio()
-		}
-		out = append(out, wi)
+		out = append(out, rw.info(name))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -287,9 +278,7 @@ func (s *Session) accountedBytes() int64 {
 	total := s.cache.Bytes()
 	s.mu.Lock()
 	for _, rw := range s.workloads {
-		if rw.compressed != nil {
-			total += rw.compressed.TableBytes()
-		}
+		total += rw.compressed.TableBytes()
 	}
 	s.mu.Unlock()
 	if s.cont != nil {
@@ -313,9 +302,6 @@ func (s *Session) gauges() SessionGauges {
 	}
 	s.mu.Lock()
 	for _, rw := range s.workloads {
-		if rw.compressed == nil {
-			continue
-		}
 		g.Templates += len(rw.compressed.C.Templates)
 		th, tm, _ := rw.compressed.TableStats()
 		g.CostTableEntries += rw.compressed.TableLen()
@@ -354,11 +340,8 @@ type Registry struct {
 // session's cost cache (<= 0 means unbounded); pool, when non-nil, is
 // the shared what-if worker pool sessions bind workloads against;
 // contDefaults fills unset fields of session continuous specs; qc is
-// the per-tenant admission controller (never nil in a Server).
+// the per-tenant admission controller (never nil).
 func NewRegistry(cacheMax int, pool *distrib.Pool, contDefaults ContinuousSpec, qc *quota.Controller) *Registry {
-	if qc == nil {
-		qc = quota.NewController(quota.Limits{})
-	}
 	return &Registry{
 		sessions:     make(map[string]*Session),
 		building:     make(map[string]bool),
