@@ -17,6 +17,7 @@ import (
 	"indexmerge/internal/experiments"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/workload"
+	"indexmerge/internal/wscale"
 )
 
 // benchLabs builds the three databases at a bench-friendly scale.
@@ -250,9 +251,10 @@ func (noBase) SetBase(*core.Configuration) {}
 
 // BenchmarkGreedyDistinct is the per-layer bench of delta costing: the
 // Greedy search over 300 generated TPC-D queries from 40 tuned indexes
-// at a 10% constraint with a prepared checker. optcalls/op and lookups/op are exact. It fails unless the
-// search reaches the configuration of a run whose checker is never
-// handed a base.
+// at a 10% constraint, priced query by query and template by template,
+// each iteration on a cold store. optcalls/op and lookups/op are exact.
+// Either fails unless the search reaches the configuration of a run
+// whose checker is never handed a base.
 func BenchmarkGreedyDistinct(b *testing.B) {
 	lab := benchTPCD(b)
 	w, err := workload.Generate(lab.DB, workload.Options{Class: workload.Complex, Queries: 300, Seed: 12})
@@ -276,9 +278,25 @@ func BenchmarkGreedyDistinct(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	search := func(delta bool) (*core.SearchResult, int64) {
-		check := core.NewOptimizerChecker(lab.Opt, w, base, 0.10)
-		check.Prepared = pw
+	comp := wscale.Compress(w)
+	units := []struct {
+		name    string
+		checker func() *core.OptimizerChecker
+	}{
+		{"units=queries", func() *core.OptimizerChecker {
+			check := core.NewOptimizerChecker(lab.Opt, w, base, 0.10)
+			check.Prepared = pw
+			return check
+		}},
+		{"units=templates", func() *core.OptimizerChecker {
+			p, err := wscale.Prepare(comp, pw, lab.Opt, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return wscale.NewChecker(p, base, 0.10)
+		}},
+	}
+	search := func(check *core.OptimizerChecker, delta bool) (*core.SearchResult, int64) {
 		var c core.ConstraintChecker = check
 		if !delta {
 			c = noBase{check}
@@ -290,22 +308,25 @@ func BenchmarkGreedyDistinct(b *testing.B) {
 		hits, misses, _ := check.CacheStats()
 		return res, hits + misses
 	}
-	full, fullLookups := search(false)
+	full, fullLookups := search(units[0].checker(), false)
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	var res *core.SearchResult
-	var lookups int64
-	for i := 0; i < b.N; i++ {
-		res, lookups = search(true)
-	}
-	b.ReportMetric(float64(res.OptimizerCalls), "optcalls/op")
-	b.ReportMetric(float64(lookups), "lookups/op")
-	if res.Final.Signature() != full.Final.Signature() {
-		b.Fatalf("delta costing reached a different configuration:\n delta %s\n full  %s", res.Final.Signature(), full.Final.Signature())
-	}
-	if len(res.Steps) == 0 || lookups >= fullLookups {
-		b.Fatalf("delta costing saved nothing: %d steps, %d lookups against %d in full", len(res.Steps), lookups, fullLookups)
+	for _, u := range units {
+		b.Run(u.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var res *core.SearchResult
+			var lookups int64
+			for i := 0; i < b.N; i++ {
+				res, lookups = search(u.checker(), true)
+			}
+			b.ReportMetric(float64(res.OptimizerCalls), "optcalls/op")
+			b.ReportMetric(float64(lookups), "lookups/op")
+			if res.Final.Signature() != full.Final.Signature() {
+				b.Fatalf("delta costing reached a different configuration:\n delta %s\n full  %s", res.Final.Signature(), full.Final.Signature())
+			}
+			if len(res.Steps) == 0 || lookups >= fullLookups {
+				b.Fatalf("delta costing saved nothing: %d steps, %d lookups against %d in full", len(res.Steps), lookups, fullLookups)
+			}
+		})
 	}
 }
 

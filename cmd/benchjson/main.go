@@ -442,7 +442,7 @@ func runDistribBench(scale float64, seed int64, statements, initialN, workers in
 		}
 	}()
 	pool := distrib.NewPool(urls, distrib.Options{})
-	binding, err := pool.Bind(context.Background(), "bench", lab.DB.Fingerprint(), w, len(c.Templates))
+	binding, err := pool.Bind(context.Background(), "bench", lab.DB.Fingerprint(), w)
 	if err != nil {
 		return distribReport{}, err
 	}

@@ -53,7 +53,7 @@ func main() {
 	constraint := flag.Float64("constraint", 0.10, "cost constraint (fractional workload cost increase bound)")
 	mergePair := flag.String("mergepair", "cost", "merge procedure: cost | syntactic | exhaustive")
 	search := flag.String("search", "greedy", "search strategy: greedy | exhaustive")
-	costModel := flag.String("costmodel", "opt", "cost evaluation: opt | nocost | prefilter | compressed (template cost tables; exact)")
+	costModel := flag.String("costmodel", "opt", "cost evaluation: opt | nocost | prefilter | compressed (opt and compressed select the units of one pricing engine: a unit per query or per template of constant-varied duplicates; both exact)")
 	explain := flag.Bool("explain", false, "print per-query plans under the final configuration")
 	dualBudget := flag.Float64("dual", 0, "solve the Cost-Minimal dual instead: storage budget as a fraction of the initial configuration (e.g. 0.5)")
 	parallel := flag.Int("parallel", 1, "concurrent candidate costings per search step (0 = GOMAXPROCS); results are identical for any value")
@@ -112,13 +112,11 @@ func main() {
 		fatal(err)
 	}
 	compressed := opts.CostModel == indexmerge.CompressedOptimizerCost
-	templates := 0
 	if compressed {
 		cw, err := m.CompressedWorkload()
 		if err != nil {
 			fatal(err)
 		}
-		templates = len(cw.C.Templates)
 		human("%s\n", cw.C)
 	}
 
@@ -129,7 +127,7 @@ func main() {
 	var binding *indexmerge.WorkerBinding
 	if *workers != "" {
 		pool := indexmerge.NewWorkerPool(strings.Split(*workers, ","))
-		binding, err = pool.Bind(ctx, "cli", db.Fingerprint(), w, templates)
+		binding, err = pool.Bind(ctx, "cli", db.Fingerprint(), w)
 		if err != nil {
 			fatal(fmt.Errorf("bind worker pool: %w", err))
 		}

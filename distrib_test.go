@@ -14,15 +14,18 @@ package indexmerge
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"indexmerge/internal/core"
 	"indexmerge/internal/datagen"
 	"indexmerge/internal/distrib"
 	"indexmerge/internal/engine"
@@ -75,24 +78,6 @@ func distribMerge(t *testing.T, db *Database, w *Workload, defs []IndexDef, opts
 	return res
 }
 
-// bindTemplates computes the template count a compressed-model bind
-// should verify (0 for other models skips the check).
-func bindTemplates(t *testing.T, db *Database, w *Workload, opts MergeOptions) int {
-	t.Helper()
-	if opts.CostModel != CompressedOptimizerCost {
-		return 0
-	}
-	m, err := NewMerger(db, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw, err := m.CompressedWorkload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return len(cw.C.Templates)
-}
-
 func TestDistributedMergeByteIdentical(t *testing.T) {
 	db, w, _, defs := mergerFixture(t)
 	snap := db.Snapshot()
@@ -117,10 +102,9 @@ func TestDistributedMergeByteIdentical(t *testing.T) {
 					local.RemoteBatches, local.RemoteItems)
 			}
 			want := mergeKey(local)
-			templates := bindTemplates(t, db, w, tc.opts)
 			for _, workers := range []int{1, 4} {
 				pool := startWorkerPool(t, snap, workers, nil, distrib.Options{})
-				b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w, templates)
+				b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w)
 				if err != nil {
 					t.Fatalf("bind %d workers: %v", workers, err)
 				}
@@ -167,7 +151,7 @@ func failFirstN(n int64, mode string) func(http.Handler) http.Handler {
 				}
 			case "short":
 				w.Header().Set("Content-Type", "application/json")
-				fmt.Fprint(w, `{"query_costs":[1],"atom_costs":[1]}`)
+				fmt.Fprint(w, `{"costs":[1]}`)
 			case "garbage":
 				fmt.Fprint(w, "not json at all")
 			case "slow":
@@ -191,7 +175,6 @@ func TestDistributedMergeWorkerFailuresAreInvisible(t *testing.T) {
 	} {
 		t.Run(model.name, func(t *testing.T) {
 			want := mergeKey(distribMerge(t, db, w, defs, model.opts, nil))
-			templates := bindTemplates(t, db, w, model.opts)
 			// A near-zero cooldown lets benched workers rejoin mid-search
 			// (compressed runs finish in ~10ms), so the run exercises
 			// fail → all-local → recover → remote again.
@@ -199,7 +182,7 @@ func TestDistributedMergeWorkerFailuresAreInvisible(t *testing.T) {
 			for _, mode := range []string{"500", "drop", "short", "garbage"} {
 				t.Run(mode, func(t *testing.T) {
 					pool := startWorkerPool(t, snap, 2, failFirstN(2, mode), popts)
-					b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w, templates)
+					b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w)
 					if err != nil {
 						t.Fatalf("bind: %v", err)
 					}
@@ -219,6 +202,69 @@ func TestDistributedMergeWorkerFailuresAreInvisible(t *testing.T) {
 	}
 }
 
+// TestDistributedMergeRemoteInstallPanic: a panic while a remotely
+// computed cost is installed in the store happens on one of the search's
+// wave goroutines, where nothing above a constraint check can recover
+// it. It must fail that check — and the merge, with a typed error that
+// carries the stack — not the process; with Resilience it is retried and
+// leaves no trace in the result.
+func TestDistributedMergeRemoteInstallPanic(t *testing.T) {
+	db, w, _, defs := mergerFixture(t)
+	snap := db.Snapshot()
+	defer faults.Reset()
+	for _, model := range []struct {
+		name string
+		kind CostModelKind
+	}{{"opt", OptimizerCost}, {"compressed", CompressedOptimizerCost}} {
+		t.Run(model.name, func(t *testing.T) {
+			opts := MergeOptions{CostConstraint: 0.10, CostModel: model.kind, Parallelism: 4}
+			pool := startWorkerPool(t, snap, 2, nil, distrib.Options{})
+			b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w)
+			if err != nil {
+				t.Fatalf("bind: %v", err)
+			}
+			faults.Reset()
+			want := distribMerge(t, db, w, defs, opts, b)
+			if want.RemoteBatches == 0 {
+				t.Fatal("the fault-free run costed nothing remotely")
+			}
+			// Which of a wave's four checks makes the 61st install is a race,
+			// and a panicking candidate ranked behind an accepted one is
+			// discarded with its verdict: every install from there on
+			// panics, so that the next consumed verdict carries one.
+			panics := faults.Rule{ID: "install", Point: faults.CostCacheDo, Mode: faults.ModePanic, After: 60}
+
+			faults.Install(panics)
+			m, err := NewMerger(db, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Workers = b
+			_, err = m.MergeDefs(defs, opts)
+			var pe *core.PanicError
+			if !errors.As(err, &pe) || len(pe.Stack) == 0 {
+				t.Fatalf("merge under an install panic: err = %v, want a *core.PanicError with a stack", err)
+			}
+			// Nothing of the failed run is left behind.
+			faults.Reset()
+			assertSameSearch(t, want, distribMerge(t, db, w, defs, opts, b))
+
+			// One panic, retried: whichever check it lands on.
+			panics.Count, panics.Transient = 1, true
+			faults.Install(panics)
+			opts.Resilience = &ResilienceOptions{Backoff: time.Microsecond}
+			got := distribMerge(t, db, w, defs, opts, b)
+			assertSameSearch(t, want, got)
+			if fmt.Sprint(want.Steps) != fmt.Sprint(got.Steps) || got.Degraded {
+				t.Errorf("steps diverged or the result is degraded (%v):\nwant %v\ngot  %v", got.Degraded, want.Steps, got.Steps)
+			}
+			if got.PanicsRecovered != 1 {
+				t.Errorf("PanicsRecovered = %d, want 1", got.PanicsRecovered)
+			}
+		})
+	}
+}
+
 func TestDistributedMergeRPCTimeout(t *testing.T) {
 	db, w, _, defs := mergerFixture(t)
 	snap := db.Snapshot()
@@ -233,7 +279,7 @@ func TestDistributedMergeRPCTimeout(t *testing.T) {
 	// the entire search must complete through local fallback.
 	pool := startWorkerPool(t, snap, 2, failFirstN(1<<30, "slow"),
 		distrib.Options{Timeout: 50 * time.Millisecond, HedgeAfter: -1, Cooldown: time.Hour})
-	b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w, 0)
+	b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w)
 	if err != nil {
 		t.Fatalf("bind: %v", err)
 	}
@@ -265,7 +311,7 @@ func TestDistributedMergeInjectedRPCFaults(t *testing.T) {
 	defer faults.Reset()
 
 	pool := startWorkerPool(t, snap, 2, nil, distrib.Options{})
-	b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w, 0)
+	b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w)
 	if err != nil {
 		t.Fatalf("bind: %v", err)
 	}
@@ -304,7 +350,7 @@ func TestDistributedMergeHedgesStragglers(t *testing.T) {
 		})
 	}
 	pool := startWorkerPool(t, snap, 2, slowFirst, distrib.Options{HedgeAfter: 10 * time.Millisecond})
-	b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w, 0)
+	b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w)
 	if err != nil {
 		t.Fatalf("bind: %v", err)
 	}
@@ -328,11 +374,53 @@ func TestWorkerPoolRejectsWrongDatabase(t *testing.T) {
 	srv := httptest.NewServer(distrib.NewWorker(wrongDB.Snapshot().Fork()).Handler())
 	defer srv.Close()
 	pool := distrib.NewPool([]string{srv.URL}, distrib.Options{})
-	if _, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w, 0); err == nil {
+	if _, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w); err == nil {
 		t.Fatal("bind accepted a worker with a mismatched database fingerprint")
 	}
 	if st := pool.PoolStats(); st.Healthy != 0 {
 		t.Errorf("mismatched worker not benched: %+v", st)
+	}
+}
+
+func TestWorkerPoolRejectsOldProtocol(t *testing.T) {
+	db, w, _, defs := mergerFixture(t)
+	opts := MergeOptions{CostConstraint: 0.50}
+	want := mergeKey(distribMerge(t, db, w, defs, opts, nil))
+	// One worker of an earlier release beside a current one: it would
+	// misread the one-arm cost request, so it is benched for good at
+	// /v1/info and never asked; the run is unchanged.
+	old := http.Handler(distrib.NewWorker(db.Snapshot().Fork()).Handler())
+	oldSrv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/info" {
+			fmt.Fprintf(rw, `{"protocol":1,"fingerprint":%q}`, engine.FingerprintString(db.Fingerprint()))
+			return
+		}
+		t.Errorf("a worker speaking protocol 1 was sent %s", r.URL.Path)
+		old.ServeHTTP(rw, r)
+	}))
+	defer oldSrv.Close()
+
+	alone := distrib.NewPool([]string{oldSrv.URL}, distrib.Options{})
+	if _, err := alone.Bind(context.Background(), "t", db.Fingerprint(), w); err == nil || !strings.Contains(err.Error(), "speaks protocol 1") {
+		t.Fatalf("bind to a protocol-1 worker alone: err = %v, want the protocol error", err)
+	}
+	if st := alone.PoolStats(); st.Healthy != 0 {
+		t.Errorf("protocol-1 worker not benched: %+v", st)
+	}
+
+	cur := httptest.NewServer(distrib.NewWorker(db.Snapshot().Fork()).Handler())
+	defer cur.Close()
+	pool := distrib.NewPool([]string{oldSrv.URL, cur.URL}, distrib.Options{})
+	b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w)
+	if err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	res := distribMerge(t, db, w, defs, opts, b)
+	if got := mergeKey(res); got != want {
+		t.Errorf("result changed beside a benched worker:\nwant %s\ngot  %s", want, got)
+	}
+	if st := pool.PoolStats(); st.Healthy != 1 || res.RemoteBatches == 0 {
+		t.Errorf("pool stats %+v, %d remote batches: want the current worker alone, in use", st, res.RemoteBatches)
 	}
 }
 
@@ -346,7 +434,7 @@ func TestWorkerPoolBindUnreachable(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	pool := distrib.NewPool([]string{"http://" + addr}, distrib.Options{Timeout: time.Second})
-	if _, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w, 0); err == nil {
+	if _, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w); err == nil {
 		t.Fatal("bind succeeded against an unreachable worker")
 	}
 }

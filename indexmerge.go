@@ -599,72 +599,68 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 }
 
 // checkerChain builds the run's constraint checker from the options,
-// each link once: the cost model's own checker, the §3.5.3 external
-// prefilter in front of it, the resilient wrapper around both. The
-// external model, calibrated against the initial configuration, serves
-// the prefilter and the resilient wrapper's degraded decisions alike.
-// It returns the chain as the search sees it, the bound U (0 for the
-// No-Cost model) and a function that, after the search, fills the
-// result's counters of the model that ran.
+// each link once: the optimizer-backed checker over the cost model's
+// units, the §3.5.3 external prefilter in front of it, the resilient
+// wrapper around both. The external model, calibrated against the
+// initial configuration, serves the prefilter and the resilient
+// wrapper's degraded decisions alike. It returns the chain as the search
+// sees it, the bound U (0 for the No-Cost model) and a function that,
+// after the search, fills the result's counters of the model that ran.
 func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, pw *PreparedWorkload, baseCost float64,
 	resilient *core.ResilientChecker, costing func(func(context.Context) error) error,
 ) (check core.ConstraintChecker, bound float64, report func(*MergeResult), err error) {
-	var plain *core.OptimizerChecker
+	var opt *core.OptimizerChecker
+	var compressed *CompressedWorkload
 	switch opts.CostModel {
 	case NoCost:
 		return &core.NoCostChecker{F: opts.NoCostF, P: opts.NoCostP, Tables: m.db}, 0, func(*MergeResult) {}, nil
 	case CompressedOptimizerCost:
-		compressed, err := m.compressedFor(opts)
-		if err != nil {
+		if compressed, err = m.compressedFor(opts); err != nil {
 			return nil, 0, nil, err
 		}
-		// The cost table and the remote counters may be shared across
-		// runs by the advisor service: a run reports deltas.
-		batches0, items0, fallbacks0 := compressed.RemoteStats()
-		// Interface-typed remote so a nil binding stays a nil interface.
-		var remote wscale.RemoteCoster
-		if opts.Workers != nil {
-			remote = opts.Workers
-		}
+		opt = wscale.NewChecker(compressed, 0, opts.CostConstraint)
+	default:
+		opt = core.NewOptimizerChecker(m.opt, m.w, baseCost, opts.CostConstraint)
+		opt.Cache = opts.CostCache
+		opt.KeyNamespace = opts.CacheNamespace
+		opt.Prepared = pw
+	}
+	opt.Parallelism = opts.Parallelism
+	// Interface-typed so a nil binding stays a nil interface.
+	if opts.Workers != nil {
+		opt.Batch = opts.Workers
+	}
+	// The store and the remote counters may be shared across runs by the
+	// advisor service: a run reports deltas.
+	batches0, items0, fallbacks0 := opt.RemoteStats()
+	var hits0, misses0 int64
+	if compressed != nil {
 		// The constraint bound derives from the decomposed baseline (the
 		// template-order total), keeping the checker's delta totals and U
 		// on the same summation; it differs from baseCost only in the
 		// last ulp.
 		var compBase float64
 		err = costing(func(actx context.Context) (err error) {
-			compBase, err = compressed.WorkloadCostRemoteContext(actx, initial, remote)
+			compBase, err = opt.WorkloadCostContext(actx, initial)
 			return err
 		})
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		comp := wscale.NewChecker(compressed, compBase, opts.CostConstraint)
-		comp.Parallelism = opts.Parallelism
-		comp.Remote = remote
-		check, bound = comp, comp.U
-		hits0, misses0, _ := compressed.TableStats()
-		report = func(out *MergeResult) {
+		opt.U = compBase * (1 + opts.CostConstraint)
+		hits0, misses0, _ = opt.CacheStats()
+	}
+	check, bound = opt, opt.U
+	report = func(out *MergeResult) {
+		if compressed != nil {
 			out.Templates = len(compressed.C.Templates)
 			out.DedupRatio = compressed.C.DedupRatio()
-			hits, misses, _ := compressed.TableStats()
+			hits, misses, _ := opt.CacheStats()
 			out.CostTableHits, out.CostTableMisses = hits-hits0, misses-misses0
-			out.PrunedChecks = comp.PrunedChecks()
-			batches, items, fallbacks := compressed.RemoteStats()
-			out.RemoteBatches, out.RemoteItems, out.RemoteFallbacks = batches-batches0, items-items0, fallbacks-fallbacks0
+			out.PrunedChecks = opt.PrunedChecks()
 		}
-	default:
-		plain = core.NewOptimizerChecker(m.opt, m.w, baseCost, opts.CostConstraint)
-		plain.Parallelism = opts.Parallelism
-		plain.Cache = opts.CostCache
-		plain.KeyNamespace = opts.CacheNamespace
-		plain.Prepared = pw
-		if opts.Workers != nil {
-			plain.Batch = opts.Workers
-		}
-		check, bound = plain, plain.U
-		report = func(out *MergeResult) {
-			out.RemoteBatches, out.RemoteItems, out.RemoteFallbacks = plain.RemoteStats()
-		}
+		batches, items, fallbacks := opt.RemoteStats()
+		out.RemoteBatches, out.RemoteItems, out.RemoteFallbacks = batches-batches0, items-items0, fallbacks-fallbacks0
 	}
 	if opts.CostModel != PrefilteredOptimizerCost && resilient == nil {
 		return check, bound, report, nil
@@ -672,7 +668,7 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, p
 	ext := &core.ExternalCostModel{Meta: m.db, W: m.w}
 	ext.SetBaseline(initial)
 	if opts.CostModel == PrefilteredOptimizerCost {
-		check = &core.PrefilteredChecker{External: ext, Inner: plain, SlackPct: opts.CostConstraint}
+		check = &core.PrefilteredChecker{External: ext, Inner: opt, SlackPct: opts.CostConstraint}
 	}
 	if resilient != nil {
 		resilient.Inner = check

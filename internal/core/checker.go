@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -51,28 +50,25 @@ type ConstraintChecker interface {
 	Description() string
 }
 
-// Cache-key separators. Index keys are built from SQL identifiers and
-// "(),", so the ASCII unit/group separators can never occur inside
-// them; they make the concatenated key unambiguous (no two distinct
-// relevant-configuration states can collide).
-const (
-	keySepIndex = '\x1f' // terminates each index key
-	keySepNS    = '\x1d' // terminates the checker's key namespace
-)
-
 // OptimizerChecker implements the optimizer-estimated cost evaluation
 // (§3.5.3): Cost(W, C) is computed by invoking the query optimizer
 // against the hypothetical configuration, and the constraint is
-// Cost(W, C') ≤ U. Per-query costs are cached keyed by the subset of
-// the configuration relevant to the query, and a candidate one merge
-// away from the search's current configuration re-prices only the
-// queries the merge can touch (the paper's "cost needs to be obtained
-// only for relevant queries" shortcut, §3.4.2): every other query's
-// cost is carried from the base.
+// Cost(W, C') ≤ U. It is one search's view of a Pricer: the bound, the
+// search's current configuration with its cells, and the search's own
+// counters. Cells are cached keyed by the subset of the configuration
+// relevant to their unit, and a candidate one merge away from the
+// search's current configuration re-prices only the units the merge can
+// touch (the paper's "cost needs to be obtained only for relevant
+// queries" shortcut, §3.4.2): every other unit's cell is carried from
+// the base.
 //
-// The checker is safe for concurrent use: the cache is sharded and
+// NewOptimizerChecker prices a workload query by query (the engine is
+// made on first use from Server, W, Prepared, Cache and KeyNamespace);
+// Pricer.NewChecker prices whatever units its engine holds.
+//
+// The checker is safe for concurrent use: the store is sharded and
 // deduplicates in-flight computations so two workers never optimize
-// the same (query, relevant-config) key twice, and all counters are
+// the same (unit, relevant-config) key twice, and all counters are
 // atomic. Server must be safe for concurrent CostPrepared calls
 // (optimizer.Optimizer is) and Parallelism must be set before the
 // first evaluation.
@@ -81,9 +77,9 @@ type OptimizerChecker struct {
 	W      *sql.Workload
 	U      float64 // absolute workload-cost upper bound
 
-	// Parallelism bounds concurrent Server.CostPrepared calls issued by
-	// this checker across all concurrent WorkloadCostContext
-	// invocations. <= 1 means fully serial per-query costing.
+	// Parallelism bounds concurrent CostPrepared calls issued by this
+	// checker across all concurrent evaluations. <= 1 means fully serial
+	// costing.
 	Parallelism int
 
 	// Cache, when non-nil, supplies an external what-if cost cache to
@@ -107,56 +103,38 @@ type OptimizerChecker struct {
 	// (PreparedWorkload.RelevantQueries).
 	Prepared *optimizer.PreparedWorkload
 
-	// Batch, when non-nil, offloads cache-missed per-query costings to
-	// a pool of what-if worker processes in one batched round trip
-	// before the local evaluation path runs (internal/distrib provides
-	// the implementation). Workers run the same costing code over
-	// identically-built statistics, so remote costs are bit-identical
-	// to local ones; results are installed through the same cache path
-	// with the same counter accounting, and any RPC failure falls back
-	// to local costing — the search result never depends on whether or
-	// where a batch was dispatched. Set before the first evaluation.
+	// Batch, when non-nil, offloads each evaluation's store misses to a
+	// pool of what-if worker processes in one batched round trip
+	// (internal/distrib provides the implementation). Workers run the
+	// same costing code over identically-built statistics, so remote
+	// costs are bit-identical to local ones; they are installed through
+	// the same store path with the same counter accounting, and any RPC
+	// failure falls back to local costing — the search result never
+	// depends on whether or where a batch was dispatched. Set before the
+	// first evaluation.
 	Batch BatchCostServer
 
-	once     sync.Once
-	initErr  error // Prepared could not be built or does not match W
-	cache    *costcache.Cache
-	sem      chan struct{}               // tokens for actual optimizer invocations
-	prefixes []string                    // per query: "<namespace>\x1dq<idx>|"
-	pw       *optimizer.PreparedWorkload // Prepared, or W prepared on first use
-	all      optimizer.QuerySet          // every query position
-	rel      *optimizer.Relevance        // memoized for the checker's one search
+	once    sync.Once
+	initErr error         // Prepared could not be built or does not match W
+	pricer  *Pricer       // the constructor's, or singleton units of W made on first use
+	sem     chan struct{} // tokens for actual optimizer invocations
 
 	// mu guards the base and the vectors waiting to become one. A base
 	// is immutable once published: pricing it replaces the pointer.
 	mu       sync.Mutex
 	base     *pricedBase
-	accepted map[*Configuration][]float64 // per-query costs of the accepted candidates of the current base
+	accepted map[*Configuration][]float64 // cells of the accepted candidates of the current base
 
 	checks   atomic.Int64 // constraint checks (Accepts/WorkloadCostContext calls)
-	optCalls atomic.Int64 // actual Server.CostPrepared invocations
-
-	remoteBatches   atomic.Int64 // batched RPCs dispatched to workers
-	remoteItems     atomic.Int64 // queries costed remotely
-	remoteFallbacks atomic.Int64 // batches that fell back to local costing
+	optCalls atomic.Int64 // CostPrepared invocations this checker's fills account for
+	pruned   atomic.Int64 // candidates rejected on the lower bound alone
 }
 
-// pricedBase is the search's current configuration with its per-query
-// costs; costs is nil until the first check of the expansion prices it.
+// pricedBase is the search's current configuration with its cells;
+// costs is nil until the first check of the expansion prices it.
 type pricedBase struct {
 	*SearchBase
 	costs []float64
-}
-
-// BatchCostServer costs a batch of workload queries (by position)
-// under one hypothetical configuration in a single round trip —
-// the coordinator→worker-pool contract for distributed what-if
-// costing. Implementations must return exactly len(queries) finite
-// costs, each bit-identical to what the local prepared fast path
-// would produce for the same (query, configuration); on any doubt
-// they should return an error and let the caller cost locally.
-type BatchCostServer interface {
-	CostQueryBatch(ctx context.Context, queries []int, defs []catalog.IndexDef) ([]float64, error)
 }
 
 // NewOptimizerChecker builds a checker with U = baseCost × (1 + slackPct).
@@ -170,91 +148,74 @@ func NewOptimizerChecker(server CostServer, w *sql.Workload, baseCost, slackPct 
 	}
 }
 
-// lazyInit builds the cache, the worker semaphore, the prepared
-// workload when the caller supplied none, and the per-query key
-// metadata on first use. Its error is every evaluation's error.
+// lazyInit builds, on first use, the worker semaphore and — unless the
+// constructor supplied an engine — the engine over W's singleton units,
+// preparing W when the caller supplied no Prepared. Its error is every
+// evaluation's error.
 func (c *OptimizerChecker) lazyInit() error {
 	c.once.Do(func() {
-		if c.Cache != nil {
-			c.cache = c.Cache
-		} else {
-			c.cache = costcache.New(0)
-		}
-		p := c.Parallelism
-		if p < 1 {
-			p = 1
-		}
-		c.sem = make(chan struct{}, p)
-		if c.pw, c.initErr = preparedFor(c.Server, c.W, c.Prepared); c.initErr != nil {
+		c.sem = make(chan struct{}, max(c.Parallelism, 1))
+		if c.pricer != nil {
 			return
 		}
-		c.rel = c.pw.NewRelevance()
-		nq := len(c.W.Queries)
-		c.prefixes = make([]string, nq)
-		c.all = optimizer.NewQuerySet(nq)
-		for qi := range c.W.Queries {
-			c.prefixes[qi] = fmt.Sprintf("%s%cq%d|", c.KeyNamespace, keySepNS, qi)
-			c.all.Add(qi)
+		store := c.Cache
+		if store == nil {
+			store = costcache.New(0)
 		}
+		pw, err := preparedFor(c.Server, c.W, c.Prepared)
+		if err != nil {
+			// An engine over no units: the accessors have a store and
+			// counters to read, every evaluation fails before pricing.
+			c.initErr = err
+			c.pricer = NewPricer("Cost-Opt", c.Server, pw, nil, store)
+			return
+		}
+		c.pricer = NewPricer("Cost-Opt", c.Server, pw, singletonUnits(c.W, c.KeyNamespace), store)
 	})
 	return c.initErr
 }
 
-// Description implements ConstraintChecker.
-func (c *OptimizerChecker) Description() string { return "Cost-Opt" }
+// Description implements ConstraintChecker: the engine's name for its
+// units.
+func (c *OptimizerChecker) Description() string {
+	_ = c.lazyInit() // the engine exists even when preparing W failed
+	return c.pricer.desc
+}
 
 // Evaluations implements ConstraintChecker: the number of constraint
 // checks (Accepts and WorkloadCostContext calls), cached or not.
 func (c *OptimizerChecker) Evaluations() int64 { return c.checks.Load() }
 
 // OptimizerCalls implements ConstraintChecker: the number of actual
-// Server.CostPrepared invocations — the expensive quantity §3.4.2 says
-// dominates Greedy's running time. Cache hits never count here.
+// CostPrepared invocations this checker's store misses account for — the
+// expensive quantity §3.4.2 says dominates Greedy's running time. Store
+// hits never count here.
 func (c *OptimizerChecker) OptimizerCalls() int64 { return c.optCalls.Load() }
 
-// CacheStats exposes the underlying cost-cache counters (lookup hits,
-// computed misses, deduplicated in-flight waits).
+// PrunedChecks counts candidates rejected by the admissible lower
+// bound without exact costing of every affected unit.
+func (c *OptimizerChecker) PrunedChecks() int64 { return c.pruned.Load() }
+
+// CacheStats exposes the engine's store counters (lookup hits, computed
+// misses, deduplicated in-flight waits) — the engine's, so shared with
+// every checker over it.
 func (c *OptimizerChecker) CacheStats() (hits, misses, dedups int64) {
-	_ = c.lazyInit() // the cache exists even when preparing W failed
-	return c.cache.Stats()
+	_ = c.lazyInit()
+	return c.pricer.store.Stats()
 }
 
-// relevant returns the queries whose cost can depend on the index:
-// those it can contribute an access path to.
-func (c *OptimizerChecker) relevant(ix *Index) optimizer.QuerySet {
-	return c.rel.Queries(ix.Key(), ix.Def)
-}
-
-// relevance appends relevant(ix) for every index of cfg, aligned with
-// cfg.Indexes.
-func (c *OptimizerChecker) relevance(rels []optimizer.QuerySet, cfg *Configuration) []optimizer.QuerySet {
-	for _, ix := range cfg.Indexes {
-		rels = append(rels, c.relevant(ix))
-	}
-	return rels
-}
-
-// appendQueryKey appends query qi's cache key under cfg: the query's
-// namespace prefix, then the key of every index relevant to the query
-// in configuration order, each terminated by keySepIndex. Two
-// configurations share a query's key exactly when their relevant
-// subsets coincide, so a key addresses one cost.
-func (c *OptimizerChecker) appendQueryKey(buf []byte, qi int, cfg *Configuration, rels []optimizer.QuerySet) []byte {
-	buf = append(buf, c.prefixes[qi]...)
-	for i, ix := range cfg.Indexes {
-		if rels[i].Has(qi) {
-			buf = append(buf, ix.Key()...)
-			buf = append(buf, keySepIndex)
-		}
-	}
-	return buf
+// RemoteStats reports the engine's distributed-costing activity (see
+// Pricer.RemoteStats).
+func (c *OptimizerChecker) RemoteStats() (batches, items, fallbacks int64) {
+	_ = c.lazyInit()
+	return c.pricer.RemoteStats()
 }
 
 // SetBase implements ConstraintChecker. A candidate this checker
-// accepted since the last SetBase arrives with its per-query costs; any
-// other configuration is priced by the first check that needs it, so
-// that a costing error surfaces through Accepts, where a resilient
-// wrapper can retry it.
+// accepted since the last SetBase arrives with its cells; any other
+// configuration is priced by the first check that needs it, so that a
+// costing error surfaces through Accepts, where a resilient wrapper can
+// retry it.
 func (c *OptimizerChecker) SetBase(cfg *Configuration) {
 	c.mu.Lock()
 	c.base = &pricedBase{SearchBase: NewSearchBase(cfg), costs: c.accepted[cfg]}
@@ -262,11 +223,11 @@ func (c *OptimizerChecker) SetBase(cfg *Configuration) {
 	c.mu.Unlock()
 }
 
-// pricedBaseFor returns the current base with its per-query costs,
-// pricing it on first use, or nil when no search has set one.
-// Concurrent first checks of one wave may both price it; the cache
-// deduplicates the optimizer calls and both arrive at the same vector.
-// Nothing is recorded unless pricing succeeds.
+// pricedBaseFor returns the current base with its cells, pricing it on
+// first use, or nil when no search has set one. Concurrent first checks
+// of one wave may both price it; the store deduplicates the optimizer
+// calls and both arrive at the same vector. Nothing is recorded unless
+// pricing succeeds.
 func (c *OptimizerChecker) pricedBaseFor(ctx context.Context) (*pricedBase, error) {
 	c.mu.Lock()
 	bs := c.base
@@ -274,12 +235,12 @@ func (c *OptimizerChecker) pricedBaseFor(ctx context.Context) (*pricedBase, erro
 	if bs == nil || bs.costs != nil {
 		return bs, nil
 	}
-	sc := checkScratchPool.Get().(*checkScratch)
-	defer checkScratchPool.Put(sc)
-	if _, err := c.price(ctx, sc, bs.Cfg, nil, c.all); err != nil {
+	sc := priceScratchPool.Get().(*priceScratch)
+	defer priceScratchPool.Put(sc)
+	if _, err := c.price(ctx, sc, bs.Cfg, nil, c.pricer.all); err != nil {
 		return nil, err
 	}
-	priced := &pricedBase{SearchBase: bs.SearchBase, costs: append([]float64(nil), sc.costs...)}
+	priced := &pricedBase{SearchBase: bs.SearchBase, costs: append([]float64(nil), sc.cells...)}
 	c.mu.Lock()
 	if c.base == bs {
 		c.base = priced
@@ -289,12 +250,14 @@ func (c *OptimizerChecker) pricedBaseFor(ctx context.Context) (*pricedBase, erro
 }
 
 // Accepts implements ConstraintChecker: cancellation is observed
-// between the per-query optimizer invocations of the workload costing.
-// A candidate one ReplacePair(a, b, m) away from the base re-prices
-// only the queries a, b or m is relevant to: an irrelevant index
-// contributes no access path, so every other query's relevant subset,
-// key and cost are the base's. Any other configuration is the same
-// evaluation with every query affected.
+// between the optimizer invocations of the workload costing. A
+// candidate one ReplacePair(a, b, m) away from the base re-prices only
+// the units a, b or m is relevant to: an irrelevant index contributes
+// no access path, so every other unit's relevant subset, key and cell
+// are the base's. Any other configuration (Exhaustive's stale sibling
+// batches) is the same evaluation with every unit affected. Accepts are
+// always decided on exact costs, and totals sum in unit order, so the
+// delta and the full evaluation agree bit for bit.
 func (c *OptimizerChecker) Accepts(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
 	if err := c.lazyInit(); err != nil {
 		return false, err
@@ -307,21 +270,22 @@ func (c *OptimizerChecker) Accepts(ctx context.Context, cfg *Configuration, m, a
 	if err != nil {
 		return false, err
 	}
-	sc := checkScratchPool.Get().(*checkScratch)
-	defer checkScratchPool.Put(sc)
+	p := c.pricer
+	sc := priceScratchPool.Get().(*priceScratch)
+	defer priceScratchPool.Put(sc)
 	var carry []float64
-	affected := c.all
+	affected := p.all
 	derived := bs != nil && bs.Derives(cfg, m, a, b)
 	if derived {
 		carry = bs.costs
-		if cap(sc.affected) < len(c.all) {
-			sc.affected = make(optimizer.QuerySet, len(c.all))
+		if cap(sc.affected) < len(p.all) {
+			sc.affected = make(optimizer.QuerySet, len(p.all))
 		}
-		affected = sc.affected[:len(c.all)]
+		affected = sc.affected[:len(p.all)]
 		clear(affected)
-		affected.Union(c.relevant(a))
-		affected.Union(c.relevant(b))
-		affected.Union(c.relevant(m))
+		affected.Union(p.relevant(a))
+		affected.Union(p.relevant(b))
+		affected.Union(p.relevant(m))
 	}
 	total, err := c.price(ctx, sc, cfg, carry, affected)
 	if err != nil {
@@ -332,7 +296,7 @@ func (c *OptimizerChecker) Accepts(ctx context.Context, cfg *Configuration, m, a
 	}
 	if derived {
 		// The search may adopt cfg next; its vector is then the base.
-		vec := append([]float64(nil), sc.costs...)
+		vec := append([]float64(nil), sc.cells...)
 		c.mu.Lock()
 		if c.accepted == nil {
 			c.accepted = make(map[*Configuration][]float64)
@@ -343,13 +307,13 @@ func (c *OptimizerChecker) Accepts(ctx context.Context, cfg *Configuration, m, a
 	return true, nil
 }
 
-// WorkloadCostContext computes Cost(W, C) with per-query caching. Cache
-// misses are optimized concurrently (up to Parallelism at a time); the
-// total is summed in query order so results are byte-identical to a
-// serial evaluation. ctx is checked before every actual optimizer
-// invocation, so a canceled caller stops after at most one in-flight
-// per-query optimization. Cached entries are still served after
-// cancellation begins; a cancellation error is never cached.
+// WorkloadCostContext computes Cost(W, C) from the store. Misses are
+// optimized concurrently (up to Parallelism at a time); the total is
+// summed in unit order so results are byte-identical to a serial
+// evaluation. ctx is checked before every actual optimizer invocation,
+// so a canceled caller stops after at most one in-flight optimization.
+// Cached cells are still served after cancellation begins; a
+// cancellation error is never cached.
 func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configuration) (float64, error) {
 	if err := c.lazyInit(); err != nil {
 		return 0, err
@@ -358,131 +322,9 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	sc := checkScratchPool.Get().(*checkScratch)
-	defer checkScratchPool.Put(sc)
-	return c.price(ctx, sc, cfg, nil, c.all)
-}
-
-// price is the checker's one evaluation routine. It leaves cfg's
-// per-query costs in sc.costs and returns their frequency-weighted sum
-// in workload order. The affected queries are keyed by their relevant
-// subset of cfg and looked up, and the misses are costed under that
-// subset alone; every other query keeps the cost carry holds for it
-// (carry may be nil when every query is affected). A check whose
-// lookups all hit allocates nothing.
-func (c *OptimizerChecker) price(ctx context.Context, sc *checkScratch, cfg *Configuration, carry []float64, affected optimizer.QuerySet) (float64, error) {
-	nq := len(c.W.Queries)
-	if cap(sc.costs) < nq {
-		sc.costs = make([]float64, nq)
-	}
-	costs := sc.costs[:nq]
-	sc.costs = costs
-	copy(costs, carry)
-	rels := c.relevance(sc.rels[:0], cfg)
-	sc.rels = rels
-	missQ, missKey := sc.missQ[:0], sc.missKey[:0]
-	for qi := affected.Next(0); qi >= 0; qi = affected.Next(qi + 1) {
-		sc.key = c.appendQueryKey(sc.key[:0], qi, cfg, rels)
-		if v, ok := c.cache.GetBytes(sc.key); ok {
-			costs[qi] = v
-		} else {
-			missQ = append(missQ, qi)
-			missKey = append(missKey, string(sc.key))
-		}
-	}
-	sc.missQ, sc.missKey = missQ, missKey
-
-	if len(missQ) > 0 && (c.Batch == nil || !c.batchMisses(ctx, missQ, missKey, costs, cfg.Defs())) {
-		// Each miss is costed under its relevant subset only: the lists
-		// sit back to back in one pooled slice, miss i's at
-		// defs[ends[i-1]:ends[i]].
-		defs, ends := sc.defs[:0], sc.ends[:0]
-		for _, qi := range missQ {
-			for i, ix := range cfg.Indexes {
-				if rels[i].Has(qi) {
-					defs = append(defs, ix.Def)
-				}
-			}
-			ends = append(ends, len(defs))
-		}
-		sc.defs, sc.ends = defs, ends
-		eval := func(i int) error {
-			qi, lo := missQ[i], 0
-			if i > 0 {
-				lo = ends[i-1]
-			}
-			v, err := c.cache.Do(missKey[i], func() (float64, error) {
-				select {
-				case c.sem <- struct{}{}:
-				case <-ctx.Done():
-					return 0, ctx.Err()
-				}
-				defer func() { <-c.sem }()
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
-				c.optCalls.Add(1)
-				return c.Server.CostPrepared(c.pw.Queries[qi], optimizer.Configuration(defs[lo:ends[i]]))
-			})
-			if err != nil {
-				return err
-			}
-			costs[qi] = v
-			return nil
-		}
-		if err := EvalEach(len(missQ), c.Parallelism, eval); err != nil {
-			return 0, err
-		}
-	}
-
-	total := 0.0
-	for qi, q := range c.W.Queries {
-		total += costs[qi] * q.Freq
-	}
-	return total, nil
-}
-
-// batchMisses offloads the cache-missed queries to the worker pool in
-// one batched RPC, under the whole configuration (an index outside a
-// query's relevant subset changes no cost). Results are installed
-// through the same cache Do path as local evaluation — counting one
-// optimizer call per computed query — so cache contents and counters
-// stay byte-identical to a local run. Any RPC error, short response,
-// or non-finite cost returns false with costs untouched; the caller
-// then costs locally.
-func (c *OptimizerChecker) batchMisses(ctx context.Context, missQ []int, missKey []string, costs []float64, defs []catalog.IndexDef) bool {
-	vals, err := c.Batch.CostQueryBatch(ctx, missQ, defs)
-	if err != nil || len(vals) != len(missQ) {
-		c.remoteFallbacks.Add(1)
-		return false
-	}
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			c.remoteFallbacks.Add(1)
-			return false
-		}
-	}
-	for i, qi := range missQ {
-		v, err := c.cache.Do(missKey[i], func() (float64, error) {
-			c.optCalls.Add(1)
-			return vals[i], nil
-		})
-		if err != nil {
-			c.remoteFallbacks.Add(1)
-			return false
-		}
-		costs[qi] = v
-	}
-	c.remoteBatches.Add(1)
-	c.remoteItems.Add(int64(len(missQ)))
-	return true
-}
-
-// RemoteStats reports distributed-costing activity: batched RPCs
-// dispatched, queries costed remotely, and batches that fell back to
-// local costing.
-func (c *OptimizerChecker) RemoteStats() (batches, items, fallbacks int64) {
-	return c.remoteBatches.Load(), c.remoteItems.Load(), c.remoteFallbacks.Load()
+	sc := priceScratchPool.Get().(*priceScratch)
+	defer priceScratchPool.Put(sc)
+	return c.price(ctx, sc, cfg, nil, c.pricer.all)
 }
 
 // EvalEach runs eval(0) … eval(n-1), on up to workers goroutines when
@@ -543,22 +385,17 @@ func safeEval(eval func(int) error, i int) (err error) {
 	return eval(i)
 }
 
-// checkScratch is pooled per-check state: the per-query cost vector,
-// the relevance of the configuration's indexes, the affected set, one
-// key buffer, and the missed queries with their keys and relevant
-// definitions.
-type checkScratch struct {
-	costs    []float64
-	rels     []optimizer.QuerySet
-	affected optimizer.QuerySet
-	key      []byte
-	missQ    []int
-	missKey  []string
-	defs     []catalog.IndexDef
-	ends     []int
+// safeAccepts is check.Accepts behind safeEval's boundary, for the
+// goroutines a search fans one wave's checks out to: a panic anywhere
+// under a check (a store install as much as a cost server) becomes that
+// candidate's verdict error, consumed in rank order like any other.
+func safeAccepts(ctx context.Context, check ConstraintChecker, cfg *Configuration, m, a, b *Index) (ok bool, err error) {
+	err = safeEval(func(int) (err error) {
+		ok, err = check.Accepts(ctx, cfg, m, a, b)
+		return err
+	}, 0)
+	return ok, err
 }
-
-var checkScratchPool = sync.Pool{New: func() any { return new(checkScratch) }}
 
 // NoCostChecker implements the No-Cost model (§3.5.1): a merged index
 // is acceptable iff (a) its width is at most fraction F of its table's

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"indexmerge/internal/catalog"
+	"indexmerge/internal/core/costcache"
 	"indexmerge/internal/datagen"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/faults"
@@ -446,16 +447,35 @@ func TestPrefilterForwardsBase(t *testing.T) {
 	}
 }
 
+// doubledUnits folds every query of the rig with a copy of itself, the
+// way a compressed workload folds queries that differ in constants:
+// unit i holds positions i and i+n of the doubled prepared workload.
+// weight 0 weighs each member by its frequency (a registration), any
+// other value weighs it by 1 and scales the cell on the way out (a
+// window snapshot).
+func (r *deltaRig) doubledUnits(scale float64) *Pricer {
+	n := len(r.pw.Queries)
+	pw2 := &optimizer.PreparedWorkload{Queries: append(append([]*optimizer.PreparedQuery(nil), r.pw.Queries...), r.pw.Queries...)}
+	units := make([]Unit, n)
+	for i, q := range r.w.Queries {
+		units[i] = Unit{Members: []int{i, i + n}, Weights: []float64{q.Freq, q.Freq}, Scale: 1, Prefix: "t" + strconv.Itoa(i) + string(keySepNS)}
+		if scale != 0 {
+			units[i].Weights, units[i].Scale = []float64{1, 1}, scale
+			units[i].Prefix = "f" + strconv.Itoa(i) + "e0" + string(keySepNS)
+		}
+	}
+	return NewPricer("doubled", r.opt, pw2, units, costcache.New(0))
+}
+
 // TestDeltaCachedCheckAllocatesNothing: a base-derived check whose
-// affected queries are all cached allocates nothing when it rejects,
-// and only the vector the search may adopt when it accepts.
+// affected units are all cached allocates nothing when it rejects, and
+// only the vector the search may adopt when it accepts — whatever the
+// units are.
 func TestDeltaCachedCheckAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	rig := tpcdRig(t)
-	check := rig.checker(0.30)
-	check.SetBase(rig.initial)
 	pair := rig.initial.PairsByTable()[0]
 	a, b := pair[0], pair[1]
 	m, err := (&MergePairCost{Seek: rig.seek}).Merge(a, b)
@@ -464,19 +484,34 @@ func TestDeltaCachedCheckAllocatesNothing(t *testing.T) {
 	}
 	cfg := rig.initial.ReplacePair(a, b, m)
 	ctx := context.Background()
-	for _, tc := range []struct {
-		u      float64
-		accept bool
-		allocs float64
-	}{{0, false, 0}, {math.Inf(1), true, 1}} {
-		check.U = tc.u
-		got := testing.AllocsPerRun(50, func() {
-			if ok, err := check.Accepts(ctx, cfg, m, a, b); err != nil || ok != tc.accept {
-				t.Fatalf("Accepts = %v, %v at U = %v", ok, err, tc.u)
+	for name, check := range map[string]*OptimizerChecker{
+		"singleton units":                 rig.checker(0.30),
+		"template units, registered keys": rig.doubledUnits(0).NewChecker(0, 0),
+		"template units, window keys":     rig.doubledUnits(0.5).NewChecker(0, 0),
+	} {
+		// Cache the candidate: at U = 0 a check with misses is rejected
+		// on its lower bound and fills nothing.
+		if _, err := check.WorkloadCostContext(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+		check.SetBase(rig.initial)
+		for _, tc := range []struct {
+			u      float64
+			accept bool
+			allocs float64
+		}{{0, false, 0}, {math.Inf(1), true, 1}} {
+			check.U = tc.u
+			got := testing.AllocsPerRun(50, func() {
+				if ok, err := check.Accepts(ctx, cfg, m, a, b); err != nil || ok != tc.accept {
+					t.Fatalf("%s: Accepts = %v, %v at U = %v", name, ok, err, tc.u)
+				}
+			})
+			if got != tc.allocs {
+				t.Errorf("%s: a cached check with verdict %v allocates %v objects, want %v", name, tc.accept, got, tc.allocs)
 			}
-		})
-		if got != tc.allocs {
-			t.Errorf("a cached check with verdict %v allocates %v objects, want %v", tc.accept, got, tc.allocs)
+		}
+		if check.PrunedChecks() != 0 {
+			t.Errorf("%s: %d cached checks were pruned", name, check.PrunedChecks())
 		}
 	}
 }

@@ -141,7 +141,7 @@ func ExhaustiveContext(ctx context.Context, initial *Configuration, mp MergePair
 					go func(i int) {
 						defer wg.Done()
 						c := &batch[i]
-						c.ok, c.err = check.Accepts(ctx, c.next, c.m, c.a, c.b)
+						c.ok, c.err = safeAccepts(ctx, check, c.next, c.m, c.a, c.b)
 					}(i)
 				}
 				wg.Wait()

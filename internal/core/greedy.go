@@ -378,7 +378,7 @@ func evaluateWave(ctx context.Context, cur *Configuration, batch []greedyCandida
 		go func(i int) {
 			cand := batch[i]
 			next := cur.ReplacePair(cand.a, cand.b, cand.m)
-			ok, err := check.Accepts(ctx, next, cand.m, cand.a, cand.b)
+			ok, err := safeAccepts(ctx, check, next, cand.m, cand.a, cand.b)
 			verdicts[i] = verdict{next: next, ok: ok, err: err}
 			done <- i
 		}(i)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -221,9 +222,9 @@ func TestWorkloadCostConcurrentStress(t *testing.T) {
 
 // TestQueryKeyUnambiguous verifies the cache key's injectivity
 // contract: two configurations share a query's key exactly when their
-// relevant subsets — the indexes relevant to the query (IndexRelevant),
-// in configuration order — coincide, and the separator bytes can never
-// occur inside an index key.
+// relevant subsets — the set of indexes relevant to the query
+// (IndexRelevant), whatever their order in the configuration — coincide,
+// and the separator bytes can never occur inside an index key.
 func TestQueryKeyUnambiguous(t *testing.T) {
 	f := newSearchFixture(t)
 
@@ -263,17 +264,18 @@ func TestQueryKeyUnambiguous(t *testing.T) {
 		byKey := make(map[string]string) // cache key -> relevant subset
 		byRel := make(map[string]string) // relevant subset -> cache key
 		for _, cfg := range configs {
-			key := string(check.appendQueryKey(nil, qi, cfg, check.relevance(nil, cfg)))
-			var sb strings.Builder
+			sorted, rels := check.pricer.relevance(new(priceScratch), cfg)
+			key := string(check.pricer.appendKey(nil, qi, sorted, rels))
+			var relKeys []string
 			for _, ix := range cfg.Indexes {
 				if isRelevant(qi, ix) {
-					sb.WriteString(ix.Key())
-					sb.WriteByte(0)
+					relKeys = append(relKeys, ix.Key())
 				} else if f.w.Queries[qi].Stmt.ColumnsOf(ix.Def.Table) != nil {
 					narrowed = true
 				}
 			}
-			rel := sb.String()
+			sort.Strings(relKeys)
+			rel := strings.Join(relKeys, "\x00")
 			if prev, seen := byKey[key]; seen && prev != rel {
 				t.Fatalf("q%d: key collision between relevant subsets %q and %q", qi, prev, rel)
 			}

@@ -13,12 +13,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"indexmerge/internal/catalog"
 	"indexmerge/internal/core"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/faults"
 	"indexmerge/internal/sql"
-	"indexmerge/internal/wscale"
 )
 
 // ErrNoWorkers is returned when every pool endpoint is down or
@@ -57,7 +55,7 @@ type Pool struct {
 	rr atomic.Int64 // rotates chunk→worker assignment across batches
 
 	batches   atomic.Int64 // scatter calls (one per checker batch)
-	items     atomic.Int64 // queries+atoms shipped
+	items     atomic.Int64 // cells shipped
 	rpcs      atomic.Int64 // chunk RPCs issued (includes hedges)
 	rpcErrors atomic.Int64 // chunk RPCs failed
 	hedges    atomic.Int64 // straggler re-dispatches
@@ -230,14 +228,14 @@ func (p *Pool) checkInfo(ctx context.Context, ep *endpoint, fp uint64) error {
 // Bind registers a workload on every reachable, fingerprint-compatible
 // worker and returns a Binding that costs batches against it. The
 // serialized text round-trips exactly (canonical SQL, shortest-float
-// frequencies), and each worker's parsed query and template counts
-// must match the coordinator's — a mismatched worker is benched
-// permanently. Bind succeeds if at least one worker accepted the
-// workload; others can rejoin later (EnsureWorker re-registers on
+// frequencies), and each worker's parsed query count must match the
+// coordinator's — cost requests name queries by position — or the
+// worker is benched permanently. Bind succeeds if at least one worker
+// accepted the workload; others can rejoin later (EnsureWorker re-registers on
 // first use after recovery is not attempted — a benched worker
 // returning serves 404 and the batch falls back locally, so
 // correctness never depends on registration coverage).
-func (p *Pool) Bind(ctx context.Context, name string, fp uint64, w *sql.Workload, templates int) (*Binding, error) {
+func (p *Pool) Bind(ctx context.Context, name string, fp uint64, w *sql.Workload) (*Binding, error) {
 	var sb strings.Builder
 	if err := sql.WriteWorkload(&sb, w); err != nil {
 		return nil, err
@@ -260,11 +258,11 @@ func (p *Pool) Bind(ctx context.Context, name string, fp uint64, w *sql.Workload
 			}
 			continue
 		}
-		if resp.Queries != w.Len() || (templates > 0 && resp.Templates != templates) {
+		if resp.Queries != w.Len() {
 			markBad(ep)
 			if firstErr == nil {
-				firstErr = fmt.Errorf("distrib: %s parsed workload %q as %d queries / %d templates, coordinator has %d / %d",
-					ep.url, name, resp.Queries, resp.Templates, w.Len(), templates)
+				firstErr = fmt.Errorf("distrib: %s parsed workload %q as %d queries, coordinator has %d",
+					ep.url, name, resp.Queries, w.Len())
 			}
 			continue
 		}
@@ -399,64 +397,35 @@ func (p *Pool) runChunk(ctx context.Context, req *CostRequest, primary, alt *end
 	}
 }
 
-// Binding ties a pool to one registered workload. It implements both
-// batch contracts — core.BatchCostServer for the per-query checker
-// and wscale.RemoteCoster for the compressed cost table — so one
-// binding serves either cost model.
+// Binding ties a pool to one registered workload; it is the worker
+// pool as a checker sees it.
 type Binding struct {
 	pool *Pool
 	name string
 }
 
-var (
-	_ core.BatchCostServer = (*Binding)(nil)
-	_ wscale.RemoteCoster  = (*Binding)(nil)
-)
+var _ core.BatchCostServer = (*Binding)(nil)
 
 // Pool returns the underlying pool (metrics).
 func (b *Binding) Pool() *Pool { return b.pool }
 
-// CostQueryBatch implements core.BatchCostServer: the queries are
-// costed under one shared configuration, sharded across workers.
-func (b *Binding) CostQueryBatch(ctx context.Context, queries []int, defs []catalog.IndexDef) ([]float64, error) {
-	wireDefs := toWire(defs)
-	out := make([]float64, len(queries))
-	err := b.pool.scatter(ctx, len(queries), func(lo, hi int, primary, alt *endpoint) error {
-		req := &CostRequest{Workload: b.name, Indexes: wireDefs, Queries: queries[lo:hi]}
-		resp, err := b.pool.runChunk(ctx, req, primary, alt)
+// CostBatch implements core.BatchCostServer: each item carries its own
+// configuration; the batch is sharded across workers.
+func (b *Binding) CostBatch(ctx context.Context, items []core.BatchItem) ([]float64, error) {
+	out := make([]float64, len(items))
+	err := b.pool.scatter(ctx, len(items), func(lo, hi int, primary, alt *endpoint) error {
+		wire := make([]CostItemWire, hi-lo)
+		for i, it := range items[lo:hi] {
+			wire[i] = CostItemWire{Members: it.Members, Indexes: toWire(it.Defs)}
+		}
+		resp, err := b.pool.runChunk(ctx, &CostRequest{Workload: b.name, Items: wire}, primary, alt)
 		if err != nil {
 			return err
 		}
-		if len(resp.QueryCosts) != hi-lo {
-			return fmt.Errorf("distrib: got %d query costs, want %d", len(resp.QueryCosts), hi-lo)
+		if len(resp.Costs) != hi-lo {
+			return fmt.Errorf("distrib: got %d costs, want %d", len(resp.Costs), hi-lo)
 		}
-		copy(out[lo:hi], resp.QueryCosts)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CostTemplateBatch implements wscale.RemoteCoster: each atom carries
-// its own configuration; the batch is sharded across workers.
-func (b *Binding) CostTemplateBatch(ctx context.Context, atoms []wscale.RemoteAtom) ([]float64, error) {
-	out := make([]float64, len(atoms))
-	err := b.pool.scatter(ctx, len(atoms), func(lo, hi int, primary, alt *endpoint) error {
-		wa := make([]AtomWire, hi-lo)
-		for i, a := range atoms[lo:hi] {
-			wa[i] = AtomWire{Template: a.Template, Indexes: toWire(a.Defs)}
-		}
-		req := &CostRequest{Workload: b.name, Atoms: wa}
-		resp, err := b.pool.runChunk(ctx, req, primary, alt)
-		if err != nil {
-			return err
-		}
-		if len(resp.AtomCosts) != hi-lo {
-			return fmt.Errorf("distrib: got %d atom costs, want %d", len(resp.AtomCosts), hi-lo)
-		}
-		copy(out[lo:hi], resp.AtomCosts)
+		copy(out[lo:hi], resp.Costs)
 		return nil
 	})
 	if err != nil {

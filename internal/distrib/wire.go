@@ -4,19 +4,21 @@
 // horizontal). A worker (cmd/idxmergew) loads the same database the
 // coordinator uses — a snapshot file or a deterministic named build —
 // prepares registered workloads once, and serves batched cost RPCs
-// over HTTP. The coordinator-side Pool scatters each batch of
-// cache-missed (query, configuration) or (template, atom) costings
+// over HTTP. The coordinator-side Pool scatters each batch of missed
+// cost cells (a unit's members under the definitions relevant to them)
 // across healthy workers, hedges stragglers, and reassembles results
-// in request order; the checkers install them through the exact same
-// cache/counter paths as local evaluation, so search results are
+// in request order; the checker installs them through the exact same
+// store/counter path as local evaluation, so search results are
 // byte-identical at any worker count and any failure falls back to
 // local costing.
 package distrib
 
 import "indexmerge/internal/catalog"
 
-// protocolVersion guards coordinator/worker wire compatibility.
-const protocolVersion = 1
+// protocolVersion guards coordinator/worker wire compatibility: 2 is
+// the one-arm cost request (items of member positions); a version-1
+// worker would misread it, and is benched instead.
+const protocolVersion = 2
 
 // InfoResponse describes a worker (GET /v1/info). Fingerprint is
 // engine.FingerprintString of the worker's database; a coordinator
@@ -41,13 +43,12 @@ type RegisterWorkloadRequest struct {
 	SQL  string `json:"sql"`
 }
 
-// RegisterWorkloadResponse echoes what the worker parsed. Queries and
-// Templates let the coordinator verify both sides agree on workload
-// positions and fingerprint-template numbering before any costing.
+// RegisterWorkloadResponse echoes what the worker parsed. Queries lets
+// the coordinator verify both sides agree on workload positions before
+// any costing.
 type RegisterWorkloadResponse struct {
-	Name      string `json:"name"`
-	Queries   int    `json:"queries"`
-	Templates int    `json:"templates"`
+	Name    string `json:"name"`
+	Queries int    `json:"queries"`
 }
 
 // IndexDefWire is a hypothetical index definition on the wire. Order
@@ -59,33 +60,27 @@ type IndexDefWire struct {
 	Columns []string `json:"columns"`
 }
 
-// AtomWire is one (template, atomic-configuration) pair to cost: the
-// exact member sum Σ Freq × CostPrepared over the template's members
-// in member order.
-type AtomWire struct {
-	Template int            `json:"t"`
-	Indexes  []IndexDefWire `json:"indexes"`
+// CostItemWire is one cell to cost: the exact sum Σ Freq ×
+// CostPrepared over the member positions, in member order, under the
+// item's own configuration.
+type CostItemWire struct {
+	Members []int          `json:"members"`
+	Indexes []IndexDefWire `json:"indexes"`
 }
 
-// CostRequest is one batched costing call (POST /v1/cost). Queries
-// are workload positions costed individually under the shared Indexes
-// configuration (the per-query checker path); Atoms carry their own
-// configurations (the compressed cost-table path). A request may use
-// either or both.
+// CostRequest is one batched costing call (POST /v1/cost) against a
+// registered workload.
 type CostRequest struct {
 	Workload string         `json:"workload"`
-	Indexes  []IndexDefWire `json:"indexes,omitempty"`
-	Queries  []int          `json:"queries,omitempty"`
-	Atoms    []AtomWire     `json:"atoms,omitempty"`
+	Items    []CostItemWire `json:"items"`
 }
 
-// CostResponse carries costs positionally matching the request.
+// CostResponse carries costs positionally matching the request's items.
 // float64 survives JSON exactly (encoding/json emits the shortest
 // representation that parses back to the same bits), so remote costs
 // are bit-identical to locally computed ones.
 type CostResponse struct {
-	QueryCosts []float64 `json:"query_costs,omitempty"`
-	AtomCosts  []float64 `json:"atom_costs,omitempty"`
+	Costs []float64 `json:"costs"`
 }
 
 // ErrorResponse is the worker's error envelope.

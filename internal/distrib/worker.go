@@ -13,7 +13,6 @@ import (
 	"indexmerge/internal/engine"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/sql"
-	"indexmerge/internal/wscale"
 )
 
 // workerMaxBodyBytes caps worker request bodies. Registration ships
@@ -37,20 +36,16 @@ type Worker struct {
 	mu        sync.RWMutex
 	workloads map[string]*workerWorkload
 
-	costRequests  atomic.Int64
-	queriesCosted atomic.Int64
-	atomsCosted   atomic.Int64
+	costRequests atomic.Int64
+	itemsCosted  atomic.Int64
 }
 
-// workerWorkload is one registered workload: the parsed queries, the
-// prepared descriptors, and the deterministic template compression
-// (identical to the coordinator's — sql.Fingerprint and first-seen
-// ordering depend only on the canonical text).
+// workerWorkload is one registered workload: the parsed queries and
+// their prepared descriptors.
 type workerWorkload struct {
 	text string
 	w    *sql.Workload
 	pw   *optimizer.PreparedWorkload
-	comp *wscale.Compressed
 }
 
 // NewWorker builds a worker over db, which must be analyzed and is
@@ -125,7 +120,7 @@ func (wk *Worker) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// handleRegister parses, prepares and compresses a workload once.
+// handleRegister parses and prepares a workload once.
 // Idempotent for identical text; a name collision with different text
 // is a conflict (bindings namespace names per session, so collisions
 // mean a coordinator bug).
@@ -156,7 +151,7 @@ func (wk *Worker) handleRegister(w http.ResponseWriter, r *http.Request) {
 			workerErr(w, http.StatusInternalServerError, "prepare workload: %v", err)
 			return
 		}
-		ww := &workerWorkload{text: req.SQL, w: wl, pw: pw, comp: wscale.Compress(wl)}
+		ww := &workerWorkload{text: req.SQL, w: wl, pw: pw}
 		wk.mu.Lock()
 		// Recheck under the write lock: a concurrent identical
 		// registration may have won; keep whichever landed first.
@@ -166,11 +161,7 @@ func (wk *Worker) handleRegister(w http.ResponseWriter, r *http.Request) {
 		existing = wk.workloads[req.Name]
 		wk.mu.Unlock()
 	}
-	workerJSON(w, http.StatusOK, RegisterWorkloadResponse{
-		Name:      req.Name,
-		Queries:   existing.w.Len(),
-		Templates: len(existing.comp.Templates),
-	})
+	workerJSON(w, http.StatusOK, RegisterWorkloadResponse{Name: req.Name, Queries: existing.w.Len()})
 }
 
 // handleCost prices one batch. Items evaluate serially — a worker is
@@ -190,56 +181,30 @@ func (wk *Worker) handleCost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wk.costRequests.Add(1)
-	var resp CostResponse
-	if len(req.Queries) > 0 {
-		defs, err := wk.resolveDefs(req.Indexes)
+	resp := CostResponse{Costs: make([]float64, len(req.Items))}
+	for i, it := range req.Items {
+		defs, err := wk.resolveDefs(it.Indexes)
 		if err != nil {
 			workerErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		ocfg := optimizer.Configuration(defs)
-		resp.QueryCosts = make([]float64, len(req.Queries))
-		for i, qi := range req.Queries {
-			if qi < 0 || qi >= len(ww.pw.Queries) {
-				workerErr(w, http.StatusBadRequest, "query index %d out of range", qi)
+		var sum float64
+		for _, mi := range it.Members {
+			if mi < 0 || mi >= len(ww.pw.Queries) {
+				workerErr(w, http.StatusBadRequest, "query index %d out of range", mi)
 				return
 			}
-			c, err := wk.opt.CostPrepared(ww.pw.Queries[qi], ocfg)
+			c, err := wk.opt.CostPrepared(ww.pw.Queries[mi], ocfg)
 			if err != nil {
-				workerErr(w, http.StatusInternalServerError, "cost query %d: %v", qi, err)
+				workerErr(w, http.StatusInternalServerError, "cost query %d: %v", mi, err)
 				return
 			}
-			resp.QueryCosts[i] = c
+			sum += c * ww.w.Queries[mi].Freq
 		}
-		wk.queriesCosted.Add(int64(len(req.Queries)))
+		resp.Costs[i] = sum
 	}
-	if len(req.Atoms) > 0 {
-		resp.AtomCosts = make([]float64, len(req.Atoms))
-		for i, a := range req.Atoms {
-			if a.Template < 0 || a.Template >= len(ww.comp.Templates) {
-				workerErr(w, http.StatusBadRequest, "template index %d out of range", a.Template)
-				return
-			}
-			defs, err := wk.resolveDefs(a.Indexes)
-			if err != nil {
-				workerErr(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			ocfg := optimizer.Configuration(defs)
-			t := ww.comp.Templates[a.Template]
-			var sum float64
-			for _, mi := range t.Members {
-				c, err := wk.opt.CostPrepared(ww.pw.Queries[mi], ocfg)
-				if err != nil {
-					workerErr(w, http.StatusInternalServerError, "cost template %d member %d: %v", a.Template, mi, err)
-					return
-				}
-				sum += c * ww.comp.W.Queries[mi].Freq
-			}
-			resp.AtomCosts[i] = sum
-		}
-		wk.atomsCosted.Add(int64(len(req.Atoms)))
-	}
+	wk.itemsCosted.Add(int64(len(req.Items)))
 	workerJSON(w, http.StatusOK, resp)
 }
 
@@ -262,6 +227,5 @@ func (wk *Worker) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprintf(w, "idxmergew_workloads %d\n", n)
 	fmt.Fprintf(w, "idxmergew_cost_requests_total %d\n", wk.costRequests.Load())
-	fmt.Fprintf(w, "idxmergew_queries_costed_total %d\n", wk.queriesCosted.Load())
-	fmt.Fprintf(w, "idxmergew_atoms_costed_total %d\n", wk.atomsCosted.Load())
+	fmt.Fprintf(w, "idxmergew_items_costed_total %d\n", wk.itemsCosted.Load())
 }

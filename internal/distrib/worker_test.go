@@ -89,9 +89,6 @@ func TestWorkerRegisterIdempotentAndConflict(t *testing.T) {
 	if first.Queries != w.Len() {
 		t.Errorf("echoed %d queries, workload has %d", first.Queries, w.Len())
 	}
-	if first.Templates == 0 {
-		t.Error("expected deterministic compression to find templates")
-	}
 	// Same name, same text: idempotent.
 	if code := do(t, wk, http.MethodPost, "/v1/workloads", req, &second); code != http.StatusOK {
 		t.Fatalf("re-register: status %d", code)
@@ -134,50 +131,37 @@ func TestWorkerCostMatchesLocal(t *testing.T) {
 		{Name: "ix_l", Table: "lineitem", Columns: []string{"l_orderkey"}},
 		{Name: "ix_o", Table: "orders", Columns: []string{"o_orderkey", "o_orderdate"}},
 	}
-	queries := make([]int, w.Len())
-	for i := range queries {
-		queries[i] = i
+	// Every query as a cell of its own, then two templates' members
+	// each under a configuration of its own.
+	var items []CostItemWire
+	for qi := range w.Queries {
+		items = append(items, CostItemWire{Members: []int{qi}, Indexes: cfg})
 	}
-	atoms := []AtomWire{{Template: 0, Indexes: cfg}, {Template: 1, Indexes: nil}}
+	items = append(items,
+		CostItemWire{Members: comp.Templates[0].Members, Indexes: cfg},
+		CostItemWire{Members: comp.Templates[1].Members, Indexes: nil})
 	var resp CostResponse
-	creq := CostRequest{Workload: "w", Indexes: cfg, Queries: queries, Atoms: atoms}
-	if code := do(t, wk, http.MethodPost, "/v1/cost", creq, &resp); code != http.StatusOK {
+	if code := do(t, wk, http.MethodPost, "/v1/cost", CostRequest{Workload: "w", Items: items}, &resp); code != http.StatusOK {
 		t.Fatalf("cost: status %d", code)
 	}
-	if len(resp.QueryCosts) != len(queries) || len(resp.AtomCosts) != len(atoms) {
-		t.Fatalf("response lengths %d/%d, want %d/%d", len(resp.QueryCosts), len(resp.AtomCosts), len(queries), len(atoms))
+	if len(resp.Costs) != len(items) {
+		t.Fatalf("%d costs for %d items", len(resp.Costs), len(items))
 	}
-
-	localDefs, err := resolveLocal(local, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ocfg := optimizer.Configuration(localDefs)
-	for i, qi := range queries {
-		want, err := opt.CostPrepared(pw.Queries[qi], ocfg)
+	for i, it := range items {
+		defs, err := resolveLocal(local, it.Indexes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.QueryCosts[i] != want {
-			t.Errorf("query %d: remote %v != local %v", qi, resp.QueryCosts[i], want)
-		}
-	}
-	for i, a := range atoms {
-		defs, err := resolveLocal(local, a.Indexes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acfg := optimizer.Configuration(defs)
 		var want float64
-		for _, mi := range comp.Templates[a.Template].Members {
-			c, err := opt.CostPrepared(pw.Queries[mi], acfg)
+		for _, mi := range it.Members {
+			c, err := opt.CostPrepared(pw.Queries[mi], optimizer.Configuration(defs))
 			if err != nil {
 				t.Fatal(err)
 			}
 			want += c * w.Queries[mi].Freq
 		}
-		if resp.AtomCosts[i] != want {
-			t.Errorf("atom %d: remote %v != local %v", i, resp.AtomCosts[i], want)
+		if resp.Costs[i] != want {
+			t.Errorf("item %d: remote %v != local %v", i, resp.Costs[i], want)
 		}
 	}
 }
@@ -206,12 +190,12 @@ func TestWorkerCostErrors(t *testing.T) {
 		req  CostRequest
 		want int
 	}{
-		{"unknown workload", CostRequest{Workload: "nope", Queries: []int{0}}, http.StatusNotFound},
-		{"query out of range", CostRequest{Workload: "w", Queries: []int{w.Len()}}, http.StatusBadRequest},
-		{"negative query", CostRequest{Workload: "w", Queries: []int{-1}}, http.StatusBadRequest},
-		{"template out of range", CostRequest{Workload: "w", Atoms: []AtomWire{{Template: 1 << 20}}}, http.StatusBadRequest},
-		{"unknown table", CostRequest{Workload: "w", Queries: []int{0},
-			Indexes: []IndexDefWire{{Name: "ix", Table: "no_such_table", Columns: []string{"c"}}}}, http.StatusBadRequest},
+		{"unknown workload", CostRequest{Workload: "nope", Items: []CostItemWire{{Members: []int{0}}}}, http.StatusNotFound},
+		{"query out of range", CostRequest{Workload: "w", Items: []CostItemWire{{Members: []int{w.Len()}}}}, http.StatusBadRequest},
+		{"negative query", CostRequest{Workload: "w", Items: []CostItemWire{{Members: []int{-1}}}}, http.StatusBadRequest},
+		{"one bad member fails the batch", CostRequest{Workload: "w", Items: []CostItemWire{{Members: []int{0}}, {Members: []int{0, 1 << 20}}}}, http.StatusBadRequest},
+		{"unknown table", CostRequest{Workload: "w", Items: []CostItemWire{{Members: []int{0},
+			Indexes: []IndexDefWire{{Name: "ix", Table: "no_such_table", Columns: []string{"c"}}}}}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if code := do(t, wk, http.MethodPost, "/v1/cost", tc.req, nil); code != tc.want {

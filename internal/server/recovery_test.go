@@ -845,6 +845,34 @@ func TestWorkerPanicFailsJobNotProcess(t *testing.T) {
 	if got := h.waitTerminal(t, h.submitJob(t, "s")).State; got != string(JobDone) {
 		t.Errorf("job after the costing-worker panics = %s, want done", got)
 	}
+
+	// The same job over a worker pool, with the panic in the store
+	// install of a remotely computed cost instead: the template baseline
+	// installs one cell per template on the job's goroutine, every
+	// install after that is a candidate's, on one of the search's four
+	// wave goroutines, and panics.
+	hp := newTestServer(t, Config{CostWorkers: startFixtureWorkers(t, 2)})
+	hp.newSession(t, "p")
+	sess, _ = hp.srv.reg.Get("p")
+	rw, ok := sess.workloadEntry("w")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	faults.Install(faults.Rule{ID: "ip", Point: faults.CostCacheDo, Mode: faults.ModePanic, After: int64(len(rw.compressed.C.Templates))})
+	hp.mustCall(t, "POST", "/v1/sessions/p/jobs", SubmitJobRequest{
+		Workload: "w",
+		Initial:  &InitialSpec{Indexes: fixtureIndexes},
+		Options: JobOptions{Constraint: 0.3, CostModel: "compressed", Parallelism: 4,
+			Resilience: &ResilienceSpec{Disable: true}},
+	}, &resp, http.StatusAccepted)
+	st = hp.waitTerminal(t, resp.ID)
+	if st.State != string(JobFailed) || !strings.Contains(st.Error, "costing panicked") || faults.Fired("ip") == 0 {
+		t.Fatalf("job with panicking remote installs: %s (%q) after %d panics, want failed with the panic as its error", st.State, st.Error, faults.Fired("ip"))
+	}
+	faults.Reset()
+	if got := hp.waitTerminal(t, hp.submitJob(t, "p")).State; got != string(JobDone) {
+		t.Errorf("job after the install panics = %s, want done", got)
+	}
 }
 
 // TestJobFaultInjectionDegraded drives the whole server stack under a

@@ -131,7 +131,7 @@ func (s *Session) bindWorkers(ctx context.Context, name string, rw *registeredWo
 		return nil
 	}
 	rw.bindOnce.Do(func() {
-		b, err := s.pool.Bind(ctx, s.name+"/"+name, s.fp, rw.w, len(rw.compressed.C.Templates))
+		b, err := s.pool.Bind(ctx, s.name+"/"+name, s.fp, rw.w)
 		if err != nil {
 			if log != nil {
 				log.Warn("worker pool bind failed; jobs will cost locally",

@@ -3,6 +3,9 @@ package wscale
 import (
 	"context"
 	"math"
+	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 
 	"indexmerge/internal/core"
@@ -25,6 +28,13 @@ type testRig struct {
 
 func newTestRig(t *testing.T, duplication int) *testRig {
 	t.Helper()
+	return newSizedRig(t, 10, duplication, 8)
+}
+
+// newSizedRig is newTestRig over a workload of the given number of base
+// queries and an initial configuration of up to n indexes.
+func newSizedRig(t *testing.T, queries, duplication, n int) *testRig {
+	t.Helper()
 	lab, err := experiments.NewSynthetic2Lab(experiments.LabOptions{Scale: 0.25, WorkloadQueries: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +44,7 @@ func newTestRig(t *testing.T, duplication int) *testRig {
 	// relevance test); Duplication exercises template folding.
 	w, err := workload.Generate(lab.DB, workload.Options{
 		Class: workload.Complex, Disjunctions: true,
-		Queries: 10, Duplication: duplication, Seed: 7,
+		Queries: queries, Duplication: duplication, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +58,7 @@ func newTestRig(t *testing.T, duplication int) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defs, err := lab.InitialConfiguration(w, 8)
+	defs, err := lab.InitialConfiguration(w, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +109,19 @@ func TestCompressClusters(t *testing.T) {
 	}
 }
 
+// relevantTo reports whether the index can contribute an access path to
+// the template's queries, by the contract's own statement of relevance
+// (asked, as the engine asks it, of the first member) rather than the
+// engine's memo.
+func (r *testRig) relevantTo(ti int, ix *core.Index) bool {
+	return r.pw.Queries[r.c.Templates[ti].Members[0]].IndexRelevant(ix.Def.Table, ix.Def.Columns)
+}
+
 // TestAtomCostExactness is the subsystem's load-bearing invariant: a
 // member's cost under its template's atomic configuration must equal —
 // as float bits, not within a tolerance — its cost under the full
-// configuration. Checked across shrinking configurations, since the
+// configuration, and the engine's total must be the sum of exactly
+// those costs. Checked across shrinking configurations, since the
 // search only ever removes indexes from the initial one.
 func TestAtomCostExactness(t *testing.T) {
 	r := newTestRig(t, 40)
@@ -123,9 +142,18 @@ func TestAtomCostExactness(t *testing.T) {
 	for vi, ixs := range variants {
 		cfg := &core.Configuration{Indexes: ixs}
 		fullDefs := optimizer.Configuration(cfg.Defs())
+		total := 0.0
 		for ti, tpl := range r.c.Templates {
-			_, defs, _ := r.p.atom(ti, cfg, r.p.relevance(nil, cfg))
-			atomCfg := optimizer.Configuration(defs)
+			// The atom: the relevant indexes in sorted-key order.
+			var atom []*core.Index
+			for _, ix := range ixs {
+				if r.relevantTo(ti, ix) {
+					atom = append(atom, ix)
+				}
+			}
+			sort.Slice(atom, func(i, j int) bool { return atom[i].Key() < atom[j].Key() })
+			atomCfg := optimizer.Configuration((&core.Configuration{Indexes: atom}).Defs())
+			cell := 0.0
 			for _, mi := range tpl.Members {
 				atomCost, err := r.lab.Opt.CostPrepared(r.pw.Queries[mi], atomCfg)
 				if err != nil {
@@ -137,9 +165,18 @@ func TestAtomCostExactness(t *testing.T) {
 				}
 				if math.Float64bits(atomCost) != math.Float64bits(fullCost) {
 					t.Errorf("variant %d template %d member %d: atom cost %v != full cost %v (atom %d of %d indexes)",
-						vi, ti, mi, atomCost, fullCost, len(defs), len(ixs))
+						vi, ti, mi, atomCost, fullCost, len(atom), len(ixs))
 				}
+				cell += atomCost * r.w.Queries[mi].Freq
 			}
+			total += cell
+		}
+		got, err := r.p.WorkloadCostContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(total) {
+			t.Errorf("variant %d: the engine prices %v, the members under their atoms sum to %v", vi, got, total)
 		}
 	}
 }
@@ -181,54 +218,6 @@ func TestWorkloadCostMatchesUncompressed(t *testing.T) {
 	}
 }
 
-func TestIsSubset(t *testing.T) {
-	cases := []struct {
-		sub, super []string
-		want       bool
-	}{
-		{nil, nil, true},
-		{nil, []string{"a"}, true},
-		{[]string{"a"}, nil, false},
-		{[]string{"a", "c"}, []string{"a", "b", "c"}, true},
-		{[]string{"a", "d"}, []string{"a", "b", "c"}, false},
-		{[]string{"a", "a"}, []string{"a", "b"}, false}, // sorted-unique input assumed
-		{[]string{"b"}, []string{"a", "b", "c"}, true},
-		{[]string{"a", "b", "c"}, []string{"a", "b", "c"}, true},
-	}
-	for _, c := range cases {
-		if got := isSubset(c.sub, c.super); got != c.want {
-			t.Errorf("isSubset(%v, %v) = %v, want %v", c.sub, c.super, got, c.want)
-		}
-	}
-}
-
-// TestLowerBoundAdmissible: after exact costing of a configuration and
-// its sub-configurations, the recorded bound for any smaller atom never
-// exceeds that atom's exact cost (cost is monotone non-increasing in
-// the index set).
-func TestLowerBoundAdmissible(t *testing.T) {
-	r := newTestRig(t, 20)
-	// Cost the full configuration first so its atoms are recorded as
-	// bound entries (supersets of every later atom).
-	if _, err := r.p.WorkloadCostContext(context.Background(), r.cfg); err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut <= r.cfg.Len(); cut++ {
-		cfg := &core.Configuration{Indexes: r.cfg.Indexes[:cut]}
-		for ti := range r.c.Templates {
-			key, defs, keys := r.p.atom(ti, cfg, r.p.relevance(nil, cfg))
-			lb := r.p.lowerBound(ti, keys)
-			exact, err := r.p.costAtom(t.Context(), ti, key, defs, keys, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lb > exact {
-				t.Errorf("cut %d template %d: lower bound %v exceeds exact cost %v", cut, ti, lb, exact)
-			}
-		}
-	}
-}
-
 // TestCheckerDeltaMatchesFull drives the delta path through every
 // candidate merge of the initial configuration and proves its total is
 // bit-identical to the full decomposed costing: with U set to the
@@ -243,6 +232,11 @@ func TestCheckerDeltaMatchesFull(t *testing.T) {
 	mp := &core.MergePairCost{Seek: seek}
 	chk := NewChecker(r.p, 0, 0)
 	chk.SetBase(r.cfg)
+	// Price the base, so that each check below looks up its delta alone.
+	chk.U = math.Inf(1)
+	if _, err := chk.Accepts(context.Background(), r.cfg, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	for _, pair := range r.cfg.PairsByTable() {
 		a, b := pair[0], pair[1]
 		m, err := mp.Merge(a, b)
@@ -254,7 +248,13 @@ func TestCheckerDeltaMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		deltas := chk.DeltaChecks()
+		touched := 0
+		for ti := range r.c.Templates {
+			if r.relevantTo(ti, a) || r.relevantTo(ti, b) || r.relevantTo(ti, m) {
+				touched++
+			}
+		}
+		lookups := r.lookups()
 
 		chk.U = exact
 		ok, err := chk.Accepts(context.Background(), next, m, a, b)
@@ -272,14 +272,17 @@ func TestCheckerDeltaMatchesFull(t *testing.T) {
 		if ok {
 			t.Errorf("merge %s+%s: accepted at U just below exact cost %v", a.Key(), b.Key(), exact)
 		}
-		if chk.DeltaChecks() != deltas+2 {
-			t.Fatalf("merge %s+%s: checks did not take the delta path (%d -> %d)",
-				a.Key(), b.Key(), deltas, chk.DeltaChecks())
+		if got := r.lookups() - lookups; got != int64(2*touched) || touched == len(r.c.Templates) {
+			t.Fatalf("merge %s+%s: two checks looked up %d templates, want the %d of %d the merge can touch, twice",
+				a.Key(), b.Key(), got, touched, len(r.c.Templates))
 		}
 	}
-	if chk.FullChecks() != 0 {
-		t.Errorf("%d checks fell back to full costing; all candidates were base-derived", chk.FullChecks())
-	}
+}
+
+// lookups counts the cost-table lookups made so far.
+func (r *testRig) lookups() int64 {
+	hits, misses, _ := r.p.TableStats()
+	return hits + misses
 }
 
 // TestCheckerPrunesWithoutCosting: once the base is costed, its atoms
@@ -297,7 +300,7 @@ func TestCheckerPrunesWithoutCosting(t *testing.T) {
 		t.Fatal(err)
 	}
 	mp := &core.MergePairCost{Seek: seek}
-	chk := &Checker{P: r.p, U: base / 2}
+	chk := NewChecker(r.p, base/2, 0)
 	chk.SetBase(r.cfg)
 
 	pair := r.cfg.PairsByTable()[0]
@@ -354,6 +357,11 @@ func TestCheckerStaleBaseFallsBack(t *testing.T) {
 	chk := NewChecker(r.p, 0, 0)
 	chk.SetBase(other)
 	chk.U = exact
+	// Price the stale base first: the lookups counted are the check's own.
+	if _, err := chk.Accepts(context.Background(), other, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	lookups := r.lookups()
 	ok, err := chk.Accepts(context.Background(), next, m, a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -361,11 +369,8 @@ func TestCheckerStaleBaseFallsBack(t *testing.T) {
 	if !ok {
 		t.Error("stale-base full costing rejected at U == exact cost")
 	}
-	if chk.FullChecks() != 1 {
-		t.Errorf("FullChecks = %d, want 1 (stale base must fall back)", chk.FullChecks())
-	}
-	if chk.DeltaChecks() != 0 {
-		t.Errorf("DeltaChecks = %d, want 0", chk.DeltaChecks())
+	if got := r.lookups() - lookups; got != int64(len(r.c.Templates)) {
+		t.Errorf("the check looked up %d templates, want all %d (stale base must fall back)", got, len(r.c.Templates))
 	}
 }
 
@@ -439,4 +444,98 @@ func TestCheckerGreedyMatchesOptimizerChecker(t *testing.T) {
 		comp.OptimizerCalls(), plain.OptimizerCalls(),
 		float64(plain.OptimizerCalls())/math.Max(1, float64(comp.OptimizerCalls())),
 		len(r.c.Templates), r.c.Statements())
+}
+
+// TestDistinctWorkloadSameWorkEitherWay: a distinct workload is a
+// compressed workload with dedup ratio 1. Priced as singleton units and
+// as template units, each on a cold store of its own, Greedy takes the
+// same steps for the same work: the same optimizer calls, the same store
+// lookups and, within a tenth, the same number of allocations. On a
+// log-like workload the template units can only save calls.
+func TestDistinctWorkloadSameWorkEitherWay(t *testing.T) {
+	const slack = 0.10
+	type run struct {
+		res          *core.SearchResult
+		hits, misses int64
+		mallocs      uint64
+	}
+	search := func(r *testRig, chk *core.OptimizerChecker) run {
+		t.Helper()
+		// The compressed model's contract: the initial configuration is
+		// priced through the checker first, which makes the first base
+		// of the search all hits.
+		base, err := chk.WorkloadCostContext(context.Background(), r.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chk.U = base * (1 + slack)
+		seek, err := core.ComputeSeekCostsPrepared(r.lab.Opt, r.pw, r.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits0, misses0, _ := chk.CacheStats()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := core.Greedy(r.cfg, &core.MergePairCost{Seek: seek}, chk, r.lab.DB)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, misses, _ := chk.CacheStats()
+		return run{res, hits - hits0, misses - misses0, after.Mallocs - before.Mallocs}
+	}
+	both := func(r *testRig) (singleton, template run) {
+		plain := core.NewOptimizerChecker(r.lab.Opt, r.w, 0, 0)
+		plain.Prepared = r.pw
+		return search(r, plain), search(r, NewChecker(r.p, 0, 0))
+	}
+
+	r := newSizedRig(t, 120, 0, 20)
+	if len(r.c.Templates) != len(r.w.Queries) {
+		t.Fatalf("%d templates for %d statements: the workload is not distinct", len(r.c.Templates), len(r.w.Queries))
+	}
+	s, c := both(r)
+	if len(s.res.Steps) == 0 {
+		t.Fatal("no merges happened; the rig should allow some")
+	}
+	if s.res.Final.Signature() != c.res.Final.Signature() || !reflect.DeepEqual(s.res.Steps, c.res.Steps) ||
+		s.res.CostEvaluations != c.res.CostEvaluations {
+		t.Errorf("the searches diverged:\n singleton %s in %d steps, %d checks\n template  %s in %d steps, %d checks",
+			s.res.Final.Signature(), len(s.res.Steps), s.res.CostEvaluations,
+			c.res.Final.Signature(), len(c.res.Steps), c.res.CostEvaluations)
+	}
+	if s.res.OptimizerCalls != c.res.OptimizerCalls || s.hits != c.hits || s.misses != c.misses {
+		t.Errorf("singleton units: %d optimizer calls, %d hits, %d misses; template units: %d, %d, %d",
+			s.res.OptimizerCalls, s.hits, s.misses, c.res.OptimizerCalls, c.hits, c.misses)
+	}
+	if lo, hi := min(s.mallocs, c.mallocs), max(s.mallocs, c.mallocs); float64(hi) > 1.10*float64(lo) {
+		t.Errorf("singleton units allocated %d objects across the search, template units %d", s.mallocs, c.mallocs)
+	}
+	t.Logf("distinct: %d steps, %d checks, %d calls, %d+%d lookups, %d / %d mallocs, %v / %v",
+		len(s.res.Steps), s.res.CostEvaluations, s.res.OptimizerCalls, s.hits, s.misses, s.mallocs, c.mallocs, s.res.Elapsed, c.res.Elapsed)
+
+	r = newSizedRig(t, 120, 2000, 20)
+	s, c = both(r)
+	if s.res.Final.Signature() != c.res.Final.Signature() {
+		// Last-ulp differences in the two totals can flip a borderline
+		// acceptance; the runs then still must agree on cost.
+		sc, err := r.lab.Opt.WorkloadCostPrepared(r.pw, optimizer.Configuration(s.res.Final.Defs()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc, err := r.lab.Opt.WorkloadCostPrepared(r.pw, optimizer.Configuration(c.res.Final.Defs()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(sc-cc) > 1e-9*math.Max(1, math.Abs(sc)) {
+			t.Errorf("final configurations diverge:\n singleton %s (cost %v)\n template  %s (cost %v)",
+				s.res.Final.Signature(), sc, c.res.Final.Signature(), cc)
+		}
+	}
+	if c.res.OptimizerCalls > s.res.OptimizerCalls {
+		t.Errorf("template units issued %d optimizer calls, singleton units %d", c.res.OptimizerCalls, s.res.OptimizerCalls)
+	}
+	t.Logf("log-like (%d statements, %d templates): %d vs %d calls, %d vs %d lookups, %d vs %d mallocs, %v vs %v",
+		len(r.w.Queries), len(r.c.Templates), s.res.OptimizerCalls, c.res.OptimizerCalls,
+		s.hits+s.misses, c.hits+c.misses, s.mallocs, c.mallocs, s.res.Elapsed, c.res.Elapsed)
 }
