@@ -30,7 +30,7 @@ import (
 func chaosBaseline(t *testing.T, m *Merger, defs []IndexDef, opts MergeOptions) *MergeResult {
 	t.Helper()
 	faults.Reset()
-	res, err := m.MergeDefs(defs, opts)
+	res, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("fault-free merge: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestChaosTransientFaultsAreInvisible(t *testing.T) {
 	// Budget must outlast the widest consecutive window (retrying one
 	// check consumes the window's next entries).
 	opts.Resilience = &ResilienceOptions{MaxRetries: 8, Backoff: time.Microsecond}
-	got, err := m.MergeDefs(defs, opts)
+	got, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("merge under transient faults: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestChaosTransientFaultsExhaustiveSearch(t *testing.T) {
 	defer faults.Reset()
 
 	opts.Resilience = &ResilienceOptions{MaxRetries: 8, Backoff: time.Microsecond}
-	got, err := m.MergeDefs(defs, opts)
+	got, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("exhaustive merge under transient faults: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestChaosPermanentFaultWithoutResilienceIsTyped(t *testing.T) {
 	})
 	defer faults.Reset()
 
-	_, err := m.MergeDefs(defs, MergeOptions{CostConstraint: 0.15})
+	_, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.15})
 	if err == nil {
 		t.Fatal("permanent fault with no resilience must fail the merge")
 	}
@@ -170,7 +170,7 @@ func TestChaosPermanentFaultDegradesToExternalModel(t *testing.T) {
 	// the outage halfway: baseline calibration succeeds, the search is
 	// underway, and every later costing fails permanently.
 	counter := faults.Install(faults.Rule{ID: "count", Point: faults.OptimizerCost, Mode: faults.ModeLatency})
-	want, err := m.MergeDefs(defs, opts)
+	want, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("counting merge: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestChaosPermanentFaultDegradesToExternalModel(t *testing.T) {
 		Backoff: time.Microsecond,
 		Breaker: &CostBreaker{Threshold: 2, Cooldown: time.Hour},
 	}
-	got, err := m.MergeDefs(defs, opts)
+	got, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("resilient merge under permanent outage: %v", err)
 	}
@@ -226,7 +226,7 @@ func TestChaosPermanentFaultNoDegradedFailsTyped(t *testing.T) {
 
 	opts := MergeOptions{CostConstraint: 0.15}
 	opts.Resilience = &ResilienceOptions{Backoff: time.Microsecond, NoDegraded: true}
-	_, err := m.MergeDefs(defs, opts)
+	_, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err == nil {
 		t.Fatal("NoDegraded outage must fail the merge")
 	}
@@ -253,7 +253,7 @@ func TestChaosInjectedPanicsAreRecovered(t *testing.T) {
 	defer faults.Reset()
 
 	opts.Resilience = &ResilienceOptions{Backoff: time.Microsecond}
-	got, err := m.MergeDefs(defs, opts)
+	got, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("merge under injected panics: %v", err)
 	}
@@ -345,7 +345,7 @@ func TestChaosParallelSearchUnderFaults(t *testing.T) {
 					faults.Rule{ID: "pt", Point: faults.OptimizerCost, Mode: faults.ModeError, Transient: true, After: 15, Count: 3},
 					faults.Rule{ID: "pp", Point: faults.OptimizerCost, Mode: faults.ModePanic, Transient: true, After: after, Count: 1},
 				)
-				got, err := merger().MergeDefs(defs, opts)
+				got, err := merger().MergeDefsContext(context.Background(), defs, opts)
 				if err != nil {
 					t.Fatalf("panic after %d calls: parallel merge under faults: %v", after, err)
 				}
@@ -379,7 +379,7 @@ func TestChaosLatencyNeverChangesResults(t *testing.T) {
 	defer faults.Reset()
 
 	// No resilience needed: latency is not an error.
-	got, err := m.MergeDefs(defs, opts)
+	got, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("merge under latency faults: %v", err)
 	}
@@ -412,7 +412,7 @@ func TestChaosStorageAndStatsFaultsSurface(t *testing.T) {
 	)
 	defer faults.Reset()
 
-	res, err := m.MergeDefs(defs, MergeOptions{CostConstraint: 0.15})
+	res, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.15})
 	if err != nil {
 		t.Fatalf("merge with Hit-point rules: %v", err)
 	}

@@ -9,8 +9,10 @@
 //	         [-costmodel opt|nocost|prefilter|compressed] [-explain] [-json]
 //
 // Without -workload, a complex workload is generated (RAGS-style).
-// The initial configuration comes from per-query tuning unless -n is 0,
-// in which case the whole workload is tuned query by query.
+// The initial configuration comes from tuning random queries until -n
+// indexes accumulate; -n 0 tunes the whole workload, query by query (one
+// representative per template under -costmodel compressed). A negative
+// -n is refused.
 //
 // With -json, the final result is printed to stdout as the same JSON
 // structure the idxmerged service serves for its jobs, and search
@@ -31,7 +33,6 @@ import (
 	"syscall"
 
 	"indexmerge"
-	"indexmerge/internal/advisor"
 	"indexmerge/internal/datagen"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/faults"
@@ -82,6 +83,9 @@ func main() {
 		Parallelism: *parallel, DualBudgetFrac: *dualBudget,
 		Resilience: &server.ResilienceSpec{Disable: !*resilient},
 	})
+	if err == nil {
+		err = indexmerge.CheckInitialN(*n)
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -111,8 +115,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	compressed := opts.CostModel == indexmerge.CompressedOptimizerCost
-	if compressed {
+	if opts.CostModel == indexmerge.CompressedOptimizerCost {
 		cw, err := m.CompressedWorkload()
 		if err != nil {
 			fatal(err)
@@ -134,25 +137,9 @@ func main() {
 		human("worker pool: %d workers bound\n", pool.Size())
 	}
 
-	// Initial configuration. Under -costmodel compressed, whole-workload
-	// tuning (-n 0) runs at template granularity: one representative per
-	// fingerprint class.
-	var defs []indexmerge.IndexDef
-	switch {
-	case *n > 0:
-		adv := advisor.New(db, m.Optimizer())
-		adv.Parallelism = *parallel
-		defs, err = advisor.BuildInitialConfigurationContext(ctx, adv, w, *n, *seed)
-	case compressed:
-		defs, err = m.TuneTemplatesContext(ctx)
-	default:
-		defs, err = m.TuneWorkloadContext(ctx)
-	}
+	defs, err := m.InitialConfiguration(ctx, *n, *seed, opts)
 	if err != nil {
 		fatal(err)
-	}
-	if len(defs) == 0 {
-		fatal(fmt.Errorf("no initial indexes recommended; nothing to merge"))
 	}
 	human("\ninitial configuration (%d indexes):\n", len(defs))
 	for _, d := range defs {

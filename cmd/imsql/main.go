@@ -24,6 +24,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -331,7 +332,7 @@ func (sh *shell) merge(arg string) {
 		sh.errorf("%v", err)
 		return
 	}
-	res, err := m.Merge(indexmerge.MergeOptions{CostConstraint: pct / 100})
+	res, err := m.MergeContext(context.Background(), indexmerge.MergeOptions{CostConstraint: pct / 100})
 	if err != nil {
 		sh.errorf("%v", err)
 		return

@@ -8,6 +8,7 @@
 package indexmerge
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -47,11 +48,11 @@ func TestCompressedMergeParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := m.MergeDefs(defs, MergeOptions{CostConstraint: 0.10})
+			plain, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.10})
 			if err != nil {
 				t.Fatalf("%s/%s: plain merge: %v", lab.Name, f.name, err)
 			}
-			comp, err := m.MergeDefs(defs, MergeOptions{CostConstraint: 0.10, CostModel: CompressedOptimizerCost})
+			comp, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.10, CostModel: CompressedOptimizerCost})
 			if err != nil {
 				t.Fatalf("%s/%s: compressed merge: %v", lab.Name, f.name, err)
 			}
@@ -105,11 +106,11 @@ func TestCompressedMergeResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := m.MergeDefs(defs, MergeOptions{CostConstraint: 0.10, CostModel: CompressedOptimizerCost})
+	bare, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.10, CostModel: CompressedOptimizerCost})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hardened, err := m.MergeDefs(defs, MergeOptions{
+	hardened, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{
 		CostConstraint: 0.10, CostModel: CompressedOptimizerCost,
 		Resilience: &ResilienceOptions{},
 	})

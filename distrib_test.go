@@ -71,7 +71,7 @@ func distribMerge(t *testing.T, db *Database, w *Workload, defs []IndexDef, opts
 		t.Fatal(err)
 	}
 	opts.Workers = b
-	res, err := m.MergeDefs(defs, opts)
+	res, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
@@ -240,7 +240,7 @@ func TestDistributedMergeRemoteInstallPanic(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts.Workers = b
-			_, err = m.MergeDefs(defs, opts)
+			_, err = m.MergeDefsContext(context.Background(), defs, opts)
 			var pe *core.PanicError
 			if !errors.As(err, &pe) || len(pe.Stack) == 0 {
 				t.Fatalf("merge under an install panic: err = %v, want a *core.PanicError with a stack", err)

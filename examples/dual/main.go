@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defs, err := m.TuneWorkload()
+	ctx := context.Background()
+	defs, err := m.InitialConfiguration(ctx, 0, 0, indexmerge.MergeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func main() {
 	fmt.Printf("%-10s %14s %12s %10s %8s\n", "budget", "storage (MB)", "cost", "cost +%", "met")
 	for _, frac := range []float64{0.9, 0.75, 0.6, 0.45, 0.3} {
 		budget := int64(float64(initialBytes) * frac)
-		res, err := m.MergeDual(defs, budget)
+		res, err := m.MergeDualContext(ctx, defs, budget)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -32,11 +33,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	defs, err := m.TuneWorkload()
+	ctx := context.Background()
+	defs, err := m.InitialConfiguration(ctx, 0, 0, indexmerge.MergeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := m.MergeDefs(defs, indexmerge.MergeOptions{CostConstraint: 0.20})
+	res, err := m.MergeDefsContext(ctx, defs, indexmerge.MergeOptions{CostConstraint: 0.20})
 	if err != nil {
 		log.Fatal(err)
 	}

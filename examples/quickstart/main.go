@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -79,7 +80,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defs, err := m.TuneWorkload()
+	ctx := context.Background()
+	defs, err := m.InitialConfiguration(ctx, 0, 0, indexmerge.MergeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func main() {
 	fmt.Printf("  total: %.2f MB\n\n", float64(totalBytes)/(1<<20))
 
 	// 5. Merge under a 10% workload-cost constraint.
-	res, err := m.MergeDefs(defs, indexmerge.MergeOptions{CostConstraint: 0.10})
+	res, err := m.MergeDefsContext(ctx, defs, indexmerge.MergeOptions{CostConstraint: 0.10})
 	if err != nil {
 		log.Fatal(err)
 	}

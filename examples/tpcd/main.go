@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,8 @@ func main() {
 	}
 
 	// Phase 1 — tune each query individually and union the indexes.
-	defs, err := m.TuneWorkload()
+	ctx := context.Background()
+	defs, err := m.InitialConfiguration(ctx, 0, 0, indexmerge.MergeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func main() {
 	fmt.Printf("workload cost: %.0f without indexes, %.0f tuned (%.1fx speedup)\n\n", costBare, costTuned, costBare/costTuned)
 
 	// Phase 2 — index merging with a 10% cost constraint.
-	res, err := m.MergeDefs(defs, indexmerge.MergeOptions{CostConstraint: 0.10})
+	res, err := m.MergeDefsContext(ctx, defs, indexmerge.MergeOptions{CostConstraint: 0.10})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,9 +7,11 @@
 //
 //	db := indexmerge.NewDatabase()
 //	... create tables, load rows, db.AnalyzeAll() ...
-//	w, _ := indexmerge.ParseWorkload(file, db.Schema())
+//	w, _ := indexmerge.ParseWorkload(file, db)
 //	m, _ := indexmerge.NewMerger(db, w)
-//	res, _ := m.Merge(indexmerge.MergeOptions{CostConstraint: 0.10})
+//	opts := indexmerge.MergeOptions{CostConstraint: 0.10}
+//	defs, _ := m.InitialConfiguration(ctx, 0, 0, opts) // tune every query (§4.2.3)
+//	res, _ := m.MergeDefsContext(ctx, defs, opts)
 //	fmt.Println(res.Report())
 //
 // The heavy lifting lives in internal packages: internal/core holds
@@ -21,6 +23,7 @@ package indexmerge
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -78,8 +81,7 @@ type (
 	CostCache = costcache.Cache
 	// PreparedWorkload is a workload resolved once against the
 	// database's statistics (per-query descriptors the optimizer's
-	// prepared fast paths consume); see Merger.PreparedWorkload and
-	// MergeOptions.Prepared.
+	// prepared fast paths consume); see Merger.PreparedWorkload.
 	PreparedWorkload = optimizer.PreparedWorkload
 	// CostBreaker is the circuit breaker the resilient costing path
 	// consults; see MergeOptions.Resilience.
@@ -88,7 +90,7 @@ type (
 	// templates with its per-(template, atom) cost table — the
 	// CompressedOptimizerCost model's working state. Build once per
 	// (workload, statistics) pair and share across runs; see
-	// Merger.CompressedWorkload and MergeOptions.Compressed.
+	// Merger.CompressedWorkload and NewMergerOver.
 	CompressedWorkload = wscale.Prepared
 	// WorkerPool is a set of what-if worker endpoints for distributed
 	// costing; see NewWorkerPool and (*WorkerPool).Bind.
@@ -238,18 +240,6 @@ type MergeOptions struct {
 	CostCache *CostCache
 	// CacheNamespace disambiguates CostCache keys across workloads.
 	CacheNamespace string
-	// Prepared, when non-nil, supplies the merger's workload already
-	// prepared against the database's current statistics (the advisor
-	// service prepares once at workload registration and reuses across
-	// jobs). When nil, the merger prepares lazily and caches the
-	// result. Results are byte-identical either way.
-	Prepared *PreparedWorkload
-	// Compressed, when non-nil, supplies the workload already compressed
-	// and paired with a (template, atom) cost table (the advisor service
-	// compresses once at workload registration and reuses the table
-	// across jobs). Only consulted by the CompressedOptimizerCost model;
-	// when nil, the merger compresses lazily and caches the result.
-	Compressed *CompressedWorkload
 	// Workers, when non-nil, offloads cache-missed what-if costings to
 	// a bound pool of stateless worker processes (cmd/idxmergew),
 	// batched per search wave. Results are byte-identical at any worker
@@ -291,20 +281,31 @@ type ResilienceOptions struct {
 	NoDegraded bool
 }
 
-// Merger runs index merging for one database + workload.
+// Merger runs index merging for one database + workload, and owns the
+// workload's prepared state: the descriptors and the compressed form
+// every run on it shares.
 type Merger struct {
 	db  *Database
 	w   *Workload
 	opt *Optimizer
 
-	prepMu   sync.Mutex
-	prepared *PreparedWorkload
-	prepVer  uint64
+	// supplied marks a Merger built over a form someone else compressed
+	// (NewMergerOver): it cannot be rebuilt from the workload, so a
+	// statistics rebuild is ErrStaleForm instead of a re-prepare.
+	supplied bool
 
-	compMu     sync.Mutex
+	// mu guards the forms and the statistics version they were built at.
+	mu         sync.Mutex
+	prepared   *PreparedWorkload
 	compressed *CompressedWorkload
-	compVer    uint64
+	ver        uint64
 }
+
+// ErrStaleForm is returned by every entry point of a Merger built with
+// NewMergerOver once the database's statistics were rebuilt after its
+// construction: the form's selectivities and memoized costs are then
+// superseded, and only its builder can make another.
+var ErrStaleForm = errors.New("indexmerge: supplied workload form is stale: statistics were rebuilt after it was built")
 
 // NewMerger builds a merger. The database should have statistics
 // (AnalyzeAll) so the optimizer can cost hypothetical indexes.
@@ -312,7 +313,28 @@ func NewMerger(db *Database, w *Workload) (*Merger, error) {
 	if w == nil || w.Len() == 0 {
 		return nil, fmt.Errorf("indexmerge: empty workload")
 	}
-	return &Merger{db: db, w: w, opt: optimizer.New(db)}, nil
+	return &Merger{db: db, w: w, opt: optimizer.New(db), ver: db.StatsVersion()}, nil
+}
+
+// NewMergerOver builds a merger over a form already compressed against
+// the database's current statistics — a service's registration, a
+// window snapshot with its persistent cost table: the workload is
+// cw.C.W, and PreparedWorkload and CompressedWorkload hand back cw.PW
+// and cw themselves. A form whose pieces belong to different workloads
+// is refused.
+func NewMergerOver(db *Database, cw *CompressedWorkload) (*Merger, error) {
+	if cw == nil || cw.C == nil || cw.PW == nil {
+		return nil, fmt.Errorf("indexmerge: incomplete compressed workload")
+	}
+	m, err := NewMerger(db, cw.C.W)
+	if err != nil {
+		return nil, err
+	}
+	if cw.PW.W != m.w || len(cw.PW.Queries) != m.w.Len() {
+		return nil, fmt.Errorf("indexmerge: compressed workload's prepared descriptors belong to another workload")
+	}
+	m.supplied, m.prepared, m.compressed = true, cw.PW, cw
+	return m, nil
 }
 
 // Optimizer exposes the merger's optimizer (for cost inspection).
@@ -320,20 +342,29 @@ func (m *Merger) Optimizer() *Optimizer { return m.opt }
 
 // PreparedWorkload returns the merger's workload prepared against the
 // database's current statistics, preparing on first use and
-// re-preparing automatically after the statistics are rebuilt
-// (Analyze bumps the database's stats version, which invalidates
-// prepared selectivities).
+// re-preparing automatically after the statistics are rebuilt.
 func (m *Merger) PreparedWorkload() (*PreparedWorkload, error) {
-	m.prepMu.Lock()
-	defer m.prepMu.Unlock()
-	ver := m.db.StatsVersion()
-	if m.prepared == nil || m.prepVer != ver {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.preparedLocked()
+}
+
+func (m *Merger) preparedLocked() (*PreparedWorkload, error) {
+	if ver := m.db.StatsVersion(); ver != m.ver {
+		if m.supplied {
+			return nil, fmt.Errorf("%w (built at version %d, database at %d)", ErrStaleForm, m.ver, ver)
+		}
+		// Analyze bumped the version: the prepared selectivities and the
+		// cost table's memoized costs are superseded, so both forms are
+		// built again on next use.
+		m.prepared, m.compressed, m.ver = nil, nil, ver
+	}
+	if m.prepared == nil {
 		pw, err := m.opt.PrepareWorkload(m.w)
 		if err != nil {
 			return nil, err
 		}
 		m.prepared = pw
-		m.prepVer = ver
 	}
 	return m.prepared, nil
 }
@@ -343,41 +374,20 @@ func (m *Merger) PreparedWorkload() (*PreparedWorkload, error) {
 // lazily and rebuilt after the database's statistics change (the cost
 // table memoizes stats-dependent costs, so it cannot outlive them).
 func (m *Merger) CompressedWorkload() (*CompressedWorkload, error) {
-	pw, err := m.PreparedWorkload()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	pw, err := m.preparedLocked()
 	if err != nil {
 		return nil, err
 	}
-	m.compMu.Lock()
-	defer m.compMu.Unlock()
-	ver := m.db.StatsVersion()
-	if m.compressed == nil || m.compVer != ver || m.compressed.PW != pw {
+	if m.compressed == nil {
 		cp, err := wscale.Prepare(wscale.Compress(m.w), pw, m.opt, 0)
 		if err != nil {
 			return nil, err
 		}
 		m.compressed = cp
-		m.compVer = ver
 	}
 	return m.compressed, nil
-}
-
-// compressedFor resolves the compressed workload for a run: the
-// caller's (validated against this merger's workload) or the lazily
-// cached one.
-func (m *Merger) compressedFor(opts *MergeOptions) (*CompressedWorkload, error) {
-	if opts != nil && opts.Compressed != nil && len(opts.Compressed.C.W.Queries) == m.w.Len() {
-		return opts.Compressed, nil
-	}
-	return m.CompressedWorkload()
-}
-
-// preparedFor resolves the prepared workload for a run: the caller's
-// (validated against this merger's workload) or the lazily cached one.
-func (m *Merger) preparedFor(opts *MergeOptions) (*PreparedWorkload, error) {
-	if opts != nil && opts.Prepared != nil && len(opts.Prepared.Queries) == m.w.Len() {
-		return opts.Prepared, nil
-	}
-	return m.PreparedWorkload()
 }
 
 // MergeResult is a merging run's outcome plus context for reporting.
@@ -458,34 +468,23 @@ func (r *MergeResult) Report() string {
 	return b.String()
 }
 
-// MergeDefs runs Storage-Minimal Index Merging over the given initial
-// index definitions.
-func (m *Merger) MergeDefs(initialDefs []IndexDef, opts MergeOptions) (*MergeResult, error) {
-	return m.MergeDefsContext(context.Background(), initialDefs, opts)
-}
-
-// MergeDefsContext is MergeDefs under a context: a long search stops
-// promptly when ctx is canceled and returns ctx.Err().
+// MergeDefsContext runs Storage-Minimal Index Merging over the given
+// initial index definitions. A long search stops promptly when ctx is
+// canceled and returns ctx.Err().
 func (m *Merger) MergeDefsContext(ctx context.Context, initialDefs []IndexDef, opts MergeOptions) (*MergeResult, error) {
 	initial := core.NewConfiguration(initialDefs)
 	return m.merge(ctx, initial, opts)
 }
 
-// Merge runs merging using the database's materialized indexes as the
-// initial configuration.
-func (m *Merger) Merge(opts MergeOptions) (*MergeResult, error) {
-	return m.MergeContext(context.Background(), opts)
-}
-
-// MergeContext is Merge under a context: a long search stops promptly
-// when ctx is canceled and returns ctx.Err().
+// MergeContext runs merging using the database's materialized indexes
+// as the initial configuration, under ctx like MergeDefsContext.
 func (m *Merger) MergeContext(ctx context.Context, opts MergeOptions) (*MergeResult, error) {
 	var defs []IndexDef
 	for _, ix := range m.db.Indexes() {
 		defs = append(defs, ix.Def())
 	}
 	if len(defs) == 0 {
-		return nil, fmt.Errorf("indexmerge: no indexes to merge; create indexes or use MergeDefs")
+		return nil, fmt.Errorf("indexmerge: no indexes to merge; create indexes or use MergeDefsContext")
 	}
 	return m.MergeDefsContext(ctx, defs, opts)
 }
@@ -503,7 +502,7 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 	if opts.NoCostP <= 0 {
 		opts.NoCostP = 0.25
 	}
-	pw, err := m.preparedFor(&opts)
+	pw, err := m.PreparedWorkload()
 	if err != nil {
 		return nil, err
 	}
@@ -615,7 +614,7 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, p
 	case NoCost:
 		return &core.NoCostChecker{F: opts.NoCostF, P: opts.NoCostP, Tables: m.db}, 0, func(*MergeResult) {}, nil
 	case CompressedOptimizerCost:
-		if compressed, err = m.compressedFor(opts); err != nil {
+		if compressed, err = m.CompressedWorkload(); err != nil {
 			return nil, 0, nil, err
 		}
 		opt = wscale.NewChecker(compressed, 0, opts.CostConstraint)
@@ -717,16 +716,11 @@ func (r *DualResult) Report() string {
 	return b.String()
 }
 
-// MergeDual solves the paper's dual formulation (Cost-Minimal Index
-// Merging, §3.1): minimize workload cost subject to a storage budget
-// in bytes. The paper states the dual but leaves it unexplored; this
-// is an extension.
-func (m *Merger) MergeDual(initialDefs []IndexDef, storageBudget int64) (*DualResult, error) {
-	return m.MergeDualContext(context.Background(), initialDefs, storageBudget)
-}
-
-// MergeDualContext is MergeDual under a context; cancellation stops
-// the search promptly and returns ctx.Err().
+// MergeDualContext solves the paper's dual formulation (Cost-Minimal
+// Index Merging, §3.1): minimize workload cost subject to a storage
+// budget in bytes. The paper states the dual but leaves it unexplored;
+// this is an extension. Cancellation stops the search promptly and
+// returns ctx.Err().
 func (m *Merger) MergeDualContext(ctx context.Context, initialDefs []IndexDef, storageBudget int64) (*DualResult, error) {
 	initial := core.NewConfiguration(initialDefs)
 	pw, err := m.PreparedWorkload()
@@ -750,34 +744,60 @@ func (m *Merger) MergeDualContext(ctx context.Context, initialDefs []IndexDef, s
 	return &DualResult{CostMinimalResult: res}, nil
 }
 
-// TuneWorkload recommends per-query indexes for every workload query
-// and unions them — the baseline whose storage blow-up merging fixes.
-func (m *Merger) TuneWorkload() ([]IndexDef, error) {
-	return m.TuneWorkloadContext(context.Background())
+// ErrNoInitialIndexes is InitialConfiguration's answer when tuning
+// recommends no index at all.
+var ErrNoInitialIndexes = errors.New("no initial indexes recommended; nothing to merge")
+
+// CheckInitialN is InitialConfiguration's check of n, exported so a
+// front end can refuse a request before it builds anything.
+func CheckInitialN(n int) error {
+	if n < 0 {
+		return fmt.Errorf("initial configuration size %d out of range (want n > 0, or 0 to tune the whole workload)", n)
+	}
+	return nil
 }
 
-// TuneWorkloadContext is TuneWorkload under a context; cancellation
-// surfaces as ctx.Err().
-func (m *Merger) TuneWorkloadContext(ctx context.Context) ([]IndexDef, error) {
-	return advisor.New(m.db, m.opt).TuneWorkloadContext(ctx, m.w)
-}
-
-// TuneTemplates tunes one representative query per compressed template
-// and unions the recommendations — TuneWorkload at template
-// granularity, the natural initial-configuration builder for workloads
-// large enough to need compression.
-func (m *Merger) TuneTemplates() ([]IndexDef, error) {
-	return m.TuneTemplatesContext(context.Background())
-}
-
-// TuneTemplatesContext is TuneTemplates under a context; cancellation
-// surfaces as ctx.Err().
-func (m *Merger) TuneTemplatesContext(ctx context.Context) ([]IndexDef, error) {
-	cw, err := m.CompressedWorkload()
+// InitialConfiguration chooses the configuration merging starts from,
+// by tuning queries one at a time (§4.2.3). n > 0 draws random queries
+// (seeded by seed) until n distinct indexes accumulate, costing each
+// query's candidates opts.Parallelism at a time. n == 0 tunes the whole
+// workload and unions the recommendations — the baseline whose storage
+// blow-up merging fixes: query by query, or, under
+// CompressedOptimizerCost, one representative per template of the
+// merger's compressed form (candidate shapes depend only on what a
+// template's members share). An empty recommendation is
+// ErrNoInitialIndexes. Cancellation surfaces as ctx.Err().
+func (m *Merger) InitialConfiguration(ctx context.Context, n int, seed int64, opts MergeOptions) ([]IndexDef, error) {
+	if err := CheckInitialN(n); err != nil {
+		return nil, err
+	}
+	// The staleness gate every entry point passes; the merge that follows
+	// needs the descriptors anyway.
+	if _, err := m.PreparedWorkload(); err != nil {
+		return nil, err
+	}
+	adv := advisor.New(m.db, m.opt)
+	var defs []IndexDef
+	var err error
+	switch {
+	case n > 0:
+		adv.Parallelism = opts.Parallelism
+		defs, err = advisor.BuildInitialConfigurationContext(ctx, adv, m.w, n, seed)
+	case opts.CostModel == CompressedOptimizerCost:
+		var cw *CompressedWorkload
+		if cw, err = m.CompressedWorkload(); err == nil {
+			defs, err = adv.TuneTemplatesContext(ctx, m.w, cw.C.Representatives())
+		}
+	default:
+		defs, err = adv.TuneWorkloadContext(ctx, m.w)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return advisor.New(m.db, m.opt).TuneTemplatesContext(ctx, m.w, cw.C.Representatives())
+	if len(defs) == 0 {
+		return nil, ErrNoInitialIndexes
+	}
+	return defs, nil
 }
 
 // WorkloadCost returns Cost(W, C) for an arbitrary configuration,

@@ -1,10 +1,17 @@
 package indexmerge
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"indexmerge/internal/core"
 	"indexmerge/internal/datagen"
+	"indexmerge/internal/experiments"
+	"indexmerge/internal/optimizer"
+	"indexmerge/internal/workload"
+	"indexmerge/internal/wscale"
 )
 
 // mergerFixture builds a TPC-D database, the 17-query workload, and a
@@ -23,7 +30,7 @@ func mergerFixture(t testing.TB) (*Database, *Workload, *Merger, []IndexDef) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defs, err := m.TuneWorkload()
+	defs, err := m.InitialConfiguration(context.Background(), 0, 0, MergeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +52,7 @@ func TestNewMergerValidation(t *testing.T) {
 
 func TestMergeDefsDefaultOptions(t *testing.T) {
 	db, _, m, defs := mergerFixture(t)
-	res, err := m.MergeDefs(defs, MergeOptions{})
+	res, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +81,7 @@ func TestMergeRequiresIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Merge(MergeOptions{}); err == nil {
+	if _, err := m.MergeContext(context.Background(), MergeOptions{}); err == nil {
 		t.Error("Merge with no materialized indexes should error")
 	}
 }
@@ -84,7 +91,7 @@ func TestMergeUsesMaterializedIndexes(t *testing.T) {
 	if err := db.Materialize(defs[:4]); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Merge(MergeOptions{CostConstraint: 0.25})
+	res, err := m.MergeContext(context.Background(), MergeOptions{CostConstraint: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +114,7 @@ func TestMergeOptionVariants(t *testing.T) {
 		{MergePair: MergePairExhaustive, CostConstraint: 0.10},
 	}
 	for i, opts := range variants {
-		res, err := m.MergeDefs(small, opts)
+		res, err := m.MergeDefsContext(context.Background(), small, opts)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
@@ -172,5 +179,149 @@ func TestPublicSchemaConstruction(t *testing.T) {
 	}
 	if w.Len() != 1 {
 		t.Errorf("workload len %d", w.Len())
+	}
+}
+
+// TestMergerOverSuppliedForm: a Merger built over a form someone else
+// compressed serves that form itself, decides what a cold Merger over
+// the same workload decides, refuses a form whose pieces belong to
+// different workloads, and — unlike a Merger that can rebuild its forms
+// from the workload — answers a statistics rebuild with ErrStaleForm at
+// every entry point.
+func TestMergerOverSuppliedForm(t *testing.T) {
+	lab, err := experiments.NewSynthetic1Lab(experiments.LabOptions{Scale: 0.25, WorkloadQueries: 6, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := lab.DB
+	w, err := workload.Generate(db, workload.Options{Class: workload.Complex, Queries: 8, Duplication: 30, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// form compresses a workload the way a service registration does.
+	form := func(w *Workload) *CompressedWorkload {
+		t.Helper()
+		pw, err := optimizer.PrepareWorkload(w, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cw, err := wscale.Prepare(wscale.Compress(w), pw, optimizer.New(db), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cw
+	}
+	ctx := context.Background()
+
+	cw := form(w)
+	over, err := NewMergerOver(db, cw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pw, err := over.PreparedWorkload(); err != nil || pw != cw.PW {
+		t.Errorf("PreparedWorkload = %p, %v; want the form's own %p", pw, err, cw.PW)
+	}
+	if got, err := over.CompressedWorkload(); err != nil || got != cw {
+		t.Errorf("CompressedWorkload = %p, %v; want the form itself %p", got, err, cw)
+	}
+
+	// Same decisions as a cold Merger, under either unit list. Each side
+	// starts from an empty cost table, so the counters match too.
+	var defs []IndexDef
+	for _, model := range []CostModelKind{OptimizerCost, CompressedOptimizerCost} {
+		opts := MergeOptions{CostConstraint: 0.10, CostModel: model}
+		cold, err := NewMerger(db, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		supplied, err := NewMergerOver(db, form(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDefs, err := cold.InitialConfiguration(ctx, 0, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defs, err = supplied.InitialConfiguration(ctx, 0, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := core.NewConfiguration(defs).Signature(), core.NewConfiguration(wantDefs).Signature(); got != want {
+			t.Errorf("model %d: initial configuration %s, cold Merger's %s", model, got, want)
+		}
+		want, err := cold.MergeDefsContext(ctx, wantDefs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := supplied.MergeDefsContext(ctx, defs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mergeKey(got) != mergeKey(want) {
+			t.Errorf("model %d: merge diverged from a cold Merger's:\n got: %s\nwant: %s", model, mergeKey(got), mergeKey(want))
+		}
+		if len(want.Steps) == 0 {
+			t.Errorf("model %d: merge accepted no steps; the comparison has no teeth", model)
+		}
+	}
+
+	// Descriptors of another workload — here one of the same length, which
+	// a length check alone would wave through — are refused.
+	reversed := &Workload{}
+	for i := w.Len() - 1; i >= 0; i-- {
+		reversed.Queries = append(reversed.Queries, w.Queries[i])
+	}
+	if _, err := NewMergerOver(db, &CompressedWorkload{C: cw.C, PW: form(reversed).PW}); err == nil {
+		t.Error("a form whose descriptors belong to another workload was accepted")
+	}
+	if _, err := NewMergerOver(db, nil); err == nil {
+		t.Error("a nil form was accepted")
+	}
+
+	if err := db.Materialize(defs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := NewMerger(db, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldBefore, err := cold.CompressedWorkload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AnalyzeAll()
+
+	compressed := MergeOptions{CostModel: CompressedOptimizerCost}
+	for name, call := range map[string]func() error{
+		"PreparedWorkload":             func() error { _, err := over.PreparedWorkload(); return err },
+		"CompressedWorkload":           func() error { _, err := over.CompressedWorkload(); return err },
+		"MergeContext":                 func() error { _, err := over.MergeContext(ctx, MergeOptions{}); return err },
+		"MergeDefsContext":             func() error { _, err := over.MergeDefsContext(ctx, defs, MergeOptions{}); return err },
+		"MergeDefsContext/compressed":  func() error { _, err := over.MergeDefsContext(ctx, defs, compressed); return err },
+		"MergeDualContext":             func() error { _, err := over.MergeDualContext(ctx, defs, 1<<20); return err },
+		"InitialConfiguration/n":       func() error { _, err := over.InitialConfiguration(ctx, 4, 1, MergeOptions{}); return err },
+		"InitialConfiguration/0":       func() error { _, err := over.InitialConfiguration(ctx, 0, 0, MergeOptions{}); return err },
+		"InitialConfiguration/0/compr": func() error { _, err := over.InitialConfiguration(ctx, 0, 0, compressed); return err },
+		"WorkloadCost":                 func() error { _, err := over.WorkloadCost(defs); return err },
+	} {
+		if err := call(); !errors.Is(err, ErrStaleForm) {
+			t.Errorf("%s after Analyze: err = %v, want ErrStaleForm", name, err)
+		}
+	}
+
+	// A Merger that made its own forms makes them again.
+	coldAfter, err := cold.CompressedWorkload()
+	if err != nil {
+		t.Fatalf("cold Merger after Analyze: %v", err)
+	}
+	pw, err := cold.PreparedWorkload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coldAfter == coldBefore || coldAfter.PW != pw || pw == coldBefore.PW {
+		t.Error("cold Merger served a form built against superseded statistics")
+	}
+	if _, err := cold.MergeDefsContext(ctx, defs, compressed); err != nil {
+		t.Errorf("cold Merger's merge after Analyze: %v", err)
 	}
 }

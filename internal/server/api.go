@@ -361,7 +361,9 @@ type CostResponse struct {
 
 // InitialSpec selects a job's initial index configuration: explicit
 // definitions, or per-query tuning (N > 0 draws random queries until N
-// distinct indexes accumulate; N == 0 tunes every workload query).
+// distinct indexes accumulate; N == 0 tunes every workload query — one
+// representative per template under the compressed cost model; N < 0 is
+// refused). The rule is indexmerge.(*Merger).InitialConfiguration's.
 type InitialSpec struct {
 	N       int               `json:"n,omitempty"`
 	Seed    int64             `json:"seed,omitempty"`

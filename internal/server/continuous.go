@@ -367,12 +367,15 @@ func (s *Server) buildRetuneRun(sess *Session) jobRun {
 			}}, nil
 		}
 
+		// One Merger per snapshot, over the snapshot's own descriptors
+		// (prepared at fold time) and the session's persistent windowed
+		// cost table: the cycle prepares and compresses nothing again.
 		snap := c.window.Snapshot()
 		wp, err := wscale.PrepareWindowed(snap, optimizer.New(sess.db), c.table)
 		if err != nil {
 			return nil, err
 		}
-		m, err := indexmerge.NewMerger(sess.db, snap.W)
+		m, err := indexmerge.NewMergerOver(sess.db, wp)
 		if err != nil {
 			return nil, err
 		}
@@ -380,24 +383,21 @@ func (s *Server) buildRetuneRun(sess *Session) jobRun {
 		s.metrics.contRetunes.Add(1)
 
 		res := &RetuneResultPayload{WindowTemplates: st.Templates, Generation: gen, Dropped: dropped}
-		defs, err := m.TuneTemplatesContext(ctx)
-		if err != nil {
-			return nil, err
+		opts := indexmerge.MergeOptions{
+			CostConstraint: c.spec.Constraint,
+			CostModel:      indexmerge.CompressedOptimizerCost,
+			Resilience:     &indexmerge.ResilienceOptions{Breaker: sess.breaker},
+			Progress:       s.jobs.progressOf(j),
 		}
-		if len(defs) == 0 {
+		defs, err := m.InitialConfiguration(ctx, 0, 0, opts)
+		if errors.Is(err, indexmerge.ErrNoInitialIndexes) {
 			// Nothing recommendable for this window; remember its shape so
 			// the next identical window skips.
 			c.searched()
 			return &JobResult{Retune: res}, nil
 		}
-
-		opts := indexmerge.MergeOptions{
-			CostConstraint: c.spec.Constraint,
-			CostModel:      indexmerge.CompressedOptimizerCost,
-			Compressed:     wp,
-			Prepared:       snap.PW,
-			Resilience:     &indexmerge.ResilienceOptions{Breaker: sess.breaker},
-			Progress:       s.jobs.progressOf(j),
+		if err != nil {
+			return nil, err
 		}
 		mres, err := m.MergeDefsContext(ctx, defs, opts)
 		if err != nil {

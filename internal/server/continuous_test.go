@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"indexmerge"
 	"indexmerge/internal/faults"
+	"indexmerge/internal/optimizer"
+	"indexmerge/internal/wscale"
 )
 
 // driftSQL is a second workload with query shapes absent from
@@ -307,5 +310,56 @@ func TestContinuousJournalReplay(t *testing.T) {
 	}
 	if resp := h2.ingest(t, "live", fixtureSQL); resp.RolledBack {
 		t.Fatalf("post-replay clean ingest rolled back: %+v", resp)
+	}
+}
+
+// TestRetuneTunesFromSnapshot: a re-tune cycle tunes and merges from the
+// window snapshot's own forms. Its recommendation is the one the cycle
+// made when it compressed the snapshot's workload a second time to pick
+// the representatives (the indexes below are that build's, on this
+// window), and a Merger built the way the cycle builds it hands back
+// the snapshot's descriptors and the windowed form themselves, not
+// rebuilt copies.
+func TestRetuneTunesFromSnapshot(t *testing.T) {
+	h := newTestServer(t, Config{})
+	h.newContinuousSession(t, "snap", 11)
+	// Two batches, the second adding constant-varied members to the
+	// first's templates and new shapes of its own.
+	h.ingest(t, "snap", fixtureSQL)
+	h.ingest(t, "snap", driftSQL+
+		"\nSELECT d, m1 FROM fact WHERE d BETWEEN DATE(300) AND DATE(320)"+
+		"\nSELECT k, m3 FROM fact WHERE k = 99")
+
+	_, res := h.retune(t, "snap")
+	if res.Skipped || !res.Applied {
+		t.Fatalf("retune = %+v, want a search that applied", res)
+	}
+	var got []string
+	for _, ix := range res.Indexes {
+		got = append(got, ix.Table+"("+strings.Join(ix.Columns, ",")+")")
+	}
+	want := []string{"fact(k,m1,m3,m2)", "fact(d,m3,m1,m2)", "fact(tag,m3,m1)"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("recommendation = %q, want %q", got, want)
+	}
+
+	sess, _ := h.srv.reg.Get("snap")
+	snap := sess.cont.window.Snapshot()
+	if len(snap.C.Templates) >= snap.W.Len() {
+		t.Fatalf("window of %d members in %d templates: nothing to compress", snap.W.Len(), len(snap.C.Templates))
+	}
+	wp, err := wscale.PrepareWindowed(snap, optimizer.New(sess.db), sess.cont.table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := indexmerge.NewMergerOver(sess.db, wp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pw, err := m.PreparedWorkload(); err != nil || pw != snap.PW {
+		t.Errorf("PreparedWorkload = %p, %v; want the snapshot's own %p", pw, err, snap.PW)
+	}
+	if cw, err := m.CompressedWorkload(); err != nil || cw != wp {
+		t.Errorf("CompressedWorkload = %p, %v; want the windowed form %p", cw, err, wp)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"indexmerge"
-	"indexmerge/internal/advisor"
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/distrib"
 	"indexmerge/internal/optimizer"
@@ -634,15 +633,16 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request, sess *Sessio
 	o := optimizer.New(sess.db)
 	cfg := optimizer.Configuration(defs)
 	total, costed := 0.0, 0
-	for i, q := range rw.prepared.W.Queries {
+	pw := rw.compressed.PW
+	for i, q := range pw.W.Queries {
 		if ctx.Err() != nil {
 			s.metrics.requestsAbandoned.Add(1)
 			s.log.Info("cost request abandoned by client", "session", sess.name,
-				"workload", req.Workload, "costed", costed, "of", len(rw.prepared.W.Queries))
+				"workload", req.Workload, "costed", costed, "of", len(pw.W.Queries))
 			writeErr(w, statusClientClosedRequest, "client closed request")
 			return
 		}
-		c, err := o.CostPrepared(rw.prepared.Queries[i], cfg)
+		c, err := o.CostPrepared(pw.Queries[i], cfg)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, "cost: %v", err)
 			return
@@ -651,7 +651,7 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request, sess *Sessio
 		costed++
 	}
 	sess.preparedReuse.Add(1)
-	s.metrics.optimizerCalls.Add(int64(len(rw.w.Queries)))
+	s.metrics.optimizerCalls.Add(int64(len(pw.W.Queries)))
 	writeJSON(w, http.StatusOK, CostResponse{Cost: total})
 }
 
@@ -758,9 +758,10 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, sess *S
 	}
 	// Stage >= 2 (as this route's admission just evaluated it) forces the
 	// compressed cost model on jobs that would run the full optimizer
-	// model. Compressed costing is exact with recommendation parity, so
-	// results stay byte-identical — the brownout trades optimizer calls,
-	// not quality.
+	// model. The search is priced exactly either way, so from an explicit
+	// or n > 0 initial configuration the brownout trades optimizer calls,
+	// not quality; an n == 0 job then also tunes one representative per
+	// template instead of every statement.
 	if s.stage.Load() >= 2 && (req.Options.CostModel == "" || req.Options.CostModel == "opt") {
 		req.Options.CostModel = "compressed"
 	}
@@ -770,12 +771,16 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, sess *S
 		return
 	}
 
-	// Validate any explicit initial configuration now so the client
-	// gets a 400 instead of a failed job.
+	// Validate the initial configuration's size or explicit definitions
+	// now so the client gets a 400 instead of a failed job.
 	var explicitDefs []catalog.IndexDef
 	initial := InitialSpec{N: 10}
 	if req.Initial != nil {
 		initial = *req.Initial
+		if err := indexmerge.CheckInitialN(initial.N); err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 		if len(initial.Indexes) > 0 {
 			explicitDefs, err = resolveDefs(sess, initial.Indexes)
 			if err != nil {
@@ -832,7 +837,7 @@ func BuildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 		return opts, fmt.Errorf("unknown costmodel %q (want opt, nocost, prefilter or compressed)", o.CostModel)
 	}
 	if o.DualBudgetFrac < 0 || o.DualBudgetFrac >= 1 {
-		return opts, fmt.Errorf("dual_budget_frac %v out of range (0, 1)", o.DualBudgetFrac)
+		return opts, fmt.Errorf("dual_budget_frac %v out of range [0, 1)", o.DualBudgetFrac)
 	}
 	// Jobs run resilient by default ({"resilience": {"disable": true}}
 	// opts out): transient costing faults are retried, and a persistent
@@ -852,36 +857,23 @@ func BuildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 	return opts, nil
 }
 
-// buildJobRun assembles the closure a worker executes: the exact same
-// facade calls the batch CLI makes, so a server job and a cmd/idxmerge
-// run over identical inputs produce byte-identical results. The
-// session's shared cost cache (namespaced by workload) carries what-if
-// costs across the session's jobs, and merge jobs reuse the workload's
-// registration-time prepared descriptors (prepared once per session,
-// shared across jobs; the prepared path is bit-identical).
+// buildJobRun assembles the closure a worker executes: the facade calls
+// the batch CLI makes, on the registration's Merger, so a server job and
+// a cmd/idxmerge run over identical inputs produce byte-identical
+// results. The Merger holds the workload's registration-time prepared
+// descriptors and compressed form (one per registration, shared across
+// its jobs); the session's shared cost cache (namespaced by
+// registration) carries what-if costs across the session's jobs.
 func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw *registeredWorkload,
 	initial InitialSpec, explicitDefs []catalog.IndexDef, opts indexmerge.MergeOptions,
 	dualFrac float64) jobRun {
 
-	wl := rw.w
+	m := rw.merger
 	return func(ctx context.Context, j *Job) (*JobResult, error) {
-		m, err := indexmerge.NewMerger(sess.db, wl)
-		if err != nil {
-			return nil, err
-		}
-
-		// Workload-wide tuning — a tune job, or a merge job's n == 0
-		// initial configuration. Under the compressed cost model it runs
-		// at template granularity: one representative per fingerprint
-		// class instead of every statement.
-		tune := m.TuneWorkloadContext
-		if opts.CostModel == indexmerge.CompressedOptimizerCost {
-			tune = m.TuneTemplatesContext
-		}
-
 		if kind == "tune" {
-			defs, err := tune(ctx)
-			if err != nil {
+			// Whole-workload tuning; recommending nothing is a result.
+			defs, err := m.InitialConfiguration(ctx, 0, 0, opts)
+			if err != nil && !errors.Is(err, indexmerge.ErrNoInitialIndexes) {
 				return nil, err
 			}
 			return &JobResult{Tune: &TuneResultPayload{
@@ -890,24 +882,14 @@ func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw
 			}}, nil
 		}
 
-		// Initial configuration: explicit defs, or per-query tuning
-		// (§4.2.3) exactly as cmd/idxmerge builds it.
 		defs := explicitDefs
 		if defs == nil {
-			if initial.N > 0 {
-				adv := advisor.New(sess.db, m.Optimizer())
-				adv.Parallelism = opts.Parallelism
-				defs, err = advisor.BuildInitialConfigurationContext(ctx, adv, wl, initial.N, initial.Seed)
-			} else {
-				defs, err = tune(ctx)
-			}
-			if err != nil {
+			var err error
+			if defs, err = m.InitialConfiguration(ctx, initial.N, initial.Seed, opts); err != nil {
 				return nil, err
 			}
 		}
-		if len(defs) == 0 {
-			return nil, errors.New("no initial indexes recommended; nothing to merge")
-		}
+		sess.preparedReuse.Add(1)
 
 		if dualFrac > 0 {
 			budget := int64(float64(sess.db.ConfigurationBytes(defs)) * dualFrac)
@@ -926,12 +908,6 @@ func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw
 		// can never be served costs computed for the new queries (or
 		// vice versa).
 		opts.CacheNamespace = rw.ns
-		opts.Prepared = rw.prepared
-		// Reuse the registration-time compressed form (templates + cost
-		// table): the table's entries persist across the session's jobs,
-		// so a repeat merge prices mostly from memory.
-		opts.Compressed = rw.compressed
-		sess.preparedReuse.Add(1)
 		if opts.Resilience != nil {
 			// One breaker per session: repeated costing failures in any
 			// job open it for the whole session until the cooldown probe

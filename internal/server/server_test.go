@@ -128,7 +128,7 @@ func directMerge(t *testing.T, opts indexmerge.MergeOptions) MergeResultPayload 
 			t.Fatal(err)
 		}
 	}
-	res, err := m.MergeDefs(defs, opts)
+	res, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,11 +353,28 @@ func TestJobValidation(t *testing.T) {
 		{Workload: "w", Options: JobOptions{CostModel: "zog"}},
 		{Workload: "w", Options: JobOptions{DualBudgetFrac: 1.5}},
 		{Workload: "w", Initial: &InitialSpec{Indexes: []IndexDefPayload{{Table: "ghost", Columns: []string{"x"}}}}},
+		{Workload: "w", Initial: &InitialSpec{N: -3}},
+		{Kind: "tune", Workload: "w", Initial: &InitialSpec{N: -1}},
 	}
 	for i, req := range bad {
 		if got := h.call(t, "POST", "/v1/sessions/s/jobs", req, nil); got != http.StatusBadRequest {
 			t.Errorf("bad request %d: status %d, want 400", i, got)
 		}
+	}
+	// A refusal names what is accepted.
+	for body, want := range map[string]string{
+		`{"workload":"w","initial":{"n":-3}}`:               "want n > 0, or 0 to tune the whole workload",
+		`{"workload":"w","options":{"dual_budget_frac":1}}`: "out of range [0, 1)",
+	} {
+		var resp ErrorResponse
+		h.mustCall(t, "POST", "/v1/sessions/s/jobs", body, &resp, http.StatusBadRequest)
+		if !strings.Contains(resp.Error, want) {
+			t.Errorf("%s: error %q does not say %q", body, resp.Error, want)
+		}
+	}
+	var jobs []JobStatus
+	if h.mustCall(t, "GET", "/v1/jobs", nil, &jobs, http.StatusOK); len(jobs) != 0 {
+		t.Errorf("refused requests left %d job records", len(jobs))
 	}
 	h.mustCall(t, "POST", "/v1/sessions/s/jobs", SubmitJobRequest{Workload: "nope"}, nil, http.StatusNotFound)
 	h.mustCall(t, "POST", "/v1/sessions/s/jobs", `{"kind":`, nil, http.StatusBadRequest)

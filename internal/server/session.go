@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"indexmerge"
 	"indexmerge/internal/core"
 	"indexmerge/internal/core/costcache"
 	"indexmerge/internal/datagen"
@@ -97,16 +98,16 @@ type Session struct {
 	workloads map[string]*registeredWorkload
 }
 
-// registeredWorkload pairs a workload with its prepared descriptors
-// and its compressed (template-clustered) form, built once at
-// registration against the session's (immutable) statistics and reused
-// by every costing request and job thereafter. Journal replay rebuilds
-// workloads through this same path, so recovered sessions re-derive
-// the compression automatically.
+// registeredWorkload is a workload's compressed form — the workload
+// compressed.C.W, its prepared descriptors compressed.PW, the templates
+// and their (template, atom) cost table — built once at registration
+// against the session's (immutable) statistics, and the Merger over it
+// that every job on the workload runs on. Costing requests read the
+// form directly. Journal replay rebuilds workloads through this same
+// path, so recovered sessions re-derive the compression automatically.
 type registeredWorkload struct {
-	w          *sql.Workload
-	prepared   *optimizer.PreparedWorkload
 	compressed *wscale.Prepared // never nil: RegisterWorkload is the only constructor
+	merger     *indexmerge.Merger
 
 	// ns is the workload's cost-cache namespace: the name plus a
 	// per-registration sequence number, so re-registering a name can
@@ -131,7 +132,7 @@ func (s *Session) bindWorkers(ctx context.Context, name string, rw *registeredWo
 		return nil
 	}
 	rw.bindOnce.Do(func() {
-		b, err := s.pool.Bind(ctx, s.name+"/"+name, s.fp, rw.w)
+		b, err := s.pool.Bind(ctx, s.name+"/"+name, s.fp, rw.compressed.C.W)
 		if err != nil {
 			if log != nil {
 				log.Warn("worker pool bind failed; jobs will cost locally",
@@ -185,10 +186,15 @@ func (s *Session) RegisterWorkload(name string, w *sql.Workload, replace bool) (
 	}
 	// Compress once at registration: template clustering and the
 	// (template, atom) cost table are then shared by every job and
-	// costing request on this workload for the session's lifetime.
+	// costing request on this workload for the session's lifetime, the
+	// jobs through the one Merger built over them here.
 	cp, err := wscale.Prepare(wscale.Compress(w), pw, optimizer.New(s.db), s.tableMax)
 	if err != nil {
 		return nil, fmt.Errorf("compress workload: %w", err)
+	}
+	m, err := indexmerge.NewMergerOver(s.db, cp)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -200,7 +206,7 @@ func (s *Session) RegisterWorkload(name string, w *sql.Workload, replace bool) (
 	}
 	s.regSeq++
 	rw := &registeredWorkload{
-		w: w, prepared: pw, compressed: cp,
+		compressed: cp, merger: m,
 		ns: fmt.Sprintf("%s@%d", name, s.regSeq),
 	}
 	s.workloads[name] = rw
@@ -210,7 +216,7 @@ func (s *Session) RegisterWorkload(name string, w *sql.Workload, replace bool) (
 // info describes the registration under the name it is bound to.
 func (rw *registeredWorkload) info(name string) WorkloadInfo {
 	return WorkloadInfo{
-		Name: name, Queries: rw.w.Len(),
+		Name: name, Queries: rw.compressed.C.W.Len(),
 		Templates:  len(rw.compressed.C.Templates),
 		DedupRatio: rw.compressed.C.DedupRatio(),
 	}
@@ -246,7 +252,7 @@ func (s *Session) Info() SessionInfo {
 	prepared := 0
 	s.mu.Lock()
 	for _, rw := range s.workloads {
-		prepared += len(rw.prepared.Queries)
+		prepared += len(rw.compressed.PW.Queries)
 	}
 	s.mu.Unlock()
 	info := SessionInfo{

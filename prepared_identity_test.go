@@ -8,6 +8,7 @@
 package indexmerge
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -204,7 +205,7 @@ func TestFacadePreparedFastPathGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.MergeDefs(defs, MergeOptions{CostConstraint: 0.10}); err != nil {
+	if _, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.10}); err != nil {
 		t.Fatal(err)
 	}
 	opt := m.Optimizer()

@@ -6,6 +6,7 @@
 package indexmerge
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestUnionCompetitionChangesMergeRecommendation(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Optimizer().DisableIndexUnion = disableUnion
-		res, err := m.MergeDefs(defs, MergeOptions{CostConstraint: 0.10})
+		res, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.10})
 		if err != nil {
 			t.Fatal(err)
 		}
