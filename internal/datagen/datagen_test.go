@@ -213,6 +213,7 @@ func TestSyntheticInsertRows(t *testing.T) {
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	checkGoldenInsertRows(t, rows)
 	tab, _ := db.Schema().Table("t2")
 	for _, r := range rows {
 		if len(r) != len(tab.Columns) {

@@ -3,6 +3,7 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/engine"
@@ -92,7 +93,7 @@ func BuildSynthetic(spec SyntheticSpec) (*engine.Database, error) {
 				col = catalog.Column{Name: name, Type: value.String, Width: widths[(t+c)%len(widths)]}
 			}
 			cols = append(cols, col)
-			recipes = append(recipes, syntheticColumn{col: col, theta: theta, domain: domain, strBase: fmt.Sprintf("%s_%s_", tname, name)})
+			recipes = append(recipes, syntheticColumn{col: col, theta: theta, domain: domain, strBase: synthStrBase(tname, name)})
 		}
 		tab, err := catalog.NewTable(tname, cols)
 		if err != nil {
@@ -111,8 +112,9 @@ func BuildSynthetic(spec SyntheticSpec) (*engine.Database, error) {
 		for i, r := range recipes {
 			gens[i] = NewZipf(rng, r.domain, r.theta)
 		}
+		// One row buffer per table: Insert stores a clone.
+		row := make(value.Row, len(recipes))
 		for rix := 0; rix < spec.RowsPer; rix++ {
-			row := make(value.Row, len(recipes))
 			for i, r := range recipes {
 				row[i] = SynthValue(r.col, gens[i].Next(), r.strBase)
 			}
@@ -125,6 +127,9 @@ func BuildSynthetic(spec SyntheticSpec) (*engine.Database, error) {
 	return db, nil
 }
 
+// synthStrBase is the prefix of a synthetic column's string values.
+func synthStrBase(table, column string) string { return table + "_" + column + "_" }
+
 // SynthValue maps a Zipf draw to a typed column value.
 func SynthValue(col catalog.Column, draw int, strBase string) value.Value {
 	switch col.Type {
@@ -135,12 +140,32 @@ func SynthValue(col catalog.Column, draw int, strBase string) value.Value {
 	case value.Date:
 		return value.NewDate(int64(draw))
 	default:
-		s := fmt.Sprintf("%s%06d", strBase, draw)
-		if len(s) > col.Width {
-			s = s[len(s)-col.Width:]
+		// strBase then the draw zero-padded to six digits, cut to the
+		// last col.Width bytes; only the kept bytes become a string.
+		var buf [64]byte
+		b := appendPadded(append(buf[:0], strBase...), int64(draw), 6)
+		if len(b) > col.Width {
+			b = b[len(b)-col.Width:]
 		}
-		return value.NewString(s)
+		return value.NewString(string(b))
 	}
+}
+
+// appendPadded appends n in decimal, zero-padded to width bytes (sign
+// included) — the bytes fmt's %0*d renders.
+func appendPadded(b []byte, n int64, width int) []byte {
+	u := uint64(n)
+	if n < 0 {
+		b = append(b, '-')
+		width--
+		u = -u
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for pad := width - len(d); pad > 0; pad-- {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // SyntheticInsertRows generates n fresh rows for a synthetic table,
@@ -157,11 +182,15 @@ func SyntheticInsertRows(db *engine.Database, table string, n int, seed int64) (
 	if rowCount < 10 {
 		rowCount = 10
 	}
+	bases := make([]string, len(t.Columns))
+	for c, col := range t.Columns {
+		bases[c] = synthStrBase(table, col.Name)
+	}
 	for i := range rows {
 		row := make(value.Row, len(t.Columns))
 		for c, col := range t.Columns {
 			draw := 1 + rng.Intn(rowCount)
-			row[c] = SynthValue(col, draw, fmt.Sprintf("%s_%s_", table, col.Name))
+			row[c] = SynthValue(col, draw, bases[c])
 		}
 		rows[i] = row
 	}

@@ -1,7 +1,6 @@
 package datagen
 
 import (
-	"fmt"
 	"math/rand"
 
 	"indexmerge/internal/catalog"
@@ -159,32 +158,53 @@ var (
 	regionNames     = []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
 	mktSegments     = []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"}
 	orderPriorities = []string{"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECI", "5-LOW"}
+	orderStatuses   = []string{"O", "F", "P"}
 	shipModes       = []string{"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"}
 	shipInstructs   = []string{"COLLECT COD", "DELIVER IN PERSON", "NONE", "TAKE BACK RETURN"}
 	containers      = []string{"JUMBO BAG", "LG BOX", "MED CASE", "SM PKG", "WRAP JAR"}
+	manufacturers   = []string{"Manufacturer#1", "Manufacturer#2", "Manufacturer#3", "Manufacturer#4", "Manufacturer#5"}
 	brands          = []string{"Brand#11", "Brand#22", "Brand#33", "Brand#44", "Brand#55"}
 	types           = []string{"ECONOMY BRASS", "LARGE PLATED", "MEDIUM POLISHED", "SMALL BURNISHED", "STANDARD ANODIZED", "PROMO BURNISHED"}
 	returnFlags     = []string{"R", "A", "N"}
 	lineStatuses    = []string{"O", "F"}
+	commentWords    = []string{"final", "pending", "quick", "silent", "ironic", "furious", "careful", "express", "regular", "special", "bold", "even"}
 )
 
 func pick(rng *rand.Rand, opts []string) value.Value {
 	return value.NewString(opts[rng.Intn(len(opts))])
 }
 
+// comment draws space-separated words until a third of the width is
+// filled, cut to the width.
 func comment(rng *rand.Rand, width int) value.Value {
-	words := []string{"final", "pending", "quick", "silent", "ironic", "furious", "careful", "express", "regular", "special", "bold", "even"}
-	s := ""
-	for len(s) < width/3 {
-		if s != "" {
-			s += " "
+	var buf [128]byte
+	b := buf[:0]
+	for len(b) < width/3 {
+		if len(b) > 0 {
+			b = append(b, ' ')
 		}
-		s += words[rng.Intn(len(words))]
+		b = append(b, commentWords[rng.Intn(len(commentWords))]...)
 	}
-	if len(s) > width {
-		s = s[:width]
+	if len(b) > width {
+		b = b[:width]
 	}
-	return value.NewString(s)
+	return value.NewString(string(b))
+}
+
+// numbered renders prefix followed by n zero-padded to width digits
+// ("Supplier#000000007").
+func numbered(prefix string, n int64, width int) value.Value {
+	var buf [32]byte
+	return value.NewString(string(appendPadded(append(buf[:0], prefix...), n, width)))
+}
+
+// phone draws a "CC-NNN-NNN" number.
+func phone(rng *rand.Rand) value.Value {
+	var buf [16]byte
+	b := appendPadded(buf[:0], int64(rng.Intn(35)), 2)
+	b = appendPadded(append(b, '-'), int64(rng.Intn(1000)), 3)
+	b = appendPadded(append(b, '-'), int64(rng.Intn(1000)), 3)
+	return value.NewString(string(b))
 }
 
 func money(rng *rand.Rand, lo, hi float64) value.Value {
@@ -207,84 +227,81 @@ func BuildTPCD(scale TPCDScale, seed int64) (*engine.Database, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	for i := 0; i < scale.Region; i++ {
-		name := regionNames[i%len(regionNames)]
-		if err := db.Insert("region", value.Row{
-			value.NewInt(int64(i)), value.NewString(name), comment(rng, 152),
-		}); err != nil {
-			return nil, err
+	// Every table loop fills one row buffer, values in column order (the
+	// order the generator draws in); Insert stores a clone.
+	load := func(table string, n int, fill func(row value.Row, i int)) error {
+		t, _ := db.Schema().Table(table)
+		row := make(value.Row, len(t.Columns))
+		for i := 0; i < n; i++ {
+			fill(row, i)
+			if err := db.Insert(table, row); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	for i := 0; i < scale.Nation; i++ {
-		if err := db.Insert("nation", value.Row{
-			value.NewInt(int64(i)),
-			value.NewString(fmt.Sprintf("NATION_%02d", i)),
-			value.NewInt(int64(rng.Intn(scale.Region))),
-			comment(rng, 152),
-		}); err != nil {
-			return nil, err
-		}
+	tables := []struct {
+		name string
+		n    int
+		fill func(row value.Row, i int)
+	}{
+		{"region", scale.Region, func(row value.Row, i int) {
+			row[0] = value.NewInt(int64(i))
+			row[1] = value.NewString(regionNames[i%len(regionNames)])
+			row[2] = comment(rng, 152)
+		}},
+		{"nation", scale.Nation, func(row value.Row, i int) {
+			row[0] = value.NewInt(int64(i))
+			row[1] = numbered("NATION_", int64(i), 2)
+			row[2] = value.NewInt(int64(rng.Intn(scale.Region)))
+			row[3] = comment(rng, 152)
+		}},
+		{"supplier", scale.Supplier, func(row value.Row, i int) {
+			row[0] = value.NewInt(int64(i))
+			row[1] = numbered("Supplier#", int64(i), 9)
+			row[2] = comment(rng, 40)
+			row[3] = value.NewInt(int64(rng.Intn(scale.Nation)))
+			row[4] = phone(rng)
+			row[5] = money(rng, -999, 9999)
+			row[6] = comment(rng, 101)
+		}},
+		{"customer", scale.Customer, func(row value.Row, i int) {
+			row[0] = value.NewInt(int64(i))
+			row[1] = numbered("Customer#", int64(i), 9)
+			row[2] = comment(rng, 40)
+			row[3] = value.NewInt(int64(rng.Intn(scale.Nation)))
+			row[4] = phone(rng)
+			row[5] = money(rng, -999, 9999)
+			row[6] = pick(rng, mktSegments)
+			row[7] = comment(rng, 117)
+		}},
+		{"part", scale.Part, func(row value.Row, i int) {
+			row[0] = value.NewInt(int64(i))
+			row[1] = comment(rng, 55)
+			row[2] = pick(rng, manufacturers)
+			row[3] = pick(rng, brands)
+			row[4] = pick(rng, types)
+			row[5] = value.NewInt(int64(1 + rng.Intn(50)))
+			row[6] = pick(rng, containers)
+			row[7] = money(rng, 900, 2000)
+			row[8] = comment(rng, 23)
+		}},
+		{"partsupp", scale.PartSupp, func(row value.Row, i int) {
+			row[0] = value.NewInt(int64(i % scale.Part))
+			row[1] = value.NewInt(int64(i % scale.Supplier))
+			row[2] = value.NewInt(int64(1 + rng.Intn(9999)))
+			row[3] = money(rng, 1, 1000)
+			row[4] = comment(rng, 199)
+		}},
+		{"orders", scale.Orders, func(row value.Row, i int) {
+			fillOrderRow(row, rng, int64(i), scale)
+		}},
+		{"lineitem", scale.Lineitem, func(row value.Row, i int) {
+			fillLineitemRow(row, rng, int64(i%scale.Orders), int64(i%7), scale)
+		}},
 	}
-	for i := 0; i < scale.Supplier; i++ {
-		if err := db.Insert("supplier", value.Row{
-			value.NewInt(int64(i)),
-			value.NewString(fmt.Sprintf("Supplier#%09d", i)),
-			comment(rng, 40),
-			value.NewInt(int64(rng.Intn(scale.Nation))),
-			value.NewString(fmt.Sprintf("%02d-%03d-%03d", rng.Intn(35), rng.Intn(1000), rng.Intn(1000))),
-			money(rng, -999, 9999),
-			comment(rng, 101),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < scale.Customer; i++ {
-		if err := db.Insert("customer", value.Row{
-			value.NewInt(int64(i)),
-			value.NewString(fmt.Sprintf("Customer#%09d", i)),
-			comment(rng, 40),
-			value.NewInt(int64(rng.Intn(scale.Nation))),
-			value.NewString(fmt.Sprintf("%02d-%03d-%03d", rng.Intn(35), rng.Intn(1000), rng.Intn(1000))),
-			money(rng, -999, 9999),
-			pick(rng, mktSegments),
-			comment(rng, 117),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < scale.Part; i++ {
-		if err := db.Insert("part", value.Row{
-			value.NewInt(int64(i)),
-			comment(rng, 55),
-			value.NewString(fmt.Sprintf("Manufacturer#%d", 1+rng.Intn(5))),
-			pick(rng, brands),
-			pick(rng, types),
-			value.NewInt(int64(1 + rng.Intn(50))),
-			pick(rng, containers),
-			money(rng, 900, 2000),
-			comment(rng, 23),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < scale.PartSupp; i++ {
-		if err := db.Insert("partsupp", value.Row{
-			value.NewInt(int64(i % scale.Part)),
-			value.NewInt(int64(i % scale.Supplier)),
-			value.NewInt(int64(1 + rng.Intn(9999))),
-			money(rng, 1, 1000),
-			comment(rng, 199),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < scale.Orders; i++ {
-		if err := db.Insert("orders", GenOrderRow(rng, int64(i), scale)); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < scale.Lineitem; i++ {
-		if err := db.Insert("lineitem", GenLineitemRow(rng, int64(i%scale.Orders), int64(i%7), scale)); err != nil {
+	for _, t := range tables {
+		if err := load(t.name, t.n, t.fill); err != nil {
 			return nil, err
 		}
 	}
@@ -296,39 +313,47 @@ func BuildTPCD(scale TPCDScale, seed int64) (*engine.Database, error) {
 // GenOrderRow generates one orders row; exported for the batch-insert
 // maintenance experiments.
 func GenOrderRow(rng *rand.Rand, orderkey int64, scale TPCDScale) value.Row {
-	return value.Row{
-		value.NewInt(orderkey),
-		value.NewInt(rng.Int63n(int64(scale.Customer))),
-		pick(rng, []string{"O", "F", "P"}),
-		money(rng, 1000, 400000),
-		dateIn(rng, TPCDDateLo, TPCDDateHi-90),
-		pick(rng, orderPriorities),
-		value.NewString(fmt.Sprintf("Clerk#%09d", rng.Intn(1000))),
-		value.NewInt(0),
-		comment(rng, 79),
-	}
+	row := make(value.Row, 9)
+	fillOrderRow(row, rng, orderkey, scale)
+	return row
+}
+
+func fillOrderRow(row value.Row, rng *rand.Rand, orderkey int64, scale TPCDScale) {
+	row[0] = value.NewInt(orderkey)
+	row[1] = value.NewInt(rng.Int63n(int64(scale.Customer)))
+	row[2] = pick(rng, orderStatuses)
+	row[3] = money(rng, 1000, 400000)
+	row[4] = dateIn(rng, TPCDDateLo, TPCDDateHi-90)
+	row[5] = pick(rng, orderPriorities)
+	row[6] = numbered("Clerk#", int64(rng.Intn(1000)), 9)
+	row[7] = value.NewInt(0)
+	row[8] = comment(rng, 79)
 }
 
 // GenLineitemRow generates one lineitem row; exported for the
 // batch-insert maintenance experiments.
 func GenLineitemRow(rng *rand.Rand, orderkey, linenumber int64, scale TPCDScale) value.Row {
+	row := make(value.Row, 16)
+	fillLineitemRow(row, rng, orderkey, linenumber, scale)
+	return row
+}
+
+func fillLineitemRow(row value.Row, rng *rand.Rand, orderkey, linenumber int64, scale TPCDScale) {
 	ship := dateIn(rng, TPCDDateLo, TPCDDateHi-60)
-	return value.Row{
-		value.NewInt(orderkey),
-		value.NewInt(rng.Int63n(int64(scale.Part))),
-		value.NewInt(rng.Int63n(int64(scale.Supplier))),
-		value.NewInt(linenumber),
-		value.NewFloat(float64(1 + rng.Intn(50))),
-		money(rng, 900, 100000),
-		value.NewFloat(float64(rng.Intn(11)) / 100),
-		value.NewFloat(float64(rng.Intn(9)) / 100),
-		pick(rng, returnFlags),
-		pick(rng, lineStatuses),
-		ship,
-		value.NewDate(ship.Int() + int64(rng.Intn(30))),
-		value.NewDate(ship.Int() + 30 + int64(rng.Intn(30))),
-		pick(rng, shipInstructs),
-		pick(rng, shipModes),
-		comment(rng, 44),
-	}
+	row[0] = value.NewInt(orderkey)
+	row[1] = value.NewInt(rng.Int63n(int64(scale.Part)))
+	row[2] = value.NewInt(rng.Int63n(int64(scale.Supplier)))
+	row[3] = value.NewInt(linenumber)
+	row[4] = value.NewFloat(float64(1 + rng.Intn(50)))
+	row[5] = money(rng, 900, 100000)
+	row[6] = value.NewFloat(float64(rng.Intn(11)) / 100)
+	row[7] = value.NewFloat(float64(rng.Intn(9)) / 100)
+	row[8] = pick(rng, returnFlags)
+	row[9] = pick(rng, lineStatuses)
+	row[10] = ship
+	row[11] = value.NewDate(ship.Int() + int64(rng.Intn(30)))
+	row[12] = value.NewDate(ship.Int() + 30 + int64(rng.Intn(30)))
+	row[13] = pick(rng, shipInstructs)
+	row[14] = pick(rng, shipModes)
+	row[15] = comment(rng, 44)
 }

@@ -8,12 +8,15 @@
 package engine
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"maps"
+	"math"
 	"sort"
+
+	"indexmerge/internal/catalog"
+	"indexmerge/internal/stats"
+	"indexmerge/internal/value"
 )
 
 // ErrFrozen is returned by mutators invoked on a database that has
@@ -66,12 +69,13 @@ func (s *Snapshot) DB() *Database { return s.origin }
 func (s *Snapshot) Fork() *Database {
 	o := s.origin
 	f := &Database{
-		schema:    o.schema,
-		heaps:     maps.Clone(o.heaps),
-		indexes:   maps.Clone(o.indexes),
-		tstats:    maps.Clone(o.tstats),
-		statsOpts: o.statsOpts,
-		fork:      true,
+		schema:       o.schema,
+		heaps:        maps.Clone(o.heaps),
+		indexes:      maps.Clone(o.indexes),
+		tstats:       maps.Clone(o.tstats),
+		statsDigests: maps.Clone(o.statsDigests),
+		statsOpts:    o.statsOpts,
+		fork:         true,
 	}
 	f.statsVersion.Store(s.version)
 	return f
@@ -99,9 +103,72 @@ func (db *Database) mutableIndexes() error {
 	return nil
 }
 
+// fingerprinter is the FNV-1a state and encoding Fingerprint and
+// statsDigest share: little-endian fixed-width integers,
+// length-prefixed strings.
+type fingerprinter uint64
+
+func newFingerprinter() *fingerprinter {
+	f := fingerprinter(14695981039346656037)
+	return &f
+}
+
+func (f *fingerprinter) byte(b byte) { *f = (*f ^ fingerprinter(b)) * 1099511628211 }
+
+func (f *fingerprinter) u64(v uint64) {
+	for shift := 0; shift < 64; shift += 8 {
+		f.byte(byte(v >> shift))
+	}
+}
+
+func (f *fingerprinter) f64(v float64) { f.u64(math.Float64bits(v)) }
+
+func (f *fingerprinter) str(s string) {
+	f.u64(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		f.byte(s[i])
+	}
+}
+
+func (f *fingerprinter) val(v value.Value) {
+	f.u64(uint64(v.Kind()))
+	switch v.Kind() {
+	case value.Int, value.Date:
+		f.u64(uint64(v.Int()))
+	case value.Float:
+		f.f64(v.Float())
+	case value.String:
+		f.str(v.Str())
+	}
+}
+
+// statsDigest hashes everything the optimizer reads from a table's
+// statistics: per column in schema order the row, null and distinct
+// counts, Min, Max, and every bucket's boundary, rows and distinct.
+func statsDigest(t *catalog.Table, ts *stats.TableStats) uint64 {
+	f := newFingerprinter()
+	f.u64(uint64(ts.RowCount))
+	for _, c := range t.Columns {
+		cs := ts.Columns[c.Name]
+		f.f64(cs.RowCount)
+		f.f64(cs.NullCount)
+		f.f64(cs.Distinct)
+		f.val(cs.Min)
+		f.val(cs.Max)
+		f.u64(uint64(len(cs.Buckets)))
+		for _, b := range cs.Buckets {
+			f.val(b.Hi)
+			f.f64(b.Rows)
+			f.f64(b.Distinct)
+		}
+	}
+	return uint64(*f)
+}
+
 // Fingerprint summarizes the database for coordinator/worker
 // compatibility checks: FNV-1a over the sorted schema (table, column
-// names/types/widths), per-table row counts and heap bytes, the
+// names/types/widths), per-table row counts, heap bytes and the digest
+// of the built statistics (statsDigest, computed by Analyze), the
 // sorted materialized index keys, and the statistics build options
 // and version. Two processes that build the same database through the
 // same deterministic path (a snapshot file, or a named generator with
@@ -109,16 +176,7 @@ func (db *Database) mutableIndexes() error {
 // differs from the coordinator's must not be trusted to return
 // identical what-if costs.
 func (db *Database) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	str := func(s string) {
-		u64(uint64(len(s)))
-		h.Write([]byte(s))
-	}
+	f := newFingerprinter()
 	tables := db.schema.Tables()
 	names := make([]string, 0, len(tables))
 	byName := make(map[string]int, len(tables))
@@ -129,32 +187,33 @@ func (db *Database) Fingerprint() uint64 {
 	sort.Strings(names)
 	for _, name := range names {
 		t := tables[byName[name]]
-		str(t.Name)
-		u64(uint64(len(t.Columns)))
+		f.str(t.Name)
+		f.u64(uint64(len(t.Columns)))
 		for _, c := range t.Columns {
-			str(c.Name)
-			u64(uint64(c.Type))
-			u64(uint64(c.Width))
+			f.str(c.Name)
+			f.u64(uint64(c.Type))
+			f.u64(uint64(c.Width))
 		}
-		u64(uint64(db.TableRowCount(t.Name)))
+		f.u64(uint64(db.TableRowCount(t.Name)))
 		if hp, ok := db.heaps[t.Name]; ok {
-			u64(uint64(hp.Bytes()))
+			f.u64(uint64(hp.Bytes()))
 		}
+		f.u64(db.statsDigests[t.Name])
 	}
 	keys := make([]string, 0, len(db.indexes))
 	for k := range db.indexes {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	u64(uint64(len(keys)))
+	f.u64(uint64(len(keys)))
 	for _, k := range keys {
-		str(k)
+		f.str(k)
 	}
-	u64(uint64(db.statsOpts.Buckets))
-	u64(uint64(int64(db.statsOpts.SampleRate * 1e9)))
-	u64(uint64(db.statsOpts.Seed))
-	u64(db.statsVersion.Load())
-	return h.Sum64()
+	f.u64(uint64(db.statsOpts.Buckets))
+	f.u64(uint64(int64(db.statsOpts.SampleRate * 1e9)))
+	f.u64(uint64(db.statsOpts.Seed))
+	f.u64(db.statsVersion.Load())
+	return uint64(*f)
 }
 
 // FingerprintString renders a fingerprint the way the worker protocol

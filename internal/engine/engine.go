@@ -31,6 +31,9 @@ type Database struct {
 	heaps   map[string]*storage.Heap
 	indexes map[string]*storage.Index // keyed by IndexDef.Key()
 	tstats  map[string]*stats.TableStats
+	// statsDigests holds statsDigest of each tstats entry, computed
+	// when Analyze builds it, for Fingerprint.
+	statsDigests map[string]uint64
 
 	statsOpts stats.BuildOptions
 
@@ -51,10 +54,11 @@ type Database struct {
 // NewDatabase creates an empty database.
 func NewDatabase() *Database {
 	return &Database{
-		schema:  catalog.NewSchema(),
-		heaps:   make(map[string]*storage.Heap),
-		indexes: make(map[string]*storage.Index),
-		tstats:  make(map[string]*stats.TableStats),
+		schema:       catalog.NewSchema(),
+		heaps:        make(map[string]*storage.Heap),
+		indexes:      make(map[string]*storage.Index),
+		tstats:       make(map[string]*stats.TableStats),
+		statsDigests: make(map[string]uint64),
 	}
 }
 
@@ -263,22 +267,25 @@ func (db *Database) Analyze(table string) {
 	}
 	t := h.Table()
 	ts := &stats.TableStats{RowCount: h.RowCount(), Columns: make(map[string]*stats.ColumnStats, len(t.Columns))}
-	cols := make([][]value.Value, len(t.Columns))
-	for i := range cols {
-		cols[i] = make([]value.Value, 0, h.RowCount())
+	// One scan gathers every column into a slice of its declared type
+	// (Heap.Insert admits no other non-null kind).
+	cols := make([]stats.Column, len(t.Columns))
+	for i, c := range t.Columns {
+		cols[i] = stats.NewColumn(c.Type, int(h.RowCount()))
 	}
 	h.Scan(func(_ storage.RowID, r value.Row) bool {
 		for i, v := range r {
-			cols[i] = append(cols[i], v)
+			cols[i].Append(v)
 		}
 		return true
 	})
 	for i, c := range t.Columns {
 		opt := db.statsOpts
 		opt.Seed = db.statsOpts.Seed + int64(i)*7919
-		ts.Columns[c.Name] = stats.Build(cols[i], opt)
+		ts.Columns[c.Name] = cols[i].Build(opt)
 	}
 	db.tstats[table] = ts
+	db.statsDigests[table] = statsDigest(t, ts)
 	db.statsVersion.Add(1)
 }
 

@@ -12,8 +12,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 
 	"indexmerge/internal/value"
 )
@@ -47,150 +45,6 @@ func (cs *ColumnStats) Density() float64 {
 		return 1
 	}
 	return 1 / cs.Distinct
-}
-
-// BuildOptions controls statistics construction.
-type BuildOptions struct {
-	Buckets int
-	// SampleRate in (0,1] subsamples rows before building, mirroring
-	// the paper's inexpensive sampled statistics; 0 or 1 means full scan.
-	SampleRate float64
-	// Seed drives the sampler; fixed for reproducibility.
-	Seed int64
-}
-
-// Build constructs ColumnStats from the column's values.
-func Build(vals []value.Value, opt BuildOptions) *ColumnStats {
-	if opt.Buckets <= 0 {
-		opt.Buckets = DefaultBuckets
-	}
-	totalRows := float64(len(vals))
-	scale := 1.0
-	if opt.SampleRate > 0 && opt.SampleRate < 1 {
-		rng := rand.New(rand.NewSource(opt.Seed))
-		sampled := make([]value.Value, 0, int(float64(len(vals))*opt.SampleRate)+1)
-		for _, v := range vals {
-			if rng.Float64() < opt.SampleRate {
-				sampled = append(sampled, v)
-			}
-		}
-		if len(sampled) == 0 && len(vals) > 0 {
-			sampled = append(sampled, vals[rng.Intn(len(vals))])
-		}
-		if len(sampled) > 0 {
-			scale = totalRows / float64(len(sampled))
-		}
-		vals = sampled
-	}
-
-	cs := &ColumnStats{RowCount: totalRows}
-	nonNull := make([]value.Value, 0, len(vals))
-	for _, v := range vals {
-		if v.IsNull() {
-			cs.NullCount += scale
-			continue
-		}
-		nonNull = append(nonNull, v)
-	}
-	if len(nonNull) == 0 {
-		return cs
-	}
-	sort.Slice(nonNull, func(i, j int) bool { return nonNull[i].Compare(nonNull[j]) < 0 })
-	cs.Min = nonNull[0]
-	cs.Max = nonNull[len(nonNull)-1]
-
-	// Distinct count on the (sorted) sample. Under sampling, the Chao1
-	// estimator extrapolates unseen values from the singleton/doubleton
-	// frequencies: D ≈ d + f1²/(2·f2). It stays sharp both when values
-	// are well covered (few singletons) and when the tail is long.
-	distinctSample := 1.0
-	singletons := 0.0
-	doubletons := 0.0
-	runLen := 1
-	endRun := func() {
-		switch runLen {
-		case 1:
-			singletons++
-		case 2:
-			doubletons++
-		}
-	}
-	for i := 1; i < len(nonNull); i++ {
-		if nonNull[i].Compare(nonNull[i-1]) != 0 {
-			distinctSample++
-			endRun()
-			runLen = 1
-		} else {
-			runLen++
-		}
-	}
-	endRun()
-	if scale > 1 {
-		est := distinctSample
-		if doubletons > 0 {
-			est += singletons * singletons / (2 * doubletons)
-		} else if singletons > 0 {
-			est += singletons * (singletons - 1) / 2
-		}
-		if max := cs.RowCount - cs.NullCount; est > max {
-			est = max
-		}
-		cs.Distinct = est
-	} else {
-		cs.Distinct = distinctSample
-	}
-
-	// Equi-depth buckets over the sorted sample, built from duplicate
-	// runs. A value whose run is at least one bucket deep becomes a
-	// singleton bucket (an end-biased histogram), keeping equality
-	// estimates for heavy hitters sharp instead of averaging them with
-	// their bucket neighbours.
-	nb := opt.Buckets
-	if nb > len(nonNull) {
-		nb = len(nonNull)
-	}
-	per := len(nonNull) / nb
-	if per < 1 {
-		per = 1
-	}
-	type run struct {
-		v     value.Value
-		count int
-	}
-	var runs []run
-	for i := 0; i < len(nonNull); {
-		j := i + 1
-		for j < len(nonNull) && nonNull[j].Compare(nonNull[i]) == 0 {
-			j++
-		}
-		runs = append(runs, run{v: nonNull[i], count: j - i})
-		i = j
-	}
-	cur := Bucket{}
-	curRows := 0
-	flush := func() {
-		if curRows > 0 {
-			cur.Rows = float64(curRows) * scale
-			cs.Buckets = append(cs.Buckets, cur)
-			cur = Bucket{}
-			curRows = 0
-		}
-	}
-	for _, r := range runs {
-		if r.count >= per {
-			flush()
-			cs.Buckets = append(cs.Buckets, Bucket{Hi: r.v, Rows: float64(r.count) * scale, Distinct: 1})
-			continue
-		}
-		cur.Hi = r.v
-		cur.Distinct++
-		curRows += r.count
-		if curRows >= per {
-			flush()
-		}
-	}
-	flush()
-	return cs
 }
 
 // SelectivityEq estimates the fraction of rows equal to v.
