@@ -9,7 +9,9 @@ import (
 
 // tableInfo is everything planning derives from the statement and the
 // statistics about one referenced table, computed once by PrepareQuery
-// and read-only afterwards.
+// and read-only afterwards. preds, orPreds, filteredRows and predStr
+// depend on the statement's constants; the rest is its shape, and the
+// slices among it are shared by every descriptor bound to that shape.
 type tableInfo struct {
 	name      string
 	table     *catalog.Table
@@ -56,20 +58,98 @@ type orPred struct {
 	disjuncts []scoredPred
 }
 
-// initPreds populates the table's scored predicates, and the
-// normalized disjunct lists for the disjunctive ones, from the
-// statement's restrictions.
-func (ti *tableInfo) initPreds(stmt *sql.SelectStmt) {
-	for _, p := range stmt.PredicatesOn(ti.name) {
-		if ds := p.Disjuncts(); ds != nil {
-			op := orPred{pos: len(ti.preds)}
-			for _, d := range ds {
-				op.disjuncts = append(op.disjuncts, scoredPred{p: d, sel: predicateSelectivity(ti.ts, d)})
-			}
-			ti.orPreds = append(ti.orPreds, op)
+// scorePreds fills what the statement's constants decide about the
+// table: its restrictions with their selectivities, the normalized
+// disjunct lists of the disjunctive ones (sql.Predicate.Disjuncts: an
+// IN list is one equality per value, also inside an OR) and the
+// filtered row count. Everything is counted first and allocated once —
+// all disjuncts of the table share one array — and a disjunction is
+// scored from its disjuncts' selectivities, the very probes
+// disjunctionSelectivity would repeat.
+func (ti *tableInfo) scorePreds(stmt *sql.SelectStmt) {
+	nPreds, nOr, nDisj := 0, 0, 0
+	for i := range stmt.Where {
+		p := &stmt.Where[i]
+		if p.Col.Table != ti.name {
+			continue
 		}
-		ti.preds = append(ti.preds, scoredPred{p: p, sel: predicateSelectivity(ti.ts, p)})
+		nPreds++
+		switch p.Op {
+		case sql.OpIn:
+			nOr++
+			nDisj += len(p.Vals)
+		case sql.OpOr:
+			nOr++
+			for j := range p.Or {
+				if p.Or[j].Op == sql.OpIn {
+					nDisj += len(p.Or[j].Vals)
+				} else {
+					nDisj++
+				}
+			}
+		}
 	}
+	ti.preds, ti.orPreds = nil, nil
+	if nPreds > 0 {
+		ti.preds = make([]scoredPred, 0, nPreds)
+	}
+	var disj []scoredPred
+	if nOr > 0 {
+		ti.orPreds = make([]orPred, 0, nOr)
+		disj = make([]scoredPred, 0, nDisj)
+	}
+	allSel := 1.0
+	for i := range stmt.Where {
+		p := &stmt.Where[i]
+		if p.Col.Table != ti.name {
+			continue
+		}
+		var sel float64
+		from := len(disj)
+		switch p.Op {
+		case sql.OpIn:
+			disj, sel = appendInList(disj, ti.ts, p)
+		case sql.OpOr:
+			// Disjuncts may overlap; assuming independence,
+			// inclusion–exclusion gives sel(a OR b) = 1 - (1-sel(a))(1-sel(b)),
+			// generalized over all of them.
+			miss := 1.0
+			for j := range p.Or {
+				d := &p.Or[j]
+				var dsel float64
+				if d.Op == sql.OpIn {
+					disj, dsel = appendInList(disj, ti.ts, d)
+				} else {
+					dsel = predicateSelectivity(ti.ts, d)
+					disj = append(disj, scoredPred{p: *d, sel: dsel})
+				}
+				miss *= 1 - clampSel(dsel)
+			}
+			sel = clampSel(1 - miss)
+		default:
+			sel = predicateSelectivity(ti.ts, p)
+		}
+		if p.Op == sql.OpIn || p.Op == sql.OpOr {
+			ti.orPreds = append(ti.orPreds, orPred{pos: len(ti.preds), disjuncts: disj[from:len(disj):len(disj)]})
+		}
+		ti.preds = append(ti.preds, scoredPred{p: *p, sel: sel})
+		allSel *= sel
+	}
+	ti.filteredRows = ti.rowCount * clampSel(allSel)
+}
+
+// appendInList appends one scored equality per IN-list value and
+// returns the list's selectivity: members are disjoint point
+// restrictions on one column, so their selectivities add.
+func appendInList(disj []scoredPred, ts *stats.TableStats, p *sql.Predicate) ([]scoredPred, float64) {
+	sum := 0.0
+	for _, v := range p.Vals {
+		d := scoredPred{p: sql.Predicate{Col: p.Col, Op: sql.OpEq, Val: v}}
+		d.sel = predicateSelectivity(ts, &d.p)
+		sum += d.sel
+		disj = append(disj, d)
+	}
+	return disj, clampSel(sum)
 }
 
 // indexSize estimates the leaf pages and height of an index on cols.

@@ -121,6 +121,67 @@ func BenchmarkPrepareQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepareWorkload times preparing a whole workload, the call
+// the daemon's ingest and registration and the CLI make: a log that
+// repeats 60 shapes under fresh constants (one shape built per template,
+// the rest bound), and the 300 distinct queries of the other benchmarks
+// (nothing to share). The descriptors of the last timed pass are then
+// costed, untimed, against PrepareQuery's.
+func BenchmarkPrepareWorkload(b *testing.B) {
+	pb := newPlanBench(b)
+	distinct := &sql.Workload{}
+	for _, stmt := range pb.stmts {
+		distinct.Add(stmt, 1)
+	}
+	db, err := datagen.BuildNamed("synthetic2", 0.25, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	repeated, err := workload.Generate(db, workload.Options{
+		Class: workload.Complex, Disjunctions: true, Queries: 60, Duplication: 2000, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opt  *optimizer.Optimizer
+		w    *sql.Workload
+		cfg  optimizer.Configuration
+	}{{"repeated", optimizer.New(db), repeated, nil}, {"distinct", pb.opt, distinct, pb.cfg}} {
+		b.Run(c.name, func(b *testing.B) {
+			var pw *optimizer.PreparedWorkload
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if pw, err = c.opt.PrepareWorkload(c.w); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.w.Len()), "ns/query")
+			b.ReportMetric(float64(pw.Shapes), "shapes/op")
+			for qi, q := range c.w.Queries {
+				fresh, err := c.opt.PrepareQuery(q.Stmt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				want, err := c.opt.CostPrepared(fresh, c.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				got, err := c.opt.CostPrepared(pw.Queries[qi], c.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					b.Fatalf("query %d: cost %v from PrepareWorkload's descriptor, %v from PrepareQuery's", qi+1, got, want)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkCostPrepared(b *testing.B) {
 	pb := newPlanBench(b)
 	call := func(qi int) (float64, error) { return pb.opt.CostPrepared(pb.pqs[qi], pb.cfg) }

@@ -80,7 +80,7 @@ func TestPredicateSelectivityOperators(t *testing.T) {
 		{sql.Predicate{Col: col, Op: sql.OpBetween, Lo: value.NewInt(10), Hi: value.NewInt(19)}, 0.05, 0.15},
 	}
 	for _, c := range cases {
-		got := predicateSelectivity(ts, c.p)
+		got := predicateSelectivity(ts, &c.p)
 		if got < c.lo || got > c.hi {
 			t.Errorf("%s: selectivity %v outside [%v, %v]", c.p, got, c.lo, c.hi)
 		}
@@ -89,13 +89,13 @@ func TestPredicateSelectivityOperators(t *testing.T) {
 
 func TestPredicateSelectivityFallbacks(t *testing.T) {
 	col := sql.ColumnRef{Table: "t", Column: "c"}
-	if got := predicateSelectivity(nil, sql.Predicate{Col: col, Op: sql.OpEq, Val: value.NewInt(1)}); got != defaultEqSel {
+	if got := predicateSelectivity(nil, &sql.Predicate{Col: col, Op: sql.OpEq, Val: value.NewInt(1)}); got != defaultEqSel {
 		t.Errorf("no-stats eq = %v", got)
 	}
-	if got := predicateSelectivity(nil, sql.Predicate{Col: col, Op: sql.OpLt, Val: value.NewInt(1)}); got != defaultRangeSel {
+	if got := predicateSelectivity(nil, &sql.Predicate{Col: col, Op: sql.OpLt, Val: value.NewInt(1)}); got != defaultRangeSel {
 		t.Errorf("no-stats range = %v", got)
 	}
-	if got := predicateSelectivity(nil, sql.Predicate{Col: col, Op: sql.OpNe, Val: value.NewInt(1)}); got != defaultNeSel {
+	if got := predicateSelectivity(nil, &sql.Predicate{Col: col, Op: sql.OpNe, Val: value.NewInt(1)}); got != defaultNeSel {
 		t.Errorf("no-stats ne = %v", got)
 	}
 }

@@ -39,9 +39,8 @@ type PreparedQuery struct {
 	// Stmt is the resolved statement the descriptor was built from.
 	Stmt *sql.SelectStmt
 
-	tables []*tableInfo          // FROM order
-	byName map[string]*tableInfo // built once at prepare, shared by every call
-	joins  []preparedJoin        // Stmt.Joins with resolved table positions
+	tables []*tableInfo   // FROM order
+	joins  []preparedJoin // Stmt.Joins with resolved table positions
 
 	groupDistinct  []float64 // per GROUP BY column: distinctOf (0 = unknown table, skipped)
 	groupCols      []string  // distinct GROUP BY column names, first-occurrence order
@@ -84,6 +83,11 @@ func (j *preparedJoin) myCol(t int) string {
 type PreparedWorkload struct {
 	W       *sql.Workload
 	Queries []*PreparedQuery
+	// Shapes is how many of the descriptors PrepareWorkload built in
+	// full; the others were bound to the shape of an earlier entry of
+	// their template. Zero on a workload assembled from descriptors
+	// prepared elsewhere (a window snapshot).
+	Shapes int
 
 	byTableOnce sync.Once
 	byTable     map[string][]int // query positions per referenced table
@@ -185,14 +189,34 @@ func (r *Relevance) Queries(key string, def catalog.IndexDef) QuerySet {
 // PrepareWorkload resolves every workload query into its prepared
 // descriptor against the given metadata. The returned workload is
 // immutable and safe for concurrent use.
+//
+// Entries that carry the same fingerprint differ in their constants
+// alone, so everything a descriptor derives from the statement's shape
+// and the statistics is built for the first of them and shared by the
+// rest, which add what the constants decide (see bind). The map from
+// fingerprint to shape lives for this call: a shape is never older than
+// the statistics the call reads. An entry without a fingerprint, or
+// whose statement is not of the shape its fingerprint names (entries
+// are plain structs; nothing holds a hand-made one to its word), is
+// prepared in full.
 func PrepareWorkload(w *sql.Workload, meta Meta) (*PreparedWorkload, error) {
 	pw := &PreparedWorkload{W: w, Queries: make([]*PreparedQuery, len(w.Queries))}
+	shapes := make(map[string]*PreparedQuery)
 	for i, q := range w.Queries {
+		shape := shapes[q.Fingerprint]
+		if shape != nil && shape.Stmt.SameShape(q.Stmt) {
+			pw.Queries[i] = shape.bind(q.Stmt)
+			continue
+		}
 		pq, err := PrepareQuery(q.Stmt, meta)
 		if err != nil {
 			return nil, fmt.Errorf("optimizer: prepare query %d: %w", i+1, err)
 		}
 		pw.Queries[i] = pq
+		pw.Shapes++
+		if shape == nil && q.Fingerprint != "" {
+			shapes[q.Fingerprint] = pq
+		}
 	}
 	return pw, nil
 }
@@ -211,7 +235,9 @@ func (o *Optimizer) PrepareQuery(stmt *sql.SelectStmt) (*PreparedQuery, error) {
 // PrepareQuery builds the query-invariant descriptor for one resolved
 // statement: per-table predicates, selectivities and their products,
 // predicate equivalence classes, join metadata and the relevant-index
-// prefilter sets.
+// prefilter sets. Only what scorePreds and textClasses fill depends on
+// the statement's constants; the rest is the statement's shape, which
+// bind shares among the statements of one template.
 func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 	pq := &PreparedQuery{Stmt: stmt}
 	if v, ok := meta.(StatsVersioner); ok {
@@ -219,9 +245,10 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 		pq.statsVersion = v.StatsVersion()
 	}
 	sc := meta.Schema()
-	names := stmt.TablesReferenced()
-	pq.byName = make(map[string]*tableInfo, len(names))
-	for _, name := range names {
+	for _, name := range stmt.From {
+		if pq.table(name) != nil {
+			continue
+		}
 		t, ok := sc.Table(name)
 		if !ok {
 			return nil, fmt.Errorf("optimizer: unknown table %q", name)
@@ -234,7 +261,10 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 			required: stmt.ColumnsOf(name),
 		}
 		ti.heapPages = storage.EstimateHeapPages(int64(ti.rowCount), t.RowWidth())
-		ti.initPreds(stmt)
+		ti.scanCost = scanCost(ti.heapPages, ti.rowCount)
+		ti.scorePreds(stmt)
+		ti.predColOp = colOpClasses(ti.preds)
+		ti.predStr = textClasses(ti.preds, ti.predColOp)
 		// Relevant-index prefilter: only a predicate with an equality or
 		// range operator can start a seek on an index whose leading
 		// column it restricts. (Union arms are exempt from the filter —
@@ -247,7 +277,6 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 		}
 		ti.seekLeadJoin = ti.seekLead
 		pq.tables = append(pq.tables, ti)
-		pq.byName[name] = ti
 	}
 
 	// Join metadata: resolved table positions and the symmetric
@@ -266,17 +295,10 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 		pq.joins = append(pq.joins, pj)
 	}
 
-	// Per-table products, predicate classes and synthetic join probes.
-	// Join columns also extend the seekable-lead set: an index useless
-	// for base predicates can still serve a parameterized inner seek.
+	// Synthetic join probes. Join columns also extend the seekable-lead
+	// set: an index useless for base predicates can still serve a
+	// parameterized inner seek.
 	for _, ti := range pq.tables {
-		allSel := 1.0
-		for _, sp := range ti.preds {
-			allSel *= sp.sel
-		}
-		ti.filteredRows = ti.rowCount * clampSel(allSel)
-		ti.scanCost = scanCost(ti.heapPages, ti.rowCount)
-		ti.predColOp, ti.predStr = predClasses(ti.preds)
 		for _, j := range stmt.Joins {
 			for _, side := range [2]sql.ColumnRef{j.Left, j.Right} {
 				if side.Table != ti.name {
@@ -303,7 +325,7 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 	}
 	pq.groupSameTable = true
 	for _, c := range stmt.GroupBy {
-		if ti := pq.byName[c.Table]; ti != nil {
+		if ti := pq.table(c.Table); ti != nil {
 			pq.groupDistinct = append(pq.groupDistinct, distinctOf(ti.ts, c.Column, ti.rowCount))
 		} else {
 			pq.groupDistinct = append(pq.groupDistinct, 0)
@@ -314,6 +336,41 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 		pq.groupCols = appendDistinct(pq.groupCols, c.Column)
 	}
 	return pq, nil
+}
+
+// bind returns the descriptor of stmt, a statement of this descriptor's
+// shape (sql.SelectStmt.SameShape), at the cost of its constants alone:
+// a copy of the descriptor — tables, required columns, seek leads,
+// (column, operator) classes, joins, join probes, group metadata, page
+// and scan costs, statistics version, all shared — in which each table
+// takes its own predicates, selectivities, filtered rows and same-text
+// classes from stmt. tableInfo stays one flat struct, copied whole, so
+// that planning reads a bound descriptor exactly as it reads one
+// PrepareQuery built; the result is that descriptor, field for field.
+func (shape *PreparedQuery) bind(stmt *sql.SelectStmt) *PreparedQuery {
+	pq := new(PreparedQuery)
+	*pq = *shape
+	pq.Stmt = stmt
+	tis := make([]tableInfo, len(shape.tables))
+	pq.tables = make([]*tableInfo, len(shape.tables))
+	for i, sti := range shape.tables {
+		ti := &tis[i]
+		*ti = *sti
+		ti.scorePreds(stmt)
+		ti.predStr = textClasses(ti.preds, ti.predColOp)
+		pq.tables[i] = ti
+	}
+	return pq
+}
+
+// table returns the descriptor's entry for the named table, nil when
+// the statement does not read it. Statements read a handful of tables;
+// a scan is the lookup.
+func (pq *PreparedQuery) table(name string) *tableInfo {
+	if i := tablePos(pq.tables, name); i >= 0 {
+		return pq.tables[i]
+	}
+	return nil
 }
 
 // IndexRelevant reports whether an index on the given table with the
@@ -329,8 +386,8 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 // invariant template-level cost tables rely on to price a
 // configuration by its per-table relevant subsets alone.
 func (pq *PreparedQuery) IndexRelevant(table string, cols []string) bool {
-	ti, ok := pq.byName[table]
-	if !ok || len(cols) == 0 {
+	ti := pq.table(table)
+	if ti == nil || len(cols) == 0 {
 		return false
 	}
 	if indexRelevant(cols, ti.seekLeadJoin, ti.required) {
@@ -357,35 +414,53 @@ func (pq *PreparedQuery) checkFresh() error {
 	return nil
 }
 
-// predClasses computes the per-predicate equivalence classes used by
-// the intersection planner: class representatives are the smallest
-// predicate position with the same (column, operator) — and,
-// separately, the same rendered text.
-func predClasses(preds []scoredPred) (colOp, str []int32) {
+// colOpClasses assigns each predicate the smallest position with the
+// same (column, operator) — the intersection planner's "arms share a
+// predicate" class. It is a property of the statement's shape.
+func colOpClasses(preds []scoredPred) []int32 {
 	if len(preds) == 0 {
-		return nil, nil
+		return nil
 	}
-	colOp = make([]int32, len(preds))
-	str = make([]int32, len(preds))
-	strs := make([]string, len(preds))
+	colOp := make([]int32, len(preds))
 	for i := range preds {
-		strs[i] = preds[i].p.String()
 		colOp[i] = int32(i)
-		str[i] = int32(i)
 		for j := 0; j < i; j++ {
 			if preds[j].p.Col.Column == preds[i].p.Col.Column && preds[j].p.Op == preds[i].p.Op {
 				colOp[i] = colOp[j]
 				break
 			}
 		}
+	}
+	return colOp
+}
+
+// textClasses assigns each predicate the smallest position with the
+// same rendered text — the "an arm consumed this predicate" class.
+// Equal text means equal column and operator, so only predicates that
+// share a colOp class are rendered and compared; where every such class
+// is one predicate, which is nearly always, the classes are colOp's and
+// its slice is returned as it stands.
+func textClasses(preds []scoredPred, colOp []int32) []int32 {
+	str, shared := colOp, true
+	for i := range preds {
+		if int(colOp[i]) == i {
+			continue
+		}
+		if shared {
+			str, shared = make([]int32, len(preds)), false
+			for k := range str {
+				str[k] = int32(k)
+			}
+		}
+		text := preds[i].p.String()
 		for j := 0; j < i; j++ {
-			if strs[j] == strs[i] {
+			if colOp[j] == colOp[i] && preds[j].p.String() == text {
 				str[i] = str[j]
 				break
 			}
 		}
 	}
-	return colOp, str
+	return str
 }
 
 func appendDistinct(s []string, v string) []string {

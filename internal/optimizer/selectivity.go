@@ -14,11 +14,9 @@ const (
 )
 
 // predicateSelectivity estimates the fraction of a table's rows that
-// satisfy one predicate.
-func predicateSelectivity(ts *stats.TableStats, p sql.Predicate) float64 {
-	if p.Op == sql.OpIn || p.Op == sql.OpOr {
-		return disjunctionSelectivity(ts, p)
-	}
+// satisfy one simple predicate. IN lists and OR disjunctions are scored
+// from their disjuncts, by scorePreds.
+func predicateSelectivity(ts *stats.TableStats, p *sql.Predicate) float64 {
 	var cs *stats.ColumnStats
 	if ts != nil {
 		cs = ts.Column(p.Col.Column)
@@ -52,32 +50,12 @@ func predicateSelectivity(ts *stats.TableStats, p sql.Predicate) float64 {
 	return defaultRangeSel
 }
 
-// disjunctionSelectivity estimates an IN list or OR disjunction.
-// IN members are disjoint point restrictions on one column, so their
-// selectivities add. OR disjuncts may overlap; assuming independence,
-// inclusion–exclusion gives sel(a OR b) = 1 - (1-sel(a))(1-sel(b)),
-// generalized over all disjuncts. Both are clamped to [0, 1].
-func disjunctionSelectivity(ts *stats.TableStats, p sql.Predicate) float64 {
-	if p.Op == sql.OpIn {
-		sum := 0.0
-		for _, d := range p.Disjuncts() {
-			sum += predicateSelectivity(ts, d)
-		}
-		return clampSel(sum)
-	}
-	miss := 1.0
-	for _, d := range p.Or {
-		miss *= 1 - clampSel(predicateSelectivity(ts, d))
-	}
-	return clampSel(1 - miss)
-}
-
 // conjunctionSelectivity multiplies predicate selectivities assuming
 // independence, as classical optimizers do.
 func conjunctionSelectivity(ts *stats.TableStats, preds []sql.Predicate) float64 {
 	sel := 1.0
-	for _, p := range preds {
-		sel *= predicateSelectivity(ts, p)
+	for i := range preds {
+		sel *= predicateSelectivity(ts, &preds[i])
 	}
 	return clampSel(sel)
 }

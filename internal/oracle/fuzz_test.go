@@ -3,6 +3,7 @@ package oracle
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"unicode/utf8"
@@ -133,6 +134,7 @@ func FuzzParseOptimizeExec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("tune: %v", err)
 		}
+		checkBoundDescriptor(t, db, stmt, stmt2, recs)
 		for _, defs := range [][]catalog.IndexDef{nil, recs} {
 			if err := db.Materialize(defs); err != nil {
 				t.Fatal(err)
@@ -162,6 +164,52 @@ func FuzzParseOptimizeExec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkBoundDescriptor prepares the statement and its re-parsed twin
+// as one workload, so that the twin is bound to the statement's shape,
+// and holds the bound descriptor to a fresh PrepareQuery of the twin:
+// the same fields (floats by their bits) and the same CostPrepared bits
+// under the empty and the recommended configuration, with the
+// relevant-index prefilter on and off.
+func checkBoundDescriptor(t *testing.T, db *engine.Database, stmt, twin *sql.SelectStmt, recs []catalog.IndexDef) {
+	t.Helper()
+	w := &sql.Workload{}
+	for _, s := range []*sql.SelectStmt{stmt, twin} {
+		text, fp := s.Canonical()
+		w.Queries = append(w.Queries, sql.WorkloadQuery{Stmt: s, Freq: 1, Text: text, Fingerprint: fp})
+	}
+	pw, err := optimizer.PrepareWorkload(w, db)
+	if err != nil {
+		t.Fatalf("prepare workload: %v", err)
+	}
+	if pw.Shapes != 1 {
+		t.Fatalf("%d shapes built for a statement and its re-parsed twin", pw.Shapes)
+	}
+	fresh, err := optimizer.PrepareQuery(twin, db)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	if d := BitDiff(pw.Queries[1], fresh); d != "" {
+		t.Fatalf("%s: the bound descriptor differs from PrepareQuery's at %s", twin, d)
+	}
+	filtered, unfiltered := optimizer.New(db), optimizer.New(db)
+	unfiltered.DisableRelevantIndexFilter = true
+	for _, cfg := range []optimizer.Configuration{nil, recs} {
+		for _, o := range []*optimizer.Optimizer{filtered, unfiltered} {
+			got, err := o.CostPrepared(pw.Queries[1], cfg)
+			if err != nil {
+				t.Fatalf("cost under %v: %v", configKeys(cfg), err)
+			}
+			want, err := o.CostPrepared(fresh, cfg)
+			if err != nil {
+				t.Fatalf("cost under %v: %v", configKeys(cfg), err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s under %v: cost %v from the bound descriptor, %v from PrepareQuery's", twin, configKeys(cfg), got, want)
+			}
+		}
+	}
 }
 
 // checkRawSQL parses arbitrary text. Rejecting it is fine; what must

@@ -218,20 +218,21 @@ func (c *continuous) info() *ContinuousInfo {
 
 // prepareIngest parses and prepares an ingest batch without mutating
 // anything: every statement must prepare cleanly before any of the
-// batch folds into the window, so a bad batch is a clean 400.
+// batch folds into the window, so a bad batch is a clean 400. The batch
+// is prepared as a workload — once per template, the other statements
+// bound to it — like a registration.
 func prepareIngest(sess *Session, req IngestRequest) ([]wscale.IngestItem, error) {
 	wl, err := buildWorkload(sess, req.SQL, req.Generate)
 	if err != nil {
 		return nil, err
 	}
-	o := optimizer.New(sess.db)
+	pw, err := optimizer.PrepareWorkload(wl, sess.db)
+	if err != nil {
+		return nil, err
+	}
 	items := make([]wscale.IngestItem, len(wl.Queries))
 	for i, q := range wl.Queries {
-		pq, err := o.PrepareQuery(q.Stmt)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = wscale.IngestItem{Stmt: q.Stmt, PQ: pq, Freq: q.Freq, Text: q.Text, Fingerprint: q.Fingerprint}
+		items[i] = wscale.IngestItem{Stmt: q.Stmt, PQ: pw.Queries[i], Freq: q.Freq, Text: q.Text, Fingerprint: q.Fingerprint}
 	}
 	return items, nil
 }
@@ -368,7 +369,7 @@ func (s *Server) buildRetuneRun(sess *Session) jobRun {
 		}
 
 		// One Merger per snapshot, over the snapshot's own descriptors
-		// (prepared at fold time) and the session's persistent windowed
+		// (prepared with their ingest batch) and the session's persistent windowed
 		// cost table: the cycle prepares and compresses nothing again.
 		snap := c.window.Snapshot()
 		wp, err := wscale.PrepareWindowed(snap, optimizer.New(sess.db), c.table)

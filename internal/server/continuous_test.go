@@ -363,3 +363,41 @@ func TestRetuneTunesFromSnapshot(t *testing.T) {
 		t.Errorf("CompressedWorkload = %p, %v; want the windowed form %p", cw, err, wp)
 	}
 }
+
+// TestIngestBadStatementFoldsNothing: a batch is prepared as a whole
+// before any of it folds, so one statement that cannot be prepared —
+// here the third of five, among statements of one template that would
+// bind to each other — is a 400 naming its position, and the window,
+// the batch counter and the metrics are as they were. The same batch
+// prepared as a registration fails the same way.
+func TestIngestBadStatementFoldsNothing(t *testing.T) {
+	h := newTestServer(t, Config{})
+	h.newContinuousSession(t, "live", 11)
+	h.ingest(t, "live", fixtureSQL)
+	before := h.continuousInfo(t, "live")
+
+	bad := "SELECT k, m3 FROM fact WHERE k = 1\n" +
+		"SELECT k, m3 FROM fact WHERE k = 2\n" +
+		"SELECT k, nope FROM fact WHERE k = 3\n" +
+		"SELECT k, m3 FROM fact WHERE k = 4\n" +
+		"SELECT k, m3 FROM fact WHERE k = 5"
+	var e ErrorResponse
+	h.mustCall(t, "POST", "/v1/sessions/live/ingest", IngestRequest{SQL: bad}, &e, http.StatusBadRequest)
+	if !strings.Contains(e.Error, "line 3") || !strings.Contains(e.Error, "nope") {
+		t.Errorf("error %q does not name the third statement", e.Error)
+	}
+	h.mustCall(t, "POST", "/v1/sessions/live/workloads", RegisterWorkloadRequest{Name: "w", SQL: bad}, &e, http.StatusBadRequest)
+	if !strings.Contains(e.Error, "line 3") {
+		t.Errorf("registration error %q does not name the third statement", e.Error)
+	}
+	if after := h.continuousInfo(t, "live"); after.Batches != before.Batches || after.Statements != before.Statements ||
+		after.WindowMembers != before.WindowMembers || after.WindowWeight != before.WindowWeight {
+		t.Errorf("the refused batch changed the window: %+v, was %+v", after, before)
+	}
+	if m := h.metricsText(t); !strings.Contains(m, "idxmerged_ingest_batches_total 1\n") {
+		t.Error("the refused batch was counted")
+	}
+	if resp := h.ingest(t, "live", strings.Replace(bad, "nope", "m3", 1)); resp.Batch != before.Batches+1 || resp.Statements != 5 {
+		t.Errorf("the batch once mended = %+v, want batch %d of 5 statements", resp, before.Batches+1)
+	}
+}

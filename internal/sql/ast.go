@@ -8,6 +8,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"indexmerge/internal/catalog"
@@ -446,10 +447,10 @@ func (s *SelectStmt) TablesReferenced() []string {
 // ordering), sorted by name. This is the per-table "vertical slice" a
 // covering index must contain.
 func (s *SelectStmt) ColumnsOf(table string) []string {
-	set := make(map[string]bool)
+	out := make([]string, 0, 8)
 	add := func(c ColumnRef) {
 		if c.Table == table && c.Column != "" {
-			set[c.Column] = true
+			out = appendDistinct(out, c.Column)
 		}
 	}
 	for _, it := range s.Select {
@@ -457,10 +458,11 @@ func (s *SelectStmt) ColumnsOf(table string) []string {
 			add(it.Col)
 		}
 	}
-	for _, p := range s.Where {
+	for i := range s.Where {
+		p := &s.Where[i]
 		add(p.Col)
-		for _, d := range p.Or {
-			add(d.Col)
+		for j := range p.Or {
+			add(p.Or[j].Col)
 		}
 	}
 	for _, j := range s.Joins {
@@ -473,12 +475,19 @@ func (s *SelectStmt) ColumnsOf(table string) []string {
 	for _, o := range s.OrderBy {
 		add(o.Col)
 	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
 	sort.Strings(out)
 	return out
+}
+
+// appendDistinct appends v unless s holds it; the lists it keeps are a
+// handful of column names, where a scan beats a set.
+func appendDistinct(s []string, v string) []string {
+	for _, have := range s {
+		if have == v {
+			return s
+		}
+	}
+	return append(s, v)
 }
 
 // PredicatesOn returns the restriction predicates on the given table.
@@ -495,16 +504,39 @@ func (s *SelectStmt) PredicatesOn(table string) []Predicate {
 // JoinColumnsOf returns this table's columns that participate in joins.
 func (s *SelectStmt) JoinColumnsOf(table string) []string {
 	var out []string
-	seen := make(map[string]bool)
 	for _, j := range s.Joins {
-		for _, c := range []ColumnRef{j.Left, j.Right} {
-			if c.Table == table && !seen[c.Column] {
-				seen[c.Column] = true
-				out = append(out, c.Column)
+		for _, c := range [2]ColumnRef{j.Left, j.Right} {
+			if c.Table == table {
+				out = appendDistinct(out, c.Column)
 			}
 		}
 	}
 	return out
+}
+
+// SameShape reports whether the two statements differ in literal
+// constants alone — what equal Fingerprints say, decided on the
+// statements without rendering either: the same select list, tables,
+// joins, grouping and ordering, and restrictions on the same columns
+// with the same operators in the same order. An IN list matches one of
+// any length, as it does in the fingerprint.
+func (s *SelectStmt) SameShape(o *SelectStmt) bool {
+	if !slices.Equal(s.Select, o.Select) || !slices.Equal(s.From, o.From) || !slices.Equal(s.Joins, o.Joins) ||
+		!slices.Equal(s.GroupBy, o.GroupBy) || !slices.Equal(s.OrderBy, o.OrderBy) || len(s.Where) != len(o.Where) {
+		return false
+	}
+	for i := range s.Where {
+		p, q := &s.Where[i], &o.Where[i]
+		if p.Col != q.Col || p.Op != q.Op || len(p.Or) != len(q.Or) {
+			return false
+		}
+		for j := range p.Or {
+			if p.Or[j].Col != q.Or[j].Col || p.Or[j].Op != q.Or[j].Op {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Resolve qualifies unqualified column references against the schema,

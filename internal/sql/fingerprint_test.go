@@ -158,3 +158,57 @@ func TestCopiedStatementRendersItsOwnConstants(t *testing.T) {
 		t.Errorf("entries of one template carry fingerprints %q and %q", w.Queries[0].Fingerprint, w.Queries[1].Fingerprint)
 	}
 }
+
+// TestSameShapeIsFingerprintEquality: SameShape decides on the
+// statements what equal fingerprints say on their renderings, for every
+// pair of a list that varies one clause at a time.
+func TestSameShapeIsFingerprintEquality(t *testing.T) {
+	texts := []string{
+		"SELECT a FROM t WHERE a = 1",
+		"SELECT a FROM t WHERE a = 99",
+		"SELECT a FROM t WHERE a < 1",
+		"SELECT a FROM t WHERE b = 1",
+		"SELECT b FROM t WHERE a = 1",
+		"SELECT a, b FROM t WHERE a = 1",
+		"SELECT COUNT(*) FROM t WHERE a = 1",
+		"SELECT MAX(a) FROM t WHERE a = 1",
+		"SELECT a FROM t WHERE a = 1 AND b = 2",
+		"SELECT a FROM t WHERE b = 2 AND a = 1",
+		"SELECT a FROM t WHERE a BETWEEN 1 AND 5",
+		"SELECT a FROM t WHERE a BETWEEN 7 AND 9",
+		"SELECT a FROM t WHERE a IN (1, 2)",
+		"SELECT a FROM t WHERE a IN (3, 4, 5)",
+		"SELECT a FROM t WHERE (a = 1 OR b = 2)",
+		"SELECT a FROM t WHERE (a = 7 OR b = 8)",
+		"SELECT a FROM t WHERE (a = 1 OR a = 2)",
+		"SELECT a FROM t WHERE (a = 1 OR b = 2 OR b = 3)",
+		"SELECT a FROM t WHERE (a = 1 OR b IN (2, 3))",
+		"SELECT a FROM t WHERE (a = 1 OR b IN (4))",
+		"SELECT a FROM t WHERE a = 1 ORDER BY a",
+		"SELECT a FROM t WHERE a = 1 ORDER BY a DESC",
+		"SELECT a FROM t WHERE a = 1 GROUP BY a",
+		"SELECT t.a, u.c FROM t, u WHERE t.a = u.c AND t.b < 3",
+		"SELECT t.a, u.c FROM t, u WHERE t.a = u.c AND t.b < 42",
+		"SELECT t.a, u.c FROM t, u WHERE t.b = u.c AND t.b < 3",
+		"SELECT t.a, u.c FROM u, t WHERE t.a = u.c AND t.b < 3",
+	}
+	stmts := make([]*SelectStmt, len(texts))
+	for i, text := range texts {
+		stmts[i] = parseOK(t, text)
+	}
+	same := 0
+	for i, a := range stmts {
+		for j, b := range stmts {
+			want := a.Fingerprint() == b.Fingerprint()
+			if want && i != j {
+				same++
+			}
+			if got := a.SameShape(b); got != want {
+				t.Errorf("SameShape = %v, fingerprints equal = %v:\n  %s\n  %s", got, want, texts[i], texts[j])
+			}
+		}
+	}
+	if same < 10 {
+		t.Fatalf("only %d ordered pairs of distinct statements share a fingerprint", same)
+	}
+}

@@ -95,10 +95,31 @@ func (cs *ColumnStats) SelectivityRange(lo, hi value.Value, loIncl, hiIncl bool)
 			return 0
 		}
 	}
+	// Only the buckets an end of the interval falls in are estimated;
+	// the others hold nothing of it (before from, after the first
+	// boundary above hi) or lie wholly inside it ([from+1, inside): both
+	// neighbours' boundaries within [lo, hi), where the estimate below
+	// is exactly 1) and count in full. Rows are added in bucket order
+	// either way, so the sum is the one a walk over every bucket makes.
+	n := len(cs.Buckets)
+	searched := cs.searchable()
+	from, inside := 0, 0
+	if searched {
+		if !lo.IsNull() {
+			from = cs.lowerBound(lo)
+		}
+		inside = n
+		if !hi.IsNull() {
+			inside = cs.lowerBound(hi)
+		}
+	}
 	var rows float64
-	prevHi := cs.Min
-	first := true
-	for _, b := range cs.Buckets {
+	for i := from; i < n; i++ {
+		b := &cs.Buckets[i]
+		if from < i && i < inside {
+			rows += b.Rows
+			continue
+		}
 		var frac float64
 		if b.Distinct == 1 {
 			// Singleton bucket (end-biased heavy hitter): all of its rows
@@ -106,12 +127,15 @@ func (cs *ColumnStats) SelectivityRange(lo, hi value.Value, loIncl, hiIncl bool)
 			// interpolating it over (prevHi, Hi] would smear a point mass
 			// across values that do not exist.
 			frac = pointInRange(b.Hi, lo, hi)
+		} else if i == 0 {
+			frac = bucketOverlap(cs.Min, b.Hi, lo, hi, true)
 		} else {
-			frac = bucketOverlap(prevHi, b.Hi, lo, hi, first)
+			frac = bucketOverlap(cs.Buckets[i-1].Hi, b.Hi, lo, hi, false)
 		}
 		rows += b.Rows * frac
-		prevHi = b.Hi
-		first = false
+		if searched && i >= inside && b.Hi.Compare(hi) > 0 {
+			break
+		}
 	}
 	// Boundary handling: exclusive bounds drop roughly one value's
 	// worth of rows at each closed end that matches.
@@ -203,6 +227,15 @@ func isNumericKind(v value.Value) bool {
 
 // bucketFor returns the bucket containing v.
 func (cs *ColumnStats) bucketFor(v value.Value) *Bucket {
+	if i := cs.lowerBound(v); i < len(cs.Buckets) {
+		return &cs.Buckets[i]
+	}
+	return nil
+}
+
+// lowerBound returns the position of the first bucket whose boundary
+// is not below v, len(Buckets) when all are.
+func (cs *ColumnStats) lowerBound(v value.Value) int {
 	lo, hi := 0, len(cs.Buckets)
 	for lo < hi {
 		m := (lo + hi) / 2
@@ -212,10 +245,48 @@ func (cs *ColumnStats) bucketFor(v value.Value) *Bucket {
 			hi = m
 		}
 	}
-	if lo < len(cs.Buckets) {
-		return &cs.Buckets[lo]
+	return lo
+}
+
+// searchable reports whether SelectivityRange may find the ends of an
+// interval by binary search: the bucket boundaries are of one kind and
+// strictly ascending in it, none of them a NaN — Value.Compare calls a
+// NaN equal to everything, so nothing orders it. Build leaves the
+// boundaries so unless the column mixed kinds or held a NaN (the sort
+// then leaves what it likes). A float histogram wider than the largest
+// float does not qualify either: a bucket's width then overflows and
+// the interpolation is 0, not 1, for a bucket wholly inside. A NaN
+// *bound* needs no care: it compares equal to every boundary, so its
+// search answers 0 — as hi, every bucket is estimated; as lo, it cuts
+// nothing off, as it cuts nothing off a bucket's estimate. The check
+// reads payloads only — no Compare — and costs about what adding up
+// the inside buckets does.
+func (cs *ColumnStats) searchable() bool {
+	b := cs.Buckets
+	switch k := b[0].Hi.Kind(); k {
+	case value.Int, value.Date:
+		for i := 1; i < len(b); i++ {
+			if b[i].Hi.Kind() != k || b[i-1].Hi.Int() >= b[i].Hi.Int() {
+				return false
+			}
+		}
+		return true
+	case value.Float:
+		for i := 1; i < len(b); i++ {
+			if b[i].Hi.Kind() != k || !(b[i-1].Hi.Float() < b[i].Hi.Float()) {
+				return false
+			}
+		}
+		return b[len(b)-1].Hi.Float()-b[0].Hi.Float() < math.Inf(1)
+	case value.String:
+		for i := 1; i < len(b); i++ {
+			if b[i].Hi.Kind() != k || b[i-1].Hi.Str() >= b[i].Hi.Str() {
+				return false
+			}
+		}
+		return true
 	}
-	return nil
+	return false
 }
 
 func clamp01(f float64) float64 {

@@ -77,9 +77,9 @@ type winTemplate struct {
 
 // Window is a bounded sliding view of a streaming workload: statements
 // fold into fingerprint templates as they arrive, each template keeps a
-// reservoir-sampled set of member statements (prepared once, at fold
-// time), and Age applies exponential decay so shapes that stop
-// appearing fall out. Snapshot assembles the window into the
+// reservoir-sampled set of member statements (with the descriptors the
+// caller prepared for their batch), and Age applies exponential decay so
+// shapes that stop appearing fall out. Snapshot assembles the window into the
 // (workload, compressed, prepared) triple the merge machinery consumes
 // — in O(templates + members), with no re-preparation and no
 // recompression from scratch.
@@ -286,7 +286,7 @@ func (w *Window) Shrink(maxPerTemplate int) (dropped int) {
 
 // WindowSnapshot is a frozen view of the window ready for costing: the
 // assembled workload (member frequencies sum to the template weight),
-// its compressed form, the prepared descriptors reused from fold time,
+// its compressed form, the prepared descriptors the members arrived with,
 // and the per-template key prefixes and scale factors that let a
 // persistent cost table survive weight changes across snapshots (see
 // PrepareWindowed).
