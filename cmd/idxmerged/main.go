@@ -11,8 +11,6 @@
 //	idxmerged [-addr :7781] [-workers 2] [-queue 8] [-cache 1048576]
 //	          [-drain-timeout 30s] [-journal path] [-faults rules]
 //	          [-cost-workers http://host:7791,http://host:7792] [-pprof]
-//	          [-retune-period 0] [-window-max 32] [-decay 0.5]
-//	          [-min-weight 0.25] [-min-improvement 0.05] [-rollback-ratio 2]
 //	          [-quota-sessions 0] [-quota-jobs 0] [-quota-ingest-rate 0]
 //	          [-quota-ingest-burst 0] [-quota-memory 0] [-memory-budget 0]
 //
@@ -26,12 +24,12 @@
 // installs deterministic fault-injection rules (see internal/faults)
 // for chaos testing.
 //
-// The -retune-period/-window-*/-min-*/-rollback-ratio flags set the
-// server-level defaults for continuous sessions (created with a
-// "continuous" block): streaming ingestion on
-// POST /v1/sessions/{name}/ingest, periodic background re-tuning, and
-// auto-apply/rollback of recommendations behind cost guardrails. A
-// session's own continuous spec overrides each default field by field.
+// A session created with a "continuous" block is a continuous advisor:
+// streaming ingestion on POST /v1/sessions/{name}/ingest, re-tuning on
+// demand or every "retune_period_ms", and auto-apply/rollback of
+// recommendations behind cost guardrails. The block is the loop's whole
+// configuration (zero fields take the built-in defaults); it is
+// journaled with the session, so a restart replays the same loop.
 //
 // The -quota-* flags set per-tenant admission limits (tenants are
 // identified by the X-Tenant header or the session creation request's
@@ -71,12 +69,6 @@ func main() {
 	faultRules := flag.String("faults", "", "fault-injection rules, semicolon-separated (chaos testing)")
 	costWorkers := flag.String("cost-workers", "", "comma-separated what-if worker base URLs (idxmergew); merge jobs batch costings to the pool, falling back locally on failure")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	retunePeriod := flag.Duration("retune-period", 0, "continuous sessions: background re-tune period (0 = manual retune only)")
-	windowMax := flag.Int("window-max", 0, "continuous sessions: member reservoir bound per template (0 = built-in 32)")
-	decay := flag.Float64("decay", 0, "continuous sessions: per-cycle template weight decay factor (0 = built-in 0.5)")
-	minWeight := flag.Float64("min-weight", 0, "continuous sessions: drop templates decayed below this weight (0 = built-in 0.25)")
-	minImprovement := flag.Float64("min-improvement", 0, "continuous sessions: estimated improvement a recommendation must clear to auto-apply (0 = built-in 0.05)")
-	rollbackRatio := flag.Float64("rollback-ratio", 0, "continuous sessions: roll back when observed/estimated cost exceeds this ratio (0 = built-in 2.0)")
 	quotaSessions := flag.Int("quota-sessions", 0, "per-tenant live session limit (0 = unlimited)")
 	quotaJobs := flag.Int("quota-jobs", 0, "per-tenant queued+running job limit (0 = unlimited)")
 	quotaIngestRate := flag.Float64("quota-ingest-rate", 0, "per-tenant ingest statements/sec token-bucket rate (0 = unlimited)")
@@ -101,14 +93,6 @@ func main() {
 		CacheMaxEntries: *cacheMax,
 		Logger:          log,
 		JournalPath:     *journalPath,
-		Continuous: server.ContinuousSpec{
-			RetunePeriodMS: int(retunePeriod.Milliseconds()),
-			WindowMax:      *windowMax,
-			Decay:          *decay,
-			MinWeight:      *minWeight,
-			MinImprovement: *minImprovement,
-			RollbackRatio:  *rollbackRatio,
-		},
 		Quota: quota.Limits{
 			MaxSessions:  *quotaSessions,
 			MaxJobs:      *quotaJobs,

@@ -24,20 +24,28 @@ func TestCompressedMergeParity(t *testing.T) {
 	for _, lab := range labs {
 		// Two workload flavors per database: duplicated complex queries,
 		// and a disjunction-bearing variant so IndexUnion arms flow
-		// through the relevance test and the cost table.
+		// through the relevance test and the cost table. Synthetic2 adds
+		// a log: 2,000 statements of 25 disjunction-bearing shapes,
+		// zipf-duplicated, over 30 initial indexes.
 		flavors := []struct {
 			name string
+			only string // lab the flavor runs on ("" = every lab)
+			n    int    // initial configuration size
 			opt  workload.Options
 		}{
-			{"dup", workload.Options{Class: workload.Complex, Queries: 10, Duplication: 40, Seed: 3}},
-			{"disjunct", workload.Options{Class: workload.Complex, Disjunctions: true, Queries: 10, Duplication: 40, Seed: 9}},
+			{"dup", "", 8, workload.Options{Class: workload.Complex, Queries: 10, Duplication: 40, Seed: 3}},
+			{"disjunct", "", 8, workload.Options{Class: workload.Complex, Disjunctions: true, Queries: 10, Duplication: 40, Seed: 9}},
+			{"zipf-log", "Synthetic2", 30, workload.Options{Class: workload.Complex, Disjunctions: true, Queries: 25, Duplication: 1975, Seed: 12}},
 		}
 		for _, f := range flavors {
+			if f.only != "" && f.only != lab.Name {
+				continue
+			}
 			w, err := workload.Generate(lab.DB, f.opt)
 			if err != nil {
 				t.Fatalf("%s/%s: generate: %v", lab.Name, f.name, err)
 			}
-			defs, err := lab.InitialConfiguration(w, 8)
+			defs, err := lab.InitialConfiguration(w, f.n)
 			if err != nil {
 				t.Fatalf("%s/%s: initial: %v", lab.Name, f.name, err)
 			}
@@ -63,6 +71,18 @@ func TestCompressedMergeParity(t *testing.T) {
 			}
 			if comp.CostTableHits+comp.CostTableMisses == 0 {
 				t.Errorf("%s/%s: compressed run never consulted the cost table", lab.Name, f.name)
+			}
+			t.Logf("%s/%s: %d templates (%.1fx dedup), optimizer calls %d compressed / %d plain",
+				lab.Name, f.name, comp.Templates, comp.DedupRatio, comp.OptimizerCalls, plain.OptimizerCalls)
+			// A template's members are one stored cost: the compressed
+			// search never asks the optimizer more often than the plain one.
+			if comp.OptimizerCalls > plain.OptimizerCalls {
+				t.Errorf("%s/%s: compressed run made %d optimizer calls, plain %d",
+					lab.Name, f.name, comp.OptimizerCalls, plain.OptimizerCalls)
+			}
+			if comp.Final.Len() != plain.Final.Len() {
+				t.Errorf("%s/%s: compressed run ends with %d indexes, plain %d",
+					lab.Name, f.name, comp.Final.Len(), plain.Final.Len())
 			}
 
 			if plain.Final.Signature() == comp.Final.Signature() {

@@ -184,14 +184,14 @@ type CreateSessionRequest struct {
 	Scale float64 `json:"scale,omitempty"` // default 1.0
 	Seed  int64   `json:"seed,omitempty"`
 	// Continuous opts the session into continuous advising: streaming
-	// ingestion, workload aging and auto-apply/rollback. Zero fields
-	// inherit the server's flag-level defaults.
+	// ingestion, workload aging and auto-apply/rollback.
 	Continuous *ContinuousSpec `json:"continuous,omitempty"`
 }
 
 // ContinuousSpec tunes a continuous session's control loop. Zero
-// fields fall back to the server defaults, then to the documented
-// built-ins.
+// fields take the documented built-in defaults; the spec is journaled
+// with the session, so a restart replays the loop under the same
+// parameters.
 type ContinuousSpec struct {
 	// RetunePeriodMS runs the background re-tuner this often; 0 means
 	// manual cycles only (POST /v1/sessions/{name}/retune).

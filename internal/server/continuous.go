@@ -116,47 +116,19 @@ func (c *continuous) searched() {
 	c.mu.Unlock()
 }
 
-// Built-in continuous-mode defaults (the last fallback after the
-// session spec and the server flags).
+// Built-in continuous-mode defaults for the fields a session's spec
+// leaves zero (the window's own are wscale.WindowConfig's).
 const (
 	defaultMinImprovement = 0.05
 	defaultRollbackRatio  = 2.0
 	defaultConstraint     = 0.10
 )
 
-// mergeContinuousSpec overlays a session's spec on the server
-// defaults: each zero field inherits the server's value.
-func mergeContinuousSpec(spec, defaults ContinuousSpec) ContinuousSpec {
-	if spec.RetunePeriodMS == 0 {
-		spec.RetunePeriodMS = defaults.RetunePeriodMS
-	}
-	if spec.WindowMax == 0 {
-		spec.WindowMax = defaults.WindowMax
-	}
-	if spec.Decay == 0 {
-		spec.Decay = defaults.Decay
-	}
-	if spec.MinWeight == 0 {
-		spec.MinWeight = defaults.MinWeight
-	}
-	if spec.MinImprovement == 0 {
-		spec.MinImprovement = defaults.MinImprovement
-	}
-	if spec.RollbackRatio == 0 {
-		spec.RollbackRatio = defaults.RollbackRatio
-	}
-	if spec.Constraint == 0 {
-		spec.Constraint = defaults.Constraint
-	}
-	if spec.Seed == 0 {
-		spec.Seed = defaults.Seed
-	}
-	return spec
-}
-
-// newContinuous builds the continuous state for one session. tableMax
-// bounds the windowed cost table (<= 0 unbounded), matching the
-// session's cache bound.
+// newContinuous builds the continuous state for one session from its
+// journaled spec and the built-in defaults alone, so replay rebuilds
+// the loop the live process ran whatever the restarted process's
+// configuration. tableMax bounds the windowed cost table (<= 0
+// unbounded), matching the session's cache bound.
 func newContinuous(spec ContinuousSpec, tableMax int) *continuous {
 	if spec.MinImprovement <= 0 {
 		spec.MinImprovement = defaultMinImprovement

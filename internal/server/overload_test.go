@@ -50,6 +50,77 @@ func (h *testServer) callAs(t *testing.T, tenant, method, path string, body, out
 	return resp.StatusCode
 }
 
+// post is a POST with an X-Tenant header for goroutines other than the
+// test's own: no t.* helpers, 0 when the request fails. out, when
+// non-nil, receives a 2xx response's body.
+func (h *testServer) post(tenant, path string, payload, out any) int {
+	b, _ := json.Marshal(payload)
+	req, err := http.NewRequest("POST", h.ts.URL+path, bytes.NewReader(b))
+	if err != nil {
+		return 0
+	}
+	req.Header.Set("X-Tenant", tenant)
+	resp, err := h.ts.Client().Do(req)
+	if err != nil {
+		return 0
+	}
+	defer resp.Body.Close()
+	if out != nil && resp.StatusCode < 300 && json.NewDecoder(resp.Body).Decode(out) != nil {
+		return 0
+	}
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode
+}
+
+// storm runs every attack in a goroutine of its own, over and over (i
+// counts the attack's rounds), until stop is called or the test ends;
+// stop waits for them. It returns once every attack has had its first
+// round answered, so what the caller does next happens mid-storm: a
+// quiet tenant's request takes milliseconds, and on a loaded box it
+// could otherwise finish before the first attack.
+func storm(t *testing.T, attacks ...func(i int)) (stop func()) {
+	t.Helper()
+	done := make(chan struct{})
+	underway := make(chan struct{}, len(attacks))
+	var wg sync.WaitGroup
+	for _, attack := range attacks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			attack(0)
+			underway <- struct{}{}
+			for i := 1; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				attack(i)
+			}
+		}()
+	}
+	stop = sync.OnceFunc(func() { close(done); wg.Wait() })
+	t.Cleanup(stop)
+	for range attacks {
+		select {
+		case <-underway:
+		case <-time.After(30 * time.Second):
+			t.Fatal("the storm never got underway")
+		}
+	}
+	return stop
+}
+
+// stormBatch is a noisy tenant's i-th ingest batch: 20 statements of two
+// shapes, with constants no earlier batch used.
+func stormBatch(i int) string {
+	var sb strings.Builder
+	for j := 0; j < 20; j += 2 {
+		fmt.Fprintf(&sb, "SELECT k, m3 FROM fact WHERE k = %d\nSELECT m2, m3 FROM fact WHERE k = %[1]d\n", 20*i+j)
+	}
+	return sb.String()
+}
+
 // sameTemplateSQL builds n statements that fingerprint to one template
 // (literals differ), so a window accumulates n reservoir members.
 func sameTemplateSQL(n int) string {
@@ -524,72 +595,25 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 		t.Fatalf("noisy session create status = %d", code)
 	}
 
-	// rawPost avoids t.* helpers (these run off the test goroutine).
-	rawPost := func(tenant, path string, payload any) int {
-		b, _ := json.Marshal(payload)
-		req, err := http.NewRequest("POST", h.ts.URL+path, bytes.NewReader(b))
-		if err != nil {
-			return 0
-		}
-		req.Header.Set("X-Tenant", tenant)
-		resp, err := h.ts.Client().Do(req)
-		if err != nil {
-			return 0
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
 	var crossOK, crossForbidden, ingestShed int
-	// storm repeats attack until stop closes, and reports on underway
-	// once its first request has been answered.
-	underway := make(chan struct{}, 3)
-	storm := func(attack func()) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			attack()
-			underway <- struct{}{}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				attack()
+	stop := storm(t,
+		func(int) { // ingest storm: rate quota sheds most of it
+			if h.post("noisy", "/v1/sessions/noisy/ingest", IngestRequest{SQL: fixtureSQL}, nil) == http.StatusTooManyRequests {
+				ingestShed++
 			}
-		}()
-	}
-	storm(func() { // ingest storm: rate quota sheds most of it
-		if rawPost("noisy", "/v1/sessions/noisy/ingest", IngestRequest{SQL: fixtureSQL}) == http.StatusTooManyRequests {
-			ingestShed++
-		}
-	})
-	storm(func() { // job storm against its own session (MaxJobs 1)
-		rawPost("noisy", "/v1/sessions/noisy/retune", nil)
-	})
-	storm(func() { // cross-tenant attack on the quiet session
-		switch rawPost("noisy", "/v1/sessions/quiet/cost", CostRequest{Workload: "w", Indexes: fixtureIndexes}) {
-		case http.StatusOK:
-			crossOK++
-		case http.StatusForbidden:
-			crossForbidden++
-		}
-	})
-	// The quiet job takes milliseconds: on a loaded box it used to finish
-	// before an attacker's first request, and the test had watched no
-	// storm at all.
-	for i := 0; i < 3; i++ {
-		select {
-		case <-underway:
-		case <-time.After(30 * time.Second):
-			close(stop)
-			t.Fatal("the storm never got underway")
-		}
-	}
+		},
+		func(int) { // job storm against its own session (MaxJobs 1)
+			h.post("noisy", "/v1/sessions/noisy/retune", nil, nil)
+		},
+		func(int) { // cross-tenant attack on the quiet session
+			switch h.post("noisy", "/v1/sessions/quiet/cost", CostRequest{Workload: "w", Indexes: fixtureIndexes}, nil) {
+			case http.StatusOK:
+				crossOK++
+			case http.StatusForbidden:
+				crossForbidden++
+			}
+		},
+	)
 
 	// The quiet tenant's merge, mid-storm.
 	var sub SubmitJobResponse
@@ -601,8 +625,7 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 		t.Fatalf("quiet job submit status = %d", code)
 	}
 	st := h.waitTerminal(t, sub.ID)
-	close(stop)
-	wg.Wait()
+	stop()
 	if st.State != string(JobDone) {
 		t.Fatalf("quiet job state = %s (%s), want done", st.State, st.Error)
 	}
@@ -635,6 +658,114 @@ func TestNoisyNeighborIsolation(t *testing.T) {
 	}
 	if ingestShed > 0 && !strings.Contains(text, `idxmerged_shed_total{reason="quota_ingest_rate",tenant="noisy"}`) {
 		t.Error("ingest-rate shed counter missing from /metrics")
+	}
+}
+
+// TestNoisyNeighborStorm holds the isolation contract under an
+// operator's quotas — 1 MiB of accounted memory per tenant under a
+// 16 MiB global budget, so the brownout ladder is a backstop and
+// admission control does the work — while a noisy tenant ingests far
+// past its rate quota, re-tunes past its job quota and costs against
+// the quiet tenant's session: the quiet tenant's synchronous costing is
+// never shed, more than half of the noisy ingest is, accounted memory is
+// within the budget at every sample taken during the storm, and every
+// cross-tenant request is a 403.
+func TestNoisyNeighborStorm(t *testing.T) {
+	const budget = 16 << 20
+	h := newTestServer(t, Config{
+		Workers:  2,
+		QueueCap: 8,
+		Quota: quota.Limits{
+			MaxSessions: 4, MaxJobs: 2,
+			IngestPerSec: 200, IngestBurst: 200,
+			MemoryBytes: 1 << 20,
+		},
+		MemoryBudgetBytes: budget,
+	})
+	db := fixtureDB(t)
+	if code := h.callAs(t, "quiet", "POST", "/v1/sessions",
+		CreateSessionRequest{Name: "quiet", DB: db}, nil); code != http.StatusCreated {
+		t.Fatalf("quiet session create status = %d", code)
+	}
+	if code := h.callAs(t, "quiet", "POST", "/v1/sessions/quiet/workloads",
+		RegisterWorkloadRequest{Name: "w", SQL: fixtureSQL}, nil); code != http.StatusCreated {
+		t.Fatalf("quiet workload register status = %d", code)
+	}
+	if code := h.callAs(t, "noisy", "POST", "/v1/sessions", CreateSessionRequest{
+		Name: "noisy", DB: db, Continuous: &ContinuousSpec{Seed: 9},
+	}, nil); code != http.StatusCreated {
+		t.Fatalf("noisy session create status = %d", code)
+	}
+
+	cost := CostRequest{Workload: "w", Indexes: fixtureIndexes}
+	var (
+		ingestAttempts, ingestShed, ingestOdd int
+		crossAttempts, crossForbidden         int
+		samples                               int
+		peak                                  int64
+		shedding                              = make(chan struct{})
+	)
+	stop := storm(t,
+		func(i int) { // 20 statements a batch: the 200-statement burst is ten batches
+			ingestAttempts++
+			var resp IngestResponse
+			switch code := h.post("noisy", "/v1/sessions/noisy/ingest", IngestRequest{SQL: stormBatch(i)}, &resp); {
+			case code == http.StatusTooManyRequests || code == http.StatusOK && resp.Shed:
+				if ingestShed++; ingestShed == 30 {
+					close(shedding)
+				}
+			case code != http.StatusOK:
+				ingestOdd++
+			}
+		},
+		func(int) { h.post("noisy", "/v1/sessions/noisy/retune", nil, nil) },
+		func(int) {
+			crossAttempts++
+			if h.post("noisy", "/v1/sessions/quiet/cost", cost, nil) == http.StatusForbidden {
+				crossForbidden++
+			}
+		},
+		func(int) {
+			samples++
+			peak = max(peak, h.srv.reg.totalBytes())
+			time.Sleep(time.Millisecond)
+		},
+	)
+	// The quiet tenant's requests start once the noisy tenant is well past
+	// its burst: 30 batches shed, three times the ten the burst admits.
+	select {
+	case <-shedding:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the noisy tenant's ingest was not shed 30 times")
+	}
+	quietShed := 0
+	for i := 0; i < 50; i++ {
+		switch code := h.callAs(t, "quiet", "POST", "/v1/sessions/quiet/cost", cost, nil); code {
+		case http.StatusOK:
+		case http.StatusTooManyRequests:
+			quietShed++
+		default:
+			t.Fatalf("quiet cost request %d: status %d", i, code)
+		}
+	}
+	stop()
+	t.Logf("noisy ingest %d of %d shed; %d of %d cross-tenant requests 403; peak %d of %d bytes over %d samples",
+		ingestShed, ingestAttempts, crossForbidden, crossAttempts, peak, budget, samples)
+
+	if quietShed != 0 {
+		t.Errorf("%d of 50 quiet cost requests shed during the storm, want 0", quietShed)
+	}
+	if ingestOdd != 0 {
+		t.Errorf("%d noisy ingest batches neither folded nor shed", ingestOdd)
+	}
+	if 2*ingestShed <= ingestAttempts {
+		t.Errorf("%d of %d noisy ingest batches shed, want more than half", ingestShed, ingestAttempts)
+	}
+	if samples == 0 || peak > budget {
+		t.Errorf("accounted bytes peaked at %d over %d samples, budget %d", peak, samples, budget)
+	}
+	if crossAttempts == 0 || crossForbidden != crossAttempts {
+		t.Errorf("%d of %d cross-tenant requests answered 403, want all", crossForbidden, crossAttempts)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -760,6 +761,44 @@ func TestReplayEqualsLive(t *testing.T) {
 	}
 	t.Errorf("replay differs from live (%d / %d sessions, %d / %d jobs)",
 		len(replayed.Sessions), len(live.Sessions), len(replayed.Jobs), len(live.Jobs))
+}
+
+// TestReplayKeepsContinuousSpec: a session's continuous loop is its
+// journaled spec and the built-in defaults, nothing the restarted
+// process is configured with. A window that decays by 0.8 and drops
+// templates under 0.6 goes through ingest, three agings (the third
+// drops the first batch's templates, 0.8³ < 0.6) and an apply, and the
+// server that replays the journal holds the same window and loop.
+func TestReplayKeepsContinuousSpec(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "state.jsonl")
+	cfg := Config{JournalPath: journal}
+	h := newTestServer(t, cfg)
+	h.mustCall(t, "POST", "/v1/sessions", CreateSessionRequest{Name: "c", DB: fixtureDB(t),
+		Continuous: &ContinuousSpec{Decay: 0.8, MinWeight: 0.6, Seed: 3}}, nil, http.StatusCreated)
+	h.ingest(t, "c", fixtureSQL)
+	if _, res := h.retune(t, "c"); !res.Applied {
+		t.Fatalf("first retune did not apply: %+v", res)
+	}
+	h.ingest(t, "c", driftSQL)
+	h.retune(t, "c")
+	h.retune(t, "c")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := h.srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	live := h.restartState()
+	// Only driftSQL's four templates are left, each aged twice.
+	if w := live.Sessions["c"].Window; w.Templates != 4 || math.Abs(w.Weight-4*0.8*0.8) > 1e-9 {
+		t.Fatalf("live window = %+v, want 4 templates of weight %v", w, 0.8*0.8)
+	}
+	if c := live.Sessions["c"]; c.Applies == 0 {
+		t.Fatalf("live loop = %+v, want an apply", c)
+	}
+	if replayed := newTestServer(t, cfg).restartState(); !reflect.DeepEqual(live, replayed) {
+		t.Errorf("replay differs from live\n    live: %+v\nreplayed: %+v", live, replayed)
+	}
 }
 
 // ---- panic containment ---------------------------------------------

@@ -48,10 +48,6 @@ type Config struct {
 	// the pool; results are byte-identical at any worker count and any
 	// worker failure falls back to local costing.
 	CostWorkers []string
-	// Continuous holds the server-level defaults for continuous
-	// sessions (flag-configurable); a session's own spec overrides them
-	// field by field.
-	Continuous ContinuousSpec
 	// Quota sets per-tenant admission limits (zero fields = unlimited).
 	Quota quota.Limits
 	// MemoryBudgetBytes is the GLOBAL byte-accounted memory budget
@@ -105,7 +101,7 @@ func New(cfg Config) (*Server, error) {
 		pool = distrib.NewPool(cfg.CostWorkers, distrib.Options{})
 	}
 	s := &Server{
-		reg:       NewRegistry(cfg.CacheMaxEntries, pool, cfg.Continuous, quota.NewController(cfg.Quota)),
+		reg:       NewRegistry(cfg.CacheMaxEntries, pool, quota.NewController(cfg.Quota)),
 		metrics:   NewMetrics(),
 		log:       cfg.Logger,
 		mux:       http.NewServeMux(),

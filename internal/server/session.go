@@ -332,29 +332,26 @@ func (s *Session) gauges() SessionGauges {
 
 // Registry holds the server's sessions.
 type Registry struct {
-	mu           sync.Mutex
-	sessions     map[string]*Session
-	building     map[string]bool   // names reserved while their DB builds
-	cacheMax     int               // per-session cost cache bound (entries)
-	pool         *distrib.Pool     // shared what-if worker pool (nil = local costing)
-	contDefaults ContinuousSpec    // server-level continuous-mode defaults
-	quota        *quota.Controller // per-tenant admission control
-	snaps        snapshotCache
+	mu       sync.Mutex
+	sessions map[string]*Session
+	building map[string]bool   // names reserved while their DB builds
+	cacheMax int               // per-session cost cache bound (entries)
+	pool     *distrib.Pool     // shared what-if worker pool (nil = local costing)
+	quota    *quota.Controller // per-tenant admission control
+	snaps    snapshotCache
 }
 
 // NewRegistry creates an empty registry. cacheMax bounds each
 // session's cost cache (<= 0 means unbounded); pool, when non-nil, is
-// the shared what-if worker pool sessions bind workloads against;
-// contDefaults fills unset fields of session continuous specs; qc is
+// the shared what-if worker pool sessions bind workloads against; qc is
 // the per-tenant admission controller (never nil).
-func NewRegistry(cacheMax int, pool *distrib.Pool, contDefaults ContinuousSpec, qc *quota.Controller) *Registry {
+func NewRegistry(cacheMax int, pool *distrib.Pool, qc *quota.Controller) *Registry {
 	return &Registry{
-		sessions:     make(map[string]*Session),
-		building:     make(map[string]bool),
-		cacheMax:     cacheMax,
-		pool:         pool,
-		contDefaults: contDefaults,
-		quota:        qc,
+		sessions: make(map[string]*Session),
+		building: make(map[string]bool),
+		cacheMax: cacheMax,
+		pool:     pool,
+		quota:    qc,
 	}
 }
 
@@ -594,7 +591,7 @@ func (r *Registry) Create(req CreateSessionRequest) (*Session, error) {
 		workloads: make(map[string]*registeredWorkload),
 	}
 	if req.Continuous != nil {
-		s.cont = newContinuous(mergeContinuousSpec(*req.Continuous, r.contDefaults), r.cacheMax)
+		s.cont = newContinuous(*req.Continuous, r.cacheMax)
 	}
 	r.sessions[req.Name] = s
 	return s, nil
