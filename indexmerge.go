@@ -472,6 +472,9 @@ func (r *MergeResult) Report() string {
 // initial index definitions. A long search stops promptly when ctx is
 // canceled and returns ctx.Err().
 func (m *Merger) MergeDefsContext(ctx context.Context, initialDefs []IndexDef, opts MergeOptions) (*MergeResult, error) {
+	if err := m.checkDefs(initialDefs); err != nil {
+		return nil, err
+	}
 	initial := core.NewConfiguration(initialDefs)
 	return m.merge(ctx, initial, opts)
 }
@@ -722,6 +725,9 @@ func (r *DualResult) Report() string {
 // this is an extension. Cancellation stops the search promptly and
 // returns ctx.Err().
 func (m *Merger) MergeDualContext(ctx context.Context, initialDefs []IndexDef, storageBudget int64) (*DualResult, error) {
+	if err := m.checkDefs(initialDefs); err != nil {
+		return nil, err
+	}
 	initial := core.NewConfiguration(initialDefs)
 	pw, err := m.PreparedWorkload()
 	if err != nil {
@@ -804,9 +810,26 @@ func (m *Merger) InitialConfiguration(ctx context.Context, n int, seed int64, op
 // through the prepared fast path (totals are bit-identical to the
 // unprepared computation).
 func (m *Merger) WorkloadCost(defs []IndexDef) (float64, error) {
+	if err := m.checkDefs(defs); err != nil {
+		return 0, err
+	}
 	pw, err := m.PreparedWorkload()
 	if err != nil {
 		return 0, err
 	}
 	return m.opt.WorkloadCostPrepared(pw, optimizer.Configuration(defs))
+}
+
+// checkDefs refuses a definition the database's schema does not have —
+// an unknown table or column, or none or a repeated one — which the
+// optimizer would otherwise price as if the column, or the whole index,
+// were not there.
+func (m *Merger) checkDefs(defs []IndexDef) error {
+	sc := m.db.Schema()
+	for _, d := range defs {
+		if err := sc.CheckIndex(d); err != nil {
+			return fmt.Errorf("indexmerge: %w", err)
+		}
+	}
+	return nil
 }

@@ -143,6 +143,56 @@ func TestWorkloadCostMonotoneInIndexes(t *testing.T) {
 	}
 }
 
+// TestMergerRefusesDefsTheSchemaLacks: a definition naming a column or
+// a table the database does not have is an error from every entry point
+// that takes definitions, naming the index and what it lacks — not a
+// price for the index without the column, or for no index at all.
+func TestMergerRefusesDefsTheSchemaLacks(t *testing.T) {
+	db, err := datagen.BuildNamed("tpcd", 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(db, workload.Options{Class: workload.Complex, Queries: 30, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMerger(db, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := IndexDef{Name: "ok", Table: "lineitem", Columns: []string{"l_shipdate"}}
+	if _, err := m.WorkloadCost([]IndexDef{good}); err != nil {
+		t.Fatalf("a definition the schema has: %v", err)
+	}
+	for _, c := range []struct {
+		def  IndexDef
+		what string
+	}{
+		{IndexDef{Name: "trailing", Table: "lineitem", Columns: []string{"l_shipdate", "l_nosuchcol"}}, "lineitem.l_nosuchcol"},
+		{IndexDef{Name: "leading", Table: "lineitem", Columns: []string{"l_nosuchcol", "l_shipdate"}}, "lineitem.l_nosuchcol"},
+		{IndexDef{Name: "notable", Table: "nosuchtable", Columns: []string{"x"}}, `"nosuchtable"`},
+	} {
+		defs := []IndexDef{good, c.def}
+		calls := map[string]func() error{
+			"WorkloadCost": func() error { _, err := m.WorkloadCost(defs); return err },
+			"MergeDefsContext": func() error {
+				_, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{})
+				return err
+			},
+			"MergeDualContext": func() error {
+				_, err := m.MergeDualContext(context.Background(), defs, 1<<30)
+				return err
+			},
+		}
+		for name, call := range calls {
+			err := call()
+			if err == nil || !strings.Contains(err.Error(), `"`+c.def.Name+`"`) || !strings.Contains(err.Error(), c.what) {
+				t.Errorf("%s with %s: error %v, want one naming %q and %s", name, c.def, err, c.def.Name, c.what)
+			}
+		}
+	}
+}
+
 func TestPublicSchemaConstruction(t *testing.T) {
 	db := NewDatabase()
 	tab, err := NewTable("x", []Column{

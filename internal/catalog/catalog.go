@@ -5,6 +5,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -182,27 +183,42 @@ type IndexDef struct {
 
 // NewIndexDef validates the definition against a schema and returns it.
 func NewIndexDef(s *Schema, name, table string, columns []string) (IndexDef, error) {
-	t, ok := s.Table(table)
-	if !ok {
-		return IndexDef{}, fmt.Errorf("catalog: index %q references unknown table %q", name, table)
-	}
-	if len(columns) == 0 {
-		return IndexDef{}, fmt.Errorf("catalog: index %q has no columns", name)
-	}
-	seen := make(map[string]bool, len(columns))
-	for _, c := range columns {
-		if !t.HasColumn(c) {
-			return IndexDef{}, fmt.Errorf("catalog: index %q references unknown column %s.%s", name, table, c)
-		}
-		if seen[c] {
-			return IndexDef{}, fmt.Errorf("catalog: index %q repeats column %q", name, c)
-		}
-		seen[c] = true
+	if err := s.CheckIndex(IndexDef{Name: name, Table: table, Columns: columns}); err != nil {
+		return IndexDef{}, err
 	}
 	if name == "" {
 		name = AutoIndexName(table, columns)
 	}
 	return IndexDef{Name: name, Table: table, Columns: append([]string(nil), columns...)}, nil
+}
+
+// CheckIndex reports the first way the definition does not fit the
+// schema — an unknown table, no columns, an unknown or a repeated
+// column — naming the index (by its key when it has no name) and the
+// table or column; nil when it fits.
+func (s *Schema) CheckIndex(d IndexDef) error {
+	name := func() string {
+		if d.Name == "" {
+			return d.Key()
+		}
+		return d.Name
+	}
+	t, ok := s.Table(d.Table)
+	if !ok {
+		return fmt.Errorf("catalog: index %q references unknown table %q", name(), d.Table)
+	}
+	if len(d.Columns) == 0 {
+		return fmt.Errorf("catalog: index %q has no columns", name())
+	}
+	for i, c := range d.Columns {
+		if !t.HasColumn(c) {
+			return fmt.Errorf("catalog: index %q references unknown column %s.%s", name(), d.Table, c)
+		}
+		if slices.Contains(d.Columns[:i], c) {
+			return fmt.Errorf("catalog: index %q repeats column %q", name(), c)
+		}
+	}
+	return nil
 }
 
 // AutoIndexName derives a deterministic name from table and columns.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"indexmerge/internal/optimizer"
@@ -123,6 +124,10 @@ func (m *MergePairExhaustive) bestOf(a, b *Index, orders [][]string) (*Index, er
 	}
 	m.Prepared = pw
 	relevant := relevantQueryIndices(m.W, a.Def.Table)
+	weights := make([]float64, len(relevant))
+	for k, qi := range relevant {
+		weights[k] = m.W.Queries[qi].Freq
+	}
 	var best *Index
 	bestCost := 0.0
 	for _, cols := range orders {
@@ -131,14 +136,9 @@ func (m *MergePairExhaustive) bestOf(a, b *Index, orders [][]string) (*Index, er
 			return nil, err
 		}
 		cfg := m.Base.ReplacePair(a, b, cand)
-		ocfg := optimizer.Configuration(cfg.Defs())
-		cost := 0.0
-		for _, qi := range relevant {
-			qc, err := m.Server.CostPrepared(pw.Queries[qi], ocfg)
-			if err != nil {
-				return nil, err
-			}
-			cost += qc * m.W.Queries[qi].Freq
+		cost, _, err := m.Server.CostPreparedSum(context.Background(), pw, relevant, weights, optimizer.Configuration(cfg.Defs()))
+		if err != nil {
+			return nil, err
 		}
 		if best == nil || cost < bestCost {
 			best = cand

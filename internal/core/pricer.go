@@ -340,19 +340,9 @@ func (c *OptimizerChecker) fill(ctx context.Context, sc *priceScratch, cells []f
 				return 0, ctx.Err()
 			}
 			defer func() { <-c.sem }()
-			sum := 0.0
-			for k, mi := range u.Members {
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
-				count(1)
-				cost, err := p.srv.CostPrepared(p.pw.Queries[mi], optimizer.Configuration(sc.defs[lo:hi]))
-				if err != nil {
-					return 0, err
-				}
-				sum += cost * u.Weights[k]
-			}
-			return sum, nil
+			sum, calls, err := p.srv.CostPreparedSum(ctx, p.pw, u.Members, u.Weights, optimizer.Configuration(sc.defs[lo:hi]))
+			count(calls)
+			return sum, err
 		})
 		if err != nil {
 			return err

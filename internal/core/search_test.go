@@ -199,6 +199,32 @@ func TestMergePairExhaustiveReturnsValidMerge(t *testing.T) {
 	}
 }
 
+// TestMergePairExhaustiveUnreferencedTable: a pair on a table no query
+// references has no query to price its orders on; every order costs 0
+// and the first one is kept.
+func TestMergePairExhaustiveUnreferencedTable(t *testing.T) {
+	f := newSearchFixture(t)
+	if err := f.db.CreateTable(catalog.MustNewTable("aux", []catalog.Column{
+		{Name: "x", Type: value.Int},
+		{Name: "y", Type: value.Int},
+	})); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		f.db.Insert("aux", value.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 7))})
+	}
+	f.db.AnalyzeAll()
+	base := NewConfiguration(append(f.initial.Defs(), def("aux", "x"), def("aux", "y", "x")))
+	mp := &MergePairExhaustive{Server: f.opt, W: f.w, Base: base, MaxCols: 6}
+	m, err := mp.Merge(base.Indexes[5], base.Indexes[6])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(m.Def.Columns, ","); m.Def.Table != "aux" || got != "x,y" {
+		t.Fatalf("merged %s(%s), want aux(x,y)", m.Def.Table, got)
+	}
+}
+
 func TestGreedyRespectsCostBound(t *testing.T) {
 	f := newSearchFixture(t)
 	for _, slack := range []float64{0.05, 0.10, 0.25} {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"indexmerge/internal/optimizer"
@@ -11,12 +12,14 @@ import (
 // merging tool needs (paper Figure 1): resolving a workload against the
 // server's statistics once, then costing and planning its queries
 // against (possibly hypothetical) configurations, reading back cost
-// plus index usage — the what-if + Showplan interfaces of [CN98].
-// optimizer.Optimizer satisfies it; calls may be concurrent.
+// plus index usage — the what-if + Showplan interfaces of [CN98]. Both
+// costing calls take many queries under one configuration, which the
+// server resolves once for all of them. optimizer.Optimizer satisfies
+// it; calls may be concurrent.
 type CostServer interface {
 	PrepareWorkload(w *sql.Workload) (*optimizer.PreparedWorkload, error)
-	CostPrepared(pq *optimizer.PreparedQuery, cfg optimizer.Configuration) (float64, error)
-	OptimizePrepared(pq *optimizer.PreparedQuery, cfg optimizer.Configuration) (*optimizer.Plan, error)
+	CostPreparedSum(ctx context.Context, pw *optimizer.PreparedWorkload, members []int, weights []float64, cfg optimizer.Configuration) (sum float64, calls int, err error)
+	OptimizePreparedEach(pw *optimizer.PreparedWorkload, cfg optimizer.Configuration, each func(qi int, plan *optimizer.Plan) error) error
 }
 
 // preparedFor resolves the prepared form of w a costing component works
@@ -54,18 +57,17 @@ func (s *SeekCosts) SeekCost(defKey string) float64 {
 // indexes its plan seeks on. This mirrors gathering "the plan and cost
 // of each query in W for the initial configuration" via Showplan.
 func ComputeSeekCostsPrepared(server CostServer, pw *optimizer.PreparedWorkload, initial *Configuration) (*SeekCosts, error) {
-	cfg := optimizer.Configuration(initial.Defs())
 	out := &SeekCosts{byIndex: make(map[string]float64)}
-	for qi, q := range pw.W.Queries {
-		p, err := server.OptimizePrepared(pw.Queries[qi], cfg)
-		if err != nil {
-			return nil, err
-		}
+	err := server.OptimizePreparedEach(pw, optimizer.Configuration(initial.Defs()), func(qi int, p *optimizer.Plan) error {
 		for _, use := range p.Uses {
 			if use.Mode == optimizer.UsageSeek {
-				out.byIndex[use.Index.Key()] += p.Cost * q.Freq
+				out.byIndex[use.Index.Key()] += p.Cost * pw.W.Queries[qi].Freq
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

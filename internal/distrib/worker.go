@@ -188,19 +188,16 @@ func (wk *Worker) handleCost(w http.ResponseWriter, r *http.Request) {
 			workerErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		ocfg := optimizer.Configuration(defs)
-		var sum float64
 		for _, mi := range it.Members {
 			if mi < 0 || mi >= len(ww.pw.Queries) {
 				workerErr(w, http.StatusBadRequest, "query index %d out of range", mi)
 				return
 			}
-			c, err := wk.opt.CostPrepared(ww.pw.Queries[mi], ocfg)
-			if err != nil {
-				workerErr(w, http.StatusInternalServerError, "cost query %d: %v", mi, err)
-				return
-			}
-			sum += c * ww.w.Queries[mi].Freq
+		}
+		sum, _, err := wk.opt.CostPreparedSum(r.Context(), ww.pw, it.Members, nil, optimizer.Configuration(defs))
+		if err != nil {
+			workerErr(w, http.StatusInternalServerError, "cost item %d: %v", i, err)
+			return
 		}
 		resp.Costs[i] = sum
 	}

@@ -132,14 +132,17 @@ func TestWorkerCostMatchesLocal(t *testing.T) {
 		{Name: "ix_o", Table: "orders", Columns: []string{"o_orderkey", "o_orderdate"}},
 	}
 	// Every query as a cell of its own, then two templates' members
-	// each under a configuration of its own.
+	// each under a configuration of its own, then items with no
+	// members, which cost 0.
 	var items []CostItemWire
 	for qi := range w.Queries {
 		items = append(items, CostItemWire{Members: []int{qi}, Indexes: cfg})
 	}
 	items = append(items,
 		CostItemWire{Members: comp.Templates[0].Members, Indexes: cfg},
-		CostItemWire{Members: comp.Templates[1].Members, Indexes: nil})
+		CostItemWire{Members: comp.Templates[1].Members, Indexes: nil},
+		CostItemWire{Members: nil, Indexes: cfg},
+		CostItemWire{Members: []int{}, Indexes: cfg})
 	var resp CostResponse
 	if code := do(t, wk, http.MethodPost, "/v1/cost", CostRequest{Workload: "w", Items: items}, &resp); code != http.StatusOK {
 		t.Fatalf("cost: status %d", code)

@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"slices"
+
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/sql"
 	"indexmerge/internal/stats"
@@ -10,43 +12,67 @@ import (
 // tableInfo is everything planning derives from the statement and the
 // statistics about one referenced table, computed once by PrepareQuery
 // and read-only afterwards. preds, orPreds, filteredRows and predStr
-// depend on the statement's constants; the rest is its shape, and the
-// slices among it are shared by every descriptor bound to that shape.
+// depend on the statement's constants; the rest is its shape, which
+// every descriptor bound to that shape shares.
 type tableInfo struct {
+	*tableShape
+	preds        []scoredPred // restrictions with precomputed selectivities
+	orPreds      []orPred     // disjunctive members of preds, normalized
+	filteredRows float64      // rowCount × clamped product of the predicate selectivities, in predicate order
+	// predStr assigns each predicate the smallest position with the same
+	// rendered text, the intersection planner's "an arm consumed this
+	// predicate" class.
+	predStr []int32
+}
+
+// tableShape is what the planner knows of a table from the statement's
+// shape and the statistics alone. Columns it compares with an index's
+// are ordinals of table's columns (noColumn for a name the table lacks),
+// never names.
+type tableShape struct {
 	name      string
 	table     *catalog.Table
 	ts        *stats.TableStats
 	rowCount  float64
 	heapPages int64
-	preds     []scoredPred // restrictions with precomputed selectivities
-	orPreds   []orPred     // disjunctive members of preds, normalized
-	required  []string     // columns the query needs from this table
+	scanCost  float64 // full heap scan
 
-	filteredRows float64 // rowCount × clamped product of the predicate selectivities, in predicate order
-	scanCost     float64 // full heap scan
-
-	// seekLead holds the distinct columns carrying a seekable (equality
-	// or range) predicate; seekLeadJoin additionally includes the table's
-	// join columns, which parameterized inner seeks can bind. They feed
-	// the relevant-index prefilter.
-	seekLead     []string
-	seekLeadJoin []string
-	// predColOp and predStr assign each predicate an equivalence class —
-	// the smallest position with the same (column, operator), and with
-	// the same rendered text — for the intersection planner's "arms
-	// share a predicate" and "an arm consumed this predicate" tests.
+	required colSet // columns the query needs from this table
+	// whereCols holds the column of each predicate on the table, in
+	// statement order — for a disjunction, the column of each of its
+	// members instead — from which scorePreds fills scoredPred.col, so
+	// that binding a member of the shape looks nothing up.
+	whereCols []int32
+	// seekLead holds the columns carrying a seekable (equality or range)
+	// predicate; seekLeadJoin additionally the table's join columns,
+	// which parameterized inner seeks can bind. They feed the
+	// relevant-index prefilter.
+	seekLead     colSet
+	seekLeadJoin colSet
+	// predColOp assigns each predicate the smallest position with the
+	// same (column, operator), the intersection planner's "arms share a
+	// predicate" class.
 	predColOp []int32
-	predStr   []int32
 	// synth holds the synthetic join-column equality probes (selectivity
 	// from column density, the average outer binding) that inner seeks
 	// of index nested-loop joins match, in join-predicate order.
 	synth []scoredPred
 }
 
-// scoredPred pairs a predicate with its estimated selectivity.
+// noColumn is the ordinal of a column name a table does not have, and
+// the column of a disjunction, which restricts its members' columns
+// rather than one of its own. It equals no ordinal of a column.
+const noColumn int32 = -1
+
+// ordinal returns the position of the named column in the table.
+func (sh *tableShape) ordinal(name string) int32 { return int32(sh.table.ColumnIndex(name)) }
+
+// scoredPred pairs a predicate with its estimated selectivity and the
+// ordinal of its column (noColumn for a disjunction).
 type scoredPred struct {
 	p   sql.Predicate
 	sel float64
+	col int32
 }
 
 // orPred is one disjunctive predicate (OR or IN) in its normalized
@@ -99,16 +125,19 @@ func (ti *tableInfo) scorePreds(stmt *sql.SelectStmt) {
 		disj = make([]scoredPred, 0, nDisj)
 	}
 	allSel := 1.0
+	cols := ti.whereCols
 	for i := range stmt.Where {
 		p := &stmt.Where[i]
 		if p.Col.Table != ti.name {
 			continue
 		}
 		var sel float64
+		col := noColumn
 		from := len(disj)
 		switch p.Op {
 		case sql.OpIn:
-			disj, sel = appendInList(disj, ti.ts, p)
+			col, cols = cols[0], cols[1:]
+			disj, sel = appendInList(disj, ti.ts, p, col)
 		case sql.OpOr:
 			// Disjuncts may overlap; assuming independence,
 			// inclusion–exclusion gives sel(a OR b) = 1 - (1-sel(a))(1-sel(b)),
@@ -116,35 +145,38 @@ func (ti *tableInfo) scorePreds(stmt *sql.SelectStmt) {
 			miss := 1.0
 			for j := range p.Or {
 				d := &p.Or[j]
+				dcol := cols[0]
+				cols = cols[1:]
 				var dsel float64
 				if d.Op == sql.OpIn {
-					disj, dsel = appendInList(disj, ti.ts, d)
+					disj, dsel = appendInList(disj, ti.ts, d, dcol)
 				} else {
 					dsel = predicateSelectivity(ti.ts, d)
-					disj = append(disj, scoredPred{p: *d, sel: dsel})
+					disj = append(disj, scoredPred{p: *d, sel: dsel, col: dcol})
 				}
 				miss *= 1 - clampSel(dsel)
 			}
 			sel = clampSel(1 - miss)
 		default:
+			col, cols = cols[0], cols[1:]
 			sel = predicateSelectivity(ti.ts, p)
 		}
 		if p.Op == sql.OpIn || p.Op == sql.OpOr {
 			ti.orPreds = append(ti.orPreds, orPred{pos: len(ti.preds), disjuncts: disj[from:len(disj):len(disj)]})
 		}
-		ti.preds = append(ti.preds, scoredPred{p: *p, sel: sel})
+		ti.preds = append(ti.preds, scoredPred{p: *p, sel: sel, col: col})
 		allSel *= sel
 	}
 	ti.filteredRows = ti.rowCount * clampSel(allSel)
 }
 
-// appendInList appends one scored equality per IN-list value and
-// returns the list's selectivity: members are disjoint point
+// appendInList appends one scored equality on column col per IN-list
+// value and returns the list's selectivity: members are disjoint point
 // restrictions on one column, so their selectivities add.
-func appendInList(disj []scoredPred, ts *stats.TableStats, p *sql.Predicate) ([]scoredPred, float64) {
+func appendInList(disj []scoredPred, ts *stats.TableStats, p *sql.Predicate, col int32) ([]scoredPred, float64) {
 	sum := 0.0
 	for _, v := range p.Vals {
-		d := scoredPred{p: sql.Predicate{Col: p.Col, Op: sql.OpEq, Val: v}}
+		d := scoredPred{p: sql.Predicate{Col: p.Col, Op: sql.OpEq, Val: v}, col: col}
 		d.sel = predicateSelectivity(ts, &d.p)
 		sum += d.sel
 		disj = append(disj, d)
@@ -152,10 +184,10 @@ func appendInList(disj []scoredPred, ts *stats.TableStats, p *sql.Predicate) ([]
 	return disj, clampSel(sum)
 }
 
-// indexSize estimates the leaf pages and height of an index on cols.
-func (ti *tableInfo) indexSize(cols []string) (pages int64, height int) {
-	keyWidth := ti.table.WidthOf(cols)
-	return storage.EstimateIndexPages(int64(ti.rowCount), keyWidth), storage.EstimateIndexHeight(int64(ti.rowCount), keyWidth)
+// indexSize estimates the leaf pages and height of the index on the
+// table.
+func (ti *tableInfo) indexSize(x *indexInfo) (pages int64, height int) {
+	return storage.EstimateIndexPages(int64(ti.rowCount), x.width), storage.EstimateIndexHeight(int64(ti.rowCount), x.width)
 }
 
 // seekCost prices a seek touching matchRows entries of an index of the
@@ -231,13 +263,13 @@ func (m *seekMatch) residualSel(preds []scoredPred) float64 {
 // equality predicates bind leading columns; the first column without
 // one may take one range predicate; everything else is residual. The
 // consumed positions are carved from the planner's backing store.
-func matchSeek(idxCols []string, preds []scoredPred, p *planner) seekMatch {
+func matchSeek(idxCols []int32, preds []scoredPred, p *planner) seekMatch {
 	buf := p.consumed // appended to locally, stored back once
 	m := seekMatch{consumed: buf[len(buf):], sel: 1.0}
 	for _, col := range idxCols {
 		foundEq := false
 		for i := range preds {
-			if preds[i].p.Col.Column == col && preds[i].p.Op.IsEquality() && !m.uses(i) {
+			if preds[i].col == col && preds[i].p.Op.IsEquality() && !m.uses(i) {
 				buf = append(buf, int32(i))
 				m.consumed = buf[len(p.consumed):]
 				m.sel *= preds[i].sel
@@ -251,7 +283,7 @@ func matchSeek(idxCols []string, preds []scoredPred, p *planner) seekMatch {
 		}
 		// No equality on this column: try one range predicate, then stop.
 		for i := range preds {
-			if preds[i].p.Col.Column == col && preds[i].p.Op.IsRange() && !m.uses(i) {
+			if preds[i].col == col && preds[i].p.Op.IsRange() && !m.uses(i) {
 				buf = append(buf, int32(i))
 				m.consumed = buf[len(p.consumed):]
 				m.sel *= preds[i].sel
@@ -265,57 +297,55 @@ func matchSeek(idxCols []string, preds []scoredPred, p *planner) seekMatch {
 	return m
 }
 
-// enumeratePaths lists every access path worth considering for the
-// table under the planner's configuration: the heap scan, a covering
-// scan and a seek (covering or with RID lookups) per index, pairwise
+// enumeratePaths lists every access path worth considering for table
+// t under the planner's configuration: the heap scan, a covering scan
+// and a seek (covering or with RID lookups) per index, pairwise
 // intersections of the most selective seeks, and a union per
 // disjunction. With the prefilter on, indexes that can contribute
 // neither a covering scan nor a seek are skipped before costing; the
 // skip never changes the chosen plan because such indexes yield no
 // path at all (TestPreparedMatchesOptimize and TestPlanGolden plan
 // with it off as well). The result is valid until the next call.
-func (p *planner) enumeratePaths(ti *tableInfo) []accessPath {
+func (p *planner) enumeratePaths(t int) []accessPath {
+	ti := p.pq.tables[t]
 	paths := append(p.paths[:0], accessPath{kind: heapScan, cost: ti.scanCost, rows: ti.filteredRows})
 	arms := p.arms[:0]
 	p.consumed = p.consumed[:0]
 
-	for i := range p.cfg {
-		idx := &p.cfg[i]
-		if idx.Table != ti.name {
+	for _, i := range p.indexesOn(t) {
+		x := p.index(i, ti)
+		if p.filter && !indexRelevant(x, &ti.seekLead, &ti.required) {
 			continue
 		}
-		if p.filter && !indexRelevant(idx.Columns, ti.seekLead, ti.required) {
-			continue
-		}
-		pages, height := ti.indexSize(idx.Columns)
-		covering := coversRequired(idx.Columns, ti.required)
+		pages, height := ti.indexSize(x)
+		covering := coversRequired(x, &ti.required)
 
 		// Covering full scan: a narrow vertical slice of the table.
 		if covering {
 			paths = append(paths, accessPath{
-				kind: indexScan, idx: int32(i),
+				kind: indexScan, idx: i,
 				cost:    indexScanCost(pages, ti.rowCount),
 				rows:    ti.filteredRows,
-				ordered: idx.Columns,
+				ordered: p.cfg[i].Columns,
 			})
 		}
 
 		// Seek: equality prefix plus at most one range predicate.
-		m := matchSeek(idx.Columns, ti.preds, p)
+		m := matchSeek(x.cols, ti.preds, p)
 		if len(m.consumed) == 0 {
 			continue
 		}
 		matchRows := ti.rowCount * m.sel
 		paths = append(paths, accessPath{
-			kind: indexSeek, idx: int32(i),
+			kind: indexSeek, idx: i,
 			cost:    ti.seekCost(pages, height, matchRows, covering),
 			rows:    matchRows * m.residualSel(ti.preds),
-			ordered: idx.Columns,
+			ordered: p.cfg[i].Columns,
 			nEq:     m.nEq,
 		})
 		arms = append(arms, intersectArm{
-			idx:       int32(i),
-			lead:      idx.Columns[0],
+			idx:       i,
+			lead:      x.cols[0],
 			consumed:  m.consumed,
 			sel:       m.sel,
 			match:     matchRows,
@@ -332,14 +362,11 @@ func (p *planner) enumeratePaths(ti *tableInfo) []accessPath {
 
 	// Index union: OR several seeks through their RID sets — the dual
 	// technique for disjunctions, one arm per normalized disjunct. Arm
-	// indexes are chosen from the full configuration: a disjunct column
-	// never enters seekLead, so the prefilter must not apply to them.
+	// indexes are chosen among all the table's: a disjunct column never
+	// enters seekLead, so the prefilter must not apply to them.
 	if !p.noUnion {
 		for oi := range ti.orPreds {
-			var cost, rows float64
-			var ok bool
-			p.uArms, cost, rows, ok = unionPath(ti, &ti.orPreds[oi], p.cfg, p.uArms)
-			if ok {
+			if cost, rows, ok := p.unionPath(t, &ti.orPreds[oi]); ok {
 				paths = append(paths, accessPath{kind: indexUnion, idx: int32(oi), cost: cost, rows: rows})
 			}
 		}
@@ -354,32 +381,17 @@ func (p *planner) enumeratePaths(ti *tableInfo) []accessPath {
 // matchSeek stops at the first index column without an equality match,
 // so nothing else can start a seek). Indexes failing both tests are
 // skipped before costing; they could never appear in a plan.
-func indexRelevant(idxCols, seekLeads, required []string) bool {
-	if len(idxCols) == 0 {
+func indexRelevant(x *indexInfo, seekLeads, required *colSet) bool {
+	if len(x.cols) == 0 {
 		return false
 	}
-	return containsCol(seekLeads, idxCols[0]) || coversRequired(idxCols, required)
+	return seekLeads.has(x.cols[0]) || coversRequired(x, required)
 }
 
-// coversRequired is IndexDef.CoversColumns without the per-call set
-// allocation: every required column must appear among the index
-// columns.
-func coversRequired(idxCols, required []string) bool {
-	for _, r := range required {
-		if !containsCol(idxCols, r) {
-			return false
-		}
-	}
-	return true
-}
-
-func containsCol(cols []string, col string) bool {
-	for _, c := range cols {
-		if c == col {
-			return true
-		}
-	}
-	return false
+// coversRequired is IndexDef.CoversColumns on ordinals: every required
+// column must appear among the index columns.
+func coversRequired(x *indexInfo, required *colSet) bool {
+	return required.subsetOf(&x.set)
 }
 
 // ridFetchCost prices fetching the heap rows a RID-set operation
@@ -444,7 +456,7 @@ func groupSatisfied(groupCols, ordered []string, nEq int) bool {
 			return true
 		}
 		// A group column counts once, at its first appearance.
-		if containsCol(groupCols, col) && !containsCol(ordered[:pos], col) {
+		if slices.Contains(groupCols, col) && !slices.Contains(ordered[:pos], col) {
 			need--
 			continue
 		}

@@ -18,6 +18,7 @@ import (
 // reproduce to the bit.
 type planBench struct {
 	opt   *optimizer.Optimizer
+	w     *sql.Workload
 	stmts []*sql.SelectStmt
 	pqs   []*optimizer.PreparedQuery
 	cfg   optimizer.Configuration
@@ -48,7 +49,7 @@ func newPlanBench(b *testing.B) *planBench {
 			if err != nil {
 				return err
 			}
-			pb := &planBench{opt: opt, cfg: optimizer.Configuration(defs)}
+			pb := &planBench{opt: opt, w: w, cfg: optimizer.Configuration(defs)}
 			for _, q := range w.Queries {
 				pq, err := opt.PrepareQuery(q.Stmt)
 				if err != nil {
@@ -200,6 +201,43 @@ func BenchmarkCostPrepared(b *testing.B) {
 		b.Fatalf("CostPrepared allocates %.2f times per call, want 0", allocs)
 	}
 	pb.run(b, call)
+}
+
+// BenchmarkWorkloadCostPrepared times the loop that costs a workload
+// under one configuration, resolved once for all its queries, and
+// reports ns/query. It fails if the total is not the frequency-weighted
+// sum of CostPrepared in workload order, to the bit, or if a call over
+// all 300 queries allocates more than one over the first ten.
+func BenchmarkWorkloadCostPrepared(b *testing.B) {
+	pb := newPlanBench(b)
+	prefix := func(n int) *optimizer.PreparedWorkload {
+		return &optimizer.PreparedWorkload{W: &sql.Workload{Queries: pb.w.Queries[:n]}, Queries: pb.pqs[:n]}
+	}
+	pw, few := prefix(len(pb.pqs)), prefix(10)
+	want := 0.0
+	for qi, q := range pb.w.Queries {
+		want += math.Float64frombits(pb.want[qi]) * q.Freq
+	}
+	call := func(pw *optimizer.PreparedWorkload) {
+		total, err := pb.opt.WorkloadCostPrepared(pw, pb.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = total
+	}
+	call(pw)
+	if math.Float64bits(benchSink) != math.Float64bits(want) {
+		b.Fatalf("WorkloadCostPrepared = %v, the sum of CostPrepared %v", benchSink, want)
+	}
+	if all, ten := testing.AllocsPerRun(20, func() { call(pw) }), testing.AllocsPerRun(20, func() { call(few) }); all > ten {
+		b.Fatalf("WorkloadCostPrepared allocates %v times over %d queries, %v over %d: allocations grow with the queries", all, pw.Len(), ten, few.Len())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call(pw)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pw.Len()), "ns/query")
 }
 
 func BenchmarkOptimizePrepared(b *testing.B) {

@@ -38,8 +38,9 @@ func predsOf(sps []scoredPred) []sql.Predicate {
 	return out
 }
 
-// accessNode builds the node of a table's winning access path.
-func (p *planner) accessNode(ti *tableInfo, ap *accessPath) Node {
+// accessNode builds the node of table t's winning access path.
+func (p *planner) accessNode(t int, ap *accessPath) Node {
+	ti := p.pq.tables[t]
 	p.consumed = p.consumed[:0]
 	switch ap.kind {
 	case indexScan:
@@ -63,7 +64,7 @@ func (p *planner) accessNode(ti *tableInfo, ap *accessPath) Node {
 	case indexUnion:
 		// The enumeration kept the union's price, not its arms.
 		d := &ti.orPreds[ap.idx]
-		p.uArms, _, _, _ = unionPath(ti, d, p.cfg, p.uArms)
+		p.unionPath(t, d)
 		n := &IndexUnionNode{Table: ti.name}
 		for di, ii := range p.uArms {
 			q := &d.disjuncts[di]
@@ -75,7 +76,7 @@ func (p *planner) accessNode(ti *tableInfo, ap *accessPath) Node {
 				arm.SeekRng = &rp
 			}
 			arm.rows = ti.rowCount * q.sel
-			arm.cost = armProbeCost(ti, arm.Index.Columns, arm.rows)
+			arm.cost = armProbeCost(ti, p.index(ii, ti), arm.rows)
 			n.children = append(n.children, arm)
 		}
 		for pi := range ti.preds {
@@ -96,9 +97,9 @@ func (p *planner) accessNode(ti *tableInfo, ap *accessPath) Node {
 // inner side of an index nested-loop join — and returns the match it
 // re-derived, whose consumed positions intersections need.
 func (p *planner) seekNode(ti *tableInfo, preds []scoredPred, idx int32) (*IndexSeekNode, seekMatch) {
-	def := &p.cfg[idx]
-	m := matchSeek(def.Columns, preds, p)
-	n := &IndexSeekNode{Index: *def, Covering: coversRequired(def.Columns, ti.required)}
+	x := p.index(idx, ti)
+	m := matchSeek(x.cols, preds, p)
+	n := &IndexSeekNode{Index: p.cfg[idx], Covering: coversRequired(x, &ti.required)}
 	for _, pi := range m.consumed[:m.nEq] {
 		n.SeekEq = append(n.SeekEq, preds[pi].p)
 	}
@@ -111,7 +112,7 @@ func (p *planner) seekNode(ti *tableInfo, preds []scoredPred, idx int32) (*Index
 			n.Residual = append(n.Residual, preds[pi].p)
 		}
 	}
-	pages, height := ti.indexSize(def.Columns)
+	pages, height := ti.indexSize(x)
 	matchRows := ti.rowCount * m.sel
 	n.cost = ti.seekCost(pages, height, matchRows, n.Covering)
 	n.rows = matchRows * m.residualSel(preds)
@@ -123,7 +124,7 @@ func (p *planner) seekNode(ti *tableInfo, preds []scoredPred, idx int32) (*Index
 func (p *planner) joinNode(mask int) Node {
 	if mask&(mask-1) == 0 {
 		t := bits.TrailingZeros(uint(mask))
-		return p.accessNode(p.pq.tables[t], &p.base[t])
+		return p.accessNode(t, &p.base[t])
 	}
 	cell := &p.dp[mask]
 	t := int(cell.last)
@@ -136,7 +137,7 @@ func (p *planner) joinNode(mask int) Node {
 	if cell.kind == IndexNLJoin {
 		right, _ = p.seekNode(ti, p.probePreds(rest, t), cell.inner)
 	} else {
-		right = p.accessNode(ti, &p.base[t])
+		right = p.accessNode(t, &p.base[t])
 	}
 	for k := range p.pq.joins {
 		if p.pq.joins[k].connects(rest, t) {

@@ -138,18 +138,24 @@ func TestJoinSelectivity(t *testing.T) {
 }
 
 func TestMatchSeekShapes(t *testing.T) {
+	// Columns a..z are ordinals 0..25.
+	ord := func(name string) int32 { return int32(name[0] - 'a') }
 	col := func(name string) sql.ColumnRef { return sql.ColumnRef{Table: "t", Column: name} }
 	eq := func(name string) scoredPred {
-		return scoredPred{p: sql.Predicate{Col: col(name), Op: sql.OpEq, Val: value.NewInt(1)}, sel: 0.1}
+		return scoredPred{p: sql.Predicate{Col: col(name), Op: sql.OpEq, Val: value.NewInt(1)}, sel: 0.1, col: ord(name)}
 	}
 	rng := func(name string) scoredPred {
-		return scoredPred{p: sql.Predicate{Col: col(name), Op: sql.OpLt, Val: value.NewInt(1)}, sel: 0.3}
+		return scoredPred{p: sql.Predicate{Col: col(name), Op: sql.OpLt, Val: value.NewInt(1)}, sel: 0.3, col: ord(name)}
 	}
 
 	// shape runs the matcher and reports how many predicates it bound by
 	// equality, whether it took a range, and how many it left residual.
 	shape := func(idxCols []string, preds ...scoredPred) (nEq int, hasRng bool, residual int, sel float64) {
-		m := matchSeek(idxCols, preds, new(planner))
+		var ords []int32
+		for _, c := range idxCols {
+			ords = append(ords, ord(c))
+		}
+		m := matchSeek(ords, preds, new(planner))
 		for pi := range preds {
 			if !m.uses(pi) {
 				residual++

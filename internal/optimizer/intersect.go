@@ -37,11 +37,12 @@ const maxIntersectArms = 4
 
 // intersectArm is an enumerated seek in its role as a candidate
 // intersection arm: the index's configuration position and leading
-// column, the predicates the seek consumed, its selectivity and matched
-// entries, and the cost of probing it for RIDs alone.
+// column (an ordinal), the predicates the seek consumed, its
+// selectivity and matched entries, and the cost of probing it for RIDs
+// alone.
 type intersectArm struct {
 	idx       int32
-	lead      string
+	lead      int32
 	consumed  []int32
 	sel       float64
 	match     float64

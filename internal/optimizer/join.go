@@ -59,8 +59,8 @@ func (p *planner) joinOrder() error {
 
 	// Base: the cheapest access path per table, which a join step also
 	// uses for its right side.
-	for i, ti := range tables {
-		paths := p.enumeratePaths(ti)
+	for i := range tables {
+		paths := p.enumeratePaths(i)
 		best := &paths[0]
 		for j := 1; j < len(paths); j++ {
 			if paths[j].cost < best.cost {
@@ -160,7 +160,7 @@ func (p *planner) probePreds(rest, t int) []scoredPred {
 			continue
 		}
 		for si := range ti.synth {
-			if ti.synth[si].p.Col.Column == col {
+			if ti.synth[si].col == col {
 				ext = append(ext, ti.synth[si])
 				break
 			}
@@ -177,22 +177,19 @@ func (p *planner) probePreds(rest, t int) []scoredPred {
 func (p *planner) innerSeek(rest, t int) (cost float64, idx int32, found bool) {
 	ti := p.pq.tables[t]
 	ext := p.probePreds(rest, t)
-	for i := range p.cfg {
-		def := &p.cfg[i]
-		if def.Table != ti.name {
-			continue
-		}
-		if p.filter && !indexRelevant(def.Columns, ti.seekLeadJoin, ti.required) {
+	for _, i := range p.indexesOn(t) {
+		x := p.index(i, ti)
+		if p.filter && !indexRelevant(x, &ti.seekLeadJoin, &ti.required) {
 			continue
 		}
 		p.consumed = p.consumed[:0]
-		m := matchSeek(def.Columns, ext, p)
+		m := matchSeek(x.cols, ext, p)
 		// The seek must bind a join column: an equality on the null
 		// placeholder whose column one of the probes (the entries past
 		// the table's own predicates) supplies.
 		usesProbe := false
 		for _, pi := range m.consumed[:m.nEq] {
-			if ext[pi].p.Val.IsNull() && hasSynth(ext[len(ti.preds):], ext[pi].p.Col.Column) {
+			if ext[pi].p.Val.IsNull() && hasSynth(ext[len(ti.preds):], ext[pi].col) {
 				usesProbe = true
 				break
 			}
@@ -200,10 +197,10 @@ func (p *planner) innerSeek(rest, t int) (cost float64, idx int32, found bool) {
 		if !usesProbe {
 			continue
 		}
-		pages, height := ti.indexSize(def.Columns)
-		c := ti.seekCost(pages, height, ti.rowCount*m.sel, coversRequired(def.Columns, ti.required))
+		pages, height := ti.indexSize(x)
+		c := ti.seekCost(pages, height, ti.rowCount*m.sel, coversRequired(x, &ti.required))
 		if !found || c < cost {
-			cost, idx, found = c, int32(i), true
+			cost, idx, found = c, i, true
 		}
 	}
 	return cost, idx, found

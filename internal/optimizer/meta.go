@@ -31,29 +31,6 @@ type Meta interface {
 // statistics matter, exactly as with the what-if interface of [CN98].
 type Configuration []catalog.IndexDef
 
-// ForTable returns the configuration's indexes on one table.
-func (c Configuration) ForTable(table string) []catalog.IndexDef {
-	var out []catalog.IndexDef
-	for _, d := range c {
-		if d.Table == table {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Contains reports whether an index with the same identity
-// (table + ordered columns) is present.
-func (c Configuration) Contains(def catalog.IndexDef) bool {
-	key := def.Key()
-	for _, d := range c {
-		if d.Key() == key {
-			return true
-		}
-	}
-	return false
-}
-
 // Clone returns a copy of the configuration.
 func (c Configuration) Clone() Configuration {
 	return append(Configuration(nil), c...)

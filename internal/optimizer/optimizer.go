@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -82,12 +83,14 @@ func (o *Optimizer) Cost(stmt *sql.SelectStmt, cfg Configuration) (float64, erro
 // optimizer-estimated query costs (paper §3.1).
 func (o *Optimizer) WorkloadCost(w *sql.Workload, cfg Configuration) (float64, error) {
 	total := 0.0
-	for _, q := range w.Queries {
-		c, err := o.Cost(q.Stmt, cfg)
-		if err != nil {
-			return 0, err
-		}
-		total += c * q.Freq
+	_, err := o.each(context.Background(), cfg, len(w.Queries), false,
+		func(k int) (*sql.SelectStmt, *PreparedQuery) { return w.Queries[k].Stmt, nil },
+		func(k int, cost float64, _ *Plan) error {
+			total += cost * w.Queries[k].Freq
+			return nil
+		})
+	if err != nil {
+		return 0, err
 	}
 	return total, nil
 }
@@ -107,32 +110,113 @@ func (o *Optimizer) CostPrepared(pq *PreparedQuery, cfg Configuration) (float64,
 
 // WorkloadCostPrepared is WorkloadCost over a prepared workload.
 func (o *Optimizer) WorkloadCostPrepared(pw *PreparedWorkload, cfg Configuration) (float64, error) {
-	total := 0.0
-	for i, q := range pw.W.Queries {
-		c, err := o.CostPrepared(pw.Queries[i], cfg)
-		if err != nil {
-			return 0, err
-		}
-		total += c * q.Freq
+	total, _, err := o.WorkloadCostPreparedContext(context.Background(), pw, cfg)
+	return total, err
+}
+
+// WorkloadCostPreparedContext is WorkloadCostPrepared, checking ctx
+// before each query: once it is done the sum stops with ctx.Err(). It
+// also returns how many CostPrepared calls it made, a failing one
+// included.
+func (o *Optimizer) WorkloadCostPreparedContext(ctx context.Context, pw *PreparedWorkload, cfg Configuration) (total float64, calls int, err error) {
+	calls, err = o.each(ctx, cfg, len(pw.Queries), false,
+		func(k int) (*sql.SelectStmt, *PreparedQuery) { return nil, pw.Queries[k] },
+		func(k int, cost float64, _ *Plan) error {
+			total += cost * pw.W.Queries[k].Freq
+			return nil
+		})
+	if err != nil {
+		return 0, calls, err
 	}
-	return total, nil
+	return total, calls, nil
+}
+
+// CostPreparedSum returns Σ weights[k] × CostPrepared(pw.Queries[members[k]],
+// cfg), summed in member order — no members sum to 0, nil weights are
+// the members' frequencies in pw.W — and how many CostPrepared calls it
+// made, a failing one included. cfg is resolved once for all of them,
+// into pooled state: with it warm the loop allocates nothing. ctx is
+// checked before each member; once it is done the sum stops with
+// ctx.Err().
+func (o *Optimizer) CostPreparedSum(ctx context.Context, pw *PreparedWorkload, members []int, weights []float64, cfg Configuration) (sum float64, calls int, err error) {
+	calls, err = o.each(ctx, cfg, len(members), false,
+		func(k int) (*sql.SelectStmt, *PreparedQuery) { return nil, pw.Queries[members[k]] },
+		func(k int, cost float64, _ *Plan) error {
+			if weights != nil {
+				sum += cost * weights[k]
+			} else {
+				sum += cost * pw.W.Queries[members[k]].Freq
+			}
+			return nil
+		})
+	if err != nil {
+		return 0, calls, err
+	}
+	return sum, calls, nil
+}
+
+// OptimizePreparedEach plans every query of pw under cfg, resolved once
+// for all of them, and hands each plan to each, in workload order; it
+// stops at the first error either returns.
+func (o *Optimizer) OptimizePreparedEach(pw *PreparedWorkload, cfg Configuration, each func(qi int, plan *Plan) error) error {
+	_, err := o.each(context.Background(), cfg, len(pw.Queries), true,
+		func(k int) (*sql.SelectStmt, *PreparedQuery) { return nil, pw.Queries[k] },
+		func(k int, _ float64, plan *Plan) error { return each(k, plan) })
+	return err
+}
+
+// each is the one loop that plans many queries under one configuration:
+// it makes the calls of n queries — query(k) names the k-th, by
+// statement or by descriptor — on one pooled planner, which resolves cfg
+// once for all of them, and hands each cost, and with build each plan,
+// to done. It checks ctx before each call, stops at the first error and
+// returns how many calls it made.
+func (o *Optimizer) each(ctx context.Context, cfg Configuration, n int, build bool,
+	query func(k int) (*sql.SelectStmt, *PreparedQuery), done func(k int, cost float64, plan *Plan) error,
+) (calls int, err error) {
+	p := plannerPool.Get().(*planner)
+	defer plannerPool.Put(p)
+	p.res.schema = nil // resolved by the first call
+	for k := 0; k < n; k++ {
+		if err := ctx.Err(); err != nil {
+			return calls, err
+		}
+		stmt, pq := query(k)
+		calls++
+		cost, plan, err := o.planOn(p, stmt, pq, cfg, true, build)
+		if err == nil {
+			err = done(k, cost, plan)
+		}
+		if err != nil {
+			return calls, err
+		}
+	}
+	return calls, nil
 }
 
 // planner is the state of one planning pass, pooled so that a
 // steady-state cost probe allocates nothing: the call's inputs, the
-// candidates of the table being enumerated, and the choices — cheapest
-// path per table, cheapest join per table subset — the build step
-// turns into nodes.
+// configuration as the planner compares it, the candidates of the table
+// being enumerated, and the choices — cheapest path per table, cheapest
+// join per table subset — the build step turns into nodes.
 type planner struct {
 	pq  *PreparedQuery
 	cfg Configuration
 	// noInter/noUnion/filter snapshot the optimizer knobs for this call.
 	noInter, noUnion, filter bool
 
+	// res is cfg as the planner compares it, resolved in full for the
+	// calls of a loop or, lazily, by a one-off call for itself (see
+	// begin). on lists, table by table of the query, the positions of the
+	// indexes on it, table t's ending at onEnd[t].
+	res   resolved
+	on    []int32
+	onEnd []int
+
 	paths    []accessPath   // candidates of the table enumerated last
 	arms     []intersectArm // its seeks, as intersection candidates
 	consumed []int32        // backing store of seekMatch.consumed
-	uArms    []int          // union arm choices, reused across disjunctions
+	uArms    []int32        // union arm choices, reused across disjunctions
 	ext      []scoredPred   // a table's predicates plus join probes
 	base     []accessPath   // join planning: each table's cheapest path
 	dp       []dpCell       // join planning: one cell per table subset
@@ -140,18 +224,26 @@ type planner struct {
 
 var plannerPool = sync.Pool{New: func() any { return new(planner) }}
 
-// plan is what every public planning call is: the one entry sequence —
-// count the invocation, give the fault injector its one shot, take the
-// caller's descriptor (refused if the statistics were rebuilt after it
-// was prepared) or prepare one from the statement — and then the one
-// planning pass: enumerate every candidate — access paths per table,
-// join orders and algorithms per table subset, streaming or hashed
-// aggregation, sort — on costs alone, keeping the cheapest, and only
-// when build is set turn the winning choices into a plan tree.
-// Enumerating complete single-table plans (rather than the cheapest
-// access path only) lets an index that provides order win even when a
-// bare scan is cheaper.
+// plan is what every one-off planning call is: planOn, on a pooled
+// planner, resolving cfg for itself.
 func (o *Optimizer) plan(stmt *sql.SelectStmt, pq *PreparedQuery, cfg Configuration, build bool) (float64, *Plan, error) {
+	p := plannerPool.Get().(*planner)
+	defer plannerPool.Put(p)
+	return o.planOn(p, stmt, pq, cfg, false, build)
+}
+
+// planOn is the one entry sequence — count the invocation, give the
+// fault injector its one shot, take the caller's descriptor (refused if
+// the statistics were rebuilt after it was prepared) or prepare one from
+// the statement — and then the one planning pass over cfg, resolved for
+// all the calls of a loop when pass is set (see begin): enumerate
+// every candidate — access paths per table, join orders and algorithms
+// per table subset, streaming or hashed aggregation, sort — on costs
+// alone, keeping the cheapest, and only when build is set turn the
+// winning choices into a plan tree. Enumerating complete single-table
+// plans (rather than the cheapest access path only) lets an index that
+// provides order win even when a bare scan is cheaper.
+func (o *Optimizer) planOn(p *planner, stmt *sql.SelectStmt, pq *PreparedQuery, cfg Configuration, pass, build bool) (float64, *Plan, error) {
 	o.invocations.Add(1)
 	if pq != nil {
 		o.preparedCalls.Add(1)
@@ -168,15 +260,13 @@ func (o *Optimizer) plan(stmt *sql.SelectStmt, pq *PreparedQuery, cfg Configurat
 		return 0, nil, err
 	}
 
-	p := plannerPool.Get().(*planner)
-	defer plannerPool.Put(p)
-	p.pq, p.cfg = pq, cfg
 	p.noInter = o.DisableIndexIntersection
 	p.noUnion = o.DisableIndexUnion
 	p.filter = !o.DisableRelevantIndexFilter
+	p.begin(pq, cfg, pass)
 
 	if len(pq.tables) == 1 {
-		paths := p.enumeratePaths(pq.tables[0])
+		paths := p.enumeratePaths(0)
 		best, fin := 0, finished{cost: math.Inf(1)}
 		for i := range paths {
 			if f := pq.finish(&paths[i]); f.cost < fin.cost {
@@ -186,7 +276,7 @@ func (o *Optimizer) plan(stmt *sql.SelectStmt, pq *PreparedQuery, cfg Configurat
 		if !build {
 			return fin.cost, nil, nil
 		}
-		return fin.cost, newPlan(pq.finishNode(p.accessNode(pq.tables[0], &paths[best]), &fin)), nil
+		return fin.cost, newPlan(pq.finishNode(p.accessNode(0, &paths[best]), &fin)), nil
 	}
 	if err := p.joinOrder(); err != nil {
 		return 0, nil, err

@@ -359,15 +359,6 @@ func TestConfigurationHelpers(t *testing.T) {
 	a := mustIndex(t, db, "orders", "oid")
 	b := mustIndex(t, db, "customers", "cust_id")
 	cfg := Configuration{a, b}
-	if got := cfg.ForTable("orders"); len(got) != 1 || got[0].Key() != a.Key() {
-		t.Errorf("ForTable = %v", got)
-	}
-	if !cfg.Contains(a) {
-		t.Error("Contains(a) false")
-	}
-	if cfg.Contains(mustIndex(t, db, "orders", "odate")) {
-		t.Error("Contains(missing) true")
-	}
 	cl := cfg.Clone()
 	cl[0] = b
 	if cfg[0].Key() != a.Key() {

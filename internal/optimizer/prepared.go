@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"indexmerge/internal/catalog"
@@ -47,16 +48,18 @@ type PreparedQuery struct {
 	groupSameTable bool      // every GROUP BY column is on tables[0]
 	hasAggs        bool
 
+	schema       *catalog.Schema // the tables' schema, against which a loop resolves a configuration
 	versioner    StatsVersioner
 	statsVersion uint64
 }
 
 // preparedJoin is one join predicate with its endpoints resolved to
-// table positions and its selectivity precomputed. joinSelectivity is
-// symmetric in its arguments, so one value serves both orientations.
+// table positions and column ordinals and its selectivity precomputed.
+// joinSelectivity is symmetric in its arguments, so one value serves
+// both orientations.
 type preparedJoin struct {
-	left, right       int // positions in tables; -1 when the table is not in FROM
-	leftCol, rightCol string
+	left, right       int   // positions in tables; -1 when the table is not in FROM
+	leftCol, rightCol int32 // ordinals in those tables; noColumn with a position of -1
 	sel               float64
 }
 
@@ -70,7 +73,7 @@ func (j *preparedJoin) connects(rest, t int) bool {
 }
 
 // myCol returns the join column on table t's side.
-func (j *preparedJoin) myCol(t int) string {
+func (j *preparedJoin) myCol(t int) int32 {
 	if j.left == t {
 		return j.leftCol
 	}
@@ -149,8 +152,14 @@ func (pw *PreparedWorkload) RelevantQueries(table string, cols []string) QuerySe
 		}
 	})
 	set := NewQuerySet(len(pw.Queries))
+	var buf [32]int32
+	var x indexInfo
 	for _, i := range pw.byTable[table] {
-		if pw.Queries[i].IndexRelevant(table, cols) {
+		ti := pw.Queries[i].table(table)
+		if ti.table != x.table { // once per schema the descriptors were prepared against
+			x = ti.keyOf(cols, buf[:0])
+		}
+		if ti.relevant(&x) {
 			set.Add(i)
 		}
 	}
@@ -245,6 +254,7 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 		pq.statsVersion = v.StatsVersion()
 	}
 	sc := meta.Schema()
+	pq.schema = sc
 	for _, name := range stmt.From {
 		if pq.table(name) != nil {
 			continue
@@ -253,40 +263,46 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 		if !ok {
 			return nil, fmt.Errorf("optimizer: unknown table %q", name)
 		}
-		ti := &tableInfo{
+		ti := &tableInfo{tableShape: &tableShape{
 			name:     name,
 			table:    t,
 			ts:       meta.TableStats(name),
 			rowCount: float64(meta.TableRowCount(name)),
-			required: stmt.ColumnsOf(name),
-		}
+		}}
 		ti.heapPages = storage.EstimateHeapPages(int64(ti.rowCount), t.RowWidth())
 		ti.scanCost = scanCost(ti.heapPages, ti.rowCount)
+		ti.resolveColumns(stmt)
 		ti.scorePreds(stmt)
 		ti.predColOp = colOpClasses(ti.preds)
 		ti.predStr = textClasses(ti.preds, ti.predColOp)
 		// Relevant-index prefilter: only a predicate with an equality or
 		// range operator can start a seek on an index whose leading
 		// column it restricts. (Union arms are exempt from the filter —
-		// unionPath consults the full configuration — so disjunct
+		// unionPath consults all the table's indexes — so disjunct
 		// columns need not extend the lead set.)
 		for _, sp := range ti.preds {
 			if sp.p.Op.IsEquality() || sp.p.Op.IsRange() {
-				ti.seekLead = appendDistinct(ti.seekLead, sp.p.Col.Column)
+				ti.seekLead.add(sp.col)
 			}
 		}
-		ti.seekLeadJoin = ti.seekLead
+		ti.seekLeadJoin = ti.seekLead.clone()
 		pq.tables = append(pq.tables, ti)
 	}
 
-	// Join metadata: resolved table positions and the symmetric
-	// selectivity, computed once per join predicate.
+	// Join metadata: resolved table positions and columns, and the
+	// symmetric selectivity, computed once per join predicate.
 	for _, j := range stmt.Joins {
 		pj := preparedJoin{
 			left:     tablePos(pq.tables, j.Left.Table),
 			right:    tablePos(pq.tables, j.Right.Table),
-			leftCol:  j.Left.Column,
-			rightCol: j.Right.Column,
+			leftCol:  noColumn,
+			rightCol: noColumn,
+		}
+		if pj.left >= 0 {
+			pj.leftCol = pq.tables[pj.left].ordinal(j.Left.Column)
+		}
+		if pj.right >= 0 {
+			pj.rightCol = pq.tables[pj.right].ordinal(j.Right.Column)
 		}
 		if pj.left >= 0 && pj.right >= 0 {
 			lt, rt := pq.tables[pj.left], pq.tables[pj.right]
@@ -298,21 +314,14 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 	// Synthetic join probes. Join columns also extend the seekable-lead
 	// set: an index useless for base predicates can still serve a
 	// parameterized inner seek.
-	for _, ti := range pq.tables {
-		for _, j := range stmt.Joins {
-			for _, side := range [2]sql.ColumnRef{j.Left, j.Right} {
-				if side.Table != ti.name {
-					continue
-				}
-				ti.seekLeadJoin = appendDistinct(ti.seekLeadJoin, side.Column)
-				if hasSynth(ti.synth, side.Column) {
-					continue
-				}
-				d := distinctOf(ti.ts, side.Column, ti.rowCount)
-				ti.synth = append(ti.synth, scoredPred{
-					p:   sql.Predicate{Col: side, Op: sql.OpEq, Val: value.NewNull()},
-					sel: 1 / math.Max(d, 1),
-				})
+	for t, ti := range pq.tables {
+		for k := range pq.joins {
+			j, pj := &stmt.Joins[k], &pq.joins[k]
+			if pj.left == t {
+				ti.addProbe(j.Left, pj.leftCol)
+			}
+			if pj.right == t {
+				ti.addProbe(j.Right, pj.rightCol)
 			}
 		}
 	}
@@ -338,15 +347,85 @@ func PrepareQuery(stmt *sql.SelectStmt, meta Meta) (*PreparedQuery, error) {
 	return pq, nil
 }
 
+// resolveColumns looks up, once per shape, the ordinals of the columns
+// the statement names on the table: whereCols, and the set of those the
+// query needs — the columns of the select list, the predicates, the
+// joins, GROUP BY and ORDER BY.
+func (sh *tableShape) resolveColumns(stmt *sql.SelectStmt) {
+	slots := 0
+	for i := range stmt.Where {
+		p := &stmt.Where[i]
+		if p.Col.Table != sh.name {
+			continue
+		}
+		if p.Op == sql.OpOr {
+			slots += len(p.Or)
+		} else {
+			slots++
+		}
+	}
+	sh.whereCols = make([]int32, 0, slots)
+	for i := range stmt.Where {
+		p := &stmt.Where[i]
+		if p.Col.Table != sh.name {
+			continue
+		}
+		if p.Op != sql.OpOr {
+			sh.whereCols = append(sh.whereCols, sh.ordinal(p.Col.Column))
+			continue
+		}
+		for j := range p.Or {
+			sh.whereCols = append(sh.whereCols, sh.ordinal(p.Or[j].Col.Column))
+		}
+	}
+	for _, col := range sh.whereCols {
+		sh.required.add(col)
+	}
+	add := func(c sql.ColumnRef) {
+		if c.Table == sh.name && c.Column != "" {
+			sh.required.add(sh.ordinal(c.Column))
+		}
+	}
+	for _, it := range stmt.Select {
+		if it.Agg != sql.AggCountStar {
+			add(it.Col)
+		}
+	}
+	for _, j := range stmt.Joins {
+		add(j.Left)
+		add(j.Right)
+	}
+	for _, c := range stmt.GroupBy {
+		add(c)
+	}
+	for _, o := range stmt.OrderBy {
+		add(o.Col)
+	}
+}
+
+// addProbe adds join column side, of ordinal col, to the table's
+// seekable leads for inner seeks and gives it a synthetic equality
+// probe unless it has one.
+func (sh *tableShape) addProbe(side sql.ColumnRef, col int32) {
+	sh.seekLeadJoin.add(col)
+	if hasSynth(sh.synth, col) {
+		return
+	}
+	d := distinctOf(sh.ts, side.Column, sh.rowCount)
+	sh.synth = append(sh.synth, scoredPred{
+		p:   sql.Predicate{Col: side, Op: sql.OpEq, Val: value.NewNull()},
+		sel: 1 / math.Max(d, 1),
+		col: col,
+	})
+}
+
 // bind returns the descriptor of stmt, a statement of this descriptor's
 // shape (sql.SelectStmt.SameShape), at the cost of its constants alone:
-// a copy of the descriptor — tables, required columns, seek leads,
-// (column, operator) classes, joins, join probes, group metadata, page
-// and scan costs, statistics version, all shared — in which each table
-// takes its own predicates, selectivities, filtered rows and same-text
-// classes from stmt. tableInfo stays one flat struct, copied whole, so
-// that planning reads a bound descriptor exactly as it reads one
-// PrepareQuery built; the result is that descriptor, field for field.
+// a copy of the descriptor — tables' shapes, joins, group metadata and
+// statistics version, all shared — in which each table takes its own
+// predicates, selectivities, filtered rows and same-text classes from
+// stmt, through the routines PrepareQuery fills them with. The result
+// is the descriptor PrepareQuery builds, field for field.
 func (shape *PreparedQuery) bind(stmt *sql.SelectStmt) *PreparedQuery {
 	pq := new(PreparedQuery)
 	*pq = *shape
@@ -355,7 +434,7 @@ func (shape *PreparedQuery) bind(stmt *sql.SelectStmt) *PreparedQuery {
 	pq.tables = make([]*tableInfo, len(shape.tables))
 	for i, sti := range shape.tables {
 		ti := &tis[i]
-		*ti = *sti
+		ti.tableShape = sti.tableShape
 		ti.scorePreds(stmt)
 		ti.predStr = textClasses(ti.preds, ti.predColOp)
 		pq.tables[i] = ti
@@ -387,15 +466,37 @@ func (pq *PreparedQuery) table(name string) *tableInfo {
 // configuration by its per-table relevant subsets alone.
 func (pq *PreparedQuery) IndexRelevant(table string, cols []string) bool {
 	ti := pq.table(table)
-	if ti == nil || len(cols) == 0 {
+	if ti == nil {
 		return false
 	}
-	if indexRelevant(cols, ti.seekLeadJoin, ti.required) {
+	var buf [32]int32
+	x := ti.keyOf(cols, buf[:0])
+	return ti.relevant(&x)
+}
+
+// keyOf resolves key columns cols against the table, into buf, for the
+// relevance test, which reads the columns alone: no width, no names.
+func (sh *tableShape) keyOf(cols []string, buf []int32) indexInfo {
+	var set colSet
+	for _, c := range cols {
+		i := sh.ordinal(c)
+		buf = append(buf, i)
+		set.add(i)
+	}
+	return indexInfo{table: sh.table, cols: buf, set: set}
+}
+
+// relevant is IndexRelevant for an index on the table.
+func (ti *tableInfo) relevant(x *indexInfo) bool {
+	if len(x.cols) == 0 {
+		return false
+	}
+	if indexRelevant(x, &ti.seekLeadJoin, &ti.required) {
 		return true
 	}
 	for _, op := range ti.orPreds {
 		for _, d := range op.disjuncts {
-			if d.p.Col.Column == cols[0] {
+			if d.col == x.cols[0] {
 				return true
 			}
 		}
@@ -463,16 +564,18 @@ func textClasses(preds []scoredPred, colOp []int32) []int32 {
 	return str
 }
 
+// appendDistinct appends v unless s holds it; the lists it keeps are a
+// handful of column names, where a scan beats a set.
 func appendDistinct(s []string, v string) []string {
-	if containsCol(s, v) {
+	if slices.Contains(s, v) {
 		return s
 	}
 	return append(s, v)
 }
 
-func hasSynth(synth []scoredPred, col string) bool {
+func hasSynth(synth []scoredPred, col int32) bool {
 	for i := range synth {
-		if synth[i].p.Col.Column == col {
+		if synth[i].col == col {
 			return true
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"indexmerge/internal/catalog"
 	"indexmerge/internal/sql"
 )
 
@@ -39,45 +38,46 @@ func (n *IndexUnionNode) Describe() string {
 const maxUnionArms = 8
 
 // unionPath computes the cost and output cardinality of a RID-union
-// access path for one disjunctive predicate: per normalized disjunct,
-// a covering probe of the cheapest configuration index whose leading
-// column the disjunct restricts; then RID-set union/dedup priced per
-// probed entry; then heap fetches for the union (floored at one row
-// and capped at the buffer-pool bound, like every fetch cost here) and
-// residual evaluation. The row estimate uses the disjunction's own
-// inclusion–exclusion selectivity, so it is never larger than the sum
-// of the arms. arms receives the chosen positions in indexes (one per
-// disjunct, reusing the given backing array); ok is false when any
+// access path for one disjunctive predicate on table t: per normalized
+// disjunct, a covering probe of the cheapest of the table's indexes
+// whose leading column the disjunct restricts; then RID-set union/dedup
+// priced per probed entry; then heap fetches for the union (floored at
+// one row and capped at the buffer-pool bound, like every fetch cost
+// here) and residual evaluation. The row estimate uses the
+// disjunction's own inclusion–exclusion selectivity, so it is never
+// larger than the sum of the arms. p.uArms receives the chosen
+// configuration positions, one per disjunct; ok is false when any
 // disjunct lacks a seekable index. The build step calls it again for a
 // union that won, to learn the arms the enumeration did not keep.
-func unionPath(ti *tableInfo, d *orPred, indexes []catalog.IndexDef, arms []int) (_ []int, cost, rows float64, ok bool) {
-	arms = arms[:0]
+func (p *planner) unionPath(t int, d *orPred) (cost, rows float64, ok bool) {
+	ti := p.pq.tables[t]
+	p.uArms = p.uArms[:0]
 	if len(d.disjuncts) == 0 || len(d.disjuncts) > maxUnionArms {
-		return arms, 0, 0, false
+		return 0, 0, false
 	}
 	matchSum := 0.0
 	for di := range d.disjuncts {
 		q := &d.disjuncts[di]
 		if !q.p.Op.IsEquality() && !q.p.Op.IsRange() {
-			return arms, 0, 0, false
+			return 0, 0, false
 		}
 		match := ti.rowCount * q.sel
-		bestI := -1
+		bestI := int32(-1)
 		bestCost := 0.0
-		for ii := range indexes {
-			idx := &indexes[ii]
-			if idx.Table != ti.name || len(idx.Columns) == 0 || idx.Columns[0] != q.p.Col.Column {
+		for _, ii := range p.indexesOn(t) {
+			x := p.index(ii, ti)
+			if len(x.cols) == 0 || x.cols[0] != q.col {
 				continue
 			}
-			c := armProbeCost(ti, idx.Columns, match)
+			c := armProbeCost(ti, x, match)
 			if bestI < 0 || c < bestCost {
 				bestI, bestCost = ii, c
 			}
 		}
 		if bestI < 0 {
-			return arms, 0, 0, false
+			return 0, 0, false
 		}
-		arms = append(arms, bestI)
+		p.uArms = append(p.uArms, bestI)
 		cost += bestCost
 		matchSum += match
 	}
@@ -91,12 +91,12 @@ func unionPath(ti *tableInfo, d *orPred, indexes []catalog.IndexDef, arms []int)
 		}
 	}
 	rows = math.Max(fetch*clampSel(resSel), 0)
-	return arms, cost, rows, true
+	return cost, rows, true
 }
 
 // armProbeCost prices one covering (RID-only) probe of an index for
 // matched entries.
-func armProbeCost(ti *tableInfo, idxCols []string, match float64) float64 {
-	pages, height := ti.indexSize(idxCols)
+func armProbeCost(ti *tableInfo, x *indexInfo, match float64) float64 {
+	pages, height := ti.indexSize(x)
 	return ti.seekCost(pages, height, match, true)
 }

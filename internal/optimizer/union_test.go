@@ -225,7 +225,9 @@ func TestIntersectionRowEstimateMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ti := pq.tables[0]
-	paths := (&planner{pq: pq, cfg: cfg}).enumeratePaths(ti)
+	p := new(planner)
+	p.begin(pq, cfg, false)
+	paths := p.enumeratePaths(0)
 	minSeek := ti.rowCount
 	var inter *accessPath
 	for i := range paths {

@@ -246,22 +246,23 @@ func (s *Server) contIngest(sess *Session, req IngestRequest, items []wscale.Ing
 	// Observe: the batch's actual per-weight cost under the applied
 	// configuration. The faults hook lets chaos tests and CI inflate
 	// the observation deterministically to force a rollback.
-	o := optimizer.New(sess.db)
-	cfg := optimizer.Configuration(applied.defs)
-	sum, wsum := 0.0, 0.0
-	for _, it := range items {
-		cost, err := o.CostPrepared(it.PQ, cfg)
-		if err != nil {
-			s.log.Warn("continuous observe costing failed; skipping guardrail for batch",
-				"session", sess.name, "batch", resp.Batch, "err", err)
-			return resp
-		}
+	batch := &optimizer.PreparedWorkload{Queries: make([]*optimizer.PreparedQuery, len(items))}
+	members := make([]int, len(items))
+	weights := make([]float64, len(items))
+	wsum := 0.0
+	for i, it := range items {
 		f := it.Freq
 		if f <= 0 {
 			f = 1
 		}
-		sum += cost * f
+		batch.Queries[i], members[i], weights[i] = it.PQ, i, f
 		wsum += f
+	}
+	sum, _, err := optimizer.New(sess.db).CostPreparedSum(context.Background(), batch, members, weights, optimizer.Configuration(applied.defs))
+	if err != nil {
+		s.log.Warn("continuous observe costing failed; skipping guardrail for batch",
+			"session", sess.name, "batch", resp.Batch, "err", err)
+		return resp
 	}
 	if wsum <= 0 {
 		return resp

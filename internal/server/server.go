@@ -621,30 +621,23 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request, sess *Sessio
 		return
 	}
 	// Cost through the descriptors prepared at registration: no AST
-	// re-walk or histogram probing per request, identical totals — the
-	// per-query loop mirrors optimizer.WorkloadCostPrepared exactly,
-	// with a cancellation check between queries so an abandoned request
-	// (client disconnect) stops burning optimizer calls mid-workload.
+	// re-walk or histogram probing per request, identical totals. The
+	// loop checks for cancellation between queries, so an abandoned
+	// request (client disconnect) stops burning optimizer calls
+	// mid-workload.
 	ctx := r.Context()
-	o := optimizer.New(sess.db)
-	cfg := optimizer.Configuration(defs)
-	total, costed := 0.0, 0
 	pw := rw.compressed.PW
-	for i, q := range pw.W.Queries {
-		if ctx.Err() != nil {
-			s.metrics.requestsAbandoned.Add(1)
-			s.log.Info("cost request abandoned by client", "session", sess.name,
-				"workload", req.Workload, "costed", costed, "of", len(pw.W.Queries))
-			writeErr(w, statusClientClosedRequest, "client closed request")
-			return
-		}
-		c, err := o.CostPrepared(pw.Queries[i], cfg)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "cost: %v", err)
-			return
-		}
-		total += c * q.Freq
-		costed++
+	total, costed, err := optimizer.New(sess.db).WorkloadCostPreparedContext(ctx, pw, optimizer.Configuration(defs))
+	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+		s.metrics.requestsAbandoned.Add(1)
+		s.log.Info("cost request abandoned by client", "session", sess.name,
+			"workload", req.Workload, "costed", costed, "of", len(pw.W.Queries))
+		writeErr(w, statusClientClosedRequest, "client closed request")
+		return
+	}
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "cost: %v", err)
+		return
 	}
 	sess.preparedReuse.Add(1)
 	s.metrics.optimizerCalls.Add(int64(len(pw.W.Queries)))
