@@ -58,9 +58,9 @@ const journalVersion = 3
 // recoverFromJournal) — silently dropping state transitions would
 // replay a different history than the one acknowledged.
 type journalEvent struct {
-	T  string    `json:"t"`
-	V  int       `json:"v,omitempty"` // schema version (0 = pre-versioned)
-	At time.Time `json:"at"`
+	T  string      `json:"t"`
+	V  int         `json:"v,omitempty"` // schema version (0 = pre-versioned)
+	At journalTime `json:"at"`
 
 	// evSession: the full creation request (deterministic rebuild).
 	Session *CreateSessionRequest `json:"session,omitempty"`
@@ -98,6 +98,20 @@ type journalEvent struct {
 	Bound int `json:"bound,omitempty"`
 }
 
+// journalTime is a record's timestamp, written in UTC with all nine
+// fractional digits: time.Time's own RFC 3339 form trims trailing zero
+// nanoseconds, so identical histories wrote journals of different
+// lengths. Replay reads either form (time.Time's UnmarshalJSON).
+type journalTime struct{ time.Time }
+
+const journalTimeLayout = "2006-01-02T15:04:05.000000000Z07:00"
+
+// MarshalJSON writes the fixed-width form.
+func (t journalTime) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, len(journalTimeLayout)+2), '"')
+	return append(t.UTC().AppendFormat(b, journalTimeLayout), '"'), nil
+}
+
 // Journal is the durable session/job log. Appends are serialized and
 // fsynced so an acknowledged state change survives SIGKILL; a torn
 // final line (crash mid-write) is tolerated and skipped on replay.
@@ -125,7 +139,7 @@ func (j *Journal) Append(ev journalEvent) error {
 		return nil
 	}
 	if ev.At.IsZero() {
-		ev.At = time.Now().UTC()
+		ev.At = journalTime{time.Now()}
 	}
 	ev.V = journalVersion
 	line, err := json.Marshal(ev)

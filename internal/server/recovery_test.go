@@ -74,7 +74,7 @@ func TestJournalMissingFileIsEmpty(t *testing.T) {
 
 func TestJournalTornFinalLineSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	valid, _ := json.Marshal(journalEvent{T: evSession, At: time.Now(), Session: &CreateSessionRequest{Name: "s"}})
+	valid, _ := json.Marshal(journalEvent{T: evSession, At: journalTime{time.Now()}, Session: &CreateSessionRequest{Name: "s"}})
 	content := string(valid) + "\n" + `{"t":"job","job_id":"job-1","ki` // crash mid-write
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
@@ -90,13 +90,75 @@ func TestJournalTornFinalLineSkipped(t *testing.T) {
 
 func TestJournalCorruptionMidFileErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	valid, _ := json.Marshal(journalEvent{T: evSession, At: time.Now(), Session: &CreateSessionRequest{Name: "s"}})
+	valid, _ := json.Marshal(journalEvent{T: evSession, At: journalTime{time.Now()}, Session: &CreateSessionRequest{Name: "s"}})
 	content := "GARBAGE NOT JSON\n" + string(valid) + "\n"
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadJournal(path); err == nil {
 		t.Fatal("malformed line followed by valid events must error, not silently drop state")
+	}
+}
+
+// TestJournalTimestampsFixedWidth: a record's length does not depend on
+// how many of its timestamp's nanoseconds are trailing zeros, and the
+// fixed-width form reads back to the same instant.
+func TestJournalTimestampsFixedWidth(t *testing.T) {
+	base := time.Date(2026, 3, 4, 5, 6, 7, 0, time.FixedZone("east", 3600))
+	var lens []int
+	for _, ns := range []int{0, 100_000_000, 120_000_000, 123_456_000, 123_456_789, 1} {
+		at := base.Add(time.Duration(ns))
+		line, err := json.Marshal(journalEvent{T: evJobEnd, JobID: "job-1", State: string(JobDone), At: journalTime{at}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back journalEvent
+		if err := json.Unmarshal(line, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !back.At.Equal(at) || back.At.Location() != time.UTC {
+			t.Fatalf("%s reads back as %v", line, back.At)
+		}
+		lens = append(lens, len(line))
+	}
+	for _, n := range lens {
+		if n != lens[0] {
+			t.Fatalf("record lengths %v, want one length", lens)
+		}
+	}
+}
+
+// TestJournalReplaysTrimmedTimestamps: a journal written before the
+// fixed-width form holds time.Time's RFC 3339 text, trailing zero
+// nanoseconds trimmed. It replays, and a recovered job keeps its time.
+func TestJournalReplaysTrimmedTimestamps(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "state.jsonl")
+	db, _ := json.Marshal(fixtureDB(t))
+	sqlText, _ := json.Marshal(fixtureSQL)
+	content := `{"t":"session","v":3,"at":"2026-01-02T03:04:05.1Z","session":{"name":"old","db":` + string(db) + `}}
+{"t":"workload","v":3,"at":"2026-01-02T03:04:05.12Z","session_name":"old","workload":{"name":"w","sql":` + string(sqlText) + `}}
+{"t":"job","v":3,"at":"2026-01-02T03:04:06Z","job_id":"job-1","kind":"merge","session_name":"old","workload_name":"w"}
+`
+	if err := os.WriteFile(journal, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadJournal(journal)
+	if err != nil || len(events) != 3 {
+		t.Fatalf("ReadJournal = %d events, %v", len(events), err)
+	}
+	if want := time.Date(2026, 1, 2, 3, 4, 5, 120_000_000, time.UTC); !events[1].At.Equal(want) {
+		t.Fatalf("workload record at %v, want %v", events[1].At, want)
+	}
+	h := newTestServer(t, Config{JournalPath: journal})
+	var st JobStatus
+	h.mustCall(t, "GET", "/v1/jobs/job-1", nil, &st, http.StatusOK)
+	if want := time.Date(2026, 1, 2, 3, 4, 6, 0, time.UTC); !st.Recovered || !st.CreatedAt.Equal(want) {
+		t.Fatalf("recovered job %+v, want recovered, created at %v", st, want)
+	}
+	var wls []WorkloadInfo
+	h.mustCall(t, "GET", "/v1/sessions/old/workloads", nil, &wls, http.StatusOK)
+	if len(wls) != 1 || wls[0].Name != "w" {
+		t.Fatalf("workloads = %+v, want [w]", wls)
 	}
 }
 
@@ -187,7 +249,7 @@ func TestJournalFutureVersionRejected(t *testing.T) {
 // refuse, not silently replay a partial history.
 func TestRecoveryUnknownEventFailsLoudly(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "state.jsonl")
-	valid, _ := json.Marshal(journalEvent{T: evSession, At: time.Now(),
+	valid, _ := json.Marshal(journalEvent{T: evSession, At: journalTime{time.Now()},
 		Session: &CreateSessionRequest{Name: "s", DB: fixtureDB(t)}})
 	content := string(valid) + "\n" + `{"t":"frobnicate","v":2,"session_name":"s"}` + "\n"
 	if err := os.WriteFile(journal, []byte(content), 0o644); err != nil {

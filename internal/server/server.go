@@ -304,7 +304,7 @@ func (s *Server) recoverFromJournal(path string) error {
 		} else {
 			interrupted++
 		}
-		s.jobs.RecoverJob(id, ev.Kind, ev.SessionName, ev.WorkloadName, state, errMsg, ev.At)
+		s.jobs.RecoverJob(id, ev.Kind, ev.SessionName, ev.WorkloadName, state, errMsg, ev.At.Time)
 	}
 	s.metrics.recoveredSessions.Add(int64(sessions))
 	s.metrics.recoveredJobs.Add(int64(len(jobOrder)))
@@ -396,12 +396,18 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
+// writeJSON answers code with v as indented JSON. It encodes before it
+// writes the status, so a value encoding/json refuses (a NaN or ±Inf
+// field) is a 500 with an ErrorResponse, not a code over an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.MarshalIndent(ErrorResponse{Error: "encode response: " + err.Error()}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {

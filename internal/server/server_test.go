@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -272,6 +273,35 @@ func (h *testServer) park(t *testing.T, session string) (id string, release func
 }
 
 // ---- tests ---------------------------------------------------------
+
+// TestWriteJSONRefusedValueIs500: a value encoding/json refuses is a
+// 500 with an ErrorResponse that says why, not the caller's status over
+// an empty body; any other value is the caller's status and the
+// encoder's indented text.
+func TestWriteJSONRefusedValueIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, CostResponse{Cost: math.NaN()})
+	var er ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); rec.Code != http.StatusInternalServerError || err != nil ||
+		!strings.Contains(er.Error, "unsupported value: NaN") {
+		t.Fatalf("NaN cost: %d %q (%v)", rec.Code, rec.Body.String(), err)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, CostResponse{Cost: 2.5})
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(CostResponse{Cost: 2.5}); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusCreated || rec.Body.String() != want.String() {
+		t.Fatalf("finite cost: %d %q, want %d %q", rec.Code, rec.Body.String(), http.StatusCreated, want.String())
+	}
+}
 
 func TestSessionLifecycle(t *testing.T) {
 	h := newTestServer(t, Config{})

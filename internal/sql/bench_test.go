@@ -2,6 +2,7 @@ package sql_test
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -70,6 +71,8 @@ func BenchmarkParseWorkload(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			l := newBenchLog(b, c.shapes, c.distinct, c.lines)
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w, err := sql.ParseWorkload(strings.NewReader(l.text), l.db.Schema())
@@ -80,7 +83,11 @@ func BenchmarkParseWorkload(b *testing.B) {
 					b.Fatalf("%d entries, want %d", w.Len(), l.distinct)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*l.lines), "ns/line")
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			lines := float64(b.N * l.lines)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/lines, "ns/line")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/lines, "allocs/line")
 		})
 	}
 }

@@ -36,11 +36,16 @@ type lexer struct {
 	toks []token
 }
 
-func lex(src string) ([]token, error) {
+// lex tokenizes src into buf's storage, which it allocates only when
+// buf is too small to be likely to hold every token.
+func lex(src string, buf []token) ([]token, error) {
 	// Generated statements hold a token per 2.4 to 6.8 source bytes
 	// (medians: synthetic1 2.7, synthetic2 3.0 to 3.6, TPC-D 4.6), so
 	// half the length spares all of them a second allocation.
-	l := &lexer{src: src, toks: make([]token, 0, len(src)/2+2)}
+	if cap(buf) < len(src)/2+2 {
+		buf = make([]token, 0, len(src)/2+2)
+	}
+	l := &lexer{src: src, toks: buf[:0]}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ func parsePerLine(text string, sc *catalog.Schema) (*sql.Workload, error) {
 		}
 		freq := 1.0
 		if prefix, rest, ok := strings.Cut(line, "|"); ok && prefix != "" {
-			if f, err := strconv.ParseFloat(strings.TrimSpace(prefix), 64); err == nil && f > 0 {
+			if f, err := strconv.ParseFloat(strings.TrimSpace(prefix), 64); err == nil && f > 0 && !math.IsInf(f, 1) {
 				freq, line = f, strings.TrimSpace(rest)
 			}
 		}
@@ -144,6 +145,9 @@ func TestParseWorkloadMatchesPerLineReference(t *testing.T) {
 			if g.Stmt.String() != w.Stmt.String() {
 				t.Fatalf("%s: entry %d is %q, reference %q", r.name, i, g.Stmt, w.Stmt)
 			}
+			if !reflect.DeepEqual(g.Stmt, w.Stmt) {
+				t.Fatalf("%s: entry %d holds %+v, reference %+v", r.name, i, g.Stmt, w.Stmt)
+			}
 			if math.Float64bits(g.Freq) != math.Float64bits(w.Freq) {
 				t.Fatalf("%s: entry %d has frequency %v, reference %v", r.name, i, g.Freq, w.Freq)
 			}
@@ -201,9 +205,10 @@ func TestParseWorkloadFrequencyPrefix(t *testing.T) {
 		t.Errorf("prefixed lines gave %d entries, frequency %v; want 1, 112.5", w.Len(), w.Queries[0].Freq)
 	}
 
-	// A prefix with anything after the number is not a frequency: the
-	// whole line goes to the parser, which rejects it.
-	for _, prefix := range []string{"12abc", "12 3", "0", "-4", "abc"} {
+	// A prefix with anything after the number, or a number that is not
+	// finite and positive, is not a frequency: the whole line goes to the
+	// parser, which rejects it.
+	for _, prefix := range []string{"12abc", "12 3", "0", "-4", "abc", "inf", "Infinity", "-inf", "1e309", "nan"} {
 		if _, err := parse(prefix + "|" + q + "\n"); err == nil || !strings.Contains(err.Error(), "workload line 1:") {
 			t.Errorf("prefix %q: error %v, want a parse error on line 1", prefix, err)
 		}

@@ -8,13 +8,60 @@ import (
 	"indexmerge/internal/value"
 )
 
-// Parse parses one statement (SELECT or INSERT).
+// Parse parses one statement (SELECT, INSERT or DELETE).
 func Parse(src string) (Statement, error) {
-	toks, err := lex(src)
+	var p parser
+	stmt, err := p.parse(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	switch s := stmt.(type) {
+	case *InsertStmt:
+		return s.clone(), nil
+	case *DeleteStmt:
+		return s.clone(), nil
+	}
+	return stmt.(*SelectStmt).clone(), nil
+}
+
+// ParseSelect parses a single SELECT statement.
+func ParseSelect(src string) (*SelectStmt, error) {
+	var p parser
+	sel, err := p.parseSelectStmt(src)
+	if err != nil {
+		return nil, err
+	}
+	return sel.clone(), nil
+}
+
+// parser turns one statement at a time into storage it owns and
+// reuses: the token buffer, one SelectStmt whose slices are truncated
+// and refilled (a DELETE's WHERE is parsed into it too), and arenas
+// that IN lists and INSERT rows (vals) and OR disjuncts (ors) are
+// carved from. A statement it returns is valid until the next parse;
+// Parse and ParseSelect hand out a clone, ParseWorkload clones only a
+// statement that makes a new entry.
+type parser struct {
+	toks []token
+	pos  int
+	sel  SelectStmt
+	vals []value.Value
+	ors  []Predicate
+	rows []value.Row // an INSERT's rows
+}
+
+// parse lexes src into the parser's storage, empties what the last
+// statement left there and parses one statement.
+func (p *parser) parse(src string) (Statement, error) {
+	toks, err := lex(src, p.toks)
+	if err != nil {
+		return nil, err
+	}
+	p.toks, p.pos = toks, 0
+	s := &p.sel
+	s.Select, s.From, s.Joins, s.Where = s.Select[:0], s.From[:0], s.Joins[:0], s.Where[:0]
+	s.GroupBy, s.OrderBy = s.GroupBy[:0], s.OrderBy[:0]
+	p.vals, p.ors, p.rows = p.vals[:0], p.ors[:0], p.rows[:0]
 	var stmt Statement
 	switch {
 	case p.peekKeyword("SELECT"):
@@ -35,9 +82,10 @@ func Parse(src string) (Statement, error) {
 	return stmt, nil
 }
 
-// ParseSelect parses a single SELECT statement.
-func ParseSelect(src string) (*SelectStmt, error) {
-	stmt, err := Parse(src)
+// parseSelectStmt parses src, which must be a SELECT, into the
+// parser's storage.
+func (p *parser) parseSelectStmt(src string) (*SelectStmt, error) {
+	stmt, err := p.parse(src)
 	if err != nil {
 		return nil, err
 	}
@@ -48,9 +96,14 @@ func ParseSelect(src string) (*SelectStmt, error) {
 	return sel, nil
 }
 
-type parser struct {
-	toks []token
-	pos  int
+// capped returns s[from:], nil when that is empty, with its capacity
+// cut to its length: an append to it reallocates instead of writing
+// over whatever the backing array holds next.
+func capped[T any](s []T, from int) []T {
+	if len(s) == from {
+		return nil
+	}
+	return s[from:len(s):len(s)]
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -140,7 +193,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	stmt := &SelectStmt{}
+	stmt := &p.sel
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
@@ -165,7 +218,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		}
 	}
 	if p.acceptKeyword("WHERE") {
-		if err := p.parseConjunction(stmt); err != nil {
+		if err := p.parseConjunction(); err != nil {
 			return nil, err
 		}
 	}
@@ -242,8 +295,10 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 // predicate (column=column comparisons classify as joins), a
 // parenthesized OR disjunction, or — when the whole clause is one
 // disjunction — a bare pred OR pred chain. OR mixed with AND must be
-// parenthesized; there is no operator-precedence climbing.
-func (p *parser) parseConjunction(stmt *SelectStmt) error {
+// parenthesized; there is no operator-precedence climbing. Predicates
+// and joins go into the parser's statement.
+func (p *parser) parseConjunction() error {
+	stmt := &p.sel
 	for first := true; ; first = false {
 		if p.peekSymbol("(") {
 			pred, err := p.parseDisjunctionGroup()
@@ -253,23 +308,24 @@ func (p *parser) parseConjunction(stmt *SelectStmt) error {
 			stmt.Where = append(stmt.Where, pred)
 		} else {
 			nWhere := len(stmt.Where)
-			if err := p.parsePredicate(stmt); err != nil {
+			if err := p.parsePredicate(); err != nil {
 				return err
 			}
 			if p.peekKeyword("OR") {
 				if !first || len(stmt.Where) != nWhere+1 {
 					return fmt.Errorf("sql: parenthesize OR disjunctions mixed with AND or joins at offset %d", p.peek().pos)
 				}
-				disj := []Predicate{stmt.Where[nWhere]}
+				start := len(p.ors)
+				p.ors = append(p.ors, stmt.Where[nWhere])
 				stmt.Where = stmt.Where[:nWhere]
 				for p.acceptKeyword("OR") {
 					d, err := p.parseSimplePredicate()
 					if err != nil {
 						return err
 					}
-					disj = append(disj, d)
+					p.ors = append(p.ors, d)
 				}
-				stmt.Where = append(stmt.Where, Predicate{Op: OpOr, Or: disj})
+				stmt.Where = append(stmt.Where, Predicate{Op: OpOr, Or: capped(p.ors, start)})
 				if p.peekKeyword("AND") {
 					return fmt.Errorf("sql: parenthesize OR disjunctions mixed with AND at offset %d", p.peek().pos)
 				}
@@ -289,13 +345,13 @@ func (p *parser) parseDisjunctionGroup() (Predicate, error) {
 	if err := p.expectSymbol("("); err != nil {
 		return Predicate{}, err
 	}
-	var disj []Predicate
+	start := len(p.ors)
 	for {
 		d, err := p.parseSimplePredicate()
 		if err != nil {
 			return Predicate{}, err
 		}
-		disj = append(disj, d)
+		p.ors = append(p.ors, d)
 		if !p.acceptKeyword("OR") {
 			break
 		}
@@ -303,10 +359,10 @@ func (p *parser) parseDisjunctionGroup() (Predicate, error) {
 	if err := p.expectSymbol(")"); err != nil {
 		return Predicate{}, err
 	}
-	if len(disj) == 1 {
-		return disj[0], nil
+	if len(p.ors) == start+1 {
+		return p.ors[start], nil
 	}
-	return Predicate{Op: OpOr, Or: disj}, nil
+	return Predicate{Op: OpOr, Or: capped(p.ors, start)}, nil
 }
 
 // parseSimplePredicate parses one column-vs-literal restriction
@@ -352,18 +408,19 @@ func (p *parser) parseSimplePredicate() (Predicate, error) {
 	return Predicate{Col: col, Op: op, Val: val}, nil
 }
 
-// parseInList parses '(' literal (',' literal)* ')'.
+// parseInList parses '(' literal (',' literal)* ')' — an IN list or an
+// INSERT row — into the parser's value arena.
 func (p *parser) parseInList() ([]value.Value, error) {
 	if err := p.expectSymbol("("); err != nil {
 		return nil, err
 	}
-	var vals []value.Value
+	start := len(p.vals)
 	for {
 		v, err := p.parseLiteral()
 		if err != nil {
 			return nil, err
 		}
-		vals = append(vals, v)
+		p.vals = append(p.vals, v)
 		if !p.acceptSymbol(",") {
 			break
 		}
@@ -371,10 +428,11 @@ func (p *parser) parseInList() ([]value.Value, error) {
 	if err := p.expectSymbol(")"); err != nil {
 		return nil, err
 	}
-	return vals, nil
+	return capped(p.vals, start), nil
 }
 
-func (p *parser) parsePredicate(stmt *SelectStmt) error {
+func (p *parser) parsePredicate() error {
+	stmt := &p.sel
 	col, err := p.parseColumnRef()
 	if err != nil {
 		return err
@@ -520,15 +578,15 @@ func (p *parser) parseDelete() (*DeleteStmt, error) {
 	}
 	stmt := &DeleteStmt{Table: table}
 	if p.acceptKeyword("WHERE") {
-		// Reuse the SELECT predicate machinery via a scratch statement.
-		scratch := &SelectStmt{From: []string{table}}
-		if err := p.parseConjunction(scratch); err != nil {
+		// The SELECT predicate machinery parses into the parser's
+		// statement, which a DELETE leaves otherwise empty.
+		if err := p.parseConjunction(); err != nil {
 			return nil, err
 		}
-		if len(scratch.Joins) > 0 {
+		if len(p.sel.Joins) > 0 {
 			return nil, fmt.Errorf("sql: DELETE cannot contain join predicates")
 		}
-		stmt.Where = scratch.Where
+		stmt.Where = p.sel.Where
 	}
 	return stmt, nil
 }
@@ -547,29 +605,88 @@ func (p *parser) parseInsert() (*InsertStmt, error) {
 	if err := p.expectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
-	stmt := &InsertStmt{Table: table}
 	for {
-		if err := p.expectSymbol("("); err != nil {
+		row, err := p.parseInList()
+		if err != nil {
 			return nil, err
 		}
-		var row value.Row
-		for {
-			v, err := p.parseLiteral()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		stmt.Rows = append(stmt.Rows, row)
+		p.rows = append(p.rows, row)
 		if !p.acceptSymbol(",") {
 			break
 		}
 	}
-	return stmt, nil
+	return &InsertStmt{Table: table, Rows: p.rows}, nil
+}
+
+// clone copies a statement out of the parser's storage: the statement
+// and every slice it holds are new, and an empty slice is nil, so that
+// a clone is reflect.DeepEqual to the statement appends to nil slices
+// would build.
+func (s *SelectStmt) clone() *SelectStmt {
+	return &SelectStmt{
+		Select: fresh(s.Select), From: fresh(s.From), Joins: fresh(s.Joins), Where: clonePredicates(s.Where),
+		GroupBy: fresh(s.GroupBy), OrderBy: fresh(s.OrderBy),
+	}
+}
+
+func (s *DeleteStmt) clone() *DeleteStmt {
+	return &DeleteStmt{Table: s.Table, Where: clonePredicates(s.Where)}
+}
+
+func (s *InsertStmt) clone() *InsertStmt {
+	n := 0
+	for _, r := range s.Rows {
+		n += len(r)
+	}
+	vals := make([]value.Value, 0, n)
+	rows := make([]value.Row, len(s.Rows))
+	for i, r := range s.Rows {
+		rows[i] = carve(&vals, r)
+	}
+	return &InsertStmt{Table: s.Table, Rows: rows}
+}
+
+// clonePredicates copies a conjunction; its IN lists and OR disjuncts
+// are carved, capped, from one new array each.
+func clonePredicates(ps []Predicate) []Predicate {
+	if len(ps) == 0 {
+		return nil
+	}
+	nVals, nOr := 0, 0
+	for i := range ps {
+		nVals += len(ps[i].Vals)
+		nOr += len(ps[i].Or)
+		for _, d := range ps[i].Or {
+			nVals += len(d.Vals)
+		}
+	}
+	vals := make([]value.Value, 0, nVals)
+	ors := make([]Predicate, 0, nOr)
+	out := make([]Predicate, len(ps))
+	for i, p := range ps {
+		p.Vals = carve(&vals, p.Vals)
+		start := len(ors)
+		for _, d := range p.Or {
+			d.Vals = carve(&vals, d.Vals)
+			ors = append(ors, d)
+		}
+		p.Or = capped(ors, start)
+		out[i] = p
+	}
+	return out
+}
+
+// fresh returns a copy of s in an array of its own, nil when s is empty.
+func fresh[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// carve appends src to *arena and returns the copy, capped.
+func carve[T any](arena *[]T, src []T) []T {
+	start := len(*arena)
+	*arena = append(*arena, src...)
+	return capped(*arena, start)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -55,7 +56,12 @@ type Workload struct {
 // text already appears has the frequency (minimum 1) added to the
 // existing entry instead of being appended — and costed — twice. A
 // statement that folds into an existing entry allocates nothing.
-func (w *Workload) Add(stmt *SelectStmt, freq float64) {
+func (w *Workload) Add(stmt *SelectStmt, freq float64) { w.fold(stmt, freq) }
+
+// fold renders the statement, looks its canonical text up and either
+// adds the frequency to the entry found or appends an entry holding
+// stmt, which it reports.
+func (w *Workload) fold(stmt *SelectStmt, freq float64) (appended bool) {
 	if freq <= 0 {
 		freq = 1
 	}
@@ -72,7 +78,7 @@ func (w *Workload) Add(stmt *SelectStmt, freq float64) {
 	c := canon{text: tb[:0], fp: fb[:0]}.statement(stmt)
 	if i, ok := w.byText[string(c.text)]; ok {
 		w.Queries[i].Freq += freq
-		return
+		return false
 	}
 	fp, ok := w.fingerprints[string(c.fp)]
 	if !ok {
@@ -85,6 +91,7 @@ func (w *Workload) Add(stmt *SelectStmt, freq float64) {
 	text := string(c.text)
 	w.byText[text] = len(w.Queries)
 	w.Queries = append(w.Queries, WorkloadQuery{Stmt: stmt, Freq: freq, Text: text, Fingerprint: fp})
+	return true
 }
 
 // Len returns the number of (distinct) workload entries.
@@ -171,9 +178,12 @@ func (w *Workload) TopK(k int, cost func(*SelectStmt) float64) *Workload {
 // Every line is parsed, resolved and rendered once and folds on its
 // canonical text like Add, so spelling differences (case, whitespace,
 // prefix form) do not make separate entries; frequencies add in line
-// order.
+// order. One parser serves the whole log: a line is resolved and
+// rendered in the parser's storage, and its statement is copied out
+// only when it makes a new entry.
 func ParseWorkload(r io.Reader, sc *catalog.Schema) (*Workload, error) {
 	w := &Workload{}
+	var p parser
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	lineNo := 0
@@ -184,22 +194,24 @@ func ParseWorkload(r io.Reader, sc *catalog.Schema) (*Workload, error) {
 			continue
 		}
 		freq := 1.0
-		// A prefix that is not a positive number belongs to the SQL: a
-		// statement may hold '|' inside a string literal.
+		// A prefix that is not a finite positive number belongs to the
+		// SQL: a statement may hold '|' inside a string literal.
 		if i := bytes.IndexByte(line, '|'); i > 0 {
-			if f, err := strconv.ParseFloat(string(bytes.TrimSpace(line[:i])), 64); err == nil && f > 0 {
+			if f, err := strconv.ParseFloat(string(bytes.TrimSpace(line[:i])), 64); err == nil && f > 0 && !math.IsInf(f, 1) {
 				freq = f
 				line = bytes.TrimSpace(line[i+1:])
 			}
 		}
-		stmt, err := ParseSelect(string(line))
+		stmt, err := p.parseSelectStmt(string(line))
 		if err != nil {
 			return nil, fmt.Errorf("workload line %d: %w", lineNo, err)
 		}
 		if err := stmt.Resolve(sc); err != nil {
 			return nil, fmt.Errorf("workload line %d: %w", lineNo, err)
 		}
-		w.Add(stmt, freq)
+		if w.fold(stmt, freq) {
+			w.Queries[len(w.Queries)-1].Stmt = stmt.clone()
+		}
 	}
 	if err := scanner.Err(); err != nil {
 		return nil, fmt.Errorf("workload line %d: %w", lineNo+1, err)
