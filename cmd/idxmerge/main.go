@@ -51,7 +51,7 @@ func main() {
 	duplication := flag.Int("duplication", 0, "append this many zipf-skewed constant-varied duplicates to the generated workload (log-like workloads for -costmodel compressed)")
 	disjunctions := flag.Bool("disjunctions", false, "add OR/IN predicates to generated queries")
 	n := flag.Int("n", 10, "initial configuration size (0 = tune every workload query)")
-	constraint := flag.Float64("constraint", 0.10, "cost constraint (fractional workload cost increase bound)")
+	constraint := flag.Float64("constraint", 0.10, "cost constraint (fractional workload cost increase bound; 0 selects the default of 10 %)")
 	mergePair := flag.String("mergepair", "cost", "merge procedure: cost | syntactic | exhaustive")
 	search := flag.String("search", "greedy", "search strategy: greedy | exhaustive")
 	costModel := flag.String("costmodel", "opt", "cost evaluation: opt | nocost | prefilter | compressed (opt and compressed select the units of one pricing engine: a unit per query or per template of constant-varied duplicates; both exact)")

@@ -35,9 +35,14 @@
 // identified by the X-Tenant header or the session creation request's
 // tenant field; zero = unlimited): live sessions, queued+running jobs,
 // ingest statements per second (token bucket), and byte-accounted
-// memory (windows + cost tables + caches). -memory-budget is the
-// GLOBAL accounted-memory budget that drives the brownout degradation
-// ladder alongside job-queue pressure.
+// memory (windows + cost tables). -memory-budget is the GLOBAL
+// accounted-memory budget that drives the brownout degradation ladder
+// alongside job-queue pressure.
+//
+// Each registered workload keeps the what-if costs of its jobs, under
+// either cost model, in one cost table that lives and is replaced with
+// the registration; a continuous session's window keeps one more across
+// its re-tunes. -cache bounds each of these tables.
 package main
 
 import (
@@ -63,7 +68,7 @@ func main() {
 	addr := flag.String("addr", ":7781", "listen address")
 	workers := flag.Int("workers", 2, "job worker pool size (jobs on distinct sessions run in parallel)")
 	queue := flag.Int("queue", 8, "pending job queue capacity (submissions beyond it get 429)")
-	cacheMax := flag.Int("cache", 1<<20, "per-session what-if cost cache bound, entries (0 = unbounded)")
+	cacheMax := flag.Int("cache", 1<<20, "bound of each registered workload's and each continuous window's cost table, entries (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight jobs")
 	journalPath := flag.String("journal", "", "session/job journal file (empty = no durability)")
 	faultRules := flag.String("faults", "", "fault-injection rules, semicolon-separated (chaos testing)")

@@ -33,7 +33,6 @@ import (
 	"indexmerge/internal/advisor"
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/core"
-	"indexmerge/internal/core/costcache"
 	"indexmerge/internal/distrib"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/optimizer"
@@ -76,9 +75,6 @@ type (
 	// SearchProgress is a point-in-time snapshot of a running search,
 	// delivered to MergeOptions.Progress.
 	SearchProgress = core.Progress
-	// CostCache is a shareable, optionally size-bounded what-if cost
-	// cache; see NewCostCache and MergeOptions.CostCache.
-	CostCache = costcache.Cache
 	// PreparedWorkload is a workload resolved once against the
 	// database's statistics (per-query descriptors the optimizer's
 	// prepared fast paths consume); see Merger.PreparedWorkload.
@@ -106,14 +102,6 @@ type (
 // the binding via MergeOptions.Workers.
 func NewWorkerPool(urls []string) *WorkerPool {
 	return distrib.NewPool(urls, distrib.Options{})
-}
-
-// NewCostCache builds a what-if cost cache that can be shared across
-// merging runs via MergeOptions.CostCache. maxEntries bounds the
-// number of cached per-query costs (<= 0 means unbounded); long-lived
-// processes should set a bound. See also (*CostCache).Reset.
-func NewCostCache(maxEntries int) *CostCache {
-	return costcache.NewBounded(0, maxEntries)
 }
 
 // Value constructors, re-exported.
@@ -232,14 +220,6 @@ type MergeOptions struct {
 	// called synchronously from the searching goroutine and must be
 	// cheap.
 	Progress func(SearchProgress)
-	// CostCache, when non-nil, supplies a shared what-if cost cache so
-	// repeated runs (or a service running many jobs over one database)
-	// reuse per-query costs. When one cache serves runs over different
-	// workloads, set CacheNamespace to a distinct value per workload —
-	// cache keys embed only a query's position within its workload.
-	CostCache *CostCache
-	// CacheNamespace disambiguates CostCache keys across workloads.
-	CacheNamespace string
 	// Workers, when non-nil, offloads cache-missed what-if costings to
 	// a bound pool of stateless worker processes (cmd/idxmergew),
 	// batched per search wave. Results are byte-identical at any worker
@@ -320,8 +300,9 @@ func NewMerger(db *Database, w *Workload) (*Merger, error) {
 // the database's current statistics — a service's registration, a
 // window snapshot with its persistent cost table: the workload is
 // cw.C.W, and PreparedWorkload and CompressedWorkload hand back cw.PW
-// and cw themselves. A form whose pieces belong to different workloads
-// is refused.
+// and cw themselves. Both cost models price through cw's engines, so
+// every run reuses the cells earlier runs filled. A form whose pieces
+// belong to different workloads is refused.
 func NewMergerOver(db *Database, cw *CompressedWorkload) (*Merger, error) {
 	if cw == nil || cw.C == nil || cw.PW == nil {
 		return nil, fmt.Errorf("indexmerge: incomplete compressed workload")
@@ -622,18 +603,18 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, p
 		}
 		opt = wscale.NewChecker(compressed, 0, opts.CostConstraint)
 	default:
-		opt = core.NewOptimizerChecker(m.opt, m.w, baseCost, opts.CostConstraint)
-		opt.Cache = opts.CostCache
-		opt.KeyNamespace = opts.CacheNamespace
-		opt.Prepared = pw
+		if opt, err = m.queryChecker(pw, baseCost, opts.CostConstraint); err != nil {
+			return nil, 0, nil, err
+		}
 	}
 	opt.Parallelism = opts.Parallelism
 	// Interface-typed so a nil binding stays a nil interface.
 	if opts.Workers != nil {
 		opt.Batch = opts.Workers
 	}
-	// The store and the remote counters may be shared across runs by the
-	// advisor service: a run reports deltas.
+	// The engine, with its store and remote counters, can outlive the run
+	// (the Merger's compressed form, a supplied form's per-query engine):
+	// a run reports deltas.
 	batches0, items0, fallbacks0 := opt.RemoteStats()
 	var hits0, misses0 int64
 	if compressed != nil {
@@ -680,6 +661,24 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, p
 		check = resilient
 	}
 	return check, bound, report, nil
+}
+
+// queryChecker returns a checker over the workload's per-query units
+// with U = baseCost × (1 + slackPct). A Merger over a supplied form
+// prices through the form's per-query engine, whose cells outlive the run
+// as the form does; any other starts every run on an empty store of its
+// own.
+func (m *Merger) queryChecker(pw *PreparedWorkload, baseCost, slackPct float64) (*core.OptimizerChecker, error) {
+	if !m.supplied {
+		c := core.NewOptimizerChecker(m.opt, m.w, baseCost, slackPct)
+		c.Prepared = pw
+		return c, nil
+	}
+	cw, err := m.CompressedWorkload()
+	if err != nil {
+		return nil, err
+	}
+	return cw.QueryPricer().NewChecker(baseCost, slackPct), nil
 }
 
 // checker builds the run's resilient checker from the options: the
@@ -741,8 +740,10 @@ func (m *Merger) MergeDualContext(ctx context.Context, initialDefs []IndexDef, s
 	if err != nil {
 		return nil, err
 	}
-	coster := core.NewOptimizerChecker(m.opt, m.w, baseCost, 0)
-	coster.Prepared = pw
+	coster, err := m.queryChecker(pw, baseCost, 0)
+	if err != nil {
+		return nil, err
+	}
 	res, err := core.CostMinimalContext(ctx, initial, &core.MergePairCost{Seek: seek}, coster, m.db, storageBudget)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"indexmerge/internal/core"
+	"indexmerge/internal/core/costcache"
 	"indexmerge/internal/datagen"
 	"indexmerge/internal/experiments"
 	"indexmerge/internal/optimizer"
@@ -373,5 +374,100 @@ func TestMergerOverSuppliedForm(t *testing.T) {
 	}
 	if _, err := cold.MergeDefsContext(ctx, defs, compressed); err != nil {
 		t.Errorf("cold Merger's merge after Analyze: %v", err)
+	}
+}
+
+// TestWindowFormPricesQueriesPrivately: a per-query cell encodes its
+// query's position and frequency, and a window's persistent table
+// outlives the snapshots whose positions and frequencies those are. Over
+// two successive snapshots whose member positions differ, a plain-model
+// Merger over each snapshot's form decides — counters included — what a
+// cold Merger over that snapshot's workload decides, and never writes to
+// the window's table.
+func TestWindowFormPricesQueriesPrivately(t *testing.T) {
+	lab, err := experiments.NewSynthetic1Lab(experiments.LabOptions{Scale: 0.25, WorkloadQueries: 6, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := lab.DB
+	w, err := workload.Generate(db, workload.Options{Class: workload.Complex, Queries: 8, Duplication: 30, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw, err := optimizer.PrepareWorkload(w, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]wscale.IngestItem, w.Len())
+	for i, q := range w.Queries {
+		items[i] = wscale.IngestItem{Stmt: q.Stmt, PQ: pw.Queries[i], Freq: q.Freq, Text: q.Text, Fingerprint: q.Fingerprint}
+	}
+	ctx := context.Background()
+	opts := MergeOptions{CostConstraint: 0.10}
+	win := wscale.NewWindow(wscale.WindowConfig{Seed: 1})
+	table := costcache.New(0)
+	var texts []string // the first snapshot's statement at each position
+	// Half the statements, then the rest: the second half adds members to
+	// templates the first half opened, which moves every later template's.
+	for _, batch := range [][]wscale.IngestItem{items[:len(items)/2], items[len(items)/2:]} {
+		win.Ingest(batch)
+		snap := win.Snapshot()
+		form, err := wscale.PrepareWindowed(snap, optimizer.New(db), table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The window's own engine fills the table, as a re-tune does.
+		if _, err := form.WorkloadCostContext(ctx, core.NewConfiguration(nil)); err != nil {
+			t.Fatal(err)
+		}
+		cells := table.Len()
+
+		cold, err := NewMerger(db, snap.W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defs, err := cold.InitialConfiguration(ctx, 0, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.MergeDefsContext(ctx, defs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		over, err := NewMergerOver(db, form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := over.MergeDefsContext(ctx, defs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mergeKey(got) != mergeKey(want) {
+			t.Errorf("snapshot of %d members: merge diverged from a cold Merger's:\n got: %s\nwant: %s", snap.W.Len(), mergeKey(got), mergeKey(want))
+		}
+		if len(want.Steps) == 0 || want.OptimizerCalls == 0 {
+			t.Errorf("snapshot of %d members: %d steps, %d optimizer calls; the comparison has no teeth", snap.W.Len(), len(want.Steps), want.OptimizerCalls)
+		}
+		if _, err := over.MergeDualContext(ctx, defs, db.ConfigurationBytes(defs)/2); err != nil {
+			t.Fatal(err)
+		}
+		if n := table.Len(); n != cells {
+			t.Errorf("snapshot of %d members: plain-model runs wrote %d cells to the window's table", snap.W.Len(), n-cells)
+		}
+		if texts == nil {
+			for _, q := range snap.W.Queries {
+				texts = append(texts, q.Text)
+			}
+			continue
+		}
+		moved := 0
+		for i, text := range texts {
+			if snap.W.Queries[i].Text != text {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Error("every position of the first snapshot holds the same statement in the second; the test has no teeth")
+		}
 	}
 }

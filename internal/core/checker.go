@@ -63,8 +63,9 @@ type ConstraintChecker interface {
 // the base.
 //
 // NewOptimizerChecker prices a workload query by query (the engine is
-// made on first use from Server, W, Prepared, Cache and KeyNamespace);
-// Pricer.NewChecker prices whatever units its engine holds.
+// made on first use from Server, W and Prepared, over a store of the
+// checker's own); Pricer.NewChecker prices whatever units its engine
+// holds.
 //
 // The checker is safe for concurrent use: the store is sharded and
 // deduplicates in-flight computations so two workers never optimize
@@ -81,18 +82,6 @@ type OptimizerChecker struct {
 	// checker across all concurrent evaluations. <= 1 means fully serial
 	// costing.
 	Parallelism int
-
-	// Cache, when non-nil, supplies an external what-if cost cache to
-	// use instead of a private one — the advisor service shares one
-	// bounded cache across all of a session's jobs. Set before the
-	// first evaluation. When the cache is shared across checkers built
-	// over *different* workloads, KeyNamespace must distinguish them:
-	// per-query keys embed only the query's position in the workload.
-	Cache *costcache.Cache
-	// KeyNamespace is prepended (with a reserved separator) to every
-	// cache key. Choose one distinct namespace per workload when
-	// sharing Cache.
-	KeyNamespace string
 
 	// Prepared is W prepared against the Server's statistics. A caller
 	// that holds it already (the facade and the advisor service prepare
@@ -149,28 +138,24 @@ func NewOptimizerChecker(server CostServer, w *sql.Workload, baseCost, slackPct 
 }
 
 // lazyInit builds, on first use, the worker semaphore and — unless the
-// constructor supplied an engine — the engine over W's singleton units,
-// preparing W when the caller supplied no Prepared. Its error is every
-// evaluation's error.
+// constructor supplied an engine — a NewQueryPricer engine over W and a
+// store of its own, preparing W when the caller supplied no Prepared.
+// Its error is every evaluation's error.
 func (c *OptimizerChecker) lazyInit() error {
 	c.once.Do(func() {
 		c.sem = make(chan struct{}, max(c.Parallelism, 1))
 		if c.pricer != nil {
 			return
 		}
-		store := c.Cache
-		if store == nil {
-			store = costcache.New(0)
-		}
 		pw, err := preparedFor(c.Server, c.W, c.Prepared)
 		if err != nil {
 			// An engine over no units: the accessors have a store and
 			// counters to read, every evaluation fails before pricing.
 			c.initErr = err
-			c.pricer = NewPricer("Cost-Opt", c.Server, pw, nil, store)
+			c.pricer = NewPricer("Cost-Opt", c.Server, pw, nil, costcache.New(0))
 			return
 		}
-		c.pricer = NewPricer("Cost-Opt", c.Server, pw, singletonUnits(c.W, c.KeyNamespace), store)
+		c.pricer = NewQueryPricer(c.Server, c.W, pw, costcache.New(0))
 	})
 	return c.initErr
 }

@@ -50,11 +50,10 @@ type Cache struct {
 	shards      []shard
 	maxPerShard int // 0 = unbounded
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	dedups    atomic.Int64
-	evictions atomic.Int64
-	bytes     atomic.Int64 // approximate resident bytes (entryBytes per entry)
+	hits   atomic.Int64
+	misses atomic.Int64
+	dedups atomic.Int64
+	bytes  atomic.Int64 // approximate resident bytes (entryBytes per entry)
 }
 
 // entryBytes approximates one cached entry's resident footprint beyond
@@ -206,7 +205,6 @@ func (c *Cache) insertLocked(s *shard, key string, val float64) {
 				s.fifo = s.fifo[1:]
 				if _, ok := s.vals[old]; ok {
 					delete(s.vals, old)
-					c.evictions.Add(1)
 					c.bytes.Add(-entrySize(old))
 				}
 			}
@@ -235,7 +233,6 @@ func (c *Cache) EvictOldest(n int) int {
 			s.fifo = s.fifo[1:]
 			if _, ok := s.vals[old]; ok {
 				delete(s.vals, old)
-				c.evictions.Add(1)
 				c.bytes.Add(-entrySize(old))
 				dropped++
 			}
@@ -243,24 +240,6 @@ func (c *Cache) EvictOldest(n int) int {
 		s.mu.Unlock()
 	}
 	return dropped
-}
-
-// Reset discards every cached value (and pending eviction order) while
-// keeping the cumulative hit/miss/dedup/eviction counters. In-flight
-// computations are unaffected: they publish into the emptied cache
-// when they finish. The advisor service calls this when a session's
-// statistics are rebuilt and previously cached costs go stale.
-func (c *Cache) Reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for key := range s.vals {
-			c.bytes.Add(-entrySize(key))
-		}
-		s.vals = make(map[string]float64)
-		s.fifo = nil
-		s.mu.Unlock()
-	}
 }
 
 // Len returns the number of cached entries.
@@ -281,11 +260,8 @@ func (c *Cache) Stats() (hits, misses, dedups int64) {
 	return c.hits.Load(), c.misses.Load(), c.dedups.Load()
 }
 
-// Evictions reports how many entries the size bound has pushed out.
-func (c *Cache) Evictions() int64 { return c.evictions.Load() }
-
 // Bytes reports the approximate resident footprint of the cached
 // entries (key length plus a fixed per-entry overhead). The figure is
-// maintained incrementally on insert/evict/reset, so it costs one
+// maintained incrementally on insert and evict, so it costs one
 // atomic load — the accounting basis for per-tenant memory budgets.
 func (c *Cache) Bytes() int64 { return c.bytes.Load() }

@@ -458,10 +458,10 @@ func (r *deltaRig) doubledUnits(scale float64) *Pricer {
 	pw2 := &optimizer.PreparedWorkload{Queries: append(append([]*optimizer.PreparedQuery(nil), r.pw.Queries...), r.pw.Queries...)}
 	units := make([]Unit, n)
 	for i, q := range r.w.Queries {
-		units[i] = Unit{Members: []int{i, i + n}, Weights: []float64{q.Freq, q.Freq}, Scale: 1, Prefix: "t" + strconv.Itoa(i) + string(keySepNS)}
+		units[i] = Unit{Members: []int{i, i + n}, Weights: []float64{q.Freq, q.Freq}, Scale: 1, Prefix: "t" + strconv.Itoa(i) + "\x1d"}
 		if scale != 0 {
 			units[i].Weights, units[i].Scale = []float64{1, 1}, scale
-			units[i].Prefix = "f" + strconv.Itoa(i) + "e0" + string(keySepNS)
+			units[i].Prefix = "f" + strconv.Itoa(i) + "e0\x1d"
 		}
 	}
 	return NewPricer("doubled", r.opt, pw2, units, costcache.New(0))

@@ -224,7 +224,8 @@ func TestWorkloadCostConcurrentStress(t *testing.T) {
 // contract: two configurations share a query's key exactly when their
 // relevant subsets — the set of indexes relevant to the query
 // (IndexRelevant), whatever their order in the configuration — coincide,
-// and the separator bytes can never occur inside an index key.
+// and the bytes that end an index key and a unit's prefix (a query's
+// '|', a template's '\x1d') can never occur inside an index key.
 func TestQueryKeyUnambiguous(t *testing.T) {
 	f := newSearchFixture(t)
 
@@ -233,7 +234,7 @@ func TestQueryKeyUnambiguous(t *testing.T) {
 	ixs := append([]*Index(nil), f.initial.Indexes...)
 	ixs = append(ixs, NewIndex(def("fact", "m2", "m3")), NewIndex(def("fact", "pad")), NewIndex(def("dim", "name")))
 	for _, ix := range ixs {
-		if strings.ContainsRune(ix.Key(), keySepIndex) || strings.ContainsRune(ix.Key(), keySepNS) {
+		if strings.ContainsAny(ix.Key(), string(keySepIndex)+"|\x1d") {
 			t.Fatalf("index key %q contains a reserved separator byte", ix.Key())
 		}
 	}

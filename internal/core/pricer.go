@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,14 +15,11 @@ import (
 	"indexmerge/internal/sql"
 )
 
-// Store-key separators. Index keys are built from SQL identifiers and
-// "(),", so the ASCII unit/group separators can never occur inside
-// them; they make the concatenated key unambiguous (no two distinct
-// relevant-configuration states can collide).
-const (
-	keySepIndex = '\x1f' // terminates each index key
-	keySepNS    = '\x1d' // terminates the namespace part of a unit's prefix
-)
+// keySepIndex terminates each index key of a store key. Index keys are
+// built from SQL identifiers and "(),", so the ASCII unit separator can
+// never occur inside them; it makes the concatenated key unambiguous (no
+// two distinct relevant-configuration states can collide).
+const keySepIndex = '\x1f'
 
 // Unit is one term of the decomposed workload cost (§3.4.2, and CoPhy's
 // cost cell in PAPERS.md): Cost(W, C) = Σ_units cell(u, C) × Scale,
@@ -50,11 +47,12 @@ type Unit struct {
 	Prefix string
 }
 
-// singletonUnits is the plain cost model: one unit per query, weighted
-// by its frequency, under keys "<namespace>\x1dq<position>|…". A
-// namespace is one registration and a registration's frequencies are
-// fixed, so a store shared across searches may hold the weighted cost.
-func singletonUnits(w *sql.Workload, namespace string) []Unit {
+// NewQueryPricer builds the plain cost model's engine: one unit per
+// query of w (prepared as pw), weighted by its frequency, under keys
+// "q<position>|…". A cell encodes its query's position and frequency,
+// so store may hold other engines' cells of the same workload but must
+// not outlive it.
+func NewQueryPricer(srv CostServer, w *sql.Workload, pw *optimizer.PreparedWorkload, store *costcache.Cache) *Pricer {
 	n := len(w.Queries)
 	members, weights := make([]int, n), make([]float64, n)
 	units := make([]Unit, n)
@@ -64,10 +62,10 @@ func singletonUnits(w *sql.Workload, namespace string) []Unit {
 			Members: members[qi : qi+1],
 			Weights: weights[qi : qi+1],
 			Scale:   1,
-			Prefix:  fmt.Sprintf("%s%cq%d|", namespace, keySepNS, qi),
+			Prefix:  "q" + strconv.Itoa(qi) + "|",
 		}
 	}
-	return units
+	return NewPricer("Cost-Opt", srv, pw, units, store)
 }
 
 // maxBoundEntries caps the per-unit list of exactly costed cells kept
@@ -105,9 +103,10 @@ type BatchCostServer interface {
 // units of a prepared workload, the store of their cells keyed by the
 // subset of a configuration relevant to each, the relevance memo, and
 // the lower bounds that prune hopeless candidates. It lives as long as
-// its store is meant to — one search for a plain checker, one
-// registration for a compressed workload — and is safe for any number
-// of concurrent checkers.
+// its store is meant to — one search for a checker built by
+// NewOptimizerChecker, one registration for either unit list of a
+// registered workload — and is safe for any number of concurrent
+// checkers.
 type Pricer struct {
 	desc  string
 	srv   CostServer

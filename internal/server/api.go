@@ -289,19 +289,16 @@ type SessionInfo struct {
 	// Tenant is the owning tenant for quota accounting.
 	Tenant string `json:"tenant,omitempty"`
 	// AccountedBytes is the session's byte-accounted memory footprint
-	// (cost cache + workload cost tables + continuous window), the
+	// (workload cost tables + continuous window and its table), the
 	// basis for the tenant memory budget.
 	AccountedBytes int64    `json:"accounted_bytes,omitempty"`
 	DB             string   `json:"db"`
 	Tables         int      `json:"tables"`
 	DataBytes      int64    `json:"data_bytes"`
 	Workloads      []string `json:"workloads"`
-	CacheLen       int      `json:"cache_entries"`
 	// PreparedQueries is the total number of query descriptors prepared
-	// at workload registration; PreparedReuse counts the costing
-	// requests and jobs that reused them instead of re-walking ASTs.
+	// at workload registration.
 	PreparedQueries int       `json:"prepared_queries"`
-	PreparedReuse   int64     `json:"prepared_reuse"`
 	CreatedAt       time.Time `json:"created_at"`
 	// Continuous reports the control-loop state of a continuous
 	// session (nil for request/response sessions).

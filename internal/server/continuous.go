@@ -128,7 +128,7 @@ const (
 // journaled spec and the built-in defaults alone, so replay rebuilds
 // the loop the live process ran whatever the restarted process's
 // configuration. tableMax bounds the windowed cost table (<= 0
-// unbounded), matching the session's cache bound.
+// unbounded), as it bounds each registration's.
 func newContinuous(spec ContinuousSpec, tableMax int) *continuous {
 	if spec.MinImprovement <= 0 {
 		spec.MinImprovement = defaultMinImprovement

@@ -166,16 +166,10 @@ func (m *Metrics) observeShed(reason, tenant string) {
 // SessionGauges is a point-in-time per-session snapshot gathered at
 // scrape time.
 type SessionGauges struct {
-	Name           string
-	CacheEntries   int
-	CacheHits      int64
-	CacheMisses    int64
-	CacheDedups    int64
-	CacheEvictions int64
-	PreparedReuse  int64
-	// Compression counters, summed over the session's registered
-	// workloads: template count, and the (template, atom) cost tables'
-	// size and hit/miss totals.
+	Name string
+	// Summed over the session's registered workloads: template count, and
+	// the cost tables' size and hit/miss totals over both cost models'
+	// cells.
 	Templates        int
 	CostTableEntries int
 	CostTableHits    int64
@@ -302,11 +296,6 @@ func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, poo
 
 	fmt.Fprintln(w, "# TYPE idxmerged_sessions gauge")
 	fmt.Fprintf(w, "idxmerged_sessions %d\n", len(sessions))
-	fmt.Fprintln(w, "# TYPE idxmerged_costcache_entries gauge")
-	fmt.Fprintln(w, "# TYPE idxmerged_costcache_hits_total counter")
-	fmt.Fprintln(w, "# TYPE idxmerged_costcache_misses_total counter")
-	fmt.Fprintln(w, "# TYPE idxmerged_costcache_evictions_total counter")
-	fmt.Fprintln(w, "# TYPE idxmerged_prepared_reuse_total counter")
 	fmt.Fprintln(w, "# TYPE idxmerged_workload_templates gauge")
 	fmt.Fprintln(w, "# TYPE idxmerged_costtable_entries gauge")
 	fmt.Fprintln(w, "# TYPE idxmerged_costtable_hits_total counter")
@@ -322,11 +311,6 @@ func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, poo
 	fmt.Fprintln(w, "# TYPE idxmerged_session_applies_total counter")
 	fmt.Fprintln(w, "# TYPE idxmerged_session_rollbacks_total counter")
 	for _, s := range sessions {
-		fmt.Fprintf(w, "idxmerged_costcache_entries{session=%q} %d\n", s.Name, s.CacheEntries)
-		fmt.Fprintf(w, "idxmerged_costcache_hits_total{session=%q} %d\n", s.Name, s.CacheHits)
-		fmt.Fprintf(w, "idxmerged_costcache_misses_total{session=%q} %d\n", s.Name, s.CacheMisses)
-		fmt.Fprintf(w, "idxmerged_costcache_evictions_total{session=%q} %d\n", s.Name, s.CacheEvictions)
-		fmt.Fprintf(w, "idxmerged_prepared_reuse_total{session=%q} %d\n", s.Name, s.PreparedReuse)
 		fmt.Fprintf(w, "idxmerged_workload_templates{session=%q} %d\n", s.Name, s.Templates)
 		fmt.Fprintf(w, "idxmerged_costtable_entries{session=%q} %d\n", s.Name, s.CostTableEntries)
 		fmt.Fprintf(w, "idxmerged_costtable_hits_total{session=%q} %d\n", s.Name, s.CostTableHits)

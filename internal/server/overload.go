@@ -20,8 +20,7 @@ import (
 //
 //	stage 1 (>= 75%): shed sync costing; shrink continuous windows to
 //	  brownoutWindowMax members per template and evict cold cost-table
-//	  and cost-cache entries until memory is back under the stage-1
-//	  threshold.
+//	  entries until memory is back under the stage-1 threshold.
 //	stage 2 (>= 90%): also shed ingest folds (the observed-cost
 //	  guardrail still runs — rollback protection must survive
 //	  overload), shed re-tune cycles, and force compressed costing on
@@ -37,7 +36,7 @@ const (
 	// repeated evaluations are idempotent.
 	brownoutWindowMax = 8
 	// evictChunk is how many cold entries each eviction round drops
-	// from each cache/table while memory is over the stage-1 line.
+	// from each table while memory is over the stage-1 line.
 	evictChunk = 256
 )
 
@@ -119,9 +118,9 @@ func (s *Server) evalBrownout() int {
 // shedColdState is the stage-1 action: clamp continuous windows to
 // the brownout reservoir bound (recorded in the session's order, so
 // replay drives the seeded reservoirs down the same sampling paths),
-// then evict cold cost-cache and cost-table entries until accounted
-// memory is back under the stage-1 threshold. Idempotent: windows
-// already at the bound and memory already under the line are left alone.
+// then evict cold cost-table entries until accounted memory is back
+// under the stage-1 threshold. Idempotent: windows already at the bound
+// and memory already under the line are left alone.
 func (s *Server) shedColdState() {
 	sessions := s.reg.List()
 	for _, sess := range sessions {
@@ -145,8 +144,8 @@ func (s *Server) shedColdState() {
 	}
 	target := int64(float64(s.memBudget) * brownoutStage1)
 	// Bounded rounds: each round drops up to evictChunk entries per
-	// cache per session; stop once under target or nothing evictable
-	// remains (unbounded caches keep no order and never evict).
+	// table per session; stop once under target or nothing evictable
+	// remains (unbounded tables keep no order and never evict).
 	for round := 0; round < 1024; round++ {
 		if s.reg.totalBytes() <= target {
 			return
@@ -162,11 +161,10 @@ func (s *Server) shedColdState() {
 }
 
 // evictCold drops up to n of the oldest entries from each of the
-// session's cost stores: the shared what-if cache, every registered
-// workload's (template, atom) cost table, and the continuous windowed
-// table. Returns how many entries went.
+// session's cost stores: every registered workload's cost table and the
+// continuous windowed table. Returns how many entries went.
 func (s *Session) evictCold(n int) int {
-	dropped := s.cache.EvictOldest(n)
+	dropped := 0
 	s.mu.Lock()
 	rws := make([]*registeredWorkload, 0, len(s.workloads))
 	for _, rw := range s.workloads {

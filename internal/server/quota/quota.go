@@ -31,8 +31,8 @@ type Limits struct {
 	// IngestBurst caps the bucket (defaults to IngestPerSec when unset
 	// but rate-limited).
 	IngestBurst float64
-	// MemoryBytes bounds a tenant's byte-accounted footprint (windows,
-	// cost tables, cost caches).
+	// MemoryBytes bounds a tenant's byte-accounted footprint (windows
+	// and cost tables).
 	MemoryBytes int64
 }
 

@@ -29,8 +29,9 @@ type Config struct {
 	// QueueCap bounds pending jobs (default 8); submissions beyond it
 	// get 429.
 	QueueCap int
-	// CacheMaxEntries bounds each session's what-if cost cache
-	// (default 1 << 20 entries; <= 0 means unbounded).
+	// CacheMaxEntries bounds each registered workload's cost table, which
+	// holds both cost models' cells, and each continuous window's table
+	// (default 1 << 20 entries each; <= 0 means unbounded).
 	CacheMaxEntries int
 	// Logger receives structured request and job logs (default
 	// slog.Default()).
@@ -51,7 +52,7 @@ type Config struct {
 	// Quota sets per-tenant admission limits (zero fields = unlimited).
 	Quota quota.Limits
 	// MemoryBudgetBytes is the GLOBAL byte-accounted memory budget
-	// (windows + cost tables + cost caches, summed over every session)
+	// (windows + cost tables, summed over every session)
 	// that drives the brownout ladder: pressure >= 75% of it shrinks
 	// windows and evicts cold cost state, >= 90% forces compressed
 	// costing and sheds ingest/retunes, >= 97% rejects new work.
@@ -645,7 +646,6 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request, sess *Sessio
 		writeErr(w, http.StatusInternalServerError, "cost: %v", err)
 		return
 	}
-	sess.preparedReuse.Add(1)
 	s.metrics.optimizerCalls.Add(int64(len(pw.W.Queries)))
 	writeJSON(w, http.StatusOK, CostResponse{Cost: total})
 }
@@ -804,6 +804,16 @@ func BuildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 		NoCostP:        o.NoCostP,
 		Parallelism:    o.Parallelism,
 	}
+	// The facade reads 0 as "the default"; a negative value would be read
+	// the same way, silently, so it is refused here.
+	for _, v := range []struct {
+		name string
+		v    float64
+	}{{"constraint", o.Constraint}, {"nocost_f", o.NoCostF}, {"nocost_p", o.NoCostP}} {
+		if !(v.v >= 0) {
+			return opts, fmt.Errorf("%s %v out of range [0, +Inf) (0 selects the default)", v.name, v.v)
+		}
+	}
 	switch o.MergePair {
 	case "", "cost":
 	case "syntactic":
@@ -857,8 +867,8 @@ func BuildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 // a cmd/idxmerge run over identical inputs produce byte-identical
 // results. The Merger holds the workload's registration-time prepared
 // descriptors and compressed form (one per registration, shared across
-// its jobs); the session's shared cost cache (namespaced by
-// registration) carries what-if costs across the session's jobs.
+// its jobs), whose cost table carries both cost models' cells from one
+// job on the registration to the next.
 func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw *registeredWorkload,
 	initial InitialSpec, explicitDefs []catalog.IndexDef, opts indexmerge.MergeOptions,
 	dualFrac float64) jobRun {
@@ -884,7 +894,6 @@ func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw
 				return nil, err
 			}
 		}
-		sess.preparedReuse.Add(1)
 
 		if dualFrac > 0 {
 			budget := int64(float64(sess.db.ConfigurationBytes(defs)) * dualFrac)
@@ -897,12 +906,6 @@ func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw
 		}
 
 		opts.Progress = s.jobs.progressOf(j)
-		opts.CostCache = sess.cache
-		// Namespace by registration, not name: after a replace, a job
-		// that captured the old registration keeps its own namespace and
-		// can never be served costs computed for the new queries (or
-		// vice versa).
-		opts.CacheNamespace = rw.ns
 		if opts.Resilience != nil {
 			// One breaker per session: repeated costing failures in any
 			// job open it for the whole session until the cooldown probe

@@ -338,7 +338,7 @@ func TestWorkloadsAndSyncCost(t *testing.T) {
 
 	h.mustCall(t, "POST", "/v1/sessions/s/workloads",
 		RegisterWorkloadRequest{Name: "w", SQL: fixtureSQL}, nil, http.StatusCreated)
-	// Workload names are single-assignment (cache-namespace contract).
+	// A registered name is rebound only by a request that says replace.
 	h.mustCall(t, "POST", "/v1/sessions/s/workloads",
 		RegisterWorkloadRequest{Name: "w", SQL: fixtureSQL}, nil, http.StatusConflict)
 	h.mustCall(t, "POST", "/v1/sessions/s/workloads",
@@ -382,6 +382,7 @@ func TestJobValidation(t *testing.T) {
 		{Workload: "w", Options: JobOptions{Search: "zag"}},
 		{Workload: "w", Options: JobOptions{CostModel: "zog"}},
 		{Workload: "w", Options: JobOptions{DualBudgetFrac: 1.5}},
+		{Workload: "w", Options: JobOptions{Constraint: -0.5}},
 		{Workload: "w", Initial: &InitialSpec{Indexes: []IndexDefPayload{{Table: "ghost", Columns: []string{"x"}}}}},
 		{Workload: "w", Initial: &InitialSpec{N: -3}},
 		{Kind: "tune", Workload: "w", Initial: &InitialSpec{N: -1}},
@@ -395,6 +396,7 @@ func TestJobValidation(t *testing.T) {
 	for body, want := range map[string]string{
 		`{"workload":"w","initial":{"n":-3}}`:               "want n > 0, or 0 to tune the whole workload",
 		`{"workload":"w","options":{"dual_budget_frac":1}}`: "out of range [0, 1)",
+		`{"workload":"w","options":{"constraint":-0.5}}`:    "constraint -0.5 out of range [0, +Inf)",
 	} {
 		var resp ErrorResponse
 		h.mustCall(t, "POST", "/v1/sessions/s/jobs", body, &resp, http.StatusBadRequest)
@@ -413,6 +415,34 @@ func TestJobValidation(t *testing.T) {
 	h.mustCall(t, "GET", "/v1/jobs/nope", nil, nil, http.StatusNotFound)
 	h.mustCall(t, "POST", "/v1/jobs/nope/cancel", nil, nil, http.StatusNotFound)
 	h.mustCall(t, "GET", "/v1/jobs/nope/result", nil, nil, http.StatusNotFound)
+}
+
+// TestBuildMergeOptionsRefuses: every value the option table refuses is
+// an error that names what is accepted — never a silent default — and
+// the zero value of each knob is accepted.
+func TestBuildMergeOptionsRefuses(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		o    JobOptions
+		want string
+	}{
+		{"mergepair", JobOptions{MergePair: "zig"}, `unknown mergepair "zig" (want cost, syntactic or exhaustive)`},
+		{"search", JobOptions{Search: "zag"}, `unknown search "zag" (want greedy or exhaustive)`},
+		{"costmodel", JobOptions{CostModel: "zog"}, `unknown costmodel "zog" (want opt, nocost, prefilter or compressed)`},
+		{"dual below", JobOptions{DualBudgetFrac: -0.1}, "dual_budget_frac -0.1 out of range [0, 1)"},
+		{"dual at 1", JobOptions{DualBudgetFrac: 1}, "dual_budget_frac 1 out of range [0, 1)"},
+		{"constraint", JobOptions{Constraint: -0.5}, "constraint -0.5 out of range [0, +Inf) (0 selects the default)"},
+		{"constraint NaN", JobOptions{Constraint: math.NaN()}, "constraint NaN out of range [0, +Inf) (0 selects the default)"},
+		{"nocost_f", JobOptions{NoCostF: -0.6}, "nocost_f -0.6 out of range [0, +Inf) (0 selects the default)"},
+		{"nocost_p", JobOptions{NoCostP: -0.25}, "nocost_p -0.25 out of range [0, +Inf) (0 selects the default)"},
+	} {
+		if _, err := BuildMergeOptions(c.o); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+	if _, err := BuildMergeOptions(JobOptions{}); err != nil {
+		t.Errorf("zero options refused: %v", err)
+	}
 }
 
 // TestMergeJobMatchesDirectRun is the tentpole acceptance check: a
@@ -538,7 +568,7 @@ func TestCancelMidSearch(t *testing.T) {
 
 	// The session is reusable after cancellation; the rerun's final
 	// configuration matches the direct run (counters may differ — the
-	// session cache is warm from the canceled attempt).
+	// registration's cost table is warm from the canceled attempt).
 	id2 := h.submitJob(t, "s")
 	st2 := h.waitTerminal(t, id2)
 	if st2.State != string(JobDone) {
@@ -628,7 +658,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`idxmerged_jobs_total{state="done"} 1`,
 		"idxmerged_jobs_submitted_total 1",
 		"idxmerged_sessions 1",
-		`idxmerged_costcache_entries{session="s"}`,
+		`idxmerged_costtable_entries{session="s"}`,
 		"idxmerged_optimizer_calls_total",
 		"idxmerged_search_seconds_bucket",
 		`idxmerged_search_seconds_bucket{le="+Inf"} 1`,
@@ -636,6 +666,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("metrics output missing %q", series)
+		}
+	}
+	// The session holds no cost store of its own to report.
+	for _, gone := range []string{"idxmerged_costcache_", "idxmerged_prepared_reuse_"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("metrics output has a %s series:\n%s", gone, grepLines(text, gone))
 		}
 	}
 }
@@ -990,65 +1026,132 @@ func TestGeneratedDuplicationCompresses(t *testing.T) {
 	}
 }
 
+// mergeJob runs the fixture's merge over workload on session under the
+// cost model and returns its payload.
+func (h *testServer) mergeJob(t *testing.T, session, workload, costModel string) MergeResultPayload {
+	t.Helper()
+	_, res := h.runJob(t, session, SubmitJobRequest{
+		Workload: workload,
+		Initial:  &InitialSpec{Indexes: fixtureIndexes},
+		Options:  JobOptions{Constraint: 0.3, CostModel: costModel},
+	})
+	if res.Merge == nil {
+		t.Fatalf("job on %s/%s returned no merge payload", session, workload)
+	}
+	return *res.Merge
+}
+
 // TestWorkloadReplaceInvalidatesCostState: re-registering a workload
 // name with Replace rebinds it to new queries and atomically
-// invalidates every cost derived from the old ones — a job over the
-// replaced workload recomputes (cost-table misses > 0) and matches a
-// fresh session registered with the new queries from the start.
+// invalidates every cost derived from the old ones — under either cost
+// model a job over the replaced workload recomputes (cost-table misses,
+// or optimizer calls, > 0) and matches a fresh session registered with
+// the new queries from the start.
 func TestWorkloadReplaceInvalidatesCostState(t *testing.T) {
+	for _, model := range []string{"opt", "compressed"} {
+		t.Run(model, func(t *testing.T) {
+			h := newTestServer(t, Config{})
+			h.newSession(t, "a")
+			// computed is what a run had to cost rather than look up.
+			computed := func(p MergeResultPayload) int64 {
+				if model == "compressed" {
+					return p.CostTableMisses
+				}
+				return p.OptimizerCalls
+			}
+
+			if first := h.mergeJob(t, "a", "w", model); computed(first) == 0 {
+				t.Fatal("first job computed no cost; the fixture has no teeth")
+			}
+
+			// Rebind "w" to different queries. Without Replace this is a 409.
+			h.mustCall(t, "POST", "/v1/sessions/a/workloads",
+				RegisterWorkloadRequest{Name: "w", SQL: driftSQL}, nil, http.StatusConflict)
+			var info WorkloadInfo
+			h.mustCall(t, "POST", "/v1/sessions/a/workloads",
+				RegisterWorkloadRequest{Name: "w", SQL: driftSQL, Replace: true}, &info, http.StatusCreated)
+			if info.Queries != 4 {
+				t.Fatalf("replaced workload info = %+v, want the 4 drift queries", info)
+			}
+
+			second := h.mergeJob(t, "a", "w", model)
+			if computed(second) == 0 {
+				t.Fatal("job over the replaced workload was costed entirely from stale state")
+			}
+
+			// Reference: a fresh session whose "w" held the new queries from
+			// the start must produce the byte-identical payload.
+			h.mustCall(t, "POST", "/v1/sessions",
+				CreateSessionRequest{Name: "b", DB: fixtureDB(t)}, nil, http.StatusCreated)
+			h.mustCall(t, "POST", "/v1/sessions/b/workloads",
+				RegisterWorkloadRequest{Name: "w", SQL: driftSQL}, nil, http.StatusCreated)
+			fresh := h.mergeJob(t, "b", "w", model)
+			second.ElapsedSeconds, fresh.ElapsedSeconds = 0, 0
+			gotJSON, _ := json.Marshal(second)
+			wantJSON, _ := json.Marshal(fresh)
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("replaced-workload job diverged from fresh session:\n got: %s\nwant: %s", gotJSON, wantJSON)
+			}
+		})
+	}
+}
+
+// TestReplaceKeepsOtherWorkloadsCosts: a workload's plain-model cells
+// belong to its registration. A repeated plain job prices from them
+// alone, and replacing another workload of the session leaves them be.
+func TestReplaceKeepsOtherWorkloadsCosts(t *testing.T) {
 	h := newTestServer(t, Config{})
-	h.newSession(t, "a")
+	h.newSession(t, "s")
+	h.mustCall(t, "POST", "/v1/sessions/s/workloads",
+		RegisterWorkloadRequest{Name: "other", SQL: fixtureSQL}, nil, http.StatusCreated)
 
-	submit := func(session string) MergeResultPayload {
-		var sub SubmitJobResponse
-		h.mustCall(t, "POST", "/v1/sessions/"+session+"/jobs", SubmitJobRequest{
-			Workload: "w",
-			Initial:  &InitialSpec{Indexes: fixtureIndexes},
-			Options:  JobOptions{Constraint: 0.3, CostModel: "compressed"},
-		}, &sub, http.StatusAccepted)
-		st := h.waitTerminal(t, sub.ID)
-		if st.State != string(JobDone) {
-			t.Fatalf("job %s = %s (%s), want done", sub.ID, st.State, st.Error)
-		}
-		var res JobResult
-		h.mustCall(t, "GET", "/v1/jobs/"+sub.ID+"/result", nil, &res, http.StatusOK)
-		if res.Merge == nil {
-			t.Fatalf("job %s returned no merge payload", sub.ID)
-		}
-		return *res.Merge
+	first := h.mergeJob(t, "s", "w", "opt")
+	if first.OptimizerCalls == 0 {
+		t.Fatal("first plain job made no optimizer calls; the fixture has no teeth")
 	}
-
-	if first := submit("a"); first.CostTableMisses == 0 {
-		t.Fatal("first job hit no cost table; the fixture has no teeth")
+	if again := h.mergeJob(t, "s", "w", "opt"); again.OptimizerCalls != 0 {
+		t.Errorf("repeated plain job made %d optimizer calls, want 0", again.OptimizerCalls)
 	}
-
-	// Rebind "w" to different queries. Without Replace this is a 409.
-	h.mustCall(t, "POST", "/v1/sessions/a/workloads",
-		RegisterWorkloadRequest{Name: "w", SQL: driftSQL}, nil, http.StatusConflict)
-	var info WorkloadInfo
-	h.mustCall(t, "POST", "/v1/sessions/a/workloads",
-		RegisterWorkloadRequest{Name: "w", SQL: driftSQL, Replace: true}, &info, http.StatusCreated)
-	if info.Queries != 4 {
-		t.Fatalf("replaced workload info = %+v, want the 4 drift queries", info)
+	h.mustCall(t, "POST", "/v1/sessions/s/workloads",
+		RegisterWorkloadRequest{Name: "other", SQL: driftSQL, Replace: true}, nil, http.StatusCreated)
+	after := h.mergeJob(t, "s", "w", "opt")
+	if after.OptimizerCalls != 0 {
+		t.Errorf("after replacing another workload, the plain job made %d optimizer calls, want 0", after.OptimizerCalls)
 	}
-
-	second := submit("a")
-	if second.CostTableMisses == 0 {
-		t.Fatal("job over the replaced workload was costed entirely from stale state")
-	}
-
-	// Reference: a fresh session whose "w" held the new queries from
-	// the start must produce the byte-identical payload.
-	h.mustCall(t, "POST", "/v1/sessions",
-		CreateSessionRequest{Name: "b", DB: fixtureDB(t)}, nil, http.StatusCreated)
-	h.mustCall(t, "POST", "/v1/sessions/b/workloads",
-		RegisterWorkloadRequest{Name: "w", SQL: driftSQL}, nil, http.StatusCreated)
-	fresh := submit("b")
-	second.ElapsedSeconds, fresh.ElapsedSeconds = 0, 0
-	gotJSON, _ := json.Marshal(second)
-	wantJSON, _ := json.Marshal(fresh)
+	after.OptimizerCalls, after.ElapsedSeconds, first.OptimizerCalls, first.ElapsedSeconds = 0, 0, 0, 0
+	gotJSON, _ := json.Marshal(after)
+	wantJSON, _ := json.Marshal(first)
 	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Errorf("replaced-workload job diverged from fresh session:\n got: %s\nwant: %s", gotJSON, wantJSON)
+		t.Errorf("the warm job diverged from the cold one:\n got: %s\nwant: %s", gotJSON, wantJSON)
+	}
+}
+
+// TestPlainCellsAreAccountedAndEvicted: a plain job's cells live in the
+// registration's cost table, so the session's accounted bytes count them
+// and the brownout ladder's eviction drops them.
+func TestPlainCellsAreAccountedAndEvicted(t *testing.T) {
+	h := newTestServer(t, Config{})
+	h.newSession(t, "s")
+	sess, _ := h.srv.reg.Get("s")
+	rw, _ := sess.workloadEntry("w")
+	empty := sess.accountedBytes()
+	if n := rw.compressed.TableLen(); n != 0 {
+		t.Fatalf("a fresh registration's table holds %d cells", n)
+	}
+
+	h.mergeJob(t, "s", "w", "opt")
+	cells := rw.compressed.TableLen()
+	if cells == 0 {
+		t.Fatal("a plain job left no cell in the registration's table")
+	}
+	if got := sess.accountedBytes(); got <= empty {
+		t.Errorf("accounted bytes %d after a plain job, %d before", got, empty)
+	}
+	if dropped := sess.evictCold(cells); dropped != cells {
+		t.Errorf("evictCold dropped %d of %d cells", dropped, cells)
+	}
+	if n, got := rw.compressed.TableLen(), sess.accountedBytes(); n != 0 || got != empty {
+		t.Errorf("after eviction: %d cells, %d accounted bytes; want 0 and %d", n, got, empty)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"indexmerge"
 	"indexmerge/internal/core"
-	"indexmerge/internal/core/costcache"
 	"indexmerge/internal/datagen"
 	"indexmerge/internal/distrib"
 	"indexmerge/internal/engine"
@@ -54,8 +53,8 @@ var (
 // never mutated afterwards, so its read path (optimization, what-if
 // costing) is safe to share. Search jobs are serialized per session by
 // the cap-1 lock channel; jobs on different sessions run in parallel.
-// The shared cost cache carries what-if costs across a session's jobs,
-// namespaced per workload.
+// The session holds no cost store: each registered workload's form owns
+// its cells, as the continuous window owns its table.
 type Session struct {
 	name      string
 	tenant    string
@@ -63,7 +62,6 @@ type Session struct {
 	db        *engine.Database
 	fp        uint64 // database fingerprint, captured at creation
 	pool      *distrib.Pool
-	cache     *costcache.Cache
 	createdAt time.Time
 	deleted   atomic.Bool
 
@@ -76,12 +74,8 @@ type Session struct {
 	// token in the channel means a job is running.
 	lock chan struct{}
 
-	// preparedReuse counts reuses of registration-time prepared
-	// workloads (costing requests and jobs that skipped re-preparation).
-	preparedReuse atomic.Int64
-
-	// tableMax bounds each registered workload's (template, atom) cost
-	// table (same bound as the session cost cache; <= 0 unbounded).
+	// tableMax bounds each registered workload's cost table (<= 0
+	// unbounded).
 	tableMax int
 
 	// snapKey is the snapshot-cache key this session holds a reference
@@ -94,26 +88,20 @@ type Session struct {
 	cont *continuous
 
 	mu        sync.Mutex
-	regSeq    int // registrations performed; namespaces cache keys per binding
 	workloads map[string]*registeredWorkload
 }
 
 // registeredWorkload is a workload's compressed form — the workload
 // compressed.C.W, its prepared descriptors compressed.PW, the templates
-// and their (template, atom) cost table — built once at registration
-// against the session's (immutable) statistics, and the Merger over it
-// that every job on the workload runs on. Costing requests read the
-// form directly. Journal replay rebuilds workloads through this same
-// path, so recovered sessions re-derive the compression automatically.
+// and the cost table of both cost models' cells — built once at
+// registration against the session's (immutable) statistics, and the
+// Merger over it that every job on the workload runs on. Costing
+// requests read the form directly. Journal replay rebuilds workloads
+// through this same path, so recovered sessions re-derive the
+// compression automatically.
 type registeredWorkload struct {
 	compressed *wscale.Prepared // never nil: RegisterWorkload is the only constructor
 	merger     *indexmerge.Merger
-
-	// ns is the workload's cost-cache namespace: the name plus a
-	// per-registration sequence number, so re-registering a name can
-	// never serve what-if costs computed for the previous queries —
-	// even to a job that raced the replacement.
-	ns string
 
 	// binding is the workload's lazily-created worker-pool binding
 	// (nil without a pool, or after a failed bind — the bind is
@@ -172,12 +160,11 @@ func (s *Session) release() { <-s.lock }
 // against the session's statistics; registration fails if any query
 // cannot be prepared. A duplicate name is rejected unless replace is
 // set, in which case the name is atomically rebound: the new queries
-// get freshly-built prepared descriptors and a fresh (template, atom)
-// cost table, the shared what-if cache is reset (its keys are
-// namespaced, but a reset reclaims the dead entries), and the cache
-// namespace rolls over so nothing costed for the old queries can ever
-// answer for the new ones. Jobs already running keep the registration
-// they captured at submit — old queries with old costs, internally
+// get freshly-built prepared descriptors and a fresh cost table, so
+// nothing costed for the old queries can answer for the new ones, and
+// the old cells go with the old registration — no other workload's
+// cells are touched. Jobs already running keep the registration they
+// captured at submit — old queries with old costs, internally
 // consistent.
 func (s *Session) RegisterWorkload(name string, w *sql.Workload, replace bool) (*registeredWorkload, error) {
 	pw, err := optimizer.PrepareWorkload(w, s.db)
@@ -198,17 +185,10 @@ func (s *Session) RegisterWorkload(name string, w *sql.Workload, replace bool) (
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.workloads[name]; ok {
-		if !replace {
-			return nil, ErrWorkloadExists
-		}
-		s.cache.Reset()
+	if _, ok := s.workloads[name]; ok && !replace {
+		return nil, ErrWorkloadExists
 	}
-	s.regSeq++
-	rw := &registeredWorkload{
-		compressed: cp, merger: m,
-		ns: fmt.Sprintf("%s@%d", name, s.regSeq),
-	}
+	rw := &registeredWorkload{compressed: cp, merger: m}
 	s.workloads[name] = rw
 	return rw, nil
 }
@@ -263,9 +243,7 @@ func (s *Session) Info() SessionInfo {
 		Tables:          len(s.db.Schema().Tables()),
 		DataBytes:       s.db.DataBytes(),
 		Workloads:       names,
-		CacheLen:        s.cache.Len(),
 		PreparedQueries: prepared,
-		PreparedReuse:   s.preparedReuse.Load(),
 		CreatedAt:       s.createdAt,
 	}
 	if s.cont != nil {
@@ -275,13 +253,12 @@ func (s *Session) Info() SessionInfo {
 }
 
 // accountedBytes is the session's byte-accounted memory footprint:
-// the shared what-if cost cache, each registered workload's
-// (template, atom) cost table, and — for continuous sessions — the
-// windowed cost table plus the workload window itself. This is the
+// each registered workload's cost table and — for continuous sessions —
+// the windowed cost table plus the workload window itself. This is the
 // figure tenant memory budgets and the global brownout pressure are
 // computed over.
 func (s *Session) accountedBytes() int64 {
-	total := s.cache.Bytes()
+	var total int64
 	s.mu.Lock()
 	for _, rw := range s.workloads {
 		total += rw.compressed.TableBytes()
@@ -293,16 +270,11 @@ func (s *Session) accountedBytes() int64 {
 	return total
 }
 
-// gauges snapshots the session's cache counters for the metrics scrape.
+// gauges snapshots the session's cost-table counters for the metrics
+// scrape.
 func (s *Session) gauges() SessionGauges {
-	hits, misses, _ := s.cache.Stats()
 	g := SessionGauges{
 		Name:               s.name,
-		CacheEntries:       s.cache.Len(),
-		CacheHits:          hits,
-		CacheMisses:        misses,
-		CacheEvictions:     s.cache.Evictions(),
-		PreparedReuse:      s.preparedReuse.Load(),
 		BreakerState:       s.breaker.State().String(),
 		BreakerTransitions: s.breaker.Transitions(),
 	}
@@ -335,21 +307,22 @@ type Registry struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
 	building map[string]bool   // names reserved while their DB builds
-	cacheMax int               // per-session cost cache bound (entries)
+	tableMax int               // bound of every cost table (entries)
 	pool     *distrib.Pool     // shared what-if worker pool (nil = local costing)
 	quota    *quota.Controller // per-tenant admission control
 	snaps    snapshotCache
 }
 
-// NewRegistry creates an empty registry. cacheMax bounds each
-// session's cost cache (<= 0 means unbounded); pool, when non-nil, is
-// the shared what-if worker pool sessions bind workloads against; qc is
-// the per-tenant admission controller (never nil).
-func NewRegistry(cacheMax int, pool *distrib.Pool, qc *quota.Controller) *Registry {
+// NewRegistry creates an empty registry. tableMax bounds each
+// registered workload's and each continuous window's cost table (<= 0
+// means unbounded); pool, when non-nil, is the shared what-if worker
+// pool sessions bind workloads against; qc is the per-tenant admission
+// controller (never nil).
+func NewRegistry(tableMax int, pool *distrib.Pool, qc *quota.Controller) *Registry {
 	return &Registry{
 		sessions: make(map[string]*Session),
 		building: make(map[string]bool),
-		cacheMax: cacheMax,
+		tableMax: tableMax,
 		pool:     pool,
 		quota:    qc,
 	}
@@ -582,8 +555,7 @@ func (r *Registry) Create(req CreateSessionRequest) (*Session, error) {
 		db:        db,
 		fp:        db.Fingerprint(),
 		pool:      r.pool,
-		cache:     costcache.NewBounded(0, r.cacheMax),
-		tableMax:  r.cacheMax,
+		tableMax:  r.tableMax,
 		breaker:   &core.Breaker{},
 		createdAt: time.Now(),
 		snapKey:   snapKey,
@@ -591,7 +563,7 @@ func (r *Registry) Create(req CreateSessionRequest) (*Session, error) {
 		workloads: make(map[string]*registeredWorkload),
 	}
 	if req.Continuous != nil {
-		s.cont = newContinuous(*req.Continuous, r.cacheMax)
+		s.cont = newContinuous(*req.Continuous, r.tableMax)
 	}
 	r.sessions[req.Name] = s
 	return s, nil
@@ -633,7 +605,6 @@ func (r *Registry) Delete(name string) error {
 	// Mark deleted before releasing the slot: already-queued jobs then
 	// acquire, observe the flag and fail fast instead of searching.
 	s.deleted.Store(true)
-	s.cache.Reset()
 	if s.cont != nil {
 		s.cont.stopTicker()
 	}

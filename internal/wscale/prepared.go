@@ -3,20 +3,21 @@ package wscale
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"indexmerge/internal/core"
 	"indexmerge/internal/core/costcache"
 	"indexmerge/internal/optimizer"
 )
 
-// keySepNS ends a template's key prefix, as it ends the namespace of
-// core's per-query keys; it occurs in no table or column name.
+// keySepNS ends a template's key prefix; it occurs in no table or column
+// name.
 const keySepNS = "\x1d"
 
 // Prepared is a compressed workload ready for decomposed costing: the
 // templates, the source workload's prepared descriptors, and core's
-// pricing engine over one unit per template with its per-(template,
-// atom) cost table and pruning bounds. Build once per (workload,
+// pricing engines over its cost table — one unit per template, and on
+// first use one unit per query (QueryPricer). Build once per (workload,
 // statistics) pair — sessions build it at workload registration — and
 // share across any number of concurrent searches.
 type Prepared struct {
@@ -27,6 +28,14 @@ type Prepared struct {
 	// WorkloadCostContext, OptimizerCalls and RemoteStats are Prepared's.
 	*core.Pricer
 	table *costcache.Cache
+
+	// ownsTable says the table lives exactly as long as this form, so the
+	// per-query engine's cells, which encode positions and frequencies, may
+	// live in it too. A window's table outlives every snapshot.
+	ownsTable bool
+	srv       core.CostServer
+	queryOnce sync.Once
+	queries   *core.Pricer
 }
 
 // Prepare pairs a compressed workload with its prepared descriptors
@@ -48,11 +57,13 @@ func Prepare(c *Compressed, pw *optimizer.PreparedWorkload, srv core.CostServer,
 		}
 		units[ti] = core.Unit{Members: t.Members, Weights: weights[lo:], Scale: 1, Prefix: "t" + strconv.Itoa(ti) + keySepNS}
 	}
-	return newPrepared(c, pw, srv, units, costcache.NewBounded(0, maxEntries)), nil
+	p := newPrepared(c, pw, srv, units, costcache.NewBounded(0, maxEntries))
+	p.ownsTable = true
+	return p, nil
 }
 
 func newPrepared(c *Compressed, pw *optimizer.PreparedWorkload, srv core.CostServer, units []core.Unit, table *costcache.Cache) *Prepared {
-	return &Prepared{C: c, PW: pw, table: table,
+	return &Prepared{C: c, PW: pw, table: table, srv: srv,
 		Pricer: core.NewPricer("Cost-Opt-Compressed", srv, pw, units, table)}
 }
 
@@ -62,7 +73,8 @@ func newPrepared(c *Compressed, pw *optimizer.PreparedWorkload, srv core.CostSer
 // template's current weight/members factor when it is read. A re-tune
 // over a drifted window therefore re-prices only templates whose member
 // set changed (epoch bump) or that it has never seen — everything else
-// is a table hit, no matter how the weights moved.
+// is a table hit, no matter how the weights moved. The snapshot's
+// per-query engine keeps its cells in a store of its own.
 func PrepareWindowed(snap *WindowSnapshot, srv core.CostServer, table *costcache.Cache) (*Prepared, error) {
 	if len(snap.PW.Queries) != len(snap.W.Queries) {
 		return nil, fmt.Errorf("wscale: window snapshot has %d prepared queries, %d workload entries",
@@ -86,10 +98,27 @@ func PrepareWindowed(snap *WindowSnapshot, srv core.CostServer, table *costcache
 	return newPrepared(snap.C, snap.PW, srv, units, table), nil
 }
 
-// TableStats returns the cost table's hit/miss/dedup counters.
+// QueryPricer returns the engine over one unit per workload query — the
+// plain cost model's units — built on first use. A form Prepare built
+// keeps its cells in the cost table beside the templates' (keys
+// "q<position>|…"), so they live, are bounded, counted and evicted with
+// the registration; a window snapshot's keeps them in a private store.
+func (p *Prepared) QueryPricer() *core.Pricer {
+	p.queryOnce.Do(func() {
+		store := p.table
+		if !p.ownsTable {
+			store = costcache.New(0)
+		}
+		p.queries = core.NewQueryPricer(p.srv, p.C.W, p.PW, store)
+	})
+	return p.queries
+}
+
+// TableStats returns the cost table's hit/miss/dedup counters, over the
+// cells of both engines when the table holds both.
 func (p *Prepared) TableStats() (hits, misses, dedups int64) { return p.table.Stats() }
 
-// TableLen returns the number of cached (template, atom) entries.
+// TableLen returns the number of cells in the cost table.
 func (p *Prepared) TableLen() int { return p.table.Len() }
 
 // TableBytes returns the cost table's approximate resident footprint

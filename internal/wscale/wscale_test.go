@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"indexmerge/internal/core"
@@ -215,6 +216,61 @@ func TestWorkloadCostMatchesUncompressed(t *testing.T) {
 	hits, _, _ := r.p.TableStats()
 	if hits == 0 {
 		t.Error("no cost-table hits after repeat costing")
+	}
+}
+
+// TestQueryPricerSharesTheTable: a registration's per-query engine is
+// built once however many goroutines ask for it, and both engines keep
+// their cells in the one table without answering for each other: under
+// concurrent use the per-query total is optimizer.WorkloadCostPrepared's
+// bit for bit, the template total the one an engine alone computes, and
+// the table holds both engines' cells.
+func TestQueryPricerSharesTheTable(t *testing.T) {
+	r := newTestRig(t, 40)
+	ctx := context.Background()
+	configs := []*core.Configuration{r.cfg, {Indexes: r.cfg.Indexes[:3]}, {}}
+	wantQuery := make([]float64, len(configs))
+	wantTemplate := make([]float64, len(configs))
+	for i, cfg := range configs {
+		var err error
+		if wantQuery[i], err = r.lab.Opt.WorkloadCostPrepared(r.pw, optimizer.Configuration(cfg.Defs())); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Prepare(r.c, r.pw, r.lab.Opt, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantTemplate[i], err = fresh.WorkloadCostContext(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const goroutines = 4
+	engines := make([]*core.Pricer, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			engines[g] = r.p.QueryPricer()
+			for i, cfg := range configs {
+				if got, err := engines[g].WorkloadCostContext(ctx, cfg); err != nil || math.Float64bits(got) != math.Float64bits(wantQuery[i]) {
+					t.Errorf("goroutine %d, config %d: per-query engine prices %v (%v), want %v", g, i, got, err, wantQuery[i])
+				}
+				if got, err := r.p.WorkloadCostContext(ctx, cfg); err != nil || math.Float64bits(got) != math.Float64bits(wantTemplate[i]) {
+					t.Errorf("goroutine %d, config %d: template engine prices %v (%v), want %v", g, i, got, err, wantTemplate[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, e := range engines {
+		if e != engines[0] {
+			t.Fatalf("goroutine %d got another per-query engine", g)
+		}
+	}
+	if n, units := r.p.TableLen(), len(r.c.Templates)+len(r.w.Queries); n <= len(r.c.Templates) || n > len(configs)*units {
+		t.Errorf("table holds %d cells; want both engines' (more than the %d templates, at most %d)", n, len(r.c.Templates), len(configs)*units)
 	}
 }
 
