@@ -1,10 +1,10 @@
 // Command idxmergew is a stateless what-if costing worker: it builds
-// (or loads) a database snapshot once, freezes it copy-on-write, and
-// serves batched cost RPCs over HTTP for a coordinating idxmerge /
-// idxmerged process (see internal/distrib). Several workers pointed at
-// the same -db/-scale/-seed spec form a pool; the coordinator verifies
-// each worker's database fingerprint before dispatching, so a
-// mismatched worker can never contribute wrong costs.
+// (or loads) a database once, freezes it read-only, and serves batched
+// cost RPCs over HTTP for a coordinating idxmerge / idxmerged process
+// (see internal/distrib). Several workers pointed at the same
+// -db/-scale/-seed spec form a pool; the coordinator verifies each
+// worker's database fingerprint before dispatching, so a mismatched
+// worker can never contribute wrong costs.
 //
 // Usage:
 //
@@ -60,8 +60,8 @@ func main() {
 		log.Error("build database", "db", *dbName, "error", err)
 		os.Exit(1)
 	}
-	// Freeze copy-on-write: the worker costs against an immutable view,
-	// so concurrent batches need no locking and the fingerprint the
+	// Freeze: the worker costs against a read-only database, so
+	// concurrent batches need no locking and the fingerprint the
 	// coordinator verified stays true for the process lifetime.
 	snap := db.Snapshot()
 	wk := distrib.NewWorker(snap.DB())

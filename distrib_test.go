@@ -44,14 +44,14 @@ func mergeKey(r *MergeResult) string {
 		r.Templates, r.CostTableHits, r.CostTableMisses, r.PrunedChecks, r.Degraded)
 }
 
-// startWorkerPool spins n in-process workers over forks of the frozen
-// snapshot and returns a pool over their URLs. wrap, when non-nil,
+// startWorkerPool spins n in-process workers over the frozen
+// snapshot's database and returns a pool over their URLs. wrap, when non-nil,
 // decorates every worker's handler (failure injection).
 func startWorkerPool(t *testing.T, snap *engine.Snapshot, n int, wrap func(http.Handler) http.Handler, opts distrib.Options) *distrib.Pool {
 	t.Helper()
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		h := http.Handler(distrib.NewWorker(snap.Fork()).Handler())
+		h := http.Handler(distrib.NewWorker(snap.DB()).Handler())
 		if wrap != nil {
 			h = wrap(h)
 		}
@@ -371,7 +371,7 @@ func TestWorkerPoolRejectsWrongDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(distrib.NewWorker(wrongDB.Snapshot().Fork()).Handler())
+	srv := httptest.NewServer(distrib.NewWorker(wrongDB.Snapshot().DB()).Handler())
 	defer srv.Close()
 	pool := distrib.NewPool([]string{srv.URL}, distrib.Options{})
 	if _, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w); err == nil {
@@ -389,7 +389,7 @@ func TestWorkerPoolRejectsOldProtocol(t *testing.T) {
 	// One worker of an earlier release beside a current one: it would
 	// misread the one-arm cost request, so it is benched for good at
 	// /v1/info and never asked; the run is unchanged.
-	old := http.Handler(distrib.NewWorker(db.Snapshot().Fork()).Handler())
+	old := http.Handler(distrib.NewWorker(db.Snapshot().DB()).Handler())
 	oldSrv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/info" {
 			fmt.Fprintf(rw, `{"protocol":1,"fingerprint":%q}`, engine.FingerprintString(db.Fingerprint()))
@@ -408,7 +408,7 @@ func TestWorkerPoolRejectsOldProtocol(t *testing.T) {
 		t.Errorf("protocol-1 worker not benched: %+v", st)
 	}
 
-	cur := httptest.NewServer(distrib.NewWorker(db.Snapshot().Fork()).Handler())
+	cur := httptest.NewServer(distrib.NewWorker(db.Snapshot().DB()).Handler())
 	defer cur.Close()
 	pool := distrib.NewPool([]string{oldSrv.URL, cur.URL}, distrib.Options{})
 	b, err := pool.Bind(context.Background(), "t", db.Fingerprint(), w)

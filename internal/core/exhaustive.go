@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -131,21 +130,13 @@ func ExhaustiveContext(ctx context.Context, initial *Configuration, mp MergePair
 				end = len(cands)
 			}
 			batch := cands[w:end]
-			if wave > 1 {
-				var wg sync.WaitGroup
-				for i := range batch {
-					if visited[batch[i].sig] {
-						continue
-					}
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						c := &batch[i]
-						c.ok, c.err = safeAccepts(ctx, check, c.next, c.m, c.a, c.b)
-					}(i)
+			// The wave only reads visited; the loop below writes it.
+			EvalEach(len(batch), wave, func(i int) error {
+				if c := &batch[i]; !visited[c.sig] {
+					c.ok, c.err = safeAccepts(ctx, check, c.next, c.m, c.a, c.b)
 				}
-				wg.Wait()
-			}
+				return nil
+			})
 			for i := range batch {
 				cand := &batch[i]
 				if visited[cand.sig] {
@@ -155,9 +146,6 @@ func ExhaustiveContext(ctx context.Context, initial *Configuration, mp MergePair
 				res.ConfigsExplored++
 				if res.ConfigsExplored > maxConfigs {
 					return fmt.Errorf("core: exhaustive search exceeded %d configurations", maxConfigs)
-				}
-				if wave <= 1 {
-					cand.ok, cand.err = check.Accepts(ctx, cand.next, cand.m, cand.a, cand.b)
 				}
 				res.CostEvaluations++
 				if cand.err != nil {

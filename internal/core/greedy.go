@@ -307,8 +307,6 @@ func GreedyContext(ctx context.Context, initial *Configuration, mp MergePair, ch
 				end = len(eligible)
 			}
 			batch := eligible[w:end]
-			// Serial evaluation stops at the first acceptance, so
-			// verdicts may be shorter than batch; consume what exists.
 			verdicts := evaluateWave(ctx, cur, batch, check, wave)
 			for bi := range verdicts {
 				cand := batch[bi]
@@ -355,37 +353,20 @@ func GreedyContext(ctx context.Context, initial *Configuration, mp MergePair, ch
 	return res, nil
 }
 
-// evaluateWave constraint-checks a batch of candidates against cur,
-// concurrently when parallelism > 1. Checks are speculative: the
-// caller consumes verdicts in order and may discard trailing ones.
+// evaluateWave constraint-checks a batch of candidates against cur
+// through EvalEach, on up to parallelism goroutines. Checks are
+// speculative: the caller consumes verdicts in order and may discard
+// trailing ones. A panicking check is its candidate's *PanicError at
+// any parallelism.
 func evaluateWave(ctx context.Context, cur *Configuration, batch []greedyCandidate, check ConstraintChecker, parallelism int) []verdict {
 	verdicts := make([]verdict, len(batch))
-	if parallelism <= 1 || len(batch) == 1 {
-		for i, cand := range batch {
-			next := cur.ReplacePair(cand.a, cand.b, cand.m)
-			ok, err := check.Accepts(ctx, next, cand.m, cand.a, cand.b)
-			verdicts[i] = verdict{next: next, ok: ok, err: err}
-			// The serial algorithm stops at the first acceptance (or
-			// error); avoid wasted checks when running serially.
-			if ok || err != nil {
-				return verdicts[:i+1]
-			}
-		}
-		return verdicts
-	}
-	done := make(chan int, len(batch))
-	for i := range batch {
-		go func(i int) {
-			cand := batch[i]
-			next := cur.ReplacePair(cand.a, cand.b, cand.m)
-			ok, err := safeAccepts(ctx, check, next, cand.m, cand.a, cand.b)
-			verdicts[i] = verdict{next: next, ok: ok, err: err}
-			done <- i
-		}(i)
-	}
-	for range batch {
-		<-done
-	}
+	EvalEach(len(batch), parallelism, func(i int) error {
+		cand := batch[i]
+		next := cur.ReplacePair(cand.a, cand.b, cand.m)
+		ok, err := safeAccepts(ctx, check, next, cand.m, cand.a, cand.b)
+		verdicts[i] = verdict{next: next, ok: ok, err: err}
+		return nil
+	})
 	return verdicts
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sort"
 	"strings"
@@ -85,6 +86,32 @@ func TestExhaustiveParallelDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		runsEqual(t, serial, parallel)
+	}
+}
+
+// panickingChecker is a checker whose every Accepts panics.
+type panickingChecker struct{ *OptimizerChecker }
+
+func (panickingChecker) Accepts(context.Context, *Configuration, *Index, *Index, *Index) (bool, error) {
+	panic("scripted check panic")
+}
+
+// TestSearchPanicIsAnErrorAtAnyParallelism: a panicking check is the
+// candidate's *PanicError, returned by both searches, serially as well
+// as from a parallel wave.
+func TestSearchPanicIsAnErrorAtAnyParallelism(t *testing.T) {
+	f := newSearchFixture(t)
+	mp := &MergePairCost{Seek: f.seek}
+	for _, par := range []int{1, 4} {
+		check := panickingChecker{f.checker(0.50)}
+		_, gerr := GreedyWithOptions(f.initial, mp, check, f.db, GreedyOptions{Parallelism: par})
+		_, eerr := Exhaustive(f.initial, mp, check, f.db, ExhaustiveOptions{Parallelism: par})
+		for name, err := range map[string]error{"greedy": gerr, "exhaustive": eerr} {
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Value != "scripted check panic" {
+				t.Errorf("%s at parallelism %d: error %v, want the check's *PanicError", name, par, err)
+			}
+		}
 	}
 }
 

@@ -49,8 +49,7 @@ type workerWorkload struct {
 }
 
 // NewWorker builds a worker over db, which must be analyzed and is
-// treated as immutable from here on (freeze it with db.Snapshot() or
-// pass a fork).
+// treated as immutable from here on (freeze it with db.Snapshot()).
 func NewWorker(db *engine.Database) *Worker {
 	wk := &Worker{
 		db:        db,

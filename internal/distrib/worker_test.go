@@ -17,7 +17,7 @@ import (
 )
 
 // workerFixture builds a frozen TPC-D database, its workload and a
-// worker over a fork, plus the canonical workload text a coordinator
+// worker over it, plus the canonical workload text a coordinator
 // would register.
 func workerFixture(t *testing.T) (*engine.Database, *sql.Workload, *Worker, string) {
 	t.Helper()
@@ -29,12 +29,12 @@ func workerFixture(t *testing.T) (*engine.Database, *sql.Workload, *Worker, stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := db.Snapshot()
+	db.Snapshot()
 	var sb strings.Builder
 	if err := sql.WriteWorkload(&sb, w); err != nil {
 		t.Fatal(err)
 	}
-	return db, w, NewWorker(snap.Fork()), sb.String()
+	return db, w, NewWorker(db), sb.String()
 }
 
 // do runs one request against the worker handler and decodes the JSON
@@ -110,18 +110,17 @@ func TestWorkerRegisterIdempotentAndConflict(t *testing.T) {
 }
 
 // TestWorkerCostMatchesLocal is the wire-determinism core: costs served
-// over HTTP must be bit-identical to CostPrepared run locally on
-// another fork of the same snapshot.
+// over HTTP must be bit-identical to CostPrepared run locally on the
+// same frozen database.
 func TestWorkerCostMatchesLocal(t *testing.T) {
 	db, w, wk, text := workerFixture(t)
 	if code := do(t, wk, http.MethodPost, "/v1/workloads", RegisterWorkloadRequest{Name: "w", SQL: text}, nil); code != http.StatusOK {
 		t.Fatalf("register: status %d", code)
 	}
 
-	// Local twin: fresh fork, same deterministic preparation.
-	local := db.Snapshot().Fork()
-	opt := optimizer.New(local)
-	pw, err := optimizer.PrepareWorkload(w, local)
+	// Local twin: same database, same deterministic preparation.
+	opt := optimizer.New(db)
+	pw, err := optimizer.PrepareWorkload(w, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestWorkerCostMatchesLocal(t *testing.T) {
 		t.Fatalf("%d costs for %d items", len(resp.Costs), len(items))
 	}
 	for i, it := range items {
-		defs, err := resolveLocal(local, it.Indexes)
+		defs, err := resolveLocal(db, it.Indexes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,11 +111,9 @@ func TestFingerprintCoversStatistics(t *testing.T) {
 	if perturbed.Fingerprint() == base.Fingerprint() {
 		t.Error("fingerprint ignored a change in the built statistics")
 	}
-	// The digest travels with the statistics: a fork agrees with its
-	// origin until it re-analyzes at another resolution.
-	fork := base.Snapshot().Fork()
-	if fork.Fingerprint() != base.Fingerprint() {
-		t.Error("fork fingerprint differs from its origin's")
+	// Freezing computes the same fingerprint.
+	if base.Snapshot().Fingerprint() != base.Fingerprint() {
+		t.Error("snapshot fingerprint differs from its database's")
 	}
 }
 

@@ -19,13 +19,15 @@ import (
 
 // Database is an in-memory database instance.
 //
-// Concurrency contract: the read path — Schema, Heap, Index(es),
-// TableStats, TableRowCount, DataBytes, EstimateIndexBytes,
+// Concurrency contract: a database is mutable until Snapshot freezes
+// it, and read-only from then on. The read path — Schema, Heap,
+// Index(es), TableStats, TableRowCount, DataBytes, EstimateIndexBytes,
 // ConfigurationBytes — is safe for concurrent use provided no mutator
-// (CreateTable, CreateIndex, DropIndex, Insert, DeleteWhere, BulkLoad,
-// Materialize, Analyze*) runs at the same time. The parallel merge
-// search only ever uses the read path; experiments that materialize
-// configurations do so strictly between searches.
+// (CreateTable, CreateIndex, DropIndex, Insert, DeleteWhere,
+// Materialize, Analyze*) runs at the same time, which freezing
+// guarantees. The parallel merge search only ever uses the read path;
+// experiments that materialize configurations do so on an unfrozen
+// database, strictly between searches.
 type Database struct {
 	schema  *catalog.Schema
 	heaps   map[string]*storage.Heap
@@ -43,12 +45,8 @@ type Database struct {
 	statsVersion atomic.Uint64
 
 	// frozen is set permanently by Snapshot(): every mutator fails from
-	// then on, making concurrent Fork() and read-path use safe. fork
-	// marks a copy-on-write fork (set at construction, never cleared),
-	// whose row/schema mutators fail because heaps and schema are
-	// shared with the frozen origin (see cow.go).
+	// then on, making shared read-path use safe (see frozen.go).
 	frozen atomic.Bool
-	fork   bool
 }
 
 // NewDatabase creates an empty database.
@@ -71,7 +69,7 @@ func (db *Database) Schema() *catalog.Schema { return db.schema }
 
 // CreateTable registers a table and allocates its heap.
 func (db *Database) CreateTable(t *catalog.Table) error {
-	if err := db.mutableRows(); err != nil {
+	if err := db.mutable(); err != nil {
 		return err
 	}
 	if err := db.schema.AddTable(t); err != nil {
@@ -93,7 +91,7 @@ func (db *Database) Heap(table string) (*storage.Heap, error) {
 // Insert appends one row, maintaining every materialized index on the
 // table. Maintenance page writes accrue to each index's counters.
 func (db *Database) Insert(table string, r value.Row) error {
-	if err := db.mutableRows(); err != nil {
+	if err := db.mutable(); err != nil {
 		return err
 	}
 	h, err := db.Heap(table)
@@ -116,7 +114,7 @@ func (db *Database) Insert(table string, r value.Row) error {
 // all indexes maintained (each index delete is charged to maintenance
 // like a ghost-record removal). It returns the number of rows deleted.
 func (db *Database) DeleteWhere(table string, match func(value.Row) bool) (int, error) {
-	if err := db.mutableRows(); err != nil {
+	if err := db.mutable(); err != nil {
 		return 0, err
 	}
 	h, err := db.Heap(table)
@@ -147,35 +145,11 @@ func (db *Database) DeleteWhere(table string, match func(value.Row) bool) (int, 
 	return len(victims), nil
 }
 
-// BulkLoad appends rows without index maintenance accounting; indexes
-// created afterwards are built from the heap.
-func (db *Database) BulkLoad(table string, rows []value.Row) error {
-	if err := db.mutableRows(); err != nil {
-		return err
-	}
-	h, err := db.Heap(table)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		id, err := h.Insert(r)
-		if err != nil {
-			return err
-		}
-		for _, ix := range db.indexes {
-			if ix.Def().Table == table {
-				ix.InsertRow(id, r)
-			}
-		}
-	}
-	return nil
-}
-
 // CreateIndex materializes an index over the table's current contents.
 // Creating an index whose definition (table + ordered columns) already
 // exists is an error.
 func (db *Database) CreateIndex(def catalog.IndexDef) (*storage.Index, error) {
-	if err := db.mutableIndexes(); err != nil {
+	if err := db.mutable(); err != nil {
 		return nil, err
 	}
 	def, err := catalog.NewIndexDef(db.schema, def.Name, def.Table, def.Columns)
@@ -197,7 +171,7 @@ func (db *Database) CreateIndex(def catalog.IndexDef) (*storage.Index, error) {
 
 // DropIndex removes the index with the given definition key.
 func (db *Database) DropIndex(defKey string) error {
-	if err := db.mutableIndexes(); err != nil {
+	if err := db.mutable(); err != nil {
 		return err
 	}
 	if _, ok := db.indexes[defKey]; !ok {
@@ -209,7 +183,7 @@ func (db *Database) DropIndex(defKey string) error {
 
 // DropAllIndexes removes every materialized index. It panics on a
 // frozen database (callers that can observe freezing use DropIndex
-// and get ErrFrozen); a fork only replaces its private map.
+// and get ErrFrozen).
 func (db *Database) DropAllIndexes() {
 	if db.frozen.Load() {
 		panic("engine: DropAllIndexes on a frozen database")
@@ -232,17 +206,6 @@ func (db *Database) Indexes() []*storage.Index {
 	return out
 }
 
-// IndexesOn returns the materialized indexes on one table.
-func (db *Database) IndexesOn(table string) []*storage.Index {
-	var out []*storage.Index
-	for _, ix := range db.indexes {
-		if ix.Def().Table == table {
-			out = append(out, ix)
-		}
-	}
-	return out
-}
-
 // AnalyzeAll (re)builds statistics for every table. Statistics back
 // both real-index costing and hypothetical-index costing; they are the
 // whole substance of a what-if index (paper §3.5.3).
@@ -253,9 +216,8 @@ func (db *Database) AnalyzeAll() {
 }
 
 // Analyze rebuilds statistics for one table. It panics on a frozen
-// database (a programming error — snapshots pin their statistics
-// version); on a fork it replaces entries in the fork's private stats
-// map and only reads the shared heap.
+// database (a programming error — readers of a snapshot share its
+// statistics).
 func (db *Database) Analyze(table string) {
 	if db.frozen.Load() {
 		panic("engine: Analyze on a frozen database")
@@ -340,7 +302,7 @@ func (db *Database) ConfigurationBytes(cfg []catalog.IndexDef) int64 {
 // configuration — used by experiments that need real page counts and
 // maintenance costs rather than estimates.
 func (db *Database) Materialize(cfg []catalog.IndexDef) error {
-	if err := db.mutableIndexes(); err != nil {
+	if err := db.mutable(); err != nil {
 		return err
 	}
 	db.DropAllIndexes()
@@ -353,12 +315,11 @@ func (db *Database) Materialize(cfg []catalog.IndexDef) error {
 }
 
 // ResetMaintenance starts a fresh maintenance accounting window on all
-// materialized indexes. It panics on frozen databases and forks:
-// maintenance counters live on the index objects, which forks share
-// with their origin.
+// materialized indexes. It panics on a frozen database: maintenance
+// counters live on the index objects, which its readers share.
 func (db *Database) ResetMaintenance() {
-	if db.fork || db.frozen.Load() {
-		panic("engine: ResetMaintenance on a frozen database or fork")
+	if db.frozen.Load() {
+		panic("engine: ResetMaintenance on a frozen database")
 	}
 	for _, ix := range db.indexes {
 		ix.ResetMaintenance()

@@ -64,9 +64,6 @@ func TestIndexLifecycle(t *testing.T) {
 	if _, ok := db.Index(def.Key()); !ok {
 		t.Error("index not found by key")
 	}
-	if got := db.IndexesOn("t"); len(got) != 1 {
-		t.Errorf("IndexesOn = %d", len(got))
-	}
 	// Inserts maintain the index.
 	db.Insert("t", value.Row{value.NewInt(1000), value.NewString("z")})
 	if ix.Len() != 101 {
@@ -202,27 +199,6 @@ func TestDataBytes(t *testing.T) {
 	h, _ := db.Heap("t")
 	if h.Pages() != storage.EstimateHeapPages(10000, 18) {
 		t.Errorf("heap pages %d vs estimate %d", h.Pages(), storage.EstimateHeapPages(10000, 18))
-	}
-}
-
-func TestBulkLoad(t *testing.T) {
-	db := newDB(t)
-	if _, err := db.CreateIndex(catalog.IndexDef{Name: "i1", Table: "t", Columns: []string{"a"}}); err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]value.Row, 100)
-	for i := range rows {
-		rows[i] = value.Row{value.NewInt(int64(i)), value.NewString("s")}
-	}
-	if err := db.BulkLoad("t", rows); err != nil {
-		t.Fatal(err)
-	}
-	if db.TableRowCount("t") != 100 {
-		t.Errorf("rows = %d", db.TableRowCount("t"))
-	}
-	ix, _ := db.Index("t(a)")
-	if ix.Len() != 100 {
-		t.Errorf("index entries = %d", ix.Len())
 	}
 }
 

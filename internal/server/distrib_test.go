@@ -14,8 +14,8 @@ import (
 	"indexmerge/internal/engine"
 )
 
-// startFixtureWorkers spins n distrib workers over forks of the test
-// fixture snapshot — the same database file sessions are created from,
+// startFixtureWorkers spins n distrib workers over one frozen copy of
+// the test fixture — the same database file sessions are created from,
 // so fingerprints agree with the coordinator's.
 func startFixtureWorkers(t *testing.T, n int) []string {
 	t.Helper()
@@ -23,10 +23,10 @@ func startFixtureWorkers(t *testing.T, n int) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := db.Snapshot()
+	db.Snapshot()
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		srv := httptest.NewServer(distrib.NewWorker(snap.Fork()).Handler())
+		srv := httptest.NewServer(distrib.NewWorker(db).Handler())
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL
 	}
@@ -97,9 +97,8 @@ func TestDistributedJobMatchesLocalJob(t *testing.T) {
 
 // TestSessionsShareSnapshotUnderConcurrency pins the snapshot-cache
 // contract: sessions created from the same database spec share one
-// frozen snapshot (build once, fork per session), and concurrent jobs
-// and costings on those forks are race-free and deterministic. Run
-// with -race.
+// frozen database (built once, held by pointer), and concurrent jobs
+// and costings on it are race-free and deterministic. Run with -race.
 func TestSessionsShareSnapshotUnderConcurrency(t *testing.T) {
 	h := newTestServer(t, Config{Workers: 4, QueueCap: 64})
 
@@ -108,7 +107,7 @@ func TestSessionsShareSnapshotUnderConcurrency(t *testing.T) {
 	if n := h.srv.reg.SnapshotReuses(); n != 0 {
 		t.Fatalf("first session reported %d snapshot reuses", n)
 	}
-	// ...the rest fork it concurrently.
+	// ...the rest acquire it concurrently.
 	var wg sync.WaitGroup
 	for i := 1; i < 4; i++ {
 		wg.Add(1)
@@ -123,7 +122,7 @@ func TestSessionsShareSnapshotUnderConcurrency(t *testing.T) {
 	}
 
 	// Concurrent sync costings and merge jobs across all four sessions:
-	// four forks of one snapshot costed and searched at once.
+	// one frozen database costed and searched by four sessions at once.
 	results := make([]JobStatus, 4)
 	payloads := make([]json.RawMessage, 4)
 	for i := 0; i < 4; i++ {
@@ -150,8 +149,8 @@ func TestSessionsShareSnapshotUnderConcurrency(t *testing.T) {
 			t.Fatalf("session s%d: job state %s (error %q)", i, st.State, st.Error)
 		}
 	}
-	// Shared snapshot, independent forks: every session computes the
-	// byte-identical recommendation.
+	// One shared database: every session computes the byte-identical
+	// recommendation.
 	for i := 1; i < 4; i++ {
 		if !bytes.Equal(payloads[0], payloads[i]) {
 			t.Errorf("session s%d diverged:\n s0 %s\n s%d %s", i, payloads[0], i, payloads[i])

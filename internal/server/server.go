@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strings"
@@ -805,12 +806,13 @@ func BuildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 		Parallelism:    o.Parallelism,
 	}
 	// The facade reads 0 as "the default"; a negative value would be read
-	// the same way, silently, so it is refused here.
+	// the same way, silently, so it is refused here, and so are NaN and
+	// +Inf, which no result can report.
 	for _, v := range []struct {
 		name string
 		v    float64
 	}{{"constraint", o.Constraint}, {"nocost_f", o.NoCostF}, {"nocost_p", o.NoCostP}} {
-		if !(v.v >= 0) {
+		if !(v.v >= 0) || math.IsInf(v.v, 1) {
 			return opts, fmt.Errorf("%s %v out of range [0, +Inf) (0 selects the default)", v.name, v.v)
 		}
 	}
@@ -841,7 +843,7 @@ func BuildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 	default:
 		return opts, fmt.Errorf("unknown costmodel %q (want opt, nocost, prefilter or compressed)", o.CostModel)
 	}
-	if o.DualBudgetFrac < 0 || o.DualBudgetFrac >= 1 {
+	if !(o.DualBudgetFrac >= 0 && o.DualBudgetFrac < 1) {
 		return opts, fmt.Errorf("dual_budget_frac %v out of range [0, 1)", o.DualBudgetFrac)
 	}
 	// Jobs run resilient by default ({"resilience": {"disable": true}}

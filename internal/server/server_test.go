@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -431,8 +432,10 @@ func TestBuildMergeOptionsRefuses(t *testing.T) {
 		{"costmodel", JobOptions{CostModel: "zog"}, `unknown costmodel "zog" (want opt, nocost, prefilter or compressed)`},
 		{"dual below", JobOptions{DualBudgetFrac: -0.1}, "dual_budget_frac -0.1 out of range [0, 1)"},
 		{"dual at 1", JobOptions{DualBudgetFrac: 1}, "dual_budget_frac 1 out of range [0, 1)"},
+		{"dual NaN", JobOptions{DualBudgetFrac: math.NaN()}, "dual_budget_frac NaN out of range [0, 1)"},
 		{"constraint", JobOptions{Constraint: -0.5}, "constraint -0.5 out of range [0, +Inf) (0 selects the default)"},
 		{"constraint NaN", JobOptions{Constraint: math.NaN()}, "constraint NaN out of range [0, +Inf) (0 selects the default)"},
+		{"constraint +Inf", JobOptions{Constraint: math.Inf(1)}, "constraint +Inf out of range [0, +Inf) (0 selects the default)"},
 		{"nocost_f", JobOptions{NoCostF: -0.6}, "nocost_f -0.6 out of range [0, +Inf) (0 selects the default)"},
 		{"nocost_p", JobOptions{NoCostP: -0.25}, "nocost_p -0.25 out of range [0, +Inf) (0 selects the default)"},
 	} {
@@ -1172,6 +1175,27 @@ func TestSnapshotRefcountChurn(t *testing.T) {
 	}
 	if reg.SnapshotReuses() == 0 {
 		t.Error("second same-spec session did not reuse the snapshot")
+	}
+	// Both sessions hold the snapshot's one read-only database, and the
+	// fingerprint computed when it was frozen.
+	s1, _ := reg.Get("s1")
+	s2, _ := reg.Get("s2")
+	if s1.db != s2.db {
+		t.Error("same-spec sessions hold different databases")
+	}
+	if _, err := s1.db.CreateIndex(catalog.IndexDef{Name: "x", Table: "fact", Columns: []string{"k"}}); !errors.Is(err, engine.ErrFrozen) {
+		t.Errorf("CreateIndex on a session's database: got %v, want ErrFrozen", err)
+	}
+	reg.snaps.mu.Lock()
+	snap := reg.snaps.entries[s1.snapKey].snap
+	reg.snaps.mu.Unlock()
+	if snap.DB() != s1.db {
+		t.Error("session database is not the cached snapshot's")
+	}
+	for _, s := range []*Session{s1, s2} {
+		if s.fp != snap.Fingerprint() {
+			t.Errorf("session %s fingerprint %x, snapshot's %x", s.name, s.fp, snap.Fingerprint())
+		}
 	}
 	h.mustCall(t, "DELETE", "/v1/sessions/s1", nil, nil, http.StatusOK)
 	if n := reg.ResidentSnapshots(); n != 1 {

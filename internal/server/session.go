@@ -49,9 +49,9 @@ var (
 // Session is a named database instance (schema + generated data +
 // analyzed statistics) that jobs and costing requests run against.
 //
-// Concurrency: the database is built and analyzed once at creation and
-// never mutated afterwards, so its read path (optimization, what-if
-// costing) is safe to share. Search jobs are serialized per session by
+// Concurrency: the database is its spec's frozen snapshot, shared by
+// pointer with every session on the spec and never mutated, so its
+// read path (optimization, what-if costing) is safe to share. Search jobs are serialized per session by
 // the cap-1 lock channel; jobs on different sessions run in parallel.
 // The session holds no cost store: each registered workload's form owns
 // its cells, as the continuous window owns its table.
@@ -376,14 +376,13 @@ func (r *Registry) tenantGauges() []TenantGauges {
 
 // snapshotCache dedupes session database construction: the first
 // session over a given spec builds (or loads) the database and freezes
-// it copy-on-write; every later session over the same spec gets a
-// cheap Fork of that one frozen snapshot — map headers are copied,
-// rows, statistics and index payloads are shared. Forks isolate index
-// DDL, so sessions cannot observe each other. File-backed specs key on
-// (path, size, mtime) so replacing the snapshot file invalidates the
-// cached build.
+// it; every later session over the same spec holds that one frozen,
+// read-only database by pointer. Sessions never write their database
+// (what-if costing needs no materialized index), so sharing it cannot
+// let them observe each other. File-backed specs key on (path, size,
+// mtime) so replacing the snapshot file invalidates the cached build.
 //
-// Entries are refcounted by the sessions forked from them: fork takes
+// Entries are refcounted by the sessions holding them: acquire takes
 // a reference, Registry.Delete releases it, and an entry whose count
 // reaches zero is evicted — session churn cannot grow the resident
 // snapshot set beyond the live sessions' distinct specs.
@@ -394,7 +393,7 @@ type snapshotCache struct {
 }
 
 // snapEntry is one frozen snapshot plus the number of live sessions
-// forked from it.
+// holding it.
 type snapEntry struct {
 	snap *engine.Snapshot
 	refs int
@@ -411,11 +410,11 @@ func snapshotKey(name string, scale float64, seed int64) (string, error) {
 	return fmt.Sprintf("%s|%g|%d", name, scale, seed), nil
 }
 
-// fork returns a private copy-on-write database for one session,
-// building the underlying snapshot if this spec has not been seen. The
-// returned key identifies the snapshot reference the caller now holds;
-// pass it to release when the session is deleted.
-func (c *snapshotCache) fork(name string, scale float64, seed int64) (*engine.Database, string, error) {
+// acquire returns the spec's frozen snapshot for one session, building
+// it if this spec has not been seen. The returned key identifies the
+// reference the caller now holds; pass it to release when the session
+// is deleted.
+func (c *snapshotCache) acquire(name string, scale float64, seed int64) (*engine.Snapshot, string, error) {
 	key, err := snapshotKey(name, scale, seed)
 	if err != nil {
 		return nil, "", err
@@ -428,7 +427,7 @@ func (c *snapshotCache) fork(name string, scale float64, seed int64) (*engine.Da
 		e.refs++
 		c.mu.Unlock()
 		c.reuses.Add(1)
-		return e.snap.Fork(), key, nil
+		return e.snap, key, nil
 	}
 	c.mu.Unlock()
 	db, err := datagen.BuildNamed(name, scale, seed)
@@ -447,13 +446,12 @@ func (c *snapshotCache) fork(name string, scale float64, seed int64) (*engine.Da
 		c.entries[key] = e
 	}
 	e.refs++
-	snap = e.snap
 	c.mu.Unlock()
-	return snap.Fork(), key, nil
+	return e.snap, key, nil
 }
 
 // release drops one session's reference on a snapshot, evicting the
-// entry when no live session forks from it anymore.
+// entry when no live session holds it anymore.
 func (c *snapshotCache) release(key string) {
 	if key == "" {
 		return
@@ -537,9 +535,9 @@ func (r *Registry) Create(req CreateSessionRequest) (*Session, error) {
 	}
 
 	// Sessions over the same (db, scale, seed) share one frozen
-	// snapshot and differ only in their private index-DDL maps; the
-	// build cost (seconds at scale) is paid once per spec.
-	db, snapKey, err := r.snaps.fork(req.DB, scale, req.Seed)
+	// database; the build cost (seconds at scale) and the fingerprint
+	// are paid once per spec.
+	snap, snapKey, err := r.snaps.acquire(req.DB, scale, req.Seed)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -552,8 +550,8 @@ func (r *Registry) Create(req CreateSessionRequest) (*Session, error) {
 		name:      req.Name,
 		tenant:    tenant,
 		dbName:    req.DB,
-		db:        db,
-		fp:        db.Fingerprint(),
+		db:        snap.DB(),
+		fp:        snap.Fingerprint(),
 		pool:      r.pool,
 		tableMax:  r.tableMax,
 		breaker:   &core.Breaker{},
