@@ -10,6 +10,7 @@
 package indexmerge
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -85,7 +86,7 @@ func BenchmarkFigure5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.RunSearchComparison(labs, experiments.Fig5N, experiments.Fig5Constraint)
+		rows, err = experiments.RunSearchComparisonOpt(labs, experiments.FigureOptions{N: experiments.Fig5N, Constraint: experiments.Fig5Constraint})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func BenchmarkFigure6(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.RunSearchComparison(labs, experiments.Fig5N, experiments.Fig5Constraint)
+		rows, err = experiments.RunSearchComparisonOpt(labs, experiments.FigureOptions{N: experiments.Fig5N, Constraint: experiments.Fig5Constraint})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +142,7 @@ func BenchmarkFigure7(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.RunMergePairComparison(labs, experiments.Fig5N, experiments.Fig5Constraint)
+		rows, err = experiments.RunMergePairComparisonOpt(labs, experiments.FigureOptions{N: experiments.Fig5N, Constraint: experiments.Fig5Constraint})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +220,7 @@ func BenchmarkGreedyCosting(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			check := core.NewOptimizerChecker(lab.Opt, lab.Complex, base, 0.10)
 			check.Parallelism, check.Prepared = parallelism, pw
-			res, err = core.GreedyWithOptions(initial, mp, check, lab.DB, core.GreedyOptions{Parallelism: parallelism})
+			res, err = core.GreedyContext(context.Background(), initial, mp, check, lab.DB, core.GreedyOptions{Parallelism: parallelism})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -301,7 +302,7 @@ func BenchmarkGreedyDistinct(b *testing.B) {
 		if !delta {
 			c = noBase{check}
 		}
-		res, err := core.Greedy(initial, &core.MergePairCost{Seek: seek}, c, lab.DB)
+		res, err := core.GreedyContext(context.Background(), initial, &core.MergePairCost{Seek: seek}, c, lab.DB, core.GreedyOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

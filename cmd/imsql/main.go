@@ -49,7 +49,13 @@ func main() {
 	quiet := flag.Bool("q", false, "no prompt (script mode)")
 	flag.Parse()
 
-	db, err := buildDatabase(*dbName, *scale, *seed)
+	var db *engine.Database
+	var err error
+	if *dbName == "empty" {
+		db = engine.NewDatabase()
+	} else {
+		db, err = datagen.BuildNamed(*dbName, *scale, *seed)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "imsql:", err)
 		os.Exit(1)
@@ -61,27 +67,6 @@ func main() {
 			*dbName, *scale, float64(db.DataBytes())/(1<<20))
 	}
 	sh.repl(bufio.NewScanner(os.Stdin))
-}
-
-func buildDatabase(name string, scale float64, seed int64) (*engine.Database, error) {
-	if strings.HasPrefix(name, "file:") {
-		return engine.LoadSnapshotFile(strings.TrimPrefix(name, "file:"))
-	}
-	switch name {
-	case "empty":
-		return engine.NewDatabase(), nil
-	case "tpcd":
-		return datagen.BuildTPCD(datagen.ScaledTPCD(scale), seed)
-	case "synthetic1":
-		spec := datagen.Synthetic1Spec()
-		spec.RowsPer = int(float64(spec.RowsPer) * scale)
-		return datagen.BuildSynthetic(spec)
-	case "synthetic2":
-		spec := datagen.Synthetic2Spec()
-		spec.RowsPer = int(float64(spec.RowsPer) * scale)
-		return datagen.BuildSynthetic(spec)
-	}
-	return nil, fmt.Errorf("unknown database %q", name)
 }
 
 type shell struct {
@@ -289,7 +274,7 @@ func (sh *shell) tune(src string) {
 	if !ok {
 		return
 	}
-	defs, err := sh.adv.TuneQuery(stmt)
+	defs, err := sh.adv.TuneQueryContext(context.Background(), stmt)
 	if err != nil {
 		sh.errorf("%v", err)
 		return

@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"indexmerge/internal/datagen"
 	"indexmerge/internal/oracle"
 	"indexmerge/internal/workload"
 )
@@ -69,7 +70,7 @@ func main() {
 }
 
 func sweepOne(name string, scale float64, seed int64, queries, n, visited int, reproDir string, jsonOut bool) (*oracle.Report, error) {
-	db, err := oracle.BuildDB(name, scale, seed)
+	db, err := datagen.BuildNamed(name, scale, seed)
 	if err != nil {
 		return nil, err
 	}

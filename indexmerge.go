@@ -497,7 +497,7 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 	// propagate untouched.
 	var resilient *core.ResilientChecker
 	if opts.Resilience != nil {
-		resilient = opts.Resilience.checker(opts.CostConstraint)
+		resilient = opts.Resilience.checker()
 	}
 	costing := func(fn func(ctx context.Context) error) error {
 		if resilient == nil {
@@ -648,10 +648,9 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, p
 	if opts.CostModel != PrefilteredOptimizerCost && resilient == nil {
 		return check, bound, report, nil
 	}
-	ext := &core.ExternalCostModel{Meta: m.db, W: m.w}
-	ext.SetBaseline(initial)
+	ext := core.NewExternalCostModel(m.db, m.w, initial, opts.CostConstraint)
 	if opts.CostModel == PrefilteredOptimizerCost {
-		check = &core.PrefilteredChecker{External: ext, Inner: opt, SlackPct: opts.CostConstraint}
+		check = &core.PrefilteredChecker{External: ext, Inner: opt}
 	}
 	if resilient != nil {
 		resilient.Inner = check
@@ -685,9 +684,8 @@ func (m *Merger) queryChecker(pw *PreparedWorkload, baseCost, slackPct float64) 
 // retry policy and the breaker. The facade costs through its Retry
 // before the search and hands it the inner chain and the degraded-mode
 // model once they exist.
-func (ro *ResilienceOptions) checker(slackPct float64) *core.ResilientChecker {
+func (ro *ResilienceOptions) checker() *core.ResilientChecker {
 	rc := &core.ResilientChecker{
-		SlackPct:       slackPct,
 		MaxRetries:     ro.MaxRetries,
 		Backoff:        ro.Backoff,
 		AttemptTimeout: ro.AttemptTimeout,
@@ -732,15 +730,12 @@ func (m *Merger) MergeDualContext(ctx context.Context, initialDefs []IndexDef, s
 	if err != nil {
 		return nil, err
 	}
-	baseCost, err := m.opt.WorkloadCostPrepared(pw, optimizer.Configuration(initialDefs))
-	if err != nil {
-		return nil, err
-	}
 	seek, err := core.ComputeSeekCostsPrepared(m.opt, pw, initial)
 	if err != nil {
 		return nil, err
 	}
-	coster, err := m.queryChecker(pw, baseCost, 0)
+	// The search reads costs, never a bound: the checker's U is unused.
+	coster, err := m.queryChecker(pw, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -765,11 +760,11 @@ func CheckInitialN(n int) error {
 }
 
 // InitialConfiguration chooses the configuration merging starts from,
-// by tuning queries one at a time (§4.2.3). n > 0 draws random queries
-// (seeded by seed) until n distinct indexes accumulate, costing each
-// query's candidates opts.Parallelism at a time. n == 0 tunes the whole
-// workload and unions the recommendations — the baseline whose storage
-// blow-up merging fixes: query by query, or, under
+// by tuning queries one at a time (§4.2.3), costing each query's
+// candidates opts.Parallelism at a time. n > 0 draws random queries
+// (seeded by seed) until n distinct indexes accumulate. n == 0 tunes
+// the whole workload and unions the recommendations — the baseline
+// whose storage blow-up merging fixes: query by query, or, under
 // CompressedOptimizerCost, one representative per template of the
 // merger's compressed form (candidate shapes depend only on what a
 // template's members share). An empty recommendation is
@@ -784,19 +779,19 @@ func (m *Merger) InitialConfiguration(ctx context.Context, n int, seed int64, op
 		return nil, err
 	}
 	adv := advisor.New(m.db, m.opt)
+	adv.Parallelism = opts.Parallelism
 	var defs []IndexDef
 	var err error
 	switch {
 	case n > 0:
-		adv.Parallelism = opts.Parallelism
 		defs, err = advisor.BuildInitialConfigurationContext(ctx, adv, m.w, n, seed)
 	case opts.CostModel == CompressedOptimizerCost:
 		var cw *CompressedWorkload
 		if cw, err = m.CompressedWorkload(); err == nil {
-			defs, err = adv.TuneTemplatesContext(ctx, m.w, cw.C.Representatives())
+			defs, err = adv.TuneQueriesContext(ctx, m.w, cw.C.Representatives())
 		}
 	default:
-		defs, err = adv.TuneWorkloadContext(ctx, m.w)
+		defs, err = adv.TuneQueriesContext(ctx, m.w, advisor.AllPositions(m.w))
 	}
 	if err != nil {
 		return nil, err

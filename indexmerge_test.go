@@ -194,6 +194,65 @@ func TestMergerRefusesDefsTheSchemaLacks(t *testing.T) {
 	}
 }
 
+// TestMergeDualSpendsWhatItReports: a dual run reports its costings and
+// the optimizer calls they took, and calls the optimizer for nothing
+// else but the Seek-Cost statistics MergePair-Cost reads — no baseline
+// pass over the workload, which the dual never reads.
+func TestMergeDualSpendsWhatItReports(t *testing.T) {
+	db, _, m, defs := mergerFixture(t)
+	ctx := context.Background()
+	pw, err := m.PreparedWorkload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := m.Optimizer()
+	before := opt.InvocationCount()
+	if _, err := core.ComputeSeekCostsPrepared(opt, pw, core.NewConfiguration(defs)); err != nil {
+		t.Fatal(err)
+	}
+	seek := opt.InvocationCount() - before
+
+	before = opt.InvocationCount()
+	res, err := m.MergeDualContext(ctx, defs, db.ConfigurationBytes(defs)/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spent := opt.InvocationCount() - before
+	if res.ConfigsExplored == 0 || res.CostEvaluations != res.ConfigsExplored+1 {
+		t.Errorf("cost evaluations %d, configs explored %d: want explored + 1 (the initial costing)", res.CostEvaluations, res.ConfigsExplored)
+	}
+	if res.OptimizerCalls == 0 || spent != seek+res.OptimizerCalls {
+		t.Errorf("the run called the optimizer %d times, Seek-Cost takes %d and the search reports %d", spent, seek, res.OptimizerCalls)
+	}
+}
+
+// TestInitialConfigurationParallelWholeWorkload: tuning the whole
+// workload (n == 0) costs candidates opts.Parallelism at a time, query
+// by query and template by template, and recommends what a serial
+// tuning does.
+func TestInitialConfigurationParallelWholeWorkload(t *testing.T) {
+	_, _, m, _ := mergerFixture(t)
+	ctx := context.Background()
+	for _, model := range []CostModelKind{OptimizerCost, CompressedOptimizerCost} {
+		serial, err := m.InitialConfiguration(ctx, 0, 0, MergeOptions{CostModel: model, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, err := m.InitialConfiguration(ctx, 0, 0, MergeOptions{CostModel: model, Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(serial) == 0 || len(parallel) != len(serial) {
+			t.Fatalf("model %v: %d definitions at parallelism 4, %d serially", model, len(parallel), len(serial))
+		}
+		for i := range serial {
+			if parallel[i].Key() != serial[i].Key() {
+				t.Errorf("model %v, definition %d: %s at parallelism 4, %s serially", model, i, parallel[i], serial[i])
+			}
+		}
+	}
+}
+
 func TestPublicSchemaConstruction(t *testing.T) {
 	db := NewDatabase()
 	tab, err := NewTable("x", []Column{

@@ -25,7 +25,8 @@ type Advisor struct {
 	Meta catalog.SchemaHolder
 	Opt  *optimizer.Optimizer
 
-	// Parallelism bounds concurrent candidate costing in TuneQuery.
+	// Parallelism bounds concurrent candidate costing in
+	// TuneQueryContext.
 	// <= 1 (the default) costs candidates serially. Recommendations
 	// are identical for any value: all candidates are costed against
 	// the same already-chosen set, then the winner is picked in
@@ -38,18 +39,13 @@ func New(meta catalog.SchemaHolder, opt *optimizer.Optimizer) *Advisor {
 	return &Advisor{Meta: meta, Opt: opt}
 }
 
-// TuneQuery recommends a set of indexes (at most one per referenced
-// table) minimizing the query's optimizer-estimated cost. Only indexes
-// that actually lower the cost below the no-index plan are returned.
-func (a *Advisor) TuneQuery(stmt *sql.SelectStmt) ([]catalog.IndexDef, error) {
-	return a.TuneQueryContext(context.Background(), stmt)
-}
-
-// TuneQueryContext is TuneQuery under a context: cancellation is
-// observed between candidate costings and surfaces as ctx.Err().
-// The query is prepared once; every candidate configuration is then
-// costed through the allocation-free prepared fast path (costs are
-// bit-identical to unprepared optimization).
+// TuneQueryContext recommends a set of indexes (at most one per
+// referenced table) minimizing the query's optimizer-estimated cost.
+// Only indexes that actually lower the cost below the no-index plan are
+// returned. Cancellation is observed between candidate costings and
+// surfaces as ctx.Err(). The query is prepared once; every candidate
+// configuration is then costed through the allocation-free prepared
+// fast path (costs are bit-identical to unprepared optimization).
 func (a *Advisor) TuneQueryContext(ctx context.Context, stmt *sql.SelectStmt) ([]catalog.IndexDef, error) {
 	pq, err := a.Opt.PrepareQuery(stmt)
 	if err != nil {
@@ -262,53 +258,24 @@ func BuildInitialConfigurationContext(ctx context.Context, a *Advisor, w *sql.Wo
 	return defs, nil
 }
 
-// TuneWorkload tunes every query in the workload and unions the
-// recommendations — the "tune each query individually" baseline from
-// the paper's introduction (storage ≈ 5× data on TPC-D).
-func (a *Advisor) TuneWorkload(w *sql.Workload) ([]catalog.IndexDef, error) {
-	return a.TuneWorkloadContext(context.Background(), w)
-}
-
-// TuneWorkloadContext is TuneWorkload under a context; cancellation is
-// observed between candidate costings and surfaces as ctx.Err().
-func (a *Advisor) TuneWorkloadContext(ctx context.Context, w *sql.Workload) ([]catalog.IndexDef, error) {
+// TuneQueriesContext tunes the queries at the given workload positions
+// one at a time and unions the recommendations in position order. Over
+// every position (AllPositions) it is the "tune each query
+// individually" baseline from the paper's introduction (storage ≈ 5×
+// data on TPC-D). Over one representative per template of a compressed
+// workload (wscale.Compressed.Representatives) it is that baseline at
+// template granularity: candidate index shapes depend only on a query's
+// columns and operators, which every member of a template shares, so
+// the candidate sets are identical across members; only the constants
+// used to *cost* them differ. On workloads whose duplicates are exact
+// (folded by sql.Workload.Add) the two agree; across constant-varied
+// members the representatives are the standard approximation.
+// Cancellation is observed between candidate costings and surfaces as
+// ctx.Err().
+func (a *Advisor) TuneQueriesContext(ctx context.Context, w *sql.Workload, positions []int) ([]catalog.IndexDef, error) {
 	var defs []catalog.IndexDef
 	seen := make(map[string]bool)
-	for _, q := range w.Queries {
-		recs, err := a.TuneQueryContext(ctx, q.Stmt)
-		if err != nil {
-			return nil, err
-		}
-		for _, def := range recs {
-			if !seen[def.Key()] {
-				seen[def.Key()] = true
-				defs = append(defs, def)
-			}
-		}
-	}
-	return defs, nil
-}
-
-// TuneTemplates tunes one representative query per template of a
-// compressed workload and unions the recommendations — TuneWorkload at
-// template granularity. reps lists one workload position per template
-// (wscale.Compressed.Representatives). Candidate index shapes depend
-// only on a query's columns and operators, which every member of a
-// template shares, so the candidate sets are identical across members;
-// only the constants used to *cost* them differ. On workloads whose
-// duplicates are exact (folded by sql.Workload.Add) the result equals
-// TuneWorkload's; across constant-varied members it is the standard
-// representative approximation.
-func (a *Advisor) TuneTemplates(w *sql.Workload, reps []int) ([]catalog.IndexDef, error) {
-	return a.TuneTemplatesContext(context.Background(), w, reps)
-}
-
-// TuneTemplatesContext is TuneTemplates under a context; cancellation
-// is observed between candidate costings and surfaces as ctx.Err().
-func (a *Advisor) TuneTemplatesContext(ctx context.Context, w *sql.Workload, reps []int) ([]catalog.IndexDef, error) {
-	var defs []catalog.IndexDef
-	seen := make(map[string]bool)
-	for _, qi := range reps {
+	for _, qi := range positions {
 		recs, err := a.TuneQueryContext(ctx, w.Queries[qi].Stmt)
 		if err != nil {
 			return nil, err
@@ -321,4 +288,13 @@ func (a *Advisor) TuneTemplatesContext(ctx context.Context, w *sql.Workload, rep
 		}
 	}
 	return defs, nil
+}
+
+// AllPositions lists every position of w, in order.
+func AllPositions(w *sql.Workload) []int {
+	positions := make([]int, len(w.Queries))
+	for i := range positions {
+		positions[i] = i
+	}
+	return positions
 }

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -68,7 +69,7 @@ func q(t testing.TB, db *engine.Database, src string) *sql.SelectStmt {
 func TestTuneSelectiveQueryGetsSeekIndex(t *testing.T) {
 	db, adv := advisorFixture(t)
 	stmt := q(t, db, "SELECT id, val FROM events WHERE id = 42")
-	defs, err := adv.TuneQuery(stmt)
+	defs, err := adv.TuneQueryContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestTuneSelectiveQueryGetsSeekIndex(t *testing.T) {
 func TestTuneProjectionQueryGetsCoveringIndex(t *testing.T) {
 	db, adv := advisorFixture(t)
 	stmt := q(t, db, "SELECT kind, val FROM events")
-	defs, err := adv.TuneQuery(stmt)
+	defs, err := adv.TuneQueryContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestTuneUnhelpfulQueryRecommendsNothing(t *testing.T) {
 	// Selecting every column with no predicate: no index can beat the
 	// heap scan (any covering index is as wide as the table).
 	stmt := q(t, db, "SELECT id, kind, ts, val, blob FROM events")
-	defs, err := adv.TuneQuery(stmt)
+	defs, err := adv.TuneQueryContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestTuneJoinQueryConsidersJoinColumns(t *testing.T) {
 	db, adv := advisorFixture(t)
 	stmt := q(t, db, `SELECT desc, val FROM events, kinds
 		WHERE events.kind = kinds.kind AND kinds.kind = 'buy'`)
-	defs, err := adv.TuneQuery(stmt)
+	defs, err := adv.TuneQueryContext(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +159,11 @@ func TestBuildInitialConfiguration(t *testing.T) {
 	}
 }
 
-// TestTuneTemplatesMatchesTuneWorkload: on a workload whose duplicates
-// differ only in constants, tuning one representative per template must
-// union to the same recommendation as tuning every query — candidate
-// shapes depend only on columns and operators.
-func TestTuneTemplatesMatchesTuneWorkload(t *testing.T) {
+// TestTuneRepresentativesMatchesEveryPosition: on a workload whose
+// duplicates differ only in constants, tuning one representative per
+// template must union to the same recommendation as tuning every query
+// — candidate shapes depend only on columns and operators.
+func TestTuneRepresentativesMatchesEveryPosition(t *testing.T) {
 	db, adv := advisorFixture(t)
 	w := &sql.Workload{}
 	for i := 0; i < 6; i++ {
@@ -173,16 +174,16 @@ func TestTuneTemplatesMatchesTuneWorkload(t *testing.T) {
 	if len(c.Templates) != 2 {
 		t.Fatalf("expected 2 templates, got %d", len(c.Templates))
 	}
-	plain, err := adv.TuneWorkload(w)
+	plain, err := adv.TuneQueriesContext(context.Background(), w, AllPositions(w))
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressed, err := adv.TuneTemplates(w, c.Representatives())
+	compressed, err := adv.TuneQueriesContext(context.Background(), w, c.Representatives())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain) != len(compressed) {
-		t.Fatalf("TuneTemplates returned %d defs, TuneWorkload %d", len(compressed), len(plain))
+		t.Fatalf("representatives returned %d defs, every position %d", len(compressed), len(plain))
 	}
 	for i := range plain {
 		if plain[i].Key() != compressed[i].Key() {
@@ -191,13 +192,13 @@ func TestTuneTemplatesMatchesTuneWorkload(t *testing.T) {
 	}
 }
 
-func TestTuneWorkloadUnionsRecommendations(t *testing.T) {
+func TestTuneQueriesUnionsRecommendations(t *testing.T) {
 	db, adv := advisorFixture(t)
 	w := &sql.Workload{}
 	w.Add(q(t, db, "SELECT id, val FROM events WHERE id = 1"), 1)
 	w.Add(q(t, db, "SELECT id, val FROM events WHERE id = 2"), 1) // same shape
 	w.Add(q(t, db, "SELECT ts, val FROM events WHERE ts >= DATE(300)"), 1)
-	defs, err := adv.TuneWorkload(w)
+	defs, err := adv.TuneQueriesContext(context.Background(), w, AllPositions(w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestTuneWorkloadUnionsRecommendations(t *testing.T) {
 	seen := map[string]bool{}
 	for _, d := range defs {
 		if seen[d.Key()] {
-			t.Errorf("TuneWorkload returned duplicate %s", d)
+			t.Errorf("TuneQueriesContext returned duplicate %s", d)
 		}
 		seen[d.Key()] = true
 	}
@@ -223,15 +224,15 @@ func TestTuneQueryParallelPanicIsAnError(t *testing.T) {
 	stmt := q(t, db, "SELECT id, val FROM events WHERE id = 42")
 	faults.Install(faults.Rule{ID: "tune-panic", Point: faults.OptimizerCost, Mode: faults.ModePanic, After: 1, Count: 1})
 	defer faults.Reset()
-	_, err := adv.TuneQuery(stmt)
+	_, err := adv.TuneQueryContext(context.Background(), stmt)
 	var pe *core.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("TuneQuery under a costing panic: err = %v, want a *core.PanicError", err)
+		t.Fatalf("TuneQueryContext under a costing panic: err = %v, want a *core.PanicError", err)
 	}
 	if len(pe.Stack) == 0 {
 		t.Error("the recovered panic carries no stack")
 	}
-	if defs, err := adv.TuneQuery(stmt); err != nil || len(defs) == 0 {
-		t.Errorf("TuneQuery after the panic = %v, %v", defs, err)
+	if defs, err := adv.TuneQueryContext(context.Background(), stmt); err != nil || len(defs) == 0 {
+		t.Errorf("TuneQueryContext after the panic = %v, %v", defs, err)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"indexmerge/internal/optimizer"
 )
 
 func TestGreedyContextPreCanceled(t *testing.T) {
@@ -55,7 +53,7 @@ func TestWorkloadCostContextPreCanceled(t *testing.T) {
 func TestGreedyCancelMidSearchStopsEarly(t *testing.T) {
 	f := newSearchFixture(t)
 
-	full, err := Greedy(f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.3), f.db)
+	full, err := GreedyContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.3), f.db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,33 +122,5 @@ func TestCostMinimalContextPreCanceled(t *testing.T) {
 	_, err := CostMinimalContext(ctx, f.initial, &MergePairCost{Seek: f.seek}, coster, f.db, f.initial.Bytes(f.db)/2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestContextVariantsMatchPlain: the ctx-first entry points with a
-// background context are byte-identical to the plain API.
-func TestContextVariantsMatchPlain(t *testing.T) {
-	f := newSearchFixture(t)
-	plain, err := Greedy(f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.3), f.db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxRes, err := GreedyContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.3), f.db, GreedyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.FinalBytes != ctxRes.FinalBytes || plain.CostEvaluations != ctxRes.CostEvaluations ||
-		len(plain.Steps) != len(ctxRes.Steps) {
-		t.Errorf("context variant diverged: %d/%d evals, %d/%d bytes, %d/%d steps",
-			plain.CostEvaluations, ctxRes.CostEvaluations,
-			plain.FinalBytes, ctxRes.FinalBytes, len(plain.Steps), len(ctxRes.Steps))
-	}
-	for i := range plain.Steps {
-		if plain.Steps[i] != ctxRes.Steps[i] {
-			t.Errorf("step %d diverged: %+v vs %+v", i, plain.Steps[i], ctxRes.Steps[i])
-		}
-	}
-	if _, err := f.opt.WorkloadCost(f.w, optimizer.Configuration(ctxRes.Final.Defs())); err != nil {
-		t.Fatal(err)
 	}
 }

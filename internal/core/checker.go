@@ -440,20 +440,21 @@ func (c *NoCostChecker) Accepts(ctx context.Context, _ *Configuration, m, a, b *
 // PrefilteredChecker consults an inexpensive external cost model first
 // and invokes the optimizer-backed checker only when the external
 // model predicts the constraint can be met (§3.5.3, last paragraph).
-// The external bound is calibrated against the initial configuration:
-// a candidate is vetoed only when its external cost exceeds the
-// external baseline by more than the slack allowance times Margin.
+// A candidate is vetoed only when External.Within(cfg, Margin) says no:
+// its external cost exceeds the external baseline by more than the cost
+// constraint times Margin.
 //
-// Safe for concurrent Accepts calls: the external model is read-only
-// after SetBaseline, the rejection counter is atomic, and Inner is
-// itself concurrency-safe.
+// Safe for concurrent Accepts calls: the external model is read-only,
+// the rejection counter is atomic, and Inner is itself
+// concurrency-safe.
 type PrefilteredChecker struct {
+	// External is calibrated with the constraint used to build Inner
+	// (NewExternalCostModel).
 	External *ExternalCostModel
 	Inner    *OptimizerChecker
-	// SlackPct mirrors the cost constraint used to build Inner.
-	SlackPct float64
 	// Margin loosens the external prediction so the coarse model only
-	// vetoes clearly hopeless candidates; >1 means permissive.
+	// vetoes clearly hopeless candidates; >1 means permissive (default
+	// 2).
 	Margin float64
 
 	prefilterHits atomic.Int64
@@ -483,13 +484,9 @@ func (c *PrefilteredChecker) Accepts(ctx context.Context, cfg *Configuration, m,
 	if margin <= 0 {
 		margin = 2.0
 	}
-	extBase := c.External.BaselineCost()
-	if extBase > 0 {
-		extCost := c.External.WorkloadCost(cfg)
-		if extCost > extBase*(1+c.SlackPct*margin) {
-			c.prefilterHits.Add(1)
-			return false, nil
-		}
+	if !c.External.Within(cfg, margin) {
+		c.prefilterHits.Add(1)
+		return false, nil
 	}
 	return c.Inner.Accepts(ctx, cfg, m, a, b)
 }

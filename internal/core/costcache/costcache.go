@@ -56,11 +56,12 @@ type Cache struct {
 	hits   atomic.Int64
 	misses atomic.Int64
 	dedups atomic.Int64
-	bytes  atomic.Int64 // approximate resident bytes (entryBytes per entry)
+	bytes  atomic.Int64 // approximate resident bytes (entrySize per entry and interned text)
 }
 
 // entryBytes approximates one cached entry's resident footprint beyond
-// its key text: the float64 value plus map-bucket overhead. The figure
+// its key text: the float64 value (or an interned text's uint32 ID)
+// plus map-bucket overhead. The figure
 // is deliberately coarse — the memory quota subsystem needs a stable,
 // cheap accounting basis, not heap-exact numbers.
 const entryBytes = 16
@@ -121,7 +122,8 @@ func (c *Cache) GetBytes(key []byte) (float64, bool) {
 // order, and the same for as long as the cache lives, so that callers
 // sharing the cache may build keys from IDs instead of from the text
 // (core.Pricer keys a cell by the IDs of its unit's relevant indexes).
-// Interned text is held for the cache's life; Bytes does not count it.
+// Interned text is held for the cache's life: Bytes counts it, and
+// EvictOldest never reclaims it.
 func (c *Cache) Intern(text string) uint32 {
 	c.imu.RLock()
 	id, ok := c.ids[text]
@@ -139,6 +141,7 @@ func (c *Cache) Intern(text string) uint32 {
 	}
 	id = uint32(len(c.ids))
 	c.ids[text] = id
+	c.bytes.Add(entrySize(text))
 	return id
 }
 
@@ -273,7 +276,8 @@ func (c *Cache) Stats() (hits, misses, dedups int64) {
 }
 
 // Bytes reports the approximate resident footprint of the cached
-// entries (key length plus a fixed per-entry overhead). The figure is
+// entries and the interned text (key or text length plus a fixed
+// per-entry overhead each). The figure is
 // maintained incrementally on insert and evict, so it costs one
 // atomic load — the accounting basis for per-tenant memory budgets.
 func (c *Cache) Bytes() int64 { return c.bytes.Load() }

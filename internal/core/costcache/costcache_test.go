@@ -415,8 +415,38 @@ func TestInternDenseAndStable(t *testing.T) {
 	if again := c.Intern("t(c5)"); again != ids[0][5] {
 		t.Errorf("t(c5) interned again as %d, first as %d", again, ids[0][5])
 	}
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Errorf("interning left %d cells, %d accounted bytes", c.Len(), c.Bytes())
+	var want int64
+	for k := 0; k < texts; k++ {
+		want += entrySize(fmt.Sprintf("t(c%d)", k))
+	}
+	if c.Len() != 0 || c.Bytes() != want {
+		t.Errorf("interning left %d cells, %d accounted bytes; want none, and %d bytes of text", c.Len(), c.Bytes(), want)
+	}
+}
+
+// TestInternedTextIsAccounted: Bytes counts what Intern holds for the
+// cache's life — each new text once — and a bounded table evicted to
+// empty still reports it, since eviction reclaims cells, not text.
+func TestInternedTextIsAccounted(t *testing.T) {
+	c := NewBounded(1, 2)
+	c.Intern("fact(d,m1)")
+	c.Intern("fact(k)")
+	c.Intern("fact(d,m1)")
+	text := entrySize("fact(d,m1)") + entrySize("fact(k)")
+	if c.Bytes() != text {
+		t.Fatalf("Bytes after interning two texts = %d, want %d", c.Bytes(), text)
+	}
+	for _, k := range []string{"q0|a", "q1|b", "q2|c"} {
+		c.Do(k, func() (float64, error) { return 1, nil })
+	}
+	if want := text + entrySize("q1|b") + entrySize("q2|c"); c.Bytes() != want {
+		t.Fatalf("Bytes with two cells = %d, want %d", c.Bytes(), want)
+	}
+	if n := c.EvictOldest(10); n != 2 || c.Len() != 0 {
+		t.Fatalf("EvictOldest = %d (len %d), want 2 (len 0)", n, c.Len())
+	}
+	if c.Bytes() != text {
+		t.Errorf("Bytes of a table evicted to empty = %d, want its interned text's %d", c.Bytes(), text)
 	}
 }
 

@@ -7,9 +7,11 @@ import (
 )
 
 // WorkloadCoster evaluates Cost(W, C), observing cancellation between
-// per-query optimizer calls; OptimizerChecker satisfies it.
+// per-query optimizer calls, and counts the optimizer calls it has
+// issued; OptimizerChecker satisfies it.
 type WorkloadCoster interface {
 	WorkloadCostContext(ctx context.Context, cfg *Configuration) (float64, error)
+	OptimizerCalls() int64
 }
 
 // CostMinimalResult extends SearchResult with the dual problem's cost
@@ -23,18 +25,16 @@ type CostMinimalResult struct {
 	MetBudget bool
 }
 
-// CostMinimal solves the paper's dual formulation (§3.1: "a dual
-// formulation ... where the goal is to minimize the cost of the
+// CostMinimalContext solves the paper's dual formulation (§3.1: "a
+// dual formulation ... where the goal is to minimize the cost of the
 // workload subject to a maximum storage constraint", flagged as not
 // explored there — implemented here as an extension). The greedy
 // strategy repeatedly applies the merge with the smallest workload-cost
 // increase until the configuration fits in storageBudget bytes.
-func CostMinimal(initial *Configuration, mp MergePair, coster WorkloadCoster, env SizeEstimator, storageBudget int64) (*CostMinimalResult, error) {
-	return CostMinimalContext(context.Background(), initial, mp, coster, env, storageBudget)
-}
-
-// CostMinimalContext is CostMinimal under a context; cancellation
-// surfaces as ctx.Err() with no partial result.
+// CostEvaluations counts the workload costings the search made (the
+// initial configuration's and one per candidate), OptimizerCalls the
+// optimizer calls the coster issued for them. Cancellation surfaces as
+// ctx.Err() with no partial result.
 func CostMinimalContext(ctx context.Context, initial *Configuration, mp MergePair, coster WorkloadCoster, env SizeEstimator, storageBudget int64) (*CostMinimalResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -44,7 +44,9 @@ func CostMinimalContext(ctx context.Context, initial *Configuration, mp MergePai
 	res.Initial = initial
 	res.InitialBytes = initial.Bytes(env)
 
+	startCalls := coster.OptimizerCalls()
 	cur := initial.Clone()
+	res.CostEvaluations++
 	curCost, err := coster.WorkloadCostContext(ctx, cur)
 	if err != nil {
 		return nil, err
@@ -76,6 +78,7 @@ func CostMinimalContext(ctx context.Context, initial *Configuration, mp MergePai
 				continue // merge must actually save storage
 			}
 			res.ConfigsExplored++
+			res.CostEvaluations++
 			cost, err := coster.WorkloadCostContext(ctx, next)
 			if err != nil {
 				return nil, err
@@ -103,6 +106,7 @@ func CostMinimalContext(ctx context.Context, initial *Configuration, mp MergePai
 	res.FinalBytes = cur.Bytes(env)
 	res.FinalCost = curCost
 	res.MetBudget = res.FinalBytes <= storageBudget
+	res.OptimizerCalls = coster.OptimizerCalls() - startCalls
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -213,7 +213,7 @@ func lookupsOf(c *OptimizerChecker) int64 {
 func TestDeltaMatchesFullGreedy(t *testing.T) {
 	for name, rig := range map[string]*deltaRig{"fixture": fixtureRig(t), "tpcd": tpcdRig(t)} {
 		rec := &exactRecorder{t: t, rig: rig, inner: rig.checker(0.30)}
-		res, err := Greedy(rig.initial, &MergePairCost{Seek: rig.seek}, rec, rig.db)
+		res, err := GreedyContext(context.Background(), rig.initial, &MergePairCost{Seek: rig.seek}, rec, rig.db, GreedyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,14 +270,14 @@ func TestDeltaDuplicateCollapse(t *testing.T) {
 func TestDeltaExhaustiveStaleSiblings(t *testing.T) {
 	rig := fixtureRig(t)
 	rec := &exactRecorder{t: t, rig: rig, inner: rig.checker(0.30)}
-	res, err := Exhaustive(rig.initial, &MergePairCost{Seek: rig.seek}, rec, rig.db, ExhaustiveOptions{})
+	res, err := ExhaustiveContext(context.Background(), rig.initial, &MergePairCost{Seek: rig.seek}, rec, rig.db, ExhaustiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.delta == 0 || rec.full == 0 {
 		t.Errorf("%d delta and %d full checks: want both", rec.delta, rec.full)
 	}
-	plain, err := Exhaustive(rig.initial, &MergePairCost{Seek: rig.seek}, noBaseChecker{rig.checker(0.30)}, rig.db, ExhaustiveOptions{})
+	plain, err := ExhaustiveContext(context.Background(), rig.initial, &MergePairCost{Seek: rig.seek}, noBaseChecker{rig.checker(0.30)}, rig.db, ExhaustiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func (noBaseChecker) SetBase(*Configuration) {}
 func TestDeltaSearchIdentities(t *testing.T) {
 	rig := tpcdRig(t)
 	mp := &MergePairCost{Seek: rig.seek}
-	want, err := Greedy(rig.initial, mp, noBaseChecker{rig.checker(0.10)}, rig.db)
+	want, err := GreedyContext(context.Background(), rig.initial, mp, noBaseChecker{rig.checker(0.10)}, rig.db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestDeltaSearchIdentities(t *testing.T) {
 	} {
 		check := rig.checker(0.10)
 		check.Prepared, check.Parallelism = tc.prepared, tc.par
-		got, err := GreedyWithOptions(rig.initial, mp, check, rig.db, GreedyOptions{Parallelism: tc.par})
+		got, err := GreedyContext(context.Background(), rig.initial, mp, check, rig.db, GreedyOptions{Parallelism: tc.par})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -342,7 +342,7 @@ func TestDeltaSearchIdentities(t *testing.T) {
 	bad := rig.checker(0.10)
 	nq := len(rig.pw.Queries)
 	bad.Prepared = &optimizer.PreparedWorkload{W: rig.w, Queries: rig.pw.Queries[:nq-1]}
-	_, err = Greedy(rig.initial, mp, bad, rig.db)
+	_, err = GreedyContext(context.Background(), rig.initial, mp, bad, rig.db, GreedyOptions{})
 	for _, n := range []int{nq - 1, nq} {
 		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(n)) {
 			t.Errorf("mismatched Prepared: err = %v, want one naming %d and %d queries", err, nq-1, nq)
@@ -421,13 +421,13 @@ func TestDeltaFailedCheckLeavesNoState(t *testing.T) {
 func TestPrefilterForwardsBase(t *testing.T) {
 	rig := tpcdRig(t)
 	mp := &MergePairCost{Seek: rig.seek}
-	plain, err := Greedy(rig.initial, mp, rig.checker(0.10), rig.db)
+	plain, err := GreedyContext(context.Background(), rig.initial, mp, rig.checker(0.10), rig.db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Uncalibrated (no SetBaseline), the external model passes everything.
-	pre := &PrefilteredChecker{External: &ExternalCostModel{Meta: rig.db, W: rig.w}, Inner: rig.checker(0.10), SlackPct: 0.10}
-	got, err := Greedy(rig.initial, mp, pre, rig.db)
+	// Uncalibrated (a bare struct), the external model passes everything.
+	pre := &PrefilteredChecker{External: &ExternalCostModel{Meta: rig.db, W: rig.w}, Inner: rig.checker(0.10)}
+	got, err := GreedyContext(context.Background(), rig.initial, mp, pre, rig.db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestPrefilterForwardsBase(t *testing.T) {
 		t.Errorf("prefiltered run issued %d optimizer calls, plain %d", got.OptimizerCalls, plain.OptimizerCalls)
 	}
 	full := rig.checker(0.10)
-	if _, err := Greedy(rig.initial, mp, noBaseChecker{full}, rig.db); err != nil {
+	if _, err := GreedyContext(context.Background(), rig.initial, mp, noBaseChecker{full}, rig.db, GreedyOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if pl, fl := lookupsOf(pre.Inner), lookupsOf(full); pl >= fl {

@@ -33,23 +33,20 @@ type exhCandidate struct {
 	err     error
 }
 
-// Exhaustive enumerates every minimal merged configuration reachable
-// from the initial configuration through sequences of pairwise merges
-// produced by mp, and returns the one with the lowest storage among
-// those the checker accepts (paper §3.4: "exhaustively enumerate every
-// possible merged configuration with respect to C derived using
-// MergePair"). The enumeration is memoized on configuration identity
-// but is still exponential — the paper deems it infeasible past
-// N ≈ 20, and the experiments use it only at N = 5.
-func Exhaustive(initial *Configuration, mp MergePair, check ConstraintChecker, env SizeEstimator, opt ExhaustiveOptions) (*SearchResult, error) {
-	return ExhaustiveContext(context.Background(), initial, mp, check, env, opt)
-}
-
-// ExhaustiveContext is Exhaustive under a context: the search observes
-// ctx at every DFS node and every sibling wave, and the checker within
-// one constraint check, so cancellation stops the enumeration promptly. On
-// cancellation it returns ctx.Err() (no partial result); counters
-// already delivered through opt.Progress remain valid.
+// ExhaustiveContext enumerates every minimal merged configuration
+// reachable from the initial configuration through sequences of
+// pairwise merges produced by mp, and returns the one with the lowest
+// storage among those the checker accepts (paper §3.4: "exhaustively
+// enumerate every possible merged configuration with respect to C
+// derived using MergePair"). The enumeration is memoized on
+// configuration identity but is still exponential — the paper deems it
+// infeasible past N ≈ 20, and the experiments use it only at N = 5.
+//
+// The search observes ctx at every DFS node and every sibling wave, and
+// the checker within one constraint check, so cancellation stops the
+// enumeration promptly. On cancellation it returns ctx.Err() (no
+// partial result); counters already delivered through opt.Progress
+// remain valid.
 func ExhaustiveContext(ctx context.Context, initial *Configuration, mp MergePair, check ConstraintChecker, env SizeEstimator, opt ExhaustiveOptions) (*SearchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -20,11 +20,27 @@ type ExternalMeta interface {
 // exists (a) as a standalone evaluation strategy to compare against,
 // and (b) as the cheap pre-filter of §3.5.3 that prunes hopeless
 // candidates before an optimizer invocation.
+//
+// A model built by NewExternalCostModel is calibrated against the
+// initial configuration and carries the run's cost constraint; one
+// built as a bare struct is uncalibrated, and Within accepts everything.
+// Read-only once built, so safe for concurrent use.
 type ExternalCostModel struct {
 	Meta ExternalMeta
 	W    *sql.Workload
 
 	baseline float64
+	slackPct float64
+}
+
+// NewExternalCostModel returns the model over w, calibrated against
+// initial: the initial configuration's external cost is the baseline
+// that constraint translation (optimizer-U → external-U) scales by
+// slackPct, the run's cost constraint.
+func NewExternalCostModel(meta ExternalMeta, w *sql.Workload, initial *Configuration, slackPct float64) *ExternalCostModel {
+	m := &ExternalCostModel{Meta: meta, W: w, slackPct: slackPct}
+	m.baseline = m.WorkloadCost(initial)
+	return m
 }
 
 // Fixed selectivity guesses — the hallmark of an out-of-sync external
@@ -34,14 +50,22 @@ const (
 	extRangeSel = 0.30
 )
 
-// SetBaseline records the external cost of the initial configuration
-// so constraint translation (optimizer-U → external-U) can be scaled.
-func (m *ExternalCostModel) SetBaseline(cfg *Configuration) {
-	m.baseline = m.WorkloadCost(cfg)
-}
-
-// BaselineCost returns the recorded baseline (0 until SetBaseline).
+// BaselineCost returns the initial configuration's external cost (0
+// for an uncalibrated model).
 func (m *ExternalCostModel) BaselineCost() float64 { return m.baseline }
+
+// Within reports whether cfg's external cost stays within the cost
+// constraint times margin of the baseline:
+// ext(cfg) ≤ ext(initial) × (1 + slackPct × margin). The §3.5.3
+// prefilter asks with a loose margin, so that the coarse model vetoes
+// only clearly hopeless candidates; degraded mode asks with margin 1.
+// An uncalibrated model accepts everything.
+func (m *ExternalCostModel) Within(cfg *Configuration, margin float64) bool {
+	if m.baseline <= 0 {
+		return true
+	}
+	return m.WorkloadCost(cfg) <= m.baseline*(1+m.slackPct*margin)
+}
 
 // WorkloadCost estimates Cost(W, C) analytically.
 func (m *ExternalCostModel) WorkloadCost(cfg *Configuration) float64 {

@@ -141,16 +141,6 @@ func (sb *SearchBase) Derives(cfg *Configuration, m, a, b *Index) bool {
 // SetBase implements baseAware for MergePairExhaustive.
 func (m *MergePairExhaustive) SetBase(c *Configuration) { m.Base = c }
 
-// Greedy runs the paper's Figure 4 algorithm: in each outer iteration,
-// merge every same-table pair in the current configuration with mp,
-// order the results by storage reduction, and adopt the first merged
-// configuration the checker accepts. The search ends when no merge is
-// acceptable. Runs in O(N³) merged-pair constructions; constraint
-// checks dominate in practice exactly as §3.4.2 predicts.
-func Greedy(initial *Configuration, mp MergePair, check ConstraintChecker, env SizeEstimator) (*SearchResult, error) {
-	return GreedyContext(context.Background(), initial, mp, check, env, GreedyOptions{})
-}
-
 // greedyCandidate is one candidate merge of an outer iteration.
 type greedyCandidate struct {
 	a, b, m    *Index
@@ -166,14 +156,16 @@ type verdict struct {
 	err  error
 }
 
-// GreedyWithOptions is Greedy with ablation and concurrency knobs.
-func GreedyWithOptions(initial *Configuration, mp MergePair, check ConstraintChecker, env SizeEstimator, opt GreedyOptions) (*SearchResult, error) {
-	return GreedyContext(context.Background(), initial, mp, check, env, opt)
-}
-
-// GreedyContext is GreedyWithOptions under a context: the search
-// observes ctx between iterations and between waves, and the checker
-// within one constraint check (the optimizer-backed ones between
+// GreedyContext runs the paper's Figure 4 algorithm: in each outer
+// iteration, merge every same-table pair in the current configuration
+// with mp, order the results by storage reduction (or as opt.Order
+// says), and adopt the first merged configuration the checker accepts.
+// The search ends when no merge is acceptable. Runs in O(N³)
+// merged-pair constructions; constraint checks dominate in practice
+// exactly as §3.4.2 predicts.
+//
+// The search observes ctx between iterations and between waves, and the
+// checker within one constraint check (the optimizer-backed ones between
 // per-query optimizer calls), so an in-flight search stops promptly on
 // cancel. On cancellation it returns ctx.Err() (no partial result);
 // counters already delivered through opt.Progress remain valid.

@@ -43,13 +43,13 @@ func TestGreedyParallelDeterminism(t *testing.T) {
 	mp := &MergePairCost{Seek: f.seek}
 	for _, slack := range []float64{0.05, 0.15, 0.50} {
 		serialCheck := f.checker(slack)
-		serial, err := GreedyWithOptions(f.initial, mp, serialCheck, f.db, GreedyOptions{Parallelism: 1})
+		serial, err := GreedyContext(context.Background(), f.initial, mp, serialCheck, f.db, GreedyOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		parCheck := f.checker(slack)
 		parCheck.Parallelism = testParallelism
-		parallel, err := GreedyWithOptions(f.initial, mp, parCheck, f.db, GreedyOptions{Parallelism: testParallelism})
+		parallel, err := GreedyContext(context.Background(), f.initial, mp, parCheck, f.db, GreedyOptions{Parallelism: testParallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,11 +60,11 @@ func TestGreedyParallelDeterminism(t *testing.T) {
 func TestGreedyParallelDeterminismNoCost(t *testing.T) {
 	f := newSearchFixture(t)
 	mp := &MergePairCost{Seek: f.seek}
-	serial, err := GreedyWithOptions(f.initial, mp, &NoCostChecker{F: 0.60, P: 0.60, Tables: f.db}, f.db, GreedyOptions{})
+	serial, err := GreedyContext(context.Background(), f.initial, mp, &NoCostChecker{F: 0.60, P: 0.60, Tables: f.db}, f.db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := GreedyWithOptions(f.initial, mp, &NoCostChecker{F: 0.60, P: 0.60, Tables: f.db}, f.db, GreedyOptions{Parallelism: testParallelism})
+	parallel, err := GreedyContext(context.Background(), f.initial, mp, &NoCostChecker{F: 0.60, P: 0.60, Tables: f.db}, f.db, GreedyOptions{Parallelism: testParallelism})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +75,13 @@ func TestExhaustiveParallelDeterminism(t *testing.T) {
 	f := newSearchFixture(t)
 	mp := &MergePairCost{Seek: f.seek}
 	for _, slack := range []float64{0.05, 0.15, 0.50} {
-		serial, err := Exhaustive(f.initial, mp, f.checker(slack), f.db, ExhaustiveOptions{Parallelism: 1})
+		serial, err := ExhaustiveContext(context.Background(), f.initial, mp, f.checker(slack), f.db, ExhaustiveOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		parCheck := f.checker(slack)
 		parCheck.Parallelism = testParallelism
-		parallel, err := Exhaustive(f.initial, mp, parCheck, f.db, ExhaustiveOptions{Parallelism: testParallelism})
+		parallel, err := ExhaustiveContext(context.Background(), f.initial, mp, parCheck, f.db, ExhaustiveOptions{Parallelism: testParallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +104,8 @@ func TestSearchPanicIsAnErrorAtAnyParallelism(t *testing.T) {
 	mp := &MergePairCost{Seek: f.seek}
 	for _, par := range []int{1, 4} {
 		check := panickingChecker{f.checker(0.50)}
-		_, gerr := GreedyWithOptions(f.initial, mp, check, f.db, GreedyOptions{Parallelism: par})
-		_, eerr := Exhaustive(f.initial, mp, check, f.db, ExhaustiveOptions{Parallelism: par})
+		_, gerr := GreedyContext(context.Background(), f.initial, mp, check, f.db, GreedyOptions{Parallelism: par})
+		_, eerr := ExhaustiveContext(context.Background(), f.initial, mp, check, f.db, ExhaustiveOptions{Parallelism: par})
 		for name, err := range map[string]error{"greedy": gerr, "exhaustive": eerr} {
 			var pe *PanicError
 			if !errors.As(err, &pe) || pe.Value != "scripted check panic" {
@@ -120,7 +120,7 @@ func TestSearchPanicIsAnErrorAtAnyParallelism(t *testing.T) {
 // agree with Configuration.Bytes at every step boundary.
 func TestGreedyIncrementalBytesConsistent(t *testing.T) {
 	f := newSearchFixture(t)
-	res, err := GreedyWithOptions(f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.50), f.db, GreedyOptions{})
+	res, err := GreedyContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.50), f.db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

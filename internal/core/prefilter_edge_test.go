@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/optimizer"
@@ -22,10 +24,9 @@ import (
 // accepted result must hold Cost(W, C') <= Cost(W, C).
 func TestPrefilterZeroSlack(t *testing.T) {
 	f := newSearchFixture(t)
-	ext := &ExternalCostModel{Meta: f.db, W: f.w}
-	ext.SetBaseline(f.initial)
+	ext := NewExternalCostModel(f.db, f.w, f.initial, 0)
 
-	pre := &PrefilteredChecker{External: ext, Inner: f.checker(0), SlackPct: 0}
+	pre := &PrefilteredChecker{External: ext, Inner: f.checker(0)}
 	// The baseline configuration: external cost == baseline, the zero
 	// slack window is [0, baseline]. Strictly-greater comparison must
 	// let it through to the optimizer, which accepts (cost unchanged).
@@ -41,7 +42,7 @@ func TestPrefilterZeroSlack(t *testing.T) {
 	}
 
 	// A full zero-slack search still satisfies the (tight) bound.
-	res, err := Greedy(f.initial, &MergePairCost{Seek: f.seek}, pre, f.db)
+	res, err := GreedyContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, pre, f.db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +55,13 @@ func TestPrefilterZeroSlack(t *testing.T) {
 	}
 }
 
-// TestPrefilterUncalibratedPassesThrough: before SetBaseline the
+// TestPrefilterUncalibratedPassesThrough: on an uncalibrated model the
 // external bound is unknown (baseline 0) and the prefilter must not
 // veto anything — every decision goes to the optimizer.
 func TestPrefilterUncalibratedPassesThrough(t *testing.T) {
 	f := newSearchFixture(t)
-	ext := &ExternalCostModel{Meta: f.db, W: f.w} // no SetBaseline
-	pre := &PrefilteredChecker{External: ext, Inner: f.checker(0.10), SlackPct: 0.10}
+	ext := &ExternalCostModel{Meta: f.db, W: f.w} // uncalibrated: a bare struct
+	pre := &PrefilteredChecker{External: ext, Inner: f.checker(0.10)}
 
 	// The index-free configuration is the worst case the external model
 	// can see; uncalibrated, it must still reach the optimizer.
@@ -84,10 +85,9 @@ func TestPrefilterUncalibratedPassesThrough(t *testing.T) {
 // estimate to clear the margin-widened bound.
 func TestPrefilterDisagreementNearBound(t *testing.T) {
 	f := newSearchFixture(t)
-	ext := &ExternalCostModel{Meta: f.db, W: f.w}
-	ext.SetBaseline(f.initial)
+	ext := NewExternalCostModel(f.db, f.w, f.initial, 0.10)
 	inner := f.checker(0.10)
-	pre := &PrefilteredChecker{External: ext, Inner: inner, SlackPct: 0.10}
+	pre := &PrefilteredChecker{External: ext, Inner: inner}
 
 	// Candidate set: drop each index in turn (cost strictly grows, by a
 	// different amount per index), a near-boundary family the two models
@@ -140,11 +140,10 @@ func TestPrefilterDisagreementNearBound(t *testing.T) {
 // more than a smaller one.
 func TestPrefilterMarginWidensWindow(t *testing.T) {
 	f := newSearchFixture(t)
-	ext := &ExternalCostModel{Meta: f.db, W: f.w}
-	ext.SetBaseline(f.initial)
+	ext := NewExternalCostModel(f.db, f.w, f.initial, 0.10)
 
 	count := func(margin float64) int64 {
-		pre := &PrefilteredChecker{External: ext, Inner: f.checker(0.10), SlackPct: 0.10, Margin: margin}
+		pre := &PrefilteredChecker{External: ext, Inner: f.checker(0.10), Margin: margin}
 		// Probe with configurations of increasing external cost:
 		// successive prefix subsets of the initial defs.
 		defs := f.initial.Defs()
@@ -170,11 +169,10 @@ func TestPrefilterMarginWidensWindow(t *testing.T) {
 // up exactly.
 func TestPrefilterConcurrentAccepts(t *testing.T) {
 	f := newSearchFixture(t)
-	ext := &ExternalCostModel{Meta: f.db, W: f.w}
-	ext.SetBaseline(f.initial)
+	ext := NewExternalCostModel(f.db, f.w, f.initial, 0.10)
 	inner := f.checker(0.10)
 	inner.Parallelism = 2
-	pre := &PrefilteredChecker{External: ext, Inner: inner, SlackPct: 0.10}
+	pre := &PrefilteredChecker{External: ext, Inner: inner}
 
 	// Two candidate classes: the baseline (always passes through) and
 	// the empty configuration (externally hopeless — vetoed).
@@ -225,4 +223,78 @@ func TestPrefilterConcurrentAccepts(t *testing.T) {
 	if got := accepts.Load(); got != workers*perWorker/2 {
 		t.Errorf("accepted pass-throughs = %d, want %d", got, workers*perWorker/2)
 	}
+}
+
+// TestPrefilterVetoIsDegradedReject: the prefilter and degraded mode
+// ask the one question, External.Within. Over random merge candidates —
+// random walks of pairwise merges, some with an index dropped so that
+// the external cost climbs past the bound — the prefilter at margin 1
+// vetoes exactly the configurations the degraded decision rejects, and
+// both decide as the separate formulas each carried before did:
+// veto iff ext > base·(1+slack·margin), degraded accept iff
+// ext ≤ base·(1+slack).
+func TestPrefilterVetoIsDegradedReject(t *testing.T) {
+	f := newSearchFixture(t)
+	rng := rand.New(rand.NewSource(7))
+	mp := &MergePairCost{Seek: f.seek}
+	var cands []*Configuration
+	for walk := 0; walk < 30; walk++ {
+		cur := f.initial
+		for step := 0; step < 4; step++ {
+			pairs := cur.PairsByTable()
+			if len(pairs) == 0 {
+				break
+			}
+			p := pairs[rng.Intn(len(pairs))]
+			m, err := mp.Merge(p[0], p[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur = cur.ReplacePair(p[0], p[1], m)
+			cands = append(cands, cur)
+			if defs := cur.Defs(); len(defs) > 1 && rng.Intn(3) == 0 {
+				drop := rng.Intn(len(defs))
+				cands = append(cands, NewConfiguration(append(defs[:drop:drop], defs[drop+1:]...)))
+			}
+		}
+	}
+	var vetoes, accepts int
+	for _, slack := range []float64{0, 0.05, 0.10, 0.30} {
+		ext := NewExternalCostModel(f.db, f.w, f.initial, slack)
+		pre := &PrefilteredChecker{External: ext, Inner: f.checker(slack), Margin: 1}
+		open := &Breaker{Threshold: 1, Cooldown: time.Hour}
+		open.Failure(false)
+		degraded := &ResilientChecker{Inner: &scriptedChecker{accept: true}, External: ext, Breaker: open}
+		base := ext.BaselineCost()
+		for i, cfg := range cands {
+			before := pre.PrefilterRejections()
+			if _, err := pre.Accepts(context.Background(), cfg, nil, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			vetoed := pre.PrefilterRejections() > before
+			ok, err := degraded.Accepts(context.Background(), cfg, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vetoed == ok {
+				t.Errorf("slack %v, candidate %d: prefilter veto %v, degraded accept %v", slack, i, vetoed, ok)
+			}
+			c := ext.WorkloadCost(cfg)
+			if ok != (c <= base*(1+slack)) {
+				t.Errorf("slack %v, candidate %d: degraded accept %v, external %v against bound %v", slack, i, ok, c, base*(1+slack))
+			}
+			if ext.Within(cfg, 2) == (c > base*(1+slack*2.0)) {
+				t.Errorf("slack %v, candidate %d: Within at margin 2 disagrees with the default prefilter's bound", slack, i)
+			}
+			if vetoed {
+				vetoes++
+			} else {
+				accepts++
+			}
+		}
+	}
+	if vetoes == 0 || accepts == 0 {
+		t.Fatalf("candidates exercise one side only: %d vetoes, %d pass-throughs", vetoes, accepts)
+	}
+	t.Logf("%d candidates × 4 constraints: %d vetoes, %d pass-throughs", len(cands), vetoes, accepts)
 }

@@ -224,19 +224,16 @@ func (b *Breaker) Transitions() int64 { return b.transitions.Load() }
 // one.
 //
 // Safe for concurrent Accepts calls (the wrapped checkers are, the
-// external model is read-only after SetBaseline, and all counters are
-// atomic).
+// external model is read-only, and all counters are atomic).
 type ResilientChecker struct {
 	// Inner is the optimizer-backed checker being protected.
 	Inner ConstraintChecker
-	// External, when non-nil with a calibrated baseline (SetBaseline),
-	// supplies degraded-mode decisions: a candidate is accepted iff its
-	// external cost is within (1+SlackPct) of the external baseline —
+	// External, when non-nil and calibrated with the constraint used to
+	// build Inner (NewExternalCostModel), supplies degraded-mode
+	// decisions: a candidate is accepted iff External.Within(cfg, 1) —
 	// the same constraint translation the §3.5.3 prefilter uses, with
 	// margin 1.
 	External *ExternalCostModel
-	// SlackPct mirrors the cost constraint used to build Inner.
-	SlackPct float64
 	// MaxRetries bounds transient retries per constraint check
 	// (default 2; negative disables retries).
 	MaxRetries int
@@ -407,6 +404,5 @@ func (c *ResilientChecker) degradedDecision(cfg *Configuration, cause error) (bo
 	c.degraded.Store(true)
 	c.degradedChecks.Add(1)
 	c.degradedEvals.Add(1)
-	ext := c.External.WorkloadCost(cfg)
-	return ext <= c.External.BaselineCost()*(1+c.SlackPct), nil
+	return c.External.Within(cfg, 1), nil
 }

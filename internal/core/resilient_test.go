@@ -300,8 +300,7 @@ func TestResilientParentCancellationPropagates(t *testing.T) {
 
 func TestResilientDegradedDecision(t *testing.T) {
 	f := newSearchFixture(t)
-	ext := &ExternalCostModel{Meta: f.db, W: f.w}
-	ext.SetBaseline(f.initial)
+	ext := NewExternalCostModel(f.db, f.w, f.initial, 0.10)
 
 	permanent := errors.New("optimizer down")
 	// Inner fails every call permanently.
@@ -313,7 +312,6 @@ func TestResilientDegradedDecision(t *testing.T) {
 	rc := &ResilientChecker{
 		Inner:    inner,
 		External: ext,
-		SlackPct: 0.10,
 		Backoff:  time.Microsecond,
 	}
 	// The initial configuration's external cost equals the baseline, so
@@ -349,13 +347,12 @@ func TestResilientDegradedDecision(t *testing.T) {
 
 func TestResilientCircuitOpenServesDegraded(t *testing.T) {
 	f := newSearchFixture(t)
-	ext := &ExternalCostModel{Meta: f.db, W: f.w}
-	ext.SetBaseline(f.initial)
+	ext := NewExternalCostModel(f.db, f.w, f.initial, 0.10)
 
 	inner := &scriptedChecker{accept: true}
 	b := &Breaker{Threshold: 1, Cooldown: time.Hour}
 	b.Failure(false) // force open
-	rc := &ResilientChecker{Inner: inner, External: ext, SlackPct: 0.10, Breaker: b}
+	rc := &ResilientChecker{Inner: inner, External: ext, Breaker: b}
 
 	ok, err := rc.Accepts(context.Background(), f.initial, nil, nil, nil)
 	if err != nil || !ok {

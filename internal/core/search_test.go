@@ -229,7 +229,7 @@ func TestGreedyRespectsCostBound(t *testing.T) {
 	f := newSearchFixture(t)
 	for _, slack := range []float64{0.05, 0.10, 0.25} {
 		check := f.checker(slack)
-		res, err := Greedy(f.initial, &MergePairCost{Seek: f.seek}, check, f.db)
+		res, err := GreedyContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, check, f.db, GreedyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,11 +251,11 @@ func TestGreedyRespectsCostBound(t *testing.T) {
 
 func TestGreedyMonotoneInConstraint(t *testing.T) {
 	f := newSearchFixture(t)
-	loose, err := Greedy(f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.50), f.db)
+	loose, err := GreedyContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.50), f.db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := Greedy(f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.01), f.db)
+	tight, err := GreedyContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.01), f.db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestGreedyMonotoneInConstraint(t *testing.T) {
 
 func TestGreedyStepsTraceConsistent(t *testing.T) {
 	f := newSearchFixture(t)
-	res, err := Greedy(f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.30), f.db)
+	res, err := GreedyContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.30), f.db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +290,11 @@ func TestGreedyStepsTraceConsistent(t *testing.T) {
 func TestExhaustiveDominatesGreedy(t *testing.T) {
 	f := newSearchFixture(t)
 	mp := &MergePairCost{Seek: f.seek}
-	g, err := Greedy(f.initial, mp, f.checker(0.15), f.db)
+	g, err := GreedyContext(context.Background(), f.initial, mp, f.checker(0.15), f.db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Exhaustive(f.initial, mp, f.checker(0.15), f.db, ExhaustiveOptions{})
+	e, err := ExhaustiveContext(context.Background(), f.initial, mp, f.checker(0.15), f.db, ExhaustiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestExhaustiveDominatesGreedy(t *testing.T) {
 
 func TestExhaustiveMaxConfigsGuard(t *testing.T) {
 	f := newSearchFixture(t)
-	_, err := Exhaustive(f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.5), f.db, ExhaustiveOptions{MaxConfigs: 1})
+	_, err := ExhaustiveContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, f.checker(0.5), f.db, ExhaustiveOptions{MaxConfigs: 1})
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Errorf("runaway guard did not trip: %v", err)
 	}
@@ -403,18 +403,20 @@ func TestExternalCostModel(t *testing.T) {
 	if withIdx >= empty {
 		t.Errorf("indexes should reduce external cost: %v vs %v", withIdx, empty)
 	}
-	ext.SetBaseline(f.initial)
-	if ext.BaselineCost() != withIdx {
-		t.Errorf("baseline = %v, want %v", ext.BaselineCost(), withIdx)
+	if ext.BaselineCost() != 0 {
+		t.Errorf("bare model's baseline = %v, want 0", ext.BaselineCost())
+	}
+	cal := NewExternalCostModel(f.db, f.w, f.initial, 0.10)
+	if cal.BaselineCost() != withIdx {
+		t.Errorf("baseline = %v, want %v", cal.BaselineCost(), withIdx)
 	}
 }
 
 func TestPrefilteredChecker(t *testing.T) {
 	f := newSearchFixture(t)
-	ext := &ExternalCostModel{Meta: f.db, W: f.w}
-	ext.SetBaseline(f.initial)
-	pre := &PrefilteredChecker{External: ext, Inner: f.checker(0.10), SlackPct: 0.10}
-	res, err := Greedy(f.initial, &MergePairCost{Seek: f.seek}, pre, f.db)
+	ext := NewExternalCostModel(f.db, f.w, f.initial, 0.10)
+	pre := &PrefilteredChecker{External: ext, Inner: f.checker(0.10)}
+	res, err := GreedyContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, pre, f.db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +435,7 @@ func TestCostMinimalDual(t *testing.T) {
 	coster := f.checker(0) // used only as a WorkloadCoster here
 	// Budget halfway between fully merged and initial.
 	budget := f.initial.Bytes(f.db) * 3 / 4
-	res, err := CostMinimal(f.initial, &MergePairCost{Seek: f.seek}, coster, f.db, budget)
+	res, err := CostMinimalContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, coster, f.db, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +452,7 @@ func TestCostMinimalDual(t *testing.T) {
 	// merged index can cover a query whose plan previously paid RID
 	// lookups (e.g. (k,m3)+(d,m1) covering the join query's slice).
 	// A zero budget forces merging everything mergeable.
-	res0, err := CostMinimal(f.initial, &MergePairCost{Seek: f.seek}, coster, f.db, 0)
+	res0, err := CostMinimalContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, coster, f.db, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,5 +461,40 @@ func TestCostMinimalDual(t *testing.T) {
 	}
 	if res0.FinalBytes > res.FinalBytes {
 		t.Error("tighter budget ended with more storage")
+	}
+}
+
+// TestCostMinimalReportsItsCostings: the dual reports the workload
+// costings it made — the initial configuration's and one per candidate
+// — and the optimizer calls its coster issued for them, as a delta: a
+// second run over the coster's warm cells makes the same costings and
+// no call.
+func TestCostMinimalReportsItsCostings(t *testing.T) {
+	f := newSearchFixture(t)
+	coster := f.checker(0)
+	budget := f.initial.Bytes(f.db) / 2
+	var calls int64
+	for run := 0; run < 2; run++ {
+		evals, before := coster.Evaluations(), coster.OptimizerCalls()
+		res, err := CostMinimalContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, coster, f.db, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ConfigsExplored == 0 {
+			t.Fatal("the dual explored no candidate; the test has no teeth")
+		}
+		if res.CostEvaluations != res.ConfigsExplored+1 || res.CostEvaluations != coster.Evaluations()-evals {
+			t.Errorf("run %d: cost evaluations %d, want %d (explored + the initial) = the coster's %d",
+				run, res.CostEvaluations, res.ConfigsExplored+1, coster.Evaluations()-evals)
+		}
+		if got := coster.OptimizerCalls() - before; res.OptimizerCalls != got {
+			t.Errorf("run %d: optimizer calls %d, the coster issued %d", run, res.OptimizerCalls, got)
+		}
+		if run == 0 {
+			calls = res.OptimizerCalls
+		}
+	}
+	if calls == 0 {
+		t.Error("a cold coster's run reports no optimizer call")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"indexmerge/internal/catalog"
@@ -80,7 +81,7 @@ func TestGreedyNeverGrowsStorageOnWideKeys(t *testing.T) {
 	// A very loose cost constraint so the checker would accept the
 	// growing merge if the greedy ever offered it.
 	check := NewOptimizerChecker(opt, w, base, 10.0)
-	res, err := Greedy(initial, &MergePairCost{Seek: seek}, check, db)
+	res, err := GreedyContext(context.Background(), initial, &MergePairCost{Seek: seek}, check, db, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

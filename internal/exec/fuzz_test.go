@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -185,7 +186,7 @@ func TestAdvisorPlansExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range wl.Queries {
-		defs, err := adv.TuneQuery(q.Stmt)
+		defs, err := adv.TuneQueryContext(context.Background(), q.Stmt)
 		if err != nil {
 			t.Fatalf("q%d tune: %v", i, err)
 		}

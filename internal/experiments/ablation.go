@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"indexmerge/internal/core"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/sql"
@@ -33,11 +35,11 @@ func RunAblationPrefixChoice(labs []*Lab, n int, constraint float64) ([]Ablation
 		if err != nil {
 			return nil, err
 		}
-		base, err := core.Greedy(s.initial, &core.MergePairCost{Seek: s.seek}, s.optChecker(constraint), lab.DB)
+		base, err := core.GreedyContext(context.Background(), s.initial, &core.MergePairCost{Seek: s.seek}, s.optChecker(constraint), lab.DB, core.GreedyOptions{})
 		if err != nil {
 			return nil, err
 		}
-		variant, err := core.Greedy(s.initial, &core.MergePairCost{Seek: s.seek, ReversePreference: true}, s.optChecker(constraint), lab.DB)
+		variant, err := core.GreedyContext(context.Background(), s.initial, &core.MergePairCost{Seek: s.seek, ReversePreference: true}, s.optChecker(constraint), lab.DB, core.GreedyOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -61,12 +63,12 @@ func RunAblationGreedyOrder(labs []*Lab, n int, constraint float64) ([]AblationR
 			return nil, err
 		}
 		mp := &core.MergePairCost{Seek: s.seek}
-		base, err := core.GreedyWithOptions(s.initial, mp, s.optChecker(constraint), lab.DB,
+		base, err := core.GreedyContext(context.Background(), s.initial, mp, s.optChecker(constraint), lab.DB,
 			core.GreedyOptions{Order: core.OrderByStorageReduction})
 		if err != nil {
 			return nil, err
 		}
-		variant, err := core.GreedyWithOptions(s.initial, mp, s.optChecker(constraint), lab.DB,
+		variant, err := core.GreedyContext(context.Background(), s.initial, mp, s.optChecker(constraint), lab.DB,
 			core.GreedyOptions{Order: core.OrderByWidthGrowth})
 		if err != nil {
 			return nil, err
@@ -93,21 +95,18 @@ func RunAblationPrefilter(labs []*Lab, n int, constraint float64) ([]AblationRow
 		mp := &core.MergePairCost{Seek: s.seek}
 
 		before := lab.Opt.InvocationCount()
-		base, err := core.Greedy(s.initial, mp, s.optChecker(constraint), lab.DB)
+		base, err := core.GreedyContext(context.Background(), s.initial, mp, s.optChecker(constraint), lab.DB, core.GreedyOptions{})
 		if err != nil {
 			return nil, err
 		}
 		baseCalls := lab.Opt.InvocationCount() - before
 
-		ext := &core.ExternalCostModel{Meta: lab.DB, W: s.w}
-		ext.SetBaseline(s.initial)
 		pre := &core.PrefilteredChecker{
-			External: ext,
+			External: core.NewExternalCostModel(lab.DB, s.w, s.initial, constraint),
 			Inner:    s.optChecker(constraint),
-			SlackPct: constraint,
 		}
 		before = lab.Opt.InvocationCount()
-		variant, err := core.Greedy(s.initial, mp, pre, lab.DB)
+		variant, err := core.GreedyContext(context.Background(), s.initial, mp, pre, lab.DB, core.GreedyOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +138,7 @@ func RunAblationIntersection(labs []*Lab, n int, constraint float64) ([]Ablation
 			return nil, err
 		}
 		mp := &core.MergePairCost{Seek: s.seek}
-		base, err := core.Greedy(s.initial, mp, s.optChecker(constraint), lab.DB)
+		base, err := core.GreedyContext(context.Background(), s.initial, mp, s.optChecker(constraint), lab.DB, core.GreedyOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +151,7 @@ func RunAblationIntersection(labs []*Lab, n int, constraint float64) ([]Ablation
 			lab.Opt.DisableIndexIntersection = false
 			return nil, err
 		}
-		variant, err := core.Greedy(s.initial, &core.MergePairCost{Seek: weak.seek}, weak.optChecker(constraint), lab.DB)
+		variant, err := core.GreedyContext(context.Background(), s.initial, &core.MergePairCost{Seek: weak.seek}, weak.optChecker(constraint), lab.DB, core.GreedyOptions{})
 		lab.Opt.DisableIndexIntersection = false
 		if err != nil {
 			return nil, err
@@ -194,7 +193,7 @@ func RunWorkloadCompression(labs []*Lab, n, k int, constraint float64) ([]Compre
 		mp := &core.MergePairCost{Seek: s.seek}
 
 		before := lab.Opt.InvocationCount()
-		full, err := core.Greedy(s.initial, mp, s.optChecker(constraint), lab.DB)
+		full, err := core.GreedyContext(context.Background(), s.initial, mp, s.optChecker(constraint), lab.DB, core.GreedyOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +215,7 @@ func RunWorkloadCompression(labs []*Lab, n, k int, constraint float64) ([]Compre
 			return nil, err
 		}
 		before = lab.Opt.InvocationCount()
-		small, err := core.Greedy(s.initial, &core.MergePairCost{Seek: sm.seek}, sm.optChecker(constraint), lab.DB)
+		small, err := core.GreedyContext(context.Background(), s.initial, &core.MergePairCost{Seek: sm.seek}, sm.optChecker(constraint), lab.DB, core.GreedyOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := RunSearchComparison(labs, Fig5N, Fig5Constraint)
+		rows, err := RunSearchComparisonOpt(labs, FigureOptions{N: Fig5N, Constraint: Fig5Constraint})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestExperimentsParallelismInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := RunSearchComparison(labs, Fig5N, Fig5Constraint)
+		rows, err := RunSearchComparisonOpt(labs, FigureOptions{N: Fig5N, Constraint: Fig5Constraint})
 		if err != nil {
 			t.Fatal(err)
 		}

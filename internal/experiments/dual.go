@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"indexmerge/internal/core"
@@ -35,7 +36,7 @@ func RunCostMinimal(labs []*Lab, n int, budgetFracs []float64) ([]DualRow, error
 		initialBytes := s.initial.Bytes(lab.DB)
 		for _, frac := range budgetFracs {
 			budget := int64(float64(initialBytes) * frac)
-			res, err := core.CostMinimal(s.initial, &core.MergePairCost{Seek: s.seek}, coster, lab.DB, budget)
+			res, err := core.CostMinimalContext(context.Background(), s.initial, &core.MergePairCost{Seek: s.seek}, coster, lab.DB, budget)
 			if err != nil {
 				return nil, err
 			}

@@ -19,9 +19,9 @@ func smallLabs(t testing.TB) []*Lab {
 
 func TestSearchComparisonShapes(t *testing.T) {
 	labs := smallLabs(t)
-	rows, err := RunSearchComparison(labs, Fig5N, Fig5Constraint)
+	rows, err := RunSearchComparisonOpt(labs, FigureOptions{N: Fig5N, Constraint: Fig5Constraint})
 	if err != nil {
-		t.Fatalf("RunSearchComparison: %v", err)
+		t.Fatalf("RunSearchComparisonOpt: %v", err)
 	}
 	RenderSearchComparison(os.Stderr, rows)
 	for _, r := range rows {
@@ -46,9 +46,9 @@ func TestSearchComparisonShapes(t *testing.T) {
 
 func TestMergePairComparisonShapes(t *testing.T) {
 	labs := smallLabs(t)
-	rows, err := RunMergePairComparison(labs, Fig5N, Fig5Constraint)
+	rows, err := RunMergePairComparisonOpt(labs, FigureOptions{N: Fig5N, Constraint: Fig5Constraint})
 	if err != nil {
-		t.Fatalf("RunMergePairComparison: %v", err)
+		t.Fatalf("RunMergePairComparisonOpt: %v", err)
 	}
 	RenderMergePairComparison(os.Stderr, rows)
 	var costTotal, synTotal float64

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -135,15 +136,10 @@ func (o FigureOptions) workload(lab *Lab) *sql.Workload {
 	return lab.Complex
 }
 
-// RunSearchComparison produces the data behind Figures 5 and 6:
+// RunSearchComparisonOpt produces the data behind Figures 5 and 6:
 // Exhaustive, Greedy-Cost-Opt and Greedy-Cost-None on each database,
-// complex workload, N initial indexes, the given cost constraint.
-func RunSearchComparison(labs []*Lab, n int, constraint float64) ([]SearchComparisonRow, error) {
-	return RunSearchComparisonOpt(labs, FigureOptions{N: n, Constraint: constraint})
-}
-
-// RunSearchComparisonOpt is RunSearchComparison with workload-class
-// selection.
+// over the workload class opt selects, opt.N initial indexes, the cost
+// constraint opt.Constraint.
 func RunSearchComparisonOpt(labs []*Lab, opt FigureOptions) ([]SearchComparisonRow, error) {
 	n, constraint := opt.N, opt.Constraint
 	var rows []SearchComparisonRow
@@ -155,19 +151,19 @@ func RunSearchComparisonOpt(labs []*Lab, opt FigureOptions) ([]SearchComparisonR
 		mp := &core.MergePairCost{Seek: s.seek}
 
 		exCheck := s.optChecker(constraint)
-		exRes, err := core.Exhaustive(s.initial, mp, exCheck, lab.DB, s.exhaustiveOpts())
+		exRes, err := core.ExhaustiveContext(context.Background(), s.initial, mp, exCheck, lab.DB, s.exhaustiveOpts())
 		if err != nil {
 			return nil, err
 		}
 
 		goCheck := s.optChecker(constraint)
-		goRes, err := core.GreedyWithOptions(s.initial, mp, goCheck, lab.DB, s.greedyOpts())
+		goRes, err := core.GreedyContext(context.Background(), s.initial, mp, goCheck, lab.DB, s.greedyOpts())
 		if err != nil {
 			return nil, err
 		}
 
 		gnCheck := &core.NoCostChecker{F: NoCostF, P: NoCostP, Tables: lab.DB}
-		gnRes, err := core.GreedyWithOptions(s.initial, mp, gnCheck, lab.DB, s.greedyOpts())
+		gnRes, err := core.GreedyContext(context.Background(), s.initial, mp, gnCheck, lab.DB, s.greedyOpts())
 		if err != nil {
 			return nil, err
 		}
@@ -207,14 +203,8 @@ type MergePairComparisonRow struct {
 	SyntacticReduction  float64 // MergePair-Syntactic
 }
 
-// RunMergePairComparison produces Figure 7: Greedy-Cost-Opt with each
-// MergePair procedure.
-func RunMergePairComparison(labs []*Lab, n int, constraint float64) ([]MergePairComparisonRow, error) {
-	return RunMergePairComparisonOpt(labs, FigureOptions{N: n, Constraint: constraint})
-}
-
-// RunMergePairComparisonOpt is RunMergePairComparison with workload-
-// class selection.
+// RunMergePairComparisonOpt produces Figure 7: Greedy-Cost-Opt with
+// each MergePair procedure, over the workload class opt selects.
 func RunMergePairComparisonOpt(labs []*Lab, opt FigureOptions) ([]MergePairComparisonRow, error) {
 	n, constraint := opt.N, opt.Constraint
 	var rows []MergePairComparisonRow
@@ -225,19 +215,19 @@ func RunMergePairComparisonOpt(labs []*Lab, opt FigureOptions) ([]MergePairCompa
 		}
 
 		mpe := &core.MergePairExhaustive{Server: lab.Opt, W: s.w, Prepared: s.pw, Base: s.initial, MaxCols: 7}
-		exRes, err := core.GreedyWithOptions(s.initial, mpe, s.optChecker(constraint), lab.DB, s.greedyOpts())
+		exRes, err := core.GreedyContext(context.Background(), s.initial, mpe, s.optChecker(constraint), lab.DB, s.greedyOpts())
 		if err != nil {
 			return nil, err
 		}
 
 		mpc := &core.MergePairCost{Seek: s.seek}
-		costRes, err := core.GreedyWithOptions(s.initial, mpc, s.optChecker(constraint), lab.DB, s.greedyOpts())
+		costRes, err := core.GreedyContext(context.Background(), s.initial, mpc, s.optChecker(constraint), lab.DB, s.greedyOpts())
 		if err != nil {
 			return nil, err
 		}
 
 		mps := &core.MergePairSyntactic{Freq: core.LeadingColumnFrequencies(s.w)}
-		synRes, err := core.GreedyWithOptions(s.initial, mps, s.optChecker(constraint), lab.DB, s.greedyOpts())
+		synRes, err := core.GreedyContext(context.Background(), s.initial, mps, s.optChecker(constraint), lab.DB, s.greedyOpts())
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +277,7 @@ func RunMaintenanceComparison(labs []*Lab, ns []int, constraint float64) ([]Main
 			if err != nil {
 				return nil, err
 			}
-			res, err := core.GreedyWithOptions(s.initial, &core.MergePairCost{Seek: s.seek}, s.optChecker(constraint), lab.DB, s.greedyOpts())
+			res, err := core.GreedyContext(context.Background(), s.initial, &core.MergePairCost{Seek: s.seek}, s.optChecker(constraint), lab.DB, s.greedyOpts())
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"indexmerge/internal/advisor"
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/core"
 	"indexmerge/internal/sql"
@@ -131,7 +133,7 @@ func RunIntroTPCD17(lab *Lab, constraint float64) (*IntroTPCD17Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defs, err := lab.Adv.TuneWorkload(w)
+	defs, err := lab.Adv.TuneQueriesContext(context.Background(), w, advisor.AllPositions(w))
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +144,7 @@ func RunIntroTPCD17(lab *Lab, constraint float64) (*IntroTPCD17Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Greedy(s.initial, &core.MergePairCost{Seek: s.seek}, s.optChecker(constraint), lab.DB)
+	res, err := core.GreedyContext(context.Background(), s.initial, &core.MergePairCost{Seek: s.seek}, s.optChecker(constraint), lab.DB, core.GreedyOptions{})
 	if err != nil {
 		return nil, err
 	}

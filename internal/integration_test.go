@@ -3,6 +3,7 @@
 package internal_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -55,9 +56,9 @@ func TestEndToEndTPCD(t *testing.T) {
 
 	// Per-query tuning must strictly improve some queries.
 	adv := advisor.New(db, opt)
-	defs, err := adv.TuneWorkload(w)
+	defs, err := adv.TuneQueriesContext(context.Background(), w, advisor.AllPositions(w))
 	if err != nil {
-		t.Fatalf("TuneWorkload: %v", err)
+		t.Fatalf("TuneQueriesContext: %v", err)
 	}
 	if len(defs) == 0 {
 		t.Fatal("advisor recommended no indexes for the TPC-D workload")
@@ -87,7 +88,7 @@ func TestEndToEndTPCD(t *testing.T) {
 	}
 	check := core.NewOptimizerChecker(opt, w, tunedCost, 0.10)
 	check.Prepared = pw
-	res, err := core.Greedy(initial, &core.MergePairCost{Seek: seek}, check, db)
+	res, err := core.GreedyContext(context.Background(), initial, &core.MergePairCost{Seek: seek}, check, db, core.GreedyOptions{})
 	if err != nil {
 		t.Fatalf("Greedy: %v", err)
 	}
@@ -142,7 +143,7 @@ func TestPlanMatchesNaiveEvaluation(t *testing.T) {
 	}
 	opt := optimizer.New(db)
 	adv := advisor.New(db, opt)
-	defs, err := adv.TuneWorkload(w)
+	defs, err := adv.TuneQueriesContext(context.Background(), w, advisor.AllPositions(w))
 	if err != nil {
 		t.Fatal(err)
 	}

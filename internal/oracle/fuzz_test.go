@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -130,7 +131,7 @@ func FuzzParseOptimizeExec(f *testing.F) {
 		}
 		opz := optimizer.New(db)
 		adv := advisor.New(db, opz)
-		recs, err := adv.TuneQuery(stmt)
+		recs, err := adv.TuneQueryContext(context.Background(), stmt)
 		if err != nil {
 			t.Fatalf("tune: %v", err)
 		}

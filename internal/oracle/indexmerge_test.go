@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"indexmerge/internal/catalog"
+	"indexmerge/internal/datagen"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/exec"
 	"indexmerge/internal/optimizer"
@@ -181,7 +182,7 @@ func TestIndexMergePlansMatchNoMergePlans(t *testing.T) {
 			if strings.HasPrefix(name, "synthetic") {
 				scale = 0.5
 			}
-			db, err := BuildDB(name, scale, 42)
+			db, err := datagen.BuildNamed(name, scale, 42)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,7 +12,6 @@ import (
 	"indexmerge/internal/advisor"
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/core"
-	"indexmerge/internal/datagen"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/exec"
 	"indexmerge/internal/optimizer"
@@ -138,10 +137,10 @@ func mergeSearch(db *engine.Database, opz *optimizer.Optimizer, pw *optimizer.Pr
 		return c
 	}
 	rec := &recordingChecker{ConstraintChecker: checker()}
-	if res, err = core.Greedy(initial, mp, rec, db); err != nil {
+	if res, err = core.GreedyContext(context.Background(), initial, mp, rec, db, core.GreedyOptions{}); err != nil {
 		return nil, nil, "", err
 	}
-	full, err := core.Greedy(initial, mp, fullPricing{checker()}, db)
+	full, err := core.GreedyContext(context.Background(), initial, mp, fullPricing{checker()}, db, core.GreedyOptions{})
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -472,24 +471,4 @@ func defsContain(defs []catalog.IndexDef, d catalog.IndexDef) bool {
 		}
 	}
 	return false
-}
-
-// BuildDB constructs one of the built-in experimental databases by
-// name — the same names cmd/idxmerge and the repro format use.
-func BuildDB(name string, scale float64, seed int64) (*engine.Database, error) {
-	switch name {
-	case "tpcd":
-		return datagen.BuildTPCD(datagen.ScaledTPCD(scale), seed)
-	case "synthetic1":
-		spec := datagen.Synthetic1Spec()
-		spec.RowsPer = int(float64(spec.RowsPer) * scale)
-		spec.Seed += seed
-		return datagen.BuildSynthetic(spec)
-	case "synthetic2":
-		spec := datagen.Synthetic2Spec()
-		spec.RowsPer = int(float64(spec.RowsPer) * scale)
-		spec.Seed += seed
-		return datagen.BuildSynthetic(spec)
-	}
-	return nil, fmt.Errorf("oracle: unknown database %q (want tpcd, synthetic1 or synthetic2)", name)
 }

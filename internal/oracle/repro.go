@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"indexmerge/internal/catalog"
+	"indexmerge/internal/datagen"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/exec"
 	"indexmerge/internal/optimizer"
@@ -126,7 +127,7 @@ func (r *Repro) Defs(sc *catalog.Schema) ([]catalog.IndexDef, error) {
 // the reference evaluator. A nil Violation means the repro no longer
 // reproduces a divergence.
 func (r *Repro) Check() (*Violation, error) {
-	db, err := BuildDB(r.DB, r.Scale, r.Seed)
+	db, err := datagen.BuildNamed(r.DB, r.Scale, r.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +182,7 @@ func (r *Repro) checkAgainst(db *engine.Database) (*Violation, error) {
 // statement). It returns the smallest still-reproducing repro; if the
 // input does not reproduce, it is returned unchanged.
 func Minimize(r *Repro) (*Repro, error) {
-	db, err := BuildDB(r.DB, r.Scale, r.Seed)
+	db, err := datagen.BuildNamed(r.DB, r.Scale, r.Seed)
 	if err != nil {
 		return nil, err
 	}

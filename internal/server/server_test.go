@@ -1131,7 +1131,9 @@ func TestReplaceKeepsOtherWorkloadsCosts(t *testing.T) {
 
 // TestPlainCellsAreAccountedAndEvicted: a plain job's cells live in the
 // registration's cost table, so the session's accounted bytes count them
-// and the brownout ladder's eviction drops them.
+// and the brownout ladder's eviction drops them. The definitions the job
+// interned stay in the table, and in its accounted bytes, for the
+// table's life.
 func TestPlainCellsAreAccountedAndEvicted(t *testing.T) {
 	h := newTestServer(t, Config{})
 	h.newSession(t, "s")
@@ -1147,14 +1149,16 @@ func TestPlainCellsAreAccountedAndEvicted(t *testing.T) {
 	if cells == 0 {
 		t.Fatal("a plain job left no cell in the registration's table")
 	}
-	if got := sess.accountedBytes(); got <= empty {
-		t.Errorf("accounted bytes %d after a plain job, %d before", got, empty)
+	full := sess.accountedBytes()
+	if full <= empty {
+		t.Errorf("accounted bytes %d after a plain job, %d before", full, empty)
 	}
 	if dropped := sess.evictCold(cells); dropped != cells {
 		t.Errorf("evictCold dropped %d of %d cells", dropped, cells)
 	}
-	if n, got := rw.compressed.TableLen(), sess.accountedBytes(); n != 0 || got != empty {
-		t.Errorf("after eviction: %d cells, %d accounted bytes; want 0 and %d", n, got, empty)
+	if n, got := rw.compressed.TableLen(), sess.accountedBytes(); n != 0 || got <= empty || got >= full {
+		t.Errorf("after eviction: %d cells, %d accounted bytes; want 0 cells, and bytes between the %d before the job (the interned text stays) and the %d with the cells",
+			n, got, empty, full)
 	}
 }
 

@@ -68,8 +68,8 @@ func Compress(w *sql.Workload) *Compressed {
 }
 
 // Representatives returns one workload position per template (the
-// first member), in template order — the inputs to
-// advisor.TuneTemplates.
+// first member), in template order — the positions
+// advisor.TuneQueriesContext tunes at template granularity.
 func (c *Compressed) Representatives() []int {
 	reps := make([]int, len(c.Templates))
 	for i, t := range c.Templates {

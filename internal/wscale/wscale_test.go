@@ -458,7 +458,7 @@ func TestCheckerGreedyMatchesOptimizerChecker(t *testing.T) {
 
 	plain := core.NewOptimizerChecker(r.lab.Opt, r.w, baseCost, slack)
 	plain.Prepared = r.pw
-	resPlain, err := core.Greedy(r.cfg, &core.MergePairCost{Seek: seek}, plain, r.lab.DB)
+	resPlain, err := core.GreedyContext(context.Background(), r.cfg, &core.MergePairCost{Seek: seek}, plain, r.lab.DB, core.GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestCheckerGreedyMatchesOptimizerChecker(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp := NewChecker(r.p, compBase, slack)
-	resComp, err := core.Greedy(r.cfg, &core.MergePairCost{Seek: seek}, comp, r.lab.DB)
+	resComp, err := core.GreedyContext(context.Background(), r.cfg, &core.MergePairCost{Seek: seek}, comp, r.lab.DB, core.GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestDistinctWorkloadSameWorkEitherWay(t *testing.T) {
 		hits0, misses0, _ := chk.CacheStats()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := core.Greedy(r.cfg, &core.MergePairCost{Seek: seek}, chk, r.lab.DB)
+		res, err := core.GreedyContext(context.Background(), r.cfg, &core.MergePairCost{Seek: seek}, chk, r.lab.DB, core.GreedyOptions{})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
