@@ -30,11 +30,24 @@ import (
 func chaosBaseline(t *testing.T, m *Merger, defs []IndexDef, opts MergeOptions) *MergeResult {
 	t.Helper()
 	faults.Reset()
-	res, err := m.MergeDefsContext(context.Background(), defs, opts)
+	res, err := coldTwin(t, m).MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("fault-free merge: %v", err)
 	}
 	return res
+}
+
+// coldTwin returns a Merger over m's database and workload with cells of
+// its own. A Merger's form keeps the cells its runs fill, and a warm one
+// leaves no optimizer call for a fault to land in: a fault-free run that
+// a faulted one is compared with runs on m's twin, so m is as cold as it.
+func coldTwin(t *testing.T, m *Merger) *Merger {
+	t.Helper()
+	twin, err := NewMerger(m.db, m.w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return twin
 }
 
 // assertSameSearch asserts the decision-relevant parts of two results
@@ -170,7 +183,7 @@ func TestChaosPermanentFaultDegradesToExternalModel(t *testing.T) {
 	// the outage halfway: baseline calibration succeeds, the search is
 	// underway, and every later costing fails permanently.
 	counter := faults.Install(faults.Rule{ID: "count", Point: faults.OptimizerCost, Mode: faults.ModeLatency})
-	want, err := m.MergeDefsContext(context.Background(), defs, opts)
+	want, err := coldTwin(t, m).MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("counting merge: %v", err)
 	}
@@ -307,9 +320,9 @@ func TestChaosParallelSearchUnderFaults(t *testing.T) {
 	if len(defs) > 6 {
 		defs = defs[:6]
 	}
-	// A merger per run: the compressed model's cost table is the
-	// merger's, and a warm one leaves no optimizer call for a fault to
-	// land in.
+	// A merger per run: every optimizer-backed model prices through the
+	// merger's cost table, and a warm one leaves no optimizer call for a
+	// fault to land in.
 	merger := func() *Merger {
 		m, err := NewMerger(db, w)
 		if err != nil {

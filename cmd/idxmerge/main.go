@@ -54,7 +54,7 @@ func main() {
 	constraint := flag.Float64("constraint", 0.10, "cost constraint (fractional workload cost increase bound; 0 selects the default of 10 %)")
 	mergePair := flag.String("mergepair", "cost", "merge procedure: cost | syntactic | exhaustive")
 	search := flag.String("search", "greedy", "search strategy: greedy | exhaustive")
-	costModel := flag.String("costmodel", "opt", "cost evaluation: opt | nocost | prefilter | compressed (opt and compressed select the units of one pricing engine: a unit per query or per template of constant-varied duplicates; both exact)")
+	costModel := flag.String("costmodel", "opt", "cost evaluation: opt | nocost | prefilter | compressed (opt, prefilter and compressed price through one engine over templates of constant-varied duplicates, exactly; compressed also bounds by the template-order baseline, reports the compression and tunes -n 0 per template)")
 	explain := flag.Bool("explain", false, "print per-query plans under the final configuration")
 	dualBudget := flag.Float64("dual", 0, "solve the Cost-Minimal dual instead: storage budget as a fraction of the initial configuration (e.g. 0.5)")
 	parallel := flag.Int("parallel", 1, "concurrent candidate costings per search step (0 = GOMAXPROCS); results are identical for any value")

@@ -1,10 +1,11 @@
-// Recommendation-parity tests for the compressed cost model: on every
-// reference database, a greedy merge priced through the (template,
-// atom) cost table must arrive at the same final configuration as the
-// plain per-query OptimizerCost model — or, when a last-ulp total flips
-// a borderline acceptance, at a configuration of equal workload cost.
-// The compression is exact (atoms sum every member's CostPrepared, no
-// representative approximation), so anything else is a bug.
+// Recommendation-parity tests for the cost models: on every reference
+// database, a greedy merge priced through the form's (template, atom)
+// cost table — under either -costmodel opt or compressed — must arrive at
+// the final configuration a per-query reference checker arrives at — or,
+// when a last-ulp total flips a borderline acceptance, at a
+// configuration of equal workload cost. The compression is exact (atoms
+// sum every member's CostPrepared, no representative approximation), so
+// anything else is a bug.
 package indexmerge
 
 import (
@@ -12,9 +13,45 @@ import (
 	"math"
 	"testing"
 
+	"indexmerge/internal/core"
 	"indexmerge/internal/experiments"
+	"indexmerge/internal/optimizer"
 	"indexmerge/internal/workload"
+	"indexmerge/internal/wscale"
 )
+
+// perQueryReference is the greedy merge the way a caller of core alone
+// runs it: MergePair-Cost over the initial configuration's Seek-Costs,
+// checked by core.NewOptimizerChecker — one unit per query on a store of
+// its own — against U from the workload-order baseline, parallelism
+// candidates at a time. It returns the result as the facade reports one.
+func perQueryReference(t *testing.T, m *Merger, defs []IndexDef, constraint float64, parallelism int) *MergeResult {
+	t.Helper()
+	pw, err := m.PreparedWorkload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := core.NewConfiguration(defs)
+	base, err := m.opt.WorkloadCostPrepared(pw, optimizer.Configuration(initial.Defs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seek, err := core.ComputeSeekCostsPrepared(m.opt, pw, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := core.NewOptimizerChecker(m.opt, m.w, base, constraint)
+	check.Prepared, check.Parallelism = pw, parallelism
+	res, err := core.GreedyContext(context.Background(), initial, &core.MergePairCost{Seek: seek}, check, m.db, core.GreedyOptions{Parallelism: parallelism})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := m.opt.WorkloadCostPrepared(pw, optimizer.Configuration(res.Final.Defs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &MergeResult{SearchResult: res, InitialCost: base, FinalCost: final, Bound: check.U}
+}
 
 func TestCompressedMergeParity(t *testing.T) {
 	labs, err := experiments.StandardLabs(experiments.LabOptions{Scale: 0.25, WorkloadQueries: 10, Seed: 1})
@@ -56,50 +93,100 @@ func TestCompressedMergeParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.10})
-			if err != nil {
-				t.Fatalf("%s/%s: plain merge: %v", lab.Name, f.name, err)
+			ref := perQueryReference(t, m, defs, 0.10, 1)
+			for _, model := range []CostModelKind{OptimizerCost, CompressedOptimizerCost} {
+				// A Merger per model: the two share the form's cells, and each
+				// is to start as cold as the reference.
+				m, err := NewMerger(lab.DB, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.10, CostModel: model})
+				if err != nil {
+					t.Fatalf("%s/%s, model %d: merge: %v", lab.Name, f.name, model, err)
+				}
+				if model == CompressedOptimizerCost {
+					if got.Templates == 0 || got.DedupRatio <= 1 {
+						t.Errorf("%s/%s: compression stats missing: %d templates, %.2fx dedup",
+							lab.Name, f.name, got.Templates, got.DedupRatio)
+					}
+					if got.CostTableHits+got.CostTableMisses == 0 {
+						t.Errorf("%s/%s: compressed run never consulted the cost table", lab.Name, f.name)
+					}
+				} else {
+					if got.Templates != 0 || got.CostTableHits+got.CostTableMisses != 0 {
+						t.Errorf("%s/%s: plain run reported compression fields: %d templates, %d / %d table hits / misses",
+							lab.Name, f.name, got.Templates, got.CostTableHits, got.CostTableMisses)
+					}
+					// The plain model's bound is the workload-order baseline's.
+					if math.Float64bits(got.Bound) != math.Float64bits(ref.Bound) {
+						t.Errorf("%s/%s: plain run's bound %v, per-query reference %v", lab.Name, f.name, got.Bound, ref.Bound)
+					}
+				}
+				t.Logf("%s/%s, model %d: optimizer calls %d, per-query reference %d",
+					lab.Name, f.name, model, got.OptimizerCalls, ref.OptimizerCalls)
+				// A template's members are one stored cost: the form's engine
+				// never asks the optimizer more often than the per-query one.
+				if got.OptimizerCalls > ref.OptimizerCalls {
+					t.Errorf("%s/%s, model %d: %d optimizer calls, per-query reference %d",
+						lab.Name, f.name, model, got.OptimizerCalls, ref.OptimizerCalls)
+				}
+				if got.Final.Len() != ref.Final.Len() {
+					t.Errorf("%s/%s, model %d: ends with %d indexes, per-query reference %d",
+						lab.Name, f.name, model, got.Final.Len(), ref.Final.Len())
+				}
+				if got.Final.Signature() == ref.Final.Signature() {
+					continue
+				}
+				if math.Abs(got.FinalCost-ref.FinalCost) > 1e-9*math.Max(1, math.Abs(ref.FinalCost)) {
+					t.Errorf("%s/%s, model %d: final configurations diverge:\n reference %s (cost %v)\n got       %s (cost %v)",
+						lab.Name, f.name, model, ref.Final.Signature(), ref.FinalCost, got.Final.Signature(), got.FinalCost)
+				}
 			}
-			comp, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.10, CostModel: CompressedOptimizerCost})
-			if err != nil {
-				t.Fatalf("%s/%s: compressed merge: %v", lab.Name, f.name, err)
-			}
+		}
+	}
+}
 
-			if comp.Templates == 0 || comp.DedupRatio <= 1 {
-				t.Errorf("%s/%s: compression stats missing: %d templates, %.2fx dedup",
-					lab.Name, f.name, comp.Templates, comp.DedupRatio)
-			}
-			if comp.CostTableHits+comp.CostTableMisses == 0 {
-				t.Errorf("%s/%s: compressed run never consulted the cost table", lab.Name, f.name)
-			}
-			t.Logf("%s/%s: %d templates (%.1fx dedup), optimizer calls %d compressed / %d plain",
-				lab.Name, f.name, comp.Templates, comp.DedupRatio, comp.OptimizerCalls, plain.OptimizerCalls)
-			// A template's members are one stored cost: the compressed
-			// search never asks the optimizer more often than the plain one.
-			if comp.OptimizerCalls > plain.OptimizerCalls {
-				t.Errorf("%s/%s: compressed run made %d optimizer calls, plain %d",
-					lab.Name, f.name, comp.OptimizerCalls, plain.OptimizerCalls)
-			}
-			if comp.Final.Len() != plain.Final.Len() {
-				t.Errorf("%s/%s: compressed run ends with %d indexes, plain %d",
-					lab.Name, f.name, comp.Final.Len(), plain.Final.Len())
-			}
-
-			if plain.Final.Signature() == comp.Final.Signature() {
-				continue
-			}
-			pc, err := m.WorkloadCost(plain.Final.Defs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			cc, err := m.WorkloadCost(comp.Final.Defs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(pc-cc) > 1e-9*math.Max(1, math.Abs(pc)) {
-				t.Errorf("%s/%s: final configurations diverge:\n plain      %s (cost %v)\n compressed %s (cost %v)",
-					lab.Name, f.name, plain.Final.Signature(), pc, comp.Final.Signature(), cc)
-			}
+// TestOptMatchesPerQueryReference: where no two statements share a
+// template (dedup ratio 1), a template unit is a query's unit bit for
+// bit, so the facade's plain-model merge reports — counters included —
+// what the per-query reference reports.
+func TestOptMatchesPerQueryReference(t *testing.T) {
+	lab, err := experiments.NewSynthetic2Lab(experiments.LabOptions{Scale: 0.2, WorkloadQueries: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(lab.DB, workload.Options{Class: workload.Complex, Disjunctions: true, Queries: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := wscale.Compress(w).DedupRatio(); r != 1 {
+		t.Fatalf("dedup ratio %v; the workload must have one statement per template", r)
+	}
+	defs, err := lab.InitialConfiguration(w, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 4} {
+		m, err := NewMerger(lab.DB, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.10, Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := perQueryReference(t, m, defs, 0.10, p)
+		if len(want.Steps) == 0 || want.OptimizerCalls == 0 {
+			t.Errorf("%d steps, %d optimizer calls; the comparison has no teeth", len(want.Steps), want.OptimizerCalls)
+		}
+		if p > 1 {
+			// Concurrent waves make the optimizer-call count a measurement,
+			// the reference's own included; every other field is exact.
+			got.OptimizerCalls, want.OptimizerCalls = 0, 0
+		}
+		if mergeKey(got) != mergeKey(want) {
+			t.Errorf("parallelism %d: the facade's merge is not the per-query reference's:\n got: %s\nwant: %s", p, mergeKey(got), mergeKey(want))
 		}
 	}
 }

@@ -176,21 +176,25 @@ type CostModelKind int
 
 const (
 	// OptimizerCost uses optimizer-estimated costs over what-if
-	// configurations — the paper's recommended strategy.
+	// configurations — the paper's recommended strategy — priced through
+	// the merger's compressed form like CompressedOptimizerCost, with U
+	// from the workload-order baseline.
 	OptimizerCost CostModelKind = iota
 	// NoCost uses the syntactic width thresholds f and p only.
 	NoCost
 	// PrefilteredOptimizerCost vetoes candidates with a cheap external
 	// model before invoking the optimizer (§3.5.3).
 	PrefilteredOptimizerCost
-	// CompressedOptimizerCost uses optimizer-estimated costs over the
-	// workload compressed into constant-abstracted templates (CoPhy-style
-	// decomposition): candidates are priced per template from a
-	// (template, atomic-configuration) cost table, with delta evaluation
-	// against the search's current configuration and admissible
-	// lower-bound pruning. Recommendations match OptimizerCost (exact
-	// per-member costing, no representative approximation) while scaling
-	// to workloads of tens of thousands of statements.
+	// CompressedOptimizerCost prices exactly as OptimizerCost does: over
+	// the workload compressed into constant-abstracted templates
+	// (CoPhy-style decomposition), per template from a (template,
+	// atomic-configuration) cost table, with delta evaluation against the
+	// search's current configuration and admissible lower-bound pruning
+	// (exact per-member costing, no representative approximation). It
+	// differs in three things only: U comes from the template-order
+	// baseline, the result reports the compression (Templates,
+	// DedupRatio, CostTable*, PrunedChecks), and InitialConfiguration
+	// with n == 0 tunes one representative per template.
 	CompressedOptimizerCost
 )
 
@@ -263,7 +267,9 @@ type ResilienceOptions struct {
 
 // Merger runs index merging for one database + workload, and owns the
 // workload's prepared state: the descriptors and the compressed form
-// every run on it shares.
+// every run on it shares. Every optimizer-backed run and the dual price
+// through the form's one engine, so the cells one run fills serve the
+// next, whatever its cost model.
 type Merger struct {
 	db  *Database
 	w   *Workload
@@ -300,7 +306,7 @@ func NewMerger(db *Database, w *Workload) (*Merger, error) {
 // the database's current statistics — a service's registration, a
 // window snapshot with its persistent cost table: the workload is
 // cw.C.W, and PreparedWorkload and CompressedWorkload hand back cw.PW
-// and cw themselves. Both cost models price through cw's engines, so
+// and cw themselves. Every cost model prices through cw's engine, so
 // every run reuses the cells earlier runs filled. A form whose pieces
 // belong to different workloads is refused.
 func NewMergerOver(db *Database, cw *CompressedWorkload) (*Merger, error) {
@@ -352,8 +358,9 @@ func (m *Merger) preparedLocked() (*PreparedWorkload, error) {
 
 // CompressedWorkload returns the merger's workload compressed into
 // templates and paired with an empty-on-first-use cost table, built
-// lazily and rebuilt after the database's statistics change (the cost
-// table memoizes stats-dependent costs, so it cannot outlive them).
+// lazily (by the first optimizer-backed run, if not before) and rebuilt
+// after the database's statistics change (the cost table memoizes
+// stats-dependent costs, so it cannot outlive them).
 func (m *Merger) CompressedWorkload() (*CompressedWorkload, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -408,7 +415,7 @@ type MergeResult struct {
 	// models).
 	PrunedChecks int64
 	// RemoteBatches / RemoteItems count costing batches and items
-	// (per-query costs or template atoms) served by the worker pool;
+	// (template cells) served by the worker pool;
 	// RemoteFallbacks counts batches that failed remotely and were
 	// transparently re-costed locally. All 0 without
 	// MergeOptions.Workers. These describe where work ran, not what it
@@ -538,7 +545,7 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 		mp = &core.MergePairCost{Seek: seek}
 	}
 
-	check, bound, report, err := m.checkerChain(&opts, initial, pw, baseCost, resilient, costing)
+	check, bound, report, err := m.checkerChain(&opts, initial, baseCost, resilient, costing)
 	if err != nil {
 		return nil, err
 	}
@@ -582,42 +589,35 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 }
 
 // checkerChain builds the run's constraint checker from the options,
-// each link once: the optimizer-backed checker over the cost model's
-// units, the §3.5.3 external prefilter in front of it, the resilient
-// wrapper around both. The external model, calibrated against the
-// initial configuration, serves the prefilter and the resilient
+// each link once: the optimizer-backed checker over the units of the
+// Merger's form, the §3.5.3 external prefilter in front of it, the
+// resilient wrapper around both. The external model, calibrated against
+// the initial configuration, serves the prefilter and the resilient
 // wrapper's degraded decisions alike. It returns the chain as the search
 // sees it, the bound U (0 for the No-Cost model) and a function that,
 // after the search, fills the result's counters of the model that ran.
-func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, pw *PreparedWorkload, baseCost float64,
+func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, baseCost float64,
 	resilient *core.ResilientChecker, costing func(func(context.Context) error) error,
 ) (check core.ConstraintChecker, bound float64, report func(*MergeResult), err error) {
-	var opt *core.OptimizerChecker
-	var compressed *CompressedWorkload
-	switch opts.CostModel {
-	case NoCost:
+	if opts.CostModel == NoCost {
 		return &core.NoCostChecker{F: opts.NoCostF, P: opts.NoCostP, Tables: m.db}, 0, func(*MergeResult) {}, nil
-	case CompressedOptimizerCost:
-		if compressed, err = m.CompressedWorkload(); err != nil {
-			return nil, 0, nil, err
-		}
-		opt = wscale.NewChecker(compressed, 0, opts.CostConstraint)
-	default:
-		if opt, err = m.queryChecker(pw, baseCost, opts.CostConstraint); err != nil {
-			return nil, 0, nil, err
-		}
 	}
+	cw, err := m.CompressedWorkload()
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	opt := wscale.NewChecker(cw, baseCost, opts.CostConstraint)
 	opt.Parallelism = opts.Parallelism
 	// Interface-typed so a nil binding stays a nil interface.
 	if opts.Workers != nil {
 		opt.Batch = opts.Workers
 	}
-	// The engine, with its store and remote counters, can outlive the run
-	// (the Merger's compressed form, a supplied form's per-query engine):
-	// a run reports deltas.
+	// The engine, with its store and remote counters, outlives the run as
+	// the Merger's form does: a run reports deltas.
 	batches0, items0, fallbacks0 := opt.RemoteStats()
 	var hits0, misses0 int64
-	if compressed != nil {
+	compressed := opts.CostModel == CompressedOptimizerCost
+	if compressed {
 		// The constraint bound derives from the decomposed baseline (the
 		// template-order total), keeping the checker's delta totals and U
 		// on the same summation; it differs from baseCost only in the
@@ -635,9 +635,9 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, p
 	}
 	check, bound = opt, opt.U
 	report = func(out *MergeResult) {
-		if compressed != nil {
-			out.Templates = len(compressed.C.Templates)
-			out.DedupRatio = compressed.C.DedupRatio()
+		if compressed {
+			out.Templates = len(cw.C.Templates)
+			out.DedupRatio = cw.C.DedupRatio()
 			hits, misses, _ := opt.CacheStats()
 			out.CostTableHits, out.CostTableMisses = hits-hits0, misses-misses0
 			out.PrunedChecks = opt.PrunedChecks()
@@ -660,24 +660,6 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, p
 		check = resilient
 	}
 	return check, bound, report, nil
-}
-
-// queryChecker returns a checker over the workload's per-query units
-// with U = baseCost × (1 + slackPct). A Merger over a supplied form
-// prices through the form's per-query engine, whose cells outlive the run
-// as the form does; any other starts every run on an empty store of its
-// own.
-func (m *Merger) queryChecker(pw *PreparedWorkload, baseCost, slackPct float64) (*core.OptimizerChecker, error) {
-	if !m.supplied {
-		c := core.NewOptimizerChecker(m.opt, m.w, baseCost, slackPct)
-		c.Prepared = pw
-		return c, nil
-	}
-	cw, err := m.CompressedWorkload()
-	if err != nil {
-		return nil, err
-	}
-	return cw.QueryPricer().NewChecker(baseCost, slackPct), nil
 }
 
 // checker builds the run's resilient checker from the options: the
@@ -726,19 +708,16 @@ func (m *Merger) MergeDualContext(ctx context.Context, initialDefs []IndexDef, s
 		return nil, err
 	}
 	initial := core.NewConfiguration(initialDefs)
-	pw, err := m.PreparedWorkload()
+	cw, err := m.CompressedWorkload()
 	if err != nil {
 		return nil, err
 	}
-	seek, err := core.ComputeSeekCostsPrepared(m.opt, pw, initial)
+	seek, err := core.ComputeSeekCostsPrepared(m.opt, cw.PW, initial)
 	if err != nil {
 		return nil, err
 	}
 	// The search reads costs, never a bound: the checker's U is unused.
-	coster, err := m.queryChecker(pw, 0, 0)
-	if err != nil {
-		return nil, err
-	}
+	coster := wscale.NewChecker(cw, 0, 0)
 	res, err := core.CostMinimalContext(ctx, initial, &core.MergePairCost{Seek: seek}, coster, m.db, storageBudget)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package indexmerge
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -436,14 +437,15 @@ func TestMergerOverSuppliedForm(t *testing.T) {
 	}
 }
 
-// TestWindowFormPricesQueriesPrivately: a per-query cell encodes its
-// query's position and frequency, and a window's persistent table
-// outlives the snapshots whose positions and frequencies those are. Over
-// two successive snapshots whose member positions differ, a plain-model
-// Merger over each snapshot's form decides — counters included — what a
-// cold Merger over that snapshot's workload decides, and never writes to
-// the window's table.
-func TestWindowFormPricesQueriesPrivately(t *testing.T) {
+// TestWindowFormPricesTemplateCells: every cost model prices a window
+// form through the window's template cells. Over two successive
+// snapshots whose member positions differ, a plain-model Merger over a
+// snapshot's form fills the window's table and decides what a cold
+// Merger over the snapshot's workload decides; a compressed run over the
+// same form then decides the same from the cells the plain run left,
+// with no optimizer call; and the dual over the form reads the window's
+// cells and decides what the cold Merger's dual decides.
+func TestWindowFormPricesTemplateCells(t *testing.T) {
 	lab, err := experiments.NewSynthetic1Lab(experiments.LabOptions{Scale: 0.25, WorkloadQueries: 6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -463,6 +465,7 @@ func TestWindowFormPricesQueriesPrivately(t *testing.T) {
 	}
 	ctx := context.Background()
 	opts := MergeOptions{CostConstraint: 0.10}
+	compressed := MergeOptions{CostConstraint: 0.10, CostModel: CompressedOptimizerCost}
 	win := wscale.NewWindow(wscale.WindowConfig{Seed: 1})
 	table := costcache.New(0)
 	var texts []string // the first snapshot's statement at each position
@@ -475,12 +478,6 @@ func TestWindowFormPricesQueriesPrivately(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The window's own engine fills the table, as a re-tune does.
-		if _, err := form.WorkloadCostContext(ctx, core.NewConfiguration(nil)); err != nil {
-			t.Fatal(err)
-		}
-		cells := table.Len()
-
 		cold, err := NewMerger(db, snap.W)
 		if err != nil {
 			t.Fatal(err)
@@ -497,21 +494,49 @@ func TestWindowFormPricesQueriesPrivately(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cells := table.Len()
 		got, err := over.MergeDefsContext(ctx, defs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mergeKey(got) != mergeKey(want) {
-			t.Errorf("snapshot of %d members: merge diverged from a cold Merger's:\n got: %s\nwant: %s", snap.W.Len(), mergeKey(got), mergeKey(want))
+		if table.Len() == cells {
+			t.Errorf("snapshot of %d members: the plain-model run wrote no cell to the window's table", snap.W.Len())
 		}
 		if len(want.Steps) == 0 || want.OptimizerCalls == 0 {
 			t.Errorf("snapshot of %d members: %d steps, %d optimizer calls; the comparison has no teeth", snap.W.Len(), len(want.Steps), want.OptimizerCalls)
 		}
-		if _, err := over.MergeDualContext(ctx, defs, db.ConfigurationBytes(defs)/2); err != nil {
+		comp, err := over.MergeDefsContext(ctx, defs, compressed)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if n := table.Len(); n != cells {
-			t.Errorf("snapshot of %d members: plain-model runs wrote %d cells to the window's table", snap.W.Len(), n-cells)
+		if comp.OptimizerCalls != 0 || comp.CostTableMisses != 0 {
+			t.Errorf("snapshot of %d members: the compressed run after the plain one made %d optimizer calls, %d table misses; want 0",
+				snap.W.Len(), comp.OptimizerCalls, comp.CostTableMisses)
+		}
+		if g, c := fmt.Sprint(got.Final.Signature(), got.Steps), fmt.Sprint(comp.Final.Signature(), comp.Steps); g != c {
+			t.Errorf("snapshot of %d members: the compressed run decided\n%s\nthe plain run\n%s", snap.W.Len(), c, g)
+		}
+		// The window's table persists, so the second snapshot's plain run
+		// finds the cells of the templates the first left alone.
+		got.OptimizerCalls, want.OptimizerCalls = 0, 0
+		if mergeKey(got) != mergeKey(want) {
+			t.Errorf("snapshot of %d members: merge diverged from a cold Merger's:\n got: %s\nwant: %s", snap.W.Len(), mergeKey(got), mergeKey(want))
+		}
+		budget := db.ConfigurationBytes(defs) / 2
+		wantDual, err := cold.MergeDualContext(ctx, defs, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, misses, _ := form.TableStats()
+		gotDual, err := over.MergeDualContext(ctx, defs, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, m, _ := form.TableStats(); h+m == hits+misses {
+			t.Errorf("snapshot of %d members: the dual over the form read no cell of the window's table", snap.W.Len())
+		}
+		if g, c := gotDual.Final.Signature(), wantDual.Final.Signature(); g != c {
+			t.Errorf("snapshot of %d members: the dual over the form chose %s, a cold Merger's %s", snap.W.Len(), g, c)
 		}
 		if texts == nil {
 			for _, q := range snap.W.Queries {

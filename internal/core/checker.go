@@ -46,8 +46,6 @@ type ConstraintChecker interface {
 	// replicating §3.4.2: checks served from a cost cache are cheap,
 	// optimizer invocations dominate running time.
 	OptimizerCalls() int64
-	// Description names the strategy in reports.
-	Description() string
 }
 
 // OptimizerChecker implements the optimizer-estimated cost evaluation
@@ -138,7 +136,7 @@ func NewOptimizerChecker(server CostServer, w *sql.Workload, baseCost, slackPct 
 }
 
 // lazyInit builds, on first use, the worker semaphore and — unless the
-// constructor supplied an engine — a NewQueryPricer engine over W and a
+// constructor supplied an engine — a newQueryPricer engine over W and a
 // store of its own, preparing W when the caller supplied no Prepared.
 // Its error is every evaluation's error.
 func (c *OptimizerChecker) lazyInit() error {
@@ -152,19 +150,12 @@ func (c *OptimizerChecker) lazyInit() error {
 			// An engine over no units: the accessors have a store and
 			// counters to read, every evaluation fails before pricing.
 			c.initErr = err
-			c.pricer = NewPricer("Cost-Opt", c.Server, pw, nil, costcache.New(0))
+			c.pricer = NewPricer(c.Server, pw, nil, costcache.New(0))
 			return
 		}
-		c.pricer = NewQueryPricer(c.Server, c.W, pw, costcache.New(0))
+		c.pricer = newQueryPricer(c.Server, c.W, pw, costcache.New(0))
 	})
 	return c.initErr
-}
-
-// Description implements ConstraintChecker: the engine's name for its
-// units.
-func (c *OptimizerChecker) Description() string {
-	_ = c.lazyInit() // the engine exists even when preparing W failed
-	return c.pricer.desc
 }
 
 // Evaluations implements ConstraintChecker: the number of constraint
@@ -399,9 +390,6 @@ type NoCostChecker struct {
 	evals atomic.Int64
 }
 
-// Description implements ConstraintChecker.
-func (c *NoCostChecker) Description() string { return "Cost-None" }
-
 // Evaluations implements ConstraintChecker.
 func (c *NoCostChecker) Evaluations() int64 { return c.evals.Load() }
 
@@ -459,9 +447,6 @@ type PrefilteredChecker struct {
 
 	prefilterHits atomic.Int64
 }
-
-// Description implements ConstraintChecker.
-func (c *PrefilteredChecker) Description() string { return "Cost-Opt+Prefilter" }
 
 // Evaluations implements ConstraintChecker.
 func (c *PrefilteredChecker) Evaluations() int64 { return c.Inner.Evaluations() }

@@ -147,7 +147,6 @@ type exactRecorder struct {
 	delta, full, collapsed int
 }
 
-func (r *exactRecorder) Description() string   { return r.inner.Description() }
 func (r *exactRecorder) Evaluations() int64    { return r.inner.Evaluations() }
 func (r *exactRecorder) OptimizerCalls() int64 { return r.inner.OptimizerCalls() }
 
@@ -464,7 +463,7 @@ func (r *deltaRig) doubledUnits(scale float64) *Pricer {
 			units[i].Prefix = "f" + strconv.Itoa(i) + "e0\x1d"
 		}
 	}
-	return NewPricer("doubled", r.opt, pw2, units, costcache.New(0))
+	return NewPricer(r.opt, pw2, units, costcache.New(0))
 }
 
 // TestDeltaCachedCheckAllocatesNothing: a base-derived check whose

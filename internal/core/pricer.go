@@ -20,10 +20,9 @@ import (
 // Unit is one term of the decomposed workload cost (§3.4.2, and CoPhy's
 // cost cell in PAPERS.md): Cost(W, C) = Σ_units cell(u, C) × Scale,
 // where the stored cell is Σ_members Weight × CostPrepared(member,
-// C restricted to the indexes relevant to the unit). Both cost models
-// are unit lists for the same Pricer: a plain workload is one unit per
-// query, a compressed one a unit per template of queries that differ
-// only in their constants.
+// C restricted to the indexes relevant to the unit). A registered
+// workload's units are its templates, the queries that differ only in
+// their constants; NewOptimizerChecker's are its queries, one each.
 type Unit struct {
 	// Members are positions in the prepared workload. Relevance is asked
 	// of the first: the members of one unit share tables, columns and
@@ -45,12 +44,11 @@ type Unit struct {
 	Prefix string
 }
 
-// NewQueryPricer builds the plain cost model's engine: one unit per
+// newQueryPricer builds NewOptimizerChecker's engine: one unit per
 // query of w (prepared as pw), weighted by its frequency, under keys
 // "q<position>|…". A cell encodes its query's position and frequency,
-// so store may hold other engines' cells of the same workload but must
-// not outlive it.
-func NewQueryPricer(srv CostServer, w *sql.Workload, pw *optimizer.PreparedWorkload, store *costcache.Cache) *Pricer {
+// so store must not outlive the workload.
+func newQueryPricer(srv CostServer, w *sql.Workload, pw *optimizer.PreparedWorkload, store *costcache.Cache) *Pricer {
 	n := len(w.Queries)
 	members, weights := make([]int, n), make([]float64, n)
 	units := make([]Unit, n)
@@ -63,7 +61,7 @@ func NewQueryPricer(srv CostServer, w *sql.Workload, pw *optimizer.PreparedWorkl
 			Prefix:  "q" + strconv.Itoa(qi) + "|",
 		}
 	}
-	return NewPricer("Cost-Opt", srv, pw, units, store)
+	return NewPricer(srv, pw, units, store)
 }
 
 // maxBoundEntries caps the per-unit list of exactly costed cells kept
@@ -97,16 +95,14 @@ type BatchCostServer interface {
 	CostBatch(ctx context.Context, items []BatchItem) ([]float64, error)
 }
 
-// Pricer is the one delta-pricing engine under both cost models: the
-// units of a prepared workload, the store of their cells keyed by the
-// subset of a configuration relevant to each, the indexes it has met,
-// and the lower bounds that prune hopeless candidates. It lives as long
-// as its store is meant to — one search for a checker built by
-// NewOptimizerChecker, one registration for either unit list of a
-// registered workload — and is safe for any number of concurrent
-// checkers.
+// Pricer is the one delta-pricing engine: the units of a prepared
+// workload, the store of their cells keyed by the subset of a
+// configuration relevant to each, the indexes it has met, and the lower
+// bounds that prune hopeless candidates. It lives as long as its store
+// is meant to — one search for a checker built by NewOptimizerChecker,
+// one registration for the template units of a registered workload —
+// and is safe for any number of concurrent checkers.
 type Pricer struct {
-	desc  string
 	srv   CostServer
 	pw    *optimizer.PreparedWorkload
 	units []Unit
@@ -128,9 +124,8 @@ type Pricer struct {
 }
 
 // NewPricer builds an engine over units of pw whose cells live in
-// store; srv prices members on store misses and desc names the cost
-// model in reports.
-func NewPricer(desc string, srv CostServer, pw *optimizer.PreparedWorkload, units []Unit, store *costcache.Cache) *Pricer {
+// store; srv prices members on store misses.
+func NewPricer(srv CostServer, pw *optimizer.PreparedWorkload, units []Unit, store *costcache.Cache) *Pricer {
 	reps := make([]*optimizer.PreparedQuery, len(units))
 	all := optimizer.NewQuerySet(len(units))
 	for ui, u := range units {
@@ -138,7 +133,7 @@ func NewPricer(desc string, srv CostServer, pw *optimizer.PreparedWorkload, unit
 		all.Add(ui)
 	}
 	return &Pricer{
-		desc: desc, srv: srv, pw: pw, units: units, store: store,
+		srv: srv, pw: pw, units: units, store: store,
 		reps:   &optimizer.PreparedWorkload{Queries: reps},
 		all:    all,
 		ixs:    make(map[string]*pricedIndex),

@@ -254,11 +254,6 @@ type ResilientChecker struct {
 	degradedEvals   atomic.Int64
 }
 
-// Description implements ConstraintChecker.
-func (c *ResilientChecker) Description() string {
-	return c.Inner.Description() + "+Resilient"
-}
-
 // Evaluations implements ConstraintChecker: inner checks plus
 // degraded-mode decisions that never reached the inner checker.
 func (c *ResilientChecker) Evaluations() int64 {

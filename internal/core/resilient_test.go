@@ -50,7 +50,6 @@ func (s *scriptedChecker) Accepts(ctx context.Context, cfg *Configuration, m, a,
 	return s.accept, nil
 }
 
-func (s *scriptedChecker) Description() string    { return "scripted" }
 func (s *scriptedChecker) Evaluations() int64     { return s.evals.Load() }
 func (s *scriptedChecker) OptimizerCalls() int64  { return 0 }
 func (s *scriptedChecker) SetBase(*Configuration) {}
@@ -441,7 +440,6 @@ func (c *ctxWaitChecker) Accepts(ctx context.Context, cfg *Configuration, m, a, 
 	return false, ctx.Err()
 }
 
-func (c *ctxWaitChecker) Description() string    { return "ctx-wait" }
 func (c *ctxWaitChecker) Evaluations() int64     { return c.calls.Load() }
 func (c *ctxWaitChecker) OptimizerCalls() int64  { return 0 }
 func (c *ctxWaitChecker) SetBase(*Configuration) {}

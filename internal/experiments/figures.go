@@ -311,8 +311,3 @@ func RunMaintenanceComparison(labs []*Lab, ns []int, constraint float64) ([]Main
 	}
 	return rows, nil
 }
-
-// WorkloadCostOf is a small helper used by reports.
-func WorkloadCostOf(lab *Lab, w *sql.Workload, cfg *core.Configuration) (float64, error) {
-	return lab.Opt.WorkloadCost(w, optimizer.Configuration(cfg.Defs()))
-}

@@ -75,15 +75,11 @@ func (o *LabOptions) fill() {
 // NewTPCDLab builds the TPC-D lab.
 func NewTPCDLab(opt LabOptions) (*Lab, error) {
 	opt.fill()
-	scale := datagen.ScaledTPCD(opt.Scale)
-	db, err := datagen.BuildTPCD(scale, opt.Seed)
+	lab, err := newLab("TPC-D", "tpcd", opt)
 	if err != nil {
 		return nil, err
 	}
-	lab, err := newLab("TPC-D", db, opt)
-	if err != nil {
-		return nil, err
-	}
+	db, scale := lab.DB, datagen.ScaledTPCD(opt.Scale)
 	lab.insertRow = func(table string, rng *rand.Rand) (value.Row, error) {
 		switch table {
 		case "lineitem":
@@ -103,33 +99,21 @@ func NewTPCDLab(opt LabOptions) (*Lab, error) {
 
 // NewSynthetic1Lab builds the Synthetic1 lab (5 tables, 5–25 columns).
 func NewSynthetic1Lab(opt LabOptions) (*Lab, error) {
-	opt.fill()
-	spec := datagen.Synthetic1Spec()
-	spec.RowsPer = int(float64(spec.RowsPer) * opt.Scale)
-	spec.Seed += opt.Seed
-	return newSyntheticLab(spec, opt)
+	return newSyntheticLab("Synthetic1", "synthetic1", opt)
 }
 
 // NewSynthetic2Lab builds the Synthetic2 lab (10 tables, 5–45 columns).
 func NewSynthetic2Lab(opt LabOptions) (*Lab, error) {
-	opt.fill()
-	spec := datagen.Synthetic2Spec()
-	spec.RowsPer = int(float64(spec.RowsPer) * opt.Scale)
-	spec.Seed += opt.Seed
-	return newSyntheticLab(spec, opt)
+	return newSyntheticLab("Synthetic2", "synthetic2", opt)
 }
 
-func newSyntheticLab(spec datagen.SyntheticSpec, opt LabOptions) (*Lab, error) {
-	db, err := datagen.BuildSynthetic(spec)
-	if err != nil {
-		return nil, err
-	}
-	lab, err := newLab(spec.Name, db, opt)
+func newSyntheticLab(name, dbName string, opt LabOptions) (*Lab, error) {
+	lab, err := newLab(name, dbName, opt)
 	if err != nil {
 		return nil, err
 	}
 	lab.insertRow = func(table string, rng *rand.Rand) (value.Row, error) {
-		rows, err := datagen.SyntheticInsertRows(db, table, 1, rng.Int63())
+		rows, err := datagen.SyntheticInsertRows(lab.DB, table, 1, rng.Int63())
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +122,14 @@ func newSyntheticLab(spec datagen.SyntheticSpec, opt LabOptions) (*Lab, error) {
 	return lab, nil
 }
 
-func newLab(name string, db *engine.Database, opt LabOptions) (*Lab, error) {
+// newLab builds the named database (datagen.BuildNamed) at opt's scale
+// and seed, and the lab's optimizer, advisor and workloads over it.
+func newLab(name, dbName string, opt LabOptions) (*Lab, error) {
+	opt.fill()
+	db, err := datagen.BuildNamed(dbName, opt.Scale, opt.Seed)
+	if err != nil {
+		return nil, err
+	}
 	o := optimizer.New(db)
 	adv := advisor.New(db, o)
 	adv.Parallelism = opt.Parallelism
@@ -150,7 +141,6 @@ func newLab(name string, db *engine.Database, opt LabOptions) (*Lab, error) {
 		Parallelism: opt.Parallelism,
 		seed:        opt.Seed,
 	}
-	var err error
 	lab.Complex, err = workload.Generate(db, workload.Options{
 		Class: workload.Complex, Queries: opt.WorkloadQueries, Seed: opt.Seed + 11,
 	})

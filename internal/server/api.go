@@ -374,10 +374,12 @@ type JobOptions struct {
 	MergePair string `json:"mergepair,omitempty"`
 	// Search is greedy (default) | exhaustive.
 	Search string `json:"search,omitempty"`
-	// CostModel is opt (default) | nocost | prefilter | compressed.
-	// "compressed" prices constraint checks through the registered
-	// workload's (template, atom) cost table (exact; recommendation
-	// parity with opt) instead of per-query costing.
+	// CostModel is opt (default) | nocost | prefilter | compressed. Every
+	// optimizer-backed model prices constraint checks through the
+	// registered workload's (template, atom) cost table; "compressed"
+	// also derives the bound from the template-order baseline, reports
+	// the compression fields, and tunes n == 0 one representative per
+	// template.
 	CostModel string  `json:"costmodel,omitempty"`
 	NoCostF   float64 `json:"nocost_f,omitempty"`
 	NoCostP   float64 `json:"nocost_p,omitempty"`

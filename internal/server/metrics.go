@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"indexmerge/internal/distrib"
 )
 
 // histogram is a fixed-bucket latency histogram with Prometheus
@@ -168,7 +170,7 @@ func (m *Metrics) observeShed(reason, tenant string) {
 type SessionGauges struct {
 	Name string
 	// Summed over the session's registered workloads: template count, and
-	// the cost tables' size and hit/miss totals over both cost models'
+	// the cost tables' size and hit/miss totals over every cost model's
 	// cells.
 	Templates        int
 	CostTableEntries int
@@ -215,22 +217,10 @@ type OverloadGauges struct {
 	Tenants        []TenantGauges
 }
 
-// PoolGauges snapshots the distributed-costing worker pool for the
-// metrics scrape (nil pool = the section is omitted).
-type PoolGauges struct {
-	Workers   int
-	Healthy   int
-	Batches   int64
-	Items     int64
-	RPCs      int64
-	RPCErrors int64
-	Hedges    int64
-}
-
 // Write emits every series. Gauges are gathered by the caller at
 // scrape time (sessions, the job manager and the worker pool own that
-// state).
-func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, pool *PoolGauges, og *OverloadGauges, snapshotReuses int64, residentSnapshots int) {
+// state); a nil pool omits the pool's section.
+func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, pool *distrib.Stats, og *OverloadGauges, snapshotReuses int64, residentSnapshots int) {
 	fmt.Fprintln(w, "# TYPE idxmerged_http_requests_total counter")
 	m.mu.Lock()
 	reqKeys := make([]string, 0, len(m.requests))

@@ -928,11 +928,14 @@ func TestWorkerPanicFailsJobNotProcess(t *testing.T) {
 	// candidate's cost-table misses concurrently (the first candidate
 	// has two). Every check of the first wave fails, so the search
 	// cannot step past the panic on a speculative one. With resilience
-	// disabled nothing retries it: it must arrive as the job's error.
+	// disabled nothing retries it: it must arrive as the job's error. The
+	// job runs on a fresh registration: the jobs above left their cells in
+	// "s"'s table, and a compressed job prices from them.
+	h.newSession(t, "f")
 	faults.Install(faults.Rule{ID: "wp", Point: faults.OptimizerCost, Mode: faults.ModePanic, After: 15})
 	defer faults.Reset()
 	var resp SubmitJobResponse
-	h.mustCall(t, "POST", "/v1/sessions/s/jobs", SubmitJobRequest{
+	h.mustCall(t, "POST", "/v1/sessions/f/jobs", SubmitJobRequest{
 		Workload: "w",
 		Initial:  &InitialSpec{Indexes: fixtureIndexes},
 		Options: JobOptions{Constraint: 0.3, CostModel: "compressed", Parallelism: 4,

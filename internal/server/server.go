@@ -31,7 +31,7 @@ type Config struct {
 	// get 429.
 	QueueCap int
 	// CacheMaxEntries bounds each registered workload's cost table, which
-	// holds both cost models' cells, and each continuous window's table
+	// holds every cost model's cells, and each continuous window's table
 	// (default 1 << 20 entries each; <= 0 means unbounded).
 	CacheMaxEntries int
 	// Logger receives structured request and job logs (default
@@ -448,13 +448,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for i, sess := range sessions {
 		gauges[i] = sess.gauges()
 	}
-	var pg *PoolGauges
+	var pool *distrib.Stats
 	if s.pool != nil {
 		st := s.pool.PoolStats()
-		pg = &PoolGauges{
-			Workers: st.Workers, Healthy: st.Healthy, Batches: st.Batches,
-			Items: st.Items, RPCs: st.RPCs, RPCErrors: st.RPCErrors, Hedges: st.Hedges,
-		}
+		pool = &st
 	}
 	og := &OverloadGauges{
 		BrownoutStage:  int(s.stage.Load()),
@@ -463,7 +460,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Tenants:        s.reg.tenantGauges(),
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.Write(w, s.jobs.Gauges(), gauges, pg, og, s.reg.SnapshotReuses(), s.reg.ResidentSnapshots())
+	s.metrics.Write(w, s.jobs.Gauges(), gauges, pool, og, s.reg.SnapshotReuses(), s.reg.ResidentSnapshots())
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -753,11 +750,11 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, sess *S
 		return
 	}
 	// Stage >= 2 (as this route's admission just evaluated it) forces the
-	// compressed cost model on jobs that would run the full optimizer
-	// model. The search is priced exactly either way, so from an explicit
-	// or n > 0 initial configuration the brownout trades optimizer calls,
-	// not quality; an n == 0 job then also tunes one representative per
-	// template instead of every statement.
+	// compressed cost model on jobs that would run the plain optimizer
+	// model. Both price through the registration's one engine, so the
+	// switch changes only the bound's summation (template order instead
+	// of workload order), the reported compression fields, and n == 0
+	// tuning: one representative per template instead of every statement.
 	if s.stage.Load() >= 2 && (req.Options.CostModel == "" || req.Options.CostModel == "opt") {
 		req.Options.CostModel = "compressed"
 	}
@@ -869,8 +866,8 @@ func BuildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 // a cmd/idxmerge run over identical inputs produce byte-identical
 // results. The Merger holds the workload's registration-time prepared
 // descriptors and compressed form (one per registration, shared across
-// its jobs), whose cost table carries both cost models' cells from one
-// job on the registration to the next.
+// its jobs), whose cost table carries the template cells every cost
+// model prices from one job on the registration to the next.
 func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw *registeredWorkload,
 	initial InitialSpec, explicitDefs []catalog.IndexDef, opts indexmerge.MergeOptions,
 	dualFrac float64) jobRun {

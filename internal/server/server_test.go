@@ -1129,6 +1129,36 @@ func TestReplaceKeepsOtherWorkloadsCosts(t *testing.T) {
 	}
 }
 
+// TestOptJobPricesCompressedCells: both optimizer-backed cost models
+// price a registration through its one engine. A plain job run after a
+// compressed one from the same explicit initial configuration decides
+// what the compressed job decided from the cells it left, with no
+// optimizer call, on a workload whose templates hold several statements.
+func TestOptJobPricesCompressedCells(t *testing.T) {
+	h := newTestServer(t, Config{})
+	h.newSession(t, "s")
+	var info WorkloadInfo
+	h.mustCall(t, "POST", "/v1/sessions/s/workloads", RegisterWorkloadRequest{Name: "dup", SQL: fixtureSQL +
+		"\nSELECT d, m1 FROM fact WHERE d BETWEEN DATE(300) AND DATE(320)" +
+		"\nSELECT k, m3 FROM fact WHERE k = 99"}, &info, http.StatusCreated)
+	if info.DedupRatio <= 1 {
+		t.Fatalf("workload info = %+v; want templates of several statements", info)
+	}
+	comp := h.mergeJob(t, "s", "dup", "compressed")
+	if comp.OptimizerCalls == 0 || len(comp.Steps) == 0 {
+		t.Fatalf("compressed job: %d optimizer calls, %d steps; the fixture has no teeth", comp.OptimizerCalls, len(comp.Steps))
+	}
+	plain := h.mergeJob(t, "s", "dup", "opt")
+	if plain.OptimizerCalls != 0 {
+		t.Errorf("plain job after a compressed one made %d optimizer calls, want 0", plain.OptimizerCalls)
+	}
+	gotJSON, _ := json.Marshal(struct{ Final, Steps any }{plain.Final, plain.Steps})
+	wantJSON, _ := json.Marshal(struct{ Final, Steps any }{comp.Final, comp.Steps})
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("plain job diverged from the compressed one:\n got: %s\nwant: %s", gotJSON, wantJSON)
+	}
+}
+
 // TestPlainCellsAreAccountedAndEvicted: a plain job's cells live in the
 // registration's cost table, so the session's accounted bytes count them
 // and the brownout ladder's eviction drops them. The definitions the job

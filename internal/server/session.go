@@ -93,7 +93,7 @@ type Session struct {
 
 // registeredWorkload is a workload's compressed form — the workload
 // compressed.C.W, its prepared descriptors compressed.PW, the templates
-// and the cost table of both cost models' cells — built once at
+// and the cost table of every cost model's cells — built once at
 // registration against the session's (immutable) statistics, and the
 // Merger over it that every job on the workload runs on. Costing
 // requests read the form directly. Journal replay rebuilds workloads

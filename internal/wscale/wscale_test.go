@@ -219,58 +219,45 @@ func TestWorkloadCostMatchesUncompressed(t *testing.T) {
 	}
 }
 
-// TestQueryPricerSharesTheTable: a registration's per-query engine is
-// built once however many goroutines ask for it, and both engines keep
-// their cells in the one table without answering for each other: under
-// concurrent use the per-query total is optimizer.WorkloadCostPrepared's
-// bit for bit, the template total the one an engine alone computes, and
-// the table holds both engines' cells.
-func TestQueryPricerSharesTheTable(t *testing.T) {
+// TestOneEngineSharesTheTable: a registration's form holds one engine,
+// shared by every goroutine that prices with it. Under concurrent use
+// its totals are, bit for bit, the ones a fresh form's engine computes
+// alone, and its table holds template cells only: at most one per
+// (template, configuration).
+func TestOneEngineSharesTheTable(t *testing.T) {
 	r := newTestRig(t, 40)
 	ctx := context.Background()
 	configs := []*core.Configuration{r.cfg, {Indexes: r.cfg.Indexes[:3]}, {}}
-	wantQuery := make([]float64, len(configs))
-	wantTemplate := make([]float64, len(configs))
+	want := make([]float64, len(configs))
 	for i, cfg := range configs {
-		var err error
-		if wantQuery[i], err = r.lab.Opt.WorkloadCostPrepared(r.pw, optimizer.Configuration(cfg.Defs())); err != nil {
-			t.Fatal(err)
-		}
 		fresh, err := Prepare(r.c, r.pw, r.lab.Opt, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantTemplate[i], err = fresh.WorkloadCostContext(ctx, cfg); err != nil {
+		if want[i], err = fresh.WorkloadCostContext(ctx, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	const goroutines = 4
-	engines := make([]*core.Pricer, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			engines[g] = r.p.QueryPricer()
 			for i, cfg := range configs {
-				if got, err := engines[g].WorkloadCostContext(ctx, cfg); err != nil || math.Float64bits(got) != math.Float64bits(wantQuery[i]) {
-					t.Errorf("goroutine %d, config %d: per-query engine prices %v (%v), want %v", g, i, got, err, wantQuery[i])
-				}
-				if got, err := r.p.WorkloadCostContext(ctx, cfg); err != nil || math.Float64bits(got) != math.Float64bits(wantTemplate[i]) {
-					t.Errorf("goroutine %d, config %d: template engine prices %v (%v), want %v", g, i, got, err, wantTemplate[i])
+				if got, err := NewChecker(r.p, 0, 0).WorkloadCostContext(ctx, cfg); err != nil || math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Errorf("goroutine %d, config %d: the form's engine prices %v (%v), want %v", g, i, got, err, want[i])
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	for g, e := range engines {
-		if e != engines[0] {
-			t.Fatalf("goroutine %d got another per-query engine", g)
-		}
+	if n := r.p.TableLen(); n == 0 || n > len(configs)*len(r.c.Templates) {
+		t.Errorf("table holds %d cells; want template cells only (at most %d)", n, len(configs)*len(r.c.Templates))
 	}
-	if n, units := r.p.TableLen(), len(r.c.Templates)+len(r.w.Queries); n <= len(r.c.Templates) || n > len(configs)*units {
-		t.Errorf("table holds %d cells; want both engines' (more than the %d templates, at most %d)", n, len(r.c.Templates), len(configs)*units)
+	if len(r.c.Templates) >= len(r.w.Queries) {
+		t.Fatalf("%d templates for %d queries; the rig does not compress", len(r.c.Templates), len(r.w.Queries))
 	}
 }
 
