@@ -42,7 +42,9 @@
 // Each registered workload keeps the what-if costs of its jobs, under
 // either cost model, in one cost table that lives and is replaced with
 // the registration; a continuous session's window keeps one more across
-// its re-tunes. -cache bounds each of these tables.
+// its re-tunes. -cache bounds each of these tables: a table holds at
+// most that many cells, evicting its oldest cell first (one FIFO over
+// the whole table).
 package main
 
 import (
@@ -68,7 +70,7 @@ func main() {
 	addr := flag.String("addr", ":7781", "listen address")
 	workers := flag.Int("workers", 2, "job worker pool size (jobs on distinct sessions run in parallel)")
 	queue := flag.Int("queue", 8, "pending job queue capacity (submissions beyond it get 429)")
-	cacheMax := flag.Int("cache", 1<<20, "bound of each registered workload's and each continuous window's cost table, entries (0 = unbounded)")
+	cacheMax := flag.Int("cache", 1<<20, "bound of each registered workload's and each continuous window's cost table, cells, evicted oldest first (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight jobs")
 	journalPath := flag.String("journal", "", "session/job journal file (empty = no durability)")
 	faultRules := flag.String("faults", "", "fault-injection rules, semicolon-separated (chaos testing)")

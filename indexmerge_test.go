@@ -467,7 +467,7 @@ func TestWindowFormPricesTemplateCells(t *testing.T) {
 	opts := MergeOptions{CostConstraint: 0.10}
 	compressed := MergeOptions{CostConstraint: 0.10, CostModel: CompressedOptimizerCost}
 	win := wscale.NewWindow(wscale.WindowConfig{Seed: 1})
-	table := costcache.New(0)
+	table := costcache.New()
 	var texts []string // the first snapshot's statement at each position
 	// Half the statements, then the rest: the second half adds members to
 	// templates the first half opened, which moves every later template's.

@@ -65,12 +65,12 @@ type ConstraintChecker interface {
 // checker's own); Pricer.NewChecker prices whatever units its engine
 // holds.
 //
-// The checker is safe for concurrent use: the store is sharded and
-// deduplicates in-flight computations so two workers never optimize
-// the same (unit, relevant-config) key twice, and all counters are
-// atomic. Server must be safe for concurrent CostPrepared calls
-// (optimizer.Optimizer is) and Parallelism must be set before the
-// first evaluation.
+// The checker is safe for concurrent use: the store is one table behind
+// one lock, and all counters are atomic. Two concurrent checks that miss
+// the same cell may both fill it; fills are deterministic, so that costs
+// a repeated optimizer call, never a different answer. Server must be
+// safe for concurrent CostPrepared calls (optimizer.Optimizer is) and
+// Parallelism must be set before the first evaluation.
 type OptimizerChecker struct {
 	Server CostServer
 	W      *sql.Workload
@@ -150,10 +150,10 @@ func (c *OptimizerChecker) lazyInit() error {
 			// An engine over no units: the accessors have a store and
 			// counters to read, every evaluation fails before pricing.
 			c.initErr = err
-			c.pricer = NewPricer(c.Server, pw, nil, costcache.New(0))
+			c.pricer = NewPricer(c.Server, pw, nil, costcache.New())
 			return
 		}
-		c.pricer = newQueryPricer(c.Server, c.W, pw, costcache.New(0))
+		c.pricer = newQueryPricer(c.Server, c.W, pw, costcache.New())
 	})
 	return c.initErr
 }
@@ -173,9 +173,9 @@ func (c *OptimizerChecker) OptimizerCalls() int64 { return c.optCalls.Load() }
 func (c *OptimizerChecker) PrunedChecks() int64 { return c.pruned.Load() }
 
 // CacheStats exposes the engine's store counters (lookup hits, computed
-// misses, deduplicated in-flight waits) — the engine's, so shared with
-// every checker over it.
-func (c *OptimizerChecker) CacheStats() (hits, misses, dedups int64) {
+// misses, fills that lost a race to a concurrent fill of the same cell)
+// — the engine's, so shared with every checker over it.
+func (c *OptimizerChecker) CacheStats() (hits, misses, races int64) {
 	_ = c.lazyInit()
 	return c.pricer.store.Stats()
 }
@@ -201,9 +201,8 @@ func (c *OptimizerChecker) SetBase(cfg *Configuration) {
 
 // pricedBaseFor returns the current base with its cells, pricing it on
 // first use, or nil when no search has set one. Concurrent first checks
-// of one wave may both price it; the store deduplicates the optimizer
-// calls and both arrive at the same vector. Nothing is recorded unless
-// pricing succeeds.
+// of one wave may both price it, and both arrive at the same vector.
+// Nothing is recorded unless pricing succeeds.
 func (c *OptimizerChecker) pricedBaseFor(ctx context.Context) (*pricedBase, error) {
 	c.mu.Lock()
 	bs := c.base

@@ -1,128 +1,323 @@
-// Package costcache provides a sharded, thread-safe cost cache with
-// in-flight deduplication for what-if optimizer invocations. A cost
-// evaluation keyed by (query, relevant-configuration) is expensive —
-// a full optimizer pass — so the cache guarantees that concurrent
-// workers never compute the same key twice: the first caller becomes
-// the leader and runs the computation, later callers for the same key
-// block until the leader publishes the value (the singleflight
-// pattern, specialized to float64 costs).
+// Package costcache is the what-if cost table: cells addressed by keys
+// of uint32 words — a cost unit's integer identity followed by the IDs
+// of the indexes relevant to it — in one open-addressing table. A cell
+// is expensive to compute (a full optimizer pass), cheap to look up:
+// a hit hashes a few words and compares them against the stored key,
+// and a miss stores its key without an allocation of its own.
 //
-// Sharding bounds lock contention: keys hash onto independent
-// sync.RWMutex-protected maps, so workers costing candidates on
-// different tables rarely touch the same lock.
+// The table is safe for concurrent use behind one sync.RWMutex. Fills
+// are deterministic, so two fills of one cell may race and both run:
+// the second finds the cell stored and counts a lost race. A lost race
+// costs one repeated optimizer call, never a different answer.
 package costcache
 
 import (
-	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"indexmerge/internal/faults"
 )
 
-// DefaultShards is the shard count used when New is given n <= 0.
-// 32 shards keep contention negligible for worker pools up to a few
-// dozen goroutines while wasting little memory for small runs.
-const DefaultShards = 32
-
-// call is one in-flight computation. Waiters block in done.Wait; the
-// happens-before edge of done.Done publishes val and err.
-type call struct {
-	done sync.WaitGroup
-	val  float64
-	err  error
+// slot is one entry of the open-addressing table. tag is the key's hash
+// (0 marks an empty slot, so a hash of 0 is stored as 1), off the
+// arena offset of the key, val the cell.
+type slot struct {
+	tag uint32
+	off uint32
+	val float64
 }
 
-type shard struct {
-	mu       sync.RWMutex
-	vals     map[string]float64
-	inflight map[string]*call
-	// fifo records insertion order for bounded caches. An entry may be
-	// stale (its key already evicted through an older duplicate); evict
-	// skips those. Unbounded caches leave it nil.
-	fifo []string
+// The arena holds every stored key as a length word followed by the
+// key's words, in insertion order, on pages of pageWords words; a slot
+// addresses its key as page<<pageBits | position. Pages are linked
+// oldest first, so the arena is the table's FIFO: the oldest key starts
+// at the head, and a page the head has left is reused for new keys. A
+// key longer than a page gets a page of its own, dropped once evicted.
+const (
+	pageBits  = 12
+	pageWords = 1 << pageBits
+)
+
+type page struct {
+	words []uint32 // len is the words in use, cap the page's size
+	next  int32    // the next live page, -1 at the tail
 }
 
-// Cache is a sharded map from string keys to float64 costs, safe for
-// concurrent use. The zero value is not usable; call New or NewBounded.
+// Cache is the cost table, safe for concurrent use. The zero value is
+// not usable; call New or NewBounded.
 type Cache struct {
-	seed        maphash.Seed
-	shards      []shard
-	maxPerShard int // 0 = unbounded
+	mu    sync.RWMutex
+	slots []slot // a power of two in length, nil before the first Put
+	live  int
+	max   int // 0 = unbounded
+	// tagMask is applied to every hash; all ones, except where a test
+	// narrows it so that distinct keys share a tag on purpose.
+	tagMask uint32
+
+	pages      []page
+	free       []int32 // numbers of pages ready for reuse
+	head, tail int32   // oldest and newest live page, -1 while no key is stored
+	headPos    int     // where the oldest key starts on the head page
 
 	imu sync.RWMutex
 	ids map[string]uint32 // Intern's
 
 	hits   atomic.Int64
 	misses atomic.Int64
-	dedups atomic.Int64
-	bytes  atomic.Int64 // approximate resident bytes (entrySize per entry and interned text)
+	races  atomic.Int64
+	bytes  atomic.Int64 // accounted bytes: cellBytes per cell, entrySize per interned text
 }
 
-// entryBytes approximates one cached entry's resident footprint beyond
-// its key text: the float64 value (or an interned text's uint32 ID)
-// plus map-bucket overhead. The figure
-// is deliberately coarse — the memory quota subsystem needs a stable,
-// cheap accounting basis, not heap-exact numbers.
-const entryBytes = 16
+// slotBytes is a slot's size; a cell accounts it plus its key's arena
+// words, length word included. Interned text accounts its length plus
+// entryBytes. The figures approximate resident bytes — the memory quota
+// subsystem needs a stable, cheap accounting basis, not heap-exact
+// numbers (the table's unused slots and page tails are not counted).
+const (
+	slotBytes  = 16
+	entryBytes = 16
+)
 
-func entrySize(key string) int64 { return int64(len(key)) + entryBytes }
+func cellBytes(key []uint32) int64 { return slotBytes + 4*int64(1+len(key)) }
 
-// New creates an unbounded cache with the given shard count
-// (DefaultShards when n <= 0).
-func New(n int) *Cache {
-	return NewBounded(n, 0)
+func entrySize(text string) int64 { return int64(len(text)) + entryBytes }
+
+// New creates an unbounded table.
+func New() *Cache { return NewBounded(0, 0) }
+
+// NewBounded creates a table holding at most maxEntries cells (<= 0
+// means unbounded); storing a new cell into a full table evicts the
+// oldest cell first, so the bound is an exact global FIFO. A
+// long-running daemon must bound its tables: what-if cells grow with
+// every distinct (unit, relevant-configuration) pair ever evaluated.
+// The first argument is ignored. It was a shard count, and callers
+// outside this module still pass one.
+func NewBounded(_, maxEntries int) *Cache {
+	return &Cache{max: max(maxEntries, 0), tagMask: ^uint32(0), head: -1, tail: -1}
 }
 
-// NewBounded creates a cache with the given shard count (DefaultShards
-// when shards <= 0) holding at most maxEntries values (<= 0 means
-// unbounded). The bound is enforced per shard — each shard holds at
-// most ceil(maxEntries/shards) entries, evicting its oldest entry
-// first (FIFO) — so the global entry count never exceeds maxEntries
-// rounded up to a multiple of the shard count. A long-running daemon
-// must bound the cache: what-if cost keys grow with every distinct
-// (query, relevant-configuration) pair ever evaluated.
-func NewBounded(shards, maxEntries int) *Cache {
-	if shards <= 0 {
-		shards = DefaultShards
+// hash mixes the key's words and finalizes with splitmix64's avalanche,
+// so that both the probe start (the tag's low bits) and the rest of the
+// tag depend on every word.
+func (c *Cache) hash(key []uint32) uint32 {
+	h := uint64(len(key)) * 0x9e3779b97f4a7c15
+	for _, w := range key {
+		h = (h ^ uint64(w)) * 0xbf58476d1ce4e5b9
 	}
-	c := &Cache{seed: maphash.MakeSeed(), shards: make([]shard, shards)}
-	if maxEntries > 0 {
-		c.maxPerShard = (maxEntries + shards - 1) / shards
-		if c.maxPerShard < 1 {
-			c.maxPerShard = 1
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	h ^= h >> 31
+	if tag := uint32(h^h>>32) & c.tagMask; tag != 0 {
+		return tag
+	}
+	return 1
+}
+
+// keyAt returns the key stored at arena offset off. Caller holds mu.
+func (c *Cache) keyAt(off uint32) []uint32 {
+	w := c.pages[off>>pageBits].words
+	p := off & (pageWords - 1)
+	return w[p+1 : p+1+w[p]]
+}
+
+// find returns the slot holding key, or -1. Caller holds mu.
+func (c *Cache) find(key []uint32, tag uint32) int {
+	if c.slots == nil {
+		return -1
+	}
+	mask := uint32(len(c.slots) - 1)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		s := &c.slots[i]
+		if s.tag == 0 {
+			return -1
+		}
+		if s.tag == tag && slices.Equal(c.keyAt(s.off), key) {
+			return int(i)
 		}
 	}
-	for i := range c.shards {
-		c.shards[i].vals = make(map[string]float64)
-		c.shards[i].inflight = make(map[string]*call)
+}
+
+// Get returns the cell stored under key, if any. It allocates nothing.
+func (c *Cache) Get(key []uint32) (float64, bool) {
+	tag := c.hash(key)
+	c.mu.RLock()
+	i := c.find(key, tag)
+	var v float64
+	if i >= 0 {
+		v = c.slots[i].val
 	}
-	return c
-}
-
-func (c *Cache) shard(key string) *shard {
-	return &c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]
-}
-
-// GetBytes returns the cached value for key, if present. The caller
-// holds the key as bytes, say in a buffer it reuses from lookup to
-// lookup; the lookup does not allocate.
-func (c *Cache) GetBytes(key []byte) (float64, bool) {
-	s := &c.shards[maphash.Bytes(c.seed, key)%uint64(len(c.shards))]
-	s.mu.RLock()
-	v, ok := s.vals[string(key)]
-	s.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
+	c.mu.RUnlock()
+	if i < 0 {
+		return 0, false
 	}
-	return v, ok
+	c.hits.Add(1)
+	return v, true
 }
 
-// Intern returns the cache's ID for text: 0, 1, 2, … in first-seen
-// order, and the same for as long as the cache lives, so that callers
-// sharing the cache may build keys from IDs instead of from the text
+// Do computes a missed cell with fn and stores it under key: the fill
+// of a Get that missed. fn runs without the lock held, so it may be
+// arbitrarily expensive, and two Do calls for one key may both run it.
+// An error is returned as is and stores nothing, so a later Do
+// retries; a panic in fn unwinds with nothing stored either.
+func (c *Cache) Do(key []uint32, fn func() (float64, error)) (float64, error) {
+	if err := faults.Inject(faults.CostCacheDo); err != nil {
+		return 0, err
+	}
+	c.misses.Add(1)
+	v, err := fn()
+	if err != nil {
+		return 0, err
+	}
+	c.Put(key, v)
+	return v, nil
+}
+
+// Put stores v under key. A key already present keeps its place in the
+// eviction order and takes v (a racing fill's equal value; the race is
+// counted). A new key in a full table first evicts the oldest cell.
+// Once the table has grown to its working size, Put allocates nothing.
+func (c *Cache) Put(key []uint32, v float64) {
+	tag := c.hash(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i := c.find(key, tag); i >= 0 {
+		c.slots[i].val = v
+		c.races.Add(1)
+		return
+	}
+	if c.max > 0 && c.live >= c.max {
+		c.evictLocked()
+	}
+	if 4*(c.live+1) > 3*len(c.slots) {
+		c.grow()
+	}
+	mask := uint32(len(c.slots) - 1)
+	i := tag & mask
+	for c.slots[i].tag != 0 {
+		i = (i + 1) & mask
+	}
+	c.slots[i] = slot{tag: tag, off: c.pushKey(key), val: v}
+	c.live++
+	c.bytes.Add(cellBytes(key))
+}
+
+// grow doubles the slot array and re-places every slot by its tag; no
+// key is read or hashed again.
+func (c *Cache) grow() {
+	old := c.slots
+	c.slots = make([]slot, max(2*len(old), 64))
+	mask := uint32(len(c.slots) - 1)
+	for _, s := range old {
+		if s.tag == 0 {
+			continue
+		}
+		i := s.tag & mask
+		for c.slots[i].tag != 0 {
+			i = (i + 1) & mask
+		}
+		c.slots[i] = s
+	}
+}
+
+// pushKey writes key at the arena's tail and returns its offset.
+// Caller holds mu.
+func (c *Cache) pushKey(key []uint32) uint32 {
+	need := 1 + len(key)
+	if c.tail < 0 || cap(c.pages[c.tail].words)-len(c.pages[c.tail].words) < need {
+		c.linkPage(need)
+	}
+	p := &c.pages[c.tail]
+	off := uint32(c.tail)<<pageBits | uint32(len(p.words))
+	p.words = append(append(p.words, uint32(len(key))), key...)
+	return off
+}
+
+// linkPage makes a page with room for need words the arena's tail,
+// reusing the number and, where it is large enough, the words of a page
+// the head has left.
+func (c *Cache) linkPage(need int) {
+	var n int32
+	if k := len(c.free); k > 0 {
+		n, c.free = c.free[k-1], c.free[:k-1]
+	} else {
+		n = int32(len(c.pages))
+		c.pages = append(c.pages, page{})
+	}
+	p := &c.pages[n]
+	if cap(p.words) < need {
+		p.words = make([]uint32, 0, max(need, pageWords))
+	}
+	p.next = -1
+	if c.tail >= 0 {
+		c.pages[c.tail].next = n
+	} else {
+		c.head, c.headPos = n, 0
+	}
+	c.tail = n
+}
+
+// evictLocked drops the oldest cell: the key at the arena's head.
+// Caller holds mu and knows the table is not empty.
+func (c *Cache) evictLocked() {
+	off := uint32(c.head)<<pageBits | uint32(c.headPos)
+	key := c.keyAt(off)
+	tag := c.hash(key)
+	mask := uint32(len(c.slots) - 1)
+	i := tag & mask
+	for c.slots[i].off != off || c.slots[i].tag != tag {
+		i = (i + 1) & mask
+	}
+	c.deleteSlot(i)
+	c.live--
+	c.bytes.Add(-cellBytes(key))
+	c.headPos += 1 + len(key)
+	h := &c.pages[c.head]
+	if c.headPos < len(h.words) {
+		return
+	}
+	// The head page is spent: its number is reused, and so are its words
+	// unless it was an oversize page.
+	if cap(h.words) == pageWords {
+		h.words = h.words[:0]
+	} else {
+		h.words = nil
+	}
+	c.free = append(c.free, c.head)
+	if c.head == c.tail {
+		c.head, c.tail = -1, -1
+	} else {
+		c.head = h.next
+	}
+	c.headPos = 0
+}
+
+// deleteSlot empties slot i by backward shift: every later slot of the
+// probe run that may move back towards its home does, so no tombstones
+// are left and lookups stop at the first empty slot.
+func (c *Cache) deleteSlot(i uint32) {
+	mask := uint32(len(c.slots) - 1)
+	for j := (i + 1) & mask; c.slots[j].tag != 0; j = (j + 1) & mask {
+		home := c.slots[j].tag & mask
+		// Slot j stays where it is if its home lies cyclically in (i, j].
+		if i <= j {
+			if i < home && home <= j {
+				continue
+			}
+		} else if i < home || home <= j {
+			continue
+		}
+		c.slots[i] = c.slots[j]
+		i = j
+	}
+	c.slots[i] = slot{}
+}
+
+// Intern returns the table's ID for text: 0, 1, 2, … in first-seen
+// order, and the same for as long as the table lives, so that callers
+// sharing the table may build keys from IDs instead of from the text
 // (core.Pricer keys a cell by the IDs of its unit's relevant indexes).
-// Interned text is held for the cache's life: Bytes counts it, and
+// Interned text is held for the table's life: Bytes counts it, and
 // EvictOldest never reclaims it.
 func (c *Cache) Intern(text string) uint32 {
 	c.imu.RLock()
@@ -145,139 +340,47 @@ func (c *Cache) Intern(text string) uint32 {
 	return id
 }
 
-// Do returns the cached value for key, computing it with fn on a miss.
-// Concurrent Do calls for the same key run fn exactly once: the first
-// caller computes, the rest wait and share the result. fn runs without
-// any shard lock held, so it may be arbitrarily expensive. Errors are
-// propagated to every waiter and are not cached — a later Do retries.
-// Callers look a key up (GetBytes) before they Do it, so Do goes
-// straight to the shard's write lock.
-func (c *Cache) Do(key string, fn func() (float64, error)) (float64, error) {
-	if err := faults.Inject(faults.CostCacheDo); err != nil {
-		return 0, err
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	if v, ok := s.vals[key]; ok {
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return v, nil
-	}
-	if cl, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		c.dedups.Add(1)
-		cl.done.Wait()
-		return cl.val, cl.err
-	}
-	cl := new(call)
-	cl.done.Add(1)
-	s.inflight[key] = cl
-	s.mu.Unlock()
-
-	c.misses.Add(1)
-	// Finalize in a defer so a panicking fn cannot leak the in-flight
-	// entry: without this, every later Do for the key would block on
-	// done forever. Waiters see ErrComputePanicked (transient — the
-	// entry is not cached, so a retry recomputes); the panic itself
-	// keeps unwinding the computing goroutine.
-	finished := false
-	defer func() {
-		if !finished {
-			cl.val, cl.err = 0, ErrComputePanicked
-		}
-		s.mu.Lock()
-		if cl.err == nil {
-			c.insertLocked(s, key, cl.val)
-		}
-		delete(s.inflight, key)
-		s.mu.Unlock()
-		cl.done.Done()
-	}()
-	cl.val, cl.err = fn()
-	finished = true
-	return cl.val, cl.err
+// Interned returns the number of texts Intern holds.
+func (c *Cache) Interned() int {
+	c.imu.RLock()
+	defer c.imu.RUnlock()
+	return len(c.ids)
 }
 
-// panickedError is ErrComputePanicked's type; Transient marks it
-// retryable for the resilient costing path (the failed computation was
-// never cached, so retrying recomputes it).
-type panickedError struct{}
-
-func (panickedError) Error() string   { return "costcache: in-flight cost computation panicked" }
-func (panickedError) Transient() bool { return true }
-
-// ErrComputePanicked is returned to waiters that were sharing an
-// in-flight computation whose fn panicked.
-var ErrComputePanicked error = panickedError{}
-
-// insertLocked stores key, evicting the shard's oldest entries first
-// when the shard is at capacity. Caller holds s.mu.
-func (c *Cache) insertLocked(s *shard, key string, val float64) {
-	if _, exists := s.vals[key]; !exists {
-		if c.maxPerShard > 0 {
-			for len(s.fifo) > 0 && len(s.vals) >= c.maxPerShard {
-				old := s.fifo[0]
-				s.fifo = s.fifo[1:]
-				if _, ok := s.vals[old]; ok {
-					delete(s.vals, old)
-					c.bytes.Add(-entrySize(old))
-				}
-			}
-			s.fifo = append(s.fifo, key)
-		}
-		c.bytes.Add(entrySize(key))
-	}
-	s.vals[key] = val
-}
-
-// EvictOldest removes up to n entries in FIFO insertion order (bounded
-// caches only; an unbounded cache keeps no order and evicts nothing).
-// Returns how many entries were actually dropped. The brownout ladder
-// uses this to shed cold cost state under memory pressure without
-// resetting hot entries.
+// EvictOldest removes up to n cells in FIFO insertion order from a
+// bounded table; an unbounded one is left whole. Returns how many cells
+// were dropped. The brownout ladder uses this to shed cold cost state
+// under memory pressure without resetting hot cells.
 func (c *Cache) EvictOldest(n int) int {
+	if c.max == 0 {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	dropped := 0
-	for i := range c.shards {
-		if dropped >= n {
-			break
-		}
-		s := &c.shards[i]
-		s.mu.Lock()
-		for dropped < n && len(s.fifo) > 0 {
-			old := s.fifo[0]
-			s.fifo = s.fifo[1:]
-			if _, ok := s.vals[old]; ok {
-				delete(s.vals, old)
-				c.bytes.Add(-entrySize(old))
-				dropped++
-			}
-		}
-		s.mu.Unlock()
+	for ; dropped < n && c.live > 0; dropped++ {
+		c.evictLocked()
 	}
 	return dropped
 }
 
-// Len returns the number of cached entries.
+// Len returns the number of cells stored.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.vals)
-		s.mu.RUnlock()
-	}
-	return n
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.live
 }
 
-// Stats reports lookup hits, computed misses, and deduplicated waits
-// (calls that piggybacked on another worker's in-flight computation).
-func (c *Cache) Stats() (hits, misses, dedups int64) {
-	return c.hits.Load(), c.misses.Load(), c.dedups.Load()
+// Stats reports lookup hits, computed misses (Do calls past the fault
+// point), and lost races: stores that found their cell already stored
+// by a racing fill, each one optimizer fill computed twice.
+func (c *Cache) Stats() (hits, misses, races int64) {
+	return c.hits.Load(), c.misses.Load(), c.races.Load()
 }
 
-// Bytes reports the approximate resident footprint of the cached
-// entries and the interned text (key or text length plus a fixed
-// per-entry overhead each). The figure is
-// maintained incrementally on insert and evict, so it costs one
-// atomic load — the accounting basis for per-tenant memory budgets.
+// Bytes reports the accounted footprint of the stored cells (a slot and
+// the key's arena words each) and of the interned text (its length plus
+// a fixed overhead each). It is maintained incrementally on store and
+// evict, so it costs one atomic load — the accounting basis for
+// per-tenant memory budgets.
 func (c *Cache) Bytes() int64 { return c.bytes.Load() }

@@ -457,19 +457,23 @@ func (r *deltaRig) doubledUnits(scale float64) *Pricer {
 	pw2 := &optimizer.PreparedWorkload{Queries: append(append([]*optimizer.PreparedQuery(nil), r.pw.Queries...), r.pw.Queries...)}
 	units := make([]Unit, n)
 	for i, q := range r.w.Queries {
-		units[i] = Unit{Members: []int{i, i + n}, Weights: []float64{q.Freq, q.Freq}, Scale: 1, Prefix: "t" + strconv.Itoa(i) + "\x1d"}
+		units[i] = Unit{Members: []int{i, i + n}, Weights: []float64{q.Freq, q.Freq}, Scale: 1, ID: []uint32{uint32(i)}}
 		if scale != 0 {
+			// A window's ID: a fingerprint digest and an epoch, two words each.
 			units[i].Weights, units[i].Scale = []float64{1, 1}, scale
-			units[i].Prefix = "f" + strconv.Itoa(i) + "e0\x1d"
+			units[i].ID = []uint32{uint32(i), 0, 0, 0}
 		}
 	}
-	return NewPricer(r.opt, pw2, units, costcache.New(0))
+	return NewPricer(r.opt, pw2, units, costcache.New())
 }
 
 // TestDeltaCachedCheckAllocatesNothing: a base-derived check whose
 // affected units are all cached allocates nothing when it rejects, and
 // only the vector the search may adopt when it accepts — whatever the
-// units are.
+// units are. Once the store has grown, a check whose affected cells
+// were all evicted allocates one object more: the fill's worker
+// closure, one a check however many cells it misses. The store's own
+// lookups, fills and evictions allocate nothing.
 func TestDeltaCachedCheckAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -483,11 +487,21 @@ func TestDeltaCachedCheckAllocatesNothing(t *testing.T) {
 	}
 	cfg := rig.initial.ReplacePair(a, b, m)
 	ctx := context.Background()
-	for name, check := range map[string]*OptimizerChecker{
-		"singleton units":                 rig.checker(0.30),
-		"template units, registered keys": rig.doubledUnits(0).NewChecker(0, 0),
-		"template units, window keys":     rig.doubledUnits(0.5).NewChecker(0, 0),
+	// A bounded store evicts; the steady-state miss needs one.
+	bounded := func(p *Pricer) *OptimizerChecker {
+		return NewPricer(rig.opt, p.pw, p.units, costcache.NewBounded(0, 1<<20)).NewChecker(0, 0)
+	}
+	for _, tc := range []struct {
+		name  string
+		check *OptimizerChecker
+	}{
+		{"singleton units", rig.checker(0.30)},
+		{"template units, registered keys", rig.doubledUnits(0).NewChecker(0, 0)},
+		{"template units, window keys", rig.doubledUnits(0.5).NewChecker(0, 0)},
+		{"singleton units, bounded store", bounded(newQueryPricer(rig.opt, rig.w, rig.pw, nil))},
+		{"template units, bounded store", bounded(rig.doubledUnits(0.5))},
 	} {
+		name, check := tc.name, tc.check
 		// Cache the candidate: at U = 0 a check with misses is rejected
 		// on its lower bound and fills nothing.
 		if _, err := check.WorkloadCostContext(ctx, cfg); err != nil {
@@ -511,6 +525,30 @@ func TestDeltaCachedCheckAllocatesNothing(t *testing.T) {
 		}
 		if check.PrunedChecks() != 0 {
 			t.Errorf("%s: %d cached checks were pruned", name, check.PrunedChecks())
+		}
+		store := check.pricer.store
+		if !strings.HasSuffix(name, "bounded store") {
+			continue
+		}
+		// The steady-state miss: the affected cells are evicted and
+		// filled again, through the store's reused pages and slots.
+		_, missed, _ := store.Stats()
+		calls := check.OptimizerCalls()
+		got := testing.AllocsPerRun(50, func() {
+			store.EvictOldest(store.Len())
+			if ok, err := check.Accepts(ctx, cfg, m, a, b); err != nil || !ok {
+				t.Fatalf("%s: Accepts = %v, %v after eviction", name, ok, err)
+			}
+		})
+		_, misses, _ := store.Stats()
+		if perCheck := (misses - missed) / 51; perCheck < 2 {
+			t.Fatalf("%s: a check after eviction missed %d cells, want several", name, perCheck)
+		}
+		if check.OptimizerCalls() == calls {
+			t.Fatalf("%s: the misses were filled without the optimizer", name)
+		}
+		if got != 2 {
+			t.Errorf("%s: a check whose cells were evicted allocates %v objects, want 2 (the vector and the fill's closure)", name, got)
 		}
 	}
 }

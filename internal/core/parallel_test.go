@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -251,8 +253,8 @@ func TestWorkloadCostConcurrentStress(t *testing.T) {
 // contract: two configurations share a query's key exactly when their
 // relevant subsets — the set of indexes relevant to the query
 // (IndexRelevant), whatever their order in the configuration — coincide,
-// and a key is the query's prefix and a four-byte ID per relevant index,
-// never the indexes' text.
+// and a key is the query's ID and one word per relevant index, in
+// ascending order, never the indexes' text.
 func TestQueryKeyUnambiguous(t *testing.T) {
 	f := newSearchFixture(t)
 
@@ -289,7 +291,8 @@ func TestQueryKeyUnambiguous(t *testing.T) {
 		for _, cfg := range configs {
 			sc := new(priceScratch)
 			check.pricer.relevance(sc, cfg, check.pricer.all)
-			key := string(check.pricer.appendKey(nil, qi, sc))
+			words := check.pricer.cellKey(nil, qi, sc)
+			key := fmt.Sprint(words)
 			var relKeys []string
 			for _, ix := range cfg.Indexes {
 				if isRelevant(qi, ix) {
@@ -298,9 +301,9 @@ func TestQueryKeyUnambiguous(t *testing.T) {
 					narrowed = true
 				}
 			}
-			prefix := check.pricer.units[qi].Prefix
-			if !strings.HasPrefix(key, prefix) || len(key) != len(prefix)+4*len(relKeys) {
-				t.Fatalf("q%d: key %q for %d relevant indexes, want prefix %q and four bytes an index", qi, key, len(relKeys), prefix)
+			id := check.pricer.units[qi].ID
+			if !slices.Equal(words[:len(id)], id) || len(words) != len(id)+len(relKeys) || !slices.IsSorted(words[len(id):]) {
+				t.Fatalf("q%d: key %v for %d relevant indexes, want ID %v and one ascending word an index", qi, words, len(relKeys), id)
 			}
 			sort.Strings(relKeys)
 			rel := strings.Join(relKeys, "\x00")

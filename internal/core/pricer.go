@@ -1,12 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"encoding/binary"
 	"math"
 	"math/bits"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,29 +35,30 @@ type Unit struct {
 	// Scale multiplies the stored cell when it is read, so a factor that
 	// drifts (a sliding window's template weight) invalidates nothing.
 	Scale float64
-	// Prefix starts every store key of the unit and ends in a byte it
-	// holds nowhere else, so that no prefix of a store begins another;
-	// the rest of a key is fixed-width index IDs. It is unique among the
-	// units sharing a store for as long as Members and Weights are what
-	// it was stored under.
-	Prefix string
+	// ID is the unit's integer identity, the words that start every
+	// store key of the unit; the rest of a key is the sorted IDs of the
+	// indexes relevant to the unit. Every unit sharing a store has an ID
+	// of the same length, so no key of one unit begins with another's,
+	// and a different ID for as long as Members and Weights are what its
+	// cells were stored under.
+	ID []uint32
 }
 
 // newQueryPricer builds NewOptimizerChecker's engine: one unit per
-// query of w (prepared as pw), weighted by its frequency, under keys
-// "q<position>|…". A cell encodes its query's position and frequency,
-// so store must not outlive the workload.
+// query of w (prepared as pw), weighted by its frequency, identified by
+// its position. A cell encodes its query's position and frequency, so
+// store must not outlive the workload.
 func newQueryPricer(srv CostServer, w *sql.Workload, pw *optimizer.PreparedWorkload, store *costcache.Cache) *Pricer {
 	n := len(w.Queries)
-	members, weights := make([]int, n), make([]float64, n)
+	members, weights, ids := make([]int, n), make([]float64, n), make([]uint32, n)
 	units := make([]Unit, n)
 	for qi, q := range w.Queries {
-		members[qi], weights[qi] = qi, q.Freq
+		members[qi], weights[qi], ids[qi] = qi, q.Freq, uint32(qi)
 		units[qi] = Unit{
 			Members: members[qi : qi+1],
 			Weights: weights[qi : qi+1],
 			Scale:   1,
-			Prefix:  "q" + strconv.Itoa(qi) + "|",
+			ID:      ids[qi : qi+1 : qi+1],
 		}
 	}
 	return NewPricer(srv, pw, units, store)
@@ -68,13 +68,13 @@ func newQueryPricer(srv CostServer, w *sql.Workload, pw *optimizer.PreparedWorkl
 // for lower-bound pruning; older entries are overwritten ring-style.
 const maxBoundEntries = 16
 
-// boundEntry is one exactly costed cell: the sorted keys of its
+// boundEntry is one exactly costed cell: the sorted IDs of its
 // relevant indexes and its scaled cost. By cost monotonicity (adding
 // indexes only adds access paths, and cost is a min over paths), any
 // cell whose index set is a SUBSET of an entry's costs at least the
 // entry's cost — an admissible lower bound for cells not yet stored.
 type boundEntry struct {
-	keys []string
+	ids  []uint32
 	cost float64
 }
 
@@ -170,11 +170,13 @@ func (p *Pricer) RemoteStats() (batches, items, fallbacks int64) {
 }
 
 // pricedIndex is an index definition as the engine prices it, made the
-// first time a check meets the definition: its ID in the store, the
-// units it is relevant to, and its resolution for the optimizer. A
-// search therefore turns names into numbers once per index it meets,
-// not once per cell.
+// first time a check meets the definition: the definition and its key,
+// its ID in the store, the units it is relevant to, and its resolution
+// for the optimizer. A search therefore turns names into numbers once
+// per index it meets, not once per cell.
 type pricedIndex struct {
+	def catalog.IndexDef
+	key string
 	id  uint32
 	rel optimizer.QuerySet
 	rx  *optimizer.ResolvedIndex
@@ -189,6 +191,8 @@ func (p *Pricer) index(ix *Index) *pricedIndex {
 		return e
 	}
 	e = &pricedIndex{
+		def: ix.Def,
+		key: ix.Key(),
 		id:  p.store.Intern(ix.Key()),
 		rel: p.reps.RelevantQueries(ix.Def.Table, ix.Def.Columns),
 		rx:  p.pw.Resolve(ix.Def),
@@ -206,21 +210,21 @@ func (p *Pricer) index(ix *Index) *pricedIndex {
 // access path to.
 func (p *Pricer) relevant(ix *Index) optimizer.QuerySet { return p.index(ix).rel }
 
-// relevance leaves in sc cfg's indexes in sorted-key order with,
-// aligned, each as the engine prices it, and for every affected unit
-// which of them are relevant to it (relevantTo): one memo lookup per
-// index, then a pass over each index's relevant units. Cost is a min
-// over access paths, so index order cannot change it; sorting makes the
-// store key canonical and hands the optimizer every configuration in
-// one order.
-func (p *Pricer) relevance(sc *priceScratch, cfg *Configuration, affected optimizer.QuerySet) ([]*Index, []*pricedIndex) {
-	ixs := append(sc.ixs[:0], cfg.Indexes...)
-	slices.SortFunc(ixs, func(a, b *Index) int { return strings.Compare(a.Key(), b.Key()) })
+// relevance leaves in sc cfg's indexes as the engine prices them, in
+// ID order, and for every affected unit which of them are relevant to
+// it (relevantTo): one memo lookup per index, then a pass over each
+// index's relevant units. Sorting makes the store key canonical: two
+// configurations with the same relevant subset give a unit one key.
+func (p *Pricer) relevance(sc *priceScratch, cfg *Configuration, affected optimizer.QuerySet) {
+	if cap(sc.pis) < len(cfg.Indexes) {
+		sc.pis = make([]*pricedIndex, 0, 2*len(cfg.Indexes))
+	}
 	pis := sc.pis[:0]
-	for _, ix := range ixs {
+	for _, ix := range cfg.Indexes {
 		pis = append(pis, p.index(ix))
 	}
-	sc.ixs, sc.pis = ixs, pis
+	slices.SortFunc(pis, func(a, b *pricedIndex) int { return cmp.Compare(a.id, b.id) })
+	sc.pis = pis
 
 	nw := (len(pis) + 63) / 64
 	if n := len(p.units) * nw; cap(sc.masks) < n {
@@ -238,7 +242,6 @@ func (p *Pricer) relevance(sc *priceScratch, cfg *Configuration, affected optimi
 			}
 		}
 	}
-	return ixs, pis
 }
 
 // relevantTo returns, after relevance, the positions in sc.pis of the
@@ -247,15 +250,15 @@ func (sc *priceScratch) relevantTo(ui int) []uint64 {
 	return sc.masks[ui*sc.nw : (ui+1)*sc.nw]
 }
 
-// appendKey appends affected unit ui's store key under sc's sorted
-// indexes: the unit's prefix, then the four-byte ID of every index
-// relevant to the unit. Two configurations share a unit's key exactly
-// when their relevant subsets coincide, so a key addresses one cell.
-func (p *Pricer) appendKey(buf []byte, ui int, sc *priceScratch) []byte {
-	buf = append(buf, p.units[ui].Prefix...)
+// cellKey appends affected unit ui's store key under sc's sorted
+// indexes: the unit's ID, then the ID of every index relevant to the
+// unit. Two configurations share a unit's key exactly when their
+// relevant subsets coincide, so a key addresses one cell.
+func (p *Pricer) cellKey(buf []uint32, ui int, sc *priceScratch) []uint32 {
+	buf = append(buf, p.units[ui].ID...)
 	for w, word := range sc.relevantTo(ui) {
 		for ; word != 0; word &= word - 1 {
-			buf = binary.LittleEndian.AppendUint32(buf, sc.pis[w<<6+bits.TrailingZeros64(word)].id)
+			buf = append(buf, sc.pis[w<<6+bits.TrailingZeros64(word)].id)
 		}
 	}
 	return buf
@@ -270,36 +273,33 @@ func (p *Pricer) appendKey(buf []byte, ui int, sc *priceScratch) []byte {
 // exact where known and the admissible lower bound for each miss,
 // exceeds U: the exact total can only be higher, so that sum is
 // returned without touching the optimizer. A check whose lookups all hit
-// allocates nothing.
+// allocates nothing, and a miss adds nothing per missed cell.
 func (c *OptimizerChecker) price(ctx context.Context, sc *priceScratch, cfg *Configuration, carry []float64, affected optimizer.QuerySet) (float64, error) {
 	p := c.pricer
-	if cap(sc.cells) < len(p.units) {
-		sc.cells = make([]float64, len(p.units))
+	if n := len(p.units); cap(sc.cells) < n {
+		// A scratch new to the engine is sized once for a check that
+		// misses every unit, rather than grown append by append.
+		sc.cells = make([]float64, n)
+		sc.miss, sc.keyEnds, sc.ends = make([]int, 0, n), make([]int, 0, n), make([]int, 0, n)
+		sc.keys = make([]uint32, 0, 4*n)
 	}
 	cells := sc.cells[:len(p.units)]
 	sc.cells = cells
 	copy(cells, carry)
-	ixs, pis := p.relevance(sc, cfg, affected)
-	// The misses' relevant definitions, their resolutions and index keys
-	// sit back to back in pooled slices, miss i's at [ends[i-1]:ends[i]].
-	sc.miss, sc.missKey, sc.defs, sc.rxs, sc.ixKeys, sc.ends = sc.miss[:0], sc.missKey[:0], sc.defs[:0], sc.rxs[:0], sc.ixKeys[:0], sc.ends[:0]
+	p.relevance(sc, cfg, affected)
+	// The misses' keys sit back to back in a pooled slice, miss i's at
+	// [keyEnds[i-1]:keyEnds[i]].
+	sc.miss, sc.keys, sc.keyEnds = sc.miss[:0], sc.keys[:0], sc.keyEnds[:0]
 	for ui := affected.Next(0); ui >= 0; ui = affected.Next(ui + 1) {
-		sc.key = p.appendKey(sc.key[:0], ui, sc)
-		if v, ok := p.store.GetBytes(sc.key); ok {
+		lo := len(sc.keys)
+		sc.keys = p.cellKey(sc.keys, ui, sc)
+		if v, ok := p.store.Get(sc.keys[lo:]); ok {
 			cells[ui] = v
+			sc.keys = sc.keys[:lo]
 			continue
 		}
 		sc.miss = append(sc.miss, ui)
-		sc.missKey = append(sc.missKey, string(sc.key))
-		for w, word := range sc.relevantTo(ui) {
-			for ; word != 0; word &= word - 1 {
-				i := w<<6 + bits.TrailingZeros64(word)
-				sc.defs = append(sc.defs, ixs[i].Def)
-				sc.rxs = append(sc.rxs, pis[i].rx)
-				sc.ixKeys = append(sc.ixKeys, ixs[i].Key())
-			}
-		}
-		sc.ends = append(sc.ends, len(sc.defs))
+		sc.keyEnds = append(sc.keyEnds, len(sc.keys))
 	}
 	if len(sc.miss) > 0 {
 		if carry != nil {
@@ -308,6 +308,7 @@ func (c *OptimizerChecker) price(ctx context.Context, sc *priceScratch, cfg *Con
 				return lb, nil
 			}
 		}
+		sc.missDefs()
 		if err := c.fill(ctx, sc, cells); err != nil {
 			return 0, err
 		}
@@ -319,12 +320,69 @@ func (c *OptimizerChecker) price(ctx context.Context, sc *priceScratch, cfg *Con
 	return total, nil
 }
 
-// span returns the bounds of miss i in sc.defs and sc.ixKeys.
+// missDefs leaves in sc.defs, and aligned in sc.rxs, each miss's
+// relevant definitions back to back, miss i's at [ends[i-1]:ends[i]]:
+// in sorted-key order, whatever their IDs, which is the order the
+// optimizer takes a configuration in. The configuration is put in key
+// order once; a miss then sorts the key ranks of its relevant indexes,
+// a few integers.
+func (sc *priceScratch) missDefs() {
+	n := len(sc.pis)
+	if cap(sc.byKey) < n {
+		sc.byKey, sc.rank, sc.sel = make([]int, 0, cap(sc.pis)), make([]int, cap(sc.pis)), make([]int, 0, cap(sc.pis))
+		sc.defs = make([]catalog.IndexDef, 0, 4*cap(sc.pis))
+		sc.rxs = make([]*optimizer.ResolvedIndex, 0, 4*cap(sc.pis))
+	}
+	byKey := sc.byKey[:0]
+	for i := range n {
+		byKey = append(byKey, i)
+	}
+	slices.SortFunc(byKey, func(a, b int) int { return strings.Compare(sc.pis[a].key, sc.pis[b].key) })
+	rank := sc.rank[:n]
+	for k, i := range byKey {
+		rank[i] = k
+	}
+	sc.byKey = byKey
+	sc.defs, sc.rxs, sc.ends = sc.defs[:0], sc.rxs[:0], sc.ends[:0]
+	for _, ui := range sc.miss {
+		sel := sc.sel[:0]
+		for w, word := range sc.relevantTo(ui) {
+			for ; word != 0; word &= word - 1 {
+				sel = append(sel, rank[w<<6+bits.TrailingZeros64(word)])
+			}
+		}
+		slices.Sort(sel)
+		for _, k := range sel {
+			pi := sc.pis[byKey[k]]
+			sc.defs = append(sc.defs, pi.def)
+			sc.rxs = append(sc.rxs, pi.rx)
+		}
+		sc.sel = sel
+		sc.ends = append(sc.ends, len(sc.defs))
+	}
+}
+
+// span returns the bounds of miss i in sc.defs and sc.rxs.
 func (sc *priceScratch) span(i int) (lo, hi int) {
 	if i > 0 {
 		lo = sc.ends[i-1]
 	}
 	return lo, sc.ends[i]
+}
+
+// key returns miss i's store key.
+func (sc *priceScratch) key(i int) []uint32 {
+	lo := 0
+	if i > 0 {
+		lo = sc.keyEnds[i-1]
+	}
+	return sc.keys[lo:sc.keyEnds[i]]
+}
+
+// relevantIDs returns the sorted IDs of miss i's relevant indexes: its
+// key past the unit's ID.
+func (p *Pricer) relevantIDs(sc *priceScratch, i int) []uint32 {
+	return sc.key(i)[len(p.units[sc.miss[i]].ID):]
 }
 
 // optimisticTotal sums, in unit order, the known cells and the lower
@@ -333,8 +391,7 @@ func (p *Pricer) optimisticTotal(sc *priceScratch, cells []float64) float64 {
 	sum, mi := 0.0, 0
 	for ui := range p.units {
 		if mi < len(sc.miss) && sc.miss[mi] == ui {
-			lo, hi := sc.span(mi)
-			sum += p.lowerBound(ui, sc.ixKeys[lo:hi])
+			sum += p.lowerBound(ui, p.relevantIDs(sc, mi))
 			mi++
 		} else {
 			sum += cells[ui] * p.units[ui].Scale
@@ -374,27 +431,28 @@ func (c *OptimizerChecker) fill(ctx context.Context, sc *priceScratch, cells []f
 			p.remoteFallbacks.Add(1)
 		}
 	}
-	count := func(n int) {
-		c.optCalls.Add(int64(n))
-		p.optCalls.Add(int64(n))
-	}
 	return EvalEach(len(sc.miss), workers, func(i int) error {
 		ui := sc.miss[i]
 		u := &p.units[ui]
 		lo, hi := sc.span(i)
-		v, err := p.store.Do(sc.missKey[i], func() (float64, error) {
+		v, err := p.store.Do(sc.key(i), func() (float64, error) {
 			if remote != nil {
-				count(len(u.Members))
+				c.countCalls(len(u.Members))
 				return remote[i], nil
 			}
+			// A free token is taken without waiting on ctx as well.
 			select {
 			case c.sem <- struct{}{}:
-			case <-ctx.Done():
-				return 0, ctx.Err()
+			default:
+				select {
+				case c.sem <- struct{}{}:
+				case <-ctx.Done():
+					return 0, ctx.Err()
+				}
 			}
 			defer func() { <-c.sem }()
 			sum, calls, err := p.srv.CostPreparedSum(ctx, p.pw, u.Members, u.Weights, optimizer.Configuration(sc.defs[lo:hi]), sc.rxs[lo:hi])
-			count(calls)
+			c.countCalls(calls)
 			return sum, err
 		})
 		if err != nil {
@@ -404,22 +462,29 @@ func (c *OptimizerChecker) fill(ctx context.Context, sc *priceScratch, cells []f
 		// A bound saves the optimizer calls of a fill: it is worth its
 		// bookkeeping where a fill is more than one.
 		if len(u.Members) > 1 {
-			p.recordBound(ui, sc.ixKeys[lo:hi], v*u.Scale)
+			p.recordBound(ui, p.relevantIDs(sc, i), v*u.Scale)
 		}
 		return nil
 	})
 }
 
+// countCalls adds n optimizer calls to the checker's and the engine's
+// counts.
+func (c *OptimizerChecker) countCalls(n int) {
+	c.optCalls.Add(int64(n))
+	c.pricer.optCalls.Add(int64(n))
+}
+
 // recordBound remembers an exactly costed cell for lower-bound pruning.
-func (p *Pricer) recordBound(ui int, keys []string, cost float64) {
+func (p *Pricer) recordBound(ui int, ids []uint32, cost float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, e := range p.bounds[ui] {
-		if slices.Equal(e.keys, keys) {
+		if slices.Equal(e.ids, ids) {
 			return
 		}
 	}
-	e := boundEntry{keys: append([]string(nil), keys...), cost: cost}
+	e := boundEntry{ids: slices.Clone(ids), cost: cost}
 	if len(p.bounds[ui]) < maxBoundEntries {
 		p.bounds[ui] = append(p.bounds[ui], e)
 		return
@@ -435,20 +500,20 @@ func (p *Pricer) recordBound(ui int, keys []string, cost float64) {
 // inherits the degenerate caveat of the intersection arm cap
 // (maxIntersectArms) — see DESIGN.md §12 — which is why pruning only
 // ever fast-rejects; accepts are always exact.
-func (p *Pricer) lowerBound(ui int, keys []string) float64 {
+func (p *Pricer) lowerBound(ui int, ids []uint32) float64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	lb := 0.0
 	for _, e := range p.bounds[ui] {
-		if e.cost > lb && isSubset(keys, e.keys) {
+		if e.cost > lb && isSubset(ids, e.ids) {
 			lb = e.cost
 		}
 	}
 	return lb
 }
 
-// isSubset reports sub ⊆ super for sorted string slices.
-func isSubset(sub, super []string) bool {
+// isSubset reports sub ⊆ super for sorted ID slices.
+func isSubset(sub, super []uint32) bool {
 	j := 0
 	for _, s := range sub {
 		for j < len(super) && super[j] < s {
@@ -463,23 +528,25 @@ func isSubset(sub, super []string) bool {
 }
 
 // priceScratch is pooled per-check state: the cell vector, the
-// configuration's indexes sorted with, aligned, how the engine prices
-// them, which of them each affected unit has relevant (nw words a unit),
-// the affected set, one key buffer, and the missed units with their
-// keys, relevant definitions, resolutions and index keys.
+// configuration's indexes as the engine prices them in ID order, which
+// of them each affected unit has relevant (nw words a unit), the
+// affected set, and the missed units with their keys, relevant
+// definitions and resolutions (byKey is pis's positions in key order,
+// rank its inverse, sel one miss's ranks).
 type priceScratch struct {
 	cells    []float64
-	ixs      []*Index
 	pis      []*pricedIndex
 	masks    []uint64
 	nw       int
 	affected optimizer.QuerySet
-	key      []byte
 	miss     []int
-	missKey  []string
+	keys     []uint32
+	keyEnds  []int
+	byKey    []int
+	rank     []int
+	sel      []int
 	defs     []catalog.IndexDef
 	rxs      []*optimizer.ResolvedIndex
-	ixKeys   []string
 	ends     []int
 }
 

@@ -89,17 +89,18 @@ func TestPricesWideConfigurations(t *testing.T) {
 
 func TestIsSubset(t *testing.T) {
 	cases := []struct {
-		sub, super []string
+		sub, super []uint32
 		want       bool
 	}{
 		{nil, nil, true},
-		{nil, []string{"a"}, true},
-		{[]string{"a"}, nil, false},
-		{[]string{"a", "c"}, []string{"a", "b", "c"}, true},
-		{[]string{"a", "d"}, []string{"a", "b", "c"}, false},
-		{[]string{"a", "a"}, []string{"a", "b"}, false}, // sorted-unique input assumed
-		{[]string{"b"}, []string{"a", "b", "c"}, true},
-		{[]string{"a", "b", "c"}, []string{"a", "b", "c"}, true},
+		{nil, []uint32{1}, true},
+		{[]uint32{1}, nil, false},
+		{[]uint32{1, 3}, []uint32{1, 2, 3}, true},
+		{[]uint32{1, 4}, []uint32{1, 2, 3}, false},
+		{[]uint32{1, 1}, []uint32{1, 2}, false}, // sorted-unique input assumed
+		{[]uint32{2}, []uint32{1, 2, 3}, true},
+		{[]uint32{1, 2, 3}, []uint32{1, 2, 3}, true},
+		{[]uint32{0, 7}, []uint32{7}, false},
 	}
 	for _, c := range cases {
 		if got := isSubset(c.sub, c.super); got != c.want {
@@ -130,16 +131,17 @@ func TestLowerBoundAdmissible(t *testing.T) {
 		for cut := 0; cut <= rig.initial.Len(); cut++ {
 			cfg := &Configuration{Indexes: rig.initial.Indexes[:cut]}
 			sc := new(priceScratch)
-			ixs, pis := p.relevance(sc, cfg, p.all)
+			p.relevance(sc, cfg, p.all)
+			pis := sc.pis
 			lbs := make([]float64, len(p.units))
 			for ui := range p.units {
-				var keys []string
-				for i, ix := range ixs {
-					if pis[i].rel.Has(ui) {
-						keys = append(keys, ix.Key())
+				var ids []uint32
+				for _, pi := range pis {
+					if pi.rel.Has(ui) {
+						ids = append(ids, pi.id)
 					}
 				}
-				lbs[ui] = p.lowerBound(ui, keys)
+				lbs[ui] = p.lowerBound(ui, ids)
 			}
 			if _, err := check.price(ctx, sc, cfg, nil, p.all); err != nil {
 				t.Fatal(err)

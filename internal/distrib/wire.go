@@ -1,5 +1,5 @@
 // Package distrib shards what-if costing over a pool of stateless
-// worker processes (ROADMAP item 3, the paper's §3.4.2 observation
+// worker processes (ROADMAP item 10, the paper's §3.4.2 observation
 // that optimizer invocations dominate merge-search running time made
 // horizontal). A worker (cmd/idxmergew) loads the same database the
 // coordinator uses — a snapshot file or a deterministic named build —

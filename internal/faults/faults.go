@@ -50,7 +50,7 @@ const (
 	StorageHeapScan Point = "storage.heap.scan"
 	// StorageIndexSeek fires on B+-tree seeks. Latency/panic only.
 	StorageIndexSeek Point = "storage.index.seek"
-	// CostCacheDo fires on cost-cache lookup-or-compute calls.
+	// CostCacheDo fires on every computed cost-table miss, before its fill.
 	CostCacheDo Point = "costcache.do"
 	// DistribRPC fires on every coordinator→worker cost-batch RPC
 	// (internal/distrib), before the request leaves the pool.

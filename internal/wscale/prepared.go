@@ -2,16 +2,11 @@ package wscale
 
 import (
 	"fmt"
-	"strconv"
 
 	"indexmerge/internal/core"
 	"indexmerge/internal/core/costcache"
 	"indexmerge/internal/optimizer"
 )
-
-// keySepNS ends a template's key prefix; it occurs in no table or column
-// name.
-const keySepNS = "\x1d"
 
 // Prepared is a compressed workload ready for decomposed costing: the
 // templates, the source workload's prepared descriptors, and core's
@@ -33,21 +28,23 @@ type Prepared struct {
 // Prepare pairs a compressed workload with its prepared descriptors
 // and an empty cost table. maxEntries bounds the cost table's size
 // (<= 0 means unbounded); srv prices members on table misses. A
-// template's cell is its members' frequency-weighted cost under keys
-// "t<template>\x1d…", read as is.
+// template's cell is its members' frequency-weighted cost, identified
+// by the template's ordinal and read as is.
 func Prepare(c *Compressed, pw *optimizer.PreparedWorkload, srv core.CostServer, maxEntries int) (*Prepared, error) {
 	if len(pw.Queries) != len(c.W.Queries) {
 		return nil, fmt.Errorf("wscale: prepared workload has %d queries, compressed workload %d",
 			len(pw.Queries), len(c.W.Queries))
 	}
 	weights := make([]float64, 0, len(c.W.Queries))
+	ids := make([]uint32, len(c.Templates))
 	units := make([]core.Unit, len(c.Templates))
 	for ti, t := range c.Templates {
 		lo := len(weights)
 		for _, mi := range t.Members {
 			weights = append(weights, c.W.Queries[mi].Freq)
 		}
-		units[ti] = core.Unit{Members: t.Members, Weights: weights[lo:], Scale: 1, Prefix: "t" + strconv.Itoa(ti) + keySepNS}
+		ids[ti] = uint32(ti)
+		units[ti] = core.Unit{Members: t.Members, Weights: weights[lo:], Scale: 1, ID: ids[ti : ti+1 : ti+1]}
 	}
 	return newPrepared(c, pw, srv, units, costcache.NewBounded(0, maxEntries)), nil
 }
@@ -58,11 +55,12 @@ func newPrepared(c *Compressed, pw *optimizer.PreparedWorkload, srv core.CostSer
 
 // PrepareWindowed pairs a window snapshot with a PERSISTENT cost table
 // shared across snapshots: a template's cell is its members' unweighted
-// cost sum under the snapshot's fingerprint+epoch key, scaled by the
-// template's current weight/members factor when it is read. A re-tune
-// over a drifted window therefore re-prices only templates whose member
-// set changed (epoch bump) or that it has never seen — everything else
-// is a table hit, no matter how the weights moved.
+// cost sum, identified by the template's fingerprint digest and epoch
+// (TemplateKey), scaled by the template's current weight/members factor
+// when it is read. A re-tune over a drifted window therefore re-prices
+// only templates whose member set changed (a new epoch) or that it has
+// never seen — everything else is a table hit, no matter how the weights
+// moved.
 func PrepareWindowed(snap *WindowSnapshot, srv core.CostServer, table *costcache.Cache) (*Prepared, error) {
 	if len(snap.PW.Queries) != len(snap.W.Queries) {
 		return nil, fmt.Errorf("wscale: window snapshot has %d prepared queries, %d workload entries",
@@ -73,21 +71,25 @@ func PrepareWindowed(snap *WindowSnapshot, srv core.CostServer, table *costcache
 			len(snap.C.Templates), len(snap.TplKeys), len(snap.Scales))
 	}
 	if table == nil {
-		table = costcache.NewBounded(0, 0)
+		table = costcache.New()
 	}
 	ones := make([]float64, len(snap.W.Queries))
 	for i := range ones {
 		ones[i] = 1
 	}
+	ids := make([]uint32, 0, 4*len(snap.C.Templates))
 	units := make([]core.Unit, len(snap.C.Templates))
 	for ti, t := range snap.C.Templates {
-		units[ti] = core.Unit{Members: t.Members, Weights: ones[:len(t.Members)], Scale: snap.Scales[ti], Prefix: snap.TplKeys[ti] + keySepNS}
+		lo := len(ids)
+		ids = snap.TplKeys[ti].appendWords(ids)
+		units[ti] = core.Unit{Members: t.Members, Weights: ones[:len(t.Members)], Scale: snap.Scales[ti], ID: ids[lo:len(ids):len(ids)]}
 	}
 	return newPrepared(snap.C, snap.PW, srv, units, table), nil
 }
 
-// TableStats returns the cost table's hit/miss/dedup counters.
-func (p *Prepared) TableStats() (hits, misses, dedups int64) { return p.table.Stats() }
+// TableStats returns the cost table's counters: hits, misses, and fills
+// that lost a race (see costcache.Stats).
+func (p *Prepared) TableStats() (hits, misses, races int64) { return p.table.Stats() }
 
 // TableLen returns the number of cells in the cost table.
 func (p *Prepared) TableLen() int { return p.table.Len() }

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
-	"strconv"
 	"sync"
 
 	"indexmerge/internal/optimizer"
@@ -70,7 +69,7 @@ type winTemplate struct {
 	fp      string
 	weight  float64
 	seen    int64 // distinct statements offered to the reservoir
-	epoch   int64 // bumped whenever the member set changes
+	epoch   int64 // renewed whenever the member set changes (Window.renew)
 	members []winMember
 	texts   map[string]int // member canonical text -> members index
 }
@@ -93,6 +92,7 @@ type Window struct {
 	templates  map[string]*winTemplate
 	order      []string // fingerprints, first-seen order
 	generation int64    // Age calls survived
+	epochs     int64    // epochs handed out, by every template
 	batches    int64
 	statements int64 // statements folded (counting duplicates)
 }
@@ -140,18 +140,27 @@ func (w *Window) Ingest(items []IngestItem) int64 {
 		if len(t.members) < w.cfg.MaxPerTemplate {
 			t.texts[text] = len(t.members)
 			t.members = append(t.members, m)
-			t.epoch++
+			w.renew(t)
 			continue
 		}
 		if j := w.rng.Int63n(t.seen); j < int64(w.cfg.MaxPerTemplate) {
 			delete(t.texts, t.members[j].text)
 			t.members[j] = m
 			t.texts[text] = int(j)
-			t.epoch++
+			w.renew(t)
 		}
 	}
 	w.batches++
 	return w.batches
+}
+
+// renew gives t's changed member set an epoch no member set of the
+// window has had: not this template's before, and not an earlier
+// template's of the same fingerprint, which aged out and whose cells a
+// persistent cost table may still hold. Caller holds w.mu.
+func (w *Window) renew(t *winTemplate) {
+	w.epochs++
+	t.epoch = w.epochs
 }
 
 // Age decays every template weight by the configured factor and drops
@@ -279,7 +288,7 @@ func (w *Window) Shrink(maxPerTemplate int) (dropped int) {
 			dropped++
 		}
 		t.members = t.members[:maxPerTemplate]
-		t.epoch++
+		w.renew(t)
 	}
 	return dropped
 }
@@ -294,15 +303,29 @@ type WindowSnapshot struct {
 	W  *sql.Workload
 	C  *Compressed
 	PW *optimizer.PreparedWorkload
-	// TplKeys are per-template cost-table namespaces, stable across
-	// snapshots: a fingerprint digest plus the reservoir epoch, so an
-	// entry stays valid exactly as long as the member set it summed.
-	TplKeys []string
+	// TplKeys identify each template's cells in a cost table, stable
+	// across snapshots: a fingerprint digest plus the reservoir epoch, so
+	// a cell stays valid exactly as long as the member set it summed.
+	TplKeys []TemplateKey
 	// Scales are the per-template weight/members factors applied to the
 	// table's unweighted member-cost sums at read time.
 	Scales      []float64
 	TotalWeight float64
 	Generation  int64
+}
+
+// TemplateKey is a window template's identity in a cost table: its
+// fingerprint's digest and its reservoir epoch.
+type TemplateKey struct {
+	Digest uint64
+	Epoch  int64
+}
+
+// appendWords appends the key as four uint32 words, the unit ID of the
+// template's cells.
+func (k TemplateKey) appendWords(buf []uint32) []uint32 {
+	e := uint64(k.Epoch)
+	return append(buf, uint32(k.Digest), uint32(k.Digest>>32), uint32(e), uint32(e>>32))
 }
 
 // Snapshot freezes the window for one re-tune cycle. Each template
@@ -338,8 +361,7 @@ func (w *Window) Snapshot() *WindowSnapshot {
 		templates = append(templates, tpl)
 		h := fnv.New64a()
 		h.Write([]byte(fp))
-		snap.TplKeys = append(snap.TplKeys,
-			"f"+strconv.FormatUint(h.Sum64(), 16)+"e"+strconv.FormatInt(t.epoch, 10))
+		snap.TplKeys = append(snap.TplKeys, TemplateKey{Digest: h.Sum64(), Epoch: t.epoch})
 		snap.Scales = append(snap.Scales, scale)
 		snap.TotalWeight += t.weight
 	}

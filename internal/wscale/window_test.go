@@ -154,7 +154,7 @@ func TestWindowSnapshotCosting(t *testing.T) {
 	w := NewWindow(WindowConfig{MaxPerTemplate: 64, Seed: 9})
 	w.Ingest(r.items)
 
-	table := costcache.NewBounded(0, 0)
+	table := costcache.New()
 	snap := w.Snapshot()
 	if len(snap.TplKeys) != len(snap.C.Templates) || len(snap.Scales) != len(snap.C.Templates) {
 		t.Fatalf("snapshot keys/scales (%d/%d) != templates %d",
@@ -458,4 +458,80 @@ func TestWindowBytesAndShrink(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWindowInternerBoundedByDefinitions slides a window through 48
+// ingest/age generations over shifting shapes and prices every
+// generation's snapshot through one persistent table. Template epochs
+// are integers in the cell keys, so the table's interner holds one
+// entry per distinct index definition priced — not one per template,
+// epoch or generation — and every snapshot still prices to the direct
+// sum of its members' costs.
+func TestWindowInternerBoundedByDefinitions(t *testing.T) {
+	r := newWindowRig(t, 30, 240)
+	w := NewWindow(WindowConfig{MaxPerTemplate: 3, Seed: 5})
+	table := costcache.NewBounded(0, 1<<16)
+	ctx := context.Background()
+
+	// The definitions priced: the rig's configuration and the merge of
+	// each of its pairs, in rotating subsets.
+	pool := append([]*core.Index(nil), r.cfg.Indexes...)
+	for _, pair := range r.cfg.PairsByTable() {
+		m, err := core.MergeOrdered(pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool = append(pool, m)
+	}
+	priced := make(map[string]bool)
+	keys := make(map[TemplateKey]bool)
+	const generations, batch = 48, 40
+	for g := 0; g < generations; g++ {
+		// Shifting shapes: the batch slides through the log, so shapes
+		// arrive, age out and come back.
+		items := make([]IngestItem, batch)
+		for i := range items {
+			items[i] = r.items[(g*17+i)%len(r.items)]
+		}
+		w.Ingest(items)
+		w.Age()
+		snap := w.Snapshot()
+		for _, k := range snap.TplKeys {
+			keys[k] = true
+		}
+		wp, err := PrepareWindowed(snap, r.lab.Opt, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ixs []*core.Index
+		for i, ix := range pool {
+			if (i+g)%3 != 0 {
+				ixs = append(ixs, ix)
+				priced[ix.Key()] = true
+			}
+		}
+		cfg := &core.Configuration{Indexes: ixs}
+		got, err := wp.WorkloadCostContext(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		for i, q := range snap.W.Queries {
+			c, err := r.lab.Opt.CostPrepared(snap.PW.Queries[i], optimizer.Configuration(cfg.Defs()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += c * q.Freq
+		}
+		if math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
+			t.Fatalf("generation %d: windowed cost %v, direct member sum %v", g, got, want)
+		}
+	}
+	if len(keys) <= len(priced) {
+		t.Fatalf("%d template keys over %d generations, %d definitions: the window did not drift enough to tell", len(keys), generations, len(priced))
+	}
+	if n := table.Interned(); n != len(priced) {
+		t.Errorf("the table interned %d texts; %d distinct definitions were priced", n, len(priced))
+	}
+	t.Logf("%d generations, %d template keys, %d cells, %d definitions priced, %d interned", generations, len(keys), table.Len(), len(priced), table.Interned())
 }
