@@ -221,16 +221,19 @@ func (a *Advisor) candidatesFor(stmt *sql.SelectStmt, tname string) []catalog.In
 	return out
 }
 
-// BuildInitialConfiguration reproduces §4.2.3: repeatedly draw a
-// random query from the workload, tune it in isolation, and accumulate
-// the recommended indexes until the configuration holds n distinct
-// indexes (or the draw budget runs out).
+// BuildInitialConfiguration is BuildInitialConfigurationContext
+// without a context. Its one caller is benchmark/daemon.go; delete it
+// with the next change to the benchmark, which moves that call to the
+// context form.
 func BuildInitialConfiguration(a *Advisor, w *sql.Workload, n int, seed int64) ([]catalog.IndexDef, error) {
 	return BuildInitialConfigurationContext(context.Background(), a, w, n, seed)
 }
 
-// BuildInitialConfigurationContext is BuildInitialConfiguration under
-// a context; cancellation surfaces as ctx.Err().
+// BuildInitialConfigurationContext reproduces §4.2.3: repeatedly draw
+// a random query from the workload, tune it in isolation, and
+// accumulate the recommended indexes until the configuration holds n
+// distinct indexes (or the draw budget runs out). Cancellation
+// surfaces as ctx.Err().
 func BuildInitialConfigurationContext(ctx context.Context, a *Advisor, w *sql.Workload, n int, seed int64) ([]catalog.IndexDef, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var defs []catalog.IndexDef

@@ -143,7 +143,7 @@ func TestBuildInitialConfiguration(t *testing.T) {
 	w.Add(q(t, db, "SELECT ts, val FROM events WHERE ts = DATE(5)"), 1)
 	w.Add(q(t, db, "SELECT kind, val FROM events WHERE kind = 'buy'"), 1)
 
-	defs, err := BuildInitialConfiguration(adv, w, 3, 7)
+	defs, err := BuildInitialConfigurationContext(context.Background(), adv, w, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func fixtureRig(t testing.TB) *deltaRig {
 	return &deltaRig{db: f.db, opt: f.opt, w: f.w, pw: f.pw, initial: f.initial, seek: f.seek, base: f.base}
 }
 
-// tpcdRigIndexes is what advisor.BuildInitialConfiguration(w, 16, seed
+// tpcdRigIndexes is what advisor.BuildInitialConfigurationContext(w, 16, seed
 // 1) tunes for tpcdRig's workload, written out: the advisor costs its
 // candidates on this package's EvalEach, so a test inside the package
 // cannot import it.

@@ -112,18 +112,14 @@ func BuildSynthetic(spec SyntheticSpec) (*engine.Database, error) {
 		for i, r := range recipes {
 			gens[i] = NewZipf(rng, r.domain, r.theta)
 		}
-		// One row buffer per table: Insert stores a clone.
-		row := make(value.Row, len(recipes))
-		for rix := 0; rix < spec.RowsPer; rix++ {
+		if err := db.BulkLoad(tname, spec.RowsPer, func(row value.Row, _ int) {
 			for i, r := range recipes {
 				row[i] = SynthValue(r.col, gens[i].Next(), r.strBase)
 			}
-			if err := db.Insert(tname, row); err != nil {
-				return nil, err
-			}
+		}); err != nil {
+			return nil, err
 		}
 	}
-	db.AnalyzeAll()
 	return db, nil
 }
 

@@ -216,8 +216,8 @@ func dateIn(rng *rand.Rand, lo, hi int64) value.Value {
 	return value.NewDate(lo + rng.Int63n(hi-lo+1))
 }
 
-// BuildTPCD creates and loads a TPC-D database at the given scale, and
-// analyzes it. The generator is deterministic in seed.
+// BuildTPCD creates and loads a TPC-D database at the given scale,
+// statistics included. The generator is deterministic in seed.
 func BuildTPCD(scale TPCDScale, seed int64) (*engine.Database, error) {
 	db := engine.NewDatabase()
 	for _, t := range TPCDSchema() {
@@ -227,19 +227,8 @@ func BuildTPCD(scale TPCDScale, seed int64) (*engine.Database, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 
-	// Every table loop fills one row buffer, values in column order (the
-	// order the generator draws in); Insert stores a clone.
-	load := func(table string, n int, fill func(row value.Row, i int)) error {
-		t, _ := db.Schema().Table(table)
-		row := make(value.Row, len(t.Columns))
-		for i := 0; i < n; i++ {
-			fill(row, i)
-			if err := db.Insert(table, row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	// Each fill writes its row's values in column order, the order the
+	// generator draws in.
 	tables := []struct {
 		name string
 		n    int
@@ -301,12 +290,10 @@ func BuildTPCD(scale TPCDScale, seed int64) (*engine.Database, error) {
 		}},
 	}
 	for _, t := range tables {
-		if err := load(t.name, t.n, t.fill); err != nil {
+		if err := db.BulkLoad(t.name, t.n, t.fill); err != nil {
 			return nil, err
 		}
 	}
-
-	db.AnalyzeAll()
 	return db, nil
 }
 

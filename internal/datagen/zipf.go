@@ -7,7 +7,6 @@ package datagen
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Zipf draws integers in [1, n] with probability proportional to
@@ -17,7 +16,12 @@ import (
 type Zipf struct {
 	n   int
 	cdf []float64
-	rng *rand.Rand
+	// guide[k] is the first index whose cdf reaches k/n (n when none
+	// does), for k in [0, n]: a draw u starts its search at
+	// guide[int(u*n)], and the cdf entries between one guide point and
+	// the next average one per draw, whatever the skew.
+	guide []int32
+	rng   *rand.Rand
 }
 
 // NewZipf builds a generator over [1, n] with skew theta.
@@ -38,6 +42,15 @@ func NewZipf(rng *rand.Rand, n int, theta float64) *Zipf {
 	for i := range z.cdf {
 		z.cdf[i] /= sum
 	}
+	z.guide = make([]int32, n+1)
+	i := 0
+	for k := range z.guide {
+		u := float64(k) / float64(n)
+		for i < n && z.cdf[i] < u {
+			i++
+		}
+		z.guide[k] = int32(i)
+	}
 	return z
 }
 
@@ -46,12 +59,27 @@ func (z *Zipf) Next() int {
 	if z.cdf == nil {
 		return 1 + z.rng.Intn(z.n)
 	}
-	u := z.rng.Float64()
-	i := sort.SearchFloat64s(z.cdf, u)
+	i := z.search(z.rng.Float64())
 	if i >= z.n {
 		i = z.n - 1
 	}
 	return i + 1
+}
+
+// search returns the first index whose cdf reaches u (n when none
+// does) — sort.SearchFloat64s(z.cdf, u) for u in [0, 1), found from
+// u's guide point. Its steps back and forth settle on that index from
+// any start, so float rounding in u*n or in the guide costs a step,
+// never a different draw.
+func (z *Zipf) search(u float64) int {
+	i := int(z.guide[int(u*float64(z.n))])
+	for i > 0 && z.cdf[i-1] >= u {
+		i--
+	}
+	for i < z.n && z.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // N returns the domain size.

@@ -23,7 +23,7 @@ import (
 // it, and read-only from then on. The read path — Schema, Heap,
 // Index(es), TableStats, TableRowCount, DataBytes, EstimateIndexBytes,
 // ConfigurationBytes — is safe for concurrent use provided no mutator
-// (CreateTable, CreateIndex, DropIndex, Insert, DeleteWhere,
+// (CreateTable, CreateIndex, DropIndex, Insert, BulkLoad, DeleteWhere,
 // Materialize, Analyze*) runs at the same time, which freezing
 // guarantees. The parallel merge search only ever uses the read path;
 // experiments that materialize configurations do so on an unfrozen
@@ -34,14 +34,15 @@ type Database struct {
 	indexes map[string]*storage.Index // keyed by IndexDef.Key()
 	tstats  map[string]*stats.TableStats
 	// statsDigests holds statsDigest of each tstats entry, computed
-	// when Analyze builds it, for Fingerprint.
+	// when setStats builds it, for Fingerprint.
 	statsDigests map[string]uint64
 
 	statsOpts stats.BuildOptions
 
-	// statsVersion counts statistics rebuilds (Analyze calls). Prepared
-	// query descriptors bake selectivities in at prepare time and use
-	// the version to detect staleness (optimizer.StatsVersioner).
+	// statsVersion counts statistics builds, one per table Analyze or
+	// BulkLoad builds. Prepared query descriptors bake selectivities in
+	// at prepare time and use the version to detect staleness
+	// (optimizer.StatsVersioner).
 	statsVersion atomic.Uint64
 
 	// frozen is set permanently by Snapshot(): every mutator fails from
@@ -222,32 +223,77 @@ func (db *Database) Analyze(table string) {
 	if db.frozen.Load() {
 		panic("engine: Analyze on a frozen database")
 	}
-	faults.Hit(faults.StatsSample)
 	h, err := db.Heap(table)
 	if err != nil {
 		return
 	}
-	t := h.Table()
-	ts := &stats.TableStats{RowCount: h.RowCount(), Columns: make(map[string]*stats.ColumnStats, len(t.Columns))}
 	// One scan gathers every column into a slice of its declared type
-	// (Heap.Insert admits no other non-null kind).
-	cols := make([]stats.Column, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = stats.NewColumn(c.Type, int(h.RowCount()))
-	}
+	// (the heap admits no other non-null kind).
+	cols := newColumns(h.Table(), int(h.RowCount()))
 	h.Scan(func(_ storage.RowID, r value.Row) bool {
 		for i, v := range r {
 			cols[i].Append(v)
 		}
 		return true
 	})
+	db.setStats(h.Table(), h.RowCount(), cols)
+}
+
+// BulkLoad fills an empty table with n generated rows and builds its
+// statistics in the same pass: fill writes row i (every column, in
+// any order), the heap keeps the rows without cloning them (see
+// storage.Heap.Load), and each value is gathered into its column's
+// statistics as its row is checked. The result is what Insert of each
+// row followed by Analyze leaves. It refuses a frozen database and a
+// table that already has rows or materialized indexes.
+func (db *Database) BulkLoad(table string, n int, fill func(row value.Row, i int)) error {
+	if err := db.mutable(); err != nil {
+		return err
+	}
+	h, err := db.Heap(table)
+	if err != nil {
+		return err
+	}
+	for _, ix := range db.indexes {
+		if ix.Def().Table == table {
+			return fmt.Errorf("engine: bulk load into table %q, which has index %s", table, ix.Def().Key())
+		}
+	}
+	cols := newColumns(h.Table(), n)
+	if err := h.Load(n, fill, func(r value.Row) {
+		for i, v := range r {
+			cols[i].Append(v)
+		}
+	}); err != nil {
+		return err
+	}
+	db.setStats(h.Table(), h.RowCount(), cols)
+	return nil
+}
+
+// newColumns returns one empty statistics column per column of t, each
+// with room for rows values.
+func newColumns(t *catalog.Table, rows int) []stats.Column {
+	cols := make([]stats.Column, len(t.Columns))
+	for i, c := range t.Columns {
+		cols[i] = stats.NewColumn(c.Type, rows)
+	}
+	return cols
+}
+
+// setStats builds a table's statistics from its gathered columns — the
+// one statistics routine behind Analyze and BulkLoad — and counts the
+// rebuild.
+func (db *Database) setStats(t *catalog.Table, rowCount int64, cols []stats.Column) {
+	faults.Hit(faults.StatsSample)
+	ts := &stats.TableStats{RowCount: rowCount, Columns: make(map[string]*stats.ColumnStats, len(t.Columns))}
 	for i, c := range t.Columns {
 		opt := db.statsOpts
 		opt.Seed = db.statsOpts.Seed + int64(i)*7919
 		ts.Columns[c.Name] = cols[i].Build(opt)
 	}
-	db.tstats[table] = ts
-	db.statsDigests[table] = statsDigest(t, ts)
+	db.tstats[t.Name] = ts
+	db.statsDigests[t.Name] = statsDigest(t, ts)
 	db.statsVersion.Add(1)
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"indexmerge/internal/catalog"
@@ -29,6 +30,10 @@ type wireValue struct {
 	I    int64
 	F    float64
 	S    string
+	// NegZero marks a float −0: gob sends no field that equals zero,
+	// so F alone would read back as +0. Snapshots written before the
+	// field existed decode it as false.
+	NegZero bool
 }
 
 type wireTable struct {
@@ -56,7 +61,8 @@ func toWire(v value.Value) wireValue {
 	case value.Int, value.Date:
 		return wireValue{Kind: uint8(v.Kind()), I: v.Int()}
 	case value.Float:
-		return wireValue{Kind: uint8(v.Kind()), F: v.Float()}
+		f := v.Float()
+		return wireValue{Kind: uint8(v.Kind()), F: f, NegZero: f == 0 && math.Signbit(f)}
 	case value.String:
 		return wireValue{Kind: uint8(v.Kind()), S: v.Str()}
 	}
@@ -70,6 +76,9 @@ func fromWire(w wireValue) value.Value {
 	case value.Date:
 		return value.NewDate(w.I)
 	case value.Float:
+		if w.NegZero {
+			return value.NewFloat(math.Copysign(0, -1))
+		}
 		return value.NewFloat(w.F)
 	case value.String:
 		return value.NewString(w.S)
@@ -140,14 +149,19 @@ func LoadSnapshot(r io.Reader) (*Database, error) {
 		if err := db.CreateTable(t); err != nil {
 			return nil, err
 		}
+		// BulkLoad hands fill rows of the table's width; a stored row of
+		// another width is refused here, as Insert would refuse it.
 		for _, wr := range wt.Rows {
-			row := make(value.Row, len(wr))
-			for i, wv := range wr {
-				row[i] = fromWire(wv)
+			if len(wr) != len(cols) {
+				return nil, fmt.Errorf("engine: snapshot table %q has %d columns, a row has %d", wt.Name, len(cols), len(wr))
 			}
-			if err := db.Insert(wt.Name, row); err != nil {
-				return nil, err
+		}
+		if err := db.BulkLoad(wt.Name, len(wt.Rows), func(row value.Row, i int) {
+			for c, wv := range wt.Rows[i] {
+				row[c] = fromWire(wv)
 			}
+		}); err != nil {
+			return nil, err
 		}
 	}
 	for _, wi := range snap.Indexes {
@@ -155,7 +169,6 @@ func LoadSnapshot(r io.Reader) (*Database, error) {
 			return nil, err
 		}
 	}
-	db.AnalyzeAll()
 	return db, nil
 }
 

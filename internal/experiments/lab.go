@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -159,7 +160,7 @@ func newLab(name, dbName string, opt LabOptions) (*Lab, error) {
 // InitialConfiguration reproduces §4.2.3: random per-query tuning
 // until n distinct indexes accumulate.
 func (lab *Lab) InitialConfiguration(w *sql.Workload, n int) ([]catalog.IndexDef, error) {
-	return advisor.BuildInitialConfiguration(lab.Adv, w, n, lab.seed+int64(n)*31)
+	return advisor.BuildInitialConfigurationContext(context.Background(), lab.Adv, w, n, lab.seed+int64(n)*31)
 }
 
 // WorkloadCost evaluates Cost(W, C) with the lab's optimizer.

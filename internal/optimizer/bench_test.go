@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -45,7 +46,7 @@ func newPlanBench(b *testing.B) *planBench {
 				return err
 			}
 			opt := optimizer.New(db)
-			defs, err := advisor.BuildInitialConfiguration(advisor.New(db, opt), w, 40, 1)
+			defs, err := advisor.BuildInitialConfigurationContext(context.Background(), advisor.New(db, opt), w, 40, 1)
 			if err != nil {
 				return err
 			}

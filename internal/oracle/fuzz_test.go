@@ -250,7 +250,7 @@ func FuzzMergeSearch(f *testing.F) {
 		opz := optimizer.New(db)
 		adv := advisor.New(db, opz)
 		size := int(n%6) + 2
-		initialDefs, err := advisor.BuildInitialConfiguration(adv, w, size, wSeed)
+		initialDefs, err := advisor.BuildInitialConfigurationContext(context.Background(), adv, w, size, wSeed)
 		if err != nil {
 			t.Fatalf("initial configuration: %v", err)
 		}

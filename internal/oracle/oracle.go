@@ -200,7 +200,7 @@ func Sweep(dbName string, db *engine.Database, w *sql.Workload, opt SweepOptions
 
 	// Initial configuration, the paper's §4.2.3 seed.
 	adv := advisor.New(db, opz)
-	initialDefs, err := advisor.BuildInitialConfiguration(adv, w, opt.InitialIndexes, opt.Seed)
+	initialDefs, err := advisor.BuildInitialConfigurationContext(context.Background(), adv, w, opt.InitialIndexes, opt.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -32,8 +32,17 @@ func (h *Heap) Table() *catalog.Table { return h.table }
 // Insert appends a row and returns its RowID. The row must match the
 // table's column count and types (Null is allowed anywhere).
 func (h *Heap) Insert(r value.Row) (RowID, error) {
+	if err := h.check(r); err != nil {
+		return 0, err
+	}
+	h.rows = append(h.rows, r.Clone())
+	return RowID(len(h.rows) - 1), nil
+}
+
+// check is the row shape Insert and Load admit.
+func (h *Heap) check(r value.Row) error {
 	if len(r) != len(h.table.Columns) {
-		return 0, fmt.Errorf("storage: table %q expects %d columns, row has %d", h.table.Name, len(h.table.Columns), len(r))
+		return fmt.Errorf("storage: table %q expects %d columns, row has %d", h.table.Name, len(h.table.Columns), len(r))
 	}
 	for i, v := range r {
 		if v.IsNull() {
@@ -41,11 +50,35 @@ func (h *Heap) Insert(r value.Row) (RowID, error) {
 		}
 		want := h.table.Columns[i].Type
 		if v.Kind() != want {
-			return 0, fmt.Errorf("storage: table %q column %q expects %v, got %v", h.table.Name, h.table.Columns[i].Name, want, v.Kind())
+			return fmt.Errorf("storage: table %q column %q expects %v, got %v", h.table.Name, h.table.Columns[i].Name, want, v.Kind())
 		}
 	}
-	h.rows = append(h.rows, r.Clone())
-	return RowID(len(h.rows) - 1), nil
+	return nil
+}
+
+// Load fills an empty heap with n rows in one pass: fill writes row i
+// into a zeroed row carved from one slab, the row is checked as Insert
+// checks it, and visit sees it. The heap keeps the rows without
+// cloning them, and keeps none if any row fails its check.
+func (h *Heap) Load(n int, fill func(row value.Row, i int), visit func(row value.Row)) error {
+	if len(h.rows) != 0 {
+		return fmt.Errorf("storage: table %q is not empty", h.table.Name)
+	}
+	width := len(h.table.Columns)
+	slab := make([]value.Value, n*width)
+	rows := make([]value.Row, n)
+	for i := range rows {
+		// A full slice expression: a row never grows into its neighbour.
+		row := value.Row(slab[i*width : (i+1)*width : (i+1)*width])
+		fill(row, i)
+		if err := h.check(row); err != nil {
+			return err
+		}
+		visit(row)
+		rows[i] = row
+	}
+	h.rows = rows
+	return nil
 }
 
 // Get fetches a row by id; deleted rows return an error.
@@ -74,6 +107,27 @@ func (h *Heap) Delete(id RowID) error {
 	h.rows[id] = nil
 	h.deleted++
 	return nil
+}
+
+// NthLive returns the RowID of the k-th live row, counting from 0 in
+// RowID order. On a heap without tombstones that is RowID k.
+func (h *Heap) NthLive(k int64) (RowID, error) {
+	if k < 0 || k >= h.RowCount() {
+		return 0, fmt.Errorf("storage: table %q has no live row %d", h.table.Name, k)
+	}
+	if h.deleted == 0 {
+		return RowID(k), nil
+	}
+	for i, r := range h.rows {
+		if r == nil {
+			continue
+		}
+		if k == 0 {
+			return RowID(i), nil
+		}
+		k--
+	}
+	panic("storage: live row count out of step with the rows")
 }
 
 // RowCount returns the number of live rows.

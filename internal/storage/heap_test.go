@@ -206,3 +206,37 @@ func TestIndexInsertRowMaintenance(t *testing.T) {
 		t.Error("reset failed")
 	}
 }
+
+// TestHeapNthLive: the k-th live row skips tombstones and reaches rows
+// past the live count; without tombstones it is RowID k.
+func TestHeapNthLive(t *testing.T) {
+	h := NewHeap(testTable(t))
+	for i := int64(0); i < 10; i++ {
+		if _, err := h.Insert(row(i, "x", 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id, err := h.NthLive(7); err != nil || id != 7 {
+		t.Fatalf("NthLive(7) without tombstones = %d, %v", id, err)
+	}
+	for _, id := range []RowID{0, 1, 2, 5} {
+		if err := h.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var live []RowID
+	h.Scan(func(id RowID, _ value.Row) bool {
+		live = append(live, id)
+		return true
+	})
+	for k, want := range live {
+		if id, err := h.NthLive(int64(k)); err != nil || id != want {
+			t.Errorf("NthLive(%d) = %d, %v; want %d", k, id, err, want)
+		}
+	}
+	for _, k := range []int64{-1, int64(len(live))} {
+		if _, err := h.NthLive(k); err == nil {
+			t.Errorf("NthLive(%d) of %d live rows succeeded", k, len(live))
+		}
+	}
+}

@@ -90,24 +90,21 @@ func Build() (*engine.Database, []Case, error) {
 			return nil, nil, err
 		}
 	}
-	for r := int64(0); r < 6000; r++ {
-		row := make(value.Row, Columns)
+	if err := db.BulkLoad("w70", 6000, func(row value.Row, r int) {
 		for i := range row {
-			row[i] = value.NewInt(r % modulus(i))
+			row[i] = value.NewInt(int64(r) % modulus(i))
 			if padded(i) {
-				row[i] = value.NewString(strconv.FormatInt(r%modulus(i), 10))
+				row[i] = value.NewString(strconv.FormatInt(int64(r)%modulus(i), 10))
 			}
 		}
-		if err := db.Insert("w70", row); err != nil {
-			return nil, nil, err
-		}
+	}); err != nil {
+		return nil, nil, err
 	}
-	for r := int64(0); r < 40; r++ {
-		if err := db.Insert("probe", value.Row{value.NewInt(r * 7), value.NewInt(r % 20)}); err != nil {
-			return nil, nil, err
-		}
+	if err := db.BulkLoad("probe", 40, func(row value.Row, r int) {
+		row[0], row[1] = value.NewInt(int64(r)*7), value.NewInt(int64(r)%20)
+	}); err != nil {
+		return nil, nil, err
 	}
-	db.AnalyzeAll()
 
 	specs := []struct {
 		name, src   string

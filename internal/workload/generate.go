@@ -16,7 +16,6 @@ import (
 	"indexmerge/internal/datagen"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/sql"
-	"indexmerge/internal/storage"
 	"indexmerge/internal/value"
 )
 
@@ -76,6 +75,9 @@ func Generate(db *engine.Database, opt Options) (*sql.Workload, error) {
 		} else {
 			stmt, err = g.complexQuery()
 		}
+		if err == nil {
+			err = g.err
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +91,9 @@ func Generate(db *engine.Database, opt Options) (*sql.Workload, error) {
 		added++
 	}
 	if opt.Duplication > 0 {
-		g.duplicate(w, opt.Duplication)
+		if err := g.duplicate(w, opt.Duplication); err != nil {
+			return nil, err
+		}
 	}
 	return w, nil
 }
@@ -100,6 +104,7 @@ type generator struct {
 	opt    Options
 	ranked []*catalog.Table // tables ordered hot-first
 	zipf   *datagen.Zipf    // skewed table choice
+	err    error            // the first heap error a draw met (sampleValue)
 }
 
 // newGenerator ranks tables hot-first and prepares a Zipfian table
@@ -137,19 +142,36 @@ func (g *generator) pickTable() *catalog.Table {
 }
 
 // sampleValue draws a live value from the column (for realistic
-// predicate constants); falls back to a small integer when the table
-// is empty.
+// predicate constants), uniformly among the table's live rows; it
+// falls back to a small integer when the table is empty. A heap error
+// draws NULL, which every caller skips, and is kept in g.err for
+// Generate to return.
 func (g *generator) sampleValue(table *catalog.Table, col string) value.Value {
 	h, err := g.db.Heap(table.Name)
-	if err != nil || h.RowCount() == 0 {
+	if err != nil {
+		g.fail(err)
+		return value.NewNull()
+	}
+	if h.RowCount() == 0 {
 		return value.NewInt(int64(1 + g.rng.Intn(100)))
 	}
-	rid := storage.RowID(g.rng.Int63n(h.RowCount()))
-	row, err := h.Get(rid)
+	var row value.Row
+	rid, err := h.NthLive(g.rng.Int63n(h.RowCount()))
+	if err == nil {
+		row, err = h.Get(rid)
+	}
 	if err != nil {
-		return value.NewInt(1)
+		g.fail(err)
+		return value.NewNull()
 	}
 	return row[table.ColumnIndex(col)]
+}
+
+// fail keeps the generator's first error.
+func (g *generator) fail(err error) {
+	if g.err == nil {
+		g.err = fmt.Errorf("workload: sampling a constant: %w", err)
+	}
 }
 
 // columnSubset picks 1..max distinct columns.
@@ -334,7 +356,7 @@ func (g *generator) disjunction(t *catalog.Table) (sql.Predicate, bool) {
 // queries, zipf-skewed so a few templates dominate the log the way
 // repeated parameterized statements dominate production query logs.
 // The draws come from a dedicated rng so the base stream is untouched.
-func (g *generator) duplicate(w *sql.Workload, n int) {
+func (g *generator) duplicate(w *sql.Workload, n int) error {
 	base := make([]*sql.SelectStmt, len(w.Queries))
 	for i, q := range w.Queries {
 		base[i] = q.Stmt
@@ -343,8 +365,13 @@ func (g *generator) duplicate(w *sql.Workload, n int) {
 	zipf := datagen.NewZipf(rng, len(base), 1.5)
 	dg := &generator{db: g.db, rng: rng, opt: g.opt, ranked: g.ranked}
 	for i := 0; i < n; i++ {
-		w.Add(dg.resample(base[zipf.Next()-1]), 1)
+		stmt := dg.resample(base[zipf.Next()-1])
+		if dg.err != nil {
+			return dg.err
+		}
+		w.Add(stmt, 1)
 	}
+	return nil
 }
 
 // resample deep-copies the statement with every predicate constant

@@ -1,11 +1,17 @@
 package workload
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
+	"indexmerge/internal/catalog"
 	"indexmerge/internal/datagen"
 	"indexmerge/internal/engine"
+	"indexmerge/internal/faults"
 	"indexmerge/internal/sql"
+	"indexmerge/internal/storage"
+	"indexmerge/internal/value"
 )
 
 func genDB(t testing.TB) *engine.Database {
@@ -239,5 +245,89 @@ func TestGenerateHotTableBias(t *testing.T) {
 		if name != hot && c > counts[hot] {
 			t.Errorf("hot-table bias missing: %s=%d > %s=%d", name, c, hot, counts[hot])
 		}
+	}
+}
+
+// TestSampledConstantsAreLiveAfterDeletes: constants are drawn among the
+// live rows only. The table's first 600 of 1,000 rows are deleted, so a
+// draw over heap slots below the live count would land on tombstones
+// only, and no live row sits below slot 600.
+func TestSampledConstantsAreLiveAfterDeletes(t *testing.T) {
+	db := engine.NewDatabase()
+	if err := db.CreateTable(catalog.MustNewTable("t", []catalog.Column{
+		{Name: "k", Type: value.Int},
+		{Name: "s", Type: value.String, Width: 8},
+	})); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if err := db.Insert("t", value.Row{value.NewInt(int64(1000 + i)), value.NewString(fmt.Sprintf("s%04d", i%250))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := db.DeleteWhere("t", func(r value.Row) bool { return r[0].Int() < 1600 }); err != nil || n != 600 {
+		t.Fatalf("deleted %d rows, %v", n, err)
+	}
+	db.AnalyzeAll()
+	live := map[string]bool{}
+	h, _ := db.Heap("t")
+	h.Scan(func(_ storage.RowID, r value.Row) bool {
+		for c, v := range r {
+			live[fmt.Sprint(c, v)] = true
+		}
+		return true
+	})
+	w, err := Generate(db, Options{Class: Complex, Queries: 60, Seed: 9, MaxTables: 1, Disjunctions: true, Duplication: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := db.Schema().Table("t")
+	constants := 0
+	check := func(p sql.Predicate, vals ...value.Value) {
+		for _, v := range vals {
+			constants++
+			if key := fmt.Sprint(tab.ColumnIndex(p.Col.Column), v); !live[key] {
+				t.Errorf("constant %v of %s is no live row's value", v, p)
+			}
+		}
+	}
+	var visit func(p sql.Predicate)
+	visit = func(p sql.Predicate) {
+		switch p.Op {
+		case sql.OpBetween:
+			check(p, p.Lo, p.Hi)
+		case sql.OpIn:
+			check(p, p.Vals...)
+		case sql.OpOr:
+			for _, d := range p.Or {
+				visit(d)
+			}
+		default:
+			check(p, p.Val)
+		}
+	}
+	for _, q := range w.Queries {
+		for _, p := range q.Stmt.Where {
+			visit(p)
+		}
+	}
+	if constants < 50 {
+		t.Fatalf("only %d constants drawn; the workload exercises too little", constants)
+	}
+}
+
+// TestSampleErrorIsReturned: a heap read that fails while drawing a
+// constant fails the generation instead of inventing a value.
+func TestSampleErrorIsReturned(t *testing.T) {
+	db := genDB(t)
+	faults.Install(faults.Rule{ID: "heap-get", Point: faults.StorageHeapGet, Mode: faults.ModeError})
+	defer faults.Reset()
+	w, err := Generate(db, Options{Class: Complex, Queries: 10, Seed: 5})
+	var fe *faults.Error
+	if !errors.As(err, &fe) {
+		t.Fatalf("Generate under a failing heap = %v workload, error %v; want the heap's fault", w, err)
+	}
+	if faults.Fired("heap-get") == 0 {
+		t.Fatal("the fault never fired")
 	}
 }

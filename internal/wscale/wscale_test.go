@@ -493,8 +493,9 @@ func TestCheckerGreedyMatchesOptimizerChecker(t *testing.T) {
 // compressed workload with dedup ratio 1. Priced as singleton units and
 // as template units, each on a cold store of its own, Greedy takes the
 // same steps for the same work: the same optimizer calls, the same store
-// lookups and, within a tenth, the same number of allocations. On a
-// log-like workload the template units can only save calls.
+// lookups and, within a tenth, the same number of allocations (checked
+// without the race detector only). On a log-like workload the template
+// units can only save calls.
 func TestDistinctWorkloadSameWorkEitherWay(t *testing.T) {
 	const slack = 0.10
 	type run struct {
@@ -551,7 +552,9 @@ func TestDistinctWorkloadSameWorkEitherWay(t *testing.T) {
 		t.Errorf("singleton units: %d optimizer calls, %d hits, %d misses; template units: %d, %d, %d",
 			s.res.OptimizerCalls, s.hits, s.misses, c.res.OptimizerCalls, c.hits, c.misses)
 	}
-	if lo, hi := min(s.mallocs, c.mallocs), max(s.mallocs, c.mallocs); float64(hi) > 1.10*float64(lo) {
+	// The race detector drops sync.Pool puts at random, which moves the
+	// malloc counts by more than the tenth compared here.
+	if lo, hi := min(s.mallocs, c.mallocs), max(s.mallocs, c.mallocs); !raceEnabled && float64(hi) > 1.10*float64(lo) {
 		t.Errorf("singleton units allocated %d objects across the search, template units %d", s.mallocs, c.mallocs)
 	}
 	t.Logf("distinct: %d steps, %d checks, %d calls, %d+%d lookups, %d / %d mallocs, %v / %v",
