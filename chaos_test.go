@@ -377,6 +377,74 @@ func TestChaosParallelSearchUnderFaults(t *testing.T) {
 	}
 }
 
+// TestChaosCostCacheFillPanic: at parallelism 4 a cost-table miss is
+// filled on one of the search's wave goroutines, where nothing above a
+// constraint check can recover a panic. A panic as a missed cell is
+// filled must fail that check — and the merge, with a typed error that
+// carries the stack — not the process; the failed run leaves nothing
+// behind, and with Resilience one such panic is retried and leaves no
+// trace in the result.
+func TestChaosCostCacheFillPanic(t *testing.T) {
+	db, w, _, defs := mergerFixture(t)
+	defer faults.Reset()
+	// A merger per run: every run fills the cells its checks miss.
+	merge := func(opts MergeOptions) (*MergeResult, error) {
+		m, err := NewMerger(db, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.MergeDefsContext(context.Background(), defs, opts)
+	}
+	for _, model := range []struct {
+		name string
+		kind CostModelKind
+	}{{"opt", OptimizerCost}, {"compressed", CompressedOptimizerCost}} {
+		t.Run(model.name, func(t *testing.T) {
+			opts := MergeOptions{CostConstraint: 0.10, CostModel: model.kind, Parallelism: 4}
+			faults.Reset()
+			want, err := merge(opts)
+			if err != nil {
+				t.Fatalf("fault-free merge: %v", err)
+			}
+			// Which of a wave's four checks makes the 61st fill is a race,
+			// and a panicking candidate ranked behind an accepted one is
+			// discarded with its verdict: every fill from there on panics,
+			// so that the next consumed verdict carries one.
+			panics := faults.Rule{ID: "fill", Point: faults.CostCacheDo, Mode: faults.ModePanic, After: 60}
+
+			faults.Install(panics)
+			_, err = merge(opts)
+			var pe *core.PanicError
+			if !errors.As(err, &pe) || len(pe.Stack) == 0 {
+				t.Fatalf("merge under a fill panic: err = %v, want a *core.PanicError with a stack", err)
+			}
+			// Nothing of the failed run is left behind.
+			faults.Reset()
+			again, err := merge(opts)
+			if err != nil {
+				t.Fatalf("merge after the failed run: %v", err)
+			}
+			assertSameSearch(t, want, again)
+
+			// One panic, retried: whichever check it lands on.
+			panics.Count, panics.Transient = 1, true
+			faults.Install(panics)
+			opts.Resilience = &ResilienceOptions{Backoff: time.Microsecond}
+			got, err := merge(opts)
+			if err != nil {
+				t.Fatalf("merge under one transient fill panic: %v", err)
+			}
+			assertSameSearch(t, want, got)
+			if fmt.Sprint(want.Steps) != fmt.Sprint(got.Steps) || got.Degraded {
+				t.Errorf("steps diverged or the result is degraded (%v):\nwant %v\ngot  %v", got.Degraded, want.Steps, got.Steps)
+			}
+			if got.PanicsRecovered != 1 {
+				t.Errorf("PanicsRecovered = %d, want 1", got.PanicsRecovered)
+			}
+		})
+	}
+}
+
 func TestChaosLatencyNeverChangesResults(t *testing.T) {
 	_, _, m, defs := mergerFixture(t)
 	if len(defs) > 5 {

@@ -29,7 +29,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 
 	"indexmerge"
@@ -43,7 +42,7 @@ import (
 )
 
 func main() {
-	dbName := flag.String("db", "tpcd", "database: tpcd | synthetic1 | synthetic2")
+	dbName := flag.String("db", "tpcd", "database: tpcd | synthetic1 | synthetic2 | file:PATH (a cmd/dbgen -save snapshot)")
 	scale := flag.Float64("scale", 1.0, "database scale factor")
 	seed := flag.Int64("seed", 1, "random seed")
 	workloadPath := flag.String("workload", "", "workload file (one SELECT per line); default: generated complex workload")
@@ -60,7 +59,6 @@ func main() {
 	parallel := flag.Int("parallel", 1, "concurrent candidate costings per search step (0 = GOMAXPROCS); results are identical for any value")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout (the idxmerged job-result schema) and progress JSON lines on stderr")
 	resilient := flag.Bool("resilient", false, "retry transient costing faults and degrade to the analytic model on persistent optimizer failure (results carry a degraded flag)")
-	workers := flag.String("workers", "", "comma-separated what-if worker base URLs (idxmergew processes serving the same -db/-scale/-seed database); cache-missed costings are batched to the pool; results are byte-identical at any worker count")
 	faultRules := flag.String("faults", "", "deterministic fault-injection rules, semicolon-separated (chaos testing; see internal/faults)")
 	flag.Parse()
 
@@ -123,20 +121,6 @@ func main() {
 		human("%s\n", cw.C)
 	}
 
-	// Bind the worker pool before searching so incompatible workers
-	// (wrong database, wrong parse) fail loudly here rather than
-	// silently falling back mid-run. Failures after this point degrade
-	// to local costing.
-	var binding *indexmerge.WorkerBinding
-	if *workers != "" {
-		pool := indexmerge.NewWorkerPool(strings.Split(*workers, ","))
-		binding, err = pool.Bind(ctx, "cli", db.Fingerprint(), w)
-		if err != nil {
-			fatal(fmt.Errorf("bind worker pool: %w", err))
-		}
-		human("worker pool: %d workers bound\n", pool.Size())
-	}
-
 	defs, err := m.InitialConfiguration(ctx, *n, *seed, opts)
 	if err != nil {
 		fatal(err)
@@ -161,7 +145,6 @@ func main() {
 		return
 	}
 
-	opts.Workers = binding
 	if *jsonOut {
 		// Stream progress snapshots as JSON lines on stderr — the same
 		// struct idxmerged serves while a job runs.

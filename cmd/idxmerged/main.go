@@ -10,7 +10,7 @@
 //
 //	idxmerged [-addr :7781] [-workers 2] [-queue 8] [-cache 1048576]
 //	          [-drain-timeout 30s] [-journal path] [-faults rules]
-//	          [-cost-workers http://host:7791,http://host:7792] [-pprof]
+//	          [-pprof]
 //	          [-quota-sessions 0] [-quota-jobs 0] [-quota-ingest-rate 0]
 //	          [-quota-ingest-burst 0] [-quota-memory 0] [-memory-budget 0]
 //
@@ -57,7 +57,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -74,7 +73,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight jobs")
 	journalPath := flag.String("journal", "", "session/job journal file (empty = no durability)")
 	faultRules := flag.String("faults", "", "fault-injection rules, semicolon-separated (chaos testing)")
-	costWorkers := flag.String("cost-workers", "", "comma-separated what-if worker base URLs (idxmergew); merge jobs batch costings to the pool, falling back locally on failure")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	quotaSessions := flag.Int("quota-sessions", 0, "per-tenant live session limit (0 = unlimited)")
 	quotaJobs := flag.Int("quota-jobs", 0, "per-tenant queued+running job limit (0 = unlimited)")
@@ -108,10 +106,6 @@ func main() {
 			MemoryBytes:  *quotaMemory,
 		},
 		MemoryBudgetBytes: *memoryBudget,
-	}
-	if *costWorkers != "" {
-		cfg.CostWorkers = strings.Split(*costWorkers, ",")
-		log.Info("distributed costing enabled", "cost_workers", len(cfg.CostWorkers))
 	}
 	srv, err := server.New(cfg)
 	if err != nil {

@@ -1,0 +1,134 @@
+package indexmerge
+
+import (
+	"bufio"
+	"errors"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// guardFile is this file: it spells every guarded name.
+const guardFile = "guard_test.go"
+
+// nameGuards are the names of code paths that were deleted or folded
+// into one, each with the files it covers. A match is a regression.
+var nameGuards = []struct {
+	why string
+	re  *regexp.Regexp
+	in  func(path string) bool
+}{
+	{
+		// Snapshot.Fork is an alias of DB that only the benchmark calls.
+		why: "a frozen database is shared, never forked",
+		re:  regexp.MustCompile(`\.Fork\(\)`),
+		in:  outsideBenchmark,
+	},
+	{
+		// core.Pricer interns each definition in its store and resolves
+		// it once; no text-keyed relevance memo or separator-joined key
+		// is left beside it, and the store's keys are integer words, not
+		// strings built per lookup.
+		why: "cost cells are keyed by index IDs",
+		re:  regexp.MustCompile(`keySepIndex|optimizer\.Relevance|NewRelevance|GetBytes|appendKey|keySepNS|missKey`),
+		in:  everywhere,
+	},
+	{
+		// The searches, the advisor's tuning and the figure drivers each
+		// have one entry point, and datagen.BuildNamed is the only
+		// named-database builder.
+		why: "one entry point per operation",
+		re:  regexp.MustCompile(`func Greedy\(|func GreedyWithOptions\(|func Exhaustive\(|func CostMinimal\(|TuneQuery\(|TuneWorkload|TuneTemplates\(|func RunSearchComparison\(|func RunMergePairComparison\(|func BuildDB\(|func buildDatabase\(`),
+		in:  outsideBenchmark,
+	},
+	{
+		// A registered workload's form prices every cost model through
+		// its template units; the per-query engine is
+		// NewOptimizerChecker's own, built inside internal/core.
+		why: "one engine per form",
+		re:  regexp.MustCompile(`\b(?:QueryPricer|NewQueryPricer|ownsTable|queryChecker)\b`),
+		in:  outsideBenchmark,
+	},
+	{
+		// A checker is not named.
+		why: "one engine per form",
+		re:  regexp.MustCompile(`Description\(\) string`),
+		in:  func(path string) bool { return strings.HasPrefix(path, "internal/core/") },
+	},
+	{
+		// A cost cell has one producer, the local sweep of
+		// OptimizerChecker.fill; the what-if worker pool is gone.
+		why: "one costing path",
+		re:  regexp.MustCompile(`internal/distrib|idxmergew|CostWorkers|BatchCostServer|RemoteStats|WorkerPool|FingerprintString`),
+		in:  everywhere,
+	},
+}
+
+func everywhere(string) bool { return true }
+
+func outsideBenchmark(path string) bool { return !strings.HasPrefix(path, "benchmark/") }
+
+// TestDeletedNamesStayDeleted: no tracked Go file, other than this one,
+// spells a guarded name in the files its guard covers.
+func TestDeletedNamesStayDeleted(t *testing.T) {
+	files := goFiles(t)
+	if len(files) < 100 {
+		t.Fatalf("found %d Go files; the guards would check almost nothing", len(files))
+	}
+	for _, path := range files {
+		if path == guardFile {
+			continue
+		}
+		f, err := os.Open(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // tracked, but deleted in the working tree
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(f)
+		sc.Buffer(nil, 1<<20)
+		for line := 1; sc.Scan(); line++ {
+			for _, g := range nameGuards {
+				if g.in(path) && g.re.Match(sc.Bytes()) {
+					t.Errorf("%s:%d: %s: %s", path, line, g.why, sc.Text())
+				}
+			}
+		}
+		f.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+}
+
+// goFiles lists the module's Go files, slash-separated and relative to
+// its root: the tracked ones when git can list them, otherwise every
+// one outside hidden directories.
+func goFiles(t *testing.T) []string {
+	t.Helper()
+	if out, err := exec.Command("git", "ls-files", "--", "*.go").Output(); err == nil && len(out) > 0 {
+		return strings.Fields(string(out))
+	}
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}

@@ -33,7 +33,6 @@ import (
 	"indexmerge/internal/advisor"
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/core"
-	"indexmerge/internal/distrib"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/sql"
@@ -88,21 +87,7 @@ type (
 	// (workload, statistics) pair and share across runs; see
 	// Merger.CompressedWorkload and NewMergerOver.
 	CompressedWorkload = wscale.Prepared
-	// WorkerPool is a set of what-if worker endpoints for distributed
-	// costing; see NewWorkerPool and (*WorkerPool).Bind.
-	WorkerPool = distrib.Pool
-	// WorkerBinding is a worker pool bound to one registered workload;
-	// see MergeOptions.Workers.
-	WorkerBinding = distrib.Binding
 )
-
-// NewWorkerPool builds a distributed-costing pool over what-if worker
-// base URLs ("http://host:port", cmd/idxmergew processes serving the
-// same database). Bind a workload with (*WorkerPool).Bind and pass
-// the binding via MergeOptions.Workers.
-func NewWorkerPool(urls []string) *WorkerPool {
-	return distrib.NewPool(urls, distrib.Options{})
-}
 
 // Value constructors, re-exported.
 var (
@@ -224,15 +209,6 @@ type MergeOptions struct {
 	// called synchronously from the searching goroutine and must be
 	// cheap.
 	Progress func(SearchProgress)
-	// Workers, when non-nil, offloads cache-missed what-if costings to
-	// a bound pool of stateless worker processes (cmd/idxmergew),
-	// batched per search wave. Results are byte-identical at any worker
-	// count — remote costs install through the exact same cache and
-	// counter paths as local evaluation — and any worker failure falls
-	// back to local costing, so a run never fails because of the pool.
-	// Build with NewWorkerPool and bind the workload with
-	// (*WorkerPool).Bind.
-	Workers *WorkerBinding
 	// Resilience, when non-nil, hardens optimizer-backed costing:
 	// transient failures are retried with backoff, permanent failures
 	// trip a circuit breaker and degrade decisions to the external
@@ -414,15 +390,6 @@ type MergeResult struct {
 	// its admissible lower bound, without exact costing (0 for other
 	// models).
 	PrunedChecks int64
-	// RemoteBatches / RemoteItems count costing batches and items
-	// (template cells) served by the worker pool;
-	// RemoteFallbacks counts batches that failed remotely and were
-	// transparently re-costed locally. All 0 without
-	// MergeOptions.Workers. These describe where work ran, not what it
-	// produced — every other field is identical at any worker count.
-	RemoteBatches   int64
-	RemoteItems     int64
-	RemoteFallbacks int64
 }
 
 // CostIncrease is the fractional workload cost growth.
@@ -442,10 +409,6 @@ func (r *MergeResult) Report() string {
 	if r.Templates > 0 {
 		fmt.Fprintf(&b, "compress: %d templates (%.1fx dedup), cost table %d hits / %d misses, %d pruned\n",
 			r.Templates, r.DedupRatio, r.CostTableHits, r.CostTableMisses, r.PrunedChecks)
-	}
-	if r.RemoteBatches > 0 || r.RemoteFallbacks > 0 {
-		fmt.Fprintf(&b, "distrib:  %d remote batches (%d items), %d local fallbacks\n",
-			r.RemoteBatches, r.RemoteItems, r.RemoteFallbacks)
 	}
 	for _, s := range r.Steps {
 		fmt.Fprintf(&b, "  merged %s + %s -> %s\n", s.ParentA, s.ParentB, s.Result)
@@ -608,13 +571,8 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, b
 	}
 	opt := wscale.NewChecker(cw, baseCost, opts.CostConstraint)
 	opt.Parallelism = opts.Parallelism
-	// Interface-typed so a nil binding stays a nil interface.
-	if opts.Workers != nil {
-		opt.Batch = opts.Workers
-	}
-	// The engine, with its store and remote counters, outlives the run as
-	// the Merger's form does: a run reports deltas.
-	batches0, items0, fallbacks0 := opt.RemoteStats()
+	// The engine, with its store and counters, outlives the run as the
+	// Merger's form does: a run reports deltas.
 	var hits0, misses0 int64
 	compressed := opts.CostModel == CompressedOptimizerCost
 	if compressed {
@@ -642,8 +600,6 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, b
 			out.CostTableHits, out.CostTableMisses = hits-hits0, misses-misses0
 			out.PrunedChecks = opt.PrunedChecks()
 		}
-		batches, items, fallbacks := opt.RemoteStats()
-		out.RemoteBatches, out.RemoteItems, out.RemoteFallbacks = batches-batches0, items-items0, fallbacks-fallbacks0
 	}
 	if opts.CostModel != PrefilteredOptimizerCost && resilient == nil {
 		return check, bound, report, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -40,6 +41,17 @@ func mergerFixture(t testing.TB) (*Database, *Workload, *Merger, []IndexDef) {
 		t.Fatalf("tuning produced only %d indexes", len(defs))
 	}
 	return db, w, m, defs
+}
+
+// mergeKey collapses every payload-visible field of a result into one
+// comparable string. Float fields compare by bit pattern.
+func mergeKey(r *MergeResult) string {
+	return fmt.Sprintf("init=%s final=%s steps=%v ib=%d fb=%d ce=%d oc=%d cx=%d ic=%016x fc=%016x bound=%016x tmpl=%d th=%d tm=%d pruned=%d deg=%v",
+		r.Initial.Signature(), r.Final.Signature(), r.Steps,
+		r.InitialBytes, r.FinalBytes,
+		r.CostEvaluations, r.OptimizerCalls, r.ConfigsExplored,
+		math.Float64bits(r.InitialCost), math.Float64bits(r.FinalCost), math.Float64bits(r.Bound),
+		r.Templates, r.CostTableHits, r.CostTableMisses, r.PrunedChecks, r.Degraded)
 }
 
 func TestNewMergerValidation(t *testing.T) {

@@ -90,17 +90,6 @@ type OptimizerChecker struct {
 	// (PreparedWorkload.RelevantQueries).
 	Prepared *optimizer.PreparedWorkload
 
-	// Batch, when non-nil, offloads each evaluation's store misses to a
-	// pool of what-if worker processes in one batched round trip
-	// (internal/distrib provides the implementation). Workers run the
-	// same costing code over identically-built statistics, so remote
-	// costs are bit-identical to local ones; they are installed through
-	// the same store path with the same counter accounting, and any RPC
-	// failure falls back to local costing — the search result never
-	// depends on whether or where a batch was dispatched. Set before the
-	// first evaluation.
-	Batch BatchCostServer
-
 	once    sync.Once
 	initErr error         // Prepared could not be built or does not match W
 	pricer  *Pricer       // the constructor's, or singleton units of W made on first use
@@ -178,13 +167,6 @@ func (c *OptimizerChecker) PrunedChecks() int64 { return c.pruned.Load() }
 func (c *OptimizerChecker) CacheStats() (hits, misses, races int64) {
 	_ = c.lazyInit()
 	return c.pricer.store.Stats()
-}
-
-// RemoteStats reports the engine's distributed-costing activity (see
-// Pricer.RemoteStats).
-func (c *OptimizerChecker) RemoteStats() (batches, items, fallbacks int64) {
-	_ = c.lazyInit()
-	return c.pricer.RemoteStats()
 }
 
 // SetBase implements ConstraintChecker. A candidate this checker

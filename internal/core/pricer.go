@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -29,8 +28,7 @@ type Unit struct {
 	// can to all, and to none otherwise.
 	Members []int
 	// Weights, aligned with Members, multiply each member's cost inside
-	// the stored cell. A unit a worker pool may fill weighs each member
-	// by its workload frequency: that is the sum the pool returns.
+	// the stored cell.
 	Weights []float64
 	// Scale multiplies the stored cell when it is read, so a factor that
 	// drifts (a sliding window's template weight) invalidates nothing.
@@ -78,23 +76,6 @@ type boundEntry struct {
 	cost float64
 }
 
-// BatchItem is one cell to cost away from the store: the members of a
-// unit and the definitions relevant to it.
-type BatchItem struct {
-	Members []int
-	Defs    []catalog.IndexDef
-}
-
-// BatchCostServer costs a batch of cells in a single round trip — the
-// coordinator→worker-pool contract for distributed what-if costing
-// (internal/distrib provides the implementation). It returns, for each
-// item, Σ Freq × CostPrepared over the item's members in member order,
-// bit-identical to the local sweep; on any doubt an implementation
-// returns an error and the caller costs locally.
-type BatchCostServer interface {
-	CostBatch(ctx context.Context, items []BatchItem) ([]float64, error)
-}
-
 // Pricer is the one delta-pricing engine: the units of a prepared
 // workload, the store of their cells keyed by the subset of a
 // configuration relevant to each, the indexes it has met, and the lower
@@ -117,10 +98,7 @@ type Pricer struct {
 	bounds [][]boundEntry // per unit, ring-capped
 	nextBE []int          // per unit, next ring slot
 
-	optCalls        atomic.Int64 // CostPrepared invocations that filled the store
-	remoteBatches   atomic.Int64 // batched RPCs dispatched to workers
-	remoteItems     atomic.Int64 // cells costed remotely
-	remoteFallbacks atomic.Int64 // batches that fell back to local costing
+	optCalls atomic.Int64 // CostPrepared invocations that filled the store
 }
 
 // NewPricer builds an engine over units of pw whose cells live in
@@ -161,13 +139,6 @@ func (p *Pricer) WorkloadCostContext(ctx context.Context, cfg *Configuration) (f
 // OptimizerCalls counts the CostPrepared invocations made to fill the
 // store, by every checker over the engine.
 func (p *Pricer) OptimizerCalls() int64 { return p.optCalls.Load() }
-
-// RemoteStats reports distributed-costing activity: batched RPCs
-// dispatched, cells costed remotely, and batches that fell back to
-// local costing.
-func (p *Pricer) RemoteStats() (batches, items, fallbacks int64) {
-	return p.remoteBatches.Load(), p.remoteItems.Load(), p.remoteFallbacks.Load()
-}
 
 // pricedIndex is an index definition as the engine prices it, made the
 // first time a check meets the definition: the definition and its key,
@@ -401,45 +372,17 @@ func (p *Pricer) optimisticTotal(sc *priceScratch, cells []float64) float64 {
 }
 
 // fill computes the missed cells exactly: one store Do per miss inside
-// EvalEach's panic boundary, whose computation either takes the value a
-// worker pool returned for the whole batch or sweeps the unit's members
-// under its relevant definitions alone (an index outside them
+// EvalEach's panic boundary, whose computation sweeps the unit's
+// members under its relevant definitions alone (an index outside them
 // contributes no access path to any member, so the sum is the members'
-// cost under the full configuration). Either way the store and the call
-// counters end up the same, and any doubt about the pool's answer means
-// the local sweep — the result never depends on where a cell was costed.
+// cost under the full configuration).
 func (c *OptimizerChecker) fill(ctx context.Context, sc *priceScratch, cells []float64) error {
 	p := c.pricer
-	var remote []float64
-	workers := c.Parallelism
-	if c.Batch != nil {
-		items := make([]BatchItem, len(sc.miss))
-		for i, ui := range sc.miss {
-			lo, hi := sc.span(i)
-			items[i] = BatchItem{Members: p.units[ui].Members, Defs: sc.defs[lo:hi]}
-		}
-		vals, err := c.Batch.CostBatch(ctx, items)
-		ok := err == nil && len(vals) == len(items)
-		for _, v := range vals {
-			ok = ok && !(math.IsNaN(v) || math.IsInf(v, 0))
-		}
-		if ok {
-			remote, workers = vals, 1
-			p.remoteBatches.Add(1)
-			p.remoteItems.Add(int64(len(items)))
-		} else {
-			p.remoteFallbacks.Add(1)
-		}
-	}
-	return EvalEach(len(sc.miss), workers, func(i int) error {
+	return EvalEach(len(sc.miss), c.Parallelism, func(i int) error {
 		ui := sc.miss[i]
 		u := &p.units[ui]
 		lo, hi := sc.span(i)
 		v, err := p.store.Do(sc.key(i), func() (float64, error) {
-			if remote != nil {
-				c.countCalls(len(u.Members))
-				return remote[i], nil
-			}
 			// A free token is taken without waiting on ctx as well.
 			select {
 			case c.sem <- struct{}{}:

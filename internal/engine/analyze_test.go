@@ -112,7 +112,7 @@ func TestFingerprintCoversStatistics(t *testing.T) {
 		t.Error("fingerprint ignored a change in the built statistics")
 	}
 	// Freezing computes the same fingerprint.
-	if base.Snapshot().Fingerprint() != base.Fingerprint() {
+	if base.Snapshot().DB().Fingerprint() != base.Fingerprint() {
 		t.Error("snapshot fingerprint differs from its database's")
 	}
 }

@@ -1,13 +1,12 @@
 // Frozen databases. Snapshot freezes a Database for good: every
 // mutator fails from then on, so the one database is shared by pointer
-// — every idxmerged session over a spec, a what-if worker — and read
-// concurrently without copying. What-if costing plans over indexes
-// that never exist (paper §3.5.3), so no reader needs a private copy.
+// — every idxmerged session over a spec — and read concurrently
+// without copying. What-if costing plans over indexes that never exist
+// (paper §3.5.3), so no reader needs a private copy.
 package engine
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -20,11 +19,9 @@ import (
 // been frozen by Snapshot().
 var ErrFrozen = errors.New("engine: database is frozen by a snapshot")
 
-// Snapshot is a frozen Database and the fingerprint computed when it
-// was frozen.
+// Snapshot is a frozen Database.
 type Snapshot struct {
 	db *Database
-	fp uint64
 }
 
 // Snapshot freezes the database and returns a handle to it. Freezing
@@ -32,12 +29,8 @@ type Snapshot struct {
 // fully usable and is safe for any number of concurrent readers.
 func (db *Database) Snapshot() *Snapshot {
 	db.frozen.Store(true)
-	return &Snapshot{db: db, fp: db.Fingerprint()}
+	return &Snapshot{db: db}
 }
-
-// Fingerprint returns the database's fingerprint (see
-// Database.Fingerprint) computed at freeze time.
-func (s *Snapshot) Fingerprint() uint64 { return s.fp }
 
 // DB returns the frozen database for read-only use.
 func (s *Snapshot) DB() *Database { return s.db }
@@ -117,16 +110,14 @@ func statsDigest(t *catalog.Table, ts *stats.TableStats) uint64 {
 	return uint64(*f)
 }
 
-// Fingerprint summarizes the database for coordinator/worker
-// compatibility checks: FNV-1a over the sorted schema (table, column
-// names/types/widths), per-table row counts, heap bytes and the digest
-// of the built statistics (statsDigest, computed by Analyze), the
-// sorted materialized index keys, and the statistics build options
-// and version. Two processes that build the same database through the
-// same deterministic path (a snapshot file, or a named generator with
-// identical scale and seed) agree on it; a worker whose fingerprint
-// differs from the coordinator's must not be trusted to return
-// identical what-if costs.
+// Fingerprint is the database's build identity: FNV-1a over the sorted
+// schema (table, column names/types/widths), per-table row counts,
+// heap bytes and the digest of the built statistics (statsDigest,
+// computed by Analyze), the sorted materialized index keys, and the
+// statistics build options and version. Two builds through the same
+// deterministic path (a snapshot file, or a named generator with
+// identical scale and seed) agree on it, so tests compare it to show
+// that two ways of building a database produce the same one.
 func (db *Database) Fingerprint() uint64 {
 	f := newFingerprinter()
 	tables := db.schema.Tables()
@@ -167,7 +158,3 @@ func (db *Database) Fingerprint() uint64 {
 	f.u64(db.statsVersion.Load())
 	return uint64(*f)
 }
-
-// FingerprintString renders a fingerprint the way the worker protocol
-// transports it (hexadecimal, to survive JSON's float64 numbers).
-func FingerprintString(fp uint64) string { return fmt.Sprintf("%016x", fp) }

@@ -84,7 +84,7 @@ func TestFingerprintDeterminism(t *testing.T) {
 		t.Fatalf("identical builds fingerprint differently: %x vs %x", a.Fingerprint(), b.Fingerprint())
 	}
 	snap := a.Snapshot()
-	if snap.Fingerprint() != b.Fingerprint() {
+	if snap.DB().Fingerprint() != b.Fingerprint() {
 		t.Fatal("snapshot fingerprint differs from origin's")
 	}
 	// Extra data changes the fingerprint.

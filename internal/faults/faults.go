@@ -52,9 +52,6 @@ const (
 	StorageIndexSeek Point = "storage.index.seek"
 	// CostCacheDo fires on every computed cost-table miss, before its fill.
 	CostCacheDo Point = "costcache.do"
-	// DistribRPC fires on every coordinator→worker cost-batch RPC
-	// (internal/distrib), before the request leaves the pool.
-	DistribRPC Point = "distrib.rpc"
 	// ContinuousObserve fires when the continuous advisor measures an
 	// ingested batch's observed cost against the applied estimate.
 	// Scale rules here inflate the observation — the deterministic way

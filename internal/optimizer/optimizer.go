@@ -132,10 +132,10 @@ func (o *Optimizer) WorkloadCostPreparedContext(ctx context.Context, pw *Prepare
 }
 
 // CostPreparedSum returns Σ weights[k] × CostPrepared(pw.Queries[members[k]],
-// cfg), summed in member order — no members sum to 0, nil weights are
-// the members' frequencies in pw.W — and how many CostPrepared calls it
-// made, a failing one included. cfg is resolved once for all of them,
-// into pooled state: with it warm the loop allocates nothing. A caller
+// cfg), summed in member order — no members sum to 0 — and how many
+// CostPrepared calls it made, a failing one included. cfg is resolved
+// once for all of them, into pooled state: with it warm the loop
+// allocates nothing. A caller
 // holding cfg's indexes resolved already (PreparedWorkload.Resolve)
 // passes them, aligned with cfg, as rxs, and nothing is resolved again
 // but for a descriptor of another schema; nil rxs resolves cfg by name.
@@ -145,11 +145,7 @@ func (o *Optimizer) CostPreparedSum(ctx context.Context, pw *PreparedWorkload, m
 	calls, err = o.each(ctx, cfg, rxs, len(members), false,
 		func(k int) (*sql.SelectStmt, *PreparedQuery) { return nil, pw.Queries[members[k]] },
 		func(k int, cost float64, _ *Plan) error {
-			if weights != nil {
-				sum += cost * weights[k]
-			} else {
-				sum += cost * pw.W.Queries[members[k]].Freq
-			}
+			sum += cost * weights[k]
 			return nil
 		})
 	if err != nil {

@@ -98,15 +98,15 @@ func TestPassMatchesOneOff(t *testing.T) {
 							t.Fatalf("%s: WorkloadCostPreparedContext over the %sworkload = %v (%d calls, error %v), the sum of CostPrepared %v",
 								where(), name, total, calls, err, sum)
 						}
-						all := make([]int, len(pw.Queries))
+						all, freqs := make([]int, len(pw.Queries)), make([]float64, len(pw.Queries))
 						for qi := range all {
-							all[qi] = qi
+							all[qi], freqs[qi] = qi, pw.W.Queries[qi].Freq
 						}
 						// By name, and on indexes resolved once against each
 						// build's schema: the loop resolves again, by name, only
 						// for a descriptor of the other build.
 						for rname, rxs := range map[string][]*optimizer.ResolvedIndex{"": nil, "resolved ": resolveAll(pw, cfg), "resolved elsewhere ": resolveAll(elsewhere, cfg)} {
-							total, calls, err = opt.CostPreparedSum(ctx, pw, all, nil, cfg, rxs)
+							total, calls, err = opt.CostPreparedSum(ctx, pw, all, freqs, cfg, rxs)
 							if err != nil || calls != len(pw.Queries) || math.Float64bits(total) != math.Float64bits(sum) {
 								t.Fatalf("%s: %sCostPreparedSum over the %sworkload = %v (%d calls, error %v), the sum of CostPrepared %v",
 									where(), rname, name, total, calls, err, sum)

@@ -15,7 +15,6 @@ import (
 
 	"indexmerge"
 	"indexmerge/internal/catalog"
-	"indexmerge/internal/distrib"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/server/quota"
 	"indexmerge/internal/sql"
@@ -44,12 +43,6 @@ type Config struct {
 	// as pollable records, and jobs interrupted by a crash are marked
 	// failed with an explicit recovery reason.
 	JournalPath string
-	// CostWorkers lists what-if worker base URLs (cmd/idxmergew
-	// processes serving the same database specs as this server's
-	// sessions). When set, merge jobs batch cache-missed costings to
-	// the pool; results are byte-identical at any worker count and any
-	// worker failure falls back to local costing.
-	CostWorkers []string
 	// Quota sets per-tenant admission limits (zero fields = unlimited).
 	Quota quota.Limits
 	// MemoryBudgetBytes is the GLOBAL byte-accounted memory budget
@@ -71,7 +64,6 @@ type Server struct {
 	log     *slog.Logger
 	mux     *http.ServeMux
 	journal *Journal
-	pool    *distrib.Pool // nil without Config.CostWorkers
 
 	// memBudget is the global accounted-memory budget behind the
 	// brownout ladder (<= 0 = no memory pressure); stage is the
@@ -98,16 +90,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	var pool *distrib.Pool
-	if len(cfg.CostWorkers) > 0 {
-		pool = distrib.NewPool(cfg.CostWorkers, distrib.Options{})
-	}
 	s := &Server{
-		reg:       NewRegistry(cfg.CacheMaxEntries, pool, quota.NewController(cfg.Quota)),
+		reg:       NewRegistry(cfg.CacheMaxEntries, quota.NewController(cfg.Quota)),
 		metrics:   NewMetrics(),
 		log:       cfg.Logger,
 		mux:       http.NewServeMux(),
-		pool:      pool,
 		memBudget: cfg.MemoryBudgetBytes,
 	}
 	s.jobs = NewManager(cfg.Workers, cfg.QueueCap, s.metrics, s.log)
@@ -448,11 +435,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for i, sess := range sessions {
 		gauges[i] = sess.gauges()
 	}
-	var pool *distrib.Stats
-	if s.pool != nil {
-		st := s.pool.PoolStats()
-		pool = &st
-	}
 	og := &OverloadGauges{
 		BrownoutStage:  int(s.stage.Load()),
 		AccountedBytes: s.reg.totalBytes(),
@@ -460,7 +442,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Tenants:        s.reg.tenantGauges(),
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.Write(w, s.jobs.Gauges(), gauges, pool, og, s.reg.SnapshotReuses(), s.reg.ResidentSnapshots())
+	s.metrics.Write(w, s.jobs.Gauges(), gauges, og, s.reg.SnapshotReuses(), s.reg.ResidentSnapshots())
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -783,7 +765,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request, sess *S
 		}
 	}
 
-	run := s.buildJobRun(kind, sess, req.Workload, rw, initial, explicitDefs, opts, req.Options.DualBudgetFrac)
+	run := s.buildJobRun(kind, sess, rw, initial, explicitDefs, opts, req.Options.DualBudgetFrac)
 	job, err := s.submit(kind, sess, req.Workload, jobTimeout(r, req.Options.TimeoutMS), run)
 	if err != nil {
 		s.reject(w, sess.tenant, err)
@@ -868,7 +850,7 @@ func BuildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 // descriptors and compressed form (one per registration, shared across
 // its jobs), whose cost table carries the template cells every cost
 // model prices from one job on the registration to the next.
-func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw *registeredWorkload,
+func (s *Server) buildJobRun(kind string, sess *Session, rw *registeredWorkload,
 	initial InitialSpec, explicitDefs []catalog.IndexDef, opts indexmerge.MergeOptions,
 	dualFrac float64) jobRun {
 
@@ -911,19 +893,10 @@ func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw
 			// succeeds.
 			opts.Resilience.Breaker = sess.breaker
 		}
-		// Distributed costing: bound once per (session, workload). The
-		// result payload carries no remote counters — it is byte-
-		// identical at any worker count — so remote activity is
-		// aggregated into /metrics instead.
-		opts.Workers = sess.bindWorkers(ctx, workloadName, rw, s.log)
-
 		res, err := m.MergeDefsContext(ctx, defs, opts)
 		if err != nil {
 			return nil, err
 		}
-		s.metrics.remoteBatches.Add(res.RemoteBatches)
-		s.metrics.remoteItems.Add(res.RemoteItems)
-		s.metrics.remoteFallbacks.Add(res.RemoteFallbacks)
 		p := NewMergeResultPayload(res)
 		return &JobResult{Merge: &p}, nil
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"os"
 	"sort"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"indexmerge"
 	"indexmerge/internal/core"
 	"indexmerge/internal/datagen"
-	"indexmerge/internal/distrib"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/server/quota"
@@ -60,8 +58,6 @@ type Session struct {
 	tenant    string
 	dbName    string
 	db        *engine.Database
-	fp        uint64 // database fingerprint, captured at creation
-	pool      *distrib.Pool
 	createdAt time.Time
 	deleted   atomic.Bool
 
@@ -102,35 +98,6 @@ type Session struct {
 type registeredWorkload struct {
 	compressed *wscale.Prepared // never nil: RegisterWorkload is the only constructor
 	merger     *indexmerge.Merger
-
-	// binding is the workload's lazily-created worker-pool binding
-	// (nil without a pool, or after a failed bind — the bind is
-	// attempted once; jobs then cost locally).
-	bindOnce sync.Once
-	binding  *distrib.Binding
-}
-
-// bindWorkers returns the workload's worker-pool binding, binding on
-// first use. The binding is named session/workload so one pool serves
-// many sessions without name collisions. A failed bind is logged once
-// and never retried: jobs on this workload then run with local
-// costing, which is byte-identical anyway.
-func (s *Session) bindWorkers(ctx context.Context, name string, rw *registeredWorkload, log *slog.Logger) *distrib.Binding {
-	if s.pool == nil {
-		return nil
-	}
-	rw.bindOnce.Do(func() {
-		b, err := s.pool.Bind(ctx, s.name+"/"+name, s.fp, rw.compressed.C.W)
-		if err != nil {
-			if log != nil {
-				log.Warn("worker pool bind failed; jobs will cost locally",
-					"session", s.name, "workload", name, "err", err)
-			}
-			return
-		}
-		rw.binding = b
-	})
-	return rw.binding
 }
 
 // acquire takes the session's job slot, abandoning the wait when ctx
@@ -308,22 +275,19 @@ type Registry struct {
 	sessions map[string]*Session
 	building map[string]bool   // names reserved while their DB builds
 	tableMax int               // bound of every cost table (entries)
-	pool     *distrib.Pool     // shared what-if worker pool (nil = local costing)
 	quota    *quota.Controller // per-tenant admission control
 	snaps    snapshotCache
 }
 
 // NewRegistry creates an empty registry. tableMax bounds each
 // registered workload's and each continuous window's cost table (<= 0
-// means unbounded); pool, when non-nil, is the shared what-if worker
-// pool sessions bind workloads against; qc is the per-tenant admission
-// controller (never nil).
-func NewRegistry(tableMax int, pool *distrib.Pool, qc *quota.Controller) *Registry {
+// means unbounded); qc is the per-tenant admission controller (never
+// nil).
+func NewRegistry(tableMax int, qc *quota.Controller) *Registry {
 	return &Registry{
 		sessions: make(map[string]*Session),
 		building: make(map[string]bool),
 		tableMax: tableMax,
-		pool:     pool,
 		quota:    qc,
 	}
 }
@@ -522,28 +486,34 @@ func (r *Registry) Create(req CreateSessionRequest) (*Session, error) {
 	}
 	r.building[req.Name] = true
 	r.mu.Unlock()
+	// However the build ends short of a registered session — an error or
+	// a panic — the name's reservation and the quota slot are given back.
+	var admitted, registered bool
+	defer func() {
+		if registered {
+			return
+		}
+		if admitted {
+			r.quota.ReleaseSession(tenant)
+		}
+		r.mu.Lock()
+		delete(r.building, req.Name)
+		r.mu.Unlock()
+	}()
 
 	// Admit before the (expensive) database build, so an over-quota
 	// tenant cannot burn seconds of build CPU just to be rejected.
 	// Acquire/release exactly brackets a session's life: journal replay
 	// re-drives this same path, rebuilding the accounting.
 	if v := r.quota.AcquireSession(tenant); !v.OK {
-		r.mu.Lock()
-		delete(r.building, req.Name)
-		r.mu.Unlock()
 		return nil, &quotaError{tenant: tenant, v: v}
 	}
+	admitted = true
 
 	// Sessions over the same (db, scale, seed) share one frozen
-	// database; the build cost (seconds at scale) and the fingerprint
-	// are paid once per spec.
+	// database; the build cost (seconds at scale) is paid once per spec.
 	snap, snapKey, err := r.snaps.acquire(req.DB, scale, req.Seed)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.building, req.Name)
 	if err != nil {
-		r.quota.ReleaseSession(tenant)
 		return nil, err
 	}
 	s := &Session{
@@ -551,8 +521,6 @@ func (r *Registry) Create(req CreateSessionRequest) (*Session, error) {
 		tenant:    tenant,
 		dbName:    req.DB,
 		db:        snap.DB(),
-		fp:        snap.Fingerprint(),
-		pool:      r.pool,
 		tableMax:  r.tableMax,
 		breaker:   &core.Breaker{},
 		createdAt: time.Now(),
@@ -563,7 +531,11 @@ func (r *Registry) Create(req CreateSessionRequest) (*Session, error) {
 	if req.Continuous != nil {
 		s.cont = newContinuous(*req.Continuous, r.tableMax)
 	}
+	r.mu.Lock()
+	delete(r.building, req.Name)
 	r.sessions[req.Name] = s
+	r.mu.Unlock()
+	registered = true
 	return s, nil
 }
 

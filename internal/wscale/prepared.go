@@ -20,7 +20,7 @@ type Prepared struct {
 	PW *optimizer.PreparedWorkload
 
 	// Pricer prices configurations over the template units; its
-	// WorkloadCostContext, OptimizerCalls and RemoteStats are Prepared's.
+	// WorkloadCostContext and OptimizerCalls are Prepared's.
 	*core.Pricer
 	table *costcache.Cache
 }
