@@ -13,18 +13,19 @@ import (
 
 // The chaos suite runs real Greedy/Exhaustive searches with
 // deterministic faults injected into the what-if costing path and
-// asserts the robustness contract:
+// asserts the robustness contract. Every costing runs once; nothing is
+// retried:
 //
-//   - faults fully absorbed by retries produce byte-identical results
-//     (same final configuration, same costs, same CostEvaluations);
-//   - permanent faults without resilience surface as typed errors;
-//   - permanent faults with resilience degrade to the external model
-//     and flag the result;
-//   - latency faults never change any result.
+//   - faults without resilience surface as typed errors;
+//   - with resilience, each failed check is decided by the external
+//     model and the result is flagged degraded;
+//   - a fault window that closes leaves no trace on the runs after it;
+//   - injected panics never escape, on any goroutine;
+//   - latency faults never change any result;
+//   - a done ctx stops costing before it starts.
 //
-// Every test uses count-window rules (After/Count), never Prob, and
-// serial search (Parallelism 1 is the default), so the injected fault
-// sequence is exactly reproducible.
+// Every test uses count-window rules (After/Count), never Prob, so the
+// injected fault sequence is exactly reproducible.
 
 // chaosBaseline runs a fault-free merge to compare against.
 func chaosBaseline(t *testing.T, m *Merger, defs []IndexDef, opts MergeOptions) *MergeResult {
@@ -52,7 +53,7 @@ func coldTwin(t *testing.T, m *Merger) *Merger {
 
 // assertSameSearch asserts the decision-relevant parts of two results
 // are identical. OptimizerCalls is deliberately excluded: it is a
-// measured quantity and retried attempts legitimately add calls.
+// measured quantity, and a Merger's warm cells save calls.
 func assertSameSearch(t *testing.T, want, got *MergeResult) {
 	t.Helper()
 	if w, g := fmt.Sprint(want.Final.Defs()), fmt.Sprint(got.Final.Defs()); w != g {
@@ -73,32 +74,26 @@ func assertSameSearch(t *testing.T, want, got *MergeResult) {
 	if len(want.Steps) != len(got.Steps) {
 		t.Errorf("merge steps diverged: want %d, got %d", len(want.Steps), len(got.Steps))
 	}
+	if got.Degraded || got.DegradedChecks != 0 {
+		t.Errorf("result degraded (%d checks), want exact", got.DegradedChecks)
+	}
 }
 
-func TestChaosTransientFaultsAreInvisible(t *testing.T) {
-	_, _, m, defs := mergerFixture(t)
-	if len(defs) > 6 {
-		defs = defs[:6]
-	}
-	opts := MergeOptions{CostConstraint: 0.15}
+// faultWindowLeavesNoTrace installs transient faults — error windows
+// that close — into the search of a resilient run on m: each fault
+// fails the one costing it lands in, which degrades, once. Once the
+// faults are gone, the next run on m is exact and decides as a
+// fault-free run on a cold twin does.
+func faultWindowLeavesNoTrace(t *testing.T, m *Merger, defs []IndexDef, opts MergeOptions, rules ...faults.Rule) {
+	t.Helper()
 	want := chaosBaseline(t, m, defs, opts)
-
-	// Transient errors sprayed across the costing path: three separate
-	// windows so faults land in baseline costing, early search and late
-	// search. Retries must absorb every one of them.
-	installed := faults.Install(
-		faults.Rule{ID: "t-early", Point: faults.OptimizerCost, Mode: faults.ModeError, Transient: true, After: 2, Count: 2},
-		faults.Rule{ID: "t-mid", Point: faults.OptimizerCost, Mode: faults.ModeError, Transient: true, After: 40, Count: 3},
-		faults.Rule{ID: "t-late", Point: faults.OptimizerCost, Mode: faults.ModeError, Transient: true, After: 90, Count: 1},
-	)
+	installed := faults.Install(rules...)
 	defer faults.Reset()
 
-	// Budget must outlast the widest consecutive window (retrying one
-	// check consumes the window's next entries).
-	opts.Resilience = &ResilienceOptions{MaxRetries: 8, Backoff: time.Microsecond}
+	opts.Resilience = &ResilienceOptions{}
 	got, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
-		t.Fatalf("merge under transient faults: %v", err)
+		t.Fatalf("merge under a closing fault window: %v", err)
 	}
 	var fired int64
 	for _, r := range installed {
@@ -107,43 +102,42 @@ func TestChaosTransientFaultsAreInvisible(t *testing.T) {
 	if fired == 0 {
 		t.Fatal("no fault fired; the chaos test exercised nothing")
 	}
-	if got.Retries < fired {
-		t.Errorf("retries = %d, want >= %d (every injected transient retried)", got.Retries, fired)
+	t.Logf("%d faults fired, %d degraded checks", fired, got.DegradedChecks)
+	if !got.Degraded || got.DegradedChecks != fired {
+		t.Errorf("degraded %v with %d degraded checks, want every one of the %d faults to degrade its check once",
+			got.Degraded, got.DegradedChecks, fired)
 	}
-	if got.Degraded {
-		t.Error("retry-absorbed faults must not degrade the result")
+
+	faults.Reset()
+	again, err := m.MergeDefsContext(context.Background(), defs, opts)
+	if err != nil {
+		t.Fatalf("merge after the faults cleared: %v", err)
 	}
-	if got.DegradedChecks != 0 {
-		t.Errorf("degraded checks = %d, want 0", got.DegradedChecks)
-	}
-	assertSameSearch(t, want, got)
+	assertSameSearch(t, want, again)
 }
 
+// TestChaosTransientFaultsAreInvisible: error windows spread across a
+// greedy search degrade the run they land in and nothing after it.
+func TestChaosTransientFaultsAreInvisible(t *testing.T) {
+	_, _, m, defs := mergerFixture(t)
+	// The baseline and Seek-Cost make the run's first 34 optimizer calls;
+	// the windows land in the search after them, early, mid and late.
+	faultWindowLeavesNoTrace(t, m, defs, MergeOptions{CostConstraint: 0.15},
+		faults.Rule{ID: "t-early", Point: faults.OptimizerCost, Mode: faults.ModeError, After: 40, Count: 3},
+		faults.Rule{ID: "t-mid", Point: faults.OptimizerCost, Mode: faults.ModeError, After: 120, Count: 2},
+		faults.Rule{ID: "t-late", Point: faults.OptimizerCost, Mode: faults.ModeError, After: 250, Count: 1},
+	)
+}
+
+// TestChaosTransientFaultsExhaustiveSearch: the same under Exhaustive.
 func TestChaosTransientFaultsExhaustiveSearch(t *testing.T) {
 	_, _, m, defs := mergerFixture(t)
 	if len(defs) > 5 {
 		defs = defs[:5]
 	}
-	opts := MergeOptions{CostConstraint: 0.15, Search: ExhaustiveSearch}
-	want := chaosBaseline(t, m, defs, opts)
-
-	installed := faults.Install(
-		faults.Rule{ID: "tx", Point: faults.OptimizerCost, Mode: faults.ModeError, Transient: true, After: 10, Count: 4},
+	faultWindowLeavesNoTrace(t, m, defs, MergeOptions{CostConstraint: 0.15, Search: ExhaustiveSearch},
+		faults.Rule{ID: "tx", Point: faults.OptimizerCost, Mode: faults.ModeError, After: 40, Count: 4},
 	)
-	defer faults.Reset()
-
-	opts.Resilience = &ResilienceOptions{MaxRetries: 8, Backoff: time.Microsecond}
-	got, err := m.MergeDefsContext(context.Background(), defs, opts)
-	if err != nil {
-		t.Fatalf("exhaustive merge under transient faults: %v", err)
-	}
-	if faults.Fired(installed[0].ID) == 0 {
-		t.Fatal("fault never fired")
-	}
-	if got.Degraded {
-		t.Error("unexpected degraded result")
-	}
-	assertSameSearch(t, want, got)
 }
 
 func TestChaosPermanentFaultWithoutResilienceIsTyped(t *testing.T) {
@@ -166,9 +160,6 @@ func TestChaosPermanentFaultWithoutResilienceIsTyped(t *testing.T) {
 	}
 	if fe.Point != faults.OptimizerCost {
 		t.Errorf("fault point = %q, want optimizer.cost", fe.Point)
-	}
-	if core.IsTransient(err) {
-		t.Error("permanent injected fault classified transient")
 	}
 }
 
@@ -200,10 +191,7 @@ func TestChaosPermanentFaultDegradesToExternalModel(t *testing.T) {
 	})
 	defer faults.Reset()
 
-	opts.Resilience = &ResilienceOptions{
-		Backoff: time.Microsecond,
-		Breaker: &CostBreaker{Threshold: 2, Cooldown: time.Hour},
-	}
+	opts.Resilience = &ResilienceOptions{}
 	got, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("resilient merge under permanent outage: %v", err)
@@ -211,8 +199,11 @@ func TestChaosPermanentFaultDegradesToExternalModel(t *testing.T) {
 	if !got.Degraded {
 		t.Fatal("permanent outage must flag the result degraded")
 	}
-	if got.DegradedChecks == 0 {
-		t.Error("no degraded checks recorded")
+	// Each check the search consumed after the outage began failed once
+	// and degraded once, and so did the final costing; checks the search
+	// made before it did not.
+	if got.DegradedChecks == 0 || got.DegradedChecks > got.CostEvaluations+1 {
+		t.Errorf("degraded checks = %d for %d consumed checks and the final costing", got.DegradedChecks, got.CostEvaluations)
 	}
 	if got.FinalCost <= 0 {
 		t.Errorf("degraded final cost = %v, want > 0", got.FinalCost)
@@ -227,28 +218,6 @@ func TestChaosPermanentFaultDegradesToExternalModel(t *testing.T) {
 	}
 }
 
-func TestChaosPermanentFaultNoDegradedFailsTyped(t *testing.T) {
-	_, _, m, defs := mergerFixture(t)
-	if len(defs) > 5 {
-		defs = defs[:5]
-	}
-	faults.Install(faults.Rule{
-		ID: "outage2", Point: faults.OptimizerCost, Mode: faults.ModeError, After: 30,
-	})
-	defer faults.Reset()
-
-	opts := MergeOptions{CostConstraint: 0.15}
-	opts.Resilience = &ResilienceOptions{Backoff: time.Microsecond, NoDegraded: true}
-	_, err := m.MergeDefsContext(context.Background(), defs, opts)
-	if err == nil {
-		t.Fatal("NoDegraded outage must fail the merge")
-	}
-	var fe *faults.Error
-	if !errors.As(err, &fe) {
-		t.Fatalf("error chain lost the typed fault: %v", err)
-	}
-}
-
 func TestChaosInjectedPanicsAreRecovered(t *testing.T) {
 	_, _, m, defs := mergerFixture(t)
 	if len(defs) > 6 {
@@ -257,65 +226,95 @@ func TestChaosInjectedPanicsAreRecovered(t *testing.T) {
 	opts := MergeOptions{CostConstraint: 0.15}
 	want := chaosBaseline(t, m, defs, opts)
 
-	// Two injected panics mid-search, marked transient: the worker
-	// boundary converts them to errors, the retry re-costs, results stay
-	// byte-identical.
+	// Two injected panics mid-search: the worker boundary converts each
+	// to an error, the check it lands in degrades, the run completes.
 	installed := faults.Install(faults.Rule{
-		ID: "boom", Point: faults.OptimizerCost, Mode: faults.ModePanic, Transient: true, After: 25, Count: 2,
+		ID: "boom", Point: faults.OptimizerCost, Mode: faults.ModePanic, After: 40, Count: 2,
 	})
 	defer faults.Reset()
 
-	opts.Resilience = &ResilienceOptions{Backoff: time.Microsecond}
+	opts.Resilience = &ResilienceOptions{}
 	got, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("merge under injected panics: %v", err)
 	}
-	if faults.Fired(installed[0].ID) == 0 {
-		t.Fatal("panic rule never fired")
+	fired := faults.Fired(installed[0].ID)
+	if fired != 2 {
+		t.Fatalf("panic rule fired %d times, want 2", fired)
 	}
-	if got.PanicsRecovered == 0 {
-		t.Error("no panics recorded as recovered")
+	if got.PanicsRecovered != fired || got.DegradedChecks != fired || !got.Degraded {
+		t.Errorf("%d panics recovered, %d degraded checks (degraded %v); want each of the %d panics to degrade its check",
+			got.PanicsRecovered, got.DegradedChecks, got.Degraded, fired)
 	}
-	if got.Degraded {
-		t.Error("recovered panics must not degrade the result")
+	again, err := m.MergeDefsContext(context.Background(), defs, opts)
+	if err != nil {
+		t.Fatalf("merge after the panics: %v", err)
 	}
-	assertSameSearch(t, want, got)
+	assertSameSearch(t, want, again)
 }
 
-// TestChaosCancelCutsBackoffShort: costing around the search retries
-// on the same loop as the constraint checks, and that loop's backoff
-// waits on the context. Every optimizer call fails transiently, so the
-// baseline costing is in its first one-second backoff when the caller
-// gives up.
-func TestChaosCancelCutsBackoffShort(t *testing.T) {
+// TestChaosCanceledMergeMakesNoOptimizerCall: a done ctx stops every
+// costing around the search before it starts — the baseline, the
+// Seek-Costs and the final costing alike — and comes back as ctx.Err(),
+// never as a degraded result.
+func TestChaosCanceledMergeMakesNoOptimizerCall(t *testing.T) {
 	_, _, m, defs := mergerFixture(t)
 	if len(defs) > 5 {
 		defs = defs[:5]
 	}
-	faults.Install(faults.Rule{ID: "flaky", Point: faults.OptimizerCost, Mode: faults.ModeError, Transient: true})
-	defer faults.Reset()
-
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	time.AfterFunc(10*time.Millisecond, cancel)
-	start := time.Now()
-	_, err := m.MergeDefsContext(ctx, defs, MergeOptions{
-		CostConstraint: 0.15,
-		Resilience:     &ResilienceOptions{Backoff: time.Second},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	cancel()
+	for _, ro := range []*ResilienceOptions{nil, {}} {
+		before := m.opt.InvocationCount()
+		_, err := m.MergeDefsContext(ctx, defs, MergeOptions{CostConstraint: 0.15, Resilience: ro})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("resilient %v: err = %v, want context.Canceled", ro != nil, err)
+		}
+		if n := m.opt.InvocationCount() - before; n != 0 {
+			t.Errorf("resilient %v: a pre-canceled merge made %d optimizer calls, want 0", ro != nil, n)
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Errorf("canceled after 10ms, returned after %v: the backoff slept through the cancellation", elapsed)
+
+	// Cancel on the search's last progress report, which it delivers
+	// after its last look at ctx: only the final costing sees ctx done.
+	var reports int
+	opts := MergeOptions{CostConstraint: 0.15, Progress: func(SearchProgress) { reports++ }}
+	chaosBaseline(t, m, defs, opts)
+	last := reports
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	reports = 0
+	opts.Progress = func(SearchProgress) {
+		if reports++; reports == last {
+			cancel()
+		}
+	}
+	opts.Resilience = &ResilienceOptions{}
+	before := m.opt.InvocationCount()
+	res, err := m.MergeDefsContext(ctx, defs, opts)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("canceled before the final costing: (%v, %v), want context.Canceled and no result", res, err)
+	}
+	if reports != last {
+		t.Fatalf("the search reported %d times, the fault-free run %d", reports, last)
+	}
+	calls := m.opt.InvocationCount() - before
+	again, err := coldTwin(t, m).MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := again.OptimizerCalls + 2*int64(len(m.w.Queries)); calls != want {
+		t.Errorf("canceled run made %d optimizer calls, want %d: the search's and the baseline's and Seek-Costs', no final costing", calls, want)
 	}
 }
 
 func TestChaosParallelSearchUnderFaults(t *testing.T) {
-	// Parallel candidate costing with transient faults and panics mixed
-	// in, under every optimizer-backed cost model: decisions must match
-	// the serial fault-free baseline. Run under -race this also
-	// validates the concurrency story end to end.
+	// Parallel candidate costing with a permanent error window and one
+	// panic mixed in, under every optimizer-backed cost model: the run
+	// completes degraded, the panic is recovered once wherever it lands
+	// — on the search goroutine or a fill worker — and the next run on
+	// the same merger is exact. Run under -race this also validates the
+	// concurrency story end to end.
 	db, w, _, defs := mergerFixture(t)
 	if len(defs) > 6 {
 		defs = defs[:6]
@@ -333,17 +332,17 @@ func TestChaosParallelSearchUnderFaults(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		model CostModelKind
-		// panicAfter are the optimizer-call offsets the one panic is tried
-		// at. The compressed model costs the baselines serially and then
-		// fills each candidate's cost-table misses on worker goroutines;
-		// the sweep crosses that fill (calls 69–75 with the three
-		// transient faults retried before it), where nothing but the
-		// workers' own boundary can catch a panic.
-		panicAfter []int64
+		// search is the optimizer call the search's first fill makes:
+		// the baseline and Seek-Cost make the 34 calls before it, and the
+		// compressed model's template-order baseline (which, like the
+		// baseline, cannot degrade) 17 more. The panic sweeps the fills
+		// from there, on the search goroutine and the fill workers; an
+		// outage starts there.
+		search int64
 	}{
-		{"opt", OptimizerCost, []int64{60}},
-		{"prefilter", PrefilteredOptimizerCost, []int64{60}},
-		{"compressed", CompressedOptimizerCost, []int64{62, 66, 69, 70, 71, 72, 73, 74, 75, 78}},
+		{"opt", OptimizerCost, 35},
+		{"prefilter", PrefilteredOptimizerCost, 35},
+		{"compressed", CompressedOptimizerCost, 52},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer faults.Reset()
@@ -351,28 +350,38 @@ func TestChaosParallelSearchUnderFaults(t *testing.T) {
 			want := chaosBaseline(t, merger(), defs, opts)
 
 			opts.Parallelism = 4
-			opts.Resilience = &ResilienceOptions{MaxRetries: 8, Backoff: time.Microsecond}
-			for _, after := range tc.panicAfter {
+			opts.Resilience = &ResilienceOptions{}
+			run := func(what string, rule faults.Rule) *MergeResult {
+				t.Helper()
 				faults.Reset()
-				faults.Install(
-					faults.Rule{ID: "pt", Point: faults.OptimizerCost, Mode: faults.ModeError, Transient: true, After: 15, Count: 3},
-					faults.Rule{ID: "pp", Point: faults.OptimizerCost, Mode: faults.ModePanic, Transient: true, After: after, Count: 1},
-				)
-				got, err := merger().MergeDefsContext(context.Background(), defs, opts)
+				faults.Install(rule)
+				m := merger()
+				got, err := m.MergeDefsContext(context.Background(), defs, opts)
 				if err != nil {
-					t.Fatalf("panic after %d calls: parallel merge under faults: %v", after, err)
+					t.Fatalf("%s: parallel merge under faults: %v", what, err)
 				}
-				if got.Degraded {
-					t.Errorf("panic after %d calls: unexpected degraded result", after)
+				if !got.Degraded || got.DegradedChecks == 0 {
+					t.Errorf("%s: result not degraded", what)
 				}
-				if faults.Fired("pp") != 1 || got.PanicsRecovered == 0 {
-					t.Errorf("panic after %d calls: fired %d times, %d recovered", after, faults.Fired("pp"), got.PanicsRecovered)
+				if got.FinalBytes > got.InitialBytes {
+					t.Errorf("%s: degraded merge grew storage", what)
 				}
-				// Parallel speculation means the faults may land on
-				// speculative checks, but consumed decisions must match
-				// exactly.
-				assertSameSearch(t, want, got)
+				faults.Reset()
+				again, err := m.MergeDefsContext(context.Background(), defs, opts)
+				if err != nil {
+					t.Fatalf("%s: merge after the faults: %v", what, err)
+				}
+				assertSameSearch(t, want, again)
+				return got
 			}
+			for after := tc.search - 1; after < tc.search+6; after++ {
+				what := fmt.Sprintf("panic after %d calls", after)
+				got := run(what, faults.Rule{ID: "pp", Point: faults.OptimizerCost, Mode: faults.ModePanic, After: after, Count: 1})
+				if got.PanicsRecovered != 1 {
+					t.Errorf("%s: %d panics recovered, want 1", what, got.PanicsRecovered)
+				}
+			}
+			run("outage", faults.Rule{ID: "pe", Point: faults.OptimizerCost, Mode: faults.ModeError, After: tc.search + 2})
 		})
 	}
 }
@@ -382,8 +391,8 @@ func TestChaosParallelSearchUnderFaults(t *testing.T) {
 // constraint check can recover a panic. A panic as a missed cell is
 // filled must fail that check — and the merge, with a typed error that
 // carries the stack — not the process; the failed run leaves nothing
-// behind, and with Resilience one such panic is retried and leaves no
-// trace in the result.
+// behind, and with Resilience one such panic degrades the check it
+// lands in and nothing else.
 func TestChaosCostCacheFillPanic(t *testing.T) {
 	db, w, _, defs := mergerFixture(t)
 	defer faults.Reset()
@@ -426,20 +435,18 @@ func TestChaosCostCacheFillPanic(t *testing.T) {
 			}
 			assertSameSearch(t, want, again)
 
-			// One panic, retried: whichever check it lands on.
-			panics.Count, panics.Transient = 1, true
+			// One panic under Resilience: whichever check it lands on
+			// degrades, once.
+			panics.Count = 1
 			faults.Install(panics)
-			opts.Resilience = &ResilienceOptions{Backoff: time.Microsecond}
+			opts.Resilience = &ResilienceOptions{}
 			got, err := merge(opts)
 			if err != nil {
-				t.Fatalf("merge under one transient fill panic: %v", err)
+				t.Fatalf("merge under one fill panic: %v", err)
 			}
-			assertSameSearch(t, want, got)
-			if fmt.Sprint(want.Steps) != fmt.Sprint(got.Steps) || got.Degraded {
-				t.Errorf("steps diverged or the result is degraded (%v):\nwant %v\ngot  %v", got.Degraded, want.Steps, got.Steps)
-			}
-			if got.PanicsRecovered != 1 {
-				t.Errorf("PanicsRecovered = %d, want 1", got.PanicsRecovered)
+			if got.PanicsRecovered != 1 || got.DegradedChecks != 1 || !got.Degraded {
+				t.Errorf("PanicsRecovered = %d, DegradedChecks = %d, Degraded = %v; want 1, 1, true",
+					got.PanicsRecovered, got.DegradedChecks, got.Degraded)
 			}
 		})
 	}
@@ -459,17 +466,14 @@ func TestChaosLatencyNeverChangesResults(t *testing.T) {
 	)
 	defer faults.Reset()
 
-	// No resilience needed: latency is not an error.
+	// Latency is not an error, under Resilience or not.
+	opts.Resilience = &ResilienceOptions{}
 	got, err := m.MergeDefsContext(context.Background(), defs, opts)
 	if err != nil {
 		t.Fatalf("merge under latency faults: %v", err)
 	}
 	if faults.Fired(installed[0].ID) == 0 && faults.Fired(installed[1].ID) == 0 {
 		t.Fatal("no latency fault fired")
-	}
-	if got.Degraded || got.Retries != 0 {
-		t.Errorf("latency faults leaked into resilience accounting: degraded=%v retries=%d",
-			got.Degraded, got.Retries)
 	}
 	assertSameSearch(t, want, got)
 	if want.OptimizerCalls != got.OptimizerCalls {

@@ -58,7 +58,7 @@ func main() {
 	dualBudget := flag.Float64("dual", 0, "solve the Cost-Minimal dual instead: storage budget as a fraction of the initial configuration (e.g. 0.5)")
 	parallel := flag.Int("parallel", 1, "concurrent candidate costings per search step (0 = GOMAXPROCS); results are identical for any value")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout (the idxmerged job-result schema) and progress JSON lines on stderr")
-	resilient := flag.Bool("resilient", false, "retry transient costing faults and degrade to the analytic model on persistent optimizer failure (results carry a degraded flag)")
+	resilient := flag.Bool("resilient", false, "decide a constraint check whose optimizer costing fails by the analytic model instead of failing the run (results carry a degraded flag)")
 	faultRules := flag.String("faults", "", "deterministic fault-injection rules, semicolon-separated (chaos testing; see internal/faults)")
 	flag.Parse()
 
@@ -164,9 +164,9 @@ func main() {
 		fmt.Printf("\nmerge result (%s / %s / %s, constraint %.0f%%):\n%s",
 			*mergePair, *search, *costModel, *constraint*100, res.Report())
 		if res.Degraded {
-			fmt.Printf("WARNING: degraded result — optimizer costing failed persistently; "+
-				"decisions fell back to the analytic cost model (retries=%d, degraded_checks=%d)\n",
-				res.Retries, res.DegradedChecks)
+			fmt.Printf("WARNING: degraded result — optimizer costing failed; "+
+				"decisions fell back to the analytic cost model (degraded_checks=%d, panics_recovered=%d)\n",
+				res.DegradedChecks, res.PanicsRecovered)
 		}
 	}
 

@@ -228,7 +228,8 @@ func TestCompressedMergeResilience(t *testing.T) {
 		t.Errorf("resilient compressed run diverged:\n bare     %s\n hardened %s",
 			bare.Final.Signature(), hardened.Final.Signature())
 	}
-	if hardened.Degraded || hardened.Retries != 0 {
-		t.Errorf("healthy run reported degradation: degraded=%v retries=%d", hardened.Degraded, hardened.Retries)
+	if hardened.Degraded || hardened.DegradedChecks != 0 || hardened.PanicsRecovered != 0 {
+		t.Errorf("healthy run reported degradation: degraded=%v checks=%d panics=%d",
+			hardened.Degraded, hardened.DegradedChecks, hardened.PanicsRecovered)
 	}
 }

@@ -66,6 +66,15 @@ var nameGuards = []struct {
 		re:  regexp.MustCompile(`internal/distrib|idxmergew|CostWorkers|BatchCostServer|RemoteStats|WorkerPool|FingerprintString`),
 		in:  everywhere,
 	},
+	{
+		// In-process costing has one failure policy: every costing runs
+		// once behind the panic boundary, and a failed check degrades
+		// once. No retry loop, per-attempt deadline, session circuit
+		// breaker or retryable fault class is left.
+		why: "a failed check degrades once",
+		re:  regexp.MustCompile(`\b(?:Breaker|CostBreaker|MaxRetries|AttemptTimeout|NoDegraded|IsTransient|ErrCircuitOpen|CostingError)\b|max_retries|attempt_timeout_ms|no_degraded|idxmerged_breaker_`),
+		in:  everywhere,
+	},
 }
 
 func everywhere(string) bool { return true }

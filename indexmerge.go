@@ -28,7 +28,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"time"
 
 	"indexmerge/internal/advisor"
 	"indexmerge/internal/catalog"
@@ -78,9 +77,6 @@ type (
 	// database's statistics (per-query descriptors the optimizer's
 	// prepared fast paths consume); see Merger.PreparedWorkload.
 	PreparedWorkload = optimizer.PreparedWorkload
-	// CostBreaker is the circuit breaker the resilient costing path
-	// consults; see MergeOptions.Resilience.
-	CostBreaker = core.Breaker
 	// CompressedWorkload is a workload clustered into constant-abstracted
 	// templates with its per-(template, atom) cost table — the
 	// CompressedOptimizerCost model's working state. Build once per
@@ -209,37 +205,18 @@ type MergeOptions struct {
 	// called synchronously from the searching goroutine and must be
 	// cheap.
 	Progress func(SearchProgress)
-	// Resilience, when non-nil, hardens optimizer-backed costing:
-	// transient failures are retried with backoff, permanent failures
-	// trip a circuit breaker and degrade decisions to the external
-	// analytic model (§3.5.2) instead of failing the search — the
-	// result then carries Degraded. Ignored by the No-Cost model
-	// (which never consults a cost function).
+	// Resilience, when non-nil, lets optimizer-backed costing degrade:
+	// a constraint check that fails (an error or a panic, not a done
+	// ctx) is decided by the external analytic model (§3.5.2) instead of
+	// failing the search, and the result carries Degraded. Every check
+	// runs once; nothing is retried. Ignored by the No-Cost model (which
+	// never consults a cost function).
 	Resilience *ResilienceOptions
 }
 
-// ResilienceOptions configures the fault-tolerant costing path; the
-// zero value selects the defaults documented on core.ResilientChecker
-// (2 retries, 2ms initial backoff, no per-attempt deadline).
-type ResilienceOptions struct {
-	// MaxRetries bounds transient retries per constraint check
-	// (default 2; negative disables retries).
-	MaxRetries int
-	// Backoff is the first retry's delay, doubling per retry
-	// (default 2ms).
-	Backoff time.Duration
-	// AttemptTimeout, when positive, deadlines each costing attempt;
-	// overruns are retried like transient faults.
-	AttemptTimeout time.Duration
-	// Breaker, when non-nil, shares a circuit breaker across runs (the
-	// advisor service keeps one per session). When nil each run gets a
-	// private breaker.
-	Breaker *CostBreaker
-	// NoDegraded disables the external-model fallback: exhausted
-	// retries then fail the search with a typed error instead of
-	// degrading.
-	NoDegraded bool
-}
+// ResilienceOptions selects the degrading costing path by being set; it
+// has no fields.
+type ResilienceOptions struct{}
 
 // Merger runs index merging for one database + workload, and owns the
 // workload's prepared state: the descriptors and the compressed form
@@ -364,13 +341,10 @@ type MergeResult struct {
 	Bound float64
 	// Degraded reports that at least one constraint decision (or the
 	// final cost estimate) was served by the external analytic model
-	// because the optimizer-backed path kept failing: the result is
-	// best-effort and carries no optimizer cost guarantee. Always
-	// false without MergeOptions.Resilience.
+	// because optimizer-backed costing failed: the result is best-effort
+	// and carries no optimizer cost guarantee. Always false without
+	// MergeOptions.Resilience.
 	Degraded bool
-	// Retries counts transient costing failures the resilient path
-	// absorbed (0 without Resilience).
-	Retries int64
 	// DegradedChecks counts constraint decisions served by the
 	// external model (0 without Resilience).
 	DegradedChecks int64
@@ -461,29 +435,33 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 		return nil, err
 	}
 	// Costing around the search (the baseline, Seek-Costs, the final
-	// cost) rides the retry loop, budget and counters of the constraint
+	// cost) runs behind the panic boundary and counters of the constraint
 	// checks: the resilient checker exists before its inner chain does.
 	// Without Resilience a costing is a plain call — panics and errors
-	// propagate untouched.
+	// propagate untouched. Either way a done ctx stops it before it
+	// starts.
 	var resilient *core.ResilientChecker
 	if opts.Resilience != nil {
-		resilient = opts.Resilience.checker()
+		resilient = &core.ResilientChecker{}
 	}
 	costing := func(fn func(ctx context.Context) error) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if resilient == nil {
 			return fn(ctx)
 		}
-		return resilient.Retry(ctx, fn)
+		return resilient.Run(ctx, fn)
 	}
 	workloadCost := func(cfg *core.Configuration) (cost float64, err error) {
-		err = costing(func(context.Context) (err error) {
-			cost, err = m.opt.WorkloadCostPrepared(pw, optimizer.Configuration(cfg.Defs()))
+		err = costing(func(ctx context.Context) (err error) {
+			cost, _, err = m.opt.WorkloadCostPreparedContext(ctx, pw, optimizer.Configuration(cfg.Defs()))
 			return err
 		})
 		return cost, err
 	}
 	// The baseline cannot degrade: the external fallback is calibrated
-	// against it, so a persistent failure here is the typed error.
+	// against it, so a failure here is the typed error.
 	baseCost, err := workloadCost(initial)
 	if err != nil {
 		return nil, err
@@ -527,18 +505,16 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 	out := &MergeResult{SearchResult: res, InitialCost: baseCost, Bound: bound}
 	report(out)
 	// Without resilience the final cost is a plain workload costing.
-	// With it, if the optimizer stays unavailable past the retry budget
-	// (and degraded mode is allowed), the final cost is estimated by
-	// scaling the optimizer baseline with the external model's relative
-	// change — baseCost × ext(final)/ext(initial) — and the result is
-	// flagged Degraded.
+	// With it, if that costing fails for any reason but a done ctx, the
+	// final cost is estimated by scaling the optimizer baseline with the
+	// external model's relative change — baseCost × ext(final)/ext(initial)
+	// — and the result is flagged Degraded.
 	out.FinalCost, err = workloadCost(res.Final)
 	if resilient != nil {
 		out.Degraded = resilient.Degraded()
-		out.Retries = resilient.Retries()
 		out.DegradedChecks = resilient.DegradedChecks()
 		out.PanicsRecovered = resilient.PanicsRecovered()
-		if ext := resilient.External; err != nil && ext != nil && ext.BaselineCost() > 0 {
+		if ext := resilient.External; err != nil && ctx.Err() == nil && ext != nil && ext.BaselineCost() > 0 {
 			out.Degraded = true
 			out.DegradedChecks++
 			out.FinalCost = baseCost * ext.WorkloadCost(res.Final) / ext.BaselineCost()
@@ -581,8 +557,8 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, b
 		// on the same summation; it differs from baseCost only in the
 		// last ulp.
 		var compBase float64
-		err = costing(func(actx context.Context) (err error) {
-			compBase, err = opt.WorkloadCostContext(actx, initial)
+		err = costing(func(ctx context.Context) (err error) {
+			compBase, err = opt.WorkloadCostContext(ctx, initial)
 			return err
 		})
 		if err != nil {
@@ -609,30 +585,10 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, b
 		check = &core.PrefilteredChecker{External: ext, Inner: opt}
 	}
 	if resilient != nil {
-		resilient.Inner = check
-		if !opts.Resilience.NoDegraded {
-			resilient.External = ext
-		}
+		resilient.Inner, resilient.External = check, ext
 		check = resilient
 	}
 	return check, bound, report, nil
-}
-
-// checker builds the run's resilient checker from the options: the
-// retry policy and the breaker. The facade costs through its Retry
-// before the search and hands it the inner chain and the degraded-mode
-// model once they exist.
-func (ro *ResilienceOptions) checker() *core.ResilientChecker {
-	rc := &core.ResilientChecker{
-		MaxRetries:     ro.MaxRetries,
-		Backoff:        ro.Backoff,
-		AttemptTimeout: ro.AttemptTimeout,
-		Breaker:        ro.Breaker,
-	}
-	if rc.Breaker == nil {
-		rc.Breaker = &core.Breaker{}
-	}
-	return rc
 }
 
 // DualResult reports a Cost-Minimal (dual) merging run.

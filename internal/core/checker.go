@@ -37,12 +37,9 @@ type ConstraintChecker interface {
 	// any Accepts against its candidates; delta-pricing checkers price
 	// them against it, for the rest it is a no-op.
 	SetBase(cfg *Configuration)
-	// Evaluations counts how many constraint evaluations have been
-	// performed. A constraint evaluation is one Accepts/WorkloadCost
-	// call; it is NOT necessarily an optimizer invocation.
-	Evaluations() int64
 	// OptimizerCalls counts the actual optimizer invocations issued (0
-	// when no cost function is consulted). The distinction matters for
+	// when no cost function is consulted). The distinction from the
+	// checks a search counts (SearchResult.CostEvaluations) matters for
 	// replicating §3.4.2: checks served from a cost cache are cheap,
 	// optimizer invocations dominate running time.
 	OptimizerCalls() int64
@@ -101,7 +98,6 @@ type OptimizerChecker struct {
 	base     *pricedBase
 	accepted map[*Configuration][]float64 // cells of the accepted candidates of the current base
 
-	checks   atomic.Int64 // constraint checks (Accepts/WorkloadCostContext calls)
 	optCalls atomic.Int64 // CostPrepared invocations this checker's fills account for
 	pruned   atomic.Int64 // candidates rejected on the lower bound alone
 }
@@ -147,10 +143,6 @@ func (c *OptimizerChecker) lazyInit() error {
 	return c.initErr
 }
 
-// Evaluations implements ConstraintChecker: the number of constraint
-// checks (Accepts and WorkloadCostContext calls), cached or not.
-func (c *OptimizerChecker) Evaluations() int64 { return c.checks.Load() }
-
 // OptimizerCalls implements ConstraintChecker: the number of actual
 // CostPrepared invocations this checker's store misses account for — the
 // expensive quantity §3.4.2 says dominates Greedy's running time. Store
@@ -173,7 +165,7 @@ func (c *OptimizerChecker) CacheStats() (hits, misses, races int64) {
 // accepted since the last SetBase arrives with its cells; any other
 // configuration is priced by the first check that needs it, so that a
 // costing error surfaces through Accepts, where a resilient wrapper can
-// retry it.
+// degrade it.
 func (c *OptimizerChecker) SetBase(cfg *Configuration) {
 	c.mu.Lock()
 	c.base = &pricedBase{SearchBase: NewSearchBase(cfg), costs: c.accepted[cfg]}
@@ -219,7 +211,6 @@ func (c *OptimizerChecker) Accepts(ctx context.Context, cfg *Configuration, m, a
 	if err := c.lazyInit(); err != nil {
 		return false, err
 	}
-	c.checks.Add(1)
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
@@ -275,7 +266,6 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 	if err := c.lazyInit(); err != nil {
 		return 0, err
 	}
-	c.checks.Add(1)
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -361,18 +351,12 @@ func safeAccepts(ctx context.Context, check ConstraintChecker, cfg *Configuratio
 // so the final configuration carries no cost guarantee — exactly the
 // drawback §3.5.1 notes.
 //
-// Safe for concurrent Accepts calls (the schema is read-only and the
-// counter is atomic).
+// Safe for concurrent Accepts calls: the schema is read-only.
 type NoCostChecker struct {
 	F      float64              // max merged-index width as a fraction of table width
 	P      float64              // max growth over either immediate parent
 	Tables catalog.SchemaHolder // table metadata; the engine's Database satisfies it
-
-	evals atomic.Int64
 }
-
-// Evaluations implements ConstraintChecker.
-func (c *NoCostChecker) Evaluations() int64 { return c.evals.Load() }
 
 // OptimizerCalls implements ConstraintChecker: the model never consults
 // a cost function.
@@ -387,7 +371,6 @@ func (c *NoCostChecker) Accepts(ctx context.Context, _ *Configuration, m, a, b *
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	c.evals.Add(1)
 	t, ok := c.Tables.Schema().Table(m.Def.Table)
 	if !ok {
 		return false, fmt.Errorf("core: unknown table %q", m.Def.Table)
@@ -409,9 +392,9 @@ func (c *NoCostChecker) Accepts(ctx context.Context, _ *Configuration, m, a, b *
 // PrefilteredChecker consults an inexpensive external cost model first
 // and invokes the optimizer-backed checker only when the external
 // model predicts the constraint can be met (§3.5.3, last paragraph).
-// A candidate is vetoed only when External.Within(cfg, Margin) says no:
-// its external cost exceeds the external baseline by more than the cost
-// constraint times Margin.
+// A candidate is vetoed only when External.Within(cfg, prefilterMargin)
+// says no: its external cost exceeds the external baseline by more than
+// the cost constraint times prefilterMargin.
 //
 // Safe for concurrent Accepts calls: the external model is read-only,
 // the rejection counter is atomic, and Inner is itself
@@ -421,16 +404,13 @@ type PrefilteredChecker struct {
 	// (NewExternalCostModel).
 	External *ExternalCostModel
 	Inner    *OptimizerChecker
-	// Margin loosens the external prediction so the coarse model only
-	// vetoes clearly hopeless candidates; >1 means permissive (default
-	// 2).
-	Margin float64
 
 	prefilterHits atomic.Int64
 }
 
-// Evaluations implements ConstraintChecker.
-func (c *PrefilteredChecker) Evaluations() int64 { return c.Inner.Evaluations() }
+// prefilterMargin loosens the external prediction so the coarse model
+// only vetoes clearly hopeless candidates.
+const prefilterMargin = 2.0
 
 // OptimizerCalls implements ConstraintChecker.
 func (c *PrefilteredChecker) OptimizerCalls() int64 { return c.Inner.OptimizerCalls() }
@@ -446,11 +426,7 @@ func (c *PrefilteredChecker) SetBase(cfg *Configuration) { c.Inner.SetBase(cfg) 
 // Accepts implements ConstraintChecker; the cheap external prefilter
 // runs unconditionally, the optimizer-backed inner check observes ctx.
 func (c *PrefilteredChecker) Accepts(ctx context.Context, cfg *Configuration, m, a, b *Index) (bool, error) {
-	margin := c.Margin
-	if margin <= 0 {
-		margin = 2.0
-	}
-	if !c.External.Within(cfg, margin) {
+	if !c.External.Within(cfg, prefilterMargin) {
 		c.prefilterHits.Add(1)
 		return false, nil
 	}

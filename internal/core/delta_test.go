@@ -147,7 +147,6 @@ type exactRecorder struct {
 	delta, full, collapsed int
 }
 
-func (r *exactRecorder) Evaluations() int64    { return r.inner.Evaluations() }
 func (r *exactRecorder) OptimizerCalls() int64 { return r.inner.OptimizerCalls() }
 
 func (r *exactRecorder) SetBase(cfg *Configuration) {

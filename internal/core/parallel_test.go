@@ -146,9 +146,9 @@ func TestGreedyIncrementalBytesConsistent(t *testing.T) {
 	}
 }
 
-// TestCheckerCounterSplit verifies the two counters measure different
-// things: Evaluations counts constraint checks, OptimizerCalls counts
-// actual optimizer invocations, and cache hits advance only the former.
+// TestCheckerCounterSplit verifies OptimizerCalls counts actual
+// optimizer invocations: a cached evaluation advances the store's hits,
+// never OptimizerCalls or the misses.
 func TestCheckerCounterSplit(t *testing.T) {
 	f := newSearchFixture(t)
 	check := f.checker(0.10)
@@ -165,26 +165,25 @@ func TestCheckerCounterSplit(t *testing.T) {
 	if got := check.OptimizerCalls(); got != wantCalls {
 		t.Errorf("OptimizerCalls = %d, optimizer counted %d", got, wantCalls)
 	}
-	if got := check.Evaluations(); got != 1 {
-		t.Errorf("Evaluations = %d after one WorkloadCost", got)
+	hits0, misses0, _ := check.CacheStats()
+	if misses0 == 0 {
+		t.Error("a cold evaluation counted no store miss")
 	}
 
-	// Fully cached re-evaluation: constraint checks advance, optimizer
-	// calls do not.
+	// Fully cached re-evaluation: store hits advance, optimizer calls
+	// and misses do not.
 	for i := 0; i < 3; i++ {
 		if _, err := check.WorkloadCostContext(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := check.Evaluations(); got != 4 {
-		t.Errorf("Evaluations = %d after four WorkloadCosts", got)
-	}
 	if got := check.OptimizerCalls(); got != wantCalls {
 		t.Errorf("cached evaluations issued %d extra optimizer calls", got-wantCalls)
 	}
 	hits, misses, _ := check.CacheStats()
-	if hits == 0 || misses == 0 {
-		t.Errorf("cache stats hits=%d misses=%d, want both > 0", hits, misses)
+	if hits == hits0 || misses != misses0 {
+		t.Errorf("cached evaluations moved hits %d -> %d and misses %d -> %d, want hits up and misses still",
+			hits0, hits, misses0, misses)
 	}
 }
 
@@ -243,9 +242,6 @@ func TestWorkloadCostConcurrentStress(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
-	}
-	if got, want := check.Evaluations(), int64(workers*rounds); got != want {
-		t.Errorf("Evaluations = %d, want %d", got, want)
 	}
 }
 

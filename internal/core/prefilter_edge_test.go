@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/optimizer"
@@ -137,26 +136,40 @@ func TestPrefilterDisagreementNearBound(t *testing.T) {
 }
 
 // TestPrefilterMarginWidensWindow: a larger margin must never veto
-// more than a smaller one.
+// more than a smaller one, and the prefilter vetoes what its constant
+// margin does.
 func TestPrefilterMarginWidensWindow(t *testing.T) {
 	f := newSearchFixture(t)
 	ext := NewExternalCostModel(f.db, f.w, f.initial, 0.10)
 
+	// Probe with configurations of increasing external cost: successive
+	// prefix subsets of the initial defs.
+	var probes []*Configuration
+	defs := f.initial.Defs()
+	for n := len(defs); n >= 0; n-- {
+		probes = append(probes, NewConfiguration(defs[:n]))
+	}
 	count := func(margin float64) int64 {
-		pre := &PrefilteredChecker{External: ext, Inner: f.checker(0.10), Margin: margin}
-		// Probe with configurations of increasing external cost:
-		// successive prefix subsets of the initial defs.
-		defs := f.initial.Defs()
-		for n := len(defs); n >= 0; n-- {
-			if _, err := pre.Accepts(context.Background(), NewConfiguration(defs[:n]), nil, nil, nil); err != nil {
-				t.Fatal(err)
+		var vetoes int64
+		for _, cfg := range probes {
+			if !ext.Within(cfg, margin) {
+				vetoes++
 			}
 		}
-		return pre.PrefilterRejections()
+		return vetoes
 	}
-	tight, loose := count(1.0), count(4.0)
-	if loose > tight {
-		t.Errorf("margin 4 vetoed more (%d) than margin 1 (%d)", loose, tight)
+	tight, mid, loose := count(1.0), count(prefilterMargin), count(4.0)
+	if loose > mid || mid > tight {
+		t.Errorf("vetoes at margins 1, %v, 4 = %d, %d, %d; a larger margin vetoed more", prefilterMargin, tight, mid, loose)
+	}
+	pre := &PrefilteredChecker{External: ext, Inner: f.checker(0.10)}
+	for _, cfg := range probes {
+		if _, err := pre.Accepts(context.Background(), cfg, nil, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pre.PrefilterRejections(); got != mid {
+		t.Errorf("prefilter vetoed %d probes, Within at margin %v vetoes %d", got, prefilterMargin, mid)
 	}
 	if tight == 0 {
 		t.Skip("fixture produced no vetoes; disagreement probe not exercised")
@@ -228,11 +241,11 @@ func TestPrefilterConcurrentAccepts(t *testing.T) {
 // TestPrefilterVetoIsDegradedReject: the prefilter and degraded mode
 // ask the one question, External.Within. Over random merge candidates —
 // random walks of pairwise merges, some with an index dropped so that
-// the external cost climbs past the bound — the prefilter at margin 1
-// vetoes exactly the configurations the degraded decision rejects, and
-// both decide as the separate formulas each carried before did:
-// veto iff ext > base·(1+slack·margin), degraded accept iff
-// ext ≤ base·(1+slack).
+// the external cost climbs past the bound — the prefilter vetoes exactly
+// the configurations Within at its margin rejects, a failed check's
+// degraded decision is Within at margin 1, and both decide as the
+// separate formulas each carried before did: veto iff
+// ext > base·(1+slack·margin), degraded accept iff ext ≤ base·(1+slack).
 func TestPrefilterVetoIsDegradedReject(t *testing.T) {
 	f := newSearchFixture(t)
 	rng := rand.New(rand.NewSource(7))
@@ -261,10 +274,8 @@ func TestPrefilterVetoIsDegradedReject(t *testing.T) {
 	var vetoes, accepts int
 	for _, slack := range []float64{0, 0.05, 0.10, 0.30} {
 		ext := NewExternalCostModel(f.db, f.w, f.initial, slack)
-		pre := &PrefilteredChecker{External: ext, Inner: f.checker(slack), Margin: 1}
-		open := &Breaker{Threshold: 1, Cooldown: time.Hour}
-		open.Failure(false)
-		degraded := &ResilientChecker{Inner: &scriptedChecker{accept: true}, External: ext, Breaker: open}
+		pre := &PrefilteredChecker{External: ext, Inner: f.checker(slack)}
+		degraded := &ResilientChecker{Inner: &scriptedChecker{steady: errors.New("optimizer down")}, External: ext}
 		base := ext.BaselineCost()
 		for i, cfg := range cands {
 			before := pre.PrefilterRejections()
@@ -276,15 +287,15 @@ func TestPrefilterVetoIsDegradedReject(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if vetoed == ok {
-				t.Errorf("slack %v, candidate %d: prefilter veto %v, degraded accept %v", slack, i, vetoed, ok)
+			if vetoed == ext.Within(cfg, prefilterMargin) || ok != ext.Within(cfg, 1) {
+				t.Errorf("slack %v, candidate %d: prefilter veto %v, degraded accept %v disagree with Within", slack, i, vetoed, ok)
 			}
 			c := ext.WorkloadCost(cfg)
 			if ok != (c <= base*(1+slack)) {
 				t.Errorf("slack %v, candidate %d: degraded accept %v, external %v against bound %v", slack, i, ok, c, base*(1+slack))
 			}
-			if ext.Within(cfg, 2) == (c > base*(1+slack*2.0)) {
-				t.Errorf("slack %v, candidate %d: Within at margin 2 disagrees with the default prefilter's bound", slack, i)
+			if vetoed != (c > base*(1+slack*prefilterMargin)) {
+				t.Errorf("slack %v, candidate %d: prefilter veto %v, external %v against bound %v", slack, i, vetoed, c, base*(1+slack*prefilterMargin))
 			}
 			if vetoed {
 				vetoes++

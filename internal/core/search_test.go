@@ -358,9 +358,6 @@ func TestNoCostChecker(t *testing.T) {
 	if ok {
 		t.Error("over-wide merge accepted at f=60%")
 	}
-	if check.Evaluations() == 0 {
-		t.Error("evaluations not counted")
-	}
 }
 
 func TestOptimizerCheckerCaching(t *testing.T) {
@@ -475,7 +472,7 @@ func TestCostMinimalReportsItsCostings(t *testing.T) {
 	budget := f.initial.Bytes(f.db) / 2
 	var calls int64
 	for run := 0; run < 2; run++ {
-		evals, before := coster.Evaluations(), coster.OptimizerCalls()
+		before := coster.OptimizerCalls()
 		res, err := CostMinimalContext(context.Background(), f.initial, &MergePairCost{Seek: f.seek}, coster, f.db, budget)
 		if err != nil {
 			t.Fatal(err)
@@ -483,9 +480,9 @@ func TestCostMinimalReportsItsCostings(t *testing.T) {
 		if res.ConfigsExplored == 0 {
 			t.Fatal("the dual explored no candidate; the test has no teeth")
 		}
-		if res.CostEvaluations != res.ConfigsExplored+1 || res.CostEvaluations != coster.Evaluations()-evals {
-			t.Errorf("run %d: cost evaluations %d, want %d (explored + the initial) = the coster's %d",
-				run, res.CostEvaluations, res.ConfigsExplored+1, coster.Evaluations()-evals)
+		if res.CostEvaluations != res.ConfigsExplored+1 {
+			t.Errorf("run %d: cost evaluations %d, want %d (explored + the initial)",
+				run, res.CostEvaluations, res.ConfigsExplored+1)
 		}
 		if got := coster.OptimizerCalls() - before; res.OptimizerCalls != got {
 			t.Errorf("run %d: optimizer calls %d, the coster issued %d", run, res.OptimizerCalls, got)

@@ -129,10 +129,6 @@ type Rule struct {
 	// Scale is the measurement multiplier for ModeScale (values <= 0
 	// are treated as 1, i.e. inert).
 	Scale float64
-	// Transient marks injected errors as retryable; the resilient
-	// costing path retries transient faults and treats the rest as
-	// permanent. Defaults to false (permanent).
-	Transient bool
 	// Msg customizes the injected error text.
 	Msg string
 }
@@ -140,11 +136,10 @@ type Rule struct {
 // Error is the typed error (and panic value) injected by ModeError and
 // ModePanic rules.
 type Error struct {
-	Point     Point
-	RuleID    string
-	Panicked  bool
-	Retryable bool
-	Msg       string
+	Point    Point
+	RuleID   string
+	Panicked bool
+	Msg      string
 }
 
 // Error implements error.
@@ -157,13 +152,8 @@ func (e *Error) Error() string {
 	if msg == "" {
 		msg = kind
 	}
-	return fmt.Sprintf("faults: %s at %s (rule %s, transient=%v)", msg, e.Point, e.RuleID, e.Retryable)
+	return fmt.Sprintf("faults: %s at %s (rule %s)", msg, e.Point, e.RuleID)
 }
-
-// Transient reports whether the fault models a retryable condition;
-// the resilient costing path consults it through an interface check,
-// so this package stays import-free of core.
-func (e *Error) Transient() bool { return e.Retryable }
 
 // ruleState is an installed rule plus its counters.
 type ruleState struct {
@@ -328,25 +318,23 @@ func apply(p Point, errCapable bool) error {
 		case ModeLatency:
 			time.Sleep(r.Latency)
 		case ModePanic:
-			panic(&Error{Point: p, RuleID: r.ID, Panicked: true, Retryable: r.Transient, Msg: r.Msg})
+			panic(&Error{Point: p, RuleID: r.ID, Panicked: true, Msg: r.Msg})
 		case ModeError:
-			injected = &Error{Point: p, RuleID: r.ID, Retryable: r.Transient, Msg: r.Msg}
+			injected = &Error{Point: p, RuleID: r.ID, Msg: r.Msg}
 		}
 	}
 	return injected
 }
 
 // ParseRules parses a rule-spec string: rules separated by ';', fields
-// within a rule by ','. Fields are key=value pairs (booleans may omit
-// =value):
+// within a rule by ','. Fields are key=value pairs:
 //
-//	point=optimizer.cost,mode=error,transient,after=3,count=2
+//	point=optimizer.cost,mode=error,after=3,count=2
 //	point=storage.heap.get,mode=latency,latency=5ms
 //	mode=panic,prob=0.01,seed=7
 //
 // Recognized keys: id, point, mode (error|latency|panic|scale), after,
-// count, prob, seed, latency (Go duration), scale (multiplier),
-// transient, msg.
+// count, prob, seed, latency (Go duration), scale (multiplier), msg.
 func ParseRules(spec string) ([]Rule, error) {
 	var out []Rule
 	for _, rs := range strings.Split(spec, ";") {
@@ -360,7 +348,7 @@ func ParseRules(spec string) ([]Rule, error) {
 			if f == "" {
 				continue
 			}
-			key, val, hasVal := strings.Cut(f, "=")
+			key, val, _ := strings.Cut(f, "=")
 			var err error
 			switch key {
 			case "id":
@@ -392,12 +380,6 @@ func ParseRules(spec string) ([]Rule, error) {
 				r.Latency, err = time.ParseDuration(val)
 			case "scale":
 				r.Scale, err = strconv.ParseFloat(val, 64)
-			case "transient":
-				if !hasVal {
-					r.Transient = true
-				} else {
-					r.Transient, err = strconv.ParseBool(val)
-				}
 			case "msg":
 				r.Msg = val
 			default:

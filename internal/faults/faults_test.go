@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -9,7 +10,7 @@ import (
 
 func TestCountWindow(t *testing.T) {
 	defer Reset()
-	rs := Install(Rule{Point: OptimizerCost, Mode: ModeError, After: 2, Count: 3, Transient: true})
+	rs := Install(Rule{Point: OptimizerCost, Mode: ModeError, After: 2, Count: 3})
 	id := rs[0].ID
 
 	var errsSeen int
@@ -17,11 +18,8 @@ func TestCountWindow(t *testing.T) {
 		if err := Inject(OptimizerCost); err != nil {
 			errsSeen++
 			var fe *Error
-			if !errors.As(err, &fe) {
-				t.Fatalf("injected error is not *Error: %v", err)
-			}
-			if !fe.Transient() {
-				t.Fatalf("expected transient fault")
+			if !errors.As(err, &fe) || fe.RuleID != id || fe.Point != OptimizerCost {
+				t.Fatalf("injected error is not this rule's *Error: %v", err)
 			}
 			if i < 2 || i > 4 {
 				t.Fatalf("fault fired on call %d, want window [2,5)", i)
@@ -107,7 +105,7 @@ func TestSeededProbDeterminism(t *testing.T) {
 
 func TestConcurrentInject(t *testing.T) {
 	defer Reset()
-	rs := Install(Rule{Point: OptimizerCost, Mode: ModeError, After: 50, Count: 25, Transient: true})
+	rs := Install(Rule{Point: OptimizerCost, Mode: ModeError, After: 50, Count: 25})
 	var wg sync.WaitGroup
 	var fired sync.Map
 	for g := 0; g < 8; g++ {
@@ -133,7 +131,7 @@ func TestConcurrentInject(t *testing.T) {
 }
 
 func TestParseRules(t *testing.T) {
-	rs, err := ParseRules("point=optimizer.cost,mode=error,transient,after=3,count=2 ; mode=latency,latency=5ms,prob=0.25,seed=7")
+	rs, err := ParseRules("point=optimizer.cost,mode=error,after=3,count=2 ; mode=latency,latency=5ms,prob=0.25,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +139,7 @@ func TestParseRules(t *testing.T) {
 		t.Fatalf("parsed %d rules, want 2", len(rs))
 	}
 	r := rs[0]
-	if r.Point != OptimizerCost || r.Mode != ModeError || !r.Transient || r.After != 3 || r.Count != 2 {
+	if r.Point != OptimizerCost || r.Mode != ModeError || r.After != 3 || r.Count != 2 {
 		t.Fatalf("rule 0 parsed wrong: %+v", r)
 	}
 	r = rs[1]
@@ -151,6 +149,21 @@ func TestParseRules(t *testing.T) {
 	for _, bad := range []string{"", "mode=nope", "after=x", "wat=1", "latency=zzz"} {
 		if _, err := ParseRules(bad); err == nil {
 			t.Errorf("ParseRules(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParseRulesRefusesTransient: every injected fault is permanent to
+// the costing path, which runs each costing once; a spec that asks for
+// a retryable fault is refused, not silently read as a permanent one.
+func TestParseRulesRefusesTransient(t *testing.T) {
+	for _, spec := range []string{
+		"point=optimizer.cost,mode=error,transient,after=40,count=2",
+		"point=optimizer.cost,mode=error,transient=true",
+		"point=optimizer.cost,mode=panic,transient=false",
+	} {
+		if _, err := ParseRules(spec); err == nil || !strings.Contains(err.Error(), `"transient"`) {
+			t.Errorf("ParseRules(%q) = %v, want the unknown field \"transient\" refused", spec, err)
 		}
 	}
 }

@@ -88,11 +88,10 @@ type MergeResultPayload struct {
 	ElapsedSeconds      float64            `json:"elapsed_seconds"`
 	// Degraded marks a best-effort result: at least one constraint
 	// decision (or the final cost) came from the external analytic
-	// model because the optimizer-backed costing path kept failing.
-	// All four fields are zero on a healthy run, so results from the
-	// resilient and plain paths are byte-identical when no fault fires.
+	// model because optimizer-backed costing failed. All three fields
+	// are zero on a healthy run, so results from the resilient and plain
+	// paths are byte-identical when no fault fires.
 	Degraded        bool  `json:"degraded,omitempty"`
-	Retries         int64 `json:"retries,omitempty"`
 	DegradedChecks  int64 `json:"degraded_checks,omitempty"`
 	PanicsRecovered int64 `json:"panics_recovered,omitempty"`
 	// Compression fields are set only by costmodel "compressed" runs
@@ -141,7 +140,6 @@ func NewMergeResultPayload(res *indexmerge.MergeResult) MergeResultPayload {
 	p.CostIncreasePct = 100 * res.CostIncrease()
 	p.Bound = res.Bound
 	p.Degraded = res.Degraded
-	p.Retries = res.Retries
 	p.DegradedChecks = res.DegradedChecks
 	p.PanicsRecovered = res.PanicsRecovered
 	p.Templates = res.Templates
@@ -388,9 +386,10 @@ type JobOptions struct {
 	// DualBudgetFrac, when > 0, solves the Cost-Minimal dual instead
 	// with a storage budget of this fraction of the initial bytes.
 	DualBudgetFrac float64 `json:"dual_budget_frac,omitempty"`
-	// Resilience tunes the fault-tolerant costing path. Jobs run with
-	// resilience ON by default (retries, per-session breaker, degraded
-	// fallback); set {"disable": true} to fail fast instead.
+	// Resilience selects what a failed costing means. Jobs run resilient
+	// by default: a constraint check that fails is decided by the
+	// external analytic model and the result is flagged degraded. Set
+	// {"disable": true} to fail the job with the costing error instead.
 	Resilience *ResilienceSpec `json:"resilience,omitempty"`
 	// TimeoutMS bounds the job's total queued+running lifetime; expiry
 	// terminates it with state "deadline_exceeded" and frees its quota
@@ -398,16 +397,11 @@ type JobOptions struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// ResilienceSpec is the wire form of indexmerge.ResilienceOptions.
-// Zero fields select the documented defaults.
+// ResilienceSpec is the wire form of indexmerge.ResilienceOptions: a
+// job runs with it unless Disable is set. Every costing runs once;
+// nothing is retried.
 type ResilienceSpec struct {
-	Disable          bool `json:"disable,omitempty"`
-	MaxRetries       int  `json:"max_retries,omitempty"`
-	BackoffMS        int  `json:"backoff_ms,omitempty"`
-	AttemptTimeoutMS int  `json:"attempt_timeout_ms,omitempty"`
-	// NoDegraded disables the external-model fallback: persistent
-	// costing failures then fail the job instead of degrading it.
-	NoDegraded bool `json:"no_degraded,omitempty"`
+	Disable bool `json:"disable,omitempty"`
 }
 
 // SubmitJobRequest submits an asynchronous job against a session.

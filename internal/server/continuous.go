@@ -360,7 +360,7 @@ func (s *Server) buildRetuneRun(sess *Session) jobRun {
 		opts := indexmerge.MergeOptions{
 			CostConstraint: c.spec.Constraint,
 			CostModel:      indexmerge.CompressedOptimizerCost,
-			Resilience:     &indexmerge.ResilienceOptions{Breaker: sess.breaker},
+			Resilience:     &indexmerge.ResilienceOptions{},
 			Progress:       s.jobs.progressOf(j),
 		}
 		defs, err := m.InitialConfiguration(ctx, 0, 0, opts)

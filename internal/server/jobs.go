@@ -488,7 +488,6 @@ func (m *Manager) end(j *Job, from, state JobState, errMsg string, result *JobRe
 	m.metrics.observeJobEnd(state, elapsed, st.Progress.OptimizerCalls, st.Progress.CostEvaluations)
 	if result != nil && result.Merge != nil {
 		mp := result.Merge
-		m.metrics.costingRetries.Add(mp.Retries)
 		m.metrics.costingDegraded.Add(mp.DegradedChecks)
 		m.metrics.costingPanics.Add(mp.PanicsRecovered)
 		if mp.Degraded {

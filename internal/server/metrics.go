@@ -87,7 +87,6 @@ type Metrics struct {
 	contRetuneSkips  atomic.Int64
 
 	// Robustness counters (fault-injection, degraded mode, recovery).
-	costingRetries       atomic.Int64 // transient costing failures retried
 	costingDegraded      atomic.Int64 // constraint decisions served by the external model
 	costingPanics        atomic.Int64 // costing panics converted to typed errors
 	degradedJobs         atomic.Int64 // jobs whose result carries Degraded
@@ -167,9 +166,6 @@ type SessionGauges struct {
 	CostTableEntries int
 	CostTableHits    int64
 	CostTableMisses  int64
-	// Breaker snapshots the session's costing circuit breaker.
-	BreakerState       string
-	BreakerTransitions int64
 	// Continuous-loop gauges (zero for request/response sessions;
 	// Continuous gates the per-session series).
 	Continuous       bool
@@ -255,8 +251,6 @@ func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, og 
 	fmt.Fprintln(w, "# TYPE idxmerged_job_allocs_total counter")
 	fmt.Fprintf(w, "idxmerged_job_allocs_total %d\n", m.jobAllocs.Load())
 
-	fmt.Fprintln(w, "# TYPE idxmerged_costing_retries_total counter")
-	fmt.Fprintf(w, "idxmerged_costing_retries_total %d\n", m.costingRetries.Load())
 	fmt.Fprintln(w, "# TYPE idxmerged_costing_degraded_total counter")
 	fmt.Fprintf(w, "idxmerged_costing_degraded_total %d\n", m.costingDegraded.Load())
 	fmt.Fprintln(w, "# TYPE idxmerged_costing_panics_recovered_total counter")
@@ -280,8 +274,6 @@ func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, og 
 	fmt.Fprintln(w, "# TYPE idxmerged_costtable_entries gauge")
 	fmt.Fprintln(w, "# TYPE idxmerged_costtable_hits_total counter")
 	fmt.Fprintln(w, "# TYPE idxmerged_costtable_misses_total counter")
-	fmt.Fprintln(w, "# TYPE idxmerged_breaker_state gauge")
-	fmt.Fprintln(w, "# TYPE idxmerged_breaker_transitions_total counter")
 	fmt.Fprintln(w, "# TYPE idxmerged_window_templates gauge")
 	fmt.Fprintln(w, "# TYPE idxmerged_window_members gauge")
 	fmt.Fprintln(w, "# TYPE idxmerged_window_weight gauge")
@@ -295,8 +287,6 @@ func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, og 
 		fmt.Fprintf(w, "idxmerged_costtable_entries{session=%q} %d\n", s.Name, s.CostTableEntries)
 		fmt.Fprintf(w, "idxmerged_costtable_hits_total{session=%q} %d\n", s.Name, s.CostTableHits)
 		fmt.Fprintf(w, "idxmerged_costtable_misses_total{session=%q} %d\n", s.Name, s.CostTableMisses)
-		fmt.Fprintf(w, "idxmerged_breaker_state{session=%q,state=%q} 1\n", s.Name, s.BreakerState)
-		fmt.Fprintf(w, "idxmerged_breaker_transitions_total{session=%q} %d\n", s.Name, s.BreakerTransitions)
 		if s.Continuous {
 			fmt.Fprintf(w, "idxmerged_window_templates{session=%q} %d\n", s.Name, s.WindowTemplates)
 			fmt.Fprintf(w, "idxmerged_window_members{session=%q} %d\n", s.Name, s.WindowMembers)

@@ -928,7 +928,7 @@ func TestWorkerPanicFailsJobNotProcess(t *testing.T) {
 	// candidate's cost-table misses concurrently (the first candidate
 	// has two). Every check of the first wave fails, so the search
 	// cannot step past the panic on a speculative one. With resilience
-	// disabled nothing retries it: it must arrive as the job's error. The
+	// disabled nothing degrades it: it must arrive as the job's error. The
 	// job runs on a fresh registration: the jobs above left their cells in
 	// "s"'s table, and a compressed job prices from them.
 	h.newSession(t, "f")
@@ -1025,35 +1025,59 @@ func TestJobFaultInjectionDegraded(t *testing.T) {
 	}
 }
 
-// TestJobFaultInjectionTransient: transient faults inside a job are
-// absorbed silently — job succeeds, not degraded, retries surfaced in
-// metrics.
+// TestJobFaultInjectionTransient: a transient outage — a permanent
+// optimizer.cost fault that is later cleared — degrades the job it lands
+// in and nothing after it. Once the fault is gone, a job on the same
+// session is exact and byte-identical to the same job on a fresh
+// session: a session keeps no failure history to serve it degraded from.
 func TestJobFaultInjectionTransient(t *testing.T) {
 	h := newTestServer(t, Config{})
+	h.newSession(t, "count")
 	h.newSession(t, "s")
-	installed := faults.Install(faults.Rule{
-		ID: "jt", Point: faults.OptimizerCost, Mode: faults.ModeError, Transient: true, After: 8, Count: 2,
-	})
-	defer faults.Reset()
+	// A second registration of the workload on the faulted session: the
+	// job after the outage starts from cold cells, as one on a fresh
+	// session does.
+	h.mustCall(t, "POST", "/v1/sessions/s/workloads",
+		RegisterWorkloadRequest{Name: "w2", SQL: fixtureSQL}, nil, http.StatusCreated)
+	result := func(session, workload string) (JobStatus, *MergeResultPayload) {
+		t.Helper()
+		var resp SubmitJobResponse
+		h.mustCall(t, "POST", "/v1/sessions/"+session+"/jobs", SubmitJobRequest{
+			Workload: workload,
+			Initial:  &InitialSpec{Indexes: fixtureIndexes},
+			Options:  JobOptions{Constraint: 0.3},
+		}, &resp, http.StatusAccepted)
+		st := h.waitTerminal(t, resp.ID)
+		if st.State != string(JobDone) {
+			t.Fatalf("job on %s/%s = %s (%s)", session, workload, st.State, st.Error)
+		}
+		var res JobResult
+		h.mustCall(t, "GET", "/v1/jobs/"+resp.ID+"/result", nil, &res, http.StatusOK)
+		res.Merge.ElapsedSeconds = 0
+		return st, res.Merge
+	}
 
-	id := h.submitJob(t, "s")
-	st := h.waitTerminal(t, id)
-	if st.State != string(JobDone) {
-		t.Fatalf("job under transient faults = %s (%s)", st.State, st.Error)
+	counter := faults.Install(faults.Rule{ID: "jcount", Point: faults.OptimizerCost, Mode: faults.ModeLatency})
+	result("count", "w")
+	total := faults.Fired(counter[0].ID)
+	faults.Reset()
+	outage := faults.Install(faults.Rule{ID: "jt", Point: faults.OptimizerCost, Mode: faults.ModeError, After: total / 2})
+	defer faults.Reset()
+	if st, _ := result("s", "w"); !st.Degraded || faults.Fired(outage[0].ID) == 0 {
+		t.Fatalf("job under the outage: degraded %v after %d faults, want degraded", st.Degraded, faults.Fired(outage[0].ID))
 	}
-	if st.Degraded {
-		t.Error("transient faults must not degrade the job")
+	faults.Reset()
+
+	st, after := result("s", "w2")
+	if st.Degraded || after.Degraded || after.DegradedChecks != 0 {
+		t.Errorf("fault-free job after the outage: degraded %v with %d degraded checks, want exact", st.Degraded, after.DegradedChecks)
 	}
-	if faults.Fired(installed[0].ID) == 0 {
-		t.Fatal("fault never fired")
-	}
-	if !strings.Contains(h.metricsText(t), "idxmerged_costing_retries_total") {
-		t.Error("retries metric missing")
-	}
-	var res JobResult
-	h.mustCall(t, "GET", "/v1/jobs/"+id+"/result", nil, &res, http.StatusOK)
-	if res.Merge == nil || res.Merge.Retries == 0 {
-		t.Error("result payload did not surface the absorbed retries")
+	h.newSession(t, "fresh")
+	_, fresh := result("fresh", "w")
+	a, _ := json.Marshal(after)
+	b, _ := json.Marshal(fresh)
+	if string(a) != string(b) {
+		t.Errorf("job after the outage differs from the same job on a fresh session:\nafter %s\nfresh %s", a, b)
 	}
 }
 

@@ -826,19 +826,12 @@ func BuildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 		return opts, fmt.Errorf("dual_budget_frac %v out of range [0, 1)", o.DualBudgetFrac)
 	}
 	// Jobs run resilient by default ({"resilience": {"disable": true}}
-	// opts out): transient costing faults are retried, and a persistent
-	// optimizer outage degrades to the analytic model rather than
-	// failing the job. Fault-free searches are unaffected — decisions
-	// and results are bit-identical to the non-resilient path.
+	// opts out): a failed costing degrades its decision to the analytic
+	// model rather than failing the job. Fault-free searches are
+	// unaffected — decisions and results are bit-identical to the
+	// non-resilient path.
 	if o.Resilience == nil || !o.Resilience.Disable {
-		ro := &indexmerge.ResilienceOptions{}
-		if r := o.Resilience; r != nil {
-			ro.MaxRetries = r.MaxRetries
-			ro.Backoff = time.Duration(r.BackoffMS) * time.Millisecond
-			ro.AttemptTimeout = time.Duration(r.AttemptTimeoutMS) * time.Millisecond
-			ro.NoDegraded = r.NoDegraded
-		}
-		opts.Resilience = ro
+		opts.Resilience = &indexmerge.ResilienceOptions{}
 	}
 	return opts, nil
 }
@@ -887,12 +880,6 @@ func (s *Server) buildJobRun(kind string, sess *Session, rw *registeredWorkload,
 		}
 
 		opts.Progress = s.jobs.progressOf(j)
-		if opts.Resilience != nil {
-			// One breaker per session: repeated costing failures in any
-			// job open it for the whole session until the cooldown probe
-			// succeeds.
-			opts.Resilience.Breaker = sess.breaker
-		}
 		res, err := m.MergeDefsContext(ctx, defs, opts)
 		if err != nil {
 			return nil, err

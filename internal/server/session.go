@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"indexmerge"
-	"indexmerge/internal/core"
 	"indexmerge/internal/datagen"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/optimizer"
@@ -60,11 +59,6 @@ type Session struct {
 	db        *engine.Database
 	createdAt time.Time
 	deleted   atomic.Bool
-
-	// breaker is the session's costing circuit breaker, shared by every
-	// job on the session so consecutive failures in one job protect the
-	// next (and a recovered optimizer recloses it for all).
-	breaker *core.Breaker
 
 	// lock serializes search jobs on this session. Cap 1: holding a
 	// token in the channel means a job is running.
@@ -240,11 +234,7 @@ func (s *Session) accountedBytes() int64 {
 // gauges snapshots the session's cost-table counters for the metrics
 // scrape.
 func (s *Session) gauges() SessionGauges {
-	g := SessionGauges{
-		Name:               s.name,
-		BreakerState:       s.breaker.State().String(),
-		BreakerTransitions: s.breaker.Transitions(),
-	}
+	g := SessionGauges{Name: s.name}
 	s.mu.Lock()
 	for _, rw := range s.workloads {
 		g.Templates += len(rw.compressed.C.Templates)
@@ -522,7 +512,6 @@ func (r *Registry) Create(req CreateSessionRequest) (*Session, error) {
 		dbName:    req.DB,
 		db:        snap.DB(),
 		tableMax:  r.tableMax,
-		breaker:   &core.Breaker{},
 		createdAt: time.Now(),
 		snapKey:   snapKey,
 		lock:      make(chan struct{}, 1),
