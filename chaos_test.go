@@ -308,6 +308,22 @@ func TestChaosCanceledMergeMakesNoOptimizerCall(t *testing.T) {
 	}
 }
 
+// TestChaosCanceledDualMakesNoOptimizerCall: a done ctx stops the dual
+// before its Seek-Costs, which do not observe ctx themselves.
+func TestChaosCanceledDualMakesNoOptimizerCall(t *testing.T) {
+	db, _, m, defs := mergerFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := m.opt.InvocationCount()
+	res, err := m.MergeDualContext(ctx, defs, db.ConfigurationBytes(defs)/2)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("pre-canceled dual: (%v, %v), want context.Canceled and no result", res, err)
+	}
+	if n := m.opt.InvocationCount() - before; n != 0 {
+		t.Errorf("a pre-canceled dual made %d optimizer calls, want 0", n)
+	}
+}
+
 func TestChaosParallelSearchUnderFaults(t *testing.T) {
 	// Parallel candidate costing with a permanent error window and one
 	// panic mixed in, under every optimizer-backed cost model: the run

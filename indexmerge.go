@@ -624,6 +624,9 @@ func (m *Merger) MergeDualContext(ctx context.Context, initialDefs []IndexDef, s
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil { // the Seek-Costs do not observe ctx
+		return nil, err
+	}
 	seek, err := core.ComputeSeekCostsPrepared(m.opt, cw.PW, initial)
 	if err != nil {
 		return nil, err

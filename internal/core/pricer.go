@@ -91,8 +91,9 @@ type Pricer struct {
 	reps  *optimizer.PreparedWorkload // the units' first members, of whom relevance is asked
 	all   optimizer.QuerySet          // every unit
 
-	imu sync.RWMutex
-	ixs map[string]*pricedIndex // by definition key
+	imu     sync.RWMutex
+	ixs     map[string]*pricedIndex // by definition key
+	ixBytes atomic.Int64            // ixs's accounted size (see pricedIndexBytes)
 
 	mu     sync.RWMutex
 	bounds [][]boundEntry // per unit, ring-capped
@@ -140,6 +141,12 @@ func (p *Pricer) WorkloadCostContext(ctx context.Context, cfg *Configuration) (f
 // store, by every checker over the engine.
 func (p *Pricer) OptimizerCalls() int64 { return p.optCalls.Load() }
 
+// IndexBytes reports the accounted size of the indexes the engine has
+// met (see pricedIndexBytes). Like the text the store interns for
+// them, they are kept for the engine's life, and grow with every
+// distinct definition a caller names.
+func (p *Pricer) IndexBytes() int64 { return p.ixBytes.Load() }
+
 // pricedIndex is an index definition as the engine prices it, made the
 // first time a check meets the definition: the definition and its key,
 // its ID in the store, the units it is relevant to, and its resolution
@@ -152,6 +159,14 @@ type pricedIndex struct {
 	rel optimizer.QuerySet
 	rx  *optimizer.ResolvedIndex
 }
+
+// pricedIndexBytes approximates the fixed part of a pricedIndex for
+// memory accounting: the entry, its map slot, the definition's and the
+// resolution's headers. An entry accounts it, the key and the
+// definition's text (about the key's length again) and the relevance
+// set's words: like costcache.Bytes, a stable, cheap basis, not a
+// heap-exact figure.
+const pricedIndexBytes = 192
 
 // index returns ix as the engine prices it.
 func (p *Pricer) index(ix *Index) *pricedIndex {
@@ -174,6 +189,7 @@ func (p *Pricer) index(ix *Index) *pricedIndex {
 		return prev
 	}
 	p.ixs[ix.Key()] = e
+	p.ixBytes.Add(pricedIndexBytes + 2*int64(len(e.key)) + 8*int64(len(e.rel)))
 	return e
 }
 

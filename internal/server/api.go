@@ -343,13 +343,14 @@ type WorkloadInfo struct {
 }
 
 // CostRequest asks for the synchronous optimizer-estimated workload
-// cost Cost(W, C) of an arbitrary index configuration.
+// cost Cost(W, C) of an index configuration, listed in any order.
 type CostRequest struct {
 	Workload string            `json:"workload"`
 	Indexes  []IndexDefPayload `json:"indexes"`
 }
 
-// CostResponse carries Cost(W, C).
+// CostResponse carries Cost(W, C): the template-order sum of cost-table
+// cells a job's search prices, the same whatever the indexes' order.
 type CostResponse struct {
 	Cost float64 `json:"cost"`
 }

@@ -15,10 +15,11 @@ import (
 
 	"indexmerge"
 	"indexmerge/internal/catalog"
-	"indexmerge/internal/optimizer"
+	"indexmerge/internal/core"
 	"indexmerge/internal/server/quota"
 	"indexmerge/internal/sql"
 	"indexmerge/internal/workload"
+	"indexmerge/internal/wscale"
 )
 
 // Config tunes a Server.
@@ -588,10 +589,11 @@ func resolveDefs(sess *Session, payloads []IndexDefPayload) ([]catalog.IndexDef,
 	return defs, nil
 }
 
-// handleCost answers a synchronous what-if costing request: the
-// optimizer-estimated Cost(W, C) for an arbitrary configuration. It
-// runs concurrently with jobs — the costing read path is safe to
-// share and the request does not take the session's job slot.
+// handleCost answers a synchronous what-if costing request, Cost(W, C)
+// for any configuration, through the registration's engine: a cell a
+// job or an earlier request filled is a lookup. It runs beside jobs
+// without taking the session's job slot; an abandoned request (client
+// disconnect) stops before its next optimizer call.
 func (s *Server) handleCost(w http.ResponseWriter, r *http.Request, sess *Session) {
 	var req CostRequest
 	if !decodeJSON(w, r, &req) {
@@ -607,18 +609,14 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request, sess *Sessio
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Cost through the descriptors prepared at registration: no AST
-	// re-walk or histogram probing per request, identical totals. The
-	// loop checks for cancellation between queries, so an abandoned
-	// request (client disconnect) stops burning optimizer calls
-	// mid-workload.
 	ctx := r.Context()
-	pw := rw.compressed.PW
-	total, costed, err := optimizer.New(sess.db).WorkloadCostPreparedContext(ctx, pw, optimizer.Configuration(defs))
+	check := wscale.NewChecker(rw.compressed, 0, 0)
+	total, err := check.WorkloadCostContext(ctx, core.NewConfiguration(defs))
+	s.metrics.optimizerCalls.Add(check.OptimizerCalls())
 	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 		s.metrics.requestsAbandoned.Add(1)
 		s.log.Info("cost request abandoned by client", "session", sess.name,
-			"workload", req.Workload, "costed", costed, "of", len(pw.W.Queries))
+			"workload", req.Workload, "costed", check.OptimizerCalls(), "of", len(rw.compressed.PW.Queries))
 		writeErr(w, statusClientClosedRequest, "client closed request")
 		return
 	}
@@ -626,7 +624,6 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request, sess *Sessio
 		writeErr(w, http.StatusInternalServerError, "cost: %v", err)
 		return
 	}
-	s.metrics.optimizerCalls.Add(int64(len(pw.W.Queries)))
 	writeJSON(w, http.StatusOK, CostResponse{Cost: total})
 }
 

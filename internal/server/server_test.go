@@ -55,7 +55,7 @@ var (
 
 // fixtureDB builds a small analyzed database once, snapshots it, and
 // returns the file: spec sessions are created from.
-func fixtureDB(t *testing.T) string {
+func fixtureDB(t testing.TB) string {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		db := engine.NewDatabase()
@@ -146,7 +146,7 @@ type testServer struct {
 	ts  *httptest.Server
 }
 
-func newTestServer(t *testing.T, cfg Config) *testServer {
+func newTestServer(t testing.TB, cfg Config) *testServer {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -169,7 +169,7 @@ func newTestServer(t *testing.T, cfg Config) *testServer {
 
 // call issues a JSON request and decodes the response into out (when
 // non-nil), returning the HTTP status.
-func (h *testServer) call(t *testing.T, method, path string, body, out any) int {
+func (h *testServer) call(t testing.TB, method, path string, body, out any) int {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -205,7 +205,7 @@ func (h *testServer) call(t *testing.T, method, path string, body, out any) int 
 }
 
 // mustCall is call with a required status.
-func (h *testServer) mustCall(t *testing.T, method, path string, body, out any, want int) {
+func (h *testServer) mustCall(t testing.TB, method, path string, body, out any, want int) {
 	t.Helper()
 	if got := h.call(t, method, path, body, out); got != want {
 		t.Fatalf("%s %s: status %d, want %d", method, path, got, want)
@@ -214,7 +214,7 @@ func (h *testServer) mustCall(t *testing.T, method, path string, body, out any, 
 
 // newSession creates a fixture-backed session with a registered
 // workload named "w".
-func (h *testServer) newSession(t *testing.T, name string) {
+func (h *testServer) newSession(t testing.TB, name string) {
 	t.Helper()
 	h.mustCall(t, "POST", "/v1/sessions",
 		CreateSessionRequest{Name: name, DB: fixtureDB(t)}, nil, http.StatusCreated)

@@ -214,15 +214,15 @@ func (s *Session) Info() SessionInfo {
 }
 
 // accountedBytes is the session's byte-accounted memory footprint:
-// each registered workload's cost table and — for continuous sessions —
-// the windowed cost table plus the workload window itself. This is the
-// figure tenant memory budgets and the global brownout pressure are
-// computed over.
+// each registered workload's cost table and the indexes its engine met
+// and — for continuous sessions — the windowed cost table plus the
+// workload window itself: what tenant memory budgets and the global
+// brownout pressure are computed over.
 func (s *Session) accountedBytes() int64 {
 	var total int64
 	s.mu.Lock()
 	for _, rw := range s.workloads {
-		total += rw.compressed.TableBytes()
+		total += rw.compressed.TableBytes() + rw.compressed.IndexBytes()
 	}
 	s.mu.Unlock()
 	if s.cont != nil {
