@@ -11,6 +11,7 @@ package indexmerge
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -440,4 +441,76 @@ func BenchmarkWorkloadCompression(b *testing.B) {
 	b.ReportMetric(smallCalls, "opt-calls-topk")
 	b.ReportMetric(fullRed, "saved-full-%")
 	b.ReportMetric(smallRed, "saved-topk-%")
+}
+
+// BenchmarkMergerWorkloadCost times Merger.WorkloadCost the way a cost
+// request makes it: a Synthetic2 log of 1,000 statements over 25
+// disjunction-bearing shapes, priced under 10-index subsets of a
+// 30-index tuned configuration. cold prices each subset on a merger
+// whose form's cost table is empty; warm on one that priced every
+// subset before, and fails if a warm call makes an optimizer call.
+// optcalls/op is exact.
+func BenchmarkMergerWorkloadCost(b *testing.B) {
+	lab, err := experiments.NewSynthetic2Lab(experiments.LabOptions{Scale: 0.25, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := workload.Generate(lab.DB, workload.Options{Class: workload.Complex, Disjunctions: true, Queries: 25, Duplication: 975, Seed: 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defs, err := lab.InitialConfiguration(w, 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	subsets := make([][]IndexDef, 8)
+	for i := range subsets {
+		for _, j := range rng.Perm(len(defs))[:10] {
+			subsets[i] = append(subsets[i], defs[j])
+		}
+	}
+	merger := func() *Merger {
+		m, err := NewMerger(lab.DB, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.CompressedWorkload(); err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	for _, warm := range []bool{false, true} {
+		name := "cold"
+		if warm {
+			name = "warm"
+		}
+		b.Run(name, func(b *testing.B) {
+			m := merger()
+			for _, s := range subsets {
+				if _, err := m.WorkloadCost(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var calls int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !warm {
+					b.StopTimer()
+					m = merger()
+					b.StartTimer()
+				}
+				before := m.Optimizer().InvocationCount()
+				if _, err := m.WorkloadCost(subsets[i%len(subsets)]); err != nil {
+					b.Fatal(err)
+				}
+				calls += m.Optimizer().InvocationCount() - before
+			}
+			if warm && calls != 0 {
+				b.Fatalf("%d warm calls made %d optimizer calls, want 0", b.N, calls)
+			}
+			b.ReportMetric(float64(calls)/float64(b.N), "optcalls/op")
+		})
+	}
 }

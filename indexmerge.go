@@ -697,17 +697,24 @@ func (m *Merger) InitialConfiguration(ctx context.Context, n int, seed int64, op
 }
 
 // WorkloadCost returns Cost(W, C) for an arbitrary configuration,
-// through the prepared fast path (totals are bit-identical to the
-// unprepared computation).
+// priced through the engine of the merger's compressed form, as the
+// searches price it: a cell an earlier run or call filled is one
+// lookup, and a merger that never ran an optimizer-backed merge builds
+// the form on its first call. The answer is the template-order sum of
+// the cells. On a workload without repeated templates it is
+// WorkloadCostPrepared's to the bit; on a duplicated log it may differ
+// from that workload-order sum in the last ulps. Like every optimizer
+// cost, it depends on the set of indexes, not on the order defs lists
+// them in.
 func (m *Merger) WorkloadCost(defs []IndexDef) (float64, error) {
 	if err := m.checkDefs(defs); err != nil {
 		return 0, err
 	}
-	pw, err := m.PreparedWorkload()
+	cw, err := m.CompressedWorkload()
 	if err != nil {
 		return 0, err
 	}
-	return m.opt.WorkloadCostPrepared(pw, optimizer.Configuration(defs))
+	return wscale.NewChecker(cw, 0, 0).WorkloadCostContext(context.Background(), core.NewConfiguration(defs))
 }
 
 // checkDefs refuses a definition the database's schema does not have —

@@ -4,6 +4,7 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -230,6 +231,96 @@ func AutoIndexName(table string, columns []string) string {
 // Two IndexDefs with equal Key are the same index regardless of Name.
 func (d IndexDef) Key() string {
 	return d.Table + "(" + strings.Join(d.Columns, ",") + ")"
+}
+
+// CompareKeys is strings.Compare(a.Key(), b.Key()) without building
+// either key: key order, by which the optimizer chooses between indexes
+// of equal merit.
+func CompareKeys(a, b *IndexDef) int {
+	// The common cases: the first names that differ, where neither is a
+	// prefix of the other, decide; or one non-empty column list is a
+	// prefix of the other, and ")" sorts before ",".
+	if a.Table != b.Table {
+		if c, ok := compareApart(a.Table, b.Table); ok {
+			return c
+		}
+	} else {
+		for k := 0; ; k++ {
+			if k == len(a.Columns) || k == len(b.Columns) {
+				if k == 0 {
+					break
+				}
+				return cmp.Compare(len(a.Columns), len(b.Columns))
+			}
+			if a.Columns[k] != b.Columns[k] {
+				if c, ok := compareApart(a.Columns[k], b.Columns[k]); ok {
+					return c
+				}
+				break
+			}
+		}
+	}
+	x, y := keyReader{d: a}, keyReader{d: b}
+	for {
+		okx, oky := x.fill(), y.fill()
+		if !okx || !oky {
+			switch {
+			case okx:
+				return 1
+			case oky:
+				return -1
+			}
+			return 0
+		}
+		n := min(len(x.s), len(y.s))
+		if c := strings.Compare(x.s[:n], y.s[:n]); c != 0 {
+			return c
+		}
+		x.s, y.s = x.s[n:], y.s[n:]
+	}
+}
+
+// compareApart is strings.Compare(x, y) when neither is a prefix of the
+// other; ok is false when one is.
+func compareApart(x, y string) (c int, ok bool) {
+	n := min(len(x), len(y))
+	if c = strings.Compare(x[:n], y[:n]); c != 0 {
+		return c, true
+	}
+	return 0, false
+}
+
+// keyReader reads an index's key part by part: the table, "(", then
+// each column after its separator ("" before the first, "," after), then
+// ")". s is what is left of the part read last.
+type keyReader struct {
+	d    *IndexDef
+	part int
+	s    string
+}
+
+// fill makes s the non-empty rest of the key's current part, moving on
+// as parts run out; false once the key is read to its end.
+func (r *keyReader) fill() bool {
+	for len(r.s) == 0 {
+		n := len(r.d.Columns)
+		switch j := r.part - 2; {
+		case r.part == 0:
+			r.s = r.d.Table
+		case r.part == 1:
+			r.s = "("
+		case j < 2*n && j%2 == 1:
+			r.s = r.d.Columns[j/2]
+		case j < 2*n && j > 0:
+			r.s = ","
+		case j == 2*n:
+			r.s = ")"
+		case j > 2*n:
+			return false
+		}
+		r.part++
+	}
+	return true
 }
 
 // String implements fmt.Stringer.

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -204,4 +205,35 @@ func TestMustNewTablePanics(t *testing.T) {
 		}
 	}()
 	MustNewTable("", nil)
+}
+
+// TestCompareKeysMatchesKey: CompareKeys orders definitions as their
+// Key strings do, over names that are prefixes of one another and that
+// hold the key's own punctuation and bytes below and above it.
+func TestCompareKeysMatchesKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	name := func() string {
+		const alphabet = "ab(),' ~\x00"
+		b := make([]byte, rng.Intn(4))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	def := func() IndexDef {
+		d := IndexDef{Name: name(), Table: name()}
+		for i := rng.Intn(4); i > 0; i-- {
+			d.Columns = append(d.Columns, name())
+		}
+		return d
+	}
+	for i := 0; i < 200000; i++ {
+		a, b := def(), def()
+		if i%3 == 0 {
+			b.Table = a.Table
+		}
+		if got, want := CompareKeys(&a, &b), strings.Compare(a.Key(), b.Key()); got != want {
+			t.Fatalf("CompareKeys(%q, %q) = %d, Key order %d", a.Key(), b.Key(), got, want)
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"math/bits"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -148,13 +147,12 @@ func (p *Pricer) OptimizerCalls() int64 { return p.optCalls.Load() }
 func (p *Pricer) IndexBytes() int64 { return p.ixBytes.Load() }
 
 // pricedIndex is an index definition as the engine prices it, made the
-// first time a check meets the definition: the definition and its key,
-// its ID in the store, the units it is relevant to, and its resolution
+// first time a check meets the definition: the definition, its ID in
+// the store, the units it is relevant to, and its resolution
 // for the optimizer. A search therefore turns names into numbers once
 // per index it meets, not once per cell.
 type pricedIndex struct {
 	def catalog.IndexDef
-	key string
 	id  uint32
 	rel optimizer.QuerySet
 	rx  *optimizer.ResolvedIndex
@@ -178,7 +176,6 @@ func (p *Pricer) index(ix *Index) *pricedIndex {
 	}
 	e = &pricedIndex{
 		def: ix.Def,
-		key: ix.Key(),
 		id:  p.store.Intern(ix.Key()),
 		rel: p.reps.RelevantQueries(ix.Def.Table, ix.Def.Columns),
 		rx:  p.pw.Resolve(ix.Def),
@@ -189,7 +186,7 @@ func (p *Pricer) index(ix *Index) *pricedIndex {
 		return prev
 	}
 	p.ixs[ix.Key()] = e
-	p.ixBytes.Add(pricedIndexBytes + 2*int64(len(e.key)) + 8*int64(len(e.rel)))
+	p.ixBytes.Add(pricedIndexBytes + 2*int64(len(ix.Key())) + 8*int64(len(e.rel)))
 	return e
 }
 
@@ -308,43 +305,22 @@ func (c *OptimizerChecker) price(ctx context.Context, sc *priceScratch, cfg *Con
 }
 
 // missDefs leaves in sc.defs, and aligned in sc.rxs, each miss's
-// relevant definitions back to back, miss i's at [ends[i-1]:ends[i]]:
-// in sorted-key order, whatever their IDs, which is the order the
-// optimizer takes a configuration in. The configuration is put in key
-// order once; a miss then sorts the key ranks of its relevant indexes,
-// a few integers.
+// relevant definitions back to back, miss i's at [ends[i-1]:ends[i]],
+// in ID order: the optimizer prices a set, whatever order it lists.
 func (sc *priceScratch) missDefs() {
-	n := len(sc.pis)
-	if cap(sc.byKey) < n {
-		sc.byKey, sc.rank, sc.sel = make([]int, 0, cap(sc.pis)), make([]int, cap(sc.pis)), make([]int, 0, cap(sc.pis))
+	if cap(sc.defs) < len(sc.pis) {
 		sc.defs = make([]catalog.IndexDef, 0, 4*cap(sc.pis))
 		sc.rxs = make([]*optimizer.ResolvedIndex, 0, 4*cap(sc.pis))
 	}
-	byKey := sc.byKey[:0]
-	for i := range n {
-		byKey = append(byKey, i)
-	}
-	slices.SortFunc(byKey, func(a, b int) int { return strings.Compare(sc.pis[a].key, sc.pis[b].key) })
-	rank := sc.rank[:n]
-	for k, i := range byKey {
-		rank[i] = k
-	}
-	sc.byKey = byKey
 	sc.defs, sc.rxs, sc.ends = sc.defs[:0], sc.rxs[:0], sc.ends[:0]
 	for _, ui := range sc.miss {
-		sel := sc.sel[:0]
 		for w, word := range sc.relevantTo(ui) {
 			for ; word != 0; word &= word - 1 {
-				sel = append(sel, rank[w<<6+bits.TrailingZeros64(word)])
+				pi := sc.pis[w<<6+bits.TrailingZeros64(word)]
+				sc.defs = append(sc.defs, pi.def)
+				sc.rxs = append(sc.rxs, pi.rx)
 			}
 		}
-		slices.Sort(sel)
-		for _, k := range sel {
-			pi := sc.pis[byKey[k]]
-			sc.defs = append(sc.defs, pi.def)
-			sc.rxs = append(sc.rxs, pi.rx)
-		}
-		sc.sel = sel
 		sc.ends = append(sc.ends, len(sc.defs))
 	}
 }
@@ -490,8 +466,7 @@ func isSubset(sub, super []uint32) bool {
 // configuration's indexes as the engine prices them in ID order, which
 // of them each affected unit has relevant (nw words a unit), the
 // affected set, and the missed units with their keys, relevant
-// definitions and resolutions (byKey is pis's positions in key order,
-// rank its inverse, sel one miss's ranks).
+// definitions and resolutions.
 type priceScratch struct {
 	cells    []float64
 	pis      []*pricedIndex
@@ -501,9 +476,6 @@ type priceScratch struct {
 	miss     []int
 	keys     []uint32
 	keyEnds  []int
-	byKey    []int
-	rank     []int
-	sel      []int
 	defs     []catalog.IndexDef
 	rxs      []*optimizer.ResolvedIndex
 	ends     []int

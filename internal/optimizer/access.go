@@ -185,9 +185,13 @@ func appendInList(disj []scoredPred, ts *stats.TableStats, p *sql.Predicate, col
 }
 
 // indexSize estimates the leaf pages and height of the index on the
-// table.
+// table: once for the table's row count, then from x.
 func (ti *tableInfo) indexSize(x *indexInfo) (pages int64, height int) {
-	return storage.EstimateIndexPages(int64(ti.rowCount), x.width), storage.EstimateIndexHeight(int64(ti.rowCount), x.width)
+	if rows := int64(ti.rowCount); !x.sized || x.sizedRows != rows {
+		x.pages, x.height = storage.EstimateIndexPages(rows, x.width), storage.EstimateIndexHeight(rows, x.width)
+		x.sized, x.sizedRows = true, rows
+	}
+	return x.pages, x.height
 }
 
 // seekCost prices a seek touching matchRows entries of an index of the
@@ -357,7 +361,7 @@ func (p *planner) enumeratePaths(t int) []accessPath {
 	// "innovative technique"). Only worthwhile with multiple seekable
 	// predicates on different leading columns.
 	if !p.noInter && len(arms) >= 2 {
-		paths = ti.appendIntersections(arms, paths)
+		paths = p.appendIntersections(ti, arms, paths)
 	}
 
 	// Index union: OR several seeks through their RID sets — the dual

@@ -68,15 +68,16 @@ func (ti *tableInfo) armResidual(a, b []int32, pi int) bool {
 }
 
 // appendIntersections appends index-intersection access paths built
-// from the enumerated seeks: pairs among the most selective few, with
-// different leading columns and no predicate in common, whose
+// from the enumerated seeks of table ti: pairs among the most selective
+// few, with different leading columns and no predicate in common, whose
 // conjunction may be selective enough to pay for two B+-tree probes
 // plus RID lookups. It reorders arms.
-func (ti *tableInfo) appendIntersections(arms []intersectArm, paths []accessPath) []accessPath {
-	// Stable insertion sort, most selective first: the slices are tiny
-	// and the enumeration must not allocate.
+func (p *planner) appendIntersections(ti *tableInfo, arms []intersectArm, paths []accessPath) []accessPath {
+	// Insertion sort, most selective first and equals in key order: the
+	// slices are tiny and the enumeration must not allocate.
 	for i := 1; i < len(arms); i++ {
-		for j := i; j > 0 && arms[j].sel < arms[j-1].sel; j-- {
+		for j := i; j > 0 && (arms[j].sel < arms[j-1].sel ||
+			arms[j].sel == arms[j-1].sel && p.before(arms[j].idx, arms[j-1].idx)); j-- {
 			arms[j], arms[j-1] = arms[j-1], arms[j]
 		}
 	}

@@ -63,7 +63,7 @@ func (p *planner) joinOrder() error {
 		paths := p.enumeratePaths(i)
 		best := &paths[0]
 		for j := 1; j < len(paths); j++ {
-			if paths[j].cost < best.cost {
+			if paths[j].cost < best.cost || paths[j].cost == best.cost && p.earlier(&paths[j], best) {
 				best = &paths[j]
 			}
 		}
@@ -199,7 +199,7 @@ func (p *planner) innerSeek(rest, t int) (cost float64, idx int32, found bool) {
 		}
 		pages, height := ti.indexSize(x)
 		c := ti.seekCost(pages, height, ti.rowCount*m.sel, coversRequired(x, &ti.required))
-		if !found || c < cost {
+		if !found || c < cost || c == cost && p.before(i, idx) {
 			cost, idx, found = c, i, true
 		}
 	}

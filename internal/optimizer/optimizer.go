@@ -11,7 +11,10 @@ import (
 )
 
 // Optimizer produces plans and cost estimates for queries against a
-// configuration of (possibly hypothetical) indexes.
+// configuration of (possibly hypothetical) indexes. A configuration is
+// a set: every entry point plans it as it would the same indexes listed
+// in key order (catalog.CompareKeys), so neither a plan nor its cost
+// depends on the order the caller lists them in.
 //
 // Concurrency contract: Optimize and Cost are safe for concurrent use
 // — planning state is per-call, metadata access is read-only, and the
@@ -268,7 +271,7 @@ func (o *Optimizer) planOn(p *planner, stmt *sql.SelectStmt, pq *PreparedQuery, 
 		paths := p.enumeratePaths(0)
 		best, fin := 0, finished{cost: math.Inf(1)}
 		for i := range paths {
-			if f := pq.finish(&paths[i]); f.cost < fin.cost {
+			if f := pq.finish(&paths[i]); f.cost < fin.cost || f.cost == fin.cost && p.earlier(&paths[i], &paths[best]) {
 				best, fin = i, f
 			}
 		}

@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"indexmerge/internal/catalog"
+	"indexmerge/internal/datagen"
 	"indexmerge/internal/experiments"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/sql"
+	"indexmerge/internal/workload"
 )
 
 // TestPassMatchesOneOff: a configuration resolved once for a loop of
@@ -147,4 +149,72 @@ func resolveAll(pw *optimizer.PreparedWorkload, cfg optimizer.Configuration) []*
 		rxs[i] = pw.Resolve(def)
 	}
 	return rxs
+}
+
+// TestLoopSizesIndexesPerRowCount: a loop sizes an index once for each
+// row count its table has. Descriptors of one database prepared before
+// and after rows were inserted — the statistics not rebuilt, so neither
+// is stale — price in one loop to the bit as they do one by one.
+func TestLoopSizesIndexesPerRowCount(t *testing.T) {
+	db, err := datagen.BuildNamed("synthetic1", 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(db, workload.Options{Class: workload.Complex, Queries: 16, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := optimizer.New(db)
+	before, err := opt.PrepareWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range w.TablesReferenced() {
+		rows, err := datagen.SyntheticInsertRows(db, table, int(db.TableRowCount(table)), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if err := db.Insert(table, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	after, err := opt.PrepareWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := &optimizer.PreparedWorkload{W: w}
+	for qi := range w.Queries {
+		mixed.Queries = append(mixed.Queries, before.Queries[qi], after.Queries[qi])
+	}
+	weights := make([]float64, len(mixed.Queries))
+	all := make([]int, len(mixed.Queries))
+	for i := range all {
+		all[i], weights[i] = i, 1
+	}
+	rng := rand.New(rand.NewSource(4))
+	moved := 0
+	for _, cfg := range randomConfigs(t, rng, db, w, 8) {
+		want := 0.0
+		for qi, pq := range mixed.Queries {
+			cost, err := opt.CostPrepared(pq, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += cost
+			if qi%2 == 1 {
+				if prev, _ := opt.CostPrepared(mixed.Queries[qi-1], cfg); prev != cost {
+					moved++
+				}
+			}
+		}
+		got, _, err := opt.CostPreparedSum(context.Background(), mixed, all, weights, cfg, nil)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v: a loop over both row counts sums %v (error %v), one-off calls %v", cfg, got, err, want)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no cost moved with the row counts: the test checks nothing")
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"indexmerge/internal/catalog"
@@ -260,7 +261,15 @@ func referenceContainsCol(cols []string, col string) bool {
 	return false
 }
 
+// referenceUnionPath is unionPath by names, the form the ordinal one is
+// held to. It takes the indexes in key order (Key strings, positions
+// between equal keys), which decides between arms of equal cost.
 func referenceUnionPath(ti *tableInfo, d *orPred, indexes []catalog.IndexDef, arms []int) (_ []int, cost, rows float64, ok bool) {
+	byKey := make([]int, len(indexes))
+	for i := range byKey {
+		byKey[i] = i
+	}
+	slices.SortStableFunc(byKey, func(a, b int) int { return strings.Compare(indexes[a].Key(), indexes[b].Key()) })
 	arms = arms[:0]
 	if len(d.disjuncts) == 0 || len(d.disjuncts) > maxUnionArms {
 		return arms, 0, 0, false
@@ -274,7 +283,7 @@ func referenceUnionPath(ti *tableInfo, d *orPred, indexes []catalog.IndexDef, ar
 		match := ti.rowCount * q.sel
 		bestI := -1
 		bestCost := 0.0
-		for ii := range indexes {
+		for _, ii := range byKey {
 			idx := &indexes[ii]
 			if idx.Table != ti.name || len(idx.Columns) == 0 || idx.Columns[0] != q.p.Col.Column {
 				continue
@@ -461,7 +470,8 @@ func TestIndexTestsMatchReference(t *testing.T) {
 // random configurations — indexes on every table, some naming a column
 // the table lacks, repeating one or empty — the union arms, cost and
 // rows and the seek match of each index, including join probes, whether
-// the call resolves for itself or takes a pass.
+// the call resolves for itself or takes a pass. Union arms of equal cost
+// go to the index first in key order.
 func TestPreparedIndexTestsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	unions, arms := 0, 0

@@ -13,6 +13,14 @@ type indexInfo struct {
 	set   colSet
 	width int
 	ok    bool // resolved (see begin and planner.index)
+
+	// pages and height size the index over sizedRows rows, kept from the
+	// first plan that sized it (see indexSize) while the planner holds
+	// the entry.
+	sized     bool
+	sizedRows int64
+	pages     int64
+	height    int
 }
 
 // resolved is a configuration as the planner compares it, aligned with
@@ -29,7 +37,7 @@ type resolved struct {
 // appending to r's arrays, which x then aliases. It fills x in place: an
 // indexInfo is too wide to return by value on the planner's hot path.
 func (r *resolved) add(x *indexInfo, t *catalog.Table, cols []string) {
-	x.table, x.set, x.width, x.ok = t, colSet{}, 0, true
+	x.table, x.set, x.width, x.ok, x.sized = t, colSet{}, 0, true, false
 	if n := (len(t.Columns) - 1) / 64; n > 0 {
 		from := len(r.words)
 		for range n {
@@ -142,6 +150,29 @@ func (p *planner) begin(pq *PreparedQuery, cfg Configuration, pass bool) {
 		}
 		p.onEnd = append(p.onEnd, len(p.on))
 	}
+}
+
+// before reports whether configuration index i comes before j in key
+// order (catalog.CompareKeys), the position deciding between two
+// definitions of one key. Every choice the planner makes between equals
+// goes to the index first in that order, so that a plan — and its cost —
+// is the one of the configuration listed in key order, whatever order
+// the caller lists it in.
+func (p *planner) before(i, j int32) bool {
+	if c := catalog.CompareKeys(&p.cfg[i], &p.cfg[j]); c != 0 {
+		return c < 0
+	}
+	return i < j
+}
+
+// earlier reports whether access path a, enumerated after b, comes
+// before it in key order: both read an index, and a's comes first (see
+// before). Enumeration order stands for every other pair: the heap scan
+// first, an index's covering scan before its seek, intersections after
+// every index path and unions last.
+func (p *planner) earlier(a, b *accessPath) bool {
+	return (a.kind == indexScan || a.kind == indexSeek) && (b.kind == indexScan || b.kind == indexSeek) &&
+		a.idx != b.idx && p.before(a.idx, b.idx)
 }
 
 // indexesOn returns the configuration positions of the indexes on the

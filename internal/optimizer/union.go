@@ -70,7 +70,7 @@ func (p *planner) unionPath(t int, d *orPred) (cost, rows float64, ok bool) {
 				continue
 			}
 			c := armProbeCost(ti, x, match)
-			if bestI < 0 || c < bestCost {
+			if bestI < 0 || c < bestCost || c == bestCost && p.before(ii, bestI) {
 				bestI, bestCost = ii, c
 			}
 		}

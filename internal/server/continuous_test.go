@@ -338,7 +338,7 @@ func TestRetuneTunesFromSnapshot(t *testing.T) {
 	for _, ix := range res.Indexes {
 		got = append(got, ix.Table+"("+strings.Join(ix.Columns, ",")+")")
 	}
-	want := []string{"fact(k,m1,m3,m2)", "fact(d,m3,m1,m2)", "fact(tag,m3,m1)"}
+	want := []string{"fact(k,m2,m3,m1)", "fact(d,m3,m1,m2)", "fact(tag,m3,m1)"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("recommendation = %q, want %q", got, want)
 	}

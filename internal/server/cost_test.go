@@ -99,10 +99,10 @@ func TestCostCountsTheCallsItMakes(t *testing.T) {
 	}
 }
 
-// orderQuery is a TPC-D statement whose cost, planned under the seven
-// indexes of orderIndexes, depends on the order the optimizer is handed
-// them in: its intersection arms tie on selectivity, and the arm cap
-// keeps the first of the tied ones.
+// orderQuery is a TPC-D statement whose intersection arms, under the
+// seven indexes of orderIndexes, tie on selectivity; the arm cap keeps
+// the first four of them in key order, whatever order the optimizer is
+// handed them in.
 const orderQuery = `SELECT lineitem.l_discount, SUM(lineitem.l_linenumber), SUM(lineitem.l_tax) FROM lineitem WHERE lineitem.l_orderkey >= 8224 AND lineitem.l_quantity >= 47 GROUP BY lineitem.l_discount ORDER BY lineitem.l_discount`
 
 // orderIndexes lists the indexes in definition-key order.
@@ -117,10 +117,10 @@ var orderIndexes = []IndexDefPayload{
 }
 
 // TestCostIsOrderInvariant: one configuration listed in two orders is
-// one answer, byte for byte. The optimizer alone prices orderQuery at
-// 1111.4035 in key order and 1129.4030 in the order below; the cost
-// table hands it a unit's relevant indexes in key order, whatever order
-// the request listed them in.
+// one answer, byte for byte. An optimizer that broke the arms' tie in
+// list order priced orderQuery at 1111.4035 in key order and 1129.4030
+// in the order below; the cost table's cell is one cell for either
+// order of the request.
 func TestCostIsOrderInvariant(t *testing.T) {
 	h := newTestServer(t, Config{})
 	h.mustCall(t, "POST", "/v1/sessions", CreateSessionRequest{Name: "t", DB: "tpcd", Scale: 3, Seed: 1}, nil, http.StatusCreated)

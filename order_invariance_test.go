@@ -1,0 +1,268 @@
+// Metamorphic tests of the what-if optimizer's inputs: a configuration
+// is a set of indexes (§3.1), so every entry point that prices one must
+// answer the same bits whatever order the caller lists it in, and the
+// facade's cost, read from the form's cost table, must agree with the
+// optimizer's workload-order sum.
+package indexmerge
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"indexmerge/internal/datagen"
+	"indexmerge/internal/optimizer"
+	"indexmerge/internal/workload"
+)
+
+// setCosts is everything the optimizer and the facade answer for one
+// configuration of a workload, as float bits: per statement, Cost,
+// CostPrepared, the plan costs of OptimizePrepared and of
+// OptimizePreparedEach; per workload, WorkloadCost, WorkloadCostPrepared,
+// WorkloadCostPreparedContext, CostPreparedSum over every statement, and
+// Merger.WorkloadCost on a merger of its own. uses records the indexes
+// each plan of OptimizePrepared and of OptimizePreparedEach uses, by key
+// and mode: a plan, too, is the set's.
+type setCosts struct {
+	perQuery [][4]uint64
+	uses     [][2]string
+	totals   [5]uint64
+}
+
+// usesOf renders a plan's index usage by key and mode.
+func usesOf(plan *optimizer.Plan) string {
+	var b strings.Builder
+	for _, u := range plan.Uses {
+		fmt.Fprintf(&b, "%s:%v ", u.Index.Key(), u.Mode)
+	}
+	return b.String()
+}
+
+func priceSet(t *testing.T, db *Database, w *Workload, cfg optimizer.Configuration) setCosts {
+	t.Helper()
+	m, err := NewMerger(db, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := m.Optimizer()
+	pw, err := m.PreparedWorkload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out setCosts
+	each := make([]uint64, len(pw.Queries))
+	eachUses := make([]string, len(pw.Queries))
+	if err := opt.OptimizePreparedEach(pw, cfg, func(qi int, plan *optimizer.Plan) error {
+		each[qi], eachUses[qi] = math.Float64bits(plan.Cost), usesOf(plan)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for qi, pq := range pw.Queries {
+		cost, err := opt.Cost(w.Queries[qi].Stmt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared, err := opt.CostPrepared(pq, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := opt.OptimizePrepared(pq, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.perQuery = append(out.perQuery, [4]uint64{math.Float64bits(cost), math.Float64bits(prepared), math.Float64bits(plan.Cost), each[qi]})
+		out.uses = append(out.uses, [2]string{usesOf(plan), eachUses[qi]})
+	}
+	members := make([]int, len(pw.Queries))
+	weights := make([]float64, len(pw.Queries))
+	for qi := range members {
+		members[qi], weights[qi] = qi, w.Queries[qi].Freq
+	}
+	plain, err := opt.WorkloadCost(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := opt.WorkloadCostPrepared(pw, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCtx, _, err := opt.WorkloadCostPreparedContext(context.Background(), pw, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, _, err := opt.CostPreparedSum(context.Background(), pw, members, weights, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	facade, err := m.WorkloadCost(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.totals = [5]uint64{math.Float64bits(plain), math.Float64bits(prepared), math.Float64bits(withCtx), math.Float64bits(sum), math.Float64bits(facade)}
+	return out
+}
+
+var setCostNames = [...]string{"Cost", "CostPrepared", "OptimizePrepared", "OptimizePreparedEach", "WorkloadCost", "WorkloadCostPrepared", "WorkloadCostPreparedContext", "CostPreparedSum", "Merger.WorkloadCost"}
+
+// sameSetCosts reports the first answer that differs between a and b.
+func sameSetCosts(a, b setCosts) error {
+	for qi := range a.perQuery {
+		for k := range a.perQuery[qi] {
+			if x, y := a.perQuery[qi][k], b.perQuery[qi][k]; x != y {
+				return fmt.Errorf("query %d: %s %v, then %v", qi+1, setCostNames[k], math.Float64frombits(x), math.Float64frombits(y))
+			}
+		}
+		for k, entry := range []string{"OptimizePrepared", "OptimizePreparedEach"} {
+			if x, y := a.uses[qi][k], b.uses[qi][k]; x != y {
+				return fmt.Errorf("query %d: %s plan uses %s, then %s", qi+1, entry, x, y)
+			}
+		}
+	}
+	for k := range a.totals {
+		if x, y := a.totals[k], b.totals[k]; x != y {
+			return fmt.Errorf("%s %v, then %v", setCostNames[4+k], math.Float64frombits(x), math.Float64frombits(y))
+		}
+	}
+	return nil
+}
+
+func keyOrdered(defs []IndexDef) optimizer.Configuration {
+	out := slices.Clone(defs)
+	slices.SortStableFunc(out, func(a, b IndexDef) int { return strings.Compare(a.Key(), b.Key()) })
+	return out
+}
+
+// TestCostIsAFunctionOfTheSet prices tuned configurations of the three
+// reference databases, over several workload seeds, in key order and in
+// shuffled orders: every entry point must answer the same bits. Then the
+// facade: Merger.WorkloadCost is WorkloadCostPrepared to the bit on a
+// workload without repeated templates and within 1e-12 on a duplicated
+// log, and a warm call makes no optimizer call.
+func TestCostIsAFunctionOfTheSet(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(41))
+	distinct := 0 // inputs without a repeated template
+	for _, name := range []string{"tpcd", "synthetic1", "synthetic2"} {
+		for _, seed := range []int64{1, 2, 3} {
+			db, err := datagen.BuildNamed(name, 0.2, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dup := range []int{0, 60} {
+				w, err := workload.Generate(db, workload.Options{
+					Class: workload.Complex, Disjunctions: name != "tpcd", Queries: 20, Duplication: dup, Seed: seed,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := NewMerger(db, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defs, err := m.InitialConfiguration(ctx, 16, seed, MergeOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Each index again on its leading column alone and with the
+				// rest of its columns reversed: seeks of one selectivity,
+				// more of them than the intersection planner pairs, which
+				// it must choose between by key.
+				for _, d := range defs[:len(defs):len(defs)] {
+					if len(d.Columns) > 1 {
+						defs = append(defs, IndexDef{Name: d.Name + "_1", Table: d.Table, Columns: d.Columns[:1]})
+					}
+					if len(d.Columns) > 2 {
+						cols := slices.Clone(d.Columns)
+						slices.Reverse(cols[1:])
+						defs = append(defs, IndexDef{Name: d.Name + "_r", Table: d.Table, Columns: cols})
+					}
+				}
+				label := fmt.Sprintf("%s seed %d duplication %d, %d indexes", name, seed, dup, len(defs))
+				want := priceSet(t, db, w, keyOrdered(defs))
+				for range 3 {
+					shuffled := slices.Clone(defs)
+					rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+					if err := sameSetCosts(want, priceSet(t, db, w, shuffled)); err != nil {
+						t.Fatalf("%s: key order, then shuffled: %v", label, err)
+					}
+				}
+
+				cw, err := m.CompressedWorkload()
+				if err != nil {
+					t.Fatal(err)
+				}
+				prepared, facade := math.Float64frombits(want.totals[1]), math.Float64frombits(want.totals[4])
+				if len(cw.C.Templates) == w.Len() {
+					distinct++
+					if facade != prepared {
+						t.Errorf("%s, one statement a template: Merger.WorkloadCost %v, WorkloadCostPrepared %v", label, facade, prepared)
+					}
+				} else if math.Abs(facade-prepared) > 1e-12*prepared {
+					t.Errorf("%s, %d templates: Merger.WorkloadCost %v, WorkloadCostPrepared %v", label, len(cw.C.Templates), facade, prepared)
+				}
+				if dup > 0 && len(cw.C.Templates) == w.Len() {
+					t.Fatalf("%s: the duplicated log has no repeated template", label)
+				}
+
+				if _, err := m.WorkloadCost(defs); err != nil {
+					t.Fatal(err)
+				}
+				calls := m.Optimizer().InvocationCount()
+				slices.Reverse(defs)
+				if cost, err := m.WorkloadCost(defs); err != nil || math.Float64bits(cost) != want.totals[4] {
+					t.Errorf("%s: warm Merger.WorkloadCost %v (%v), cold %v", label, cost, err, facade)
+				}
+				if n := m.Optimizer().InvocationCount() - calls; n != 0 {
+					t.Errorf("%s: a warm Merger.WorkloadCost made %d optimizer calls", label, n)
+				}
+			}
+		}
+	}
+	if distinct < 3 {
+		t.Fatalf("%d inputs without a repeated template: the bit-for-bit case is checked too little", distinct)
+	}
+}
+
+// TestCostIsOrderInvariantOnTiedArms pins the statement whose
+// intersection arms tie on selectivity under seven indexes: the arm cap
+// keeps the first four, so the cost read 1111.4035 in key order and
+// 1129.4030 in the order below while the planner took the tie in list
+// order. Every entry point must answer the key-order bits.
+func TestCostIsOrderInvariantOnTiedArms(t *testing.T) {
+	db, err := datagen.BuildNamed("tpcd", 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ParseWorkload(strings.NewReader(`SELECT lineitem.l_discount, SUM(lineitem.l_linenumber), SUM(lineitem.l_tax) FROM lineitem WHERE lineitem.l_orderkey >= 8224 AND lineitem.l_quantity >= 47 GROUP BY lineitem.l_discount ORDER BY lineitem.l_discount`), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var defs []IndexDef
+	for _, cols := range [][]string{
+		{"l_orderkey"},
+		{"l_orderkey", "l_comment", "l_partkey"},
+		{"l_orderkey", "l_extendedprice", "l_shipmode", "l_suppkey", "l_tax"},
+		{"l_orderkey", "l_partkey", "l_tax"},
+		{"l_orderkey", "l_shipinstruct", "l_linenumber", "l_partkey", "l_shipdate"},
+		{"l_quantity", "l_commitdate", "l_orderkey"},
+		{"l_quantity", "l_partkey", "l_tax"},
+	} {
+		defs = append(defs, IndexDef{Name: "ix_" + strings.Join(cols, "_"), Table: "lineitem", Columns: cols})
+	}
+	want := priceSet(t, db, w, defs)
+	if got := math.Float64frombits(want.perQuery[0][1]); math.Abs(got-1111.4035) > 1e-4 {
+		t.Fatalf("key order prices the statement at %v, want 1111.4035", got)
+	}
+	var shuffled optimizer.Configuration
+	for _, k := range []int{1, 2, 0, 3, 4, 5, 6} {
+		shuffled = append(shuffled, defs[k])
+	}
+	if err := sameSetCosts(want, priceSet(t, db, w, shuffled)); err != nil {
+		t.Fatalf("key order, then order [1 2 0 3 4 5 6]: %v", err)
+	}
+}
