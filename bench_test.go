@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"indexmerge/internal/core"
+	"indexmerge/internal/datagen"
 	"indexmerge/internal/experiments"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/workload"
@@ -513,4 +514,58 @@ func BenchmarkMergerWorkloadCost(b *testing.B) {
 			b.ReportMetric(float64(calls)/float64(b.N), "optcalls/op")
 		})
 	}
+}
+
+// BenchmarkMergeJob times a merge the way a daemon job runs one: a
+// resilient compressed merge, at parallelism 1, of 10 tuned indexes over
+// a Synthetic1@1 log of 500 statements of 60 disjunction-bearing shapes,
+// on a form prepared beforehand (a registration's) whose cost table is
+// empty. optcalls/op is exact; the benchmark fails if a run degrades or
+// calibrates the external model, which a healthy run never consults.
+func BenchmarkMergeJob(b *testing.B) {
+	db, err := datagen.BuildNamed("synthetic1", 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := workload.Generate(db, workload.Options{Class: workload.Complex, Disjunctions: true, Queries: 60, Duplication: 440, Seed: 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := MergeOptions{CostConstraint: 0.10, CostModel: CompressedOptimizerCost, Parallelism: 1, Resilience: &ResilienceOptions{}}
+	merger := func() *Merger {
+		m, err := NewMerger(db, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.CompressedWorkload(); err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	defs, err := merger().InitialConfiguration(context.Background(), 10, 1, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	built, reads := watchExternalModels(b)
+	var calls int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := merger()
+		before := m.opt.InvocationCount()
+		b.StartTimer()
+		res, err := m.MergeDefsContext(context.Background(), defs, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Degraded {
+			b.Fatalf("a healthy run degraded %d checks", res.DegradedChecks)
+		}
+		calls += m.opt.InvocationCount() - before
+	}
+	if built.Load() != int64(b.N) || reads.Load() != 0 {
+		b.Fatalf("%d runs built %d external models that made %d reads: a healthy run calibrated the model", b.N, built.Load(), reads.Load())
+	}
+	b.ReportMetric(float64(calls)/float64(b.N), "optcalls/op")
 }

@@ -2,6 +2,8 @@ package indexmerge
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
@@ -120,8 +122,8 @@ func faultWindowLeavesNoTrace(t *testing.T, m *Merger, defs []IndexDef, opts Mer
 // greedy search degrade the run they land in and nothing after it.
 func TestChaosTransientFaultsAreInvisible(t *testing.T) {
 	_, _, m, defs := mergerFixture(t)
-	// The baseline and Seek-Cost make the run's first 34 optimizer calls;
-	// the windows land in the search after them, early, mid and late.
+	// The initial pass makes the run's first 17 optimizer calls; the
+	// windows land in the search after them, early, mid and late.
 	faultWindowLeavesNoTrace(t, m, defs, MergeOptions{CostConstraint: 0.15},
 		faults.Rule{ID: "t-early", Point: faults.OptimizerCost, Mode: faults.ModeError, After: 40, Count: 3},
 		faults.Rule{ID: "t-mid", Point: faults.OptimizerCost, Mode: faults.ModeError, After: 120, Count: 2},
@@ -254,9 +256,10 @@ func TestChaosInjectedPanicsAreRecovered(t *testing.T) {
 }
 
 // TestChaosCanceledMergeMakesNoOptimizerCall: a done ctx stops every
-// costing around the search before it starts — the baseline, the
-// Seek-Costs and the final costing alike — and comes back as ctx.Err(),
-// never as a degraded result.
+// costing around the search before it starts — the initial pass (the
+// Seek-Costs, which give the baseline) and the final costing alike — or,
+// done during the initial pass, before its next query, and comes back as
+// ctx.Err(), never as a degraded result.
 func TestChaosCanceledMergeMakesNoOptimizerCall(t *testing.T) {
 	_, _, m, defs := mergerFixture(t)
 	if len(defs) > 5 {
@@ -303,13 +306,50 @@ func TestChaosCanceledMergeMakesNoOptimizerCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := again.OptimizerCalls + 2*int64(len(m.w.Queries)); calls != want {
-		t.Errorf("canceled run made %d optimizer calls, want %d: the search's and the baseline's and Seek-Costs', no final costing", calls, want)
+	if want := again.OptimizerCalls + 1*int64(len(m.w.Queries)); calls != want {
+		t.Errorf("canceled run made %d optimizer calls, want %d: the initial pass's and the search's, no final costing", calls, want)
+	}
+
+	// Cancel in the middle of the initial pass: it stops before the next
+	// query, and nothing after it runs.
+	at := int64(len(m.w.Queries)) / 2
+	for _, ro := range []*ResilienceOptions{nil, {}} {
+		before := m.opt.InvocationCount()
+		ctx := cancelAtCall(m.opt, before+at)
+		_, err := m.MergeDefsContext(ctx, defs, MergeOptions{CostConstraint: 0.15, Resilience: ro})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("resilient %v: err = %v, want context.Canceled", ro != nil, err)
+		}
+		if n := m.opt.InvocationCount() - before; n != at {
+			t.Errorf("resilient %v: canceled after call %d of the initial pass, the merge made %d optimizer calls", ro != nil, at, n)
+		}
 	}
 }
 
-// TestChaosCanceledDualMakesNoOptimizerCall: a done ctx stops the dual
-// before its Seek-Costs, which do not observe ctx themselves.
+// callCanceled is a context that cancels itself the first time it is
+// asked once the optimizer has made its at-th invocation: a cancellation
+// that lands between two given optimizer calls, deterministically.
+type callCanceled struct {
+	context.Context
+	cancel context.CancelFunc
+	opt    *Optimizer
+	at     int64
+}
+
+func cancelAtCall(opt *Optimizer, at int64) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &callCanceled{Context: ctx, cancel: cancel, opt: opt, at: at}
+}
+
+func (c *callCanceled) Err() error {
+	if c.opt.InvocationCount() >= c.at {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestChaosCanceledDualMakesNoOptimizerCall: a done ctx stops the dual's
+// Seek-Cost pass before its first query.
 func TestChaosCanceledDualMakesNoOptimizerCall(t *testing.T) {
 	db, _, m, defs := mergerFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -349,16 +389,16 @@ func TestChaosParallelSearchUnderFaults(t *testing.T) {
 		name  string
 		model CostModelKind
 		// search is the optimizer call the search's first fill makes:
-		// the baseline and Seek-Cost make the 34 calls before it, and the
+		// the initial pass makes the 17 calls before it, and the
 		// compressed model's template-order baseline (which, like the
-		// baseline, cannot degrade) 17 more. The panic sweeps the fills
+		// initial pass, cannot degrade) 17 more. The panic sweeps the fills
 		// from there, on the search goroutine and the fill workers; an
 		// outage starts there.
 		search int64
 	}{
-		{"opt", OptimizerCost, 35},
-		{"prefilter", PrefilteredOptimizerCost, 35},
-		{"compressed", CompressedOptimizerCost, 52},
+		{"opt", OptimizerCost, 18},
+		{"prefilter", PrefilteredOptimizerCost, 18},
+		{"compressed", CompressedOptimizerCost, 35},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer faults.Reset()
@@ -522,5 +562,88 @@ func TestChaosStorageAndStatsFaultsSurface(t *testing.T) {
 	}
 	if got := faults.Fired(installed[0].ID); got != 0 {
 		t.Errorf("error rule on a Hit-only point fired %d times, want 0", got)
+	}
+}
+
+// degradedDigest is a resilient result's payload-visible fields and its
+// degradation counters, hashed.
+func degradedDigest(r *MergeResult) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%s dc=%d pr=%d", mergeKey(r), r.DegradedChecks, r.PanicsRecovered)))
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestChaosDegradedPathsPinned pins, by digest, the results of resilient
+// runs whose checks are decided by the external model: faults placed
+// relative to the search's first optimizer call (an error window, an
+// outage from mid-search on, which also degrades the final costing, and
+// a fault in the final costing alone), and healthy prefiltered runs,
+// whose §3.5.3 prefilter consults the external model on every check. A
+// fault's offset is counted from the run's pre-search costing, measured
+// on a cold twin, so the pins hold however many calls that costing
+// makes. The digests are those of the code that calibrated the external
+// model eagerly and priced the initial configuration twice before the
+// search.
+func TestChaosDegradedPathsPinned(t *testing.T) {
+	_, _, m, defs := mergerFixture(t)
+	n := int64(len(m.w.Queries))
+	for _, tc := range []struct {
+		name  string
+		model CostModelKind
+		// rule places the fault, given the calls the run makes before
+		// its search and the calls of the search; nil runs healthy.
+		rule func(pre, search int64) *faults.Rule
+		want string
+	}{
+		{"opt/window", OptimizerCost, func(pre, _ int64) *faults.Rule {
+			return &faults.Rule{Point: faults.OptimizerCost, Mode: faults.ModeError, After: pre + 5, Count: 3}
+		}, "bca6d830426bf9e9"},
+		{"opt/outage", OptimizerCost, func(pre, search int64) *faults.Rule {
+			return &faults.Rule{Point: faults.OptimizerCost, Mode: faults.ModeError, After: pre + search/2}
+		}, "7918efca5250b4df"},
+		{"opt/final", OptimizerCost, func(pre, search int64) *faults.Rule {
+			return &faults.Rule{Point: faults.OptimizerCost, Mode: faults.ModeError, After: pre + search + 2, Count: 1}
+		}, "eb169f6a260d92b5"},
+		{"opt/panics", OptimizerCost, func(pre, _ int64) *faults.Rule {
+			return &faults.Rule{Point: faults.OptimizerCost, Mode: faults.ModePanic, After: pre + 9, Count: 2}
+		}, "51b02076abdd5ac4"},
+		{"prefilter/healthy", PrefilteredOptimizerCost, nil, "36b63efb6d0e9885"},
+		{"prefilter/outage", PrefilteredOptimizerCost, func(pre, search int64) *faults.Rule {
+			return &faults.Rule{Point: faults.OptimizerCost, Mode: faults.ModeError, After: pre + search/2}
+		}, "d3e79319ea5fad3a"},
+		{"compressed/window", CompressedOptimizerCost, func(pre, _ int64) *faults.Rule {
+			return &faults.Rule{Point: faults.OptimizerCost, Mode: faults.ModeError, After: pre + 4, Count: 2}
+		}, "99184a73afc35e1f"},
+		{"compressed/outage", CompressedOptimizerCost, func(pre, search int64) *faults.Rule {
+			return &faults.Rule{Point: faults.OptimizerCost, Mode: faults.ModeError, After: pre + search/2}
+		}, "4b93fc270b623257"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faults.Reset()
+			opts := MergeOptions{CostConstraint: 0.15, CostModel: tc.model, Resilience: &ResilienceOptions{}}
+			var rule *faults.Rule
+			if tc.rule != nil {
+				twin := coldTwin(t, m)
+				healthy, err := twin.MergeDefsContext(context.Background(), defs, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pre := twin.opt.InvocationCount() - healthy.OptimizerCalls - n
+				rule = tc.rule(pre, healthy.OptimizerCalls)
+			}
+			faults.Reset()
+			if rule != nil {
+				faults.Install(*rule)
+			}
+			got, err := coldTwin(t, m).MergeDefsContext(context.Background(), defs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rule != nil && !got.Degraded {
+				t.Fatal("the fault degraded nothing; the case exercises no degraded path")
+			}
+			if d := degradedDigest(got); d != tc.want {
+				t.Errorf("digest %s, want %s: %s dc=%d pr=%d", d, tc.want, mergeKey(got), got.DegradedChecks, got.PanicsRecovered)
+			}
+		})
 	}
 }

@@ -417,6 +417,12 @@ func (m *Merger) MergeContext(ctx context.Context, opts MergeOptions) (*MergeRes
 	return m.MergeDefsContext(ctx, defs, opts)
 }
 
+// merge is every merging run: one pass over the workload under the
+// initial configuration (for MergePair-Cost the Showplan pass of
+// §3.3.1, which yields the Seek-Costs and the baseline together), the
+// search, and one pass under the final configuration. Under
+// MergePair-Cost the optimizer calls of a run are those two passes plus
+// the checker's.
 func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts MergeOptions) (*MergeResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -434,12 +440,12 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 	if err != nil {
 		return nil, err
 	}
-	// Costing around the search (the baseline, Seek-Costs, the final
-	// cost) runs behind the panic boundary and counters of the constraint
-	// checks: the resilient checker exists before its inner chain does.
-	// Without Resilience a costing is a plain call — panics and errors
-	// propagate untouched. Either way a done ctx stops it before it
-	// starts.
+	// Costing around the search (the initial pass, the final cost) runs
+	// behind the panic boundary and counters of the constraint checks:
+	// the resilient checker exists before its inner chain does. Without
+	// Resilience a costing is a plain call — panics and errors propagate
+	// untouched. Either way a done ctx stops it before it starts, and the
+	// passes check it before each query.
 	var resilient *core.ResilientChecker
 	if opts.Resilience != nil {
 		resilient = &core.ResilientChecker{}
@@ -460,30 +466,36 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 		})
 		return cost, err
 	}
-	// The baseline cannot degrade: the external fallback is calibrated
-	// against it, so a failure here is the typed error.
-	baseCost, err := workloadCost(initial)
-	if err != nil {
-		return nil, err
-	}
 
-	// MergePair procedure.
-	var mp core.MergePair
+	// The initial configuration is priced once, before the search, and
+	// cannot degrade: U and the final cost are relative to it, so a
+	// failure here is the typed error. MergePair-Cost's Seek-Cost pass
+	// (§3.3.1) plans every query under it, and its plans give the
+	// baseline Cost(W, C₀) as well, bit for bit; the other procedures
+	// price the baseline alone.
+	var (
+		mp       core.MergePair
+		baseCost float64
+	)
 	switch opts.MergePair {
 	case MergePairSyntactic:
 		mp = &core.MergePairSyntactic{Freq: core.LeadingColumnFrequencies(m.w)}
+		baseCost, err = workloadCost(initial)
 	case MergePairExhaustive:
 		mp = &core.MergePairExhaustive{Server: m.opt, W: m.w, Base: initial, Prepared: pw}
+		baseCost, err = workloadCost(initial)
 	default:
 		var seek *core.SeekCosts
-		err := costing(func(context.Context) (err error) {
-			seek, err = core.ComputeSeekCostsPrepared(m.opt, pw, initial)
+		err = costing(func(ctx context.Context) (err error) {
+			seek, err = core.ComputeSeekCostsPreparedContext(ctx, m.opt, pw, initial)
 			return err
 		})
-		if err != nil {
-			return nil, err
+		if err == nil {
+			mp, baseCost = &core.MergePairCost{Seek: seek}, seek.InitialCost()
 		}
-		mp = &core.MergePairCost{Seek: seek}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	check, bound, report, err := m.checkerChain(&opts, initial, baseCost, resilient, costing)
@@ -530,11 +542,13 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 // checkerChain builds the run's constraint checker from the options,
 // each link once: the optimizer-backed checker over the units of the
 // Merger's form, the §3.5.3 external prefilter in front of it, the
-// resilient wrapper around both. The external model, calibrated against
-// the initial configuration, serves the prefilter and the resilient
-// wrapper's degraded decisions alike. It returns the chain as the search
-// sees it, the bound U (0 for the No-Cost model) and a function that,
-// after the search, fills the result's counters of the model that ran.
+// resilient wrapper around both. The external model serves the
+// prefilter and the resilient wrapper's degraded decisions alike; it
+// calibrates against the initial configuration the first time one of
+// them consults it, so a healthy resilient run never prices it. It
+// returns the chain as the search sees it, the bound U (0 for the
+// No-Cost model) and a function that, after the search, fills the
+// result's counters of the model that ran.
 func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, baseCost float64,
 	resilient *core.ResilientChecker, costing func(func(context.Context) error) error,
 ) (check core.ConstraintChecker, bound float64, report func(*MergeResult), err error) {
@@ -580,7 +594,7 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, b
 	if opts.CostModel != PrefilteredOptimizerCost && resilient == nil {
 		return check, bound, report, nil
 	}
-	ext := core.NewExternalCostModel(m.db, m.w, initial, opts.CostConstraint)
+	ext := newExternalModel(m.db, m.w, initial, opts.CostConstraint)
 	if opts.CostModel == PrefilteredOptimizerCost {
 		check = &core.PrefilteredChecker{External: ext, Inner: opt}
 	}
@@ -590,6 +604,10 @@ func (m *Merger) checkerChain(opts *MergeOptions, initial *core.Configuration, b
 	}
 	return check, bound, report, nil
 }
+
+// newExternalModel builds a run's §3.5.2 external model; a variable, so
+// that a test can watch what the model reads.
+var newExternalModel = core.NewExternalCostModel
 
 // DualResult reports a Cost-Minimal (dual) merging run.
 type DualResult struct {
@@ -624,10 +642,7 @@ func (m *Merger) MergeDualContext(ctx context.Context, initialDefs []IndexDef, s
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil { // the Seek-Costs do not observe ctx
-		return nil, err
-	}
-	seek, err := core.ComputeSeekCostsPrepared(m.opt, cw.PW, initial)
+	seek, err := core.ComputeSeekCostsPreparedContext(ctx, m.opt, cw.PW, initial)
 	if err != nil {
 		return nil, err
 	}

@@ -396,9 +396,9 @@ func (c *NoCostChecker) Accepts(ctx context.Context, _ *Configuration, m, a, b *
 // says no: its external cost exceeds the external baseline by more than
 // the cost constraint times prefilterMargin.
 //
-// Safe for concurrent Accepts calls: the external model is read-only,
-// the rejection counter is atomic, and Inner is itself
-// concurrency-safe.
+// Safe for concurrent Accepts calls: the external model is (it
+// calibrates once), the rejection counter is atomic, and Inner is
+// itself concurrency-safe.
 type PrefilteredChecker struct {
 	// External is calibrated with the constraint used to build Inner
 	// (NewExternalCostModel).

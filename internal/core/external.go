@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/sql"
 	"indexmerge/internal/storage"
@@ -22,25 +24,29 @@ type ExternalMeta interface {
 // candidates before an optimizer invocation.
 //
 // A model built by NewExternalCostModel is calibrated against the
-// initial configuration and carries the run's cost constraint; one
-// built as a bare struct is uncalibrated, and Within accepts everything.
-// Read-only once built, so safe for concurrent use.
+// initial configuration, on first use, and carries the run's cost
+// constraint; one built as a bare struct is uncalibrated, and Within
+// accepts everything. Safe for concurrent use: the calibration runs
+// once, whichever caller asks first, and the model is read-only after.
 type ExternalCostModel struct {
 	Meta ExternalMeta
 	W    *sql.Workload
 
-	baseline float64
+	initial  *Configuration
 	slackPct float64
+
+	calibrate sync.Once
+	baseline  float64
 }
 
-// NewExternalCostModel returns the model over w, calibrated against
-// initial: the initial configuration's external cost is the baseline
-// that constraint translation (optimizer-U → external-U) scales by
-// slackPct, the run's cost constraint.
+// NewExternalCostModel returns the model over w, to be calibrated
+// against initial: the initial configuration's external cost is the
+// baseline that constraint translation (optimizer-U → external-U)
+// scales by slackPct, the run's cost constraint. It reads nothing: the
+// baseline is priced the first time BaselineCost or Within asks for it,
+// so a run whose checks never consult the model never pays for it.
 func NewExternalCostModel(meta ExternalMeta, w *sql.Workload, initial *Configuration, slackPct float64) *ExternalCostModel {
-	m := &ExternalCostModel{Meta: meta, W: w, slackPct: slackPct}
-	m.baseline = m.WorkloadCost(initial)
-	return m
+	return &ExternalCostModel{Meta: meta, W: w, initial: initial, slackPct: slackPct}
 }
 
 // Fixed selectivity guesses — the hallmark of an out-of-sync external
@@ -51,8 +57,15 @@ const (
 )
 
 // BaselineCost returns the initial configuration's external cost (0
-// for an uncalibrated model).
-func (m *ExternalCostModel) BaselineCost() float64 { return m.baseline }
+// for an uncalibrated model), pricing it on the first call.
+func (m *ExternalCostModel) BaselineCost() float64 {
+	m.calibrate.Do(func() {
+		if m.initial != nil {
+			m.baseline = m.WorkloadCost(m.initial)
+		}
+	})
+	return m.baseline
+}
 
 // Within reports whether cfg's external cost stays within the cost
 // constraint times margin of the baseline:
@@ -61,10 +74,11 @@ func (m *ExternalCostModel) BaselineCost() float64 { return m.baseline }
 // only clearly hopeless candidates; degraded mode asks with margin 1.
 // An uncalibrated model accepts everything.
 func (m *ExternalCostModel) Within(cfg *Configuration, margin float64) bool {
-	if m.baseline <= 0 {
+	base := m.BaselineCost()
+	if base <= 0 {
 		return true
 	}
-	return m.WorkloadCost(cfg) <= m.baseline*(1+m.slackPct*margin)
+	return m.WorkloadCost(cfg) <= base*(1+m.slackPct*margin)
 }
 
 // WorkloadCost estimates Cost(W, C) analytically.

@@ -28,8 +28,8 @@ func (e *PanicError) Error() string {
 // callers can tell a cost-guaranteed configuration from a best-effort
 // one. Without a calibrated External the failure comes back as is.
 //
-// Safe for concurrent Accepts calls (the wrapped checkers are, the
-// external model is read-only, and the counters are atomic).
+// Safe for concurrent Accepts calls (the wrapped checkers and the
+// external model are, and the counters are atomic).
 type ResilientChecker struct {
 	// Inner is the optimizer-backed checker being protected.
 	Inner ConstraintChecker

@@ -20,7 +20,7 @@ import (
 type CostServer interface {
 	PrepareWorkload(w *sql.Workload) (*optimizer.PreparedWorkload, error)
 	CostPreparedSum(ctx context.Context, pw *optimizer.PreparedWorkload, members []int, weights []float64, cfg optimizer.Configuration, rxs []*optimizer.ResolvedIndex) (sum float64, calls int, err error)
-	OptimizePreparedEach(pw *optimizer.PreparedWorkload, cfg optimizer.Configuration, each func(qi int, plan *optimizer.Plan) error) error
+	OptimizePreparedEach(ctx context.Context, pw *optimizer.PreparedWorkload, cfg optimizer.Configuration, each func(qi int, plan *optimizer.Plan) error) error
 }
 
 // preparedFor resolves the prepared form of w a costing component works
@@ -39,10 +39,11 @@ func preparedFor(server CostServer, w *sql.Workload, pw *optimizer.PreparedWorkl
 
 // SeekCosts holds Seek-Cost(W, I) for every index I in the initial
 // configuration: the total cost of workload queries whose plan used I
-// for an index seek (paper §3.3.1). It also carries syntactic leading-
-// column frequencies for MergePair-Syntactic.
+// for an index seek (paper §3.3.1). The same plans also give
+// Cost(W, C₀), the initial configuration's workload cost.
 type SeekCosts struct {
 	byIndex map[string]float64
+	initial float64
 }
 
 // SeekCost returns Seek-Cost(W, I) for the index with the given key.
@@ -53,16 +54,32 @@ func (s *SeekCosts) SeekCost(defKey string) float64 {
 	return s.byIndex[defKey]
 }
 
-// ComputeSeekCostsPrepared plans every workload query once under the
-// initial configuration and attributes each query's cost to the
-// indexes its plan seeks on. This mirrors gathering "the plan and cost
-// of each query in W for the initial configuration" via Showplan.
+// InitialCost returns Cost(W, C₀): Σ plan cost × frequency over the
+// plans the Seek-Costs were attributed from, summed in workload order —
+// bit for bit the optimizer's WorkloadCostPrepared of the initial
+// configuration.
+func (s *SeekCosts) InitialCost() float64 { return s.initial }
+
+// ComputeSeekCostsPrepared is ComputeSeekCostsPreparedContext under a
+// context that is never done.
 func ComputeSeekCostsPrepared(server CostServer, pw *optimizer.PreparedWorkload, initial *Configuration) (*SeekCosts, error) {
+	return ComputeSeekCostsPreparedContext(context.Background(), server, pw, initial)
+}
+
+// ComputeSeekCostsPreparedContext plans every workload query once under
+// the initial configuration, attributes each query's cost to the
+// indexes its plan seeks on, and sums the costs into Cost(W, C₀). This
+// mirrors gathering "the plan and cost of each query in W for the
+// initial configuration" via Showplan. ctx is checked before each
+// query; once it is done the pass stops with ctx.Err().
+func ComputeSeekCostsPreparedContext(ctx context.Context, server CostServer, pw *optimizer.PreparedWorkload, initial *Configuration) (*SeekCosts, error) {
 	out := &SeekCosts{byIndex: make(map[string]float64)}
-	err := server.OptimizePreparedEach(pw, optimizer.Configuration(initial.Defs()), func(qi int, p *optimizer.Plan) error {
+	err := server.OptimizePreparedEach(ctx, pw, optimizer.Configuration(initial.Defs()), func(qi int, p *optimizer.Plan) error {
+		cost := p.Cost * pw.W.Queries[qi].Freq
+		out.initial += cost
 		for _, use := range p.Uses {
 			if use.Mode == optimizer.UsageSeek {
-				out.byIndex[use.Index.Key()] += p.Cost * pw.W.Queries[qi].Freq
+				out.byIndex[use.Index.Key()] += cost
 			}
 		}
 		return nil

@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -44,7 +45,7 @@ func TestPlansOutliveThePlanner(t *testing.T) {
 			}
 			plans = append(plans, plan)
 		}
-		if err := opt.OptimizePreparedEach(pw, cfg, func(_ int, plan *optimizer.Plan) error {
+		if err := opt.OptimizePreparedEach(context.Background(), pw, cfg, func(_ int, plan *optimizer.Plan) error {
 			plans = append(plans, plan)
 			return nil
 		}); err != nil {
@@ -85,7 +86,7 @@ func TestPlansOutliveThePlanner(t *testing.T) {
 				}
 				for round := range 20 {
 					slices.Reverse(other)
-					if err := opt.OptimizePreparedEach(pw, other, func(int, *optimizer.Plan) error { return nil }); err != nil {
+					if err := opt.OptimizePreparedEach(context.Background(), pw, other, func(int, *optimizer.Plan) error { return nil }); err != nil {
 						t.Error(err)
 						return
 					}

@@ -159,9 +159,10 @@ func (o *Optimizer) CostPreparedSum(ctx context.Context, pw *PreparedWorkload, m
 
 // OptimizePreparedEach plans every query of pw under cfg, resolved once
 // for all of them, and hands each plan to each, in workload order; it
-// stops at the first error either returns.
-func (o *Optimizer) OptimizePreparedEach(pw *PreparedWorkload, cfg Configuration, each func(qi int, plan *Plan) error) error {
-	_, err := o.each(context.Background(), cfg, nil, len(pw.Queries), true,
+// stops at the first error either returns. ctx is checked before each
+// query; once it is done the pass stops with ctx.Err().
+func (o *Optimizer) OptimizePreparedEach(ctx context.Context, pw *PreparedWorkload, cfg Configuration, each func(qi int, plan *Plan) error) error {
+	_, err := o.each(ctx, cfg, nil, len(pw.Queries), true,
 		func(k int) (*sql.SelectStmt, *PreparedQuery) { return nil, pw.Queries[k] },
 		func(k int, _ float64, plan *Plan) error { return each(k, plan) })
 	return err

@@ -120,7 +120,7 @@ func TestPassMatchesOneOff(t *testing.T) {
 									where(), name, total, calls, err)
 							}
 						}
-						err = opt.OptimizePreparedEach(pw, cfg, func(qi int, plan *optimizer.Plan) error {
+						err = opt.OptimizePreparedEach(context.Background(), pw, cfg, func(qi int, plan *optimizer.Plan) error {
 							if math.Float64bits(plan.Cost) != math.Float64bits(want[qi]) || plan.Explain() != wantPlans[qi] {
 								return fmt.Errorf("q%d of the %sworkload: OptimizePreparedEach plans\n%s\nOptimizePrepared\n%s",
 									qi+1, name, plan.Explain(), wantPlans[qi])

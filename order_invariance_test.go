@@ -56,7 +56,7 @@ func priceSet(t *testing.T, db *Database, w *Workload, cfg optimizer.Configurati
 	var out setCosts
 	each := make([]uint64, len(pw.Queries))
 	eachUses := make([]string, len(pw.Queries))
-	if err := opt.OptimizePreparedEach(pw, cfg, func(qi int, plan *optimizer.Plan) error {
+	if err := opt.OptimizePreparedEach(context.Background(), pw, cfg, func(qi int, plan *optimizer.Plan) error {
 		each[qi], eachUses[qi] = math.Float64bits(plan.Cost), usesOf(plan)
 		return nil
 	}); err != nil {
