@@ -203,11 +203,11 @@ func BenchmarkGreedyCosting(b *testing.B) {
 		b.Fatalf("only %d initial indexes; need ≥20", len(defs))
 	}
 	initial := core.NewConfiguration(defs)
-	base, err := lab.WorkloadCost(lab.Complex, defs)
+	pw, err := lab.Opt.PrepareWorkload(lab.Complex)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pw, err := lab.Opt.PrepareWorkload(lab.Complex)
+	base, err := lab.Opt.WorkloadCostPrepared(pw, optimizer.Configuration(defs))
 	if err != nil {
 		b.Fatal(err)
 	}

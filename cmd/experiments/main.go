@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -22,14 +23,24 @@ import (
 )
 
 func main() {
-	scale := flag.Float64("scale", 1.0, "database scale factor (1.0 = default sizes)")
-	queries := flag.Int("queries", 30, "queries per generated workload")
-	seed := flag.Int64("seed", 1, "random seed for data and workloads")
-	only := flag.String("only", "", "comma-separated subset: intro,fig5,fig6,fig7,fig8,ablations,compression,dual")
-	projection := flag.Bool("projection", false, "use the projection-only workload class for Figures 5-7")
-	fig8ns := flag.String("fig8n", "5,10,15,20,25,30", "comma-separated initial index counts for Figure 8")
-	parallel := flag.Int("parallel", 1, "concurrent candidate costings per search step (0 = GOMAXPROCS); figures are identical for any value")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args as the command line and writes every enabled table
+// and figure to out.
+func run(out io.Writer, args []string) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	scale := fs.Float64("scale", 1.0, "database scale factor (1.0 = default sizes)")
+	queries := fs.Int("queries", 30, "queries per generated workload")
+	seed := fs.Int64("seed", 1, "random seed for data and workloads")
+	only := fs.String("only", "", "comma-separated subset: intro,fig5,fig6,fig7,fig8,ablations,compression,dual")
+	projection := fs.Bool("projection", false, "use the projection-only workload class for Figures 5-7")
+	fig8ns := fs.String("fig8n", "5,10,15,20,25,30", "comma-separated initial index counts for Figure 8")
+	parallel := fs.Int("parallel", 1, "concurrent candidate costings per search step (0 = GOMAXPROCS); figures are identical for any value")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, so Parse returns nil
 
 	if *parallel <= 0 {
 		*parallel = runtime.GOMAXPROCS(0)
@@ -43,44 +54,44 @@ func main() {
 	}
 	enabled := func(name string) bool { return len(want) == 0 || want[name] }
 
-	fmt.Printf("Index Merging (ICDE 1999) — experiment harness (scale=%.2f, queries=%d, seed=%d, parallel=%d)\n\n", *scale, *queries, *seed, *parallel)
+	fmt.Fprintf(out, "Index Merging (ICDE 1999) — experiment harness (scale=%.2f, queries=%d, seed=%d, parallel=%d)\n\n", *scale, *queries, *seed, *parallel)
 	labs, err := experiments.StandardLabs(experiments.LabOptions{Scale: *scale, WorkloadQueries: *queries, Seed: *seed, Parallelism: *parallel})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if enabled("intro") {
 		tpcd := labs[0]
 		q13, err := experiments.RunIntroQ1Q3(tpcd)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		experiments.RenderIntroQ1Q3(os.Stdout, q13)
-		fmt.Println()
+		experiments.RenderIntroQ1Q3(out, q13)
+		fmt.Fprintln(out)
 		t17, err := experiments.RunIntroTPCD17(tpcd, 0.10)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		experiments.RenderIntroTPCD17(os.Stdout, t17)
-		fmt.Println()
+		experiments.RenderIntroTPCD17(out, t17)
+		fmt.Fprintln(out)
 	}
 
 	if enabled("fig5") || enabled("fig6") {
 		rows, err := experiments.RunSearchComparisonOpt(labs, experiments.FigureOptions{N: experiments.Fig5N, Constraint: experiments.Fig5Constraint, Projection: *projection})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		experiments.RenderSearchComparison(os.Stdout, rows)
-		fmt.Println()
+		experiments.RenderSearchComparison(out, rows)
+		fmt.Fprintln(out)
 	}
 
 	if enabled("fig7") {
 		rows, err := experiments.RunMergePairComparisonOpt(labs, experiments.FigureOptions{N: experiments.Fig5N, Constraint: experiments.Fig5Constraint, Projection: *projection})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		experiments.RenderMergePairComparison(os.Stdout, rows)
-		fmt.Println()
+		experiments.RenderMergePairComparison(out, rows)
+		fmt.Fprintln(out)
 	}
 
 	if enabled("fig8") {
@@ -93,62 +104,58 @@ func main() {
 		}
 		rows, err := experiments.RunMaintenanceComparison(labs, ns, experiments.Fig8Constraint)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		experiments.RenderMaintenanceComparison(os.Stdout, rows)
-		fmt.Println()
+		experiments.RenderMaintenanceComparison(out, rows)
+		fmt.Fprintln(out)
 	}
 
 	if enabled("ablations") {
 		prefix, err := experiments.RunAblationPrefixChoice(labs, experiments.Fig5N, experiments.Fig5Constraint)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		experiments.RenderAblation(os.Stdout, "Ablation — MergePair-Cost prefix choice (baseline: higher Seek-Cost leads; variant: reversed)", prefix)
-		fmt.Println()
+		experiments.RenderAblation(out, "Ablation — MergePair-Cost prefix choice (baseline: higher Seek-Cost leads; variant: reversed)", prefix)
+		fmt.Fprintln(out)
 
 		order, err := experiments.RunAblationGreedyOrder(labs, experiments.Fig5N, experiments.Fig5Constraint)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		experiments.RenderAblation(os.Stdout, "Ablation — Greedy inner-loop order (baseline: storage reduction desc; variant: width growth asc)", order)
-		fmt.Println()
+		experiments.RenderAblation(out, "Ablation — Greedy inner-loop order (baseline: storage reduction desc; variant: width growth asc)", order)
+		fmt.Fprintln(out)
 
 		pre, err := experiments.RunAblationPrefilter(labs, experiments.Fig5N, experiments.Fig5Constraint)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		experiments.RenderAblation(os.Stdout, "Ablation — external-cost pre-filter (extra = optimizer invocations)", pre)
-		fmt.Println()
+		experiments.RenderAblation(out, "Ablation — external-cost pre-filter (extra = optimizer invocations)", pre)
+		fmt.Fprintln(out)
 
 		inter, err := experiments.RunAblationIntersection(labs, experiments.Fig5N, experiments.Fig5Constraint)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		experiments.RenderAblation(os.Stdout, "Ablation — index-intersection access paths (baseline: on; variant: off)", inter)
-		fmt.Println()
+		experiments.RenderAblation(out, "Ablation — index-intersection access paths (baseline: on; variant: off)", inter)
+		fmt.Fprintln(out)
 	}
 
 	if enabled("compression") {
 		rows, err := experiments.RunWorkloadCompression(labs, experiments.Fig5N, 10, experiments.Fig5Constraint)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		experiments.RenderCompression(os.Stdout, rows)
-		fmt.Println()
+		experiments.RenderCompression(out, rows)
+		fmt.Fprintln(out)
 	}
 
 	if enabled("dual") {
 		rows, err := experiments.RunCostMinimal(labs, 10, []float64{0.8, 0.6, 0.4})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		experiments.RenderCostMinimal(os.Stdout, rows)
-		fmt.Println()
+		experiments.RenderCostMinimal(out, rows)
+		fmt.Fprintln(out)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+	return nil
 }

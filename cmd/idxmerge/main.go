@@ -172,17 +172,16 @@ func main() {
 
 	if *explain && !*jsonOut {
 		fmt.Println("\nper-query plans under the final configuration:")
-		cfg := optimizer.Configuration(res.Final.Defs())
 		pw, err := m.PreparedWorkload()
 		if err != nil {
 			fatal(err)
 		}
-		for i, q := range w.Queries {
-			plan, err := m.Optimizer().OptimizePrepared(pw.Queries[i], cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("-- Q%d: %s\n%s\n", i+1, q.Stmt, plan.Explain())
+		err = m.Optimizer().OptimizePreparedEach(ctx, pw, optimizer.Configuration(res.Final.Defs()), func(i int, plan *optimizer.Plan) error {
+			fmt.Printf("-- Q%d: %s\n%s\n", i+1, w.Queries[i].Stmt, plan.Explain())
+			return nil
+		})
+		if err != nil {
+			fatal(err)
 		}
 	}
 }

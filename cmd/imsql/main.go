@@ -283,12 +283,22 @@ func (sh *shell) tune(src string) {
 		fmt.Fprintln(sh.out, "no index improves this query")
 		return
 	}
-	before, _ := sh.opt.Cost(stmt, sh.currentConfig())
-	after, _ := sh.opt.Cost(stmt, optimizer.Configuration(defs))
+	pq, err := sh.opt.PrepareQuery(stmt)
+	if err != nil {
+		sh.errorf("%v", err)
+		return
+	}
+	var costs [2]float64 // under the current configuration, then the recommendation
+	for i, cfg := range []optimizer.Configuration{sh.currentConfig(), optimizer.Configuration(defs)} {
+		if costs[i], err = sh.opt.CostPrepared(pq, cfg); err != nil {
+			sh.errorf("costing: %v", err)
+			return
+		}
+	}
 	for _, d := range defs {
 		fmt.Fprintf(sh.out, "  recommend %s (%.2f MB est.)\n", d.Key(), storage.BytesToMB(sh.db.EstimateIndexBytes(d)))
 	}
-	fmt.Fprintf(sh.out, "  estimated cost %.2f -> %.2f\n", before, after)
+	fmt.Fprintf(sh.out, "  estimated cost %.2f -> %.2f\n", costs[0], costs[1])
 }
 
 func (sh *shell) merge(arg string) {

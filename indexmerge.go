@@ -459,9 +459,12 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 		}
 		return resilient.Run(ctx, fn)
 	}
+	// The workload-order passes price every query at its frequency,
+	// members and weights built once with the prepared workload.
+	members, weights := pw.Whole()
 	workloadCost := func(cfg *core.Configuration) (cost float64, err error) {
 		err = costing(func(ctx context.Context) (err error) {
-			cost, _, err = m.opt.WorkloadCostPreparedContext(ctx, pw, optimizer.Configuration(cfg.Defs()))
+			cost, _, err = m.opt.CostPreparedSum(ctx, pw, members, weights, optimizer.Configuration(cfg.Defs()), nil)
 			return err
 		})
 		return cost, err

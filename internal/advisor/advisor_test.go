@@ -81,8 +81,18 @@ func TestTuneSelectiveQueryGetsSeekIndex(t *testing.T) {
 		t.Errorf("recommended %s, want id-leading index on events", d)
 	}
 	// The recommendation must actually improve the plan.
-	cost0, _ := adv.Opt.Cost(stmt, nil)
-	cost1, _ := adv.Opt.Cost(stmt, optimizer.Configuration(defs))
+	pq, err := adv.Opt.PrepareQuery(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost0, err := adv.Opt.CostPrepared(pq, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost1, err := adv.Opt.CostPrepared(pq, optimizer.Configuration(defs))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cost1 >= cost0 {
 		t.Errorf("recommendation does not help: %v -> %v", cost0, cost1)
 	}

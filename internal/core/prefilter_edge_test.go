@@ -45,7 +45,7 @@ func TestPrefilterZeroSlack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := f.opt.WorkloadCost(f.w, optimizer.Configuration(res.Final.Defs()))
+	final, err := f.opt.WorkloadCostPrepared(f.pw, optimizer.Configuration(res.Final.Defs()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPrefilterDisagreementNearBound(t *testing.T) {
 		}
 		vetoed := pre.PrefilterRejections() > before
 
-		optCost, err := f.opt.WorkloadCost(f.w, optimizer.Configuration(cand))
+		optCost, err := f.opt.WorkloadCostPrepared(f.pw, optimizer.Configuration(cand))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,11 +91,11 @@ func newSearchFixture(t testing.TB) *searchFixture {
 	}
 	initial := NewConfiguration(defs)
 	opt := optimizer.New(db)
-	base, err := opt.WorkloadCost(w, optimizer.Configuration(defs))
+	pw, err := opt.PrepareWorkload(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw, err := opt.PrepareWorkload(w)
+	base, err := opt.WorkloadCostPrepared(pw, optimizer.Configuration(defs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestGreedyRespectsCostBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		final, err := f.opt.WorkloadCost(f.w, optimizer.Configuration(res.Final.Defs()))
+		final, err := f.opt.WorkloadCostPrepared(f.pw, optimizer.Configuration(res.Final.Defs()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +418,7 @@ func TestPrefilteredChecker(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The result still honors the optimizer bound.
-	final, err := f.opt.WorkloadCost(f.w, optimizer.Configuration(res.Final.Defs()))
+	final, err := f.opt.WorkloadCostPrepared(f.pw, optimizer.Configuration(res.Final.Defs()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,12 @@ import (
 // merging tool needs (paper Figure 1): resolving a workload against the
 // server's statistics once, then costing and planning its queries
 // against (possibly hypothetical) configurations, reading back cost
-// plus index usage — the what-if + Showplan interfaces of [CN98]. Both
-// costing calls take many queries under one configuration, which the
-// server resolves once for all of them — or, for a pricer that met each
-// index before, not at all (CostPreparedSum's resolved indexes).
-// optimizer.Optimizer satisfies it; calls may be concurrent.
+// plus index usage — the what-if + Showplan interfaces of [CN98]. They
+// are the optimizer's two doors: both take many prepared queries under
+// one configuration, which the server resolves once for all of them —
+// or, for a pricer that met each index before, not at all
+// (CostPreparedSum's resolved indexes). optimizer.Optimizer satisfies
+// it; calls may be concurrent.
 type CostServer interface {
 	PrepareWorkload(w *sql.Workload) (*optimizer.PreparedWorkload, error)
 	CostPreparedSum(ctx context.Context, pw *optimizer.PreparedWorkload, members []int, weights []float64, cfg optimizer.Configuration, rxs []*optimizer.ResolvedIndex) (sum float64, calls int, err error)

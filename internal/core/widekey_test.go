@@ -66,11 +66,11 @@ func TestGreedyNeverGrowsStorageOnWideKeys(t *testing.T) {
 
 	opt := optimizer.New(db)
 	initial := NewConfiguration([]catalog.IndexDef{a, b})
-	base, err := opt.WorkloadCost(w, optimizer.Configuration(initial.Defs()))
+	pw, err := opt.PrepareWorkload(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw, err := opt.PrepareWorkload(w)
+	base, err := opt.WorkloadCostPrepared(pw, optimizer.Configuration(initial.Defs()))
 	if err != nil {
 		t.Fatal(err)
 	}

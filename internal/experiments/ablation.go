@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 
 	"indexmerge/internal/core"
 	"indexmerge/internal/optimizer"
@@ -201,15 +202,19 @@ func RunWorkloadCompression(labs []*Lab, n, k int, constraint float64) ([]Compre
 
 		// Compress: dedup identical queries, then keep the k most
 		// expensive under the initial configuration.
-		initialDefs := s.initial.Defs()
-		costOf := func(stmt *sql.SelectStmt) float64 {
-			c, err := lab.Opt.Cost(stmt, optimizer.Configuration(initialDefs))
-			if err != nil {
-				return 0
-			}
-			return c
+		deduped := s.w.Compress()
+		dpw, err := lab.Opt.PrepareWorkload(deduped)
+		if err != nil {
+			return nil, err
 		}
-		smallW := s.w.Compress().TopK(k, costOf)
+		initialCfg := optimizer.Configuration(s.initial.Defs())
+		costs := make(map[*sql.SelectStmt]float64, dpw.Len())
+		for qi, pq := range dpw.Queries {
+			if costs[deduped.Queries[qi].Stmt], err = lab.Opt.CostPrepared(pq, initialCfg); err != nil {
+				return nil, fmt.Errorf("experiments: top-%d costing of query %d: %w", k, qi+1, err)
+			}
+		}
+		smallW := deduped.TopK(k, func(stmt *sql.SelectStmt) float64 { return costs[stmt] })
 		sm, err := newSetupOver(lab, smallW, s.initial)
 		if err != nil {
 			return nil, err
@@ -236,11 +241,11 @@ func RunWorkloadCompression(labs []*Lab, n, k int, constraint float64) ([]Compre
 
 // ablationRow assembles the shared fields.
 func ablationRow(lab *Lab, s *setup, name string, base, variant *core.SearchResult) (AblationRow, error) {
-	baseCost, err := lab.WorkloadCost(s.w, base.Final.Defs())
+	baseCost, err := s.cost(base.Final.Defs())
 	if err != nil {
 		return AblationRow{}, err
 	}
-	varCost, err := lab.WorkloadCost(s.w, variant.Final.Defs())
+	varCost, err := s.cost(variant.Final.Defs())
 	if err != nil {
 		return AblationRow{}, err
 	}

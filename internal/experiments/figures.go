@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"indexmerge/internal/catalog"
 	"indexmerge/internal/core"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/sql"
@@ -89,15 +90,20 @@ func newSetupOver(lab *Lab, w *sql.Workload, initial *core.Configuration) (*setu
 	if err != nil {
 		return nil, err
 	}
-	baseCost, err := lab.Opt.WorkloadCostPrepared(pw, optimizer.Configuration(initial.Defs()))
-	if err != nil {
+	s := &setup{lab: lab, w: w, pw: pw, initial: initial}
+	if s.baseCost, err = s.cost(initial.Defs()); err != nil {
 		return nil, err
 	}
-	seek, err := core.ComputeSeekCostsPrepared(lab.Opt, pw, initial)
-	if err != nil {
+	if s.seek, err = core.ComputeSeekCostsPrepared(lab.Opt, pw, initial); err != nil {
 		return nil, err
 	}
-	return &setup{lab: lab, w: w, pw: pw, initial: initial, baseCost: baseCost, seek: seek}, nil
+	return s, nil
+}
+
+// cost is Cost(W, C) of the setup's workload under defs, over the
+// descriptors prepared with it.
+func (s *setup) cost(defs []catalog.IndexDef) (float64, error) {
+	return s.lab.Opt.WorkloadCostPrepared(s.pw, optimizer.Configuration(defs))
 }
 
 func (s *setup) optChecker(constraint float64) *core.OptimizerChecker {
@@ -168,11 +174,11 @@ func RunSearchComparisonOpt(labs []*Lab, opt FigureOptions) ([]SearchComparisonR
 			return nil, err
 		}
 
-		finalCost, err := lab.WorkloadCost(s.w, goRes.Final.Defs())
+		finalCost, err := s.cost(goRes.Final.Defs())
 		if err != nil {
 			return nil, err
 		}
-		noneCost, err := lab.WorkloadCost(s.w, gnRes.Final.Defs())
+		noneCost, err := s.cost(gnRes.Final.Defs())
 		if err != nil {
 			return nil, err
 		}

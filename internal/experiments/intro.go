@@ -7,6 +7,7 @@ import (
 	"indexmerge/internal/advisor"
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/core"
+	"indexmerge/internal/optimizer"
 	"indexmerge/internal/sql"
 )
 
@@ -70,11 +71,15 @@ func RunIntroQ1Q3(lab *Lab) (*IntroQ1Q3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.QueryCostBefore, err = lab.WorkloadCost(w, []catalog.IndexDef{i1, i2})
+	pw, err := lab.Opt.PrepareWorkload(w)
 	if err != nil {
 		return nil, err
 	}
-	res.QueryCostAfter, err = lab.WorkloadCost(w, []catalog.IndexDef{merged.Def})
+	res.QueryCostBefore, err = lab.Opt.WorkloadCostPrepared(pw, optimizer.Configuration{i1, i2})
+	if err != nil {
+		return nil, err
+	}
+	res.QueryCostAfter, err = lab.Opt.WorkloadCostPrepared(pw, optimizer.Configuration{merged.Def})
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +153,7 @@ func RunIntroTPCD17(lab *Lab, constraint float64) (*IntroTPCD17Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	finalCost, err := lab.WorkloadCost(w, res.Final.Defs())
+	finalCost, err := s.cost(res.Final.Defs())
 	if err != nil {
 		return nil, err
 	}

@@ -163,11 +163,6 @@ func (lab *Lab) InitialConfiguration(w *sql.Workload, n int) ([]catalog.IndexDef
 	return advisor.BuildInitialConfigurationContext(context.Background(), lab.Adv, w, n, lab.seed+int64(n)*31)
 }
 
-// WorkloadCost evaluates Cost(W, C) with the lab's optimizer.
-func (lab *Lab) WorkloadCost(w *sql.Workload, defs []catalog.IndexDef) (float64, error) {
-	return lab.Opt.WorkloadCost(w, optimizer.Configuration(defs))
-}
-
 // TwoLargestTables returns the two largest tables by bytes — the
 // targets of the paper's batch-insert maintenance experiment. Byte
 // size (rows × row width) matters: in the synthetic schemas every

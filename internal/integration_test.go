@@ -64,13 +64,17 @@ func TestEndToEndTPCD(t *testing.T) {
 		t.Fatal("advisor recommended no indexes for the TPC-D workload")
 	}
 
-	baseCost, err := opt.WorkloadCost(w, nil)
+	pw, err := opt.PrepareWorkload(w)
 	if err != nil {
-		t.Fatalf("WorkloadCost(no indexes): %v", err)
+		t.Fatalf("PrepareWorkload: %v", err)
 	}
-	tunedCost, err := opt.WorkloadCost(w, optimizer.Configuration(defs))
+	baseCost, err := opt.WorkloadCostPrepared(pw, nil)
 	if err != nil {
-		t.Fatalf("WorkloadCost(tuned): %v", err)
+		t.Fatalf("WorkloadCostPrepared(no indexes): %v", err)
+	}
+	tunedCost, err := opt.WorkloadCostPrepared(pw, optimizer.Configuration(defs))
+	if err != nil {
+		t.Fatalf("WorkloadCostPrepared(tuned): %v", err)
 	}
 	if tunedCost >= baseCost {
 		t.Fatalf("tuned cost %v not below base cost %v", tunedCost, baseCost)
@@ -78,10 +82,6 @@ func TestEndToEndTPCD(t *testing.T) {
 
 	// Greedy merging must reduce storage while respecting the bound.
 	initial := core.NewConfiguration(defs)
-	pw, err := opt.PrepareWorkload(w)
-	if err != nil {
-		t.Fatalf("PrepareWorkload: %v", err)
-	}
 	seek, err := core.ComputeSeekCostsPrepared(opt, pw, initial)
 	if err != nil {
 		t.Fatalf("ComputeSeekCostsPrepared: %v", err)
@@ -98,9 +98,9 @@ func TestEndToEndTPCD(t *testing.T) {
 	if err := core.ValidateMinimalMerged(initial, res.Final); err != nil {
 		t.Errorf("result not a minimal merged configuration: %v", err)
 	}
-	finalCost, err := opt.WorkloadCost(w, optimizer.Configuration(res.Final.Defs()))
+	finalCost, err := opt.WorkloadCostPrepared(pw, optimizer.Configuration(res.Final.Defs()))
 	if err != nil {
-		t.Fatalf("WorkloadCost(final): %v", err)
+		t.Fatalf("WorkloadCostPrepared(final): %v", err)
 	}
 	if finalCost > check.U*1.0000001 {
 		t.Errorf("final cost %v exceeds bound %v", finalCost, check.U)

@@ -14,7 +14,7 @@ import (
 )
 
 // TestPlansOutliveThePlanner: a plan owns the definitions it names.
-// Plans built by OptimizePrepared and OptimizePreparedEach under a
+// Plans built by Optimize and OptimizePreparedEach under a
 // configuration listed out of key order name definitions of that
 // configuration, and still render and report the same indexes after two
 // goroutines have planned other configurations — the same keys under
@@ -38,8 +38,8 @@ func TestPlansOutliveThePlanner(t *testing.T) {
 		slices.SortStableFunc(cfg, func(a, b catalog.IndexDef) int { return -strings.Compare(a.Key(), b.Key()) })
 
 		var plans []*optimizer.Plan
-		for _, pq := range pw.Queries {
-			plan, err := opt.OptimizePrepared(pq, cfg)
+		for _, q := range lab.Complex.Queries {
+			plan, err := opt.Optimize(q.Stmt, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,8 +90,8 @@ func TestPlansOutliveThePlanner(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					for _, pq := range pw.Queries {
-						if _, err := opt.OptimizePrepared(pq, other[:1+round%len(other)]); err != nil {
+					for _, q := range lab.Complex.Queries {
+						if _, err := opt.Optimize(q.Stmt, other[:1+round%len(other)]); err != nil {
 							t.Error(err)
 							return
 						}

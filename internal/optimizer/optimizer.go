@@ -16,7 +16,12 @@ import (
 // in key order (catalog.CompareKeys), so neither a plan nor its cost
 // depends on the order the caller lists them in.
 //
-// Concurrency contract: Optimize and Cost are safe for concurrent use
+// It has two doors over prepared descriptors, each resolving the
+// configuration once for all its queries: CostPreparedSum prices many
+// queries, OptimizePreparedEach plans them. Optimize, CostPrepared and
+// WorkloadCostPrepared are thin forms of the same planning pass.
+//
+// Concurrency contract: every entry point is safe for concurrent use
 // — planning state is per-call, metadata access is read-only, and the
 // invocation counter is atomic. The caller must not mutate the
 // underlying database (inserts, index creation, Analyze) or toggle
@@ -25,16 +30,10 @@ import (
 type Optimizer struct {
 	meta Meta
 
-	// invocations counts Optimize calls — the quantity the paper's
+	// invocations counts planning calls — the quantity the paper's
 	// §3.5.3 optimizations (workload compression, external-cost
 	// pre-filtering) aim to reduce. Read it with InvocationCount.
 	invocations atomic.Int64
-
-	// preparedCalls counts the subset of invocations that were handed a
-	// descriptor (OptimizePrepared, CostPrepared) instead of preparing
-	// one per call. Read it with PreparedCallCount; the facade's bypass
-	// guard asserts it tracks invocations once a workload is prepared.
-	preparedCalls atomic.Int64
 
 	// DisableIndexIntersection turns off RID-intersection access paths;
 	// used by the ablation that measures how optimizer sophistication
@@ -60,93 +59,52 @@ func New(meta Meta) *Optimizer {
 	return &Optimizer{meta: meta}
 }
 
-// InvocationCount returns the number of Optimize calls performed.
+// InvocationCount returns the number of planning calls performed.
 func (o *Optimizer) InvocationCount() int64 { return o.invocations.Load() }
-
-// PreparedCallCount returns how many invocations were handed a
-// prepared descriptor.
-func (o *Optimizer) PreparedCallCount() int64 { return o.preparedCalls.Load() }
 
 // Optimize returns the cheapest plan found for the statement under the
 // configuration. The statement must already be resolved. It prepares
-// the statement and plans the descriptor exactly as OptimizePrepared
-// does; callers costing one statement many times prepare it once.
+// the statement and plans the descriptor once; callers costing one
+// statement many times prepare it once and use the doors below.
 func (o *Optimizer) Optimize(stmt *sql.SelectStmt, cfg Configuration) (*Plan, error) {
-	_, plan, err := o.plan(stmt, nil, cfg, true)
-	return plan, err
-}
-
-// Cost is Optimize().Cost without building the plan.
-func (o *Optimizer) Cost(stmt *sql.SelectStmt, cfg Configuration) (float64, error) {
-	cost, _, err := o.plan(stmt, nil, cfg, false)
-	return cost, err
-}
-
-// WorkloadCost computes Cost(W, C): the frequency-weighted sum of
-// optimizer-estimated query costs (paper §3.1).
-func (o *Optimizer) WorkloadCost(w *sql.Workload, cfg Configuration) (float64, error) {
-	total := 0.0
-	_, err := o.each(context.Background(), cfg, nil, len(w.Queries), false,
-		func(k int) (*sql.SelectStmt, *PreparedQuery) { return w.Queries[k].Stmt, nil },
-		func(k int, cost float64, _ *Plan) error {
-			total += cost * w.Queries[k].Freq
-			return nil
-		})
+	pq, err := o.PrepareQuery(stmt)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return total, nil
-}
-
-// OptimizePrepared is Optimize over a descriptor prepared earlier.
-func (o *Optimizer) OptimizePrepared(pq *PreparedQuery, cfg Configuration) (*Plan, error) {
-	_, plan, err := o.plan(nil, pq, cfg, true)
+	_, plan, err := o.plan(pq, cfg, true)
 	return plan, err
 }
 
-// CostPrepared returns OptimizePrepared(pq, cfg).Cost without building
-// the plan; with the planner's pooled state warm it allocates nothing.
+// CostPrepared returns the cost of pq's cheapest plan under cfg
+// without building the plan; with the planner's pooled state warm it
+// allocates nothing.
 func (o *Optimizer) CostPrepared(pq *PreparedQuery, cfg Configuration) (float64, error) {
-	cost, _, err := o.plan(nil, pq, cfg, false)
+	cost, _, err := o.plan(pq, cfg, false)
 	return cost, err
 }
 
-// WorkloadCostPrepared is WorkloadCost over a prepared workload.
+// WorkloadCostPrepared computes Cost(W, C), the frequency-weighted sum
+// of optimizer-estimated query costs (paper §3.1): CostPreparedSum over
+// every query of pw at its frequency (PreparedWorkload.Whole).
 func (o *Optimizer) WorkloadCostPrepared(pw *PreparedWorkload, cfg Configuration) (float64, error) {
-	total, _, err := o.WorkloadCostPreparedContext(context.Background(), pw, cfg)
+	members, weights := pw.Whole()
+	total, _, err := o.CostPreparedSum(context.Background(), pw, members, weights, cfg, nil)
 	return total, err
-}
-
-// WorkloadCostPreparedContext is WorkloadCostPrepared, checking ctx
-// before each query: once it is done the sum stops with ctx.Err(). It
-// also returns how many CostPrepared calls it made, a failing one
-// included.
-func (o *Optimizer) WorkloadCostPreparedContext(ctx context.Context, pw *PreparedWorkload, cfg Configuration) (total float64, calls int, err error) {
-	calls, err = o.each(ctx, cfg, nil, len(pw.Queries), false,
-		func(k int) (*sql.SelectStmt, *PreparedQuery) { return nil, pw.Queries[k] },
-		func(k int, cost float64, _ *Plan) error {
-			total += cost * pw.W.Queries[k].Freq
-			return nil
-		})
-	if err != nil {
-		return 0, calls, err
-	}
-	return total, calls, nil
 }
 
 // CostPreparedSum returns Σ weights[k] × CostPrepared(pw.Queries[members[k]],
 // cfg), summed in member order — no members sum to 0 — and how many
 // CostPrepared calls it made, a failing one included. cfg is resolved
 // once for all of them, into pooled state: with it warm the loop
-// allocates nothing. A caller
-// holding cfg's indexes resolved already (PreparedWorkload.Resolve)
-// passes them, aligned with cfg, as rxs, and nothing is resolved again
-// but for a descriptor of another schema; nil rxs resolves cfg by name.
+// allocates nothing. A caller holding cfg's indexes resolved already
+// (PreparedWorkload.Resolve) passes them, aligned with cfg, as rxs, and
+// nothing is resolved again but for a descriptor of another schema; nil
+// rxs resolves cfg by name.
 // ctx is checked before each member; once it is done the sum stops with
 // ctx.Err().
 func (o *Optimizer) CostPreparedSum(ctx context.Context, pw *PreparedWorkload, members []int, weights []float64, cfg Configuration, rxs []*ResolvedIndex) (sum float64, calls int, err error) {
 	calls, err = o.each(ctx, cfg, rxs, len(members), false,
-		func(k int) (*sql.SelectStmt, *PreparedQuery) { return nil, pw.Queries[members[k]] },
+		func(k int) *PreparedQuery { return pw.Queries[members[k]] },
 		func(k int, cost float64, _ *Plan) error {
 			sum += cost * weights[k]
 			return nil
@@ -163,19 +121,19 @@ func (o *Optimizer) CostPreparedSum(ctx context.Context, pw *PreparedWorkload, m
 // query; once it is done the pass stops with ctx.Err().
 func (o *Optimizer) OptimizePreparedEach(ctx context.Context, pw *PreparedWorkload, cfg Configuration, each func(qi int, plan *Plan) error) error {
 	_, err := o.each(ctx, cfg, nil, len(pw.Queries), true,
-		func(k int) (*sql.SelectStmt, *PreparedQuery) { return nil, pw.Queries[k] },
+		func(k int) *PreparedQuery { return pw.Queries[k] },
 		func(k int, _ float64, plan *Plan) error { return each(k, plan) })
 	return err
 }
 
 // each is the one loop that plans many queries under one configuration:
-// it makes the calls of n queries — query(k) names the k-th, by
-// statement or by descriptor — on one pooled planner, which resolves cfg
-// once for all of them (or takes it resolved, as rxs), and hands each
-// cost, and with build each plan, to done. It checks ctx before each
-// call, stops at the first error and returns how many calls it made.
+// it makes the calls of n descriptors — query(k) is the k-th — on one
+// pooled planner, which resolves cfg once for all of them (or takes it
+// resolved, as rxs), and hands each cost, and with build each plan, to
+// done. It checks ctx before each call, stops at the first error and
+// returns how many calls it made.
 func (o *Optimizer) each(ctx context.Context, cfg Configuration, rxs []*ResolvedIndex, n int, build bool,
-	query func(k int) (*sql.SelectStmt, *PreparedQuery), done func(k int, cost float64, plan *Plan) error,
+	query func(k int) *PreparedQuery, done func(k int, cost float64, plan *Plan) error,
 ) (calls int, err error) {
 	p := plannerPool.Get().(*planner)
 	defer plannerPool.Put(p)
@@ -184,9 +142,8 @@ func (o *Optimizer) each(ctx context.Context, cfg Configuration, rxs []*Resolved
 		if err := ctx.Err(); err != nil {
 			return calls, err
 		}
-		stmt, pq := query(k)
 		calls++
-		cost, plan, err := o.planOn(p, stmt, pq, cfg, true, build)
+		cost, plan, err := o.planOn(p, query(k), cfg, true, build)
 		if err == nil {
 			err = done(k, cost, plan)
 		}
@@ -229,35 +186,27 @@ var plannerPool = sync.Pool{New: func() any { return new(planner) }}
 
 // plan is what every one-off planning call is: planOn, on a pooled
 // planner, resolving cfg for itself.
-func (o *Optimizer) plan(stmt *sql.SelectStmt, pq *PreparedQuery, cfg Configuration, build bool) (float64, *Plan, error) {
+func (o *Optimizer) plan(pq *PreparedQuery, cfg Configuration, build bool) (float64, *Plan, error) {
 	p := plannerPool.Get().(*planner)
 	defer plannerPool.Put(p)
-	return o.planOn(p, stmt, pq, cfg, false, build)
+	return o.planOn(p, pq, cfg, false, build)
 }
 
 // planOn is the one entry sequence — count the invocation, give the
-// fault injector its one shot, take the caller's descriptor (refused if
-// the statistics were rebuilt after it was prepared) or prepare one from
-// the statement — and then the one planning pass over cfg, resolved for
-// all the calls of a loop when pass is set (see begin): enumerate
-// every candidate — access paths per table, join orders and algorithms
-// per table subset, streaming or hashed aggregation, sort — on costs
-// alone, keeping the cheapest, and only when build is set turn the
-// winning choices into a plan tree. Enumerating complete single-table
-// plans (rather than the cheapest access path only) lets an index that
-// provides order win even when a bare scan is cheaper.
-func (o *Optimizer) planOn(p *planner, stmt *sql.SelectStmt, pq *PreparedQuery, cfg Configuration, pass, build bool) (float64, *Plan, error) {
+// fault injector its one shot, refuse a descriptor prepared before the
+// statistics were rebuilt — and then the one planning pass over cfg,
+// resolved for all the calls of a loop when pass is set (see begin):
+// enumerate every candidate — access paths per table, join orders and
+// algorithms per table subset, streaming or hashed aggregation, sort —
+// on costs alone, keeping the cheapest, and only when build is set turn
+// the winning choices into a plan tree. Enumerating complete
+// single-table plans (rather than the cheapest access path only) lets
+// an index that provides order win even when a bare scan is cheaper.
+func (o *Optimizer) planOn(p *planner, pq *PreparedQuery, cfg Configuration, pass, build bool) (float64, *Plan, error) {
 	o.invocations.Add(1)
-	if pq != nil {
-		o.preparedCalls.Add(1)
-	}
 	err := faults.Inject(faults.OptimizerCost)
-	switch {
-	case err != nil:
-	case pq != nil:
+	if err == nil {
 		err = pq.checkFresh()
-	default:
-		pq, err = PrepareQuery(stmt, o.meta)
 	}
 	if err != nil {
 		return 0, nil, err

@@ -323,18 +323,22 @@ func TestWorkloadCostWeightsFrequencies(t *testing.T) {
 	db := fixtureDB(t)
 	o := New(db)
 	stmt := mustSelect(t, db, "SELECT oid FROM orders WHERE oid = 5")
-	single, err := o.Cost(stmt, nil)
+	single, err := o.Optimize(stmt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := &sql.Workload{}
 	w.Add(stmt, 3)
-	total, err := o.WorkloadCost(w, nil)
+	pw, err := o.PrepareWorkload(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 3*single {
-		t.Errorf("WorkloadCost = %v, want %v", total, 3*single)
+	total, err := o.WorkloadCostPrepared(pw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != 3*single.Cost {
+		t.Errorf("WorkloadCostPrepared = %v, want %v", total, 3*single.Cost)
 	}
 }
 

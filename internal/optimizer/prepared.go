@@ -30,9 +30,8 @@ type StatsVersioner interface {
 // the conjunction selectivity, join selectivities, group/order
 // satisfaction metadata, and heap-page estimates — computed once so
 // that planning it under one configuration after another never
-// re-walks the AST or re-probes histograms. Optimize and Cost build
-// one per call; OptimizePrepared and CostPrepared take one built
-// earlier.
+// re-walks the AST or re-probes histograms. Optimize builds one per
+// call; every other entry point takes one built earlier.
 //
 // A PreparedQuery is read-only after PrepareQuery returns and safe for
 // concurrent use by any number of goroutines.
@@ -94,10 +93,28 @@ type PreparedWorkload struct {
 
 	byTableOnce sync.Once
 	byTable     map[string][]int // query positions per referenced table
+
+	wholeOnce sync.Once
+	members   []int     // every position, in workload order (see Whole)
+	weights   []float64 // each position's frequency
 }
 
 // Len returns the number of prepared queries.
 func (pw *PreparedWorkload) Len() int { return len(pw.Queries) }
+
+// Whole returns every position of pw in workload order and each
+// query's frequency, the members and weights of Cost(W, C) for
+// CostPreparedSum: built on the first call, shared read-only after.
+func (pw *PreparedWorkload) Whole() (members []int, weights []float64) {
+	pw.wholeOnce.Do(func() {
+		pw.members = make([]int, len(pw.Queries))
+		pw.weights = make([]float64, len(pw.Queries))
+		for k := range pw.members {
+			pw.members[k], pw.weights[k] = k, pw.W.Queries[k].Freq
+		}
+	})
+	return pw.members, pw.weights
+}
 
 // QuerySet is a set of workload positions, one bit per query.
 type QuerySet []uint64

@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -47,18 +48,24 @@ func TestWidePredicateAndIndexSets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			planP, err := opt.OptimizePrepared(pq, cfg)
-			if err != nil {
+			var planE *optimizer.Plan
+			if err := opt.OptimizePreparedEach(context.Background(), pw, cfg, func(_ int, p *optimizer.Plan) error {
+				planE = p
+				return nil
+			}); err != nil {
 				t.Fatal(err)
 			}
-			if planP.Explain() != explain {
-				t.Errorf("OptimizePrepared plans differently:\n%s-- Optimize:\n%s", planP.Explain(), explain)
+			if planE.Explain() != explain {
+				t.Errorf("OptimizePreparedEach plans differently:\n%s-- Optimize:\n%s", planE.Explain(), explain)
 			}
+			members, weights := pw.Whole()
 			costs := map[string]func() (float64, error){
-				"OptimizePrepared":     func() (float64, error) { return planP.Cost, nil },
-				"Cost":                 func() (float64, error) { return opt.Cost(c.Stmt, cfg) },
+				"OptimizePreparedEach": func() (float64, error) { return planE.Cost, nil },
 				"CostPrepared":         func() (float64, error) { return opt.CostPrepared(pq, cfg) },
-				"WorkloadCost":         func() (float64, error) { return opt.WorkloadCost(w, cfg) },
+				"CostPreparedSum": func() (float64, error) {
+					sum, _, err := opt.CostPreparedSum(context.Background(), pw, members, weights, cfg, nil)
+					return sum, err
+				},
 				"WorkloadCostPrepared": func() (float64, error) { return opt.WorkloadCostPrepared(pw, cfg) },
 			}
 			for name, call := range costs {

@@ -20,17 +20,17 @@ import (
 )
 
 // setCosts is everything the optimizer and the facade answer for one
-// configuration of a workload, as float bits: per statement, Cost,
-// CostPrepared, the plan costs of OptimizePrepared and of
-// OptimizePreparedEach; per workload, WorkloadCost, WorkloadCostPrepared,
-// WorkloadCostPreparedContext, CostPreparedSum over every statement, and
-// Merger.WorkloadCost on a merger of its own. uses records the indexes
-// each plan of OptimizePrepared and of OptimizePreparedEach uses, by key
-// and mode: a plan, too, is the set's.
+// configuration of a workload, as float bits: per statement, the plan
+// cost of Optimize, CostPrepared and the plan cost of
+// OptimizePreparedEach; per workload, the workload-order sum of
+// CostPrepared × frequency, WorkloadCostPrepared, CostPreparedSum over
+// every statement, and Merger.WorkloadCost on a merger of its own. uses
+// records the indexes each plan of Optimize and of OptimizePreparedEach
+// uses, by key and mode: a plan, too, is the set's.
 type setCosts struct {
-	perQuery [][4]uint64
+	perQuery [][3]uint64
 	uses     [][2]string
-	totals   [5]uint64
+	totals   [4]uint64
 }
 
 // usesOf renders a plan's index usage by key and mode.
@@ -40,6 +40,21 @@ func usesOf(plan *optimizer.Plan) string {
 		fmt.Fprintf(&b, "%s:%v ", u.Index.Key(), u.Mode)
 	}
 	return b.String()
+}
+
+// workloadOrder is Cost(W, C) summed query by query in workload order
+// from one-off CostPrepared calls: the sum the workload passes answer.
+func workloadOrder(t *testing.T, opt *optimizer.Optimizer, pw *optimizer.PreparedWorkload, cfg optimizer.Configuration) float64 {
+	t.Helper()
+	sum := 0.0
+	for qi, pq := range pw.Queries {
+		cost, err := opt.CostPrepared(pq, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += cost * pw.W.Queries[qi].Freq
+	}
+	return sum
 }
 
 func priceSet(t *testing.T, db *Database, w *Workload, cfg optimizer.Configuration) setCosts {
@@ -54,16 +69,15 @@ func priceSet(t *testing.T, db *Database, w *Workload, cfg optimizer.Configurati
 		t.Fatal(err)
 	}
 	var out setCosts
-	each := make([]uint64, len(pw.Queries))
-	eachUses := make([]string, len(pw.Queries))
+	each := make([]*optimizer.Plan, len(pw.Queries))
 	if err := opt.OptimizePreparedEach(context.Background(), pw, cfg, func(qi int, plan *optimizer.Plan) error {
-		each[qi], eachUses[qi] = math.Float64bits(plan.Cost), usesOf(plan)
+		each[qi] = plan
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for qi, pq := range pw.Queries {
-		cost, err := opt.Cost(w.Queries[qi].Stmt, cfg)
+		plan, err := opt.Optimize(w.Queries[qi].Stmt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,30 +85,15 @@ func priceSet(t *testing.T, db *Database, w *Workload, cfg optimizer.Configurati
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := opt.OptimizePrepared(pq, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.perQuery = append(out.perQuery, [4]uint64{math.Float64bits(cost), math.Float64bits(prepared), math.Float64bits(plan.Cost), each[qi]})
-		out.uses = append(out.uses, [2]string{usesOf(plan), eachUses[qi]})
+		out.perQuery = append(out.perQuery, [3]uint64{math.Float64bits(plan.Cost), math.Float64bits(prepared), math.Float64bits(each[qi].Cost)})
+		out.uses = append(out.uses, [2]string{usesOf(plan), usesOf(each[qi])})
 	}
-	members := make([]int, len(pw.Queries))
-	weights := make([]float64, len(pw.Queries))
-	for qi := range members {
-		members[qi], weights[qi] = qi, w.Queries[qi].Freq
-	}
-	plain, err := opt.WorkloadCost(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ordered := workloadOrder(t, opt, pw, cfg)
 	prepared, err := opt.WorkloadCostPrepared(pw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, _, err := opt.WorkloadCostPreparedContext(context.Background(), pw, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	members, weights := pw.Whole()
 	sum, _, err := opt.CostPreparedSum(context.Background(), pw, members, weights, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +102,16 @@ func priceSet(t *testing.T, db *Database, w *Workload, cfg optimizer.Configurati
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.totals = [5]uint64{math.Float64bits(plain), math.Float64bits(prepared), math.Float64bits(withCtx), math.Float64bits(sum), math.Float64bits(facade)}
+	out.totals = [4]uint64{math.Float64bits(ordered), math.Float64bits(prepared), math.Float64bits(sum), math.Float64bits(facade)}
+	for k := 1; k <= 2; k++ {
+		if out.totals[k] != out.totals[0] {
+			t.Fatalf("%s %v, the workload-order sum %v", setCostNames[3+k], math.Float64frombits(out.totals[k]), ordered)
+		}
+	}
 	return out
 }
 
-var setCostNames = [...]string{"Cost", "CostPrepared", "OptimizePrepared", "OptimizePreparedEach", "WorkloadCost", "WorkloadCostPrepared", "WorkloadCostPreparedContext", "CostPreparedSum", "Merger.WorkloadCost"}
+var setCostNames = [...]string{"Optimize", "CostPrepared", "OptimizePreparedEach", "workload-order sum", "WorkloadCostPrepared", "CostPreparedSum", "Merger.WorkloadCost"}
 
 // sameSetCosts reports the first answer that differs between a and b.
 func sameSetCosts(a, b setCosts) error {
@@ -117,7 +121,7 @@ func sameSetCosts(a, b setCosts) error {
 				return fmt.Errorf("query %d: %s %v, then %v", qi+1, setCostNames[k], math.Float64frombits(x), math.Float64frombits(y))
 			}
 		}
-		for k, entry := range []string{"OptimizePrepared", "OptimizePreparedEach"} {
+		for k, entry := range []string{"Optimize", "OptimizePreparedEach"} {
 			if x, y := a.uses[qi][k], b.uses[qi][k]; x != y {
 				return fmt.Errorf("query %d: %s plan uses %s, then %s", qi+1, entry, x, y)
 			}
@@ -125,7 +129,7 @@ func sameSetCosts(a, b setCosts) error {
 	}
 	for k := range a.totals {
 		if x, y := a.totals[k], b.totals[k]; x != y {
-			return fmt.Errorf("%s %v, then %v", setCostNames[4+k], math.Float64frombits(x), math.Float64frombits(y))
+			return fmt.Errorf("%s %v, then %v", setCostNames[3+k], math.Float64frombits(x), math.Float64frombits(y))
 		}
 	}
 	return nil
@@ -139,8 +143,9 @@ func keyOrdered(defs []IndexDef) optimizer.Configuration {
 
 // TestCostIsAFunctionOfTheSet prices tuned configurations of the three
 // reference databases, over several workload seeds, in key order and in
-// shuffled orders: every entry point must answer the same bits. Then the
-// facade: Merger.WorkloadCost is WorkloadCostPrepared to the bit on a
+// shuffled orders: every entry point must answer the same bits, and
+// every workload pass, a merge's initial and final costs included, the
+// workload-order sum's. Then the facade: Merger.WorkloadCost is WorkloadCostPrepared to the bit on a
 // workload without repeated templates and within 1e-12 on a duplicated
 // log, and a warm call makes no optimizer call.
 func TestCostIsAFunctionOfTheSet(t *testing.T) {
@@ -167,6 +172,31 @@ func TestCostIsAFunctionOfTheSet(t *testing.T) {
 				defs, err := m.InitialConfiguration(ctx, 16, seed, MergeOptions{})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if seed == 1 {
+					// A merge's workload-order passes — the baseline under
+					// MergePair-Cost's Seek-Cost pass and under
+					// MergePair-Syntactic's own, the final cost under both —
+					// are the workload-order sums to the bit.
+					pw, err := m.PreparedWorkload()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, mp := range []MergePairKind{MergePairCost, MergePairSyntactic} {
+						res, err := m.MergeDefsContext(ctx, defs, MergeOptions{MergePair: mp})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, c := range []struct {
+							what string
+							got  float64
+							cfg  []IndexDef
+						}{{"InitialCost", res.InitialCost, defs}, {"FinalCost", res.FinalCost, res.Final.Defs()}} {
+							if want := workloadOrder(t, m.opt, pw, c.cfg); math.Float64bits(c.got) != math.Float64bits(want) {
+								t.Errorf("%s seed 1 duplication %d, merge pair %d: %s %v, the workload-order sum %v", name, dup, mp, c.what, c.got, want)
+							}
+						}
+					}
 				}
 				// Each index again on its leading column alone and with the
 				// rest of its columns reversed: seeks of one selectivity,
@@ -196,7 +226,7 @@ func TestCostIsAFunctionOfTheSet(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				prepared, facade := math.Float64frombits(want.totals[1]), math.Float64frombits(want.totals[4])
+				prepared, facade := math.Float64frombits(want.totals[1]), math.Float64frombits(want.totals[3])
 				if len(cw.C.Templates) == w.Len() {
 					distinct++
 					if facade != prepared {
@@ -214,7 +244,7 @@ func TestCostIsAFunctionOfTheSet(t *testing.T) {
 				}
 				calls := m.Optimizer().InvocationCount()
 				slices.Reverse(defs)
-				if cost, err := m.WorkloadCost(defs); err != nil || math.Float64bits(cost) != want.totals[4] {
+				if cost, err := m.WorkloadCost(defs); err != nil || math.Float64bits(cost) != want.totals[3] {
 					t.Errorf("%s: warm Merger.WorkloadCost %v (%v), cold %v", label, cost, err, facade)
 				}
 				if n := m.Optimizer().InvocationCount() - calls; n != 0 {

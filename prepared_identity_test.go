@@ -57,10 +57,11 @@ func sameUses(a, b []optimizer.IndexUse) bool {
 
 // TestPreparedMatchesOptimize checks, on every (database, workload
 // class, configuration, ablation) combination: Optimize (which prepares
-// per call) against OptimizePrepared, CostPrepared against the built
-// plan's cost, and — the one guard that prefiltering changes no plan —
-// every ablation's plan with the relevant-index prefilter off against
-// the same ablation with it on.
+// per call) against OptimizePreparedEach's plan of the descriptor
+// prepared once, CostPrepared against the built plan's cost, and — the
+// one guard that prefiltering changes no plan — every ablation's plan
+// with the relevant-index prefilter off against the same ablation with
+// it on.
 func TestPreparedMatchesOptimize(t *testing.T) {
 	for _, lab := range identityLabs(t) {
 		cfgs := identityConfigs(t, lab)
@@ -87,12 +88,20 @@ func TestPreparedMatchesOptimize(t *testing.T) {
 				opt.DisableIndexUnion, unfiltered.DisableIndexUnion = v.noUnion, v.noUnion
 				unfiltered.DisableRelevantIndexFilter = true
 				for ci, cfg := range cfgs {
+					plans := func(o *optimizer.Optimizer) []*optimizer.Plan {
+						out := make([]*optimizer.Plan, len(pw.Queries))
+						if err := o.OptimizePreparedEach(context.Background(), pw, cfg, func(qi int, plan *optimizer.Plan) error {
+							out[qi] = plan
+							return nil
+						}); err != nil {
+							t.Fatalf("%s/%s/%s cfg=%d: OptimizePreparedEach: %v", lab.Name, wname, v.name, ci, err)
+						}
+						return out
+					}
+					filteredPlans, unfilteredPlans := plans(opt), plans(unfiltered)
 					for qi, q := range w.Queries {
 						tag := fmt.Sprintf("%s/%s/%s cfg=%d q=%d", lab.Name, wname, v.name, ci, qi+1)
-						planP, err := opt.OptimizePrepared(pw.Queries[qi], cfg)
-						if err != nil {
-							t.Fatalf("%s: OptimizePrepared: %v", tag, err)
-						}
+						planP := filteredPlans[qi]
 						samePlan := func(what string, other *optimizer.Plan, err error) {
 							t.Helper()
 							if err != nil {
@@ -100,14 +109,13 @@ func TestPreparedMatchesOptimize(t *testing.T) {
 							}
 							if math.Float64bits(other.Cost) != math.Float64bits(planP.Cost) ||
 								other.Explain() != planP.Explain() || !sameUses(other.Uses, planP.Uses) {
-								t.Errorf("%s: %s differs from OptimizePrepared:\n%s(cost %v, uses %v)\n-- OptimizePrepared:\n%s(cost %v, uses %v)",
+								t.Errorf("%s: %s differs from OptimizePreparedEach:\n%s(cost %v, uses %v)\n-- OptimizePreparedEach:\n%s(cost %v, uses %v)",
 									tag, what, other.Explain(), other.Cost, other.Uses, planP.Explain(), planP.Cost, planP.Uses)
 							}
 						}
 						plan, err := opt.Optimize(q.Stmt, cfg)
 						samePlan("Optimize", plan, err)
-						plan, err = unfiltered.OptimizePrepared(pw.Queries[qi], cfg)
-						samePlan("prefilter off", plan, err)
+						samePlan("prefilter off", unfilteredPlans[qi], nil)
 						for _, o := range []*optimizer.Optimizer{opt, unfiltered} {
 							cost, err := o.CostPrepared(pw.Queries[qi], cfg)
 							if err != nil {
@@ -126,9 +134,10 @@ func TestPreparedMatchesOptimize(t *testing.T) {
 
 // TestCostPreparedConcurrentSharedWorkload shares one PreparedWorkload
 // across goroutines costing different configurations — the exact
-// sharing pattern of parallel candidate costing. Run under -race it
-// proves descriptors are read-only; the cost comparison proves results
-// do not depend on interleaving.
+// sharing pattern of parallel candidate costing — and pricing the whole
+// workload, whose members and weights the goroutines' first calls build
+// at once. Run under -race it proves descriptors are read-only; the
+// cost comparison proves results do not depend on interleaving.
 func TestCostPreparedConcurrentSharedWorkload(t *testing.T) {
 	lab, err := experiments.NewSynthetic2Lab(experiments.LabOptions{Scale: 0.25, WorkloadQueries: 12, Seed: 1})
 	if err != nil {
@@ -148,6 +157,7 @@ func TestCostPreparedConcurrentSharedWorkload(t *testing.T) {
 	}
 
 	want := make([][]float64, len(cfgs))
+	wantTotal := make([]float64, len(cfgs))
 	for ci, cfg := range cfgs {
 		want[ci] = make([]float64, pw.Len())
 		for qi := range pw.Queries {
@@ -155,6 +165,7 @@ func TestCostPreparedConcurrentSharedWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			wantTotal[ci] += want[ci][qi] * lab.Complex.Queries[qi].Freq
 		}
 	}
 
@@ -166,6 +177,10 @@ func TestCostPreparedConcurrentSharedWorkload(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 4; round++ {
 				for ci, cfg := range cfgs {
+					if total, err := lab.Opt.WorkloadCostPrepared(pw, cfg); err != nil || math.Float64bits(total) != math.Float64bits(wantTotal[ci]) {
+						errs[g] = fmt.Errorf("cfg %d: concurrent workload cost %v (error %v) != serial %v", ci, total, err, wantTotal[ci])
+						return
+					}
 					for qi := range pw.Queries {
 						got, err := lab.Opt.CostPrepared(pw.Queries[qi], cfg)
 						if err != nil {
@@ -190,8 +205,10 @@ func TestCostPreparedConcurrentSharedWorkload(t *testing.T) {
 }
 
 // TestFacadePreparedFastPathGuard fails the build if any costing in a
-// facade merge bypasses the prepared fast path: after a full merge,
-// every optimizer invocation must have been a prepared one.
+// facade merge could bypass the prepared fast path: a full merge makes
+// optimizer invocations, every one handed a descriptor by construction,
+// and no costing package calls the statement door (Optimize), which
+// prepares per call.
 func TestFacadePreparedFastPathGuard(t *testing.T) {
 	lab, err := experiments.NewSynthetic1Lab(experiments.LabOptions{Scale: 0.25, WorkloadQueries: 12, Seed: 1})
 	if err != nil {
@@ -208,14 +225,13 @@ func TestFacadePreparedFastPathGuard(t *testing.T) {
 	if _, err := m.MergeDefsContext(context.Background(), defs, MergeOptions{CostConstraint: 0.10}); err != nil {
 		t.Fatal(err)
 	}
-	opt := m.Optimizer()
-	if opt.InvocationCount() == 0 {
+	if m.Optimizer().InvocationCount() == 0 {
 		t.Fatal("merge performed no optimizer invocations")
 	}
-	if opt.PreparedCallCount() != opt.InvocationCount() {
-		t.Fatalf("prepared fast path bypassed: %d of %d invocations were prepared",
-			opt.PreparedCallCount(), opt.InvocationCount())
+	if !statementDoor.re.MatchString("plan, err := opt.Optimize(stmt, cfg)") || !statementDoor.in("indexmerge.go") {
+		t.Fatal("the statement-door guard matches no call of Optimize in the facade")
 	}
+	checkGuards(t, statementDoor)
 }
 
 // TestPreparedStaleness: descriptors bake in selectivities and
@@ -263,9 +279,9 @@ func TestPreparedStaleness(t *testing.T) {
 
 // TestCostPreparedAllocations asserts the hot path's allocation
 // behavior: candidate costing through CostPrepared must allocate at
-// least 5× less than unprepared Optimize-based costing, and stay under
-// a small absolute per-query bound (the pooled scratch makes the
-// steady state allocation-free for simple queries).
+// least 5× less than costing that prepares each query per call, and
+// stay under a small absolute per-query bound (the pooled scratch makes
+// the steady state allocation-free for simple queries).
 func TestCostPreparedAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool items; allocation counts are not meaningful")
@@ -294,7 +310,11 @@ func TestCostPreparedAllocations(t *testing.T) {
 	})
 	unprepared := testing.AllocsPerRun(20, func() {
 		for _, q := range lab.Complex.Queries {
-			if _, err := lab.Opt.Cost(q.Stmt, cfg); err != nil {
+			pq, err := lab.Opt.PrepareQuery(q.Stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lab.Opt.CostPrepared(pq, cfg); err != nil {
 				t.Fatal(err)
 			}
 		}
