@@ -176,8 +176,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		err = m.Optimizer().OptimizePreparedEach(ctx, pw, optimizer.Configuration(res.Final.Defs()), func(i int, plan *optimizer.Plan) error {
-			fmt.Printf("-- Q%d: %s\n%s\n", i+1, w.Queries[i].Stmt, plan.Explain())
+		err = m.Optimizer().OptimizePreparedEach(ctx, pw, optimizer.Configuration(res.Final.Defs()), func(i int, c *optimizer.Choice) error {
+			fmt.Printf("-- Q%d: %s\n%s\n", i+1, w.Queries[i].Stmt, c.Plan().Explain())
 			return nil
 		})
 		if err != nil {

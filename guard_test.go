@@ -96,6 +96,15 @@ var nameGuards = []nameGuard{
 		re:  regexp.MustCompile(`func \(\w+ \*Optimizer\) (?:Cost|WorkloadCost)\(|\bOptimizePrepared\(|WorkloadCostPreparedContext|PreparedCallCount|preparedCalls`),
 		in:  everywhere,
 	},
+	{
+		// A plan's index uses are read from the planner's winning
+		// choices, by the one walk that feeds both Plan.Uses and the
+		// Showplan door; no attribution walks a built plan tree in the
+		// product, and the exported seek probe on Plan is gone.
+		why: "index uses come from the planner's choices",
+		re:  regexp.MustCompile(`\bcollectUses\b|\bUsesIndexForSeek\b`),
+		in:  everywhere,
+	},
 	statementDoor,
 }
 

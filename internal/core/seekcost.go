@@ -16,12 +16,14 @@ import (
 // are the optimizer's two doors: both take many prepared queries under
 // one configuration, which the server resolves once for all of them —
 // or, for a pricer that met each index before, not at all
-// (CostPreparedSum's resolved indexes). optimizer.Optimizer satisfies
-// it; calls may be concurrent.
+// (CostPreparedSum's resolved indexes). The Showplan door hands out each
+// query's cost and the configuration positions its plan seeks or scans
+// on, and builds the plan tree only when asked (optimizer.Choice).
+// optimizer.Optimizer satisfies it; calls may be concurrent.
 type CostServer interface {
 	PrepareWorkload(w *sql.Workload) (*optimizer.PreparedWorkload, error)
 	CostPreparedSum(ctx context.Context, pw *optimizer.PreparedWorkload, members []int, weights []float64, cfg optimizer.Configuration, rxs []*optimizer.ResolvedIndex) (sum float64, calls int, err error)
-	OptimizePreparedEach(ctx context.Context, pw *optimizer.PreparedWorkload, cfg optimizer.Configuration, each func(qi int, plan *optimizer.Plan) error) error
+	OptimizePreparedEach(ctx context.Context, pw *optimizer.PreparedWorkload, cfg optimizer.Configuration, each func(qi int, c *optimizer.Choice) error) error
 }
 
 // preparedFor resolves the prepared form of w a costing component works
@@ -41,7 +43,8 @@ func preparedFor(server CostServer, w *sql.Workload, pw *optimizer.PreparedWorkl
 // SeekCosts holds Seek-Cost(W, I) for every index I in the initial
 // configuration: the total cost of workload queries whose plan used I
 // for an index seek (paper §3.3.1). The same plans also give
-// Cost(W, C₀), the initial configuration's workload cost.
+// Cost(W, C₀), the initial configuration's workload cost. Both are read
+// from the planner's choices; no plan tree is built.
 type SeekCosts struct {
 	byIndex map[string]float64
 	initial float64
@@ -71,16 +74,19 @@ func ComputeSeekCostsPrepared(server CostServer, pw *optimizer.PreparedWorkload,
 // the initial configuration, attributes each query's cost to the
 // indexes its plan seeks on, and sums the costs into Cost(W, C₀). This
 // mirrors gathering "the plan and cost of each query in W for the
-// initial configuration" via Showplan. ctx is checked before each
-// query; once it is done the pass stops with ctx.Err().
+// initial configuration" via Showplan. Each query's seek uses arrive
+// as positions in the initial configuration, keyed by its indexes'
+// memoized keys, so the pass builds neither a plan tree nor a key. ctx
+// is checked before each query; once it is done the pass stops with
+// ctx.Err().
 func ComputeSeekCostsPreparedContext(ctx context.Context, server CostServer, pw *optimizer.PreparedWorkload, initial *Configuration) (*SeekCosts, error) {
-	out := &SeekCosts{byIndex: make(map[string]float64)}
-	err := server.OptimizePreparedEach(ctx, pw, optimizer.Configuration(initial.Defs()), func(qi int, p *optimizer.Plan) error {
-		cost := p.Cost * pw.W.Queries[qi].Freq
+	out := &SeekCosts{byIndex: make(map[string]float64, initial.Len())}
+	err := server.OptimizePreparedEach(ctx, pw, optimizer.Configuration(initial.Defs()), func(qi int, c *optimizer.Choice) error {
+		cost := c.Cost * pw.W.Queries[qi].Freq
 		out.initial += cost
-		for _, use := range p.Uses {
-			if use.Mode == optimizer.UsageSeek {
-				out.byIndex[use.Index.Key()] += cost
+		for _, u := range c.Uses {
+			if u.Mode == optimizer.UsageSeek {
+				out.byIndex[initial.Indexes[u.Pos].Key()] += cost
 			}
 		}
 		return nil

@@ -45,8 +45,8 @@ func TestPlansOutliveThePlanner(t *testing.T) {
 			}
 			plans = append(plans, plan)
 		}
-		if err := opt.OptimizePreparedEach(context.Background(), pw, cfg, func(_ int, plan *optimizer.Plan) error {
-			plans = append(plans, plan)
+		if err := opt.OptimizePreparedEach(context.Background(), pw, cfg, func(_ int, c *optimizer.Choice) error {
+			plans = append(plans, c.Plan())
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -86,7 +86,7 @@ func TestPlansOutliveThePlanner(t *testing.T) {
 				}
 				for round := range 20 {
 					slices.Reverse(other)
-					if err := opt.OptimizePreparedEach(context.Background(), pw, other, func(int, *optimizer.Plan) error { return nil }); err != nil {
+					if err := opt.OptimizePreparedEach(context.Background(), pw, other, func(int, *optimizer.Choice) error { return nil }); err != nil {
 						t.Error(err)
 						return
 					}

@@ -243,26 +243,39 @@ func BenchmarkWorkloadCostPrepared(b *testing.B) {
 }
 
 // BenchmarkOptimizePreparedEach times the Showplan pass, every query
-// planned under one configuration resolved once, and reports ns/query.
-// It fails if a plan's cost is not CostPrepared's.
+// planned under one configuration resolved once, and reports ns/query:
+// "uses" reads each choice's cost and index uses, as the Seek-Cost pass
+// does, and "plans" also builds each plan tree, as -explain does. Both
+// fail if a cost is not CostPrepared's.
 func BenchmarkOptimizePreparedEach(b *testing.B) {
 	pb := newPlanBench(b)
 	pw := &optimizer.PreparedWorkload{W: pb.w, Queries: pb.pqs}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := pb.opt.OptimizePreparedEach(context.Background(), pw, pb.cfg, func(qi int, plan *optimizer.Plan) error {
-			if math.Float64bits(plan.Cost) != pb.want[qi] {
-				return fmt.Errorf("query %d: cost %v, CostPrepared gave %v", qi+1, plan.Cost, math.Float64frombits(pb.want[qi]))
-			}
-			benchSink = plan.Cost
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
+	for _, build := range []bool{false, true} {
+		name := "uses"
+		if build {
+			name = "plans"
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				err := pb.opt.OptimizePreparedEach(context.Background(), pw, pb.cfg, func(qi int, c *optimizer.Choice) error {
+					cost := c.Cost
+					if build {
+						cost = c.Plan().Cost
+					}
+					if math.Float64bits(cost) != pb.want[qi] {
+						return fmt.Errorf("query %d: cost %v, CostPrepared gave %v", qi+1, cost, math.Float64frombits(pb.want[qi]))
+					}
+					benchSink = cost + float64(len(c.Uses))
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pw.Len()), "ns/query")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pw.Len()), "ns/query")
 }
 
 func BenchmarkOptimize(b *testing.B) {

@@ -2,17 +2,113 @@ package optimizer
 
 import (
 	"math/bits"
+	"slices"
 
 	"indexmerge/internal/sql"
 )
 
-// The build step: plan nodes for the choices that won. Nothing here
-// compares alternatives; every number a node carries either was
-// recorded by the enumeration or comes from the function the
+// The build step: what the choices that won use, and plan nodes for
+// them. Nothing here compares alternatives; every number a node carries
+// either was recorded by the enumeration or comes from the function the
 // enumeration priced it with, applied to the winner alone.
 
-func newPlan(root Node) *Plan {
-	return &Plan{Root: root, Cost: root.Cost(), Uses: collectUses(root)}
+// Use is one index a winning plan reads: its position in the
+// configuration the plan was made under, and how the plan reads it.
+type Use struct {
+	Pos  int32
+	Mode UsageMode
+}
+
+// Choice is what the planner chose for one query of OptimizePreparedEach:
+// the cost of the winning plan and the indexes it uses, in the order of
+// the plan's leaves (Plan.Uses, as positions). Uses is the planner's
+// scratch and, like the Choice itself, valid only during the callback
+// it is handed to.
+type Choice struct {
+	Cost float64
+	Uses []Use
+	p    *planner
+}
+
+// Plan builds the plan tree of the choice, a new one on each call. It
+// must be called during the callback the Choice is handed to.
+func (c *Choice) Plan() *Plan { return c.p.build() }
+
+// full is the mask of every table of the query: the cell of the
+// winning join, or, for one table, its winning path in p.base.
+func (p *planner) full() int { return 1<<len(p.pq.tables) - 1 }
+
+// walkUses records in p.uses the indexes the winning plan of the last
+// call reads, as the plan tree's leaves come in pre-order: a join's rest
+// before the table it joins last, an intersection's idx before its
+// idx2, a union's arms in order. An index counts once per mode: a later
+// leaf on the same (table, columns) — a definition listed twice, two
+// arms on one index — adds nothing.
+func (p *planner) walkUses() {
+	p.uses = p.uses[:0]
+	p.usesOf(p.full())
+}
+
+// usesOf walks the choices for one subset of the query's tables, the
+// ones joinNode builds nodes from.
+func (p *planner) usesOf(mask int) {
+	if mask&(mask-1) == 0 {
+		t := bits.TrailingZeros(uint(mask))
+		p.pathUses(t, &p.base[t])
+		return
+	}
+	cell := &p.dp[mask]
+	t := int(cell.last)
+	p.usesOf(mask &^ (1 << uint(t)))
+	if cell.kind == IndexNLJoin {
+		p.addUse(cell.inner, UsageSeek)
+	} else {
+		p.pathUses(t, &p.base[t])
+	}
+}
+
+// pathUses walks table t's winning access path, the one accessNode
+// builds.
+func (p *planner) pathUses(t int, ap *accessPath) {
+	switch ap.kind {
+	case indexScan:
+		p.addUse(ap.idx, UsageScan)
+	case indexSeek:
+		p.addUse(ap.idx, UsageSeek)
+	case indexIntersect:
+		p.addUse(ap.idx, UsageSeek)
+		p.addUse(ap.idx2, UsageSeek)
+	case indexUnion:
+		// The enumeration kept the union's price, not its arms.
+		p.unionPath(t, &p.pq.tables[t].orPreds[ap.idx])
+		for _, ii := range p.uArms {
+			p.addUse(ii, UsageSeek)
+		}
+	}
+}
+
+// addUse appends configuration index pos, read in mode, unless an index
+// on the same table and columns is already recorded in that mode. A plan
+// uses a handful of indexes at most: a scan is the lookup.
+func (p *planner) addUse(pos int32, mode UsageMode) {
+	def := &p.cfg[pos]
+	for _, u := range p.uses {
+		if u.Mode == mode && p.cfg[u.Pos].Table == def.Table && slices.Equal(p.cfg[u.Pos].Columns, def.Columns) {
+			return
+		}
+	}
+	p.uses = append(p.uses, Use{Pos: pos, Mode: mode})
+}
+
+// build turns the winning choices of the last call, whose uses walkUses
+// recorded, into a plan.
+func (p *planner) build() *Plan {
+	root := p.pq.finishNode(p.joinNode(p.full()), &p.fin)
+	var uses []IndexUse
+	for _, u := range p.uses {
+		uses = append(uses, IndexUse{Index: p.cfg[u.Pos], Mode: u.Mode})
+	}
+	return &Plan{Root: root, Cost: root.Cost(), Uses: uses}
 }
 
 // finishNode stacks the operators finish priced onto their input.

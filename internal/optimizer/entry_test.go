@@ -51,7 +51,7 @@ func TestEntryPointsCountAndInjectOnce(t *testing.T) {
 			return err
 		}},
 		{"OptimizePreparedEach", int64(pw.Len()), func() error {
-			return opt.OptimizePreparedEach(ctx, pw, cfg, func(int, *optimizer.Plan) error { return nil })
+			return opt.OptimizePreparedEach(ctx, pw, cfg, func(int, *optimizer.Choice) error { return nil })
 		}},
 		{"WorkloadCostPrepared", int64(pw.Len()), func() error { _, err := opt.WorkloadCostPrepared(pw, cfg); return err }},
 	} {

@@ -218,21 +218,12 @@ type IndexUse struct {
 }
 
 // Plan is the optimizer's output: root operator, total estimated cost,
-// and the Showplan-style index usage report.
+// and the Showplan-style index usage report — the indexes the plan's
+// leaves seek or scan, in pre-order, each (mode, table, columns) once.
 type Plan struct {
 	Root Node
 	Cost float64
 	Uses []IndexUse
-}
-
-// UsesIndexForSeek reports whether the plan seeks on the given index.
-func (p *Plan) UsesIndexForSeek(defKey string) bool {
-	for _, u := range p.Uses {
-		if u.Mode == UsageSeek && u.Index.Key() == defKey {
-			return true
-		}
-	}
-	return false
 }
 
 // Explain renders the plan tree as indented text (Showplan analogue).
@@ -247,46 +238,4 @@ func (p *Plan) Explain() string {
 	}
 	walk(p.Root, 0)
 	return b.String()
-}
-
-// collectUses walks a plan tree gathering index usage. Deduplication
-// compares (mode, table, columns) directly — the same identity
-// IndexDef.Key encodes — with a linear scan instead of a map+string
-// key: plans use a handful of indexes at most.
-func collectUses(n Node) []IndexUse {
-	var uses []IndexUse
-	var walk func(Node)
-	add := func(def catalog.IndexDef, mode UsageMode) {
-		for _, u := range uses {
-			if u.Mode == mode && u.Index.Table == def.Table && sameCols(u.Index.Columns, def.Columns) {
-				return
-			}
-		}
-		uses = append(uses, IndexUse{Index: def, Mode: mode})
-	}
-	walk = func(n Node) {
-		switch t := n.(type) {
-		case *IndexSeekNode:
-			add(t.Index, UsageSeek)
-		case *IndexScanNode:
-			add(t.Index, UsageScan)
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
-	return uses
-}
-
-func sameCols(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

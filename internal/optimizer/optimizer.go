@@ -18,8 +18,10 @@ import (
 //
 // It has two doors over prepared descriptors, each resolving the
 // configuration once for all its queries: CostPreparedSum prices many
-// queries, OptimizePreparedEach plans them. Optimize, CostPrepared and
-// WorkloadCostPrepared are thin forms of the same planning pass.
+// queries, OptimizePreparedEach hands out what the planner chose for
+// each (cost, index uses, and the plan tree on demand). Optimize,
+// CostPrepared and WorkloadCostPrepared are thin forms of the same
+// planning pass.
 //
 // Concurrency contract: every entry point is safe for concurrent use
 // — planning state is per-call, metadata access is read-only, and the
@@ -71,16 +73,22 @@ func (o *Optimizer) Optimize(stmt *sql.SelectStmt, cfg Configuration) (*Plan, er
 	if err != nil {
 		return nil, err
 	}
-	_, plan, err := o.plan(pq, cfg, true)
-	return plan, err
+	p := plannerPool.Get().(*planner)
+	defer plannerPool.Put(p)
+	if _, err := o.planOn(p, pq, cfg, false); err != nil {
+		return nil, err
+	}
+	p.walkUses()
+	return p.build(), nil
 }
 
 // CostPrepared returns the cost of pq's cheapest plan under cfg
 // without building the plan; with the planner's pooled state warm it
 // allocates nothing.
 func (o *Optimizer) CostPrepared(pq *PreparedQuery, cfg Configuration) (float64, error) {
-	cost, _, err := o.plan(pq, cfg, false)
-	return cost, err
+	p := plannerPool.Get().(*planner)
+	defer plannerPool.Put(p)
+	return o.planOn(p, pq, cfg, false)
 }
 
 // WorkloadCostPrepared computes Cost(W, C), the frequency-weighted sum
@@ -103,9 +111,9 @@ func (o *Optimizer) WorkloadCostPrepared(pw *PreparedWorkload, cfg Configuration
 // ctx is checked before each member; once it is done the sum stops with
 // ctx.Err().
 func (o *Optimizer) CostPreparedSum(ctx context.Context, pw *PreparedWorkload, members []int, weights []float64, cfg Configuration, rxs []*ResolvedIndex) (sum float64, calls int, err error) {
-	calls, err = o.each(ctx, cfg, rxs, len(members), false,
+	calls, err = o.each(ctx, cfg, rxs, len(members),
 		func(k int) *PreparedQuery { return pw.Queries[members[k]] },
-		func(k int, cost float64, _ *Plan) error {
+		func(k int, cost float64, _ *planner) error {
 			sum += cost * weights[k]
 			return nil
 		})
@@ -116,24 +124,33 @@ func (o *Optimizer) CostPreparedSum(ctx context.Context, pw *PreparedWorkload, m
 }
 
 // OptimizePreparedEach plans every query of pw under cfg, resolved once
-// for all of them, and hands each plan to each, in workload order; it
-// stops at the first error either returns. ctx is checked before each
-// query; once it is done the pass stops with ctx.Err().
-func (o *Optimizer) OptimizePreparedEach(ctx context.Context, pw *PreparedWorkload, cfg Configuration, each func(qi int, plan *Plan) error) error {
-	_, err := o.each(ctx, cfg, nil, len(pw.Queries), true,
+// for all of them, and hands each what the planner chose — the cost, the
+// indexes the plan uses as positions in cfg, and Plan to build its tree
+// — to each, in workload order; it stops at the first error either
+// returns. The Choice and its Uses are pooled scratch, valid during the
+// callback only; no node is built unless the callback asks for the
+// plan. ctx is checked before each query; once it is done the pass
+// stops with ctx.Err().
+func (o *Optimizer) OptimizePreparedEach(ctx context.Context, pw *PreparedWorkload, cfg Configuration, each func(qi int, c *Choice) error) error {
+	_, err := o.each(ctx, cfg, nil, len(pw.Queries),
 		func(k int) *PreparedQuery { return pw.Queries[k] },
-		func(k int, _ float64, plan *Plan) error { return each(k, plan) })
+		func(k int, cost float64, p *planner) error {
+			p.walkUses()
+			p.choice = Choice{Cost: cost, Uses: p.uses, p: p}
+			return each(k, &p.choice)
+		})
 	return err
 }
 
 // each is the one loop that plans many queries under one configuration:
 // it makes the calls of n descriptors — query(k) is the k-th — on one
 // pooled planner, which resolves cfg once for all of them (or takes it
-// resolved, as rxs), and hands each cost, and with build each plan, to
-// done. It checks ctx before each call, stops at the first error and
-// returns how many calls it made.
-func (o *Optimizer) each(ctx context.Context, cfg Configuration, rxs []*ResolvedIndex, n int, build bool,
-	query func(k int) *PreparedQuery, done func(k int, cost float64, plan *Plan) error,
+// resolved, as rxs), and hands each cost to done with the planner, which
+// holds the call's winning choices until the next call. It checks ctx
+// before each call, stops at the first error and returns how many calls
+// it made.
+func (o *Optimizer) each(ctx context.Context, cfg Configuration, rxs []*ResolvedIndex, n int,
+	query func(k int) *PreparedQuery, done func(k int, cost float64, p *planner) error,
 ) (calls int, err error) {
 	p := plannerPool.Get().(*planner)
 	defer plannerPool.Put(p)
@@ -143,9 +160,9 @@ func (o *Optimizer) each(ctx context.Context, cfg Configuration, rxs []*Resolved
 			return calls, err
 		}
 		calls++
-		cost, plan, err := o.planOn(p, query(k), cfg, true, build)
+		cost, err := o.planOn(p, query(k), cfg, true)
 		if err == nil {
-			err = done(k, cost, plan)
+			err = done(k, cost, p)
 		}
 		if err != nil {
 			return calls, err
@@ -158,7 +175,8 @@ func (o *Optimizer) each(ctx context.Context, cfg Configuration, rxs []*Resolved
 // steady-state cost probe allocates nothing: the call's inputs, the
 // configuration as the planner compares it, the candidates of the table
 // being enumerated, and the choices — cheapest path per table, cheapest
-// join per table subset — the build step turns into nodes.
+// join per table subset, the operators over them — from which the build
+// step reads the winner's index uses and makes its nodes.
 type planner struct {
 	pq  *PreparedQuery
 	cfg Configuration
@@ -178,19 +196,14 @@ type planner struct {
 	consumed []int32        // backing store of seekMatch.consumed
 	uArms    []int32        // union arm choices, reused across disjunctions
 	ext      []scoredPred   // a table's predicates plus join probes
-	base     []accessPath   // join planning: each table's cheapest path
+	base     []accessPath   // each table's cheapest path (one table: the winner)
 	dp       []dpCell       // join planning: one cell per table subset
+	fin      finished       // the operators over the winning input
+	uses     []Use          // the winner's index uses (see walkUses)
+	choice   Choice         // what OptimizePreparedEach hands its callback
 }
 
 var plannerPool = sync.Pool{New: func() any { return new(planner) }}
-
-// plan is what every one-off planning call is: planOn, on a pooled
-// planner, resolving cfg for itself.
-func (o *Optimizer) plan(pq *PreparedQuery, cfg Configuration, build bool) (float64, *Plan, error) {
-	p := plannerPool.Get().(*planner)
-	defer plannerPool.Put(p)
-	return o.planOn(p, pq, cfg, false, build)
-}
 
 // planOn is the one entry sequence — count the invocation, give the
 // fault injector its one shot, refuse a descriptor prepared before the
@@ -198,18 +211,18 @@ func (o *Optimizer) plan(pq *PreparedQuery, cfg Configuration, build bool) (floa
 // resolved for all the calls of a loop when pass is set (see begin):
 // enumerate every candidate — access paths per table, join orders and
 // algorithms per table subset, streaming or hashed aggregation, sort —
-// on costs alone, keeping the cheapest, and only when build is set turn
-// the winning choices into a plan tree. Enumerating complete
-// single-table plans (rather than the cheapest access path only) lets
-// an index that provides order win even when a bare scan is cheaper.
-func (o *Optimizer) planOn(p *planner, pq *PreparedQuery, cfg Configuration, pass, build bool) (float64, *Plan, error) {
+// on costs alone, keeping the cheapest, and leave the winning choices in
+// p for walkUses and build. Enumerating complete single-table plans
+// (rather than the cheapest access path only) lets an index that
+// provides order win even when a bare scan is cheaper.
+func (o *Optimizer) planOn(p *planner, pq *PreparedQuery, cfg Configuration, pass bool) (float64, error) {
 	o.invocations.Add(1)
 	err := faults.Inject(faults.OptimizerCost)
 	if err == nil {
 		err = pq.checkFresh()
 	}
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 
 	p.noInter = o.DisableIndexIntersection
@@ -225,21 +238,16 @@ func (o *Optimizer) planOn(p *planner, pq *PreparedQuery, cfg Configuration, pas
 				best, fin = i, f
 			}
 		}
-		if !build {
-			return fin.cost, nil, nil
-		}
-		return fin.cost, newPlan(pq.finishNode(p.accessNode(0, &paths[best]), &fin)), nil
+		p.base, p.fin = append(p.base[:0], paths[best]), fin
+		return fin.cost, nil
 	}
 	if err := p.joinOrder(); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	// A join delivers no useful order: aggregation hashes, ORDER BY sorts.
-	full := len(p.dp) - 1
-	fin := pq.finish(&accessPath{cost: p.dp[full].cost, rows: p.outputRows(full)})
-	if !build {
-		return fin.cost, nil, nil
-	}
-	return fin.cost, newPlan(pq.finishNode(p.joinNode(full), &fin)), nil
+	full := p.full()
+	p.fin = pq.finish(&accessPath{cost: p.dp[full].cost, rows: p.outputRows(full)})
+	return p.fin.cost, nil
 }
 
 // finished is an input with aggregation, sort and projection layered

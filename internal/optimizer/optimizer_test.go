@@ -129,7 +129,7 @@ func TestSeekChosenForSelectivePredicate(t *testing.T) {
 	if seek.Covering {
 		t.Error("oid index cannot cover amount")
 	}
-	if !plan.UsesIndexForSeek(ix.Key()) {
+	if !seeksOn(plan, ix.Key()) {
 		t.Errorf("usage should report seek: %v", plan.Uses)
 	}
 	// The seek must be far cheaper than the scan.
@@ -293,7 +293,7 @@ func TestJoinPlans(t *testing.T) {
 	if !strings.Contains(plan2.Explain(), "IndexNLJoin") {
 		t.Errorf("expected index nested-loop join:\n%s", plan2.Explain())
 	}
-	if !plan2.UsesIndexForSeek(ix.Key()) {
+	if !seeksOn(plan2, ix.Key()) {
 		t.Errorf("inner seek usage missing: %v", plan2.Uses)
 	}
 }
@@ -436,4 +436,14 @@ func TestRelevantQueries(t *testing.T) {
 	if set := pw.RelevantQueries("nosuch", []string{"x"}); set.Next(0) != -1 {
 		t.Error("an index on an unreferenced table is relevant to some query")
 	}
+}
+
+// seeksOn reports whether the plan seeks on the index with the given key.
+func seeksOn(p *Plan, defKey string) bool {
+	for _, u := range p.Uses {
+		if u.Mode == UsageSeek && u.Index.Key() == defKey {
+			return true
+		}
+	}
+	return false
 }

@@ -115,8 +115,9 @@ func TestPassMatchesOneOff(t *testing.T) {
 									where(), name, total, calls, err)
 							}
 						}
-						err = opt.OptimizePreparedEach(context.Background(), pw, cfg, func(qi int, plan *optimizer.Plan) error {
-							if math.Float64bits(plan.Cost) != math.Float64bits(want[qi]) || plan.Explain() != wantPlans[qi] {
+						err = opt.OptimizePreparedEach(context.Background(), pw, cfg, func(qi int, c *optimizer.Choice) error {
+							plan := c.Plan()
+							if math.Float64bits(c.Cost) != math.Float64bits(want[qi]) || math.Float64bits(plan.Cost) != math.Float64bits(want[qi]) || plan.Explain() != wantPlans[qi] {
 								return fmt.Errorf("q%d of the %sworkload: OptimizePreparedEach plans\n%s\nOptimize\n%s",
 									qi+1, name, plan.Explain(), wantPlans[qi])
 							}

@@ -49,8 +49,8 @@ func TestWidePredicateAndIndexSets(t *testing.T) {
 				t.Fatal(err)
 			}
 			var planE *optimizer.Plan
-			if err := opt.OptimizePreparedEach(context.Background(), pw, cfg, func(_ int, p *optimizer.Plan) error {
-				planE = p
+			if err := opt.OptimizePreparedEach(context.Background(), pw, cfg, func(_ int, c *optimizer.Choice) error {
+				planE = c.Plan()
 				return nil
 			}); err != nil {
 				t.Fatal(err)

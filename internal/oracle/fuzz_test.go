@@ -151,6 +151,10 @@ func FuzzParseOptimizeExec(f *testing.F) {
 						Config: configKeys(defs), Detail: "plan uses " + u.Index.Key()})
 				}
 			}
+			if msg := usesMismatch(plan); msg != "" {
+				reportFuzzViolation(t, dbSeed, Violation{Kind: "explain-uses", Query: text,
+					Config: configKeys(defs), Detail: msg})
+			}
 			got, err := exec.Run(db, plan)
 			if err != nil {
 				t.Fatalf("exec under %v: %v\nplan:\n%s", configKeys(defs), err, plan.Explain())

@@ -173,7 +173,9 @@ search:
 // evaluator's answer. The sweep mixes generated disjunction-bearing
 // queries with targeted union- and intersection-shaped ones, and
 // insists it is not vacuous — each database must surface at least one
-// union plan and at least one intersection plan.
+// union plan and at least one intersection plan. Every plan's usage
+// report must also be its tree's seek and scan leaves (LeafUses), the
+// explain invariant the sweep holds each plan to.
 func TestIndexMergePlansMatchNoMergePlans(t *testing.T) {
 	for _, name := range []string{"tpcd", "synthetic1", "synthetic2"} {
 		name := name
@@ -211,6 +213,9 @@ func TestIndexMergePlansMatchNoMergePlans(t *testing.T) {
 				plan, err := merged.Optimize(q.Stmt, cfg)
 				if err != nil {
 					t.Fatalf("q%d optimize: %v\nsql: %s", i, err, q.Stmt)
+				}
+				if msg := usesMismatch(plan); msg != "" {
+					t.Errorf("q%d: explain-uses: %s", i, msg)
 				}
 				explain := plan.Explain()
 				hasUnion := strings.Contains(explain, "IndexUnion(")

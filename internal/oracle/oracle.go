@@ -24,6 +24,8 @@ import (
 //	result-diff        executed rows differ from the reference answer
 //	order              executed rows violate the query's ORDER BY
 //	explain-unknown    the plan reports an index outside the configuration
+//	explain-uses       the plan's index usage report is not its tree's
+//	                   seek and scan leaves
 //	merge-invariant    a visited configuration breaks Definition 1–3
 //	search-diff        the search decides differently when candidates are
 //	                   priced as deltas than when each is priced in full
@@ -296,12 +298,16 @@ func CheckConfig(db *engine.Database, opz *optimizer.Optimizer,
 			continue
 		}
 
-		// Explain invariant: a plan may only name configuration indexes.
+		// Explain invariant: a plan may only name configuration indexes,
+		// and its usage report is the one its tree gives.
 		for _, u := range plan.Uses {
 			if !defsContain(defs, u.Index) {
 				add("explain-unknown", fmt.Sprintf("plan %s-uses index %s not in configuration",
 					u.Mode, u.Index.Key()))
 			}
+		}
+		if msg := usesMismatch(plan); msg != "" {
+			add("explain-uses", msg)
 		}
 
 		got, err := exec.Run(db, plan)
@@ -453,6 +459,53 @@ func sampleIndexes(n, max int, rng *rand.Rand) []int {
 	perm := rng.Perm(n)[:max]
 	sort.Ints(perm)
 	return perm
+}
+
+// LeafUses reads a plan's index usage off its tree: the IndexSeek and
+// IndexScan leaves in pre-order, each (mode, table, columns) once — the
+// report Plan.Uses must give, which the planner writes from its choices
+// without looking at the nodes.
+func LeafUses(root optimizer.Node) []optimizer.IndexUse {
+	var uses []optimizer.IndexUse
+	add := func(def catalog.IndexDef, mode optimizer.UsageMode) {
+		for _, u := range uses {
+			if u.Mode == mode && u.Index.Key() == def.Key() {
+				return
+			}
+		}
+		uses = append(uses, optimizer.IndexUse{Index: def, Mode: mode})
+	}
+	var walk func(optimizer.Node)
+	walk = func(n optimizer.Node) {
+		switch leaf := n.(type) {
+		case *optimizer.IndexSeekNode:
+			add(leaf.Index, optimizer.UsageSeek)
+		case *optimizer.IndexScanNode:
+			add(leaf.Index, optimizer.UsageScan)
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(root)
+	return uses
+}
+
+// usesMismatch describes how plan.Uses differs from LeafUses of its
+// tree — by name, key and mode, in order — or returns "".
+func usesMismatch(plan *optimizer.Plan) string {
+	render := func(uses []optimizer.IndexUse) string {
+		var b strings.Builder
+		for _, u := range uses {
+			fmt.Fprintf(&b, "%s %s:%v; ", u.Index.Name, u.Index.Key(), u.Mode)
+		}
+		return b.String()
+	}
+	got, want := render(plan.Uses), render(LeafUses(plan.Root))
+	if got == want {
+		return ""
+	}
+	return fmt.Sprintf("plan reports uses [%s], its leaves [%s]\nplan:\n%s", got, want, plan.Explain())
 }
 
 func configKeys(defs []catalog.IndexDef) []string {

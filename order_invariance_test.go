@@ -14,8 +14,10 @@ import (
 	"strings"
 	"testing"
 
+	"indexmerge/internal/core"
 	"indexmerge/internal/datagen"
 	"indexmerge/internal/optimizer"
+	"indexmerge/internal/oracle"
 	"indexmerge/internal/workload"
 )
 
@@ -26,7 +28,8 @@ import (
 // CostPrepared × frequency, WorkloadCostPrepared, CostPreparedSum over
 // every statement, and Merger.WorkloadCost on a merger of its own. uses
 // records the indexes each plan of Optimize and of OptimizePreparedEach
-// uses, by key and mode: a plan, too, is the set's.
+// uses, by key and mode: a plan, too, is the set's. priceSet also holds
+// the Seek-Costs of the configuration to its plan trees (checkSeekCosts).
 type setCosts struct {
 	perQuery [][3]uint64
 	uses     [][2]string
@@ -70,8 +73,8 @@ func priceSet(t *testing.T, db *Database, w *Workload, cfg optimizer.Configurati
 	}
 	var out setCosts
 	each := make([]*optimizer.Plan, len(pw.Queries))
-	if err := opt.OptimizePreparedEach(context.Background(), pw, cfg, func(qi int, plan *optimizer.Plan) error {
-		each[qi] = plan
+	if err := opt.OptimizePreparedEach(context.Background(), pw, cfg, func(qi int, c *optimizer.Choice) error {
+		each[qi] = c.Plan()
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -108,7 +111,40 @@ func priceSet(t *testing.T, db *Database, w *Workload, cfg optimizer.Configurati
 			t.Fatalf("%s %v, the workload-order sum %v", setCostNames[3+k], math.Float64frombits(out.totals[k]), ordered)
 		}
 	}
+	checkSeekCosts(t, opt, pw, cfg, each)
 	return out
+}
+
+// checkSeekCosts holds core's Seek-Cost pass under cfg, which reads the
+// planner's choices and builds no plan, to the attribution read off the
+// trees of plans, the pass's plans of pw under cfg: each plan's cost ×
+// frequency goes to every index an IndexSeek leaf of it reads, once per
+// key (oracle.LeafUses), summed in workload order. Every index's
+// Seek-Cost and Cost(W, C₀) must be those bits.
+func checkSeekCosts(t *testing.T, opt *optimizer.Optimizer, pw *optimizer.PreparedWorkload, cfg optimizer.Configuration, plans []*optimizer.Plan) {
+	t.Helper()
+	want, initial := make(map[string]float64), 0.0
+	for qi, plan := range plans {
+		cost := plan.Cost * pw.W.Queries[qi].Freq
+		initial += cost
+		for _, u := range oracle.LeafUses(plan.Root) {
+			if u.Mode == optimizer.UsageSeek {
+				want[u.Index.Key()] += cost
+			}
+		}
+	}
+	seek, err := core.ComputeSeekCostsPrepared(opt, pw, core.NewConfiguration(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(seek.InitialCost()) != math.Float64bits(initial) {
+		t.Fatalf("Seek-Cost pass: InitialCost %v, the plan trees' %v", seek.InitialCost(), initial)
+	}
+	for _, d := range cfg {
+		if got := seek.SeekCost(d.Key()); math.Float64bits(got) != math.Float64bits(want[d.Key()]) {
+			t.Fatalf("Seek-Cost of %s %v, the plan trees' %v", d.Key(), got, want[d.Key()])
+		}
+	}
 }
 
 var setCostNames = [...]string{"Optimize", "CostPrepared", "OptimizePreparedEach", "workload-order sum", "WorkloadCostPrepared", "CostPreparedSum", "Merger.WorkloadCost"}
@@ -262,7 +298,11 @@ func TestCostIsAFunctionOfTheSet(t *testing.T) {
 // intersection arms tie on selectivity under seven indexes: the arm cap
 // keeps the first four, so the cost read 1111.4035 in key order and
 // 1129.4030 in the order below while the planner took the tie in list
-// order. Every entry point must answer the key-order bits.
+// order. Every entry point must answer the key-order bits. Two
+// hand-made inputs follow whose plans could name one index twice: the
+// configuration with its first index listed twice, and a disjunction
+// whose two union arms seek one index. priceSet holds their Seek-Costs
+// to the plan trees, where the index counts once.
 func TestCostIsOrderInvariantOnTiedArms(t *testing.T) {
 	db, err := datagen.BuildNamed("tpcd", 3, 1)
 	if err != nil {
@@ -294,5 +334,29 @@ func TestCostIsOrderInvariantOnTiedArms(t *testing.T) {
 	}
 	if err := sameSetCosts(want, priceSet(t, db, w, shuffled)); err != nil {
 		t.Fatalf("key order, then order [1 2 0 3 4 5 6]: %v", err)
+	}
+
+	or, err := ParseWorkload(strings.NewReader(`SELECT lineitem.l_tax FROM lineitem WHERE lineitem.l_orderkey = 7 OR lineitem.l_orderkey = 9`), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := optimizer.New(db).Optimize(or.Queries[0].Stmt, defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arms := "IndexUnion(" + defs[0].Name + " ∪ " + defs[0].Name + ")"; !strings.Contains(plan.Explain(), arms) {
+		t.Fatalf("the disjunction is not planned as %s:\n%s", arms, plan.Explain())
+	}
+	twice := append(optimizer.Configuration{defs[0]}, defs...)
+	for _, in := range []struct {
+		name string
+		w    *Workload
+		cfg  optimizer.Configuration
+	}{{"first index twice", w, twice}, {"one index under both union arms", or, defs}, {"both", or, twice}} {
+		reversed := slices.Clone(in.cfg)
+		slices.Reverse(reversed)
+		if err := sameSetCosts(priceSet(t, db, in.w, in.cfg), priceSet(t, db, in.w, reversed)); err != nil {
+			t.Fatalf("%s: listed order, then reversed: %v", in.name, err)
+		}
 	}
 }

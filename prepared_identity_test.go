@@ -14,8 +14,10 @@ import (
 	"sync"
 	"testing"
 
+	"indexmerge/internal/core"
 	"indexmerge/internal/experiments"
 	"indexmerge/internal/optimizer"
+	"indexmerge/internal/sql"
 	"indexmerge/internal/workload"
 )
 
@@ -90,8 +92,8 @@ func TestPreparedMatchesOptimize(t *testing.T) {
 				for ci, cfg := range cfgs {
 					plans := func(o *optimizer.Optimizer) []*optimizer.Plan {
 						out := make([]*optimizer.Plan, len(pw.Queries))
-						if err := o.OptimizePreparedEach(context.Background(), pw, cfg, func(qi int, plan *optimizer.Plan) error {
-							out[qi] = plan
+						if err := o.OptimizePreparedEach(context.Background(), pw, cfg, func(qi int, c *optimizer.Choice) error {
+							out[qi] = c.Plan()
 							return nil
 						}); err != nil {
 							t.Fatalf("%s/%s/%s cfg=%d: OptimizePreparedEach: %v", lab.Name, wname, v.name, ci, err)
@@ -349,5 +351,51 @@ func TestCostPreparedAllocations(t *testing.T) {
 	t.Logf("allocs per disjunction workload costing: prepared %.1f (%d queries)", preparedDisjunct, pwd.Len())
 	if preparedDisjunct > 2*float64(pwd.Len()) {
 		t.Errorf("prepared disjunction costing allocates %.1f per workload (> %d = 2/query)", preparedDisjunct, 2*pwd.Len())
+	}
+}
+
+// TestSeekCostPassAllocations: the Seek-Cost pass reads each query's
+// cost and seek positions from the planner's pooled choices and builds
+// no plan tree, so with the planner warm its allocations — the sums, the
+// key slots, the configuration handed to the optimizer — do not grow
+// with the queries: 300 of them allocate no more than their first 60.
+func TestSeekCostPassAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector drops sync.Pool items; allocation counts are not meaningful")
+	}
+	lab, err := experiments.NewSynthetic2Lab(experiments.LabOptions{Scale: 0.25, WorkloadQueries: 12, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(lab.DB, workload.Options{Class: workload.Complex, Disjunctions: true, Queries: 300, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defs, err := lab.InitialConfiguration(w, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := core.NewConfiguration(defs)
+	all, err := lab.Opt.PrepareWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := func(n int) *optimizer.PreparedWorkload {
+		return &optimizer.PreparedWorkload{W: &sql.Workload{Queries: w.Queries[:n]}, Queries: all.Queries[:n]}
+	}
+	pass := func(pw *optimizer.PreparedWorkload) func() {
+		return func() {
+			if _, err := core.ComputeSeekCostsPrepared(lab.Opt, pw, initial); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	few, many := prefix(60), prefix(300)
+	pass(many)() // warm the planner
+	atFew, atMany := testing.AllocsPerRun(20, pass(few)), testing.AllocsPerRun(20, pass(many))
+	t.Logf("Seek-Cost pass allocations: %.1f over %d queries, %.1f over %d", atFew, few.Len(), atMany, many.Len())
+	if atMany > atFew {
+		t.Errorf("the Seek-Cost pass allocates %.1f times over %d queries, %.1f over %d: allocations grow with the queries",
+			atMany, many.Len(), atFew, few.Len())
 	}
 }
