@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"indexmerge/internal/experiments"
@@ -39,12 +38,7 @@ func run(out io.Writer, args []string) error {
 	only := fs.String("only", "", "comma-separated subset: intro,fig5,fig6,fig7,fig8,ablations,compression,dual")
 	projection := fs.Bool("projection", false, "use the projection-only workload class for Figures 5-7")
 	fig8ns := fs.String("fig8n", "5,10,15,20,25,30", "comma-separated initial index counts for Figure 8")
-	parallel := fs.Int("parallel", 1, "concurrent candidate costings per search step (0 = GOMAXPROCS); figures are identical for any value")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, so Parse returns nil
-
-	if *parallel <= 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
 
 	want := map[string]bool{}
 	if *only != "" {
@@ -54,8 +48,8 @@ func run(out io.Writer, args []string) error {
 	}
 	enabled := func(name string) bool { return len(want) == 0 || want[name] }
 
-	fmt.Fprintf(out, "Index Merging (ICDE 1999) — experiment harness (scale=%.2f, queries=%d, seed=%d, parallel=%d)\n\n", *scale, *queries, *seed, *parallel)
-	labs, err := experiments.StandardLabs(experiments.LabOptions{Scale: *scale, WorkloadQueries: *queries, Seed: *seed, Parallelism: *parallel})
+	fmt.Fprintf(out, "Index Merging (ICDE 1999) — experiment harness (scale=%.2f, queries=%d, seed=%d)\n\n", *scale, *queries, *seed)
+	labs, err := experiments.StandardLabs(experiments.LabOptions{Scale: *scale, WorkloadQueries: *queries, Seed: *seed})
 	if err != nil {
 		return err
 	}

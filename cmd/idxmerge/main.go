@@ -56,7 +56,7 @@ func main() {
 	costModel := flag.String("costmodel", "opt", "cost evaluation: opt | nocost | prefilter | compressed (opt, prefilter and compressed price through one engine over templates of constant-varied duplicates, exactly; compressed also bounds by the template-order baseline, reports the compression and tunes -n 0 per template)")
 	explain := flag.Bool("explain", false, "print per-query plans under the final configuration")
 	dualBudget := flag.Float64("dual", 0, "solve the Cost-Minimal dual instead: storage budget as a fraction of the initial configuration (e.g. 0.5)")
-	parallel := flag.Int("parallel", 1, "concurrent candidate costings per search step (0 = GOMAXPROCS); results are identical for any value")
+	parallel := flag.Int("parallel", 1, "Greedy's wave size and the misses one check fills concurrently (0 = GOMAXPROCS); exhaustive search and initial tuning stay serial; results are identical for any value")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout (the idxmerged job-result schema) and progress JSON lines on stderr")
 	resilient := flag.Bool("resilient", false, "decide a constraint check whose optimizer costing fails by the analytic model instead of failing the run (results carry a degraded flag)")
 	faultRules := flag.String("faults", "", "deterministic fault-injection rules, semicolon-separated (chaos testing; see internal/faults)")

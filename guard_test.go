@@ -105,6 +105,31 @@ var nameGuards = []nameGuard{
 		re:  regexp.MustCompile(`\bcollectUses\b|\bUsesIndexForSeek\b`),
 		in:  everywhere,
 	},
+	{
+		// Exported functions nothing but their own unit tests called.
+		why: "no exported function without a caller",
+		re:  regexp.MustCompile(`\b(?:PagesToBytes|SortedColumnSignature|StoredWidth)\b`),
+		in:  everywhere,
+	},
+	{
+		// The paper's per-query tuning, Exhaustive search and figure
+		// runs are serial: the advisor's candidate fan-out, Exhaustive's
+		// speculative sibling waves and the harness's -parallel are gone.
+		// Greedy's waves and a check's miss fill keep their knob.
+		why: "one serial path where no workload runs two",
+		re:  regexp.MustCompile(`Parallelism|"parallel"`),
+		in: func(path string) bool {
+			return path == "internal/core/exhaustive.go" || strings.HasPrefix(path, "internal/advisor/") ||
+				strings.HasPrefix(path, "internal/experiments/") || strings.HasPrefix(path, "cmd/experiments/")
+		},
+	},
+	{
+		// A fault rule fires on a count window; there are no seeded
+		// probabilistic rules.
+		why: "faults fire on count windows only",
+		re:  regexp.MustCompile(`\b(?:Prob|rngMu)\b|case "(?:prob|seed)"`),
+		in:  func(path string) bool { return strings.HasPrefix(path, "internal/faults/") },
+	},
 	statementDoor,
 }
 

@@ -193,12 +193,13 @@ type MergeOptions struct {
 	// NoCostF / NoCostP are the No-Cost model thresholds (defaults:
 	// the paper's best-performing f=0.60, p=0.25).
 	NoCostF, NoCostP float64
-	// Parallelism bounds concurrent candidate costing during the
-	// search: candidate merges of one search step are constraint-
-	// checked in a bounded worker pool, backed by a thread-safe
-	// what-if cost cache. <= 1 (the default) runs fully serially.
-	// Results are identical for any value — see core.GreedyOptions
-	// and core.ExhaustiveOptions.
+	// Parallelism is Greedy's wave size (how many candidate merges of
+	// one step are constraint-checked concurrently) and how many
+	// misses one check fills concurrently, under either search. <= 1
+	// (the default) runs fully serially; Exhaustive search and initial
+	// tuning are serial at any value. Results are identical for any
+	// value — see core.GreedyOptions. Whether either fan-out pays is
+	// measured on a 2-core machine (ROADMAP items 1 and 10).
 	Parallelism int
 	// Progress, when non-nil, receives point-in-time search snapshots
 	// (accepted steps, bytes saved so far, evaluations consumed). It is
@@ -418,11 +419,11 @@ func (m *Merger) MergeContext(ctx context.Context, opts MergeOptions) (*MergeRes
 }
 
 // merge is every merging run: one pass over the workload under the
-// initial configuration (for MergePair-Cost the Showplan pass of
-// §3.3.1, which yields the Seek-Costs and the baseline together), the
-// search, and one pass under the final configuration. Under
-// MergePair-Cost the optimizer calls of a run are those two passes plus
-// the checker's.
+// initial configuration (the Showplan pass of §3.3.1, which yields the
+// Seek-Costs and the baseline together), the search, and one pass under
+// the final configuration. The optimizer calls of a run are those two
+// passes plus the checker's (and, under MergePair-Exhaustive, the
+// procedure's own).
 func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts MergeOptions) (*MergeResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -459,46 +460,28 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 		}
 		return resilient.Run(ctx, fn)
 	}
-	// The workload-order passes price every query at its frequency,
-	// members and weights built once with the prepared workload.
-	members, weights := pw.Whole()
-	workloadCost := func(cfg *core.Configuration) (cost float64, err error) {
-		err = costing(func(ctx context.Context) (err error) {
-			cost, _, err = m.opt.CostPreparedSum(ctx, pw, members, weights, optimizer.Configuration(cfg.Defs()), nil)
-			return err
-		})
-		return cost, err
-	}
-
 	// The initial configuration is priced once, before the search, and
 	// cannot degrade: U and the final cost are relative to it, so a
-	// failure here is the typed error. MergePair-Cost's Seek-Cost pass
-	// (§3.3.1) plans every query under it, and its plans give the
-	// baseline Cost(W, C₀) as well, bit for bit; the other procedures
-	// price the baseline alone.
-	var (
-		mp       core.MergePair
-		baseCost float64
-	)
+	// failure here is the typed error. The Seek-Cost pass (§3.3.1) plans
+	// every query under it; its plans give the baseline Cost(W, C₀), bit
+	// for bit, under every MergePair procedure, and MergePair-Cost reads
+	// the Seek-Costs as well.
+	var seek *core.SeekCosts
+	if err := costing(func(ctx context.Context) (err error) {
+		seek, err = core.ComputeSeekCostsPreparedContext(ctx, m.opt, pw, initial)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	baseCost := seek.InitialCost()
+	var mp core.MergePair
 	switch opts.MergePair {
 	case MergePairSyntactic:
 		mp = &core.MergePairSyntactic{Freq: core.LeadingColumnFrequencies(m.w)}
-		baseCost, err = workloadCost(initial)
 	case MergePairExhaustive:
 		mp = &core.MergePairExhaustive{Server: m.opt, W: m.w, Base: initial, Prepared: pw}
-		baseCost, err = workloadCost(initial)
 	default:
-		var seek *core.SeekCosts
-		err = costing(func(ctx context.Context) (err error) {
-			seek, err = core.ComputeSeekCostsPreparedContext(ctx, m.opt, pw, initial)
-			return err
-		})
-		if err == nil {
-			mp, baseCost = &core.MergePairCost{Seek: seek}, seek.InitialCost()
-		}
-	}
-	if err != nil {
-		return nil, err
+		mp = &core.MergePairCost{Seek: seek}
 	}
 
 	check, bound, report, err := m.checkerChain(&opts, initial, baseCost, resilient, costing)
@@ -509,7 +492,7 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 	// Search strategy.
 	var res *core.SearchResult
 	if opts.Search == ExhaustiveSearch {
-		res, err = core.ExhaustiveContext(ctx, initial, mp, check, m.db, core.ExhaustiveOptions{Parallelism: opts.Parallelism, Progress: opts.Progress})
+		res, err = core.ExhaustiveContext(ctx, initial, mp, check, m.db, core.ExhaustiveOptions{Progress: opts.Progress})
 	} else {
 		res, err = core.GreedyContext(ctx, initial, mp, check, m.db, core.GreedyOptions{Parallelism: opts.Parallelism, Progress: opts.Progress})
 	}
@@ -524,7 +507,12 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 	// final cost is estimated by scaling the optimizer baseline with the
 	// external model's relative change — baseCost × ext(final)/ext(initial)
 	// — and the result is flagged Degraded.
-	out.FinalCost, err = workloadCost(res.Final)
+	err = costing(func(ctx context.Context) (err error) {
+		// Every query at its frequency, in workload order.
+		members, weights := pw.Whole()
+		out.FinalCost, _, err = m.opt.CostPreparedSum(ctx, pw, members, weights, optimizer.Configuration(res.Final.Defs()), nil)
+		return err
+	})
 	if resilient != nil {
 		out.Degraded = resilient.Degraded()
 		out.DegradedChecks = resilient.DegradedChecks()
@@ -672,15 +660,16 @@ func CheckInitialN(n int) error {
 }
 
 // InitialConfiguration chooses the configuration merging starts from,
-// by tuning queries one at a time (§4.2.3), costing each query's
-// candidates opts.Parallelism at a time. n > 0 draws random queries
+// by tuning queries one at a time (§4.2.3), serially: each query's
+// candidates are costed one after another. n > 0 draws random queries
 // (seeded by seed) until n distinct indexes accumulate. n == 0 tunes
 // the whole workload and unions the recommendations — the baseline
 // whose storage blow-up merging fixes: query by query, or, under
 // CompressedOptimizerCost, one representative per template of the
 // merger's compressed form (candidate shapes depend only on what a
-// template's members share). An empty recommendation is
-// ErrNoInitialIndexes. Cancellation surfaces as ctx.Err().
+// template's members share). Of opts only CostModel is read. An empty
+// recommendation is ErrNoInitialIndexes. Cancellation surfaces as
+// ctx.Err().
 func (m *Merger) InitialConfiguration(ctx context.Context, n int, seed int64, opts MergeOptions) ([]IndexDef, error) {
 	if err := CheckInitialN(n); err != nil {
 		return nil, err
@@ -691,7 +680,6 @@ func (m *Merger) InitialConfiguration(ctx context.Context, n int, seed int64, op
 		return nil, err
 	}
 	adv := advisor.New(m.db, m.opt)
-	adv.Parallelism = opts.Parallelism
 	var defs []IndexDef
 	var err error
 	switch {

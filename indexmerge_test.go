@@ -239,33 +239,6 @@ func TestMergeDualSpendsWhatItReports(t *testing.T) {
 	}
 }
 
-// TestInitialConfigurationParallelWholeWorkload: tuning the whole
-// workload (n == 0) costs candidates opts.Parallelism at a time, query
-// by query and template by template, and recommends what a serial
-// tuning does.
-func TestInitialConfigurationParallelWholeWorkload(t *testing.T) {
-	_, _, m, _ := mergerFixture(t)
-	ctx := context.Background()
-	for _, model := range []CostModelKind{OptimizerCost, CompressedOptimizerCost} {
-		serial, err := m.InitialConfiguration(ctx, 0, 0, MergeOptions{CostModel: model, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := m.InitialConfiguration(ctx, 0, 0, MergeOptions{CostModel: model, Parallelism: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(serial) == 0 || len(parallel) != len(serial) {
-			t.Fatalf("model %v: %d definitions at parallelism 4, %d serially", model, len(parallel), len(serial))
-		}
-		for i := range serial {
-			if parallel[i].Key() != serial[i].Key() {
-				t.Errorf("model %v, definition %d: %s at parallelism 4, %s serially", model, i, parallel[i], serial[i])
-			}
-		}
-	}
-}
-
 func TestPublicSchemaConstruction(t *testing.T) {
 	db := NewDatabase()
 	tab, err := NewTable("x", []Column{

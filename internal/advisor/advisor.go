@@ -24,14 +24,6 @@ import (
 type Advisor struct {
 	Meta catalog.SchemaHolder
 	Opt  *optimizer.Optimizer
-
-	// Parallelism bounds concurrent candidate costing in
-	// TuneQueryContext.
-	// <= 1 (the default) costs candidates serially. Recommendations
-	// are identical for any value: all candidates are costed against
-	// the same already-chosen set, then the winner is picked in
-	// candidate order.
-	Parallelism int
 }
 
 // New creates an advisor over the database's metadata and an optimizer.
@@ -55,7 +47,6 @@ func (a *Advisor) TuneQueryContext(ctx context.Context, stmt *sql.SelectStmt) ([
 	if err != nil {
 		return nil, err
 	}
-	var chosen []catalog.IndexDef
 	bestCost := baseCost
 
 	// Greedily add one index per table, largest tables first — their
@@ -64,51 +55,37 @@ func (a *Advisor) TuneQueryContext(ctx context.Context, stmt *sql.SelectStmt) ([
 	sort.SliceStable(tables, func(i, j int) bool {
 		return a.tableRows(tables[i]) > a.tableRows(tables[j])
 	})
+	// At most one index a table: chosen always has room for the
+	// candidate, so each configuration costed is built in place.
+	chosen := make([]catalog.IndexDef, 0, len(tables))
 	for _, tname := range tables {
 		cands := a.candidatesFor(stmt, tname)
-		costs, err := a.costCandidates(ctx, pq, chosen, cands)
+		// Every candidate is costed on top of the same chosen set, one
+		// at a time in candidate order; the first cheapest wins. A
+		// panicking optimizer is a *core.PanicError (core.EvalEach's
+		// boundary).
+		best := -1
+		err := core.EvalEach(len(cands), 1, func(i int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			cost, err := a.Opt.CostPrepared(pq, append(chosen, cands[i]))
+			if err != nil {
+				return err
+			}
+			if cost < bestCost {
+				bestCost, best = cost, i
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		// Pick in candidate order so the recommendation is identical
-		// to a serial sweep regardless of Parallelism.
-		var bestCand *catalog.IndexDef
-		for i := range cands {
-			if costs[i] < bestCost {
-				bestCost = costs[i]
-				bestCand = &cands[i]
-			}
-		}
-		if bestCand != nil {
-			chosen = append(chosen, *bestCand)
+		if best >= 0 {
+			chosen = append(chosen, cands[best])
 		}
 	}
 	return chosen, nil
-}
-
-// costCandidates costs every candidate added on top of the chosen set,
-// concurrently when Parallelism > 1. Every candidate is costed against
-// the same base, so costs are independent of evaluation order. A
-// panicking optimizer is a *core.PanicError (core.EvalEach's boundary),
-// on a worker goroutine as on the caller's.
-func (a *Advisor) costCandidates(ctx context.Context, pq *optimizer.PreparedQuery, chosen, cands []catalog.IndexDef) ([]float64, error) {
-	costs := make([]float64, len(cands))
-	eval := func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cfg := optimizer.Configuration(append(append([]catalog.IndexDef{}, chosen...), cands[i]))
-		cost, err := a.Opt.CostPrepared(pq, cfg)
-		if err != nil {
-			return err
-		}
-		costs[i] = cost
-		return nil
-	}
-	if err := core.EvalEach(len(cands), a.Parallelism, eval); err != nil {
-		return nil, err
-	}
-	return costs, nil
 }
 
 func (a *Advisor) tableRows(name string) int64 {

@@ -224,13 +224,12 @@ func TestTuneQueriesUnionsRecommendations(t *testing.T) {
 	}
 }
 
-// TestTuneQueryParallelPanicIsAnError: the optimizer panics while the
-// candidates are costed on worker goroutines (the call after the
-// no-index baseline). The tuning fails with the panic as a typed error;
-// the process, and the advisor, go on.
-func TestTuneQueryParallelPanicIsAnError(t *testing.T) {
+// TestTuneQueryPanicIsAnError: the optimizer panics while the
+// candidates are costed (the call after the no-index baseline). The
+// tuning fails with the panic as a typed error; the process, and the
+// advisor, go on.
+func TestTuneQueryPanicIsAnError(t *testing.T) {
 	db, adv := advisorFixture(t)
-	adv.Parallelism = 4
 	stmt := q(t, db, "SELECT id, val FROM events WHERE id = 42")
 	faults.Install(faults.Rule{ID: "tune-panic", Point: faults.OptimizerCost, Mode: faults.ModePanic, After: 1, Count: 1})
 	defer faults.Reset()

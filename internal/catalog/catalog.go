@@ -7,7 +7,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"indexmerge/internal/value"
@@ -359,13 +358,4 @@ func (d IndexDef) CoversColumns(cols []string) bool {
 		}
 	}
 	return true
-}
-
-// SortedColumnSignature returns the column set sorted and joined — a
-// canonical signature that ignores order, used to detect duplicate
-// column sets across differently ordered indexes.
-func (d IndexDef) SortedColumnSignature() string {
-	cols := append([]string(nil), d.Columns...)
-	sort.Strings(cols)
-	return d.Table + "{" + strings.Join(cols, ",") + "}"
 }

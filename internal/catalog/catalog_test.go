@@ -182,9 +182,6 @@ func TestIndexDefSignatures(t *testing.T) {
 	if ab.Key() == ba.Key() {
 		t.Error("Key must be order sensitive")
 	}
-	if ab.SortedColumnSignature() != ba.SortedColumnSignature() {
-		t.Error("SortedColumnSignature must be order insensitive")
-	}
 	set := ab.ColumnSet()
 	if !set["a"] || !set["b"] || len(set) != 2 {
 		t.Errorf("ColumnSet = %v", set)

@@ -277,11 +277,12 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 // EvalEach runs eval(0) … eval(n-1), on up to workers goroutines when
 // workers > 1 and on the caller's otherwise, and returns the error of
 // the smallest failing index, matching serial evaluation order. It is
-// the one worker loop of the costing paths (the plain checker's cache
-// misses, the compressed cost table's, the advisor's candidates) and
-// their panic boundary: each evaluation runs through safeEval, so a
-// panicking cost server fails one costing (as a typed *PanicError)
-// instead of killing a worker goroutine — and with it the process.
+// the one worker loop of the costing paths and their panic boundary:
+// Greedy's waves and a check's misses (the cost table's fill) fan out
+// on it, and the advisor's candidates run on it serially. Each
+// evaluation runs through safeEval, so a panicking cost server fails
+// one costing (as a typed *PanicError) instead of killing a worker
+// goroutine — and with it the process.
 func EvalEach(n, workers int, eval func(int) error) error {
 	if workers > n {
 		workers = n
@@ -332,10 +333,11 @@ func safeEval(eval func(int) error, i int) (err error) {
 	return eval(i)
 }
 
-// safeAccepts is check.Accepts behind safeEval's boundary, for the
-// goroutines a search fans one wave's checks out to: a panic anywhere
-// under a check (a store install as much as a cost server) becomes that
-// candidate's verdict error, consumed in rank order like any other.
+// safeAccepts is check.Accepts behind safeEval's boundary, for every
+// check a search makes (on Greedy's wave goroutines, and on the
+// caller's in Exhaustive): a panic anywhere under a check (a store
+// install as much as a cost server) becomes that candidate's verdict
+// error, consumed in enumeration order like any other.
 func safeAccepts(ctx context.Context, check ConstraintChecker, cfg *Configuration, m, a, b *Index) (ok bool, err error) {
 	err = safeEval(func(int) (err error) {
 		ok, err = check.Accepts(ctx, cfg, m, a, b)

@@ -73,17 +73,20 @@ func TestGreedyParallelDeterminismNoCost(t *testing.T) {
 	runsEqual(t, serial, parallel)
 }
 
+// TestExhaustiveParallelDeterminism: the serial Exhaustive search over
+// a checker that fills each check's misses concurrently makes the
+// decisions it makes over a serial checker.
 func TestExhaustiveParallelDeterminism(t *testing.T) {
 	f := newSearchFixture(t)
 	mp := &MergePairCost{Seek: f.seek}
 	for _, slack := range []float64{0.05, 0.15, 0.50} {
-		serial, err := ExhaustiveContext(context.Background(), f.initial, mp, f.checker(slack), f.db, ExhaustiveOptions{Parallelism: 1})
+		serial, err := ExhaustiveContext(context.Background(), f.initial, mp, f.checker(slack), f.db, ExhaustiveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		parCheck := f.checker(slack)
 		parCheck.Parallelism = testParallelism
-		parallel, err := ExhaustiveContext(context.Background(), f.initial, mp, parCheck, f.db, ExhaustiveOptions{Parallelism: testParallelism})
+		parallel, err := ExhaustiveContext(context.Background(), f.initial, mp, parCheck, f.db, ExhaustiveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,20 +102,21 @@ func (panickingChecker) Accepts(context.Context, *Configuration, *Index, *Index,
 }
 
 // TestSearchPanicIsAnErrorAtAnyParallelism: a panicking check is the
-// candidate's *PanicError, returned by both searches, serially as well
-// as from a parallel wave.
+// candidate's *PanicError, returned by Greedy serially as well as from
+// a parallel wave, and by the serial Exhaustive search.
 func TestSearchPanicIsAnErrorAtAnyParallelism(t *testing.T) {
 	f := newSearchFixture(t)
 	mp := &MergePairCost{Seek: f.seek}
+	check := panickingChecker{f.checker(0.50)}
+	errs := map[string]error{}
 	for _, par := range []int{1, 4} {
-		check := panickingChecker{f.checker(0.50)}
-		_, gerr := GreedyContext(context.Background(), f.initial, mp, check, f.db, GreedyOptions{Parallelism: par})
-		_, eerr := ExhaustiveContext(context.Background(), f.initial, mp, check, f.db, ExhaustiveOptions{Parallelism: par})
-		for name, err := range map[string]error{"greedy": gerr, "exhaustive": eerr} {
-			var pe *PanicError
-			if !errors.As(err, &pe) || pe.Value != "scripted check panic" {
-				t.Errorf("%s at parallelism %d: error %v, want the check's *PanicError", name, par, err)
-			}
+		_, errs[fmt.Sprintf("greedy at parallelism %d", par)] = GreedyContext(context.Background(), f.initial, mp, check, f.db, GreedyOptions{Parallelism: par})
+	}
+	_, errs["exhaustive"] = ExhaustiveContext(context.Background(), f.initial, mp, check, f.db, ExhaustiveOptions{})
+	for name, err := range errs {
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "scripted check panic" {
+			t.Errorf("%s: error %v, want the check's *PanicError", name, err)
 		}
 	}
 }

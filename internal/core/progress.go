@@ -1,11 +1,13 @@
 package core
 
 // Progress is a point-in-time snapshot of a running search, delivered
-// to the Progress callback of GreedyOptions / ExhaustiveOptions. The
-// long-running advisor service surfaces these snapshots while a job is
-// in flight; the batch CLI can stream them as JSON. Callbacks are
-// invoked synchronously from the searching goroutine, so they must be
-// cheap and must not block for long.
+// to the Progress callback of GreedyOptions (after every wave of checks
+// and every accepted step) or ExhaustiveOptions (after every candidate
+// the serial enumeration consumes). The long-running advisor service
+// surfaces these snapshots while a job is in flight; the batch CLI can
+// stream them as JSON. Callbacks are invoked synchronously from the
+// searching goroutine, so they must be cheap and must not block for
+// long.
 type Progress struct {
 	// Steps counts accepted merge steps so far (Greedy; 0 for
 	// Exhaustive, which reports ConfigsExplored instead).

@@ -34,41 +34,6 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
-// TestExperimentsParallelismInvariant: the same figures with parallel
-// candidate costing must match a fully serial run in every reported
-// quantity except running time and optimizer-call counts.
-func TestExperimentsParallelismInvariant(t *testing.T) {
-	run := func(parallelism int) []SearchComparisonRow {
-		labs, err := StandardLabs(LabOptions{Scale: 0.2, WorkloadQueries: 12, Seed: 5, Parallelism: parallelism})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := RunSearchComparisonOpt(labs, FigureOptions{N: Fig5N, Constraint: Fig5Constraint})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	serial, parallel := run(1), run(8)
-	if len(serial) != len(parallel) {
-		t.Fatalf("row counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		s, p := serial[i], parallel[i]
-		if s.ExhaustiveReduction != p.ExhaustiveReduction ||
-			s.GreedyOptReduction != p.GreedyOptReduction ||
-			s.GreedyNoneReduction != p.GreedyNoneReduction ||
-			s.FinalCostIncrease != p.FinalCostIncrease ||
-			s.NoCostCostIncrease != p.NoCostCostIncrease {
-			t.Errorf("row %d figures differ between serial and parallel:\n  %+v\n  %+v", i, s, p)
-		}
-		if s.ExhaustiveEvals != p.ExhaustiveEvals || s.GreedyOptEvals != p.GreedyOptEvals {
-			t.Errorf("row %d consumed evaluation counts differ: serial %d/%d, parallel %d/%d",
-				i, s.GreedyOptEvals, s.ExhaustiveEvals, p.GreedyOptEvals, p.ExhaustiveEvals)
-		}
-	}
-}
-
 func TestCostMinimalSweepShapes(t *testing.T) {
 	labs, err := StandardLabs(LabOptions{Scale: 0.2, WorkloadQueries: 12, Seed: 5})
 	if err != nil {

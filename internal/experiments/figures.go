@@ -90,14 +90,13 @@ func newSetupOver(lab *Lab, w *sql.Workload, initial *core.Configuration) (*setu
 	if err != nil {
 		return nil, err
 	}
-	s := &setup{lab: lab, w: w, pw: pw, initial: initial}
-	if s.baseCost, err = s.cost(initial.Defs()); err != nil {
+	// One pass under the initial configuration gives its Seek-Costs
+	// and, from the same plans, its cost.
+	seek, err := core.ComputeSeekCostsPrepared(lab.Opt, pw, initial)
+	if err != nil {
 		return nil, err
 	}
-	if s.seek, err = core.ComputeSeekCostsPrepared(lab.Opt, pw, initial); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &setup{lab: lab, w: w, pw: pw, initial: initial, baseCost: seek.InitialCost(), seek: seek}, nil
 }
 
 // cost is Cost(W, C) of the setup's workload under defs, over the
@@ -108,19 +107,8 @@ func (s *setup) cost(defs []catalog.IndexDef) (float64, error) {
 
 func (s *setup) optChecker(constraint float64) *core.OptimizerChecker {
 	c := core.NewOptimizerChecker(s.lab.Opt, s.w, s.baseCost, constraint)
-	c.Parallelism = s.lab.Parallelism
 	c.Prepared = s.pw
 	return c
-}
-
-// greedyOpts and exhaustiveOpts carry the lab's parallelism into the
-// search strategies.
-func (s *setup) greedyOpts() core.GreedyOptions {
-	return core.GreedyOptions{Parallelism: s.lab.Parallelism}
-}
-
-func (s *setup) exhaustiveOpts() core.ExhaustiveOptions {
-	return core.ExhaustiveOptions{Parallelism: s.lab.Parallelism}
 }
 
 // FigureOptions parameterizes the Figure 5-7 experiments. The paper
@@ -157,19 +145,19 @@ func RunSearchComparisonOpt(labs []*Lab, opt FigureOptions) ([]SearchComparisonR
 		mp := &core.MergePairCost{Seek: s.seek}
 
 		exCheck := s.optChecker(constraint)
-		exRes, err := core.ExhaustiveContext(context.Background(), s.initial, mp, exCheck, lab.DB, s.exhaustiveOpts())
+		exRes, err := core.ExhaustiveContext(context.Background(), s.initial, mp, exCheck, lab.DB, core.ExhaustiveOptions{})
 		if err != nil {
 			return nil, err
 		}
 
 		goCheck := s.optChecker(constraint)
-		goRes, err := core.GreedyContext(context.Background(), s.initial, mp, goCheck, lab.DB, s.greedyOpts())
+		goRes, err := core.GreedyContext(context.Background(), s.initial, mp, goCheck, lab.DB, core.GreedyOptions{})
 		if err != nil {
 			return nil, err
 		}
 
 		gnCheck := &core.NoCostChecker{F: NoCostF, P: NoCostP, Tables: lab.DB}
-		gnRes, err := core.GreedyContext(context.Background(), s.initial, mp, gnCheck, lab.DB, s.greedyOpts())
+		gnRes, err := core.GreedyContext(context.Background(), s.initial, mp, gnCheck, lab.DB, core.GreedyOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -221,19 +209,19 @@ func RunMergePairComparisonOpt(labs []*Lab, opt FigureOptions) ([]MergePairCompa
 		}
 
 		mpe := &core.MergePairExhaustive{Server: lab.Opt, W: s.w, Prepared: s.pw, Base: s.initial, MaxCols: 7}
-		exRes, err := core.GreedyContext(context.Background(), s.initial, mpe, s.optChecker(constraint), lab.DB, s.greedyOpts())
+		exRes, err := core.GreedyContext(context.Background(), s.initial, mpe, s.optChecker(constraint), lab.DB, core.GreedyOptions{})
 		if err != nil {
 			return nil, err
 		}
 
 		mpc := &core.MergePairCost{Seek: s.seek}
-		costRes, err := core.GreedyContext(context.Background(), s.initial, mpc, s.optChecker(constraint), lab.DB, s.greedyOpts())
+		costRes, err := core.GreedyContext(context.Background(), s.initial, mpc, s.optChecker(constraint), lab.DB, core.GreedyOptions{})
 		if err != nil {
 			return nil, err
 		}
 
 		mps := &core.MergePairSyntactic{Freq: core.LeadingColumnFrequencies(s.w)}
-		synRes, err := core.GreedyContext(context.Background(), s.initial, mps, s.optChecker(constraint), lab.DB, s.greedyOpts())
+		synRes, err := core.GreedyContext(context.Background(), s.initial, mps, s.optChecker(constraint), lab.DB, core.GreedyOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +271,7 @@ func RunMaintenanceComparison(labs []*Lab, ns []int, constraint float64) ([]Main
 			if err != nil {
 				return nil, err
 			}
-			res, err := core.GreedyContext(context.Background(), s.initial, &core.MergePairCost{Seek: s.seek}, s.optChecker(constraint), lab.DB, s.greedyOpts())
+			res, err := core.GreedyContext(context.Background(), s.initial, &core.MergePairCost{Seek: s.seek}, s.optChecker(constraint), lab.DB, core.GreedyOptions{})
 			if err != nil {
 				return nil, err
 			}

@@ -23,7 +23,9 @@ import (
 )
 
 // Lab bundles one experimental database with its optimizer, advisor
-// and workloads — the environment every experiment runs in.
+// and workloads — the environment every experiment runs in. Every
+// search and tuning a lab drives is serial, as the paper's are, so
+// Figure 6 times the algorithms it describes.
 type Lab struct {
 	Name string
 	DB   *engine.Database
@@ -34,11 +36,6 @@ type Lab struct {
 	// configured otherwise); Projection is the projection-only one.
 	Complex    *sql.Workload
 	Projection *sql.Workload
-
-	// Parallelism bounds concurrent candidate costing in searches and
-	// advisor runs driven from this lab; results are identical for any
-	// value (see core.GreedyOptions).
-	Parallelism int
 
 	// insertRow generates one fresh row for a table (batch updates).
 	insertRow func(table string, rng *rand.Rand) (value.Row, error)
@@ -55,10 +52,6 @@ type LabOptions struct {
 	WorkloadQueries int
 	// Seed drives data and workload generation.
 	Seed int64
-	// Parallelism bounds concurrent candidate costing in the searches
-	// the labs run (<= 1 = serial). Reported figures are identical for
-	// any value; only running time and optimizer-call counts vary.
-	Parallelism int
 }
 
 func (o *LabOptions) fill() {
@@ -132,16 +125,7 @@ func newLab(name, dbName string, opt LabOptions) (*Lab, error) {
 		return nil, err
 	}
 	o := optimizer.New(db)
-	adv := advisor.New(db, o)
-	adv.Parallelism = opt.Parallelism
-	lab := &Lab{
-		Name:        name,
-		DB:          db,
-		Opt:         o,
-		Adv:         adv,
-		Parallelism: opt.Parallelism,
-		seed:        opt.Seed,
-	}
+	lab := &Lab{Name: name, DB: db, Opt: o, Adv: advisor.New(db, o), seed: opt.Seed}
 	lab.Complex, err = workload.Generate(db, workload.Options{
 		Class: workload.Complex, Queries: opt.WorkloadQueries, Seed: opt.Seed + 11,
 	})

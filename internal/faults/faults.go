@@ -9,9 +9,8 @@
 // Determinism: every rule carries its own match counter, and firing
 // windows are expressed in match counts (fire on matched calls
 // (After, After+Count]), so a serial run injects the exact same faults
-// every time. Probabilistic rules draw from a per-rule seeded
-// generator; use count windows when a test asserts byte-identical
-// results.
+// every time. There are no probabilistic rules: a window names the
+// calls that fail.
 //
 // Rules are addressable: each has an ID (assigned when empty), and
 // Fired reports how many times a rule has triggered, so a test can
@@ -21,7 +20,6 @@ package faults
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -119,11 +117,6 @@ type Rule struct {
 	// Count bounds how many matching calls fire (0 = forever). The rule
 	// fires on matched calls number After+1 .. After+Count.
 	Count int64
-	// Prob, when in (0, 1), gates each in-window call on a draw from
-	// the rule's seeded generator. 0 or >= 1 means always fire.
-	Prob float64
-	// Seed seeds the rule's generator for Prob draws.
-	Seed int64
 	// Latency is the added delay for ModeLatency.
 	Latency time.Duration
 	// Scale is the measurement multiplier for ModeScale (values <= 0
@@ -160,9 +153,6 @@ type ruleState struct {
 	Rule
 	hits  atomic.Int64 // matching calls seen
 	fired atomic.Int64 // calls that actually triggered
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // fire decides whether this matching call triggers.
@@ -173,14 +163,6 @@ func (r *ruleState) fire() bool {
 	}
 	if r.Count > 0 && n > r.After+r.Count {
 		return false
-	}
-	if r.Prob > 0 && r.Prob < 1 {
-		r.rngMu.Lock()
-		ok := r.rng.Float64() < r.Prob
-		r.rngMu.Unlock()
-		if !ok {
-			return false
-		}
 	}
 	r.fired.Add(1)
 	return true
@@ -209,11 +191,7 @@ func Install(rs ...Rule) []Rule {
 		if r.ID == "" {
 			r.ID = fmt.Sprintf("rule-%d", nextID.Add(1))
 		}
-		st := &ruleState{Rule: r}
-		if r.Prob > 0 && r.Prob < 1 {
-			st.rng = rand.New(rand.NewSource(r.Seed))
-		}
-		rules = append(rules, st)
+		rules = append(rules, &ruleState{Rule: r})
 		out[i] = r
 	}
 	armed.Store(len(rules) > 0)
@@ -331,10 +309,11 @@ func apply(p Point, errCapable bool) error {
 //
 //	point=optimizer.cost,mode=error,after=3,count=2
 //	point=storage.heap.get,mode=latency,latency=5ms
-//	mode=panic,prob=0.01,seed=7
+//	mode=panic,after=100,count=1
 //
 // Recognized keys: id, point, mode (error|latency|panic|scale), after,
-// count, prob, seed, latency (Go duration), scale (multiplier), msg.
+// count, latency (Go duration), scale (multiplier), msg. Any other key
+// is refused.
 func ParseRules(spec string) ([]Rule, error) {
 	var out []Rule
 	for _, rs := range strings.Split(spec, ";") {
@@ -372,10 +351,6 @@ func ParseRules(spec string) ([]Rule, error) {
 				r.After, err = strconv.ParseInt(val, 10, 64)
 			case "count":
 				r.Count, err = strconv.ParseInt(val, 10, 64)
-			case "prob":
-				r.Prob, err = strconv.ParseFloat(val, 64)
-			case "seed":
-				r.Seed, err = strconv.ParseInt(val, 10, 64)
 			case "latency":
 				r.Latency, err = time.ParseDuration(val)
 			case "scale":

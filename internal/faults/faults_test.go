@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -85,24 +86,6 @@ func TestLatencyMode(t *testing.T) {
 	}
 }
 
-func TestSeededProbDeterminism(t *testing.T) {
-	run := func() []bool {
-		defer Reset()
-		Install(Rule{Point: OptimizerCost, Mode: ModeError, Prob: 0.5, Seed: 42})
-		out := make([]bool, 40)
-		for i := range out {
-			out[i] = Inject(OptimizerCost) != nil
-		}
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seeded probabilistic rule diverged at call %d", i)
-		}
-	}
-}
-
 func TestConcurrentInject(t *testing.T) {
 	defer Reset()
 	rs := Install(Rule{Point: OptimizerCost, Mode: ModeError, After: 50, Count: 25})
@@ -131,7 +114,7 @@ func TestConcurrentInject(t *testing.T) {
 }
 
 func TestParseRules(t *testing.T) {
-	rs, err := ParseRules("point=optimizer.cost,mode=error,after=3,count=2 ; mode=latency,latency=5ms,prob=0.25,seed=7")
+	rs, err := ParseRules("point=optimizer.cost,mode=error,after=3,count=2 ; mode=latency,latency=5ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +126,23 @@ func TestParseRules(t *testing.T) {
 		t.Fatalf("rule 0 parsed wrong: %+v", r)
 	}
 	r = rs[1]
-	if r.Point != "" || r.Mode != ModeLatency || r.Latency != 5*time.Millisecond || r.Prob != 0.25 || r.Seed != 7 {
+	if r.Point != "" || r.Mode != ModeLatency || r.Latency != 5*time.Millisecond {
 		t.Fatalf("rule 1 parsed wrong: %+v", r)
 	}
 	for _, bad := range []string{"", "mode=nope", "after=x", "wat=1", "latency=zzz"} {
 		if _, err := ParseRules(bad); err == nil {
 			t.Errorf("ParseRules(%q) accepted", bad)
+		}
+	}
+	// Rules fire on count windows only: the probabilistic keys are gone
+	// and refused like any unknown field.
+	for spec, key := range map[string]string{
+		"mode=panic,prob=0.01":                      "prob",
+		"point=optimizer.cost,mode=error,seed=7":    "seed",
+		"mode=latency,latency=5ms,prob=0.25,seed=7": "prob",
+	} {
+		if _, err := ParseRules(spec); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown rule field %q", key)) {
+			t.Errorf("ParseRules(%q) = %v, want the unknown field %q refused", spec, err, key)
 		}
 	}
 }

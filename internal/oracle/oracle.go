@@ -124,17 +124,13 @@ func (fullPricing) SetBase(*core.Configuration) {}
 func mergeSearch(db *engine.Database, opz *optimizer.Optimizer, pw *optimizer.PreparedWorkload,
 	initial *core.Configuration, constraint float64) (res *core.SearchResult, visited []*core.Configuration, diff string, err error) {
 
-	baseCost, err := opz.WorkloadCostPrepared(pw, optimizer.Configuration(initial.Defs()))
-	if err != nil {
-		return nil, nil, "", err
-	}
 	seek, err := core.ComputeSeekCostsPrepared(opz, pw, initial)
 	if err != nil {
 		return nil, nil, "", err
 	}
 	mp := &core.MergePairCost{Seek: seek}
 	checker := func() *core.OptimizerChecker {
-		c := core.NewOptimizerChecker(opz, pw.W, baseCost, constraint)
+		c := core.NewOptimizerChecker(opz, pw.W, seek.InitialCost(), constraint)
 		c.Prepared = pw
 		return c
 	}

@@ -382,7 +382,7 @@ type JobOptions struct {
 	CostModel string  `json:"costmodel,omitempty"`
 	NoCostF   float64 `json:"nocost_f,omitempty"`
 	NoCostP   float64 `json:"nocost_p,omitempty"`
-	// Parallelism bounds concurrent candidate costings within the job.
+	// Parallelism is Greedy's wave size and a check's concurrent misses.
 	Parallelism int `json:"parallelism,omitempty"`
 	// DualBudgetFrac, when > 0, solves the Cost-Minimal dual instead
 	// with a storage budget of this fraction of the initial bytes.

@@ -106,9 +106,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// PagesToBytes converts a page count to bytes.
-func PagesToBytes(pages int64) int64 { return pages * PageSize }
-
 // BytesToMB converts bytes to megabytes for reporting.
 func BytesToMB(b int64) float64 { return float64(b) / (1 << 20) }
 

@@ -180,26 +180,6 @@ func (v Value) AppendString(b []byte) []byte {
 	return append(b, '?')
 }
 
-// StoredWidth returns the number of bytes the value occupies in a page,
-// matching the width accounting the paper's size estimates rely on
-// (fixed widths for numerics, declared width for strings).
-func (v Value) StoredWidth(declared int) int {
-	switch v.kind {
-	case Null:
-		return 1
-	case Int, Date:
-		return 8
-	case Float:
-		return 8
-	case String:
-		if declared > 0 {
-			return declared
-		}
-		return len(v.s)
-	}
-	return 0
-}
-
 // Row is a tuple of values aligned with a table's column order.
 type Row []Value
 

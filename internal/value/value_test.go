@@ -118,27 +118,6 @@ func TestValueString(t *testing.T) {
 	}
 }
 
-func TestStoredWidth(t *testing.T) {
-	if got := NewInt(1).StoredWidth(0); got != 8 {
-		t.Errorf("int width %d", got)
-	}
-	if got := NewFloat(1).StoredWidth(0); got != 8 {
-		t.Errorf("float width %d", got)
-	}
-	if got := NewDate(1).StoredWidth(0); got != 8 {
-		t.Errorf("date width %d", got)
-	}
-	if got := NewString("abcd").StoredWidth(10); got != 10 {
-		t.Errorf("declared string width %d, want 10", got)
-	}
-	if got := NewString("abcd").StoredWidth(0); got != 4 {
-		t.Errorf("undeclared string width %d, want 4", got)
-	}
-	if got := NewNull().StoredWidth(0); got != 1 {
-		t.Errorf("null width %d, want 1", got)
-	}
-}
-
 func TestRowClone(t *testing.T) {
 	r := Row{NewInt(1), NewString("x")}
 	c := r.Clone()
