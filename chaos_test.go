@@ -324,6 +324,23 @@ func TestChaosCanceledMergeMakesNoOptimizerCall(t *testing.T) {
 			t.Errorf("resilient %v: canceled after call %d of the initial pass, the merge made %d optimizer calls", ro != nil, at, n)
 		}
 	}
+
+	// MergePair-Exhaustive prices column orders inside Merge, before the
+	// search's first check: cancel after its 50th call, and it stops
+	// within the order it is pricing.
+	at = int64(len(m.w.Queries)) + 50
+	for _, ro := range []*ResilienceOptions{nil, {}} {
+		cold := coldTwin(t, m)
+		before := cold.opt.InvocationCount()
+		ctx := cancelAtCall(cold.opt, before+at)
+		_, err := cold.MergeDefsContext(ctx, defs, MergeOptions{CostConstraint: 0.15, MergePair: MergePairExhaustive, Resilience: ro})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("MergePair-Exhaustive, resilient %v: err = %v, want context.Canceled", ro != nil, err)
+		}
+		if n := cold.opt.InvocationCount() - before; n > at+1 {
+			t.Errorf("MergePair-Exhaustive, resilient %v: canceled after call %d, the merge made %d optimizer calls, want at most one more", ro != nil, at, n)
+		}
+	}
 }
 
 // callCanceled is a context that cancels itself the first time it is

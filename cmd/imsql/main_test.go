@@ -1,0 +1,70 @@
+package main
+
+import (
+	"os"
+	"os/exec"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestMain runs the shell itself when the test binary is re-executed
+// with IMSQL_TEST_ARGS set: the variable holds main's arguments.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("IMSQL_TEST_ARGS"); ok {
+		os.Args = append([]string{"imsql"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestScriptedSession: a script on standard input creates two indexes,
+// runs two SELECTs into the history, explains, costs and tunes a query,
+// then merges the two indexes into one and materializes it.
+func TestScriptedSession(t *testing.T) {
+	const script = `\create t2(c01,c04)
+\create t2(c04,c07)
+SELECT c01, c04 FROM t2 WHERE c01 < 20
+SELECT c04, c07 FROM t2 WHERE c04 = 5 ORDER BY c07
+\explain SELECT c01, c04 FROM t2 WHERE c01 < 20
+\cost SELECT c04, c07 FROM t2 WHERE c04 = 5
+\tune SELECT c07, c10 FROM t2 WHERE c07 = 7
+\merge 15
+\indexes
+\q
+SELECT c01 FROM t2
+`
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "IMSQL_TEST_ARGS=-db synthetic1 -scale 0.05 -q")
+	cmd.Stdin = strings.NewReader(script)
+	b, err := cmd.CombinedOutput()
+	out := string(b)
+	if err != nil || strings.Contains(out, "error:") {
+		t.Fatalf("session: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		`(?m)^created t2\(c01,c04\) `,
+		`(?m)^created t2\(c04,c07\) `,
+		`(?m)^t2\.c01 \| t2\.c04$`,
+		`(?m)^t2\.c04 \| t2\.c07$`,
+		`(?m)^Project\(t2\.c01, t2\.c04\) .*\n  IndexScan\(ix_t2_c01_c04\)`,
+		`(?m)^estimated cost: \d+\.\d\d$`,
+		`(?m)^  recommend t2\(c07,c10\) `,
+		`(?m)^  estimated cost \d+\.\d\d -> \d+\.\d\d$`,
+	} {
+		if !regexp.MustCompile(want).MatchString(out) {
+			t.Errorf("output does not match %s:\n%s", want, out)
+		}
+	}
+	// The shell hands the merge its indexes in the database's map order,
+	// and which index leads the merge depends on that order here
+	// (ROADMAP item 13): either index-preserving order is the merge.
+	merged := regexp.MustCompile(`(?m)^  merged t2\((?:c01,c04|c04,c07)\) \+ t2\((?:c01,c04|c04,c07)\) -> (t2\((?:c01,c04,c07|c04,c07,c01)\))$`).FindStringSubmatch(out)
+	if merged == nil || !regexp.MustCompile(`(?m)^materialized the merged configuration\n  `+regexp.QuoteMeta(merged[1])+` +\S+ MB  height=\d+\n$`).MatchString(out) {
+		t.Errorf("the two indexes did not merge into one materialized index:\n%s", out)
+	}
+	if n := strings.Count(out, " rows, "); n != 2 {
+		t.Errorf("%d SELECTs reported rows, want 2 (none after \\q):\n%s", n, out)
+	}
+}

@@ -108,7 +108,7 @@ var nameGuards = []nameGuard{
 	{
 		// Exported functions nothing but their own unit tests called.
 		why: "no exported function without a caller",
-		re:  regexp.MustCompile(`\b(?:PagesToBytes|SortedColumnSignature|StoredWidth)\b`),
+		re:  regexp.MustCompile(`\b(?:PagesToBytes|SortedColumnSignature|StoredWidth)\b|\bfaults\.Enabled\b|func Enabled\(\)`),
 		in:  everywhere,
 	},
 	{

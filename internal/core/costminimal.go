@@ -58,7 +58,7 @@ func CostMinimalContext(ctx context.Context, initial *Configuration, mp MergePai
 			return nil, err
 		}
 		if ba, ok := mp.(baseAware); ok {
-			ba.SetBase(cur)
+			ba.setBase(ctx, cur)
 		}
 		type candidate struct {
 			a, b, m *Index

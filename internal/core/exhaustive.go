@@ -85,7 +85,7 @@ func ExhaustiveContext(ctx context.Context, initial *Configuration, mp MergePair
 			return err
 		}
 		if ba, ok := mp.(baseAware); ok {
-			ba.SetBase(cur)
+			ba.setBase(ctx, cur)
 		}
 		// Delta-pricing checkers price candidates against cur. Recursion
 		// below re-bases them per node; a checker consulted with a

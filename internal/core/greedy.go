@@ -80,11 +80,13 @@ type GreedyOptions struct {
 
 // baseAware lets MergePair implementations that evaluate candidate
 // merges in configuration context (MergePair-Exhaustive) track the
-// search's current configuration. Searches call SetBase(cur) at the top
-// of each expansion, before any Merge against cur's pairs — and, on
-// every constraint checker, before any Accepts against its candidates.
+// search's current configuration, and the search's ctx, which their
+// costing observes. Searches call setBase(ctx, cur) at the top of each
+// expansion, before any Merge against cur's pairs — and, on every
+// constraint checker, SetBase(cur) before any Accepts against its
+// candidates.
 type baseAware interface {
-	SetBase(c *Configuration)
+	setBase(ctx context.Context, c *Configuration)
 }
 
 // SearchBase is the configuration a search is expanding, held with its
@@ -138,8 +140,10 @@ func (sb *SearchBase) Derives(cfg *Configuration, m, a, b *Index) bool {
 	return fresh == 1
 }
 
-// SetBase implements baseAware for MergePairExhaustive.
-func (m *MergePairExhaustive) SetBase(c *Configuration) { m.Base = c }
+// setBase implements baseAware for MergePairExhaustive.
+func (m *MergePairExhaustive) setBase(ctx context.Context, c *Configuration) {
+	m.ctx, m.Base = ctx, c
+}
 
 // greedyCandidate is one candidate merge of an outer iteration.
 type greedyCandidate struct {
@@ -164,11 +168,12 @@ type verdict struct {
 // merged-pair constructions; constraint checks dominate in practice
 // exactly as §3.4.2 predicts.
 //
-// The search observes ctx between iterations and between waves, and the
-// checker within one constraint check (the optimizer-backed ones between
-// per-query optimizer calls), so an in-flight search stops promptly on
-// cancel. On cancellation it returns ctx.Err() (no partial result);
-// counters already delivered through opt.Progress remain valid.
+// The search observes ctx between iterations, between pair merges and
+// between waves, and the checker within one constraint check (the
+// optimizer-backed ones between per-query optimizer calls), as does
+// MergePair-Exhaustive within one merge, so an in-flight search stops
+// promptly on cancel. On cancellation it returns ctx.Err() (no partial
+// result); counters already delivered through opt.Progress remain valid.
 func GreedyContext(ctx context.Context, initial *Configuration, mp MergePair, check ConstraintChecker, env SizeEstimator, opt GreedyOptions) (*SearchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -235,7 +240,7 @@ func GreedyContext(ctx context.Context, initial *Configuration, mp MergePair, ch
 			return nil, err
 		}
 		if ba, ok := mp.(baseAware); ok {
-			ba.SetBase(cur)
+			ba.setBase(ctx, cur)
 		}
 		check.SetBase(cur)
 		cands = cands[:0]
@@ -246,6 +251,9 @@ func GreedyContext(ctx context.Context, initial *Configuration, mp MergePair, ch
 			if mm, hit := memo[[2]*Index{a, b}]; hit {
 				m, sm = mm.m, mm.sm
 			} else {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
 				var err error
 				m, err = mp.Merge(a, b)
 				if err != nil {

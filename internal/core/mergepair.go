@@ -89,6 +89,8 @@ type MergePairExhaustive struct {
 	// the first Merge prepares W through Server. One whose length is not
 	// W's fails every Merge.
 	Prepared *optimizer.PreparedWorkload
+
+	ctx context.Context // the search's, set with Base; nil = never canceled
 }
 
 // Name implements MergePair.
@@ -116,8 +118,14 @@ func (m *MergePairExhaustive) Merge(a, b *Index) (*Index, error) {
 
 // bestOf evaluates candidate column orders by workload cost on the
 // queries that reference the table, in the context of the base
-// configuration with a and b replaced by the candidate.
+// configuration with a and b replaced by the candidate. It checks the
+// search's ctx before each order and each optimizer call, and returns
+// ctx.Err() once it is done.
 func (m *MergePairExhaustive) bestOf(a, b *Index, orders [][]string) (*Index, error) {
+	ctx := m.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	pw, err := preparedFor(m.Server, m.W, m.Prepared)
 	if err != nil {
 		return nil, err
@@ -131,12 +139,15 @@ func (m *MergePairExhaustive) bestOf(a, b *Index, orders [][]string) (*Index, er
 	var best *Index
 	bestCost := 0.0
 	for _, cols := range orders {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		cand, err := MergeWithColumnOrder(a.Def.Table, cols, a, b)
 		if err != nil {
 			return nil, err
 		}
 		cfg := m.Base.ReplacePair(a, b, cand)
-		cost, _, err := m.Server.CostPreparedSum(context.Background(), pw, relevant, weights, optimizer.Configuration(cfg.Defs()), nil)
+		cost, _, err := m.Server.CostPreparedSum(ctx, pw, relevant, weights, optimizer.Configuration(cfg.Defs()), nil)
 		if err != nil {
 			return nil, err
 		}

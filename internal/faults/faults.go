@@ -175,10 +175,6 @@ var (
 	nextID atomic.Int64
 )
 
-// Enabled reports whether any rules are installed. Sites may use it to
-// skip work; Inject and Hit check it themselves.
-func Enabled() bool { return armed.Load() }
-
 // Install adds rules to the active set (appending to any already
 // installed) and arms the injection points. Rules with an empty ID get
 // one assigned; the (possibly updated) rules are returned so callers
