@@ -15,15 +15,14 @@ import (
 	"os"
 
 	"indexmerge/internal/datagen"
-	"indexmerge/internal/engine"
 	"indexmerge/internal/sql"
 	"indexmerge/internal/storage"
 	"indexmerge/internal/workload"
 )
 
 func main() {
-	dbName := flag.String("db", "tpcd", "database: tpcd | synthetic1 | synthetic2")
-	scale := flag.Float64("scale", 1.0, "database scale factor")
+	dbName := flag.String("db", "tpcd", "database: tpcd | synthetic1 | synthetic2 | file:PATH")
+	scale := flag.Float64("scale", 1.0, "database scale factor (<= 0 means 1)")
 	seed := flag.Int64("seed", 1, "random seed")
 	projPath := flag.String("projection", "", "write a projection-only workload to this file")
 	complexPath := flag.String("complex", "", "write a complex workload to this file")
@@ -32,24 +31,7 @@ func main() {
 	savePath := flag.String("save", "", "write a database snapshot (load with imsql/idxmerge -db file:PATH)")
 	flag.Parse()
 
-	var db *engine.Database
-	var err error
-	switch *dbName {
-	case "tpcd":
-		db, err = datagen.BuildTPCD(datagen.ScaledTPCD(*scale), *seed)
-	case "synthetic1":
-		spec := datagen.Synthetic1Spec()
-		spec.RowsPer = int(float64(spec.RowsPer) * *scale)
-		spec.Seed += *seed
-		db, err = datagen.BuildSynthetic(spec)
-	case "synthetic2":
-		spec := datagen.Synthetic2Spec()
-		spec.RowsPer = int(float64(spec.RowsPer) * *scale)
-		spec.Seed += *seed
-		db, err = datagen.BuildSynthetic(spec)
-	default:
-		err = fmt.Errorf("unknown database %q", *dbName)
-	}
+	db, err := datagen.BuildNamed(*dbName, *scale, *seed)
 	if err != nil {
 		fatal(err)
 	}

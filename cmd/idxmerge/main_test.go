@@ -111,9 +111,15 @@ func TestDaemonJobsMatchTheCLI(t *testing.T) {
 		p.Templates <= 0 || p.DedupRatio <= 1 || p.CostTableHits+p.CostTableMisses == 0 {
 		t.Errorf("compressed: workload %+v, job status %+v, result %s", wi, st, res.Merge)
 	}
-	c.Metrics(`idxmerged_jobs_total{state="done"} 4`+"\n", `idxmerged_workload_templates{session="ci"} `)
-	if _, _, m := c.Call("", "GET", "/metrics", ""); bytes.Contains(m, []byte("\nidxmerged_costcache_")) {
-		t.Error("/metrics has a session cost-cache series")
+	// The listing carries each registration's templates and cost table.
+	var wis []server.WorkloadInfo
+	c.Do("", "GET", "/v1/sessions/ci/workloads", "", &wis)
+	if len(wis) != 2 || wis[1].Name != "wd" || wis[1].Templates != wi.Templates || wis[1].CostTableHits+wis[1].CostTableMisses == 0 {
+		t.Errorf("workloads after the jobs: %+v", wis)
+	}
+	c.Metrics(`idxmerged_jobs_total{state="done"} 4` + "\n")
+	if _, _, m := c.Call("", "GET", "/metrics", ""); bytes.Contains(m, []byte("session=")) {
+		t.Errorf("/metrics has a series labeled by session:\n%s", m)
 	}
 }
 

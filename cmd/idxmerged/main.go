@@ -53,6 +53,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -125,7 +126,6 @@ func main() {
 		log.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 	httpSrv := &http.Server{
-		Addr:    *addr,
 		Handler: handler,
 		// Slowloris and stuck-client protection: bound how long a
 		// request may take to arrive and how long idle keep-alives
@@ -140,13 +140,19 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Bind before saying so, and say the address bound: with port 0 the
+	// kernel picks it.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Error("listen", "error", err)
+		os.Exit(1)
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Info("idxmerged listening", "addr", *addr, "workers", *workers, "queue", *queue)
+	go func() { errc <- httpSrv.Serve(ln) }()
+	log.Info("idxmerged listening", "addr", ln.Addr().String(), "workers", *workers, "queue", *queue)
 
 	select {
 	case err := <-errc:
-		// Listener failed before any signal (e.g. port in use).
 		log.Error("serve", "error", err)
 		os.Exit(1)
 	case <-ctx.Done():

@@ -2,14 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -133,46 +135,82 @@ func TestQuotaFlagsAdmit(t *testing.T) {
 	d.Wait(d.Submit("alice", "/v1/sessions/a1/jobs", fmt.Sprintf(job, `"timeout_ms":50`)), "deadline_exceeded")
 	d.Submit("alice", "/v1/sessions/a1/jobs", fmt.Sprintf(job, ""))
 	d.Refused("alice", "POST", "/v1/sessions/a1/jobs", fmt.Sprintf(job, ""), 429, "quota_jobs")
+	// bob's 403 counts under the session's owner: a claimed tenant adds
+	// no series.
 	d.Metrics(`idxmerged_tenant_sessions{tenant="alice"} 1`+"\n", `idxmerged_shed_total{reason="quota_sessions",tenant="alice"} `,
-		`idxmerged_shed_total{reason="tenant_mismatch",tenant="bob"} `, "idxmerged_deadline_exceeded_total 1\n")
+		`idxmerged_shed_total{reason="tenant_mismatch",tenant="alice"} `, `idxmerged_jobs_total{state="deadline_exceeded"} 1`+"\n")
+}
+
+// TestBindFailureExits1: an address the daemon cannot bind is logged
+// and exits 1.
+func TestBindFailureExits1(t *testing.T) {
+	t.Parallel()
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "IDXMERGED_TEST_ARGS=-addr "+taken.Addr().String())
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(string(out), `"msg":"listen"`) ||
+		strings.Contains(string(out), "idxmerged listening") {
+		t.Errorf("-addr %s, already bound: %v, want exit status 1 before listening; output:\n%s", taken.Addr(), err, out)
+	}
 }
 
 // daemon is one idxmerged process a test started.
 type daemon struct {
 	apitest.Client
 	cmd *exec.Cmd
-	log bytes.Buffer // standard error
+	log syncBuffer // standard error
 }
 
-// start runs idxmerged with args on a free loopback port and returns
-// once it answers /healthz; the test's end kills it. A port taken
-// between the probe and the daemon's listen is tried again.
+// syncBuffer is a buffer that the process's output copier writes while
+// the test reads it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// start runs idxmerged with args on a loopback port the kernel picks,
+// and returns once the daemon's log says which port: it logs that line
+// after binding, so requests from then on are served. The test's end
+// kills it.
 func start(t *testing.T, args ...string) *daemon {
 	t.Helper()
-	for attempt := 1; ; attempt++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Close()
-		d := &daemon{Client: apitest.Client{T: t, URL: "http://" + l.Addr().String()}}
-		d.cmd = exec.Command(os.Args[0], "-test.run=^$")
-		d.cmd.Env = append(os.Environ(), "IDXMERGED_TEST_ARGS=-addr "+l.Addr().String()+" "+strings.Join(args, " "))
-		d.cmd.Stderr = &d.log
-		if err := d.cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(d.kill)
-		for end := time.Now().Add(10 * time.Second); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
-			if resp, err := http.Get(d.URL + "/healthz"); err == nil {
-				resp.Body.Close()
+	d := &daemon{Client: apitest.Client{T: t}}
+	d.cmd = exec.Command(os.Args[0], "-test.run=^$")
+	d.cmd.Env = append(os.Environ(), "IDXMERGED_TEST_ARGS=-addr 127.0.0.1:0 "+strings.Join(args, " "))
+	d.cmd.Stderr = &d.log
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.kill)
+	for end := time.Now().Add(10 * time.Second); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		for _, line := range strings.Split(d.log.String(), "\n") {
+			var rec struct{ Msg, Addr string }
+			if json.Unmarshal([]byte(line), &rec) == nil && rec.Msg == "idxmerged listening" {
+				d.URL = "http://" + rec.Addr
 				return d
 			}
 		}
-		if d.kill(); attempt == 3 {
-			t.Fatalf("idxmerged %v never became healthy:\n%s", args, d.log.String())
-		}
 	}
+	t.Fatalf("idxmerged %v never said where it listens:\n%s", args, d.log.String())
+	return nil
 }
 
 // kill sends SIGKILL and waits for the process. Both errors are

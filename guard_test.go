@@ -130,6 +130,14 @@ var nameGuards = []nameGuard{
 		re:  regexp.MustCompile(`\b(?:Prob|rngMu)\b|case "(?:prob|seed)"`),
 		in:  func(path string) bool { return strings.HasPrefix(path, "internal/faults/") },
 	},
+	{
+		// /metrics has one series per fact: no family labeled by
+		// session, none summing or copying another, and no quota refusal
+		// forced by a fault point (a limit of 1 reaches each one).
+		why: "one series per fact",
+		re:  regexp.MustCompile(`\b(?:SessionGauges|faultShed|QuotaAdmit|QuotaMemory)\b|quota_shed|idxmerged_http_request_seconds|idxmerged_deadline_exceeded_total|\{session=`),
+		in:  func(path string) bool { return outsideBenchmark(path) && !strings.HasSuffix(path, "_test.go") },
+	},
 	statementDoor,
 }
 

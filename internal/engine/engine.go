@@ -8,6 +8,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"indexmerge/internal/catalog"
@@ -198,11 +199,18 @@ func (db *Database) Index(defKey string) (*storage.Index, bool) {
 	return ix, ok
 }
 
-// Indexes returns all materialized indexes.
+// Indexes returns all materialized indexes ordered by definition key,
+// so that merging them, listing them and saving them see one order
+// whatever order they were created in.
 func (db *Database) Indexes() []*storage.Index {
-	out := make([]*storage.Index, 0, len(db.indexes))
-	for _, ix := range db.indexes {
-		out = append(out, ix)
+	keys := make([]string, 0, len(db.indexes))
+	for k := range db.indexes {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]*storage.Index, len(keys))
+	for i, k := range keys {
+		out[i] = db.indexes[k]
 	}
 	return out
 }

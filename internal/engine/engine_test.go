@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"indexmerge/internal/catalog"
@@ -77,6 +78,36 @@ func TestIndexLifecycle(t *testing.T) {
 	}
 	if len(db.Indexes()) != 0 {
 		t.Error("indexes remain after drop")
+	}
+}
+
+// TestIndexesListInKeyOrder: indexes created in two different orders
+// list identically, ordered by definition key.
+func TestIndexesListInKeyOrder(t *testing.T) {
+	defs := []catalog.IndexDef{
+		{Table: "t", Columns: []string{"b", "a"}},
+		{Table: "t", Columns: []string{"a"}},
+		{Table: "t", Columns: []string{"a", "b"}},
+		{Table: "t", Columns: []string{"b"}},
+	}
+	list := func(order []int) []string {
+		db := newDB(t)
+		for _, i := range order {
+			if _, err := db.CreateIndex(defs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var keys []string
+		for _, ix := range db.Indexes() {
+			keys = append(keys, ix.Def().Key())
+		}
+		return keys
+	}
+	want := []string{"t(a)", "t(a,b)", "t(b)", "t(b,a)"}
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}} {
+		if got := list(order); !slices.Equal(got, want) {
+			t.Errorf("created in order %v: Indexes lists %v, want %v", order, got, want)
+		}
 	}
 }
 

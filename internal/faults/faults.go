@@ -20,6 +20,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,21 +56,17 @@ const (
 	// Scale rules here inflate the observation — the deterministic way
 	// to force a guardrail rollback in chaos tests and CI.
 	ContinuousObserve Point = "continuous.observe"
-	// QuotaAdmit fires on every tenant admission decision (session
-	// create, job submit, ingest). An error rule here sheds the request
-	// deterministically — the chaos way to exercise 429 paths without
-	// actually saturating a quota.
-	QuotaAdmit Point = "quota.admit"
-	// QuotaMemory fires when a tenant's byte-accounted memory usage is
-	// checked against its budget. An error rule forces the memory
-	// rejection path.
-	QuotaMemory Point = "quota.memory"
 	// BrownoutStage fires when the server computes global overload
 	// pressure. Scale rules multiply the measured pressure — the
 	// deterministic way to force the brownout ladder through its stages
 	// in chaos tests and CI.
 	BrownoutStage Point = "brownout.stage"
 )
+
+// points are the declared injection points: the only values a rule
+// spec's point key accepts.
+var points = []Point{OptimizerCost, StatsSample, StorageHeapGet, StorageHeapScan,
+	StorageIndexSeek, CostCacheDo, ContinuousObserve, BrownoutStage}
 
 // Mode selects what a rule does when it fires.
 type Mode int
@@ -309,7 +306,8 @@ func apply(p Point, errCapable bool) error {
 //
 // Recognized keys: id, point, mode (error|latency|panic|scale), after,
 // count, latency (Go duration), scale (multiplier), msg. Any other key
-// is refused.
+// is refused, and so is a point no site declares; a rule with no point
+// key matches every point.
 func ParseRules(spec string) ([]Rule, error) {
 	var out []Rule
 	for _, rs := range strings.Split(spec, ";") {
@@ -329,6 +327,9 @@ func ParseRules(spec string) ([]Rule, error) {
 			case "id":
 				r.ID = val
 			case "point":
+				if !slices.Contains(points, Point(val)) {
+					return nil, fmt.Errorf("faults: unknown point %q (want one of %v)", val, points)
+				}
 				r.Point = Point(val)
 			case "mode":
 				switch val {

@@ -145,6 +145,19 @@ func TestParseRules(t *testing.T) {
 			t.Errorf("ParseRules(%q) = %v, want the unknown field %q refused", spec, err, key)
 		}
 	}
+	// A point no site declares would never fire: a deleted point, a
+	// misspelled one, an explicit empty one.
+	for _, point := range []string{"quota.admit", "quota.memory", "optimizer.costs", ""} {
+		spec := "point=" + point + ",mode=error"
+		if _, err := ParseRules(spec); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown point %q", point)) {
+			t.Errorf("ParseRules(%q) = %v, want the point refused", spec, err)
+		}
+	}
+	for _, p := range points {
+		if rs, err := ParseRules("point=" + string(p)); err != nil || rs[0].Point != p {
+			t.Errorf("ParseRules(point=%s) = %+v, %v", p, rs, err)
+		}
+	}
 }
 
 // TestParseRulesRefusesTransient: every injected fault is permanent to

@@ -340,6 +340,12 @@ type WorkloadInfo struct {
 	// statements per class.
 	Templates  int     `json:"templates,omitempty"`
 	DedupRatio float64 `json:"dedup_ratio,omitempty"`
+	// The registration's cost table, which every cost model's jobs and
+	// the costing requests on it share: cells held, and lookups it
+	// answered and missed.
+	CostTableEntries int   `json:"cost_table_entries"`
+	CostTableHits    int64 `json:"cost_table_hits"`
+	CostTableMisses  int64 `json:"cost_table_misses"`
 }
 
 // CostRequest asks for the synchronous optimizer-estimated workload

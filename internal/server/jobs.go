@@ -220,7 +220,7 @@ func NewManager(workers, queueCap int, metrics *Metrics, log *slog.Logger) *Mana
 
 // SubmitOpts carries per-job admission metadata.
 type SubmitOpts struct {
-	// Tenant is surfaced in status payloads and metrics labels.
+	// Tenant is surfaced in status payloads.
 	Tenant string
 	// Timeout, when positive, bounds the job's total queued+running
 	// lifetime; expiry terminates the job with state deadline_exceeded.

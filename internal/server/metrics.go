@@ -1,9 +1,12 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -66,9 +69,9 @@ func (h *histogram) writeLabeled(w io.Writer, name, labels string) {
 // container deliberately takes no dependencies.
 type Metrics struct {
 	mu       sync.Mutex
-	requests map[string]int64 // "route|code" -> count
-	jobs     map[string]int64 // terminal state -> count
-	shed     map[string]int64 // "reason|tenant" -> requests shed by admission control
+	requests map[[2]string]int64 // {route, code} -> count
+	jobs     map[string]int64    // terminal state -> count
+	shed     map[[2]string]int64 // {reason, tenant} -> requests shed by admission control
 
 	jobsSubmitted atomic.Int64
 	jobsRejected  atomic.Int64 // backpressure 429s
@@ -98,40 +101,36 @@ type Metrics struct {
 
 	// Tenancy / overload counters.
 	requestsAbandoned   atomic.Int64 // sync costings stopped by client disconnect
-	deadlineExceeded    atomic.Int64 // jobs terminated by their own deadline
 	brownoutTransitions atomic.Int64 // brownout ladder stage changes
 
 	searchSeconds *histogram
-	httpSeconds   *histogram
 	routeSeconds  map[string]*histogram // per-endpoint latency, keyed by route pattern
 }
 
-// httpBounds are the latency buckets shared by the aggregate and the
-// per-endpoint HTTP histograms.
+// httpBounds are the latency buckets of the per-endpoint HTTP
+// histograms.
 var httpBounds = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 30}
 
 // NewMetrics builds an empty metrics registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		requests:      make(map[string]int64),
+		requests:      make(map[[2]string]int64),
 		jobs:          make(map[string]int64),
-		shed:          make(map[string]int64),
+		shed:          make(map[[2]string]int64),
 		searchSeconds: newHistogram([]float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300}),
-		httpSeconds:   newHistogram(httpBounds),
 		routeSeconds:  make(map[string]*histogram),
 	}
 }
 
 func (m *Metrics) observeRequest(route string, code int, seconds float64) {
 	m.mu.Lock()
-	m.requests[fmt.Sprintf("%s|%d", route, code)]++
+	m.requests[[2]string{route, strconv.Itoa(code)}]++
 	rh := m.routeSeconds[route]
 	if rh == nil {
 		rh = newHistogram(httpBounds)
 		m.routeSeconds[route] = rh
 	}
 	m.mu.Unlock()
-	m.httpSeconds.observe(seconds)
 	rh.observe(seconds)
 }
 
@@ -139,44 +138,17 @@ func (m *Metrics) observeJobEnd(state JobState, seconds float64, optimizerCalls,
 	m.mu.Lock()
 	m.jobs[string(state)]++
 	m.mu.Unlock()
-	if state == JobDeadlineExceeded {
-		m.deadlineExceeded.Add(1)
-	}
 	m.searchSeconds.observe(seconds)
 	m.optimizerCalls.Add(optimizerCalls)
 	m.costEvaluations.Add(costEvaluations)
 }
 
 // observeShed counts one admission-control rejection, labeled by the
-// quota/brownout reason and the tenant it hit.
+// quota/brownout reason and the tenant label Server.observeShed chose.
 func (m *Metrics) observeShed(reason, tenant string) {
 	m.mu.Lock()
-	m.shed[reason+"|"+tenant]++
+	m.shed[[2]string{reason, tenant}]++
 	m.mu.Unlock()
-}
-
-// SessionGauges is a point-in-time per-session snapshot gathered at
-// scrape time.
-type SessionGauges struct {
-	Name string
-	// Summed over the session's registered workloads: template count, and
-	// the cost tables' size and hit/miss totals over every cost model's
-	// cells.
-	Templates        int
-	CostTableEntries int
-	CostTableHits    int64
-	CostTableMisses  int64
-	// Continuous-loop gauges (zero for request/response sessions;
-	// Continuous gates the per-session series).
-	Continuous       bool
-	WindowTemplates  int
-	WindowMembers    int
-	WindowWeight     float64
-	WindowGeneration int64
-	AppliedIndexes   int
-	ObservedRatio    float64
-	ContApplies      int64
-	ContRollbacks    int64
 }
 
 // JobGauges is a point-in-time snapshot of non-terminal job states.
@@ -185,8 +157,20 @@ type JobGauges struct {
 	Running int
 }
 
-// TenantGauges is a point-in-time per-tenant snapshot gathered at
-// scrape time.
+// Gauges is the point-in-time state a scrape reads from its owners:
+// the job manager, the registry and the brownout ladder.
+type Gauges struct {
+	JobGauges
+	Sessions          int
+	SnapshotReuses    int64
+	ResidentSnapshots int
+	BrownoutStage     int
+	AccountedBytes    int64
+	MemoryBudget      int64
+	Tenants           []TenantGauges // tenants with a live session or job
+}
+
+// TenantGauges is one tenant's share of a scrape.
 type TenantGauges struct {
 	Tenant     string
 	Sessions   int
@@ -195,34 +179,27 @@ type TenantGauges struct {
 	IngestShed int64 // statements rejected by the ingest rate limiter
 }
 
-// OverloadGauges snapshots the admission/brownout state for the
-// metrics scrape (nil = the section is omitted).
-type OverloadGauges struct {
-	BrownoutStage  int
-	AccountedBytes int64
-	MemoryBudget   int64
-	Tenants        []TenantGauges
+// sortedPairs returns m's keys in order, so the exposition is stable.
+func sortedPairs(m map[[2]string]int64) [][2]string {
+	keys := make([][2]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b [2]string) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	return keys
 }
 
 // Write emits every series. Gauges are gathered by the caller at
-// scrape time (sessions and the job manager own that state).
-func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, og *OverloadGauges, snapshotReuses int64, residentSnapshots int) {
+// scrape time (sessions and the job manager own that state). No series
+// is labeled by session: a session's own counters are in its JSON
+// (GET /v1/sessions/{name} and …/workloads).
+func (m *Metrics) Write(w io.Writer, g Gauges) {
 	fmt.Fprintln(w, "# TYPE idxmerged_http_requests_total counter")
 	m.mu.Lock()
-	reqKeys := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		reqKeys = append(reqKeys, k)
-	}
-	sort.Strings(reqKeys)
-	for _, k := range reqKeys {
-		route, code := k, ""
-		for i := len(k) - 1; i >= 0; i-- {
-			if k[i] == '|' {
-				route, code = k[:i], k[i+1:]
-				break
-			}
-		}
-		fmt.Fprintf(w, "idxmerged_http_requests_total{route=%q,code=%q} %d\n", route, code, m.requests[k])
+	for _, k := range sortedPairs(m.requests) {
+		fmt.Fprintf(w, "idxmerged_http_requests_total{route=%q,code=%q} %d\n", k[0], k[1], m.requests[k])
 	}
 	jobKeys := make([]string, 0, len(m.jobs))
 	for k := range m.jobs {
@@ -241,8 +218,8 @@ func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, og 
 	fmt.Fprintf(w, "idxmerged_jobs_rejected_total %d\n", m.jobsRejected.Load())
 
 	fmt.Fprintln(w, "# TYPE idxmerged_jobs_active gauge")
-	fmt.Fprintf(w, "idxmerged_jobs_active{state=\"queued\"} %d\n", jg.Queued)
-	fmt.Fprintf(w, "idxmerged_jobs_active{state=\"running\"} %d\n", jg.Running)
+	fmt.Fprintf(w, "idxmerged_jobs_active{state=\"queued\"} %d\n", g.Queued)
+	fmt.Fprintf(w, "idxmerged_jobs_active{state=\"running\"} %d\n", g.Running)
 
 	fmt.Fprintln(w, "# TYPE idxmerged_optimizer_calls_total counter")
 	fmt.Fprintf(w, "idxmerged_optimizer_calls_total %d\n", m.optimizerCalls.Load())
@@ -269,40 +246,12 @@ func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, og 
 	fmt.Fprintf(w, "idxmerged_recovered_interrupted_jobs_total %d\n", m.recoveredInterrupted.Load())
 
 	fmt.Fprintln(w, "# TYPE idxmerged_sessions gauge")
-	fmt.Fprintf(w, "idxmerged_sessions %d\n", len(sessions))
-	fmt.Fprintln(w, "# TYPE idxmerged_workload_templates gauge")
-	fmt.Fprintln(w, "# TYPE idxmerged_costtable_entries gauge")
-	fmt.Fprintln(w, "# TYPE idxmerged_costtable_hits_total counter")
-	fmt.Fprintln(w, "# TYPE idxmerged_costtable_misses_total counter")
-	fmt.Fprintln(w, "# TYPE idxmerged_window_templates gauge")
-	fmt.Fprintln(w, "# TYPE idxmerged_window_members gauge")
-	fmt.Fprintln(w, "# TYPE idxmerged_window_weight gauge")
-	fmt.Fprintln(w, "# TYPE idxmerged_window_generation gauge")
-	fmt.Fprintln(w, "# TYPE idxmerged_applied_indexes gauge")
-	fmt.Fprintln(w, "# TYPE idxmerged_observed_ratio gauge")
-	fmt.Fprintln(w, "# TYPE idxmerged_session_applies_total counter")
-	fmt.Fprintln(w, "# TYPE idxmerged_session_rollbacks_total counter")
-	for _, s := range sessions {
-		fmt.Fprintf(w, "idxmerged_workload_templates{session=%q} %d\n", s.Name, s.Templates)
-		fmt.Fprintf(w, "idxmerged_costtable_entries{session=%q} %d\n", s.Name, s.CostTableEntries)
-		fmt.Fprintf(w, "idxmerged_costtable_hits_total{session=%q} %d\n", s.Name, s.CostTableHits)
-		fmt.Fprintf(w, "idxmerged_costtable_misses_total{session=%q} %d\n", s.Name, s.CostTableMisses)
-		if s.Continuous {
-			fmt.Fprintf(w, "idxmerged_window_templates{session=%q} %d\n", s.Name, s.WindowTemplates)
-			fmt.Fprintf(w, "idxmerged_window_members{session=%q} %d\n", s.Name, s.WindowMembers)
-			fmt.Fprintf(w, "idxmerged_window_weight{session=%q} %g\n", s.Name, s.WindowWeight)
-			fmt.Fprintf(w, "idxmerged_window_generation{session=%q} %d\n", s.Name, s.WindowGeneration)
-			fmt.Fprintf(w, "idxmerged_applied_indexes{session=%q} %d\n", s.Name, s.AppliedIndexes)
-			fmt.Fprintf(w, "idxmerged_observed_ratio{session=%q} %g\n", s.Name, s.ObservedRatio)
-			fmt.Fprintf(w, "idxmerged_session_applies_total{session=%q} %d\n", s.Name, s.ContApplies)
-			fmt.Fprintf(w, "idxmerged_session_rollbacks_total{session=%q} %d\n", s.Name, s.ContRollbacks)
-		}
-	}
+	fmt.Fprintf(w, "idxmerged_sessions %d\n", g.Sessions)
 
 	fmt.Fprintln(w, "# TYPE idxmerged_snapshot_reuses_total counter")
-	fmt.Fprintf(w, "idxmerged_snapshot_reuses_total %d\n", snapshotReuses)
+	fmt.Fprintf(w, "idxmerged_snapshot_reuses_total %d\n", g.SnapshotReuses)
 	fmt.Fprintln(w, "# TYPE idxmerged_snapshots_resident gauge")
-	fmt.Fprintf(w, "idxmerged_snapshots_resident %d\n", residentSnapshots)
+	fmt.Fprintf(w, "idxmerged_snapshots_resident %d\n", g.ResidentSnapshots)
 
 	fmt.Fprintln(w, "# TYPE idxmerged_ingest_batches_total counter")
 	fmt.Fprintf(w, "idxmerged_ingest_batches_total %d\n", m.ingestBatches.Load())
@@ -319,51 +268,38 @@ func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, og 
 
 	fmt.Fprintln(w, "# TYPE idxmerged_requests_abandoned_total counter")
 	fmt.Fprintf(w, "idxmerged_requests_abandoned_total %d\n", m.requestsAbandoned.Load())
-	fmt.Fprintln(w, "# TYPE idxmerged_deadline_exceeded_total counter")
-	fmt.Fprintf(w, "idxmerged_deadline_exceeded_total %d\n", m.deadlineExceeded.Load())
 	fmt.Fprintln(w, "# TYPE idxmerged_shed_total counter")
 	m.mu.Lock()
-	shedKeys := make([]string, 0, len(m.shed))
-	for k := range m.shed {
-		shedKeys = append(shedKeys, k)
-	}
-	sort.Strings(shedKeys)
-	for _, k := range shedKeys {
-		reason, tenant := k, ""
-		for i := len(k) - 1; i >= 0; i-- {
-			if k[i] == '|' {
-				reason, tenant = k[:i], k[i+1:]
-				break
-			}
-		}
-		fmt.Fprintf(w, "idxmerged_shed_total{reason=%q,tenant=%q} %d\n", reason, tenant, m.shed[k])
+	for _, k := range sortedPairs(m.shed) {
+		fmt.Fprintf(w, "idxmerged_shed_total{reason=%q,tenant=%q} %d\n", k[0], k[1], m.shed[k])
 	}
 	m.mu.Unlock()
 	fmt.Fprintln(w, "# TYPE idxmerged_brownout_transitions_total counter")
 	fmt.Fprintf(w, "idxmerged_brownout_transitions_total %d\n", m.brownoutTransitions.Load())
-	if og != nil {
-		fmt.Fprintln(w, "# TYPE idxmerged_brownout_stage gauge")
-		fmt.Fprintf(w, "idxmerged_brownout_stage %d\n", og.BrownoutStage)
-		fmt.Fprintln(w, "# TYPE idxmerged_accounted_bytes gauge")
-		fmt.Fprintf(w, "idxmerged_accounted_bytes %d\n", og.AccountedBytes)
-		fmt.Fprintln(w, "# TYPE idxmerged_memory_budget_bytes gauge")
-		fmt.Fprintf(w, "idxmerged_memory_budget_bytes %d\n", og.MemoryBudget)
-		fmt.Fprintln(w, "# TYPE idxmerged_tenant_sessions gauge")
-		fmt.Fprintln(w, "# TYPE idxmerged_tenant_jobs gauge")
-		fmt.Fprintln(w, "# TYPE idxmerged_tenant_bytes gauge")
-		fmt.Fprintln(w, "# TYPE idxmerged_tenant_ingest_shed_total counter")
-		for _, t := range og.Tenants {
-			fmt.Fprintf(w, "idxmerged_tenant_sessions{tenant=%q} %d\n", t.Tenant, t.Sessions)
-			fmt.Fprintf(w, "idxmerged_tenant_jobs{tenant=%q} %d\n", t.Tenant, t.Jobs)
-			fmt.Fprintf(w, "idxmerged_tenant_bytes{tenant=%q} %d\n", t.Tenant, t.Bytes)
-			fmt.Fprintf(w, "idxmerged_tenant_ingest_shed_total{tenant=%q} %d\n", t.Tenant, t.IngestShed)
+	fmt.Fprintln(w, "# TYPE idxmerged_brownout_stage gauge")
+	fmt.Fprintf(w, "idxmerged_brownout_stage %d\n", g.BrownoutStage)
+	fmt.Fprintln(w, "# TYPE idxmerged_accounted_bytes gauge")
+	fmt.Fprintf(w, "idxmerged_accounted_bytes %d\n", g.AccountedBytes)
+	fmt.Fprintln(w, "# TYPE idxmerged_memory_budget_bytes gauge")
+	fmt.Fprintf(w, "idxmerged_memory_budget_bytes %d\n", g.MemoryBudget)
+	// Each family's samples follow its own # TYPE line.
+	for _, f := range []struct {
+		name, typ string
+		value     func(TenantGauges) int64
+	}{
+		{"idxmerged_tenant_sessions", "gauge", func(t TenantGauges) int64 { return int64(t.Sessions) }},
+		{"idxmerged_tenant_jobs", "gauge", func(t TenantGauges) int64 { return int64(t.Jobs) }},
+		{"idxmerged_tenant_bytes", "gauge", func(t TenantGauges) int64 { return t.Bytes }},
+		{"idxmerged_tenant_ingest_shed_total", "counter", func(t TenantGauges) int64 { return t.IngestShed }},
+	} {
+		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
+		for _, t := range g.Tenants {
+			fmt.Fprintf(w, "%s{tenant=%q} %d\n", f.name, t.Tenant, f.value(t))
 		}
 	}
 
 	fmt.Fprintln(w, "# TYPE idxmerged_search_seconds histogram")
 	m.searchSeconds.write(w, "idxmerged_search_seconds")
-	fmt.Fprintln(w, "# TYPE idxmerged_http_request_seconds histogram")
-	m.httpSeconds.write(w, "idxmerged_http_request_seconds")
 	fmt.Fprintln(w, "# TYPE idxmerged_http_route_seconds histogram")
 	m.mu.Lock()
 	routes := make([]string, 0, len(m.routeSeconds))

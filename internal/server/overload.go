@@ -204,10 +204,23 @@ func checkTenant(r *http.Request, sess *Session) error {
 	return nil
 }
 
+// observeShed counts one refusal under reason. Its tenant label is the
+// tenant the request acted for while that tenant holds a live session,
+// and "" otherwise: the label takes no value a client can mint, such as
+// a foreign X-Tenant claim or the tenant of a session never created.
+func (s *Server) observeShed(reason, tenant string) {
+	if !s.reg.liveTenant(tenant) {
+		tenant = ""
+	}
+	s.metrics.observeShed(reason, tenant)
+}
+
 // reject is the one place a refusal becomes a response: status, the
 // machine-readable body (code, tenant, quota, limit, current,
 // retry_after_sec), the Retry-After header that mirrors it, and the
-// shed counter. tenant is the tenant the refused request acted for.
+// shed counter. tenant is the tenant the refused request acted for:
+// the session's owner on session routes, the creator on POST
+// /v1/sessions.
 // Quota verdicts, brownout and a full queue are 429s a client should
 // retry; a foreign tenant claim is a 403; draining is a 503; the
 // registry's conflicts are 409s and its misses 404s; anything else is
@@ -248,7 +261,7 @@ func (s *Server) reject(w http.ResponseWriter, tenant string, err error) {
 		w.Header().Set("Retry-After", strconv.FormatInt(resp.RetryAfterSec, 10))
 	}
 	if resp.Code != "" {
-		s.metrics.observeShed(resp.Code, resp.Tenant)
+		s.observeShed(resp.Code, tenant)
 	}
 	writeJSON(w, status, resp)
 }

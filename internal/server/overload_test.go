@@ -267,43 +267,13 @@ func TestMemoryQuota(t *testing.T) {
 	if errResp.Code != "quota_memory" || errResp.Limit != 1 || errResp.Current <= 0 {
 		t.Errorf("over-memory ingest body = %+v", errResp)
 	}
-}
-
-// TestQuotaFaultPoints: the chaos hooks convert armed rules into
-// deterministic rejections at both admission points.
-func TestQuotaFaultPoints(t *testing.T) {
-	h := newTestServer(t, Config{})
-	db := fixtureDB(t)
-
-	rules, err := faults.ParseRules("point=quota.admit,mode=error,count=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults.Install(rules...)
-	defer faults.Reset()
-	var errResp ErrorResponse
-	h.mustCall(t, "POST", "/v1/sessions",
-		CreateSessionRequest{Name: "s", DB: db}, &errResp, http.StatusTooManyRequests)
-	if errResp.Code != "quota_shed" {
-		t.Errorf("quota.admit shed body = %+v", errResp)
-	}
-	// The rule's one-shot window is spent: the retry is admitted.
-	h.mustCall(t, "POST", "/v1/sessions",
-		CreateSessionRequest{Name: "s", DB: db}, nil, http.StatusCreated)
-
-	faults.Reset()
-	rules, err = faults.ParseRules("point=quota.memory,mode=error,count=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults.Install(rules...)
-	h.mustCall(t, "POST", "/v1/sessions/s/workloads",
+	// Registering a workload is refused the same way.
+	errResp = ErrorResponse{}
+	h.mustCall(t, "POST", "/v1/sessions/live/workloads",
 		RegisterWorkloadRequest{Name: "w", SQL: fixtureSQL}, &errResp, http.StatusTooManyRequests)
-	if errResp.Code != "quota_memory" {
-		t.Errorf("quota.memory shed body = %+v", errResp)
+	if errResp.Code != "quota_memory" || errResp.Limit != 1 || errResp.Current <= 0 {
+		t.Errorf("over-memory registration body = %+v", errResp)
 	}
-	h.mustCall(t, "POST", "/v1/sessions/s/workloads",
-		RegisterWorkloadRequest{Name: "w", SQL: fixtureSQL}, nil, http.StatusCreated)
 }
 
 // TestJobDeadline is the deadline acceptance check: a job submitted
@@ -336,8 +306,8 @@ func TestJobDeadline(t *testing.T) {
 	if st := h.waitTerminal(t, id); st.State != string(JobDone) {
 		t.Fatalf("post-deadline rerun state = %s (error %q), want done", st.State, st.Error)
 	}
-	if !strings.Contains(h.metricsText(t), "idxmerged_deadline_exceeded_total 1") {
-		t.Error("deadline_exceeded counter not in /metrics")
+	if !strings.Contains(h.metricsText(t), `idxmerged_jobs_total{state="deadline_exceeded"} 1`+"\n") {
+		t.Error("deadline_exceeded job count not in /metrics")
 	}
 }
 

@@ -15,8 +15,6 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"indexmerge/internal/faults"
 )
 
 // Limits configures per-tenant ceilings. Zero values mean unlimited.
@@ -107,26 +105,9 @@ func (c *Controller) tenantLocked(name string) *tenant {
 	return t
 }
 
-// shed converts an injected fault into a deterministic rejection: the
-// chaos suite arms quota.admit / quota.memory with an error rule and
-// every admission decision (or memory check) sheds.
-func faultShed(p faults.Point, code, quota string) (Verdict, bool) {
-	if err := faults.Inject(p); err != nil {
-		return Verdict{
-			Code:       code,
-			Quota:      quota,
-			RetryAfter: time.Second,
-		}, true
-	}
-	return Verdict{}, false
-}
-
 // AcquireSession admits one new session for tenant, or explains why
 // not. A successful acquire must be paired with ReleaseSession.
 func (c *Controller) AcquireSession(name string) Verdict {
-	if v, shed := faultShed(faults.QuotaAdmit, "quota_shed", "sessions"); shed {
-		return v
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.tenantLocked(name)
@@ -156,9 +137,6 @@ func (c *Controller) ReleaseSession(name string) {
 // acquire must be paired with exactly one ReleaseJob when the job
 // reaches a terminal state.
 func (c *Controller) AcquireJob(name string) Verdict {
-	if v, shed := faultShed(faults.QuotaAdmit, "quota_shed", "jobs"); shed {
-		return v
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.tenantLocked(name)
@@ -189,9 +167,6 @@ func (c *Controller) ReleaseJob(name string) {
 // admit the batch (capped at one minute so a batch larger than the
 // burst still gets a finite hint).
 func (c *Controller) AllowIngest(name string, n int) Verdict {
-	if v, shed := faultShed(faults.QuotaAdmit, "quota_shed", "ingest"); shed {
-		return v
-	}
 	if c.limits.IngestPerSec <= 0 {
 		return allow()
 	}
@@ -241,9 +216,6 @@ func (c *Controller) RecordIngestShed(name string, n int) {
 // controller holds no session references); the check rejects once the
 // tenant is at or over budget.
 func (c *Controller) CheckMemory(name string, current int64) Verdict {
-	if v, shed := faultShed(faults.QuotaMemory, "quota_memory", "memory_bytes"); shed {
-		return v
-	}
 	if c.limits.MemoryBytes <= 0 || current < c.limits.MemoryBytes {
 		return allow()
 	}

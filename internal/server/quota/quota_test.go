@@ -3,8 +3,6 @@ package quota
 import (
 	"testing"
 	"time"
-
-	"indexmerge/internal/faults"
 )
 
 func TestSessionQuota(t *testing.T) {
@@ -105,32 +103,5 @@ func TestMemoryCheck(t *testing.T) {
 	}
 	if v := NewController(Limits{}).CheckMemory("a", 1<<40); !v.OK {
 		t.Fatal("unlimited memory rejected")
-	}
-}
-
-func TestFaultInjection(t *testing.T) {
-	defer faults.Reset()
-	rules, err := faults.ParseRules("point=quota.admit,mode=error,count=1;point=quota.memory,mode=error,count=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults.Install(rules...)
-
-	c := NewController(Limits{})
-	v := c.AcquireSession("a")
-	if v.OK {
-		t.Fatal("armed quota.admit did not shed")
-	}
-	if v.Code != "quota_shed" {
-		t.Fatalf("bad code: %+v", v)
-	}
-	// count=1 exhausted: next admission passes.
-	if v := c.AcquireSession("a"); !v.OK {
-		t.Fatalf("exhausted rule still shedding: %v", v)
-	}
-	if v := c.CheckMemory("a", 0); v.OK {
-		t.Fatal("armed quota.memory did not reject")
-	} else if v.Code != "quota_memory" {
-		t.Fatalf("bad code: %+v", v)
 	}
 }

@@ -636,7 +636,12 @@ func (h *testServer) restartState(tenants ...string) restartState {
 		Jobs:     map[string][5]string{},
 	}
 	for _, sess := range h.srv.reg.List() {
-		ss := sessionState{Tenant: sess.tenant, Workloads: sess.WorkloadInfos()}
+		ss := sessionState{Tenant: sess.tenant}
+		for _, wi := range sess.WorkloadInfos() {
+			// The cost table is a cache: a restart starts it empty.
+			wi.CostTableEntries, wi.CostTableHits, wi.CostTableMisses = 0, 0, 0
+			ss.Workloads = append(ss.Workloads, wi)
+		}
 		if c := sess.cont; c != nil {
 			for _, q := range c.window.Snapshot().W.Queries {
 				ss.Members = append(ss.Members, fmt.Sprintf("%s | %s | %v", q.Fingerprint, q.Text, q.Freq))

@@ -431,19 +431,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	sessions := s.reg.List()
-	gauges := make([]SessionGauges, len(sessions))
-	for i, sess := range sessions {
-		gauges[i] = sess.gauges()
-	}
-	og := &OverloadGauges{
-		BrownoutStage:  int(s.stage.Load()),
-		AccountedBytes: s.reg.totalBytes(),
-		MemoryBudget:   s.memBudget,
-		Tenants:        s.reg.tenantGauges(),
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.Write(w, s.jobs.Gauges(), gauges, og, s.reg.SnapshotReuses(), s.reg.ResidentSnapshots())
+	s.metrics.Write(w, Gauges{
+		JobGauges:         s.jobs.Gauges(),
+		Sessions:          len(s.reg.List()),
+		SnapshotReuses:    s.reg.SnapshotReuses(),
+		ResidentSnapshots: s.reg.ResidentSnapshots(),
+		BrownoutStage:     int(s.stage.Load()),
+		AccountedBytes:    s.reg.totalBytes(),
+		MemoryBudget:      s.memBudget,
+		Tenants:           s.reg.tenantGauges(),
+	})
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -667,7 +665,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *Sess
 	// shed=true, nothing journaled).
 	shed := s.evalBrownout() >= 2
 	if shed {
-		s.metrics.observeShed("brownout_ingest", sess.tenant)
+		s.observeShed("brownout_ingest", sess.tenant)
 	}
 	writeJSON(w, http.StatusOK, s.contIngest(sess, req, items, shed))
 }

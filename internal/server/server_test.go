@@ -683,21 +683,28 @@ func TestMetricsEndpoint(t *testing.T) {
 		`idxmerged_jobs_total{state="done"} 1`,
 		"idxmerged_jobs_submitted_total 1",
 		"idxmerged_sessions 1",
-		`idxmerged_costtable_entries{session="s"}`,
 		"idxmerged_optimizer_calls_total",
 		"idxmerged_search_seconds_bucket",
 		`idxmerged_search_seconds_bucket{le="+Inf"} 1`,
-		"idxmerged_http_request_seconds_count",
+		`idxmerged_http_route_seconds_count{route="POST /v1/sessions"} 1`,
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("metrics output missing %q", series)
 		}
 	}
-	// The session holds no cost store of its own to report.
-	for _, gone := range []string{"idxmerged_costcache_", "idxmerged_prepared_reuse_"} {
+	// No series is labeled by session (the registration's cost table is
+	// in its JSON), and none repeats another: the sum over routes, the
+	// deadline count beside jobs_total's.
+	for _, gone := range []string{"idxmerged_costcache_", "idxmerged_prepared_reuse_", "session=",
+		"idxmerged_http_request_seconds", "idxmerged_deadline_exceeded_total"} {
 		if strings.Contains(text, gone) {
 			t.Errorf("metrics output has a %s series:\n%s", gone, grepLines(text, gone))
 		}
+	}
+	var infos []WorkloadInfo
+	h.mustCall(t, "GET", "/v1/sessions/s/workloads", nil, &infos, http.StatusOK)
+	if len(infos) != 1 || infos[0].CostTableEntries == 0 || infos[0].CostTableMisses == 0 {
+		t.Errorf("workloads after a job = %+v, want its cost table's cells", infos)
 	}
 }
 
@@ -1014,22 +1021,14 @@ func TestCompressedJobMatchesDirectRun(t *testing.T) {
 		t.Errorf("repeat run: hits=%d misses=%d, want all hits", again.CostTableHits, again.CostTableMisses)
 	}
 
-	// /metrics exposes the per-session compression series.
-	req, _ := http.NewRequest("GET", h.ts.URL+"/metrics", nil)
-	resp, err := h.ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, series := range []string{
-		`idxmerged_workload_templates{session="s"} 5`,
-		`idxmerged_costtable_entries{session="s"}`,
-		`idxmerged_costtable_hits_total{session="s"}`,
-	} {
-		if !strings.Contains(string(body), series) {
-			t.Errorf("/metrics missing %q", series)
-		}
+	// The registration's listing carries its templates and its cost
+	// table's counters, which include every job's.
+	var infos []WorkloadInfo
+	h.mustCall(t, "GET", "/v1/sessions/s/workloads", nil, &infos, http.StatusOK)
+	if len(infos) != 1 || infos[0].Templates != 5 || infos[0].CostTableEntries == 0 ||
+		infos[0].CostTableHits < again.CostTableHits || infos[0].CostTableMisses < comp.CostTableMisses {
+		t.Errorf("workloads = %+v; jobs' table hits %d, %d, misses %d", infos,
+			comp.CostTableHits, again.CostTableHits, comp.CostTableMisses)
 	}
 }
 

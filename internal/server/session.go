@@ -156,10 +156,14 @@ func (s *Session) RegisterWorkload(name string, w *sql.Workload, replace bool) (
 
 // info describes the registration under the name it is bound to.
 func (rw *registeredWorkload) info(name string) WorkloadInfo {
+	hits, misses, _ := rw.compressed.TableStats()
 	return WorkloadInfo{
 		Name: name, Queries: rw.compressed.C.W.Len(),
-		Templates:  len(rw.compressed.C.Templates),
-		DedupRatio: rw.compressed.C.DedupRatio(),
+		Templates:        len(rw.compressed.C.Templates),
+		DedupRatio:       rw.compressed.C.DedupRatio(),
+		CostTableEntries: rw.compressed.TableLen(),
+		CostTableHits:    hits,
+		CostTableMisses:  misses,
 	}
 }
 
@@ -231,34 +235,6 @@ func (s *Session) accountedBytes() int64 {
 	return total
 }
 
-// gauges snapshots the session's cost-table counters for the metrics
-// scrape.
-func (s *Session) gauges() SessionGauges {
-	g := SessionGauges{Name: s.name}
-	s.mu.Lock()
-	for _, rw := range s.workloads {
-		g.Templates += len(rw.compressed.C.Templates)
-		th, tm, _ := rw.compressed.TableStats()
-		g.CostTableEntries += rw.compressed.TableLen()
-		g.CostTableHits += th
-		g.CostTableMisses += tm
-	}
-	s.mu.Unlock()
-	if s.cont != nil {
-		ci := s.cont.info()
-		g.Continuous = true
-		g.WindowTemplates = ci.WindowTemplates
-		g.WindowMembers = ci.WindowMembers
-		g.WindowWeight = ci.WindowWeight
-		g.WindowGeneration = ci.Generation
-		g.AppliedIndexes = len(ci.Applied)
-		g.ObservedRatio = ci.LastObservedRatio
-		g.ContApplies = ci.Applies
-		g.ContRollbacks = ci.Rollbacks
-	}
-	return g
-}
-
 // Registry holds the server's sessions.
 type Registry struct {
 	mu       sync.Mutex
@@ -307,7 +283,9 @@ func (r *Registry) totalBytes() int64 {
 }
 
 // tenantGauges assembles the per-tenant metrics snapshot: quota usage
-// from the controller joined with per-session byte accounting.
+// from the controller joined with per-session byte accounting, for the
+// tenants that hold a live session or job — a tenant that held some
+// once leaves the exposition with its last one.
 func (r *Registry) tenantGauges() []TenantGauges {
 	bytes := make(map[string]int64)
 	for _, s := range r.List() {
@@ -315,17 +293,26 @@ func (r *Registry) tenantGauges() []TenantGauges {
 	}
 	usage := r.quota.UsageAll()
 	sort.Slice(usage, func(i, j int) bool { return usage[i].Tenant < usage[j].Tenant })
-	out := make([]TenantGauges, len(usage))
-	for i, u := range usage {
-		out[i] = TenantGauges{
-			Tenant:     u.Tenant,
-			Sessions:   u.Sessions,
-			Jobs:       u.Jobs,
-			Bytes:      bytes[u.Tenant],
-			IngestShed: u.IngestShed,
+	var out []TenantGauges
+	for _, u := range usage {
+		if u.Sessions > 0 || u.Jobs > 0 {
+			out = append(out, TenantGauges{Tenant: u.Tenant, Sessions: u.Sessions, Jobs: u.Jobs,
+				Bytes: bytes[u.Tenant], IngestShed: u.IngestShed})
 		}
 	}
 	return out
+}
+
+// liveTenant reports whether tenant holds a live session.
+func (r *Registry) liveTenant(tenant string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.sessions {
+		if s.tenant == tenant {
+			return true
+		}
+	}
+	return false
 }
 
 // snapshotCache dedupes session database construction: the first
