@@ -20,6 +20,9 @@
 //	\merge [pct]          merge the materialized indexes (default 10%)
 //	\help                 this text
 //	\q                    quit
+//
+// Ctrl-C while \tune or \merge runs stops that command and returns to
+// the prompt; at the prompt it ends the shell.
 package main
 
 import (
@@ -27,7 +30,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"time"
@@ -60,7 +65,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "imsql:", err)
 		os.Exit(1)
 	}
-	sh := &shell{db: db, opt: optimizer.New(db), out: os.Stdout, quiet: *quiet}
+	sh := &shell{db: db, opt: optimizer.New(db), ctx: context.Background(), out: os.Stdout, quiet: *quiet}
 	sh.adv = advisor.New(db, sh.opt)
 	if !*quiet {
 		fmt.Printf("imsql — %s at scale %.2f (%.1f MB data). \\help for commands.\n",
@@ -74,7 +79,8 @@ type shell struct {
 	db       *engine.Database
 	opt      *optimizer.Optimizer
 	adv      *advisor.Advisor
-	out      *os.File
+	ctx      context.Context // parent of each \tune and \merge
+	out      io.Writer
 	quiet    bool
 }
 
@@ -274,7 +280,9 @@ func (sh *shell) tune(src string) {
 	if !ok {
 		return
 	}
-	defs, err := sh.adv.TuneQueryContext(context.Background(), stmt)
+	ctx, stop := signal.NotifyContext(sh.ctx, os.Interrupt)
+	defs, err := sh.adv.TuneQueryContext(ctx, stmt)
+	stop()
 	if err != nil {
 		sh.errorf("%v", err)
 		return
@@ -327,7 +335,9 @@ func (sh *shell) merge(arg string) {
 		sh.errorf("%v", err)
 		return
 	}
-	res, err := m.MergeContext(context.Background(), indexmerge.MergeOptions{CostConstraint: pct / 100})
+	ctx, stop := signal.NotifyContext(sh.ctx, os.Interrupt)
+	res, err := m.MergeContext(ctx, indexmerge.MergeOptions{CostConstraint: pct / 100})
+	stop()
 	if err != nil {
 		sh.errorf("%v", err)
 		return

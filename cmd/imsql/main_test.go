@@ -1,11 +1,17 @@
 package main
 
 import (
+	"bufio"
+	"context"
 	"os"
 	"os/exec"
 	"regexp"
 	"strings"
 	"testing"
+
+	"indexmerge/internal/advisor"
+	"indexmerge/internal/datagen"
+	"indexmerge/internal/optimizer"
 )
 
 // TestMain runs the shell itself when the test binary is re-executed
@@ -65,5 +71,41 @@ SELECT c01 FROM t2
 	}
 	if n := strings.Count(out, " rows, "); n != 2 {
 		t.Errorf("%d SELECTs reported rows, want 2 (none after \\q):\n%s", n, out)
+	}
+}
+
+// TestCanceledCommandsKeepTheShell: \tune and \merge run under the
+// shell's context, the parent of the one Ctrl-C cancels. Canceled, each
+// prints the error and materializes nothing, and the shell reads the
+// next command.
+func TestCanceledCommandsKeepTheShell(t *testing.T) {
+	db, err := datagen.BuildNamed("synthetic1", 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out strings.Builder
+	sh := &shell{db: db, opt: optimizer.New(db), ctx: ctx, out: &out, quiet: true}
+	sh.adv = advisor.New(db, sh.opt)
+	sh.repl(bufio.NewScanner(strings.NewReader(`\create t2(c01,c04)
+\create t2(c04,c07)
+SELECT c01, c04 FROM t2 WHERE c01 < 20
+\tune SELECT c07, c10 FROM t2 WHERE c07 = 7
+\merge 15
+\indexes
+`)))
+	if n := strings.Count(out.String(), "error: context canceled\n"); n != 2 {
+		t.Errorf("%d commands reported the cancellation, want \\tune and \\merge:\n%s", n, out.String())
+	}
+	var keys []string
+	for _, ix := range db.Indexes() {
+		keys = append(keys, ix.Def().Key())
+	}
+	if got := strings.Join(keys, " "); got != "t2(c01,c04) t2(c04,c07)" {
+		t.Errorf("indexes after the canceled merge: %s", got)
+	}
+	if !regexp.MustCompile(`(?m)^  t2\(c01,c04\) .*\n  t2\(c04,c07\) `).MatchString(out.String()) {
+		t.Errorf("the shell did not list the indexes after the canceled commands:\n%s", out.String())
 	}
 }

@@ -138,6 +138,16 @@ var nameGuards = []nameGuard{
 		re:  regexp.MustCompile(`\b(?:SessionGauges|faultShed|QuotaAdmit|QuotaMemory)\b|quota_shed|idxmerged_http_request_seconds|idxmerged_deadline_exceeded_total|\{session=`),
 		in:  func(path string) bool { return outsideBenchmark(path) && !strings.HasSuffix(path, "_test.go") },
 	},
+	{
+		// Sessions and jobs are counted where they live, by the registry
+		// and the job manager; the quota controller judges those counts
+		// and holds only the ingest buckets. No acquire/release pairing,
+		// release closure or copy of the counts is left, and refused
+		// ingest is counted per request in idxmerged_shed_total.
+		why: "tenant accounting has one owner",
+		re:  regexp.MustCompile(`\b(?:AcquireSession|ReleaseSession|AcquireJob|ReleaseJob|SubmitOpts|RecordIngestShed|UsageAll|UsageFor)\b|idxmerged_tenant_ingest_shed_total`),
+		in:  everywhere,
+	},
 	statementDoor,
 }
 

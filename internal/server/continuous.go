@@ -226,9 +226,7 @@ func (s *Server) contIngest(sess *Session, req IngestRequest, items []wscale.Ing
 	c.order.Lock()
 	defer c.order.Unlock()
 	resp := IngestResponse{Shed: shed, Statements: len(items)}
-	if shed {
-		s.reg.Quota().RecordIngestShed(sess.tenant, len(items))
-	} else {
+	if !shed {
 		resp.Batch = c.fold(items)
 		s.journalAppend(journalEvent{T: evIngest, SessionName: sess.name, Ingest: &req, Batch: resp.Batch})
 		s.metrics.ingestBatches.Add(1)

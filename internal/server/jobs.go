@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"indexmerge/internal/core"
+	"indexmerge/internal/server/quota"
 )
 
 // JobState is a job's lifecycle state.
@@ -35,7 +37,7 @@ const (
 	// or a propagated request deadline) expired before the search
 	// finished. Distinct from canceled so clients can tell "I stopped
 	// it" from "it ran out of time". The session remains usable and the
-	// job's quota slot is freed.
+	// job no longer counts against its tenant's quota.
 	JobDeadlineExceeded JobState = "deadline_exceeded"
 )
 
@@ -61,7 +63,7 @@ type Job struct {
 	session     *Session
 	sessionName string
 	workload    string
-	tenant      string
+	tenant      string // the session's; empty for recovered jobs
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -69,9 +71,6 @@ type Job struct {
 	// context.DeadlineExceeded maps to deadline_exceeded rather than
 	// canceled.
 	timed bool
-	// release returns the job's tenant quota slot (nil = none held);
-	// Manager.end calls it, once.
-	release func()
 
 	run jobRun
 
@@ -170,15 +169,22 @@ func (j *Job) Result() (*JobResult, bool) {
 // Manager owns the bounded worker pool and the job registry. Jobs on
 // distinct sessions run in parallel (up to the worker count); jobs on
 // one session are serialized by the session lock.
+//
+// Lock order: j.mu before m.mu. end takes m.mu inside j.mu to drop the
+// job from its tenant's count before the terminal state is visible, so
+// nothing takes a job's mutex while holding m.mu (List copies the jobs
+// out first).
 type Manager struct {
 	queue    chan *Job
 	queueCap int
+	quota    *quota.Controller
 	metrics  *Metrics
 	log      *slog.Logger
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string
+	active   map[string]int // tenant -> queued+running jobs; no entry at 0
 	draining bool
 
 	nextID atomic.Int64
@@ -198,16 +204,19 @@ type Manager struct {
 
 // NewManager starts workers goroutines consuming a queue of queueCap
 // pending jobs. Submissions beyond running+queued capacity are
-// rejected with ErrQueueFull. New has applied the defaults: workers and
-// queueCap are at least 1 and log is not nil.
-func NewManager(workers, queueCap int, metrics *Metrics, log *slog.Logger) *Manager {
+// rejected with ErrQueueFull, and a tenant's beyond its job quota under
+// qc. New has applied the defaults: workers and queueCap are at least 1
+// and log is not nil.
+func NewManager(workers, queueCap int, qc *quota.Controller, metrics *Metrics, log *slog.Logger) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		queue:     make(chan *Job, queueCap),
 		queueCap:  queueCap,
+		quota:     qc,
 		metrics:   metrics,
 		log:       log,
 		jobs:      make(map[string]*Job),
+		active:    make(map[string]int),
 		baseCtx:   ctx,
 		cancelAll: cancel,
 	}
@@ -218,30 +227,20 @@ func NewManager(workers, queueCap int, metrics *Metrics, log *slog.Logger) *Mana
 	return m
 }
 
-// SubmitOpts carries per-job admission metadata.
-type SubmitOpts struct {
-	// Tenant is surfaced in status payloads.
-	Tenant string
-	// Timeout, when positive, bounds the job's total queued+running
-	// lifetime; expiry terminates the job with state deadline_exceeded.
-	Timeout time.Duration
-	// Release frees the tenant's job quota slot. The manager calls it
-	// exactly once: when the job ends, or immediately if submission is
-	// rejected.
-	Release func()
-}
-
 // jobRun is the closure a worker executes. It must honor ctx.
 type jobRun = func(ctx context.Context, j *Job) (*JobResult, error)
 
 // Submit registers and enqueues a job. kind and run are trusted (the
-// handler validated the request already). On rejection opts.Release
-// (if set) is invoked before returning.
-func (m *Manager) Submit(kind string, sess *Session, workloadName string, opts SubmitOpts, run jobRun) (*Job, error) {
+// handler validated the request already). A positive timeout bounds the
+// job's queued+running lifetime; expiry ends it deadline_exceeded.
+// Admission, under m.mu, in order: the tenant's job quota (its queued
+// and running jobs, *quotaError), then draining (ErrDraining), then the
+// queue (ErrQueueFull).
+func (m *Manager) Submit(kind string, sess *Session, workloadName string, timeout time.Duration, run jobRun) (*Job, error) {
 	var jctx context.Context
 	var jcancel context.CancelFunc
-	if opts.Timeout > 0 {
-		jctx, jcancel = context.WithTimeout(m.baseCtx, opts.Timeout)
+	if timeout > 0 {
+		jctx, jcancel = context.WithTimeout(m.baseCtx, timeout)
 	} else {
 		jctx, jcancel = context.WithCancel(m.baseCtx)
 	}
@@ -251,24 +250,27 @@ func (m *Manager) Submit(kind string, sess *Session, workloadName string, opts S
 		session:     sess,
 		sessionName: sess.name,
 		workload:    workloadName,
-		tenant:      opts.Tenant,
+		tenant:      sess.tenant,
 		ctx:         jctx,
 		cancel:      jcancel,
-		timed:       opts.Timeout > 0,
-		release:     opts.Release,
+		timed:       timeout > 0,
 		run:         run,
 		state:       JobQueued,
 		createdAt:   time.Now(),
 	}
 
+	var err error
 	m.mu.Lock()
-	err := ErrDraining
-	if !m.draining {
+	if v := m.quota.CheckJobs(m.active[j.tenant]); !v.OK {
+		err = &quotaError{tenant: j.tenant, v: v}
+	} else if m.draining {
+		err = ErrDraining
+	} else {
 		select {
 		case m.queue <- j:
 			m.jobs[j.id] = j
 			m.order = append(m.order, j.id)
-			err = nil
+			m.active[j.tenant]++
 		default:
 			err = ErrQueueFull
 		}
@@ -276,9 +278,6 @@ func (m *Manager) Submit(kind string, sess *Session, workloadName string, opts S
 	m.mu.Unlock()
 	if err != nil {
 		jcancel()
-		if opts.Release != nil {
-			opts.Release()
-		}
 		if err == ErrQueueFull {
 			m.metrics.jobsRejected.Add(1)
 		}
@@ -332,6 +331,13 @@ func (m *Manager) Cancel(id string) (JobStatus, bool) {
 	j.cancel()
 	m.end(j, JobQueued, JobCanceled, context.Canceled.Error(), nil)
 	return j.Status(), true
+}
+
+// activeByTenant copies the tenants' queued+running job counts.
+func (m *Manager) activeByTenant() map[string]int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return maps.Clone(m.active)
 }
 
 // Gauges counts non-terminal jobs for the metrics scrape.
@@ -455,12 +461,13 @@ func (m *Manager) runJob(j *Job) {
 // believes the job is in; if the job has left that state (a queued
 // cancel and the job's worker can race to end it) the call does nothing,
 // so a job ends exactly once. In order: the session lock (a running
-// job's, and only a running job's, is held by the caller) and the
-// tenant's quota slot are returned, then the terminal state is stored —
-// all under j.mu, which Status takes, so a poller that reads a terminal
-// state can resubmit or delete the session at once; then the metrics;
-// then onEnd writes the job_end record. Neither release can block: the
-// lock token is this job's, and the quota controller's mutex is a leaf.
+// job's, and only a running job's, is held by the caller) is returned
+// and the job leaves its tenant's count, then the terminal state is
+// stored — all under j.mu, which Status takes, so a poller that reads a
+// terminal state can resubmit or delete the session at once; then the
+// metrics; then onEnd writes the job_end record. Neither step can block
+// for long: the lock token is this job's, and m.mu is never held while
+// waiting for a job's mutex.
 func (m *Manager) end(j *Job, from, state JobState, errMsg string, result *JobResult) {
 	now := time.Now()
 	j.mu.Lock()
@@ -473,9 +480,12 @@ func (m *Manager) end(j *Job, from, state JobState, errMsg string, result *JobRe
 		elapsed = now.Sub(*j.startedAt).Seconds()
 		j.session.release()
 	}
-	if j.release != nil {
-		j.release()
+	m.mu.Lock()
+	m.active[j.tenant]--
+	if m.active[j.tenant] == 0 {
+		delete(m.active, j.tenant)
 	}
+	m.mu.Unlock()
 	j.state = state
 	j.errMsg = errMsg
 	j.result = result

@@ -216,10 +216,8 @@ func TestJobEndsExactlyOnce(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("idxmerged_jobs_total = %v, want %v (one per job)", got, want)
 			}
-			for _, tenant := range []string{"t-s", "t-other"} {
-				if u := h.srv.reg.Quota().UsageFor(tenant); u.Jobs != 0 {
-					t.Errorf("tenant %s still holds %d job slots", tenant, u.Jobs)
-				}
+			if active := h.srv.jobs.activeByTenant(); len(active) != 0 {
+				t.Errorf("tenants still counted with queued or running jobs: %v", active)
 			}
 			// One job record and one job_end per job, none for a refusal.
 			events, err := ReadJournal(journal)

@@ -172,11 +172,10 @@ type Gauges struct {
 
 // TenantGauges is one tenant's share of a scrape.
 type TenantGauges struct {
-	Tenant     string
-	Sessions   int
-	Jobs       int
-	Bytes      int64 // accounted memory across the tenant's sessions
-	IngestShed int64 // statements rejected by the ingest rate limiter
+	Tenant   string
+	Sessions int
+	Jobs     int
+	Bytes    int64 // accounted memory across the tenant's sessions
 }
 
 // sortedPairs returns m's keys in order, so the exposition is stable.
@@ -284,15 +283,14 @@ func (m *Metrics) Write(w io.Writer, g Gauges) {
 	fmt.Fprintf(w, "idxmerged_memory_budget_bytes %d\n", g.MemoryBudget)
 	// Each family's samples follow its own # TYPE line.
 	for _, f := range []struct {
-		name, typ string
-		value     func(TenantGauges) int64
+		name  string
+		value func(TenantGauges) int64
 	}{
-		{"idxmerged_tenant_sessions", "gauge", func(t TenantGauges) int64 { return int64(t.Sessions) }},
-		{"idxmerged_tenant_jobs", "gauge", func(t TenantGauges) int64 { return int64(t.Jobs) }},
-		{"idxmerged_tenant_bytes", "gauge", func(t TenantGauges) int64 { return t.Bytes }},
-		{"idxmerged_tenant_ingest_shed_total", "counter", func(t TenantGauges) int64 { return t.IngestShed }},
+		{"idxmerged_tenant_sessions", func(t TenantGauges) int64 { return int64(t.Sessions) }},
+		{"idxmerged_tenant_jobs", func(t TenantGauges) int64 { return int64(t.Jobs) }},
+		{"idxmerged_tenant_bytes", func(t TenantGauges) int64 { return t.Bytes }},
 	} {
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
+		fmt.Fprintf(w, "# TYPE %s gauge\n", f.name)
 		for _, t := range g.Tenants {
 			fmt.Fprintf(w, "%s{tenant=%q} %d\n", f.name, t.Tenant, f.value(t))
 		}

@@ -227,8 +227,8 @@ func TestSessionQuotaHTTP(t *testing.T) {
 }
 
 // TestIngestRateQuota: the token bucket admits a burst, rejects the
-// next batch with a refill-derived Retry-After, and counts the shed
-// statements.
+// next batch with a refill-derived Retry-After, and counts the refused
+// request.
 func TestIngestRateQuota(t *testing.T) {
 	h := newTestServer(t, Config{Quota: quota.Limits{IngestPerSec: 1, IngestBurst: 5}})
 	h.mustCall(t, "POST", "/v1/sessions", CreateSessionRequest{
@@ -244,8 +244,8 @@ func TestIngestRateQuota(t *testing.T) {
 	if errResp.Code != "quota_ingest_rate" || errResp.RetryAfterSec < 1 {
 		t.Errorf("rate-limited ingest body = %+v", errResp)
 	}
-	if u := h.srv.reg.Quota().UsageFor(DefaultTenant); u.IngestShed != 5 {
-		t.Errorf("ingest shed count = %d, want 5", u.IngestShed)
+	if want := `idxmerged_shed_total{reason="quota_ingest_rate",tenant="default"} 1` + "\n"; !strings.Contains(h.metricsText(t), want) {
+		t.Errorf("/metrics lacks %q:\n%s", want, grepLines(h.metricsText(t), "idxmerged_shed_total"))
 	}
 }
 
@@ -740,8 +740,8 @@ func TestNoisyNeighborStorm(t *testing.T) {
 }
 
 // TestQuotaRestartAccounting is the crash-ordering check: after a
-// restart, journal replay re-drives the same acquire/release sequence
-// and rebuilds per-tenant session, job and memory accounting exactly.
+// restart, journal replay recreates the sessions, and with them the
+// per-tenant session, job and memory counts, exactly.
 func TestQuotaRestartAccounting(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 	cfg := Config{JournalPath: journal, Quota: quota.Limits{MaxSessions: 2}}
@@ -768,14 +768,11 @@ func TestQuotaRestartAccounting(t *testing.T) {
 	// "Crash": abandon h1 (its journal is fsynced per event — whatever
 	// was acknowledged is on disk) and replay into a fresh server.
 	h2 := newTestServer(t, cfg)
-	if u := h2.srv.reg.Quota().UsageFor("alice"); u.Sessions != 2 {
-		t.Fatalf("replayed alice sessions = %d, want 2", u.Sessions)
-	}
-	if u := h2.srv.reg.Quota().UsageFor("bob"); u.Sessions != 1 {
-		t.Fatalf("replayed bob sessions = %d, want 1", u.Sessions)
-	}
-	if u := h2.srv.reg.Quota().UsageFor("alice"); u.Jobs != 0 {
-		t.Fatalf("replayed alice jobs = %d, want 0", u.Jobs)
+	if got, want := fmt.Sprint(h2.srv.tenantGauges()), fmt.Sprint([]TenantGauges{
+		{Tenant: "alice", Sessions: 2},
+		{Tenant: "bob", Sessions: 1, Bytes: before.AccountedBytes},
+	}); got != want {
+		t.Fatalf("replayed tenants = %s, want %s", got, want)
 	}
 	// Memory accounting replays byte-exactly (seeded reservoirs).
 	var after SessionInfo
@@ -823,5 +820,122 @@ func TestBrownoutShrinkReplay(t *testing.T) {
 	if after.Continuous == nil || before.Continuous == nil ||
 		after.Continuous.WindowMembers != before.Continuous.WindowMembers {
 		t.Fatalf("replayed window = %+v, want %+v", after.Continuous, before.Continuous)
+	}
+}
+
+// TestConcurrentAdmissionAtTheLimit: admission counts what it admitted
+// before the work is done. Eight creates by one tenant sent at once at
+// MaxSessions 1 give one 201 — a session still building counts — and
+// eight submissions at MaxJobs 1, the admitted job held by a latency
+// fault, give one 202; every other answer is the quota's 429.
+func TestConcurrentAdmissionAtTheLimit(t *testing.T) {
+	const n = 8
+	h := newTestServer(t, Config{Quota: quota.Limits{MaxSessions: 1, MaxJobs: 1}, QueueCap: 2 * n})
+	db := fixtureDB(t)
+	// race sends send(i) for i < n at once and tallies the answers by
+	// status and, for a refusal, the body's code.
+	race := func(send func(i int) (*http.Response, error)) map[string]int {
+		t.Helper()
+		var mu sync.Mutex
+		got := map[string]int{}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				answer := "error"
+				if resp, err := send(i); err == nil {
+					var e ErrorResponse
+					json.NewDecoder(resp.Body).Decode(&e)
+					resp.Body.Close()
+					answer = fmt.Sprintf("%d %s", resp.StatusCode, e.Code)
+				}
+				mu.Lock()
+				got[answer]++
+				mu.Unlock()
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		return got
+	}
+	postJSON := func(path string, body any) (*http.Response, error) {
+		b, _ := json.Marshal(body)
+		return h.ts.Client().Post(h.ts.URL+path, "application/json", bytes.NewReader(b))
+	}
+
+	created := race(func(i int) (*http.Response, error) {
+		return postJSON("/v1/sessions", CreateSessionRequest{Name: fmt.Sprintf("s%d", i), DB: db, Tenant: "acme"})
+	})
+	if want := map[string]int{"201 ": 1, "429 quota_sessions": n - 1}; fmt.Sprint(created) != fmt.Sprint(want) {
+		t.Fatalf("%d concurrent creates at MaxSessions 1 answered %v, want %v", n, created, want)
+	}
+	sessions := h.srv.reg.List()
+	if len(sessions) != 1 {
+		t.Fatalf("%d sessions registered, want 1", len(sessions))
+	}
+	name := sessions[0].name
+	h.mustCall(t, "POST", "/v1/sessions/"+name+"/workloads",
+		RegisterWorkloadRequest{Name: "w", SQL: fixtureSQL}, nil, http.StatusCreated)
+
+	faults.Install(faults.Rule{Point: faults.OptimizerCost, Mode: faults.ModeLatency, Latency: 100 * time.Millisecond})
+	t.Cleanup(faults.Reset)
+	submitted := race(func(int) (*http.Response, error) {
+		return postJSON("/v1/sessions/"+name+"/jobs", SubmitJobRequest{
+			Workload: "w", Initial: &InitialSpec{Indexes: fixtureIndexes}, Options: JobOptions{Constraint: 0.3}})
+	})
+	if want := map[string]int{"202 ": 1, "429 quota_jobs": n - 1}; fmt.Sprint(submitted) != fmt.Sprint(want) {
+		t.Errorf("%d concurrent submissions at MaxJobs 1 answered %v, want %v", n, submitted, want)
+	}
+	for _, st := range h.srv.jobs.List() {
+		h.mustCall(t, "POST", "/v1/jobs/"+st.ID+"/cancel", nil, nil, http.StatusAccepted)
+		h.waitTerminal(t, st.ID)
+	}
+}
+
+// TestTenantStateIsForgotten: a tenant leaves no state behind. A
+// hundred tenants each create a session — every fourth a continuous
+// one that ingests its burst under the rate limit — and delete it once
+// their buckets have refilled; then the quota controller holds no
+// bucket and /metrics lists no tenant.
+func TestTenantStateIsForgotten(t *testing.T) {
+	const tenants = 100
+	h := newTestServer(t, Config{Quota: quota.Limits{IngestPerSec: 1, IngestBurst: 5}})
+	now := time.Unix(0, 0)
+	h.srv.reg.Quota().SetClock(func() time.Time { return now })
+	db := fixtureDB(t)
+
+	for i := 0; i < tenants; i++ {
+		req := CreateSessionRequest{Name: fmt.Sprintf("s%d", i), DB: db}
+		if i%4 == 0 {
+			req.Continuous = &ContinuousSpec{Seed: int64(i)}
+		}
+		h.callAs(t, fmt.Sprintf("t%d", i), "POST", "/v1/sessions", req, nil)
+	}
+	if n := len(h.srv.reg.List()); n != tenants {
+		t.Fatalf("%d sessions created, want %d", n, tenants)
+	}
+	for i := 0; i < tenants; i += 4 {
+		// fixtureSQL is 5 statements: the whole burst.
+		if code := h.callAs(t, fmt.Sprintf("t%d", i), "POST", fmt.Sprintf("/v1/sessions/s%d/ingest", i),
+			IngestRequest{SQL: fixtureSQL}, nil); code != http.StatusOK {
+			t.Fatalf("ingest by t%d: status %d", i, code)
+		}
+	}
+	if n := h.srv.reg.Quota().Buckets(); n != tenants/4 {
+		t.Fatalf("after ingesting: %d buckets, want %d", n, tenants/4)
+	}
+
+	now = now.Add(5 * time.Second) // every bucket is full again
+	for i := 0; i < tenants; i++ {
+		h.mustCall(t, "DELETE", fmt.Sprintf("/v1/sessions/s%d", i), nil, nil, http.StatusOK)
+	}
+	if n := h.srv.reg.Quota().Buckets(); n != 0 {
+		t.Errorf("the quota controller holds %d buckets after every tenant left", n)
+	}
+	if lines := grepLines(h.metricsText(t), "{tenant="); lines != "" {
+		t.Errorf("/metrics still lists tenants:\n%s", lines)
 	}
 }

@@ -1,10 +1,12 @@
-// Package quota implements per-tenant admission control for the
-// advisor daemon: bounded live sessions, bounded queued+running jobs,
-// a token-bucket rate limit on ingest statements, and a byte-accounted
-// memory budget. The controller is pure accounting — it holds no
-// references into sessions or jobs, so the server can rebuild its
-// state exactly during journal replay by re-driving the same
-// acquire/release sequence the original process performed.
+// Package quota is the per-tenant admission policy of the advisor
+// daemon: bounded live sessions, bounded queued+running jobs, a
+// token-bucket rate limit on ingest statements, and a byte-accounted
+// memory budget. Sessions, jobs and bytes are counted where they live —
+// the registry, the job manager and the sessions — and handed to the
+// Check functions; the controller holds only the ingest token buckets,
+// and drops a bucket once it has refilled to its burst, since a fresh
+// bucket is identical. Journal replay therefore needs nothing of this
+// package: recreating the sessions recreates the counts.
 //
 // Every limit defaults to zero, meaning unlimited: a daemon started
 // without -quota-* flags behaves exactly as before.
@@ -49,33 +51,20 @@ type Verdict struct {
 
 func allow() Verdict { return Verdict{OK: true} }
 
-// Usage is a point-in-time snapshot of one tenant's accounting, for
-// metrics and status payloads.
-type Usage struct {
-	Tenant   string
-	Sessions int
-	Jobs     int
-	// IngestShed counts statements rejected by the rate limiter.
-	IngestShed int64
+// bucket is one tenant's ingest token bucket as of last.
+type bucket struct {
+	tokens float64
+	last   time.Time
 }
 
-// tenant is one tenant's live accounting.
-type tenant struct {
-	sessions   int
-	jobs       int
-	tokens     float64
-	last       time.Time
-	ingestShed int64
-}
-
-// Controller tracks per-tenant usage against Limits. Safe for
+// Controller judges per-tenant usage against Limits. Safe for
 // concurrent use. The zero value is not usable; call NewController.
 type Controller struct {
 	limits Limits
 	now    func() time.Time
 
 	mu      sync.Mutex
-	tenants map[string]*tenant
+	buckets map[string]*bucket // tenants whose bucket is below its burst
 }
 
 // NewController builds a controller over the given limits.
@@ -86,80 +75,46 @@ func NewController(l Limits) *Controller {
 	return &Controller{
 		limits:  l,
 		now:     time.Now,
-		tenants: make(map[string]*tenant),
+		buckets: make(map[string]*bucket),
 	}
 }
 
 // SetClock overrides the controller's time source (tests only).
 func (c *Controller) SetClock(now func() time.Time) { c.now = now }
 
-// Limits returns the configured ceilings.
-func (c *Controller) Limits() Limits { return c.limits }
-
-func (c *Controller) tenantLocked(name string) *tenant {
-	t := c.tenants[name]
-	if t == nil {
-		t = &tenant{tokens: c.limits.IngestBurst, last: c.now()}
-		c.tenants[name] = t
+// check admits current below limit (or any current when limit <= 0),
+// and otherwise refuses with a one-second retry hint: a slot comes back
+// when a session or job ends, which the caller cannot predict.
+func check(code, dim string, limit, current int64) Verdict {
+	if limit <= 0 || current < limit {
+		return allow()
 	}
-	return t
+	return Verdict{Code: code, Quota: dim, Limit: limit, Current: current, RetryAfter: time.Second}
 }
 
-// AcquireSession admits one new session for tenant, or explains why
-// not. A successful acquire must be paired with ReleaseSession.
-func (c *Controller) AcquireSession(name string) Verdict {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.tenantLocked(name)
-	if c.limits.MaxSessions > 0 && t.sessions >= c.limits.MaxSessions {
-		return Verdict{
-			Code:       "quota_sessions",
-			Quota:      "sessions",
-			Limit:      int64(c.limits.MaxSessions),
-			Current:    int64(t.sessions),
-			RetryAfter: time.Second,
-		}
-	}
-	t.sessions++
-	return allow()
+// CheckSessions admits one more session for a tenant that holds current
+// live or building sessions.
+func (c *Controller) CheckSessions(current int) Verdict {
+	return check("quota_sessions", "sessions", int64(c.limits.MaxSessions), int64(current))
 }
 
-// ReleaseSession returns one session slot.
-func (c *Controller) ReleaseSession(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t := c.tenants[name]; t != nil && t.sessions > 0 {
-		t.sessions--
-	}
+// CheckJobs admits one more job for a tenant that holds current queued
+// or running jobs.
+func (c *Controller) CheckJobs(current int) Verdict {
+	return check("quota_jobs", "jobs", int64(c.limits.MaxJobs), int64(current))
 }
 
-// AcquireJob admits one queued-or-running job for tenant. A successful
-// acquire must be paired with exactly one ReleaseJob when the job
-// reaches a terminal state.
-func (c *Controller) AcquireJob(name string) Verdict {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.tenantLocked(name)
-	if c.limits.MaxJobs > 0 && t.jobs >= c.limits.MaxJobs {
-		return Verdict{
-			Code:       "quota_jobs",
-			Quota:      "jobs",
-			Limit:      int64(c.limits.MaxJobs),
-			Current:    int64(t.jobs),
-			RetryAfter: time.Second,
-		}
-	}
-	t.jobs++
-	return allow()
+// CheckMemory verifies that a tenant currently holding current
+// accounted bytes may grow; it rejects once the tenant is at or over
+// budget.
+func (c *Controller) CheckMemory(current int64) Verdict {
+	return check("quota_memory", "memory_bytes", c.limits.MemoryBytes, current)
 }
 
-// ReleaseJob returns one job slot.
-func (c *Controller) ReleaseJob(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t := c.tenants[name]; t != nil && t.jobs > 0 {
-		t.jobs--
-	}
+// level is b's token count at now: refilled at the rate, capped at the
+// burst.
+func (c *Controller) level(b *bucket, now time.Time) float64 {
+	return min(c.limits.IngestBurst, b.tokens+now.Sub(b.last).Seconds()*c.limits.IngestPerSec)
 }
 
 // AllowIngest asks for n statements' worth of ingest tokens. On
@@ -172,20 +127,21 @@ func (c *Controller) AllowIngest(name string, n int) Verdict {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.tenantLocked(name)
 	now := c.now()
-	t.tokens += now.Sub(t.last).Seconds() * c.limits.IngestPerSec
-	if t.tokens > c.limits.IngestBurst {
-		t.tokens = c.limits.IngestBurst
+	b := c.buckets[name]
+	if b == nil {
+		b = &bucket{tokens: c.limits.IngestBurst}
+		c.buckets[name] = b
+	} else {
+		b.tokens = c.level(b, now)
 	}
-	t.last = now
+	b.last = now
 	need := float64(n)
-	if t.tokens >= need {
-		t.tokens -= need
+	if b.tokens >= need {
+		b.tokens -= need
 		return allow()
 	}
-	t.ingestShed += int64(n)
-	wait := (need - t.tokens) / c.limits.IngestPerSec
+	wait := (need - b.tokens) / c.limits.IngestPerSec
 	retry := time.Duration(math.Ceil(wait)) * time.Second
 	if retry > time.Minute {
 		retry = time.Minute
@@ -202,60 +158,29 @@ func (c *Controller) AllowIngest(name string, n int) Verdict {
 	}
 }
 
-// RecordIngestShed charges n shed statements to a tenant's ingest-shed
-// counter without consuming tokens — used when a batch is admitted by
-// the rate limiter but then shed by the brownout ladder.
-func (c *Controller) RecordIngestShed(name string, n int) {
+// Sweep drops every bucket that has refilled to its burst. The server
+// sweeps whenever a session is created or deleted, so a bucket outlives
+// its refill only until the next such change.
+func (c *Controller) Sweep() {
+	if c.limits.IngestPerSec <= 0 {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tenantLocked(name).ingestShed += int64(n)
-}
-
-// CheckMemory verifies that a tenant currently holding current
-// accounted bytes may grow. The caller supplies the measurement (the
-// controller holds no session references); the check rejects once the
-// tenant is at or over budget.
-func (c *Controller) CheckMemory(name string, current int64) Verdict {
-	if c.limits.MemoryBytes <= 0 || current < c.limits.MemoryBytes {
-		return allow()
-	}
-	return Verdict{
-		Code:       "quota_memory",
-		Quota:      "memory_bytes",
-		Limit:      c.limits.MemoryBytes,
-		Current:    current,
-		RetryAfter: time.Second,
+	now := c.now()
+	for name, b := range c.buckets {
+		if c.level(b, now) >= c.limits.IngestBurst {
+			delete(c.buckets, name)
+		}
 	}
 }
 
-// UsageAll snapshots every tenant the controller has seen, sorted by
-// nothing in particular; callers sort for stable output.
-func (c *Controller) UsageAll() []Usage {
+// Buckets counts the tenants whose bucket is held: all the state the
+// controller has.
+func (c *Controller) Buckets() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Usage, 0, len(c.tenants))
-	for name, t := range c.tenants {
-		out = append(out, Usage{
-			Tenant:     name,
-			Sessions:   t.sessions,
-			Jobs:       t.jobs,
-			IngestShed: t.ingestShed,
-		})
-	}
-	return out
-}
-
-// UsageFor snapshots one tenant (zero Usage if never seen).
-func (c *Controller) UsageFor(name string) Usage {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	u := Usage{Tenant: name}
-	if t := c.tenants[name]; t != nil {
-		u.Sessions = t.sessions
-		u.Jobs = t.jobs
-		u.IngestShed = t.ingestShed
-	}
-	return u
+	return len(c.buckets)
 }
 
 // String renders a verdict for logs.

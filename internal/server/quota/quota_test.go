@@ -7,50 +7,38 @@ import (
 
 func TestSessionQuota(t *testing.T) {
 	c := NewController(Limits{MaxSessions: 2})
-	if v := c.AcquireSession("a"); !v.OK {
-		t.Fatalf("first acquire rejected: %v", v)
+	for current := 0; current < 2; current++ {
+		if v := c.CheckSessions(current); !v.OK {
+			t.Fatalf("tenant holding %d sessions rejected: %v", current, v)
+		}
 	}
-	if v := c.AcquireSession("a"); !v.OK {
-		t.Fatalf("second acquire rejected: %v", v)
-	}
-	v := c.AcquireSession("a")
+	v := c.CheckSessions(2)
 	if v.OK {
-		t.Fatal("third acquire admitted past limit")
+		t.Fatal("third session admitted past limit")
 	}
-	if v.Code != "quota_sessions" || v.Limit != 2 || v.Current != 2 {
+	if v.Code != "quota_sessions" || v.Quota != "sessions" || v.Limit != 2 || v.Current != 2 {
 		t.Fatalf("bad verdict: %+v", v)
 	}
 	if v.RetryAfter <= 0 {
 		t.Fatal("rejection carries no Retry-After")
 	}
-	// Other tenants are unaffected.
-	if v := c.AcquireSession("b"); !v.OK {
-		t.Fatalf("tenant b rejected by tenant a's usage: %v", v)
-	}
-	c.ReleaseSession("a")
-	if v := c.AcquireSession("a"); !v.OK {
-		t.Fatalf("acquire after release rejected: %v", v)
-	}
-	// Release below zero must not underflow.
-	c.ReleaseSession("never-seen")
-	if u := c.UsageFor("never-seen"); u.Sessions != 0 {
-		t.Fatalf("underflow: %+v", u)
+	if v := NewController(Limits{}).CheckSessions(1 << 20); !v.OK {
+		t.Fatalf("unlimited rejected: %v", v)
 	}
 }
 
 func TestJobQuota(t *testing.T) {
 	c := NewController(Limits{MaxJobs: 1})
-	if v := c.AcquireJob("a"); !v.OK {
-		t.Fatalf("acquire rejected: %v", v)
+	if v := c.CheckJobs(0); !v.OK {
+		t.Fatalf("first job rejected: %v", v)
 	}
-	if v := c.AcquireJob("a"); v.OK {
+	if v := c.CheckJobs(1); v.OK {
 		t.Fatal("second job admitted past limit")
-	} else if v.Code != "quota_jobs" {
-		t.Fatalf("bad code: %+v", v)
+	} else if v.Code != "quota_jobs" || v.Limit != 1 || v.Current != 1 || v.RetryAfter <= 0 {
+		t.Fatalf("bad verdict: %+v", v)
 	}
-	c.ReleaseJob("a")
-	if v := c.AcquireJob("a"); !v.OK {
-		t.Fatalf("acquire after release rejected: %v", v)
+	if v := NewController(Limits{}).CheckJobs(1 << 20); !v.OK {
+		t.Fatalf("unlimited rejected: %v", v)
 	}
 }
 
@@ -79,29 +67,54 @@ func TestIngestTokenBucket(t *testing.T) {
 	if v := c.AllowIngest("a", 11); v.OK {
 		t.Fatal("admitted more than burst after long idle")
 	}
-	if u := c.UsageFor("a"); u.IngestShed != 16 {
-		t.Fatalf("ingest shed count = %d, want 16", u.IngestShed)
-	}
-	// Unlimited controller always admits.
+	// Unlimited controller always admits, and holds no bucket.
 	free := NewController(Limits{})
 	if v := free.AllowIngest("a", 1<<20); !v.OK {
 		t.Fatalf("unlimited rejected: %v", v)
+	}
+	if n := free.Buckets(); n != 0 {
+		t.Fatalf("unlimited controller holds %d buckets", n)
+	}
+}
+
+// TestSweepDropsRefilledBuckets: a bucket is kept while it is below its
+// burst and dropped by the first sweep after it refills; a tenant whose
+// bucket was dropped starts again from a full one.
+func TestSweepDropsRefilledBuckets(t *testing.T) {
+	c := NewController(Limits{IngestPerSec: 10, IngestBurst: 10})
+	now := time.Unix(0, 0)
+	c.SetClock(func() time.Time { return now })
+
+	c.AllowIngest("a", 10)
+	c.AllowIngest("b", 2)
+	now = now.Add(500 * time.Millisecond) // b is full again, a holds 5
+	c.Sweep()
+	if n := c.Buckets(); n != 1 {
+		t.Fatalf("after b refilled: %d buckets, want a's alone", n)
+	}
+	if v := c.AllowIngest("b", 10); !v.OK {
+		t.Fatalf("swept tenant does not start from a full bucket: %v", v)
+	}
+	now = now.Add(time.Second)
+	c.Sweep()
+	if n := c.Buckets(); n != 0 {
+		t.Fatalf("after every bucket refilled: %d buckets, want 0", n)
 	}
 }
 
 func TestMemoryCheck(t *testing.T) {
 	c := NewController(Limits{MemoryBytes: 1000})
-	if v := c.CheckMemory("a", 999); !v.OK {
+	if v := c.CheckMemory(999); !v.OK {
 		t.Fatalf("under budget rejected: %v", v)
 	}
-	v := c.CheckMemory("a", 1000)
+	v := c.CheckMemory(1000)
 	if v.OK {
 		t.Fatal("at budget admitted")
 	}
 	if v.Code != "quota_memory" || v.Limit != 1000 || v.Current != 1000 {
 		t.Fatalf("bad verdict: %+v", v)
 	}
-	if v := NewController(Limits{}).CheckMemory("a", 1<<40); !v.OK {
+	if v := NewController(Limits{}).CheckMemory(1 << 40); !v.OK {
 		t.Fatal("unlimited memory rejected")
 	}
 }

@@ -652,9 +652,12 @@ func (h *testServer) restartState(tenants ...string) restartState {
 		}
 		rs.Sessions[sess.name] = ss
 	}
+	gauges := map[string]TenantGauges{}
+	for _, g := range h.srv.tenantGauges() {
+		gauges[g.Tenant] = g
+	}
 	for _, tenant := range tenants {
-		u := h.srv.reg.Quota().UsageFor(tenant)
-		rs.Usage[tenant] = [2]int{u.Sessions, u.Jobs}
+		rs.Usage[tenant] = [2]int{gauges[tenant].Sessions, gauges[tenant].Jobs}
 	}
 	for _, st := range h.srv.jobs.List() {
 		rs.Jobs[st.ID] = [5]string{st.Kind, st.Session, st.Workload, st.State, st.Error}
@@ -904,7 +907,7 @@ func TestWorkerPanicFailsJobNotProcess(t *testing.T) {
 	if !ok {
 		t.Fatal("session missing")
 	}
-	job, err := h.srv.jobs.Submit("merge", sess, "w", SubmitOpts{}, func(ctx context.Context, j *Job) (*JobResult, error) {
+	job, err := h.srv.jobs.Submit("merge", sess, "w", 0, func(ctx context.Context, j *Job) (*JobResult, error) {
 		panic("worker kaboom")
 	})
 	if err != nil {

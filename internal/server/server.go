@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -91,14 +92,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
+	qc := quota.NewController(cfg.Quota)
 	s := &Server{
-		reg:       NewRegistry(cfg.CacheMaxEntries, quota.NewController(cfg.Quota)),
+		reg:       NewRegistry(cfg.CacheMaxEntries, qc),
 		metrics:   NewMetrics(),
 		log:       cfg.Logger,
 		mux:       http.NewServeMux(),
 		memBudget: cfg.MemoryBudgetBytes,
 	}
-	s.jobs = NewManager(cfg.Workers, cfg.QueueCap, s.metrics, s.log)
+	s.jobs = NewManager(cfg.Workers, cfg.QueueCap, qc, s.metrics, s.log)
 
 	if cfg.JournalPath != "" {
 		if err := s.recoverFromJournal(cfg.JournalPath); err != nil {
@@ -440,8 +442,34 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		BrownoutStage:     int(s.stage.Load()),
 		AccountedBytes:    s.reg.totalBytes(),
 		MemoryBudget:      s.memBudget,
-		Tenants:           s.reg.tenantGauges(),
+		Tenants:           s.tenantGauges(),
 	})
+}
+
+// tenantGauges assembles the per-tenant metrics snapshot from the
+// owners of each fact — sessions and bytes from the registry, queued
+// and running jobs from the manager — for the tenants that hold a live
+// session or job: a tenant leaves the exposition with its last one.
+func (s *Server) tenantGauges() []TenantGauges {
+	byTenant := make(map[string]TenantGauges)
+	for _, sess := range s.reg.List() {
+		g := byTenant[sess.tenant]
+		g.Sessions++
+		g.Bytes += sess.accountedBytes()
+		byTenant[sess.tenant] = g
+	}
+	for tenant, n := range s.jobs.activeByTenant() {
+		g := byTenant[tenant]
+		g.Jobs = n
+		byTenant[tenant] = g
+	}
+	out := make([]TenantGauges, 0, len(byTenant))
+	for tenant, g := range byTenant {
+		g.Tenant = tenant
+		out = append(out, g)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
+	return out
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -501,7 +529,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request, ses
 }
 
 func (s *Server) handleRegisterWorkload(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if v := s.reg.Quota().CheckMemory(sess.tenant, s.reg.tenantBytes(sess.tenant)); !v.OK {
+	if v := s.reg.Quota().CheckMemory(s.reg.tenantBytes(sess.tenant)); !v.OK {
 		s.reject(w, sess.tenant, &quotaError{tenant: sess.tenant, v: v})
 		return
 	}
@@ -654,7 +682,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, sess *Sess
 	// tenant cannot dodge its quota by batching harder.
 	v := s.reg.Quota().AllowIngest(sess.tenant, len(items))
 	if v.OK {
-		v = s.reg.Quota().CheckMemory(sess.tenant, s.reg.tenantBytes(sess.tenant))
+		v = s.reg.Quota().CheckMemory(s.reg.tenantBytes(sess.tenant))
 	}
 	if !v.OK {
 		s.reject(w, sess.tenant, &quotaError{tenant: sess.tenant, v: v})
@@ -686,20 +714,11 @@ func (s *Server) handleRetune(w http.ResponseWriter, r *http.Request, sess *Sess
 }
 
 // submit is the one admission path of asynchronous work — POST …/jobs,
-// POST …/retune and the background re-tuner: the tenant's job slot
-// (*quotaError), then the queue (ErrDraining, ErrQueueFull), then the
-// job record. The slot goes back when the job ends, or at once if the
-// queue refuses it.
+// POST …/retune and the background re-tuner: Manager.Submit's
+// admission (the tenant's job quota, draining, the queue), then the job
+// record.
 func (s *Server) submit(kind string, sess *Session, workloadName string, timeout time.Duration, run jobRun) (*Job, error) {
-	tenant := sess.tenant
-	if v := s.reg.Quota().AcquireJob(tenant); !v.OK {
-		return nil, &quotaError{tenant: tenant, v: v}
-	}
-	job, err := s.jobs.Submit(kind, sess, workloadName, SubmitOpts{
-		Tenant:  tenant,
-		Timeout: timeout,
-		Release: func() { s.reg.Quota().ReleaseJob(tenant) },
-	}, run)
+	job, err := s.jobs.Submit(kind, sess, workloadName, timeout, run)
 	if err != nil {
 		return nil, err
 	}

@@ -239,9 +239,9 @@ func (s *Session) accountedBytes() int64 {
 type Registry struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
-	building map[string]bool   // names reserved while their DB builds
+	building map[string]string // name -> tenant, reserved while its DB builds
 	tableMax int               // bound of every cost table (entries)
-	quota    *quota.Controller // per-tenant admission control
+	quota    *quota.Controller // per-tenant admission policy
 	snaps    snapshotCache
 }
 
@@ -252,7 +252,7 @@ type Registry struct {
 func NewRegistry(tableMax int, qc *quota.Controller) *Registry {
 	return &Registry{
 		sessions: make(map[string]*Session),
-		building: make(map[string]bool),
+		building: make(map[string]string),
 		tableMax: tableMax,
 		quota:    qc,
 	}
@@ -282,25 +282,21 @@ func (r *Registry) totalBytes() int64 {
 	return total
 }
 
-// tenantGauges assembles the per-tenant metrics snapshot: quota usage
-// from the controller joined with per-session byte accounting, for the
-// tenants that hold a live session or job — a tenant that held some
-// once leaves the exposition with its last one.
-func (r *Registry) tenantGauges() []TenantGauges {
-	bytes := make(map[string]int64)
-	for _, s := range r.List() {
-		bytes[s.tenant] += s.accountedBytes()
-	}
-	usage := r.quota.UsageAll()
-	sort.Slice(usage, func(i, j int) bool { return usage[i].Tenant < usage[j].Tenant })
-	var out []TenantGauges
-	for _, u := range usage {
-		if u.Sessions > 0 || u.Jobs > 0 {
-			out = append(out, TenantGauges{Tenant: u.Tenant, Sessions: u.Sessions, Jobs: u.Jobs,
-				Bytes: bytes[u.Tenant], IngestShed: u.IngestShed})
+// tenantSessionsLocked counts tenant's live sessions and in-flight
+// builds; r.mu is held.
+func (r *Registry) tenantSessionsLocked(tenant string) int {
+	n := 0
+	for _, s := range r.sessions {
+		if s.tenant == tenant {
+			n++
 		}
 	}
-	return out
+	for _, t := range r.building {
+		if t == tenant {
+			n++
+		}
+	}
+	return n
 }
 
 // liveTenant reports whether tenant holds a live session.
@@ -457,35 +453,31 @@ func (r *Registry) Create(req CreateSessionRequest) (*Session, error) {
 	}
 
 	r.mu.Lock()
-	if _, ok := r.sessions[req.Name]; ok || r.building[req.Name] {
+	if _, ok := r.sessions[req.Name]; ok || r.building[req.Name] != "" {
 		r.mu.Unlock()
 		return nil, ErrSessionExists
 	}
-	r.building[req.Name] = true
-	r.mu.Unlock()
-	// However the build ends short of a registered session — an error or
-	// a panic — the name's reservation and the quota slot are given back.
-	var admitted, registered bool
-	defer func() {
-		if registered {
-			return
-		}
-		if admitted {
-			r.quota.ReleaseSession(tenant)
-		}
-		r.mu.Lock()
-		delete(r.building, req.Name)
-		r.mu.Unlock()
-	}()
-
 	// Admit before the (expensive) database build, so an over-quota
-	// tenant cannot burn seconds of build CPU just to be rejected.
-	// Acquire/release exactly brackets a session's life: journal replay
-	// re-drives this same path, rebuilding the accounting.
-	if v := r.quota.AcquireSession(tenant); !v.OK {
+	// tenant cannot burn seconds of build CPU just to be rejected. A build
+	// in flight counts as a session, so concurrent creates cannot all pass.
+	if v := r.quota.CheckSessions(r.tenantSessionsLocked(tenant)); !v.OK {
+		r.mu.Unlock()
 		return nil, &quotaError{tenant: tenant, v: v}
 	}
-	admitted = true
+	r.building[req.Name] = tenant
+	r.mu.Unlock()
+	// However the build ends — a session, an error or a panic — the
+	// name's reservation goes, and a built session takes its place.
+	var built *Session
+	defer func() {
+		r.mu.Lock()
+		delete(r.building, req.Name)
+		if built != nil {
+			r.sessions[req.Name] = built
+		}
+		r.mu.Unlock()
+		r.quota.Sweep()
+	}()
 
 	// Sessions over the same (db, scale, seed) share one frozen
 	// database; the build cost (seconds at scale) is paid once per spec.
@@ -507,11 +499,7 @@ func (r *Registry) Create(req CreateSessionRequest) (*Session, error) {
 	if req.Continuous != nil {
 		s.cont = newContinuous(*req.Continuous, r.tableMax)
 	}
-	r.mu.Lock()
-	delete(r.building, req.Name)
-	r.sessions[req.Name] = s
-	r.mu.Unlock()
-	registered = true
+	built = s
 	return s, nil
 }
 
@@ -557,6 +545,6 @@ func (r *Registry) Delete(name string) error {
 	s.release()
 	delete(r.sessions, name)
 	r.snaps.release(s.snapKey)
-	r.quota.ReleaseSession(s.tenant)
+	r.quota.Sweep()
 	return nil
 }
